@@ -132,30 +132,33 @@ def coeff_f(
     _require_coupling(params)
     if n < 0:
         raise ValueError("n must be >= 0")
-    w, g, d = params.omega, params.g, params.delta
+    w = params.omega
     if eps_pole is None:
         eps_pole = EPS_POLE_REL * w
-    x = shifted_energy(params, energy)
-    detune = x - n * w
+    detune = shifted_energy(params, energy) - n * w
     if abs(detune) < eps_pole:
         return SchweberCoefficient(n=n, value=math.nan, at_pole=True)
-    value = 2.0 * g / w + (-detune + d * d / detune) / (2.0 * g)
-    return SchweberCoefficient(n=n, value=value, at_pole=False)
+    return SchweberCoefficient(n=n, value=_f_of_detune(detune, params), at_pole=False)
+
+
+def _f_of_detune(detune, params: ModelParams):
+    """f_n from the detuning x - n*omega; elementwise on arrays."""
+    w, g, d = params.omega, params.g, params.delta
+    return 2.0 * g / w + (-detune + d * d / detune) / (2.0 * g)
 
 
 def _coeff_values(
     energy: float, params: ModelParams, n_max: int, eps_pole: float | None = None
 ) -> np.ndarray:
     """f_0..f_{n_max} as an array; raises PoleError on any guard hit."""
-    w, g, d = params.omega, params.g, params.delta
+    w = params.omega
     if eps_pole is None:
         eps_pole = EPS_POLE_REL * w
-    x = shifted_energy(params, energy)
-    detune = x - w * np.arange(n_max + 1, dtype=float)
+    detune = shifted_energy(params, energy) - w * np.arange(n_max + 1, dtype=float)
     hits = np.abs(detune) < eps_pole
     if np.any(hits):
         raise PoleError(int(np.argmax(hits)), energy)
-    return 2.0 * g / w + (-detune + d * d / detune) / (2.0 * g)
+    return _f_of_detune(detune, params)
 
 
 @dataclass(frozen=True)
@@ -339,23 +342,74 @@ class ConvergentPair:
         return self.a / self.b
 
 
-def _pair_state(
-    energy: float, params: ModelParams, n: int, eps_pole: float | None = None
-) -> tuple[float, float, float, float]:
-    """(A_{n-1}, A_n, B_{n-1}, B_n) with shared power-of-two rescaling."""
-    f = _coeff_values(energy, params, n, eps_pole)
-    a_prev, b_prev = 0.0, 1.0        # A_0, B_0
-    a_cur, b_cur = 1.0, float(f[1])  # A_1, B_1
+def _pair_state(energy, params: ModelParams, n: int, eps_pole: float | None = None):
+    """(A_{n-1}, A_n, B_{n-1}, B_n) with shared power-of-two rescaling.
+
+    A scalar ``energy`` runs the recurrence on Python floats and raises
+    PoleError when any of f_0..f_n sits in its guard.  An array of energies
+    gives four arrays from one lockstep pass (see :func:`_pair_state_grid`).
+    """
+    if np.ndim(energy) != 0:
+        return _pair_state_grid(np.asarray(energy, dtype=float), params, n, eps_pole)
+    f = _coeff_values(energy, params, n, eps_pole).tolist()
+    a_prev, b_prev = 0.0, 1.0  # A_0, B_0
+    a_cur, b_cur = 1.0, f[1]   # A_1, B_1
+    lim = _RESCALE_LIMIT
     for m in range(2, n + 1):
         fm = f[m]
         a_prev, a_cur = a_cur, fm * a_cur - m * a_prev
         b_prev, b_cur = b_cur, fm * b_cur - m * b_prev
-        if max(abs(a_cur), abs(b_cur), abs(a_prev), abs(b_prev)) > _RESCALE_LIMIT:
+        # max(|A|, |B|) > limit, as chained compares: no calls in the hot loop
+        if not (
+            -lim <= a_cur <= lim and -lim <= b_cur <= lim
+            and -lim <= a_prev <= lim and -lim <= b_prev <= lim
+        ):
             a_prev *= _RESCALE
             a_cur *= _RESCALE
             b_prev *= _RESCALE
             b_cur *= _RESCALE
     return a_prev, a_cur, b_prev, b_cur
+
+
+def _pair_state_grid(
+    energies: np.ndarray, params: ModelParams, n: int, eps_pole: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Array form of :func:`_pair_state`, bit-identical lane by lane.
+
+    Each step computes the coefficient row f_m for every lane and consumes
+    it at once; an (n+1, lanes) coefficient table would cost more memory
+    than the recurrence itself.  Each lane is rescaled by the same exact
+    power of two under the same rule as the scalar path.  Lanes where any
+    of f_0..f_n sits in its guard come back NaN in all four arrays.
+    """
+    w = params.omega
+    if eps_pole is None:
+        eps_pole = EPS_POLE_REL * w
+    x = shifted_energy(params, energies)
+    hit = np.abs(x) < eps_pole  # f_0
+    with np.errstate(all="ignore"):  # guard lanes divide by ~0; masked below
+        detune = x - w
+        hit |= np.abs(detune) < eps_pole
+        a_prev, b_prev = np.zeros_like(x), np.ones_like(x)
+        a_cur, b_cur = np.ones_like(x), _f_of_detune(detune, params)
+        for m in range(2, n + 1):
+            detune = x - m * w
+            hit |= np.abs(detune) < eps_pole
+            fm = _f_of_detune(detune, params)
+            a_prev, a_cur = a_cur, fm * a_cur - m * a_prev
+            b_prev, b_cur = b_cur, fm * b_cur - m * b_prev
+            big = np.maximum(
+                np.maximum(np.abs(a_cur), np.abs(b_cur)),
+                np.maximum(np.abs(a_prev), np.abs(b_prev)),
+            ) > _RESCALE_LIMIT
+            if big.any():
+                scale = np.where(big, _RESCALE, 1.0)
+                a_prev, a_cur = a_prev * scale, a_cur * scale
+                b_prev, b_cur = b_prev * scale, b_cur * scale
+    state = (a_prev, a_cur, b_prev, b_cur)
+    for arr in state:
+        arr[hit] = math.nan
+    return state
 
 
 def convergent_pair(energy: float, params: ModelParams, n: int) -> ConvergentPair:
@@ -371,11 +425,11 @@ def convergent_pair(energy: float, params: ModelParams, n: int) -> ConvergentPai
 
 
 def pair_secular(
-    energy: float,
+    energy,
     params: ModelParams,
     order: TruncationOrder,
     eps_pole: float | None = None,
-) -> float:
+):
     """Pole-free secular function W_N(E) = f_0(E) B_N - A_N, up to a
     positive rescale.
 
@@ -385,11 +439,21 @@ def pair_secular(
     W_N therefore see every root once and never see an F_N pole, which raw
     sampling of S_N cannot guarantee: root/pole pairs closer than the grid
     cancel, and isolated F_N poles masquerade as sign changes.
+
+    ``energy`` is a float or an array.  A float gives a float, NaN inside a
+    pole guard; an array gives an array from one recurrence pass over all
+    energies, element for element bit-identical to the float calls, NaN
+    positions included.
     """
     _require_coupling(params)
     n = int(order)
     if n < 1:
         raise ValueError("order must be >= 1")
+    if np.ndim(energy) != 0:
+        _, a_cur, _, b_cur = _pair_state(energy, params, n, eps_pole)
+        with np.errstate(all="ignore"):  # f_0 at a guard lane; already NaN
+            f0 = _f_of_detune(shifted_energy(params, np.asarray(energy, dtype=float)), params)
+            return f0 * b_cur - a_cur
     f0 = coeff_f(0, energy, params, eps_pole)
     if f0.at_pole:
         return math.nan

@@ -113,22 +113,28 @@ class BracketScan:
 def bracket_roots(f, seg: SegmentedWindow, grid: int) -> BracketScan:
     """Maximal list of sign-change brackets of ``f`` over the segments.
 
-    ``f`` maps energy to a float; NaN marks a sample whose evaluation did
-    not converge and is skipped.  ``grid`` is the total sample budget,
-    distributed over segments proportionally to length with at least two
-    samples each.  A sign change between the closing sample of one segment
-    and the opening sample of the next is reported as a pole candidate at
-    the cut between them, not as a bracket.
+    ``f`` maps an array of energies to an array of values and is called
+    once, on the samples of every segment concatenated; NaN marks a sample
+    whose evaluation did not converge and is skipped.  ``grid`` is the
+    total sample budget, distributed over segments proportionally to length
+    with at least two samples each.  A sign change between the closing
+    sample of one segment and the opening sample of the next is reported as
+    a pole candidate at the cut between them, not as a bracket.
     """
     if grid < 2 * max(1, len(seg.segments)):
         raise ValueError("grid too small for the segment count")
+    if not seg.segments:
+        return BracketScan(brackets=(), pole_candidates=())
     total = sum(b - a for a, b in seg.segments)
+    samples = [
+        np.linspace(a, b, max(2, int(round(grid * (b - a) / total))) if total > 0 else 2)
+        for a, b in seg.segments
+    ]
+    values = np.asarray(f(np.concatenate(samples)), dtype=float)
+    ends = np.cumsum([len(xs) for xs in samples])
     brackets: list[tuple[float, float]] = []
     edge_signs: list[tuple[float, float]] = []
-    for a, b in seg.segments:
-        n = max(2, int(round(grid * (b - a) / total))) if total > 0 else 2
-        xs = np.linspace(a, b, n)
-        vals = np.array([f(x) for x in xs])
+    for xs, vals in zip(samples, np.split(values, ends[:-1])):
         ok = np.isfinite(vals)
         xs, vals = xs[ok], vals[ok]
         if len(xs) == 0:

@@ -24,6 +24,8 @@ from rabicf import (
     spectral_function_a,
 )
 
+from rabicf.schweber import EPS_POLE_REL
+
 from conftest import FIXTURE, ORACLE_UNION_24
 
 
@@ -223,6 +225,29 @@ class TestPairSecular:
     def test_nan_inside_guard(self):
         energy = 1.0 - FIXTURE.g**2 / FIXTURE.omega
         assert math.isnan(pair_secular(energy, FIXTURE, 30))
+
+    @pytest.mark.parametrize("g", [0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("order", [1, 2, 150, 600])
+    def test_array_matches_scalar_bitwise(self, g, order):
+        # the one-pass grid recurrence must reproduce the scalar loop bit
+        # for bit, including which samples fall inside a pole guard
+        params = ModelParams(1.0, g, 0.4)
+        cuts = np.arange(8) * params.omega - g * g / params.omega
+        guard = EPS_POLE_REL * params.omega
+        edges = np.concatenate([cuts - guard, cuts + guard])
+        energies = np.concatenate([
+            np.linspace(-g * g - 1.5, 8.0, 401),
+            cuts,
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+        ])
+        grid = pair_secular(energies, params, order)
+        scalar = np.array([pair_secular(float(e), params, order) for e in energies])
+        nan = np.isnan(scalar)
+        assert nan.any() and not nan.all()
+        np.testing.assert_array_equal(np.isnan(grid), nan)
+        np.testing.assert_array_equal(grid[~nan].view(np.int64), scalar[~nan].view(np.int64))
 
 
 class TestMinimalSequence:

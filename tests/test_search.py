@@ -64,7 +64,9 @@ class TestBracketRoots:
     def test_skips_nan_samples(self):
         seg = segment_window((0.0, 2.0))
         scan = bracket_roots(
-            lambda e: math.nan if 0.9 < e < 1.1 else e - 1.0, seg, 50
+            np.vectorize(lambda e: math.nan if 0.9 < e < 1.1 else e - 1.0, otypes=[float]),
+            seg,
+            50,
         )
         assert len(scan.brackets) == 1
 
@@ -98,7 +100,7 @@ class TestBracketRoots:
         # is why the solver brackets on the pole-free secular form instead
         raw_f = lambda e: spectral_function_a(e, FIXTURE, 150).value
         seg = segment_window((-1.0, 6.0), FIXTURE)
-        raw = bracket_roots(raw_f, seg, 2000)
+        raw = bracket_roots(np.vectorize(raw_f, otypes=[float]), seg, 2000)
         n_oracle = int(np.sum((oracle_union > -1.0) & (oracle_union < 6.0)))
         assert len(raw.brackets) > n_oracle
         kept = 0

@@ -50,7 +50,6 @@ class SpectralMethod(Enum):
     METHOD_A = "a"
     METHOD_B = "b"
     ORACLE = "oracle"
-    PATHOLOGICAL = "pathological"
 
 
 @dataclass(frozen=True)

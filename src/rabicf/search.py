@@ -22,7 +22,7 @@ from scipy.optimize import brentq
 
 from .convergence import tail_depth_bound
 from .errors import DegenerateScanError, DeltaZeroError, GZeroError, LostBracketError
-from .model import ModelParams, Parity, TruncationOrder, build_chain
+from .model import ModelParams, Parity, TruncationOrder, build_chain, shifted_energy
 from .schweber import EPS_POLE_REL, pair_secular, spectral_function_a
 from .tridiag import (
     EnergyLevel,
@@ -75,31 +75,51 @@ def segment_window(
     """Segment a window at the coefficient-pole lattice E = k w - g^2/w.
 
     With ``params`` omitted the window is one cut-free segment (resolvent
-    and oracle scans have no excluded abscissae).
+    and oracle scans have no excluded abscissae).  Segment endpoints next
+    to a cut lie outside its guard as the coefficient evaluation tests it,
+    so no segment opens or closes on a NaN sample.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid window {window!r}")
-    cuts: list[float] = []
+    ks, cuts = range(0), []
     if params is not None:
         if guard is None:
             guard = EPS_POLE_REL * params.omega
         shift = params.g * params.g / params.omega
         k_lo = math.ceil((lo + shift) / params.omega)
         k_hi = math.floor((hi + shift) / params.omega)
-        cuts = [k * params.omega - shift for k in range(k_lo, k_hi + 1)]
+        ks = range(k_lo, k_hi + 1)
+        cuts = [k * params.omega - shift for k in ks]
     guard = float(guard if guard is not None else 0.0)
     segments = []
     prev = lo
-    for c in cuts:
-        if c - guard > prev:
-            segments.append((prev, c - guard))
-        prev = c + guard
+    for k, c in zip(ks, cuts):
+        left = _clear_of_guard(c - guard, k, params, guard, -1.0)
+        if left > prev:
+            segments.append((prev, left))
+        prev = _clear_of_guard(c + guard, k, params, guard, 1.0)
     if hi > prev:
         segments.append((prev, hi))
     return SegmentedWindow(
         window=(lo, hi), cut_points=tuple(cuts), segments=tuple(segments), guard=guard
     )
+
+
+def _clear_of_guard(
+    energy: float, k: int, params: ModelParams, guard: float, direction: float
+) -> float:
+    """Move ``energy`` away from the cut at x = k*omega until
+    |x(E) - k*omega| >= guard, the test coeff_f applies: cut +- guard can
+    round back into the guard.  Steps start at one ulp of x and double, so
+    the loop stays short even near E = 0, where one ulp of E is far below
+    one ulp of x.
+    """
+    step = math.ulp(shifted_energy(params, energy))
+    while abs(shifted_energy(params, energy) - k * params.omega) < guard:
+        energy += direction * step
+        step *= 2.0
+    return energy
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from rabicf import (
     ModelParams,
     Parity,
     bracket_roots,
+    build_chain,
+    eigenvalues,
     pair_secular,
     refine_root,
     scan_crossings,
@@ -19,7 +21,7 @@ from rabicf import (
     solve_method_a,
     spectral_function_a,
 )
-from rabicf.search import bisect_sign
+from rabicf.search import bisect_sign, default_window
 
 from conftest import FIXTURE, ORACLE_UNION_24
 
@@ -169,6 +171,24 @@ class TestSolveMethodA:
         result = solve_method_a(FIXTURE, 150, (-1.0, 6.0))
         n_oracle = int(np.sum((oracle_union > -1.0) & (oracle_union < 6.0)))
         assert len(result.spectrum.levels) == n_oracle
+
+    def test_no_level_lost_at_guard_edge(self):
+        # at g = 1 the segment opening at cut + guard used to round back
+        # into the pole guard, so its first grid cell went unchecked and
+        # the level at E = -0.99620 was lost
+        params = ModelParams(1.0, 1.0, 0.4)
+        window = default_window(params, 12)
+        for a, b in segment_window(window, params).segments:
+            assert math.isfinite(pair_secular(a, params, 600))
+            assert math.isfinite(pair_secular(b, params, 600))
+        got = solve_method_a(params, 600, window, levels=12).spectrum.energies
+        union = np.sort(np.concatenate([
+            eigenvalues(build_chain(params, parity, 600), 12, tol=1e-12).energies
+            for parity in (Parity.PLUS, Parity.MINUS)
+        ]))
+        union = union[(union > window[0]) & (union < window[1])][:12]
+        assert len(got) == len(union) == 12
+        assert float(np.max(np.abs(got - union))) < 1e-10
 
 
 class TestScan:

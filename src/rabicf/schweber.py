@@ -450,10 +450,10 @@ def pair_secular(
     if n < 1:
         raise ValueError("order must be >= 1")
     if np.ndim(energy) != 0:
-        _, a_cur, _, b_cur = _pair_state(energy, params, n, eps_pole)
+        energies = np.asarray(energy, dtype=float)
+        _, a_cur, _, b_cur = _pair_state(energies, params, n, eps_pole)
         with np.errstate(all="ignore"):  # f_0 at a guard lane; already NaN
-            f0 = _f_of_detune(shifted_energy(params, np.asarray(energy, dtype=float)), params)
-            return f0 * b_cur - a_cur
+            return _f_of_detune(shifted_energy(params, energies), params) * b_cur - a_cur
     f0 = coeff_f(0, energy, params, eps_pole)
     if f0.at_pole:
         return math.nan

@@ -12,9 +12,11 @@ independent Sturm-bisection eigensolver on the truncated parity chains:
 * oracle (``tridiag``): Sturm-count bisection, sharing no code with either
   continued-fraction route.
 
-``convergence`` certifies resolvent-tail convergence and bounds the
-truncation depth; ``search`` provides pole-aware root scans and the
-inter-parity crossing detector; ``cli`` exposes everything as subcommands.
+Both continued fractions run one scaled two-term recurrence
+(``recurrence``).  ``convergence`` certifies resolvent-tail convergence
+and bounds the truncation depth; ``search`` provides pole-aware root scans
+and the inter-parity crossing detector; ``cli`` exposes everything as
+subcommands.
 """
 
 from .errors import (
@@ -56,7 +58,6 @@ from .schweber import (
     spectral_function_a,
 )
 from .resolvent import (
-    CharPolySequence,
     ModifiedChain,
     PathologicalVariant,
     PlantedChain,

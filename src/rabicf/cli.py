@@ -254,7 +254,6 @@ def _spectrum_levels(config: RunConfig) -> tuple[list[EnergyLevel], dict]:
             params, config.order, config.window, levels=config.levels,
             grid=config.grid, eps_pole=config.eps_pole,
         )
-        notes["pole_candidates"] = ",".join(repr(c) for c in result.pole_candidates) or "none"
         return list(result.spectrum.levels), notes
 
     parities = [config.parity] if config.parity else [Parity.PLUS, Parity.MINUS]
@@ -480,3 +479,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -12,8 +12,9 @@ G_0(E) = D_1/D_0: a finite continued fraction in ratio form, with poles
 exactly at the chain eigenvalues (never lifted, since every a_j > 0 for
 g > 0).
 
-The ratio form is evaluated here through the scaled minor pair rather than
-by chained divisions.  The two are algebraically identical, but the minor
+The ratio form is evaluated here through the scaled minor pair (the
+two-term recurrence of ``rabicf.recurrence``) rather than by chained
+divisions.  The two are algebraically identical, but the minor
 recurrence is linear and backward stable, passes through partial-fraction
 poles without blowup, and keeps a sign-true witness D_0 for pole
 bracketing; a float "infinity" of the division form witnesses nothing, so
@@ -42,6 +43,7 @@ from .errors import (
     WindowEmptyError,
 )
 from .model import ChainCoefficients, ModelParams, Parity, TruncationOrder, build_chain
+from .recurrence import scaled_pair, scaled_pair_lanes
 from .schweber import DEN_FLOOR
 from .search import bisect_sign
 from .tridiag import (
@@ -52,7 +54,6 @@ from .tridiag import (
 )
 
 __all__ = [
-    "CharPolySequence",
     "ResolventStatus",
     "ResolventValue",
     "PathologicalVariant",
@@ -66,10 +67,6 @@ __all__ = [
     "E0_MIN_SEPARATION",
 ]
 
-# Exact power-of-two rescaling bounds for the minor recurrence.
-_RESCALE_LIMIT = 2.0**256
-_RESCALE = 2.0**-256
-
 # Decimal digits kept beyond what the planted mode's own growth consumes;
 # the reciprocal at the planted energy then reads about 10**-_PLANT_MARGIN.
 _PLANT_MARGIN = 40
@@ -82,40 +79,6 @@ E0_MIN_SEPARATION = 1e-6
 class ResolventStatus(Enum):
     CONVERGED = "converged"
     POLE_HIT = "pole-hit"
-
-
-@dataclass(frozen=True)
-class CharPolySequence:
-    """Scaled minors D_j for j = N+1 down to 0.
-
-    ``mantissas[j] * 2**scale_exponents[j]`` reconstructs det M_j'; the
-    j = 0 entry is det(E - H) itself.  Rescaling factors are positive, so
-    every mantissa carries the true sign.
-    """
-
-    energy: float
-    mantissas: np.ndarray
-    scale_exponents: np.ndarray
-
-    def mantissa(self, j: int) -> float:
-        return float(self.mantissas[j])
-
-    def log2_magnitude(self, j: int) -> float:
-        m = self.mantissas[j]
-        if m == 0.0:
-            return -math.inf
-        return math.log2(abs(m)) + float(self.scale_exponents[j])
-
-    @property
-    def det0_sign(self) -> float:
-        return float(np.sign(self.mantissas[0]))
-
-    def ratio(self, j: int) -> float:
-        """D_{j+1} / D_j, the level-j resolvent entry G_j(E)."""
-        return float(
-            self.mantissas[j + 1] / self.mantissas[j]
-            * 2.0 ** float(self.scale_exponents[j + 1] - self.scale_exponents[j])
-        )
 
 
 @dataclass(frozen=True)
@@ -135,61 +98,26 @@ def _b_values(energy: float, chain: ChainCoefficients) -> np.ndarray:
     return energy - chain.diag
 
 
-def char_poly(energy: float, chain: ChainCoefficients) -> CharPolySequence:
-    """Scaled characteristic minors of E - H for a chain.
+def char_poly(energy, chain: ChainCoefficients):
+    """The characteristic minors (D_0, D_1) of E - H for a chain, both
+    under a shared positive power-of-two rescale (``rabicf.recurrence``).
 
-    Zeros of the j = 0 entry over energy are the truncated-chain
-    eigenvalues; rescaling prevents overflow at any order.
+    D_0 = det(E - H) up to that factor: its zeros over energy are the
+    truncated-chain eigenvalues, and D_1/D_0 is the border resolvent G_0.
+    ``energy`` is a float, giving two floats, or an array, giving two
+    arrays from one recurrence pass, lane for lane bit-identical to the
+    float calls.
     """
-    n = chain.order
-    b = _b_values(energy, chain)
-    a = chain.a_values()
-    mant = np.empty(n + 2)
-    exps = np.zeros(n + 2, dtype=np.int64)
-    mant[n + 1] = 1.0
-    prev2, prev1 = 0.0, 1.0  # D_{j+2}, D_{j+1}
-    shift = 0
-    for j in range(n, -1, -1):
-        cur = b[j] * prev1 - (a[j] * prev2 if j < n else 0.0)
-        prev2, prev1 = prev1, cur
-        mag = max(abs(prev1), abs(prev2))
-        if mag > _RESCALE_LIMIT:
-            prev1 *= _RESCALE
-            prev2 *= _RESCALE
-            shift += 256
-        elif 0.0 < mag < 1.0 / _RESCALE_LIMIT:
-            prev1 /= _RESCALE
-            prev2 /= _RESCALE
-            shift -= 256
-        mant[j] = prev1
-        exps[j] = shift
-    return CharPolySequence(energy=energy, mantissas=mant, scale_exponents=exps)
-
-
-def _det_pair(energy: float, chain: ChainCoefficients) -> tuple[float, float]:
-    """(D_0, D_1) under a shared positive rescale."""
-    seq = char_poly(energy, chain)
-    d0 = seq.mantissas[0]
-    d1 = seq.mantissas[1] * 2.0 ** float(seq.scale_exponents[1] - seq.scale_exponents[0])
-    return float(d0), float(d1)
-
-
-def _det_pair_grid(energies: np.ndarray, chain: ChainCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (D_0, D_1) over an energy grid, jointly rescaled per point."""
-    b = energies[None, :] - chain.diag[:, None]
-    a = chain.a_values()
-    prev2 = np.zeros_like(energies)
-    prev1 = np.ones_like(energies)
-    n = chain.order
-    for j in range(n, -1, -1):
-        cur = b[j] * prev1 - (a[j] * prev2 if j < n else 0.0)
-        prev2, prev1 = prev1, cur
-        mag = np.maximum(np.abs(prev1), np.abs(prev2))
-        scale = np.where(mag > _RESCALE_LIMIT, _RESCALE, 1.0)
-        scale = np.where((mag > 0.0) & (mag < 1.0 / _RESCALE_LIMIT), 1.0 / _RESCALE, scale)
-        prev1 = prev1 * scale
-        prev2 = prev2 * scale
-    return prev1, prev2
+    # step j takes (b_j, a_{j+1}); a_{N+1} = 0 starts from D_{N+2} = 0
+    a = np.append(chain.a_values(), 0.0)[::-1]
+    if np.ndim(energy) == 0:
+        steps = zip(_b_values(energy, chain)[::-1].tolist(), a.tolist())
+        d1, d0, _ = scaled_pair(0.0, 1.0, steps)
+    else:
+        energies = np.asarray(energy, dtype=float)
+        rows = ((energies - d, q) for d, q in zip(chain.diag[::-1], a))
+        d1, d0 = scaled_pair_lanes(np.zeros_like(energies), np.ones_like(energies), rows)
+    return d0, d1
 
 
 def _det_pair_planted(energy: float, chain: "PlantedChain") -> tuple[float, float]:
@@ -197,16 +125,14 @@ def _det_pair_planted(energy: float, chain: "PlantedChain") -> tuple[float, floa
     own precision on the exact values of its entries (the stored doubles,
     their exact squares and the extended planted entry), then divided by
     the positive |D_1| (|D_0| if D_1 vanishes) and rounded to double."""
-    n = chain.order
     with mpmath.workdps(chain.digits):
         e = mpmath.mpf(energy)
-        diag = chain.diag.tolist()
-        a = [mpmath.mpf(x) ** 2 for x in chain.offdiag.tolist()]
-        prev2, prev1 = mpmath.mpf(1), e - chain.planted_diag_nn  # D_{N+1}, D_N
-        for j in range(n - 1, -1, -1):
-            prev2, prev1 = prev1, (e - diag[j]) * prev1 - a[j] * prev2
-        scale = abs(prev2) or abs(prev1)
-        return float(prev1 / scale), float(prev2 / scale)
+        b = [e - d for d in chain.diag[-2::-1].tolist()]
+        a = [mpmath.mpf(x) ** 2 for x in chain.offdiag[::-1].tolist()]
+        # from D_{N+1} = 1 and D_N on the extended planted entry
+        d1, d0, _ = scaled_pair(mpmath.mpf(1), e - chain.planted_diag_nn, zip(b, a))
+        scale = abs(d1) or abs(d0)
+        return float(d0 / scale), float(d1 / scale)
 
 
 def resolvent_cf(energy: float, chain: ChainCoefficients) -> ResolventValue:
@@ -227,7 +153,7 @@ def resolvent_cf(energy: float, chain: ChainCoefficients) -> ResolventValue:
     if isinstance(chain, PlantedChain):
         d0, d1 = _det_pair_planted(energy, chain)
     else:
-        d0, d1 = _det_pair(energy, chain)
+        d0, d1 = char_poly(energy, chain)
     if d1 == 0.0:
         # E is an eigenvalue of the once-deleted chain: a zero of G_0.
         return ResolventValue(value=0.0, reciprocal=math.copysign(math.inf, d0),
@@ -269,13 +195,13 @@ def poles_of_resolvent(
         refine_tol = 1e-12 * chain.params.omega
 
     energies = np.linspace(lo, hi, grid)
-    d0, _ = _det_pair_grid(energies, chain)
+    d0, _ = char_poly(energies, chain)
 
     poles: list[EnergyLevel] = []
     sign_flip = np.sign(d0[:-1]) * np.sign(d0[1:]) < 0
     for i in np.nonzero(sign_flip)[0]:
         root = bisect_sign(
-            lambda e: char_poly(e, chain).det0_sign,
+            lambda e: char_poly(e, chain)[0],
             float(energies[i]), float(energies[i + 1]),
             refine_tol,
         )

@@ -17,8 +17,11 @@ also satisfies the K_1 = f_0 seed, i.e. the zeros of
 The method sees only D^2, so it cannot discern the two parity chains: its
 roots approximate the union of both parity spectra.  The f_n have poles on
 the lattice x = n w; a guard interval around each pole is excluded from
-evaluation and root finding (exact level crossings live on that lattice
-and are reported as candidates, not roots).
+evaluation and root finding, so exact level crossings, which live on that
+lattice, are never reported as roots.
+
+The convergents and the secular form run the scaled two-term recurrence of
+``rabicf.recurrence``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .errors import (
     TooShortError,
 )
 from .model import ModelParams, TruncationOrder, shifted_energy
+from .recurrence import RESCALE, RESCALE_LIMIT, scaled_pair, scaled_pair_lanes
 
 __all__ = [
     "CfStatus",
@@ -57,8 +61,8 @@ __all__ = [
 ]
 
 # Pole guard half-width around x = n*omega, relative to omega.  Inside it
-# f_n is reported at_pole instead of evaluated; the root finder treats the
-# interval as a degeneracy candidate, never a root.
+# f_n is reported at_pole instead of evaluated; the root finder excludes the
+# interval.
 EPS_POLE_REL = 1e-9
 
 # An intermediate continued-fraction denominator below this magnitude is a
@@ -67,11 +71,6 @@ DEN_FLOOR = 1e-300
 
 # Relative tolerance of the recurrence-consistency invariant.
 TOL_REC = 1e-12
-
-# Rescale running pairs by an exact power of two; ratios are preserved
-# bit-for-bit.
-_RESCALE_LIMIT = 2.0**256
-_RESCALE = 2.0**-256
 
 
 class CfStatus(Enum):
@@ -228,9 +227,9 @@ def forward_recurrence(
         for m in range(2, n + 1):
             cur = (f[m - 1] * prev1 - prev2) / m
             prev2, prev1 = prev1, cur
-            if abs(prev1) > _RESCALE_LIMIT or abs(prev2) > _RESCALE_LIMIT:
-                prev1 *= _RESCALE
-                prev2 *= _RESCALE
+            if abs(prev1) > RESCALE_LIMIT or abs(prev2) > RESCALE_LIMIT:
+                prev1 *= RESCALE
+                prev2 *= RESCALE
                 shift += 256
             out.append((prev1, shift))
     return _pack_scaled(out)
@@ -267,8 +266,8 @@ def minimal_sequence(
     mant, shift = 1.0, 0
     for m in range(1, n + 1):
         mant *= ratio[m]
-        while mant != 0.0 and abs(mant) < 1.0 / _RESCALE_LIMIT:
-            mant /= _RESCALE
+        while mant != 0.0 and abs(mant) < 1.0 / RESCALE_LIMIT:
+            mant /= RESCALE
             shift -= 256
         out.append((mant, shift))
     return _pack_scaled(out)
@@ -325,10 +324,11 @@ def spectral_function_a(
 class ConvergentPair:
     """Numerator/denominator pair (A_n, B_n) of the n-th convergent.
 
-    Both satisfy C_n = f_n C_{n-1} - n C_{n-2} with seeds A_0 = 0,
-    A_{-1} = 1, B_0 = 1, B_{-1} = 0; only the quotient A_n/B_n = F_n is
-    well-defined in the large-n limit, so the pair is rescaled on the fly
-    by exact powers of two.
+    Both satisfy C_m = f_m C_{m-1} - m C_{m-2}, from A_0 = 0, A_1 = 1 and
+    B_0 = 1, B_1 = f_1.  Only the quotient A_n/B_n = F_n is well-defined in
+    the large-n limit, so each is run through the scaled recurrence
+    (``rabicf.recurrence``) and the two are brought to a common power of
+    two, which leaves the quotient exact.
     """
 
     a: float
@@ -342,86 +342,21 @@ class ConvergentPair:
         return self.a / self.b
 
 
-def _pair_state(energy, params: ModelParams, n: int, eps_pole: float | None = None):
-    """(A_{n-1}, A_n, B_{n-1}, B_n) with shared power-of-two rescaling.
-
-    A scalar ``energy`` runs the recurrence on Python floats and raises
-    PoleError when any of f_0..f_n sits in its guard.  An array of energies
-    gives four arrays from one lockstep pass (see :func:`_pair_state_grid`).
-    """
-    if np.ndim(energy) != 0:
-        return _pair_state_grid(np.asarray(energy, dtype=float), params, n, eps_pole)
-    f = _coeff_values(energy, params, n, eps_pole).tolist()
-    a_prev, b_prev = 0.0, 1.0  # A_0, B_0
-    a_cur, b_cur = 1.0, f[1]   # A_1, B_1
-    lim = _RESCALE_LIMIT
-    for m in range(2, n + 1):
-        fm = f[m]
-        a_prev, a_cur = a_cur, fm * a_cur - m * a_prev
-        b_prev, b_cur = b_cur, fm * b_cur - m * b_prev
-        # max(|A|, |B|) > limit, as chained compares: no calls in the hot loop
-        if not (
-            -lim <= a_cur <= lim and -lim <= b_cur <= lim
-            and -lim <= a_prev <= lim and -lim <= b_prev <= lim
-        ):
-            a_prev *= _RESCALE
-            a_cur *= _RESCALE
-            b_prev *= _RESCALE
-            b_cur *= _RESCALE
-    return a_prev, a_cur, b_prev, b_cur
-
-
-def _pair_state_grid(
-    energies: np.ndarray, params: ModelParams, n: int, eps_pole: float | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Array form of :func:`_pair_state`, bit-identical lane by lane.
-
-    Each step computes the coefficient row f_m for every lane and consumes
-    it at once; an (n+1, lanes) coefficient table would cost more memory
-    than the recurrence itself.  Each lane is rescaled by the same exact
-    power of two under the same rule as the scalar path.  Lanes where any
-    of f_0..f_n sits in its guard come back NaN in all four arrays.
-    """
-    w = params.omega
-    if eps_pole is None:
-        eps_pole = EPS_POLE_REL * w
-    x = shifted_energy(params, energies)
-    hit = np.abs(x) < eps_pole  # f_0
-    with np.errstate(all="ignore"):  # guard lanes divide by ~0; masked below
-        detune = x - w
-        hit |= np.abs(detune) < eps_pole
-        a_prev, b_prev = np.zeros_like(x), np.ones_like(x)
-        a_cur, b_cur = np.ones_like(x), _f_of_detune(detune, params)
-        for m in range(2, n + 1):
-            detune = x - m * w
-            hit |= np.abs(detune) < eps_pole
-            fm = _f_of_detune(detune, params)
-            a_prev, a_cur = a_cur, fm * a_cur - m * a_prev
-            b_prev, b_cur = b_cur, fm * b_cur - m * b_prev
-            big = np.maximum(
-                np.maximum(np.abs(a_cur), np.abs(b_cur)),
-                np.maximum(np.abs(a_prev), np.abs(b_prev)),
-            ) > _RESCALE_LIMIT
-            if big.any():
-                scale = np.where(big, _RESCALE, 1.0)
-                a_prev, a_cur = a_prev * scale, a_cur * scale
-                b_prev, b_cur = b_prev * scale, b_cur * scale
-    state = (a_prev, a_cur, b_prev, b_cur)
-    for arr in state:
-        arr[hit] = math.nan
-    return state
-
-
 def convergent_pair(energy: float, params: ModelParams, n: int) -> ConvergentPair:
     """Rescaled (A_n, B_n) with A_n/B_n = F_n(E); cross-check strategy for
-    the backward evaluation."""
+    the backward evaluation.  Raises PoleError when any of f_0..f_n sits in
+    its guard."""
     _require_coupling(params)
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return ConvergentPair(a=0.0, b=1.0, n=0)
-    _, a_cur, _, b_cur = _pair_state(energy, params, n)
-    return ConvergentPair(a=a_cur, b=b_cur, n=n)
+    f = _coeff_values(energy, params, n).tolist()
+    steps = list(zip(f[2:], range(2, n + 1)))
+    _, a, a_exp = scaled_pair(0.0, 1.0, steps)
+    _, b, b_exp = scaled_pair(1.0, f[1], steps)
+    top = max(a_exp, b_exp)
+    return ConvergentPair(a=math.ldexp(a, a_exp - top), b=math.ldexp(b, b_exp - top), n=n)
 
 
 def pair_secular(
@@ -440,6 +375,10 @@ def pair_secular(
     sampling of S_N cannot guarantee: root/pole pairs closer than the grid
     cancel, and isolated F_N poles masquerade as sign changes.
 
+    By linearity W satisfies the convergents' own recurrence,
+    W_m = f_m W_{m-1} - m W_{m-2} from (W_{-1}, W_0) = (1, f_0), so one
+    scaled sequence gives it (``rabicf.recurrence``).
+
     ``energy`` is a float or an array.  A float gives a float, NaN inside a
     pole guard; an array gives an array from one recurrence pass over all
     energies, element for element bit-identical to the float calls, NaN
@@ -450,18 +389,36 @@ def pair_secular(
     if n < 1:
         raise ValueError("order must be >= 1")
     if np.ndim(energy) != 0:
-        energies = np.asarray(energy, dtype=float)
-        _, a_cur, _, b_cur = _pair_state(energies, params, n, eps_pole)
-        with np.errstate(all="ignore"):  # f_0 at a guard lane; already NaN
-            return _f_of_detune(shifted_energy(params, energies), params) * b_cur - a_cur
-    f0 = coeff_f(0, energy, params, eps_pole)
-    if f0.at_pole:
-        return math.nan
+        return _secular_lanes(np.asarray(energy, dtype=float), params, n, eps_pole)
     try:
-        _, a_cur, _, b_cur = _pair_state(energy, params, n, eps_pole)
+        f = _coeff_values(energy, params, n, eps_pole).tolist()
     except PoleError:
         return math.nan
-    return f0.value * b_cur - a_cur
+    return scaled_pair(1.0, f[0], zip(f[1:], range(1, n + 1)))[1]
+
+
+def _secular_lanes(
+    energies: np.ndarray, params: ModelParams, n: int, eps_pole: float | None
+) -> np.ndarray:
+    """Array form of :func:`pair_secular`.  Each step computes the
+    coefficient row f_m for every lane and hands it to the lane recurrence
+    at once; lanes where any of f_0..f_n sits in its guard come back NaN."""
+    w = params.omega
+    if eps_pole is None:
+        eps_pole = EPS_POLE_REL * w
+    x = shifted_energy(params, energies)
+    hit = np.abs(x) < eps_pole  # f_0
+
+    def rows():
+        for m in range(1, n + 1):
+            detune = x - m * w
+            np.logical_or(hit, np.abs(detune) < eps_pole, out=hit)
+            yield _f_of_detune(detune, params), m
+
+    with np.errstate(all="ignore"):  # guard lanes divide by ~0; masked below
+        _, secular = scaled_pair_lanes(np.ones_like(x), _f_of_detune(x, params), rows())
+    secular[hit] = math.nan
+    return secular
 
 
 def classify_solution(seq: CoefficientSequence, params: ModelParams) -> Classification:

@@ -3,8 +3,8 @@
 Root scans here serve both spectral methods: the window is first segmented
 at known singular abscissae (for the coefficient method, the pole lattice
 E = k w - g^2/w), sign changes are bracketed per segment, and brackets are
-refined by Brent or by sign bisection.  Sign changes straddling a cut are
-degeneracy candidates, never roots.
+refined by Brent or by sign bisection.  A sign change straddling a cut is
+never a root.
 
 The crossing scan tracks oracle eigenvalues of both parity chains across a
 coupling sweep and records every inter-parity crossing together with the
@@ -124,10 +124,9 @@ def _clear_of_guard(
 
 @dataclass(frozen=True)
 class BracketScan:
-    """Sign-change brackets plus cut points flagged as pole candidates."""
+    """Sign-change brackets of a sampled function."""
 
     brackets: tuple[tuple[float, float], ...]
-    pole_candidates: tuple[float, ...]
 
 
 def bracket_roots(f, seg: SegmentedWindow, grid: int) -> BracketScan:
@@ -138,13 +137,13 @@ def bracket_roots(f, seg: SegmentedWindow, grid: int) -> BracketScan:
     whose evaluation did not converge and is skipped.  ``grid`` is the
     total sample budget, distributed over segments proportionally to length
     with at least two samples each.  A sign change between the closing
-    sample of one segment and the opening sample of the next is reported as
-    a pole candidate at the cut between them, not as a bracket.
+    sample of one segment and the opening sample of the next straddles a
+    cut and is not a bracket.
     """
     if grid < 2 * max(1, len(seg.segments)):
         raise ValueError("grid too small for the segment count")
     if not seg.segments:
-        return BracketScan(brackets=(), pole_candidates=())
+        return BracketScan(brackets=())
     total = sum(b - a for a, b in seg.segments)
     samples = [
         np.linspace(a, b, max(2, int(round(grid * (b - a) / total))) if total > 0 else 2)
@@ -153,28 +152,16 @@ def bracket_roots(f, seg: SegmentedWindow, grid: int) -> BracketScan:
     values = np.asarray(f(np.concatenate(samples)), dtype=float)
     ends = np.cumsum([len(xs) for xs in samples])
     brackets: list[tuple[float, float]] = []
-    edge_signs: list[tuple[float, float]] = []
     for xs, vals in zip(samples, np.split(values, ends[:-1])):
         ok = np.isfinite(vals)
         xs, vals = xs[ok], vals[ok]
-        if len(xs) == 0:
-            edge_signs.append((math.nan, math.nan))
-            continue
         s = np.sign(vals)
         for i in np.nonzero(s[:-1] * s[1:] < 0)[0]:
             brackets.append((float(xs[i]), float(xs[i + 1])))
         for i in np.nonzero(s == 0.0)[0]:
             # a sample sitting exactly on a root is its own bracket
             brackets.append((float(xs[i]), float(xs[i])))
-        edge_signs.append((float(vals[0]), float(vals[-1])))
-    pole_candidates = []
-    for i, cut in enumerate(seg.cut_points):
-        if i + 1 >= len(edge_signs):
-            break
-        left, right = edge_signs[i][1], edge_signs[i + 1][0]
-        if math.isfinite(left) and math.isfinite(right) and np.sign(left) != np.sign(right):
-            pole_candidates.append(cut)
-    return BracketScan(brackets=tuple(brackets), pole_candidates=tuple(pole_candidates))
+    return BracketScan(brackets=tuple(brackets))
 
 
 def refine_root(f, bracket: tuple[float, float], tol: float) -> tuple[float, float]:
@@ -250,7 +237,6 @@ def default_order_a(params: ModelParams, levels: int, window: tuple[float, float
 @dataclass(frozen=True)
 class MethodAResult:
     spectrum: SpectrumApproximation
-    pole_candidates: tuple[float, ...]
 
 
 def solve_method_a(
@@ -300,7 +286,7 @@ def solve_method_a(
         [EnergyLevel(index=i, energy=e, residual=r) for i, (e, r) in enumerate(found)],
         params.omega,
     )
-    return MethodAResult(spectrum=spectrum, pole_candidates=scan.pole_candidates)
+    return MethodAResult(spectrum=spectrum)
 
 
 @dataclass(frozen=True)

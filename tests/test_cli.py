@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rabicf
 from rabicf.cli import main
 
 from conftest import ORACLE_UNION_24
@@ -115,6 +120,18 @@ class TestSpectrum:
     def test_unknown_option(self):
         code, _ = run_cli(["spectrum", *FIXTURE_ARGS, "--method", "diag", "--bogus"])
         assert code == 2
+
+    def test_module_entry_point(self):
+        # `python -m rabicf.cli` runs the same command as main() in process
+        argv = ["spectrum", *FIXTURE_ARGS, "--method", "diag", "--parity", "plus",
+                "--levels", "3"]
+        src = str(Path(rabicf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-m", "rabicf.cli", *argv],
+                              capture_output=True, env=env, timeout=120)
+        assert done.returncode == 0
+        assert done.stdout == run_cli(argv)[1].encode()
 
 
 class TestCompare:

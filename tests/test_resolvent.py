@@ -25,15 +25,11 @@ from rabicf.resolvent import PathologicalVariant
 from conftest import FIXTURE, ORACLE_MINUS_12, ORACLE_PLUS_12
 
 
-def reconstruct(seq, j):
-    return seq.mantissas[j] * 2.0 ** float(seq.scale_exponents[j])
-
-
 class TestCharPoly:
     def test_two_site_closed_form(self):
         chain = build_chain(FIXTURE, Parity.PLUS, 1)
         for energy in (-0.5, 0.0, 0.3, 1.1, 2.0):
-            det = reconstruct(char_poly(energy, chain), 0)
+            det, _ = char_poly(energy, chain)
             expected = (energy - 0.4) * (energy - 0.6) - 0.49
             assert det == pytest.approx(expected, rel=1e-14)
 
@@ -46,23 +42,39 @@ class TestCharPoly:
     def test_diagonal_product_form(self):
         chain = build_chain(ModelParams(1.0, 0.0, 0.4), Parity.MINUS, 4)
         for energy in (-0.7, 0.25, 3.8):
-            det = reconstruct(char_poly(energy, chain), 0)
+            det, minor = char_poly(energy, chain)
             assert det == pytest.approx(np.prod(energy - chain.diag), rel=1e-13)
-
-    def test_seed_minor(self):
-        chain = build_chain(FIXTURE, Parity.PLUS, 3)
-        seq = char_poly(0.2, chain)
-        assert reconstruct(seq, 4) == 1.0
+            assert minor == pytest.approx(np.prod(energy - chain.diag[1:]), rel=1e-13)
 
     def test_no_overflow_large_order(self):
         chain = build_chain(FIXTURE, Parity.PLUS, 800)
-        seq = char_poly(0.5, chain)
-        assert np.all(np.isfinite(seq.mantissas))
+        d0, d1 = char_poly(0.5, chain)
+        assert math.isfinite(d0) and math.isfinite(d1)
+        assert (d0, d1) != (0.0, 0.0)
 
     def test_ratio_is_level_resolvent(self):
         chain = build_chain(FIXTURE, Parity.PLUS, 6)
-        seq = char_poly(0.2, chain)
-        assert seq.ratio(0) == pytest.approx(resolvent_cf(0.2, chain).value, rel=1e-12)
+        d0, d1 = char_poly(0.2, chain)
+        assert d1 / d0 == pytest.approx(resolvent_cf(0.2, chain).value, rel=1e-12)
+
+    @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
+    @pytest.mark.parametrize("order", [1, 2, 300, 1200])
+    def test_array_matches_scalar_bitwise(self, parity, order):
+        # the grid scan and the bisection must see the same minors, on
+        # and next to the chain eigenvalues too
+        chain = build_chain(FIXTURE, parity, order)
+        roots = eigenvalues(chain, min(order + 1, 12)).energies
+        energies = np.concatenate([
+            np.linspace(-2.0, 0.6 * order + 2.0, 401),
+            roots,
+            np.nextafter(roots, -np.inf),
+            np.nextafter(roots, np.inf),
+        ])
+        grid = char_poly(energies, chain)
+        scalar = np.array([char_poly(float(e), chain) for e in energies]).T
+        for lanes, floats in zip(grid, scalar):
+            assert np.all(np.isfinite(floats))
+            np.testing.assert_array_equal(lanes.view(np.int64), floats.view(np.int64))
 
 
 class TestResolventCf:

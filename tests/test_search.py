@@ -74,17 +74,11 @@ class TestBracketRoots:
 
     def test_fixture_count_matches_oracle(self, oracle_union):
         # pole-free secular sampling: bracket count equals the oracle
-        # eigenvalue count in the window, and the sign flip across the
-        # k=0 cut is reported as a degeneracy candidate
+        # eigenvalue count in the window
         seg = segment_window((-1.0, 6.0), FIXTURE)
         scan = bracket_roots(lambda e: pair_secular(e, FIXTURE, 150), seg, 2000)
         n_oracle = int(np.sum((oracle_union > -1.0) & (oracle_union < 6.0)))
         assert len(scan.brackets) == n_oracle == 14
-        assert any(abs(c + 0.49) < 1e-9 for c in scan.pole_candidates)
-        assert all(
-            min(abs(c - k) for k in seg.cut_points) < 1e-12
-            for c in scan.pole_candidates
-        )
 
     def test_grid_too_small(self):
         seg = segment_window((-1.0, 3.0), FIXTURE)

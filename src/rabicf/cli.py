@@ -23,15 +23,13 @@ from . import __version__
 from .convergence import best_certificate, tail_depth_bound
 from .errors import (
     DegenerateScanError,
-    DeltaZeroError,
-    GZeroError,
     PoleSeparationError,
     RabiSolverError,
     TooFewLevelsError,
-    WindowEmptyError,
 )
 from .model import ModelParams, Parity, build_chain
 from .resolvent import (
+    E0_MIN_SEPARATION,
     PathologicalVariant,
     build_pathological,
     poles_of_resolvent,
@@ -65,13 +63,10 @@ class RunConfig:
     levels: int
     window: tuple[float, float]
     grid: int
-    fmt: str
     tol: float
     eps_pole: float
 
     def validate(self):
-        if self.method not in ("a", "b", "diag"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.method == "a" and self.params.g == 0.0:
             raise ValueError("method a requires g > 0")
         if self.levels < 1:
@@ -294,7 +289,7 @@ def _make_config(args, method: str, order: int | None, solver_tol: float | None 
     config = RunConfig(
         params=params, method=method, parity=parity, order=order,
         levels=levels, window=window, grid=getattr(args, "grid", DEFAULT_GRID),
-        fmt=args.format, tol=tol, eps_pole=eps_pole,
+        tol=tol, eps_pole=eps_pole,
     )
     config.validate()
     return config
@@ -366,7 +361,7 @@ def cmd_pathological(args, out) -> int:
         "parity": parity.label,
         "variant": args.variant,
         "tail_limit": repr(limit),
-        "min_separation": repr(1e-6),
+        "min_separation": repr(E0_MIN_SEPARATION),
     }
     columns = ["order", "modified_diag_nn", "modified_offdiag", "tail_gn",
                "tail_minus_limit", "planted_reciprocal", "order_times_tail_offset"]
@@ -463,15 +458,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return _COMMANDS[args.command](args, out)
-    except (DeltaZeroError, GZeroError) as exc:
-        print(f"rabicf: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (DegenerateScanError, PoleSeparationError, TooFewLevelsError, ValueError) as exc:
         print(f"rabicf: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except WindowEmptyError as exc:
-        print(f"rabicf: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except RabiSolverError as exc:
         print(f"rabicf: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -45,7 +45,7 @@ from .errors import (
 from .model import ChainCoefficients, ModelParams, Parity, TruncationOrder, build_chain
 from .recurrence import scaled_pair, scaled_pair_lanes
 from .schweber import DEN_FLOOR
-from .search import bisect_sign
+from .search import bisect_sign, bracket_roots, segment_window
 from .tridiag import (
     EnergyLevel,
     SpectralMethod,
@@ -180,35 +180,27 @@ def poles_of_resolvent(
     off-diagonal entry being nonzero), while sampling the reciprocal ratio
     itself would also flip at its own poles (the once-deleted chain's
     eigenvalues, which interlace) and, at g = 0, would lose every lifted
-    pole to exact factor cancellation.  Brackets are refined by sign
-    bisection on the minor; the residual reported per pole is the
-    reciprocal magnitude there.
+    pole to exact factor cancellation.  The window is one cut-free segment
+    of ``grid`` samples (``bracket_roots``), a sample exactly on a pole
+    being its own bracket; the lowest ``max_levels`` brackets are refined
+    by sign bisection on the minor, and the residual reported per pole is
+    the reciprocal magnitude there.
     """
-    lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"window must be finite with lo < hi, got {window!r}")
+    seg = segment_window(window)
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
     if grid is None:
+        lo, hi = seg.window
         grid = max(512, int(128 * (hi - lo) / chain.params.omega))
     if refine_tol is None:
         refine_tol = 1e-12 * chain.params.omega
 
-    energies = np.linspace(lo, hi, grid)
-    d0, _ = char_poly(energies, chain)
-
+    minor = lambda e: char_poly(e, chain)[0]
     poles: list[EnergyLevel] = []
-    sign_flip = np.sign(d0[:-1]) * np.sign(d0[1:]) < 0
-    for i in np.nonzero(sign_flip)[0]:
-        root = bisect_sign(
-            lambda e: char_poly(e, chain)[0],
-            float(energies[i]), float(energies[i + 1]),
-            refine_tol,
-        )
+    for lo, hi in bracket_roots(minor, seg, grid).brackets[:max_levels]:
+        root = bisect_sign(minor, lo, hi, refine_tol)
         residual = abs(resolvent_cf(root, chain).reciprocal)
         poles.append(EnergyLevel(index=len(poles), energy=root, residual=residual))
-        if len(poles) >= max_levels:
-            break
     if not poles:
         raise WindowEmptyError(f"no resolvent pole in window {window!r}")
     return SpectrumApproximation.from_levels(

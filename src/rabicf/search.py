@@ -30,6 +30,7 @@ from .tridiag import (
     SpectrumApproximation,
     eigenvalues_batch,
     gershgorin_interval,
+    lockstep_bisect,
 )
 
 __all__ = [
@@ -138,7 +139,9 @@ def bracket_roots(f, seg: SegmentedWindow, grid: int) -> BracketScan:
     total sample budget, distributed over segments proportionally to length
     with at least two samples each.  A sign change between the closing
     sample of one segment and the opening sample of the next straddles a
-    cut and is not a bracket.
+    cut and is not a bracket.  A sample sitting exactly on a root is its
+    own bracket (lo == hi).  Brackets come in sample order, so the first k
+    hold the k lowest roots found.
     """
     if grid < 2 * max(1, len(seg.segments)):
         raise ValueError("grid too small for the segment count")
@@ -156,11 +159,9 @@ def bracket_roots(f, seg: SegmentedWindow, grid: int) -> BracketScan:
         ok = np.isfinite(vals)
         xs, vals = xs[ok], vals[ok]
         s = np.sign(vals)
-        for i in np.nonzero(s[:-1] * s[1:] < 0)[0]:
-            brackets.append((float(xs[i]), float(xs[i + 1])))
-        for i in np.nonzero(s == 0.0)[0]:
-            # a sample sitting exactly on a root is its own bracket
-            brackets.append((float(xs[i]), float(xs[i])))
+        flips = np.append(s[:-1] * s[1:] < 0, False)
+        for i in np.nonzero(flips | (s == 0.0))[0]:
+            brackets.append((float(xs[i]), float(xs[i + 1] if flips[i] else xs[i])))
     return BracketScan(brackets=tuple(brackets))
 
 
@@ -347,9 +348,9 @@ def _batch_tables(base, parameter, values, order):
     return tables
 
 
-def _spectra_at(base, parameter, values, levels, order, tol):
-    """(S, levels) eigenvalue tables for both parities, batched over the scan."""
-    interval = _sweep_interval(base, parameter, float(np.max(values)), order)
+def _spectra_at(base, parameter, values, levels, order, tol, interval):
+    """(S, levels) eigenvalue tables for both parities, batched over the
+    scan, every chain bisected from the same spectrum ``interval``."""
     tables = _batch_tables(base, parameter, values, order)
     out = []
     for parity in (Parity.PLUS, Parity.MINUS):
@@ -364,33 +365,26 @@ def _refine_events(base, parameter, raw, order, tol, value_tol):
     ``raw`` rows are (plus_level, minus_level, lo, hi).  One batched
     eigensolve per bisection step covers every event and both parities.
     """
-    m = len(raw)
     a_idx = np.array([r[0] for r in raw])
     b_idx = np.array([r[1] for r in raw])
     lo = np.array([r[2] for r in raw])
     hi = np.array([r[3] for r in raw])
     kmax = int(max(a_idx.max(), b_idx.max())) + 1
     interval = _sweep_interval(base, parameter, float(hi.max()), order)
-    rows = np.arange(m)
+    rows = np.arange(len(raw))
 
-    def gaps_at(vals):
-        tables = _batch_tables(base, parameter, vals, order)
-        diag_p, off2_p = tables(+1)
-        diag_m, off2_m = tables(-1)
-        ep = eigenvalues_batch(diag_p, off2_p, kmax, tol, interval)
-        em = eigenvalues_batch(diag_m, off2_m, kmax, tol, interval)
-        return ep[rows, a_idx] - em[rows, b_idx], ep[rows, a_idx], em[rows, b_idx]
+    def pair_at(vals):
+        ep, em = _spectra_at(base, parameter, vals, kmax, order, tol, interval)
+        return ep[rows, a_idx], em[rows, b_idx]
 
-    gap_lo, _, _ = gaps_at(lo)
-    while float(np.max(hi - lo)) > value_tol:
-        mid = 0.5 * (lo + hi)
-        gap_mid, _, _ = gaps_at(mid)
-        same = np.sign(gap_mid) == np.sign(gap_lo)
-        lo = np.where(same, mid, lo)
-        gap_lo = np.where(same, gap_mid, gap_lo)
-        hi = np.where(same, hi, mid)
+    def gap_sign(vals):
+        ea, eb = pair_at(vals)
+        return np.sign(ea - eb)
+
+    sign_lo = gap_sign(lo)
+    lo, hi = lockstep_bisect(lo, hi, value_tol, lambda mid: gap_sign(mid) != sign_lo)
     star = 0.5 * (lo + hi)
-    _, ea, eb = gaps_at(star)
+    ea, eb = pair_at(star)
     return star, 0.5 * (ea + eb)
 
 
@@ -428,15 +422,20 @@ def scan_levels(
         tol = 1e-11 * params_base.omega
 
     values = np.linspace(start, stop, steps)
-    ep, em = _spectra_at(params_base, parameter, values, levels, order, tol)
+    interval = _sweep_interval(params_base, parameter, float(np.max(values)), order)
+    ep, em = _spectra_at(params_base, parameter, values, levels, order, tol, interval)
 
     step = (stop - start) / (steps - 1)
     raw = []
     for a in range(levels):
         for b in range(levels):
-            s = np.sign(ep[:, a] - em[:, b])
+            # a crossing on a scan point leaves an exact-zero gap there:
+            # bracket across it from the nonzero neighbours
+            gap = ep[:, a] - em[:, b]
+            kept = np.flatnonzero(gap)
+            s = np.sign(gap[kept])
             for i in np.nonzero(s[:-1] * s[1:] < 0)[0]:
-                raw.append((a, b, float(values[i]), float(values[i + 1])))
+                raw.append((a, b, float(values[kept[i]]), float(values[kept[i + 1]])))
 
     events: list[CrossingEvent] = []
     if raw:

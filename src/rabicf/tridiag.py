@@ -150,6 +150,37 @@ def _dyadic_bracket(lo: float, hi: float) -> tuple[float, float]:
     return start, stop
 
 
+def lockstep_bisect(lo: np.ndarray, hi: np.ndarray, tol: float, left_of):
+    """Halve every bracket (lo, hi) together until the widest is <= ``tol``.
+
+    ``left_of(mid)`` maps the array of midpoints to a boolean array: True
+    keeps the lower half, False the upper.  Returns the final (lo, hi).
+    """
+    while float(np.max(hi - lo)) > tol:
+        mid = 0.5 * (lo + hi)
+        left = left_of(mid)
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+    return lo, hi
+
+
+def _sturm_brackets(diag, off2, first_k, tol, interval) -> tuple[np.ndarray, np.ndarray]:
+    """Final Sturm brackets of the ``first_k`` lowest eigenvalues, all
+    bisected in lockstep from the dyadic snap of ``interval``: shape
+    (first_k,) for one chain (``off2`` of shape (n,)), (S, first_k) for S
+    chains (``off2`` of shape (S, n)).  A single chain keeps 1-D brackets,
+    since every pivot-sweep step pays numpy's per-dimension overhead."""
+    lo0, hi0 = _dyadic_bracket(*interval)
+    shape = off2.shape[:-1] + (first_k,)
+    wanted = np.arange(1, first_k + 1)
+    d = np.broadcast_to(diag, off2.shape[:-1] + diag.shape[-1:])[..., None, :]
+    o2 = off2[..., None, :]
+    return lockstep_bisect(
+        np.full(shape, lo0), np.full(shape, hi0), tol,
+        lambda mid: _negative_pivot_counts(mid, d, o2) >= wanted,
+    )
+
+
 def eigenvalues(chain: ChainCoefficients, first_k: int, tol: float | None = None) -> SpectrumApproximation:
     """The ``first_k`` smallest eigenvalues of the chain by Sturm bisection.
 
@@ -167,18 +198,7 @@ def eigenvalues(chain: ChainCoefficients, first_k: int, tol: float | None = None
         raise ValueError(f"first_k must be in 1..{chain.dim}, got {first_k}")
 
     off2 = chain.offdiag * chain.offdiag
-    lo0, hi0 = _dyadic_bracket(*gershgorin_interval(chain))
-    lo = np.full(first_k, lo0)
-    hi = np.full(first_k, hi0)
-    wanted = np.arange(1, first_k + 1)
-    diag = chain.diag[None, :]
-    off2 = off2[None, :]
-    while float(np.max(hi - lo)) > tol:
-        mid = 0.5 * (lo + hi)
-        below = _negative_pivot_counts(mid, diag, off2) >= wanted
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-
+    lo, hi = _sturm_brackets(chain.diag, off2, first_k, tol, gershgorin_interval(chain))
     widths = hi - lo
     levels = [
         EnergyLevel(index=n, energy=float(0.5 * (lo[n] + hi[n])), residual=float(widths[n]))
@@ -202,18 +222,7 @@ def eigenvalues_batch(
     (S, first_k) array.  Used by the parameter scan, where hundreds of
     chains differ only in their off-diagonals.
     """
-    size = off2.shape[0]
-    lo0, hi0 = _dyadic_bracket(*interval)
-    lo = np.full((size, first_k), lo0)
-    hi = np.full((size, first_k), hi0)
-    wanted = np.arange(1, first_k + 1)[None, :]
-    d = np.broadcast_to(diag, (size, diag.shape[-1]))[:, None, :]
-    o2 = off2[:, None, :]
-    while float(np.max(hi - lo)) > tol:
-        mid = 0.5 * (lo + hi)
-        below = _negative_pivot_counts(mid, d, o2) >= wanted
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
+    lo, hi = _sturm_brackets(diag, off2, first_k, tol, interval)
     return 0.5 * (lo + hi)
 
 

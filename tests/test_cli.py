@@ -74,6 +74,12 @@ class TestSpectrum:
         assert meta["parity"] == "n/a"
         assert "does not discern" in meta["parity_note"]
 
+    def test_method_b_empty_window(self):
+        code, text = run_cli(
+            ["spectrum", *FIXTURE_ARGS, "--method", "b", "--window=-5:-4", "--levels", "3"]
+        )
+        assert (code, text) == (3, "")
+
     def test_metadata_records_tolerances(self):
         code, text = run_cli(
             ["spectrum", *FIXTURE_ARGS, "--method", "diag", "--parity", "plus",

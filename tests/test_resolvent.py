@@ -124,6 +124,12 @@ class TestPolesOfResolvent:
         with pytest.raises(WindowEmptyError):
             poles_of_resolvent(chain, (-5.0, -3.0), 3)
 
+    def test_pole_on_a_grid_sample(self):
+        # g = 0: the plus chain's lowest pole 0.25 is the middle of three samples
+        chain = build_chain(ModelParams(1.0, 0.0, 0.25), Parity.PLUS, 20)
+        got = poles_of_resolvent(chain, (0.0, 0.5), 3, grid=3).energies
+        np.testing.assert_array_equal(got, [0.25])
+
     def test_interlacing_with_next_order(self):
         big = poles_of_resolvent(build_chain(FIXTURE, Parity.PLUS, 31), (-1.0, 6.0), 8).energies
         small = poles_of_resolvent(build_chain(FIXTURE, Parity.PLUS, 30), (-1.0, 6.0), 8).energies

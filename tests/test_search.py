@@ -90,6 +90,13 @@ class TestBracketRoots:
         scan = bracket_roots(lambda e: e - 1.0, seg, 11)  # grid hits 1.0
         assert any(lo == hi == 1.0 for lo, hi in scan.brackets)
 
+    def test_brackets_in_sample_order(self):
+        # roots at 0.3 and 1.7 flip sign between samples; 1.0 is a sample
+        xs = np.linspace(0.0, 2.0, 11)
+        seg = segment_window((0.0, 2.0))
+        scan = bracket_roots(lambda e: (e - 0.3) * (e - 1.0) * (e - 1.7), seg, 11)
+        assert scan.brackets == ((xs[1], xs[2]), (1.0, 1.0), (xs[8], xs[9]))
+
     def test_raw_spectral_function_brackets_include_cf_poles(self, oracle_union):
         # sampling f0 - F_N raw also flips sign at the poles of F_N; the
         # refined residual separates them cleanly from genuine roots, which
@@ -206,6 +213,15 @@ class TestScan:
         assert (ev.plus_level, ev.minus_level) == (1, 1)
         # the crossing energy satisfies the integer-multiple law
         assert ev.shifted == pytest.approx(1.0, abs=1e-8)
+
+    def test_crossing_on_a_scan_point(self):
+        # the midpoint sample is the first Juddian point 4g^2 + delta^2 = omega^2,
+        # where the (1, 1) gap is exactly zero
+        g_star = math.sqrt(0.84) / 2
+        events = scan_crossings(FIXTURE, "g", g_star - 0.01, g_star + 0.01, 11, 3, 150)
+        assert len(events) == 1
+        assert (events[0].plus_level, events[0].minus_level) == (1, 1)
+        assert abs(events[0].value - g_star) < 1e-9
 
     def test_tracks_shape(self):
         result = scan_levels(FIXTURE, "g", 0.1, 0.2, 12, 4, 60)

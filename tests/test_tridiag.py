@@ -12,7 +12,7 @@ from rabicf import (
     eigenvalues,
     sturm_count,
 )
-from rabicf.tridiag import gershgorin_interval
+from rabicf.tridiag import eigenvalues_batch, gershgorin_interval
 
 from conftest import FIXTURE, ORACLE_MINUS_12, ORACLE_PLUS_12
 
@@ -66,6 +66,17 @@ class TestEigenvalues:
         minus = eigenvalues(build_chain(FIXTURE, Parity.MINUS, 400), 12, 1e-11)
         np.testing.assert_array_equal(plus.energies, ORACLE_PLUS_12)
         np.testing.assert_array_equal(minus.energies, ORACLE_MINUS_12)
+
+    @pytest.mark.parametrize("parity, reference", [
+        (Parity.PLUS, ORACLE_PLUS_12), (Parity.MINUS, ORACLE_MINUS_12),
+    ])
+    def test_batch_of_one_matches_fixture(self, parity, reference):
+        chain = build_chain(FIXTURE, parity, 400)
+        got = eigenvalues_batch(
+            chain.diag, (chain.offdiag * chain.offdiag)[None, :], 12, 1e-11, gershgorin_interval(chain)
+        )
+        assert got.shape == (1, 12)
+        np.testing.assert_array_equal(got[0], reference)
 
     def test_against_lapack(self):
         chain = build_chain(FIXTURE, Parity.MINUS, 120)

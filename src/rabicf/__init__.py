@@ -91,7 +91,6 @@ from .search import (
     ScanResult,
     SegmentedWindow,
     bracket_roots,
-    refine_root,
     scan_crossings,
     scan_levels,
     segment_window,

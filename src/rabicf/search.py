@@ -3,13 +3,14 @@
 Root scans here serve both spectral methods: the window is first segmented
 at known singular abscissae (for the coefficient method, the pole lattice
 E = k w - g^2/w), sign changes are bracketed per segment, and brackets are
-refined by Brent or by sign bisection.  A sign change straddling a cut is
+refined by sign bisection.  A sign change straddling a cut is
 never a root.
 
 The crossing scan tracks oracle eigenvalues of both parity chains across a
 coupling sweep and records every inter-parity crossing together with the
 deviation of the shifted energy x* = E* + g*^2/w from the nearest integer
-multiple of w.
+multiple of w.  Crossings are refined by ITP on the gap, each step solving
+only the two levels involved from warm-started brackets.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .convergence import tail_depth_bound
 from .errors import DegenerateScanError, DeltaZeroError, GZeroError, LostBracketError
@@ -29,8 +29,8 @@ from .tridiag import (
     SpectralMethod,
     SpectrumApproximation,
     eigenvalues_batch,
+    eigenvalues_rows,
     gershgorin_interval,
-    lockstep_bisect,
 )
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "segment_window",
     "BracketScan",
     "bracket_roots",
-    "refine_root",
     "bisect_sign",
     "MethodAResult",
     "solve_method_a",
@@ -52,6 +51,15 @@ __all__ = [
 
 DEFAULT_GRID = 2000
 DEFAULT_REFINE_TOL = 1e-12
+
+# The crossing refinement reads the gap E_a^+ - E_b^- on this energy
+# lattice.  On the tracks' (2**-37 at the default tol) the gap is
+# quantised near a crossing and regula falsi stalls.
+FINE_CELL = 2.0**-44
+
+# ITP constants: kappa1 = ITP_KAPPA1 / (initial width), kappa2 = 2, n0.
+ITP_KAPPA1 = 0.2
+ITP_N0 = 1
 
 
 @dataclass(frozen=True)
@@ -143,8 +151,12 @@ def bracket_roots(f, seg: SegmentedWindow, grid: int) -> BracketScan:
     own bracket (lo == hi).  Brackets come in sample order, so the first k
     hold the k lowest roots found.
     """
-    if grid < 2 * max(1, len(seg.segments)):
-        raise ValueError("grid too small for the segment count")
+    need = 2 * max(1, len(seg.segments))
+    if grid < need:
+        raise ValueError(
+            f"--grid {grid} is too small: at least 2 samples per segment, "
+            f"{need} for {need // 2} segment(s)"
+        )
     if not seg.segments:
         return BracketScan(brackets=())
     total = sum(b - a for a, b in seg.segments)
@@ -163,41 +175,6 @@ def bracket_roots(f, seg: SegmentedWindow, grid: int) -> BracketScan:
         for i in np.nonzero(flips | (s == 0.0))[0]:
             brackets.append((float(xs[i]), float(xs[i + 1] if flips[i] else xs[i])))
     return BracketScan(brackets=tuple(brackets))
-
-
-def refine_root(f, bracket: tuple[float, float], tol: float) -> tuple[float, float]:
-    """Brent refinement of a sign-change bracket to width < tol.
-
-    Returns (root, |f(root)|).  Raises LostBracketError if the endpoint
-    signs do not differ or the evaluation stops converging inside the
-    bracket (re-bracket on a finer grid in that case).
-    """
-    lo, hi = bracket
-
-    def wrapped(x):
-        v = f(x)
-        if not math.isfinite(v):
-            raise _StatusFailure(x)
-        return v
-
-    try:
-        flo, fhi = wrapped(lo), wrapped(hi)
-        if flo == 0.0:
-            return lo, 0.0
-        if fhi == 0.0:
-            return hi, 0.0
-        if np.sign(flo) == np.sign(fhi):
-            raise LostBracketError(f"no sign change over {bracket!r}")
-        # generous cap: odd-multiplicity roots push Brent past the default 100
-        root = brentq(wrapped, lo, hi, xtol=tol, maxiter=200)
-    except _StatusFailure as exc:
-        raise LostBracketError(f"evaluation failed inside bracket at E={exc.x!r}") from None
-    return float(root), abs(f(root))
-
-
-class _StatusFailure(Exception):
-    def __init__(self, x):
-        self.x = x
 
 
 def bisect_sign(f, lo: float, hi: float, tol: float) -> float:
@@ -359,33 +336,93 @@ def _spectra_at(base, parameter, values, levels, order, tol, interval):
     return out[0], out[1]
 
 
-def _refine_events(base, parameter, raw, order, tol, value_tol):
-    """Bisect all detected crossings in lockstep on the scan parameter.
+def _refine_events(base, parameter, rows, order, tol, value_tol, interval):
+    """Refine all detected crossings together by ITP on the gap
+    E_a^+ - E_b^- over the scan parameter (Oliveira & Takahashi, ACM TOMS
+    47(1), 2020), down to a bracket of width ``value_tol``.
 
-    ``raw`` rows are (plus_level, minus_level, lo, hi).  One batched
-    eigensolve per bisection step covers every event and both parities.
+    ``rows`` are (plus_level, minus_level, lo, hi, e_lo, e_hi) with e_* the
+    (E_a^+, E_b^-) pair of the level tracks at the scan points lo < hi.
+    Each step solves only those two levels of every unfinished row, on the
+    FINE_CELL lattice, from Weyl brackets around the values at the row's
+    current ends: no level moves faster than ||dH/dv||_2 in the parameter.
+    A gap that reads exactly 0 ends its row at that point.  The crossing
+    energy is solved on the tracks' ``tol`` lattice at the final midpoint,
+    bit for bit what :func:`_spectra_at` gives there.  Returns the crossing
+    values, their energies and the ITP steps each row took.
     """
-    a_idx = np.array([r[0] for r in raw])
-    b_idx = np.array([r[1] for r in raw])
-    lo = np.array([r[2] for r in raw])
-    hi = np.array([r[3] for r in raw])
-    kmax = int(max(a_idx.max(), b_idx.max())) + 1
-    interval = _sweep_interval(base, parameter, float(hi.max()), order)
-    rows = np.arange(len(raw))
+    a_idx = np.array([r[0] for r in rows])
+    b_idx = np.array([r[1] for r in rows])
+    lo = np.array([r[2] for r in rows])
+    hi = np.array([r[3] for r in rows])
+    e_lo = np.array([r[4] for r in rows])
+    e_hi = np.array([r[5] for r in rows])
+    lip = 2.0 * math.sqrt(order) if parameter == "g" else 1.0
 
-    def pair_at(vals):
-        ep, em = _spectra_at(base, parameter, vals, kmax, order, tol, interval)
-        return ep[rows, a_idx], em[rows, b_idx]
+    def levels_at(x, sel, cell):
+        # Weyl: |E(x) - E(v)| <= lip |x - v|; the tracked values are at most
+        # half a tol cell off, which the tol slack covers
+        reach_lo = lip * (x - lo[sel])[:, None]
+        reach_hi = lip * (hi[sel] - x)[:, None]
+        guess_lo = np.maximum(e_lo[sel] - reach_lo, e_hi[sel] - reach_hi) - tol
+        guess_hi = np.minimum(e_lo[sel] + reach_lo, e_hi[sel] + reach_hi) + tol
+        tables = _batch_tables(base, parameter, x, order)
+        diags, off2s = zip(*(tables(parity.sign) for parity in (Parity.PLUS, Parity.MINUS)))
+        energies = eigenvalues_rows(
+            np.concatenate([np.broadcast_to(d, o.shape[:-1] + d.shape[-1:])
+                            for d, o in zip(diags, off2s)]),
+            np.concatenate(off2s),
+            np.concatenate([a_idx[sel], b_idx[sel]]),
+            cell, interval, guess_lo.T.ravel(), guess_hi.T.ravel(),
+        )
+        return energies.reshape(2, -1).T
 
-    def gap_sign(vals):
-        ea, eb = pair_at(vals)
-        return np.sign(ea - eb)
-
-    sign_lo = gap_sign(lo)
-    lo, hi = lockstep_bisect(lo, hi, value_tol, lambda mid: gap_sign(mid) != sign_lo)
+    # orient every gap to rise from lo to hi
+    orient = -np.sign(e_lo[:, 0] - e_lo[:, 1])
+    f_lo = orient * (e_lo[:, 0] - e_lo[:, 1])
+    f_hi = orient * (e_hi[:, 0] - e_hi[:, 1])
+    kappa1 = ITP_KAPPA1 / (hi - lo)
+    n_max = np.ceil(np.log2((hi - lo) / value_tol)) + ITP_N0
+    steps = np.zeros(len(rows), dtype=int)
+    while True:
+        sel = np.flatnonzero(hi - lo > value_tol)
+        if not len(sel):
+            break
+        a, b, fa, fb = lo[sel], hi[sel], f_lo[sel], f_hi[sel]
+        width, mid = b - a, 0.5 * (a + b)
+        reach = 0.5 * value_tol * 2.0 ** (n_max[sel] - steps[sel]) - 0.5 * width
+        falsi = (b * fa - a * fb) / (fa - fb)
+        toward = np.sign(mid - falsi)
+        shift = kappa1[sel] * width * width
+        trial = np.where(shift <= np.abs(mid - falsi), falsi + toward * shift, mid)
+        x = np.where(np.abs(trial - mid) <= reach, trial, mid - toward * reach)
+        e_x = levels_at(x, sel, FINE_CELL)
+        f_x = orient[sel] * (e_x[:, 0] - e_x[:, 1])
+        steps[sel] += 1
+        # a gap of exactly 0 moves both ends onto x
+        for keep, end, e_end, f_end in ((f_x >= 0.0, hi, e_hi, f_hi), (f_x <= 0.0, lo, e_lo, f_lo)):
+            moved = sel[keep]
+            end[moved], e_end[moved], f_end[moved] = x[keep], e_x[keep], f_x[keep]
     star = 0.5 * (lo + hi)
-    ea, eb = pair_at(star)
-    return star, 0.5 * (ea + eb)
+    e_star = levels_at(star, np.arange(len(rows)), tol)
+    return star, 0.5 * (e_star[:, 0] + e_star[:, 1]), steps
+
+
+def _crossing(base, parameter, a, b, value, energy) -> CrossingEvent:
+    p = _scan_params(base, parameter, value)
+    shifted = energy + p.g * p.g / p.omega
+    k = int(round(shifted / p.omega))
+    return CrossingEvent(
+        parameter=parameter,
+        value=value,
+        energy=energy,
+        parities=(Parity.PLUS, Parity.MINUS),
+        plus_level=a,
+        minus_level=b,
+        shifted=shifted,
+        nearest_multiple=k,
+        deviation=abs(shifted - k * p.omega),
+    )
 
 
 def scan_levels(
@@ -404,8 +441,9 @@ def scan_levels(
     Crossings are detected as sign changes of E_i^+ - E_j^- between
     adjacent scan points for every level pair (tracking is by sorted order
     within each chain, which parity conservation keeps consistent), then
-    refined by bisection on the gap.  Events closer than one scan step for
-    the same pair are deduplicated.
+    refined by ITP on the gap.  A gap that is exactly zero on the first or
+    last scan point is a crossing there.  Events closer than one scan step
+    for the same pair are deduplicated.
     """
     if steps < 10:
         raise ValueError("steps must be >= 10")
@@ -427,6 +465,7 @@ def scan_levels(
 
     step = (stop - start) / (steps - 1)
     raw = []
+    events: list[CrossingEvent] = []
     for a in range(levels):
         for b in range(levels):
             # a crossing on a scan point leaves an exact-zero gap there:
@@ -434,28 +473,23 @@ def scan_levels(
             gap = ep[:, a] - em[:, b]
             kept = np.flatnonzero(gap)
             s = np.sign(gap[kept])
-            for i in np.nonzero(s[:-1] * s[1:] < 0)[0]:
-                raw.append((a, b, float(values[kept[i]]), float(values[kept[i + 1]])))
+            flips = np.nonzero(s[:-1] * s[1:] < 0)[0]
+            for i, j in zip(kept[flips], kept[flips + 1]):
+                raw.append((a, b, float(values[i]), float(values[j]),
+                            (ep[i, a], em[i, b]), (ep[j, a], em[j, b])))
+            # on an end point it has a neighbour on one side only
+            for i in {0, steps - 1}:
+                if gap[i] == 0.0:
+                    events.append(_crossing(params_base, parameter, a, b,
+                                            float(values[i]), float(ep[i, a])))
 
-    events: list[CrossingEvent] = []
     if raw:
         value_tol = 1e-12 * max(1.0, abs(stop))
-        stars, estars = _refine_events(params_base, parameter, raw, order, tol, value_tol)
-        for (a, b, _, _), star, estar in zip(raw, stars, estars):
-            p = _scan_params(params_base, parameter, float(star))
-            shifted = float(estar) + p.g * p.g / p.omega
-            k = int(round(shifted / p.omega))
-            events.append(CrossingEvent(
-                parameter=parameter,
-                value=float(star),
-                energy=float(estar),
-                parities=(Parity.PLUS, Parity.MINUS),
-                plus_level=a,
-                minus_level=b,
-                shifted=shifted,
-                nearest_multiple=k,
-                deviation=abs(shifted - k * p.omega),
-            ))
+        stars, estars, _ = _refine_events(
+            params_base, parameter, raw, order, tol, value_tol, interval
+        )
+        for (a, b, *_), star, estar in zip(raw, stars, estars):
+            events.append(_crossing(params_base, parameter, a, b, float(star), float(estar)))
     events.sort(key=lambda ev: (ev.value, ev.plus_level, ev.minus_level))
     deduped: list[CrossingEvent] = []
     for ev in events:

@@ -164,7 +164,7 @@ def lockstep_bisect(lo: np.ndarray, hi: np.ndarray, tol: float, left_of):
     return lo, hi
 
 
-def _sturm_brackets(diag, off2, first_k, tol, interval) -> tuple[np.ndarray, np.ndarray]:
+def _cold_brackets(diag, off2, first_k, tol, interval) -> tuple[np.ndarray, np.ndarray]:
     """Final Sturm brackets of the ``first_k`` lowest eigenvalues, all
     bisected in lockstep from the dyadic snap of ``interval``: shape
     (first_k,) for one chain (``off2`` of shape (n,)), (S, first_k) for S
@@ -172,13 +172,27 @@ def _sturm_brackets(diag, off2, first_k, tol, interval) -> tuple[np.ndarray, np.
     since every pivot-sweep step pays numpy's per-dimension overhead."""
     lo0, hi0 = _dyadic_bracket(*interval)
     shape = off2.shape[:-1] + (first_k,)
-    wanted = np.arange(1, first_k + 1)
     d = np.broadcast_to(diag, off2.shape[:-1] + diag.shape[-1:])[..., None, :]
-    o2 = off2[..., None, :]
-    return lockstep_bisect(
+    return _sturm_brackets(
+        d, off2[..., None, :], np.arange(1, first_k + 1),
         np.full(shape, lo0), np.full(shape, hi0), tol,
-        lambda mid: _negative_pivot_counts(mid, d, o2) >= wanted,
     )
+
+
+def _sturm_brackets(diag, off2, wanted, lo, hi, tol) -> tuple[np.ndarray, np.ndarray]:
+    """Count bisection of the brackets (lo, hi) of eigenvalue number
+    ``wanted`` (1-based), down to width <= ``tol``.  ``diag`` and ``off2``
+    broadcast against the brackets on their leading axes."""
+    return lockstep_bisect(
+        lo, hi, tol, lambda mid: _negative_pivot_counts(mid, diag, off2) >= wanted
+    )
+
+
+def _final_width(width: float, tol: float) -> float:
+    # the width at which lockstep_bisect stops halving a bracket of ``width``
+    while width > tol:
+        width *= 0.5
+    return width
 
 
 def eigenvalues(chain: ChainCoefficients, first_k: int, tol: float | None = None) -> SpectrumApproximation:
@@ -198,7 +212,7 @@ def eigenvalues(chain: ChainCoefficients, first_k: int, tol: float | None = None
         raise ValueError(f"first_k must be in 1..{chain.dim}, got {first_k}")
 
     off2 = chain.offdiag * chain.offdiag
-    lo, hi = _sturm_brackets(chain.diag, off2, first_k, tol, gershgorin_interval(chain))
+    lo, hi = _cold_brackets(chain.diag, off2, first_k, tol, gershgorin_interval(chain))
     widths = hi - lo
     levels = [
         EnergyLevel(index=n, energy=float(0.5 * (lo[n] + hi[n])), residual=float(widths[n]))
@@ -222,7 +236,44 @@ def eigenvalues_batch(
     (S, first_k) array.  Used by the parameter scan, where hundreds of
     chains differ only in their off-diagonals.
     """
-    lo, hi = _sturm_brackets(diag, off2, first_k, tol, interval)
+    lo, hi = _cold_brackets(diag, off2, first_k, tol, interval)
+    return 0.5 * (lo + hi)
+
+
+def eigenvalues_rows(
+    diag: np.ndarray,
+    off2: np.ndarray,
+    index: np.ndarray,
+    tol: float,
+    interval: tuple[float, float],
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> np.ndarray:
+    """Eigenvalue number ``index[r]`` (0-based) of chain r only, bisected
+    from a warm bracket [lo[r], hi[r]] that is believed to hold it.
+
+    ``diag`` has shape (R, n+1), ``off2`` (R, n); returns an (R,) array.
+    The brackets are snapped outward, to one common width, onto the lattice
+    of cells on which bisection from the dyadic snap of ``interval`` ends.
+    Count bisection then ends in the same cell as in :func:`eigenvalues_batch`
+    with the same ``tol`` and ``interval`` wherever the count is monotone,
+    so each value is bit for bit the one it returns.  One count sweep checks every snapped bracket; a row
+    whose bracket fails it is bisected from the snap of ``interval``
+    instead, so a wrong guess costs time but never a level.
+    """
+    start, stop = _dyadic_bracket(*interval)
+    cell = _final_width(stop - start, tol)
+    wanted = np.asarray(index) + 1
+    lo = np.floor(lo / cell) * cell
+    mant, expo = np.frexp(np.maximum(hi - lo, cell) / cell)
+    width = cell * 2.0 ** int(np.max(expo - (mant == 0.5)))
+    hi = lo + width
+    ends = _negative_pivot_counts(np.stack([lo, hi], axis=-1), diag[:, None, :], off2[:, None, :])
+    bad = (ends[:, 0] >= wanted) | (ends[:, 1] < wanted)
+    if bad.any():
+        lo = np.where(bad, start, lo)
+        hi = lo + max(width, stop - start)
+    lo, hi = _sturm_brackets(diag, off2, wanted, lo, hi, tol)
     return 0.5 * (lo + hi)
 
 

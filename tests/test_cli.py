@@ -80,6 +80,13 @@ class TestSpectrum:
         )
         assert (code, text) == (3, "")
 
+    def test_method_b_grid_too_small(self, capsys):
+        code, text = run_cli(["spectrum", *FIXTURE_ARGS, "--method", "b", "--grid", "1"])
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert "--grid 1" in err
+        assert "at least 2 samples per segment" in err
+
     def test_metadata_records_tolerances(self):
         code, text = run_cli(
             ["spectrum", *FIXTURE_ARGS, "--method", "diag", "--parity", "plus",

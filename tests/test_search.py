@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from rabicf import (
     DegenerateScanError,
@@ -14,13 +15,13 @@ from rabicf import (
     build_chain,
     eigenvalues,
     pair_secular,
-    refine_root,
     scan_crossings,
     scan_levels,
     segment_window,
     solve_method_a,
     spectral_function_a,
 )
+import rabicf.search as search
 from rabicf.search import bisect_sign, default_window
 
 from conftest import FIXTURE, ORACLE_UNION_24
@@ -107,37 +108,28 @@ class TestBracketRoots:
         n_oracle = int(np.sum((oracle_union > -1.0) & (oracle_union < 6.0)))
         assert len(raw.brackets) > n_oracle
         kept = 0
-        for bracket in raw.brackets:
-            _, residual = refine_root(raw_f, bracket, 1e-12)
-            kept += residual < 1e-6
+        for lo, hi in raw.brackets:
+            kept += abs(raw_f(bisect_sign(raw_f, lo, hi, 1e-12))) < 1e-6
         assert kept == n_oracle
 
 
 class TestRefineRoot:
     def test_linear(self):
-        root, residual = refine_root(lambda e: e - 1.0, (0.0, 2.0), 1e-12)
+        root = bisect_sign(lambda e: e - 1.0, 0.0, 2.0, 1e-12)
         assert root == pytest.approx(1.0, abs=1e-12)
-        assert residual < 1e-11
 
     def test_odd_multiplicity(self):
-        root, _ = refine_root(lambda e: (e - 0.5) ** 3, (0.0, 2.0), 1e-10)
+        root = bisect_sign(lambda e: (e - 0.5) ** 3, 0.0, 2.0, 1e-10)
         assert root == pytest.approx(0.5, abs=1e-9)
-
-    def test_lost_bracket_on_nan(self):
-        def f(e):
-            return math.nan if 0.4 < e < 0.6 else e - 0.5
-
-        with pytest.raises(LostBracketError):
-            refine_root(f, (0.0, 1.0), 1e-12)
 
     def test_no_sign_change_rejected(self):
         with pytest.raises(LostBracketError):
-            refine_root(lambda e: e * e + 1.0, (0.0, 1.0), 1e-12)
+            bisect_sign(lambda e: e * e + 1.0, 0.0, 1.0, 1e-12)
 
     def test_endpoint_perturbation_invariance(self):
         f = lambda e: math.tanh(3.0 * (e - 1.25))
-        r1, _ = refine_root(f, (0.5, 2.0), 1e-11)
-        r2, _ = refine_root(f, (0.5 + 1e-4, 2.0 - 1e-4), 1e-11)
+        r1 = bisect_sign(f, 0.5, 2.0, 1e-11)
+        r2 = bisect_sign(f, 0.5 + 1e-4, 2.0 - 1e-4, 1e-11)
         assert abs(r1 - r2) < 1e-11
 
     def test_bisect_sign_discontinuous_magnitude(self):
@@ -238,3 +230,77 @@ class TestScan:
             scan_crossings(FIXTURE, "FAKE", 0.1, 0.5, 20, 3, 60)
         with pytest.raises(DegenerateScanError):
             scan_crossings(FIXTURE, "delta", 0.0, 0.5, 20, 3, 60)
+
+    def test_crossing_on_an_end_point(self):
+        # the first scan point sits on the Juddian point, where the (1, 1)
+        # gap is exactly zero with a neighbour on one side only
+        g_star = math.sqrt(0.84) / 2
+        events = scan_crossings(
+            FIXTURE, "g", 0.45825756949515895, 0.46825756949515895, 11, 3, 150
+        )
+        assert len(events) == 1
+        assert (events[0].plus_level, events[0].minus_level) == (1, 1)
+        assert abs(events[0].value - g_star) < 1e-9
+
+
+# level pairs of the README scan's crossings in value order, as bisection
+# on the scan parameter found them before the ITP refinement
+README_PAIRS = [
+    (7, 7), (6, 6), (5, 5), (4, 4), (3, 3), (2, 2), (1, 1), (7, 7), (6, 6), (5, 5),
+    (4, 4), (3, 3), (7, 7), (6, 6), (2, 2), (5, 5), (4, 4), (7, 7), (6, 6),
+]
+
+
+@pytest.fixture(scope="module")
+def readme_scan():
+    """The README coupling scan, with the rows and ITP step counts that
+    reached the crossing refinement."""
+    refined = {}
+    original = search._refine_events
+
+    def recording(base, parameter, rows, order, tol, value_tol, interval):
+        out = original(base, parameter, rows, order, tol, value_tol, interval)
+        refined.update(rows=rows, value_tol=value_tol, steps=out[2])
+        return out
+
+    search._refine_events = recording
+    try:
+        result = scan_levels(FIXTURE, "g", 0.05, 1.2, 600, 8, 300)
+    finally:
+        search._refine_events = original
+    return result, refined
+
+
+def _lapack_level(params, sign, order, k):
+    j = np.arange(order + 1, dtype=float)
+    diag = j * params.omega + sign * (-1.0) ** j * params.delta
+    off = params.g * np.sqrt(np.arange(1, order + 1, dtype=float))
+    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(k, k))[0]
+
+
+class TestCrossingRefinement:
+    def test_events_match_bisection(self, readme_scan):
+        result, _ = readme_scan
+        assert [(ev.plus_level, ev.minus_level) for ev in result.events] == README_PAIRS
+
+    def test_lapack_gap_at_crossing(self, readme_scan):
+        result, _ = readme_scan
+        for ev in result.events:
+            p = ModelParams(FIXTURE.omega, ev.value, FIXTURE.delta)
+            gap = _lapack_level(p, 1, 300, ev.plus_level) - _lapack_level(p, -1, 300, ev.minus_level)
+            assert abs(gap) <= 1e-12 * FIXTURE.omega
+
+    def test_itp_steps_within_bisection_budget(self, readme_scan):
+        _, refined = readme_scan
+        assert len(refined["rows"]) == len(README_PAIRS)
+        for (_, _, lo, hi, _, _), steps in zip(refined["rows"], refined["steps"]):
+            assert 1 <= steps <= math.ceil(math.log2((hi - lo) / refined["value_tol"])) + 1
+
+    def test_energy_matches_tracks_solver(self, readme_scan):
+        # the reported energy is what the track solver gives at the crossing
+        result, _ = readme_scan
+        interval = search._sweep_interval(FIXTURE, "g", 1.2, 300)
+        values = np.array([ev.value for ev in result.events])
+        ep, em = search._spectra_at(FIXTURE, "g", values, 8, 300, 1e-11, interval)
+        for i, ev in enumerate(result.events):
+            assert ev.energy == 0.5 * (ep[i, ev.plus_level] + em[i, ev.minus_level])

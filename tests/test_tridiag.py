@@ -12,7 +12,14 @@ from rabicf import (
     eigenvalues,
     sturm_count,
 )
-from rabicf.tridiag import eigenvalues_batch, gershgorin_interval
+from rabicf.search import _batch_tables, _sweep_interval
+from rabicf.tridiag import (
+    _dyadic_bracket,
+    _final_width,
+    eigenvalues_batch,
+    eigenvalues_rows,
+    gershgorin_interval,
+)
 
 from conftest import FIXTURE, ORACLE_MINUS_12, ORACLE_PLUS_12
 
@@ -118,6 +125,52 @@ class TestEigenvalues:
             eigenvalues(chain, 12)
         with pytest.raises(ValueError):
             eigenvalues(chain, 3, tol=0.0)
+
+
+class TestEigenvaluesRows:
+    """One level per chain from a warm bracket, bit for bit the batched
+    bisection from the spectrum interval."""
+
+    @staticmethod
+    def _cold(parameter, order, parity):
+        values = np.linspace(0.3, 1.4, 3)
+        interval = _sweep_interval(FIXTURE, parameter, float(values[-1]), order)
+        diag, off2 = _batch_tables(FIXTURE, parameter, values, order)(parity.sign)
+        diag = np.broadcast_to(diag, off2.shape[:-1] + diag.shape[-1:])
+        cold = eigenvalues_batch(diag, off2, 6, 1e-11, interval)
+        rows, index = np.divmod(np.arange(cold.size), 6)
+        start, stop = _dyadic_bracket(*interval)
+        cell = _final_width(stop - start, 1e-11)
+        return diag[rows], off2[rows], index, interval, cold.ravel(), cell
+
+    @pytest.mark.parametrize("order", [300, 1200])
+    @pytest.mark.parametrize("parameter", ["g", "delta"])
+    @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
+    def test_warm_brackets_match_batch(self, parameter, order, parity):
+        diag, off2, index, interval, cold, cell = self._cold(parameter, order, parity)
+        rng = np.random.default_rng(order)
+        lo = cold - rng.uniform(0.0, 1e-3, cold.size)
+        hi = cold + rng.uniform(0.0, 1e-3, cold.size)
+        got = eigenvalues_rows(diag, off2, index, 1e-11, interval, lo, hi)
+        np.testing.assert_array_equal(got, cold)
+
+    @pytest.mark.parametrize("order", [300, 1200])
+    @pytest.mark.parametrize("parameter", ["g", "delta"])
+    def test_one_cell_brackets(self, parameter, order):
+        # the final cell itself: no bisection step is left to take
+        diag, off2, index, interval, cold, cell = self._cold(parameter, order, Parity.PLUS)
+        got = eigenvalues_rows(diag, off2, index, 1e-11, interval,
+                               cold - 0.5 * cell, cold + 0.5 * cell)
+        np.testing.assert_array_equal(got, cold)
+
+    def test_wrong_bracket_falls_back(self):
+        # a bracket that holds the wrong level fails the count check and
+        # is bisected from the spectrum interval instead
+        diag, off2, index, interval, cold, cell = self._cold("g", 300, Parity.MINUS)
+        lo = np.roll(cold, 1) - 1e-6
+        hi = np.roll(cold, 1) + 1e-6
+        got = eigenvalues_rows(diag, off2, index, 1e-11, interval, lo, hi)
+        np.testing.assert_array_equal(got, cold)
 
 
 class TestSpectrumApproximation:

@@ -31,6 +31,7 @@ from .tridiag import (
     eigenvalues_batch,
     eigenvalues_rows,
     gershgorin_interval,
+    lattice_cell,
 )
 
 __all__ = [
@@ -52,10 +53,11 @@ __all__ = [
 DEFAULT_GRID = 2000
 DEFAULT_REFINE_TOL = 1e-12
 
-# The crossing refinement reads the gap E_a^+ - E_b^- on this energy
-# lattice.  On the tracks' (2**-37 at the default tol) the gap is
-# quantised near a crossing and regula falsi stalls.
-FINE_CELL = 2.0**-44
+# The crossing refinement reads the gap E_a^+ - E_b^- on the tracks'
+# energy lattice halved this many times (2**-37 -> 2**-44 at omega = 1
+# and the default tol).  On the tracks' own the gap is quantised near a
+# crossing and regula falsi stalls.
+FINE_HALVINGS = 7
 
 # ITP constants: kappa1 = ITP_KAPPA1 / (initial width), kappa2 = 2, n0.
 ITP_KAPPA1 = 0.2
@@ -344,8 +346,9 @@ def _refine_events(base, parameter, rows, order, tol, value_tol, interval):
     ``rows`` are (plus_level, minus_level, lo, hi, e_lo, e_hi) with e_* the
     (E_a^+, E_b^-) pair of the level tracks at the scan points lo < hi.
     Each step solves only those two levels of every unfinished row, on the
-    FINE_CELL lattice, from Weyl brackets around the values at the row's
-    current ends: no level moves faster than ||dH/dv||_2 in the parameter.
+    ``tol`` lattice refined FINE_HALVINGS times, from Weyl brackets around
+    the values at the row's current ends: no level moves faster than
+    ||dH/dv||_2 in the parameter.
     A gap that reads exactly 0 ends its row at that point.  The crossing
     energy is solved on the tracks' ``tol`` lattice at the final midpoint,
     bit for bit what :func:`_spectra_at` gives there.  Returns the crossing
@@ -358,6 +361,10 @@ def _refine_events(base, parameter, rows, order, tol, value_tol, interval):
     e_lo = np.array([r[4] for r in rows])
     e_hi = np.array([r[5] for r in rows])
     lip = 2.0 * math.sqrt(order) if parameter == "g" else 1.0
+    # Weyl keeps every level within lip*(hi-lo) of its track values, so no
+    # step bisects a level larger than this down to the fine cell
+    magnitude = float(np.max(np.abs([e_lo, e_hi]))) + lip * float(np.max(hi - lo))
+    fine = lattice_cell(tol, interval, FINE_HALVINGS, magnitude)
 
     def levels_at(x, sel, cell):
         # Weyl: |E(x) - E(v)| <= lip |x - v|; the tracked values are at most
@@ -396,7 +403,7 @@ def _refine_events(base, parameter, rows, order, tol, value_tol, interval):
         shift = kappa1[sel] * width * width
         trial = np.where(shift <= np.abs(mid - falsi), falsi + toward * shift, mid)
         x = np.where(np.abs(trial - mid) <= reach, trial, mid - toward * reach)
-        e_x = levels_at(x, sel, FINE_CELL)
+        e_x = levels_at(x, sel, fine)
         f_x = orient[sel] * (e_x[:, 0] - e_x[:, 1])
         steps[sel] += 1
         # a gap of exactly 0 moves both ends onto x
@@ -477,9 +484,10 @@ def scan_levels(
             for i, j in zip(kept[flips], kept[flips + 1]):
                 raw.append((a, b, float(values[i]), float(values[j]),
                             (ep[i, a], em[i, b]), (ep[j, a], em[j, b])))
-            # on an end point it has a neighbour on one side only
-            for i in {0, steps - 1}:
-                if gap[i] == 0.0:
+            # on an end point it has a neighbour on one side only; a zero
+            # run that reaches an end stays unresolved, as one inside does
+            for i, n in ((0, 1), (steps - 1, steps - 2)):
+                if gap[i] == 0.0 and gap[n] != 0.0:
                     events.append(_crossing(params_base, parameter, a, b,
                                             float(values[i]), float(ep[i, a])))
 

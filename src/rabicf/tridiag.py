@@ -195,6 +195,26 @@ def _final_width(width: float, tol: float) -> float:
     return width
 
 
+def lattice_cell(
+    tol: float, interval: tuple[float, float], halvings: int = 0, magnitude: float = 0.0
+) -> float:
+    """Width of the cells in which bisection from the dyadic snap of
+    ``interval`` down to ``tol`` ends, halved up to ``halvings`` more times.
+
+    Halving stops short at 4 ulps of ``magnitude``, the largest |E| that is
+    to be bisected down to the cell: below that the midpoint of two lattice
+    points near it is not exact, and the bisection would never end.
+    """
+    start, stop = _dyadic_bracket(*interval)
+    cell = _final_width(stop - start, tol)
+    floor = 4.0 * math.ulp(magnitude)
+    for _ in range(halvings):
+        if 0.5 * cell < floor:
+            break
+        cell *= 0.5
+    return cell
+
+
 def eigenvalues(chain: ChainCoefficients, first_k: int, tol: float | None = None) -> SpectrumApproximation:
     """The ``first_k`` smallest eigenvalues of the chain by Sturm bisection.
 
@@ -262,7 +282,7 @@ def eigenvalues_rows(
     instead, so a wrong guess costs time but never a level.
     """
     start, stop = _dyadic_bracket(*interval)
-    cell = _final_width(stop - start, tol)
+    cell = lattice_cell(tol, interval)
     wanted = np.asarray(index) + 1
     lo = np.floor(lo / cell) * cell
     mant, expo = np.frexp(np.maximum(hi - lo, cell) / cell)

@@ -243,6 +243,21 @@ class TestScan:
         assert abs(events[0].value - g_star) < 1e-9
 
 
+    @pytest.mark.parametrize("gap, found", [
+        ([0.0, 1.0, 2.0], [0]),    # isolated zero on the first point
+        ([-2.0, -1.0, 0.0], [-1]), # isolated zero on the last point
+        ([0.0, 0.0, 1.0], []),     # a zero run reaching the first point
+        ([-1.0, 0.0, 0.0], []),    # a zero run reaching the last point
+    ])
+    def test_end_point_zero_rule(self, monkeypatch, gap, found):
+        # synthetic one-level tracks whose gap is zero on an end point
+        steps = 10
+        ep = np.interp(np.arange(steps), [0, steps // 2, steps - 1], gap)[:, None]
+        monkeypatch.setattr(search, "_spectra_at", lambda *args: (ep, np.zeros_like(ep)))
+        result = scan_levels(FIXTURE, "g", 0.1, 0.2, steps, 1, 20)
+        assert [ev.value for ev in result.events] == [result.values[i] for i in found]
+
+
 # level pairs of the README scan's crossings in value order, as bisection
 # on the scan parameter found them before the ITP refinement
 README_PAIRS = [
@@ -269,6 +284,16 @@ def readme_scan():
     finally:
         search._refine_events = original
     return result, refined
+
+
+@pytest.fixture(scope="module")
+def readme_scan_scaled():
+    """The README coupling scan with omega, g, delta and the range scaled
+    by 1000: every energy is 1000 times the omega = 1 one, so most of the
+    levels it refines exceed 512 in magnitude, where one ulp is 2**-43."""
+    scale = 1000.0
+    base = ModelParams(scale * FIXTURE.omega, scale * FIXTURE.g, scale * FIXTURE.delta)
+    return scale, base, scan_levels(base, "g", scale * 0.05, scale * 1.2, 600, 8, 300)
 
 
 def _lapack_level(params, sign, order, k):
@@ -304,3 +329,17 @@ class TestCrossingRefinement:
         ep, em = search._spectra_at(FIXTURE, "g", values, 8, 300, 1e-11, interval)
         for i, ev in enumerate(result.events):
             assert ev.energy == 0.5 * (ep[i, ev.plus_level] + em[i, ev.minus_level])
+
+    def test_scaled_omega(self, readme_scan, readme_scan_scaled):
+        # the refinement lattice follows omega: the scan ends, on the same
+        # pairs, and its crossings are the omega = 1 ones scaled
+        result, _ = readme_scan
+        scale, base, scaled = readme_scan_scaled
+        assert [(ev.plus_level, ev.minus_level) for ev in scaled.events] == README_PAIRS
+        for ev, big in zip(result.events, scaled.events):
+            assert abs(big.value / scale - ev.value) <= 1e-10
+            assert big.nearest_multiple == ev.nearest_multiple
+            assert big.deviation <= 1e-10 * base.omega
+            p = ModelParams(base.omega, big.value, base.delta)
+            gap = _lapack_level(p, 1, 300, big.plus_level) - _lapack_level(p, -1, 300, big.minus_level)
+            assert abs(gap) <= 1e-12 * base.omega

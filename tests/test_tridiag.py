@@ -19,6 +19,7 @@ from rabicf.tridiag import (
     eigenvalues_batch,
     eigenvalues_rows,
     gershgorin_interval,
+    lattice_cell,
 )
 
 from conftest import FIXTURE, ORACLE_MINUS_12, ORACLE_PLUS_12
@@ -170,6 +171,30 @@ class TestEigenvaluesRows:
         lo = np.roll(cold, 1) - 1e-6
         hi = np.roll(cold, 1) + 1e-6
         got = eigenvalues_rows(diag, off2, index, 1e-11, interval, lo, hi)
+        np.testing.assert_array_equal(got, cold)
+
+
+class TestLatticeCell:
+    def test_halvings(self):
+        # the tracks' 2**-37 cell at omega = 1, seven halvings finer
+        interval = _sweep_interval(FIXTURE, "g", 1.2, 300)
+        assert lattice_cell(1e-11, interval) == 2.0**-37
+        assert lattice_cell(1e-11, interval, 7, magnitude=10.0) == 2.0**-44
+
+    def test_stops_at_four_ulps(self):
+        # levels near -576: one ulp is 2**-43, so halving stops at 2**-41,
+        # and the per-row solve down to that cell ends, bit for bit the batch
+        params = ModelParams(1.0, 24.0, 0.4)
+        order = 700
+        interval = _sweep_interval(params, "g", 24.0, order)
+        cell = lattice_cell(1e-11, interval, 7, magnitude=600.0)
+        assert cell == 2.0**-41
+        diag, off2 = _batch_tables(params, "g", np.array([24.0]), order)(1.0)
+        cold = eigenvalues_batch(diag, off2, 3, cell, interval)[0]
+        assert np.all(np.abs(cold) > 512.0)
+        got = eigenvalues_rows(np.broadcast_to(diag, (3, order + 1)),
+                               np.broadcast_to(off2, (3, order)), np.arange(3),
+                               cell, interval, cold - 1e-6, cold + 1e-6)
         np.testing.assert_array_equal(got, cold)
 
 

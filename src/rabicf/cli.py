@@ -35,7 +35,7 @@ from .resolvent import (
     poles_of_resolvent,
     resolvent_cf,
 )
-from .schweber import DEN_FLOOR, EPS_POLE_REL
+from .schweber import DEN_FLOOR, pole_guard
 from .search import (
     DEFAULT_GRID,
     DEFAULT_REFINE_TOL,
@@ -137,9 +137,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="search window lo:hi; use --window=lo:hi for a negative lo "
                         "(default derived from the exact limits)")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    p.add_argument("--tol", type=float, help="solver tolerance (default 1e-11*omega)")
+    p.add_argument("--tol", type=float,
+                   help="Sturm bisection width of --method diag (default 1e-11*omega); "
+                        "methods a and b ignore it and refine roots to 1e-12*omega")
     p.add_argument("--eps-pole", type=float,
-                   help="pole-guard half width for method a (default 1e-9*omega)")
+                   help="pole-guard half width of method a (default 1e-9*omega); "
+                        "methods b and diag ignore it")
 
     p = sub.add_parser("compare", help="level-by-level deviation of two methods")
     _add_model_args(p)
@@ -236,7 +239,7 @@ def _spectrum_levels(config: RunConfig) -> tuple[list[EnergyLevel], dict]:
         "levels_requested": config.levels,
         "window": f"{config.window[0]!r}:{config.window[1]!r}",
         "eig_tol": repr(config.tol),
-        "refine_tol": repr(DEFAULT_REFINE_TOL),
+        "refine_tol": repr(DEFAULT_REFINE_TOL * params.omega),
         "eps_pole": repr(config.eps_pole),
         "den_floor": repr(DEN_FLOOR),
         "grid": config.grid,
@@ -281,9 +284,7 @@ def _make_config(args, method: str, order: int | None, solver_tol: float | None 
     tol = solver_tol
     if tol is None:
         tol = DEFAULT_EIG_TOL * params.omega
-    eps_pole = getattr(args, "eps_pole", None)
-    if eps_pole is None:
-        eps_pole = EPS_POLE_REL * params.omega
+    eps_pole = pole_guard(params, getattr(args, "eps_pole", None))
     parity = Parity.PLUS if getattr(args, "parity", None) == "plus" else (
         Parity.MINUS if getattr(args, "parity", None) == "minus" else None)
     config = RunConfig(
@@ -361,7 +362,7 @@ def cmd_pathological(args, out) -> int:
         "parity": parity.label,
         "variant": args.variant,
         "tail_limit": repr(limit),
-        "min_separation": repr(E0_MIN_SEPARATION),
+        "min_separation": repr(E0_MIN_SEPARATION * params.omega),
     }
     columns = ["order", "modified_diag_nn", "modified_offdiag", "tail_gn",
                "tail_minus_limit", "planted_reciprocal", "order_times_tail_offset"]

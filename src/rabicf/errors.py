@@ -58,8 +58,8 @@ class WindowEmptyError(RabiSolverError):
 
 
 class LostBracketError(RabiSolverError):
-    """A status failure occurred inside a bracket during refinement;
-    re-bracket at a finer grid."""
+    """A bracket handed to sign bisection has no sign change between its
+    ends, so it holds no root that bisection can refine."""
 
 
 class TooFewLevelsError(RabiSolverError):

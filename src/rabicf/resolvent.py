@@ -45,7 +45,7 @@ from .errors import (
 from .model import ChainCoefficients, ModelParams, Parity, TruncationOrder, build_chain
 from .recurrence import scaled_pair, scaled_pair_lanes
 from .schweber import DEN_FLOOR
-from .search import bisect_sign, bracket_roots, segment_window
+from .search import DEFAULT_REFINE_TOL, bisect_sign, bracket_roots, segment_window
 from .tridiag import (
     EnergyLevel,
     SpectralMethod,
@@ -71,7 +71,7 @@ __all__ = [
 # the reciprocal at the planted energy then reads about 10**-_PLANT_MARGIN.
 _PLANT_MARGIN = 40
 
-# Plant energies closer than this to a genuine pole are rejected: the
+# Plant energies within this many omega of a genuine pole are rejected: the
 # demonstration needs the planted pole to be separable from the real ones.
 E0_MIN_SEPARATION = 1e-6
 
@@ -171,7 +171,6 @@ def poles_of_resolvent(
     window: tuple[float, float],
     max_levels: int,
     grid: int | None = None,
-    refine_tol: float | None = None,
 ) -> SpectrumApproximation:
     """Poles of G_0 inside a window, i.e. the truncated-chain eigenvalues.
 
@@ -183,8 +182,8 @@ def poles_of_resolvent(
     pole to exact factor cancellation.  The window is one cut-free segment
     of ``grid`` samples (``bracket_roots``), a sample exactly on a pole
     being its own bracket; the lowest ``max_levels`` brackets are refined
-    by sign bisection on the minor, and the residual reported per pole is
-    the reciprocal magnitude there.
+    by sign bisection on the minor down to DEFAULT_REFINE_TOL * omega, and
+    the residual reported per pole is the reciprocal magnitude there.
     """
     seg = segment_window(window)
     if max_levels < 1:
@@ -192,13 +191,11 @@ def poles_of_resolvent(
     if grid is None:
         lo, hi = seg.window
         grid = max(512, int(128 * (hi - lo) / chain.params.omega))
-    if refine_tol is None:
-        refine_tol = 1e-12 * chain.params.omega
 
     minor = lambda e: char_poly(e, chain)[0]
     poles: list[EnergyLevel] = []
     for lo, hi in bracket_roots(minor, seg, grid).brackets[:max_levels]:
-        root = bisect_sign(minor, lo, hi, refine_tol)
+        root = bisect_sign(minor, lo, hi, DEFAULT_REFINE_TOL * chain.params.omega)
         residual = abs(resolvent_cf(root, chain).reciprocal)
         poles.append(EnergyLevel(index=len(poles), energy=root, residual=residual))
     if not poles:
@@ -324,9 +321,9 @@ def build_pathological(
 ) -> ModifiedChain:
     """Construct the truncation that plants a resolvent pole at energy0.
 
-    ``energy0`` must keep a minimum separation from every genuine pole of
-    the unmodified truncated resolvent so that the planted pole is
-    unambiguous; violations raise PoleSeparationError.
+    ``energy0`` must keep a minimum separation, E0_MIN_SEPARATION * omega,
+    from every genuine pole of the unmodified truncated resolvent so that
+    the planted pole is unambiguous; violations raise PoleSeparationError.
 
     The planted mode's components are the orthonormal polynomials
     p_j(E_0) = prod_{i<=j} sqrt(a_i) G_i(E_0), and its border residue is
@@ -337,11 +334,12 @@ def build_pathological(
     if params.g == 0.0:
         raise GZeroError("pathological construction needs nonzero coupling")
     base = build_chain(params, parity, order)
-    below = sturm_count(energy0 - E0_MIN_SEPARATION, base)
-    above = sturm_count(energy0 + E0_MIN_SEPARATION, base)
+    separation = E0_MIN_SEPARATION * params.omega
+    below = sturm_count(energy0 - separation, base)
+    above = sturm_count(energy0 + separation, base)
     if below != above:
         raise PoleSeparationError(
-            f"E0={energy0!r} lies within {E0_MIN_SEPARATION} of a genuine "
+            f"E0={energy0!r} lies within {separation} of a genuine "
             f"pole of the unmodified resolvent at order {order}"
         )
     ratios = _upward_ratios(energy0, base)

@@ -56,6 +56,7 @@ __all__ = [
     "convergent_pair",
     "pair_secular",
     "classify_solution",
+    "pole_guard",
     "EPS_POLE_REL",
     "DEN_FLOOR",
 ]
@@ -68,9 +69,6 @@ EPS_POLE_REL = 1e-9
 # An intermediate continued-fraction denominator below this magnitude is a
 # pole of a partial fraction; the evaluation reports Overflow status.
 DEN_FLOOR = 1e-300
-
-# Relative tolerance of the recurrence-consistency invariant.
-TOL_REC = 1e-12
 
 
 class CfStatus(Enum):
@@ -120,6 +118,12 @@ def _require_coupling(params: ModelParams):
         )
 
 
+def pole_guard(params: ModelParams, eps_pole: float | None = None) -> float:
+    """Pole guard half-width in energy units: ``eps_pole``, or by default
+    EPS_POLE_REL * omega."""
+    return EPS_POLE_REL * params.omega if eps_pole is None else eps_pole
+
+
 def coeff_f(
     n: int, energy: float, params: ModelParams, eps_pole: float | None = None
 ) -> SchweberCoefficient:
@@ -131,11 +135,8 @@ def coeff_f(
     _require_coupling(params)
     if n < 0:
         raise ValueError("n must be >= 0")
-    w = params.omega
-    if eps_pole is None:
-        eps_pole = EPS_POLE_REL * w
-    detune = shifted_energy(params, energy) - n * w
-    if abs(detune) < eps_pole:
+    detune = shifted_energy(params, energy) - n * params.omega
+    if abs(detune) < pole_guard(params, eps_pole):
         return SchweberCoefficient(n=n, value=math.nan, at_pole=True)
     return SchweberCoefficient(n=n, value=_f_of_detune(detune, params), at_pole=False)
 
@@ -151,10 +152,8 @@ def _coeff_values(
 ) -> np.ndarray:
     """f_0..f_{n_max} as an array; raises PoleError on any guard hit."""
     w = params.omega
-    if eps_pole is None:
-        eps_pole = EPS_POLE_REL * w
     detune = shifted_energy(params, energy) - w * np.arange(n_max + 1, dtype=float)
-    hits = np.abs(detune) < eps_pole
+    hits = np.abs(detune) < pole_guard(params, eps_pole)
     if np.any(hits):
         raise PoleError(int(np.argmax(hits)), energy)
     return _f_of_detune(detune, params)
@@ -404,8 +403,7 @@ def _secular_lanes(
     coefficient row f_m for every lane and hands it to the lane recurrence
     at once; lanes where any of f_0..f_n sits in its guard come back NaN."""
     w = params.omega
-    if eps_pole is None:
-        eps_pole = EPS_POLE_REL * w
+    eps_pole = pole_guard(params, eps_pole)
     x = shifted_energy(params, energies)
     hit = np.abs(x) < eps_pole  # f_0
 

@@ -23,8 +23,9 @@ import numpy as np
 from .convergence import tail_depth_bound
 from .errors import DegenerateScanError, DeltaZeroError, GZeroError, LostBracketError
 from .model import ModelParams, Parity, TruncationOrder, build_chain, shifted_energy
-from .schweber import EPS_POLE_REL, pair_secular, spectral_function_a
+from .schweber import pair_secular, pole_guard, spectral_function_a
 from .tridiag import (
+    DEFAULT_EIG_TOL,
     EnergyLevel,
     SpectralMethod,
     SpectrumApproximation,
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 2000
+
+# Root refinement width, relative to omega.
 DEFAULT_REFINE_TOL = 1e-12
 
 # The crossing refinement reads the gap E_a^+ - E_b^- on the tracks'
@@ -95,8 +98,7 @@ def segment_window(
         raise ValueError(f"invalid window {window!r}")
     ks, cuts = range(0), []
     if params is not None:
-        if guard is None:
-            guard = EPS_POLE_REL * params.omega
+        guard = pole_guard(params, guard)
         shift = params.g * params.g / params.omega
         k_lo = math.ceil((lo + shift) / params.omega)
         k_hi = math.floor((hi + shift) / params.omega)
@@ -181,7 +183,8 @@ def bracket_roots(f, seg: SegmentedWindow, grid: int) -> BracketScan:
 
 def bisect_sign(f, lo: float, hi: float, tol: float) -> float:
     """Bisection using only the sign of ``f``; robust for functions whose
-    magnitude jumps (rescaled determinant mantissas)."""
+    magnitude jumps (rescaled determinant mantissas).  Halving stops at
+    width ``tol``, or earlier once lo and hi are adjacent floats."""
     flo = f(lo)
     if flo == 0.0:
         return lo
@@ -189,6 +192,8 @@ def bisect_sign(f, lo: float, hi: float, tol: float) -> float:
         raise LostBracketError(f"no sign change over ({lo!r}, {hi!r})")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         fm = f(mid)
         if fm == 0.0:
             return mid
@@ -225,7 +230,6 @@ def solve_method_a(
     window: tuple[float, float],
     levels: int | None = None,
     grid: int = DEFAULT_GRID,
-    refine_tol: float = DEFAULT_REFINE_TOL,
     eps_pole: float | None = None,
 ) -> MethodAResult:
     """Locate the coefficient-method roots in a window.
@@ -234,7 +238,8 @@ def solve_method_a(
     W_N = f_0 B_N - A_N (raw sampling of f_0 - F_N both misses root/pole
     pairs tighter than the grid and brackets isolated poles of F_N); the
     refined root's residual is |f_0 - F_N| evaluated backward.  Refinement
-    bisects on the sign of W_N, whose rescaled magnitude is not continuous.
+    bisects on the sign of W_N, whose rescaled magnitude is not continuous,
+    down to DEFAULT_REFINE_TOL * omega.
 
     Raises DeltaZeroError at delta = 0: there the true eigenvalues sit
     exactly on the pole lattice (root/pole collision), which this method
@@ -252,7 +257,7 @@ def solve_method_a(
     scan = bracket_roots(secular, seg, grid)
     found = []
     for lo, hi in scan.brackets:
-        root = bisect_sign(secular, lo, hi, refine_tol)
+        root = bisect_sign(secular, lo, hi, DEFAULT_REFINE_TOL * params.omega)
         res = spectral_function_a(root, params, order, eps_pole)
         residual = abs(res.value) if res.converged else math.inf
         found.append((root, residual))
@@ -364,7 +369,7 @@ def _refine_events(base, parameter, rows, order, tol, value_tol, interval):
     # Weyl keeps every level within lip*(hi-lo) of its track values, so no
     # step bisects a level larger than this down to the fine cell
     magnitude = float(np.max(np.abs([e_lo, e_hi]))) + lip * float(np.max(hi - lo))
-    fine = lattice_cell(tol, interval, FINE_HALVINGS, magnitude)
+    fine = lattice_cell(tol, FINE_HALVINGS, magnitude)
 
     def levels_at(x, sel, cell):
         # Weyl: |E(x) - E(v)| <= lip |x - v|; the tracked values are at most
@@ -464,7 +469,7 @@ def scan_levels(
     if parameter == "delta" and start <= 0.0:
         raise DegenerateScanError("delta scan range must stay strictly positive")
     if tol is None:
-        tol = 1e-11 * params_base.omega
+        tol = DEFAULT_EIG_TOL * params_base.omega
 
     values = np.linspace(start, stop, steps)
     interval = _sweep_interval(params_base, parameter, float(np.max(values)), order)
@@ -492,7 +497,7 @@ def scan_levels(
                                             float(values[i]), float(ep[i, a])))
 
     if raw:
-        value_tol = 1e-12 * max(1.0, abs(stop))
+        value_tol = DEFAULT_REFINE_TOL * max(params_base.omega, abs(stop))
         stars, estars, _ = _refine_events(
             params_base, parameter, raw, order, tol, value_tol, interval
         )

@@ -151,17 +151,21 @@ def _dyadic_bracket(lo: float, hi: float) -> tuple[float, float]:
 
 
 def lockstep_bisect(lo: np.ndarray, hi: np.ndarray, tol: float, left_of):
-    """Halve every bracket (lo, hi) together until the widest is <= ``tol``.
+    """Halve the brackets (lo, hi) together, each until it is <= ``tol``
+    wide or its midpoint no longer lies strictly inside it (lo and hi are
+    adjacent floats), whichever comes first.
 
     ``left_of(mid)`` maps the array of midpoints to a boolean array: True
     keeps the lower half, False the upper.  Returns the final (lo, hi).
     """
-    while float(np.max(hi - lo)) > tol:
+    while True:
         mid = 0.5 * (lo + hi)
+        live = (hi - lo > tol) & (lo < mid) & (mid < hi)
+        if not live.any():
+            return lo, hi
         left = left_of(mid)
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-    return lo, hi
+        hi = np.where(live & left, mid, hi)
+        lo = np.where(live & ~left, mid, lo)
 
 
 def _cold_brackets(diag, off2, first_k, tol, interval) -> tuple[np.ndarray, np.ndarray]:
@@ -188,25 +192,16 @@ def _sturm_brackets(diag, off2, wanted, lo, hi, tol) -> tuple[np.ndarray, np.nda
     )
 
 
-def _final_width(width: float, tol: float) -> float:
-    # the width at which lockstep_bisect stops halving a bracket of ``width``
-    while width > tol:
-        width *= 0.5
-    return width
-
-
-def lattice_cell(
-    tol: float, interval: tuple[float, float], halvings: int = 0, magnitude: float = 0.0
-) -> float:
-    """Width of the cells in which bisection from the dyadic snap of
-    ``interval`` down to ``tol`` ends, halved up to ``halvings`` more times.
+def lattice_cell(tol: float, halvings: int = 0, magnitude: float = 0.0) -> float:
+    """Width of the cells in which bisection from a dyadic snap down to
+    ``tol`` ends, the largest power of two <= ``tol``, halved up to
+    ``halvings`` more times.
 
     Halving stops short at 4 ulps of ``magnitude``, the largest |E| that is
     to be bisected down to the cell: below that the midpoint of two lattice
-    points near it is not exact, and the bisection would never end.
+    points near it is not exact, and the bisection would end early.
     """
-    start, stop = _dyadic_bracket(*interval)
-    cell = _final_width(stop - start, tol)
+    cell = math.ldexp(1.0, math.frexp(tol)[1] - 1)
     floor = 4.0 * math.ulp(magnitude)
     for _ in range(halvings):
         if 0.5 * cell < floor:
@@ -219,10 +214,10 @@ def eigenvalues(chain: ChainCoefficients, first_k: int, tol: float | None = None
     """The ``first_k`` smallest eigenvalues of the chain by Sturm bisection.
 
     Each eigenvalue is bracketed until the bracket width drops below
-    ``tol`` (default 1e-11 * omega); the reported energy is the final
-    bracket midpoint and the residual is the final width.  Deterministic;
-    all ``first_k`` bisections run in lockstep on one vectorized pivot
-    sweep per iteration.
+    ``tol`` (default 1e-11 * omega), or until its ends are adjacent floats;
+    the reported energy is the final bracket midpoint and the residual is
+    the final width.  Deterministic; all ``first_k`` bisections run in
+    lockstep on one vectorized pivot sweep per iteration.
     """
     if tol is None:
         tol = DEFAULT_EIG_TOL * chain.params.omega
@@ -273,16 +268,17 @@ def eigenvalues_rows(
     from a warm bracket [lo[r], hi[r]] that is believed to hold it.
 
     ``diag`` has shape (R, n+1), ``off2`` (R, n); returns an (R,) array.
-    The brackets are snapped outward, to one common width, onto the lattice
-    of cells on which bisection from the dyadic snap of ``interval`` ends.
-    Count bisection then ends in the same cell as in :func:`eigenvalues_batch`
-    with the same ``tol`` and ``interval`` wherever the count is monotone,
-    so each value is bit for bit the one it returns.  One count sweep checks every snapped bracket; a row
-    whose bracket fails it is bisected from the snap of ``interval``
-    instead, so a wrong guess costs time but never a level.
+    The brackets are snapped outward, to one common width, onto the
+    :func:`lattice_cell` lattice of ``tol``, where bisection from a dyadic
+    snap ends.  Count bisection then ends in the same cell as in
+    :func:`eigenvalues_batch` with the same ``tol`` wherever the count is
+    monotone, so each value is bit for bit the one it returns.  One count
+    sweep checks every snapped bracket; a row whose bracket fails it is
+    bisected from the snap of ``interval`` instead, so a wrong guess costs
+    time but never a level.
     """
     start, stop = _dyadic_bracket(*interval)
-    cell = lattice_cell(tol, interval)
+    cell = lattice_cell(tol)
     wanted = np.asarray(index) + 1
     lo = np.floor(lo / cell) * cell
     mant, expo = np.frexp(np.maximum(hi - lo, cell) / cell)

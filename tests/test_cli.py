@@ -1,6 +1,8 @@
 import csv
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +12,9 @@ import numpy as np
 import pytest
 
 import rabicf
+import rabicf.resolvent
+import rabicf.search
+import rabicf.tridiag
 from rabicf.cli import main
 
 from conftest import ORACLE_UNION_24
@@ -145,6 +150,115 @@ class TestSpectrum:
                               capture_output=True, env=env, timeout=120)
         assert done.returncode == 0
         assert done.stdout == run_cli(argv)[1].encode()
+
+
+def call_limit(monkeypatch, module, name, calls):
+    """Make ``module.name`` raise once called ``calls`` times, so a halving
+    loop that never ends fails the test instead of hanging the suite."""
+    real = getattr(module, name)
+    count = itertools.count()
+
+    def guarded(*args, **kwargs):
+        if next(count) >= calls:
+            raise RuntimeError(f"{name} called {calls} times: a halving loop does not end")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, guarded)
+
+
+class TestHalvingEnds:
+    """Bisection below one ulp of the levels ends on adjacent floats."""
+
+    def test_diag_tol_below_ulp(self, monkeypatch):
+        call_limit(monkeypatch, rabicf.tridiag, "_negative_pivot_counts", 1000)
+        code, text = run_cli(["spectrum", *FIXTURE_ARGS, "--method", "diag",
+                              "--levels", "3", "--tol", "1e-16"])
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        energies = np.array([float(r[1]) for r in rows])
+        residuals = np.array([float(r[2]) for r in rows])
+        np.testing.assert_allclose(energies, ORACLE_UNION_24[:3], atol=1e-11)
+        # the residual is the final width: above tol where the ends met
+        assert residuals.max() > 1e-16
+        assert np.all(residuals <= np.maximum(1e-16, [math.ulp(e) for e in energies]))
+
+    def test_method_b_refine_below_ulp(self, monkeypatch):
+        # one ulp of 9000 exceeds the 1e-12 refinement width
+        call_limit(monkeypatch, rabicf.resolvent, "char_poly", 500)
+        code, text = run_cli(["spectrum", *FIXTURE_ARGS, "--method", "b", "--parity", "plus",
+                              "--order", "9100", "--window=9000:9002", "--levels", "1"])
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        assert len(rows) == 1
+        assert 9000.0 < float(rows[0][1]) < 9002.0
+
+
+# Each case: argv at omega = 1, with the floats that scale with omega given
+# as floats, and the power of omega in each output column and metadata
+# field; columns and fields not named scale as omega**0.  The
+# continued-fraction floor den_floor is a fixed underflow guard.
+MODEL = ["--omega", 1.0, "--g", 0.7, "--delta", 0.4, "--format", "json"]
+SPECTRUM_META = {"omega": 1, "g": 1, "delta": 1, "window": 1,
+                 "eig_tol": 1, "refine_tol": 1, "eps_pole": 1}
+COVARIANT = {
+    "spectrum-a": (["spectrum", *MODEL, "--method", "a", "--order", "150", "--levels", "10"],
+                   SPECTRUM_META, {"energy": 1}),
+    "spectrum-b": (["spectrum", *MODEL, "--method", "b", "--parity", "plus", "--levels", "8"],
+                   SPECTRUM_META, {"energy": 1, "residual": 1}),
+    "spectrum-diag": (["spectrum", *MODEL, "--method", "diag", "--levels", "8"],
+                      SPECTRUM_META, {"energy": 1, "residual": 1}),
+    "scan": (["scan", *MODEL, "--param", "g", "--from", 0.05, "--to", 1.2,
+              "--steps", "60", "--levels", "4", "--order", "60"],
+             {"omega": 1, "g": 1, "delta": 1, "from": 1, "to": 1},
+             {"param_value": 1, "energy": 1, "shifted": 1, "deviation": 1,
+              "g": 1, **{f"{p}_{n}": 1 for p in ("plus", "minus") for n in range(4)}}),
+    "pathological": (["pathological", *MODEL, "--e0", 0.5, "--order", "10,20,40"],
+                     {"omega": 1, "g": 1, "delta": 1, "e0": 1, "tail_limit": -1,
+                      "min_separation": 1},
+                     {"modified_diag_nn": 1, "tail_gn": -1, "tail_minus_limit": -1,
+                      "planted_reciprocal": 1, "order_times_tail_offset": -1}),
+}
+
+
+class TestScaleCovariance:
+    """The Hamiltonian is homogeneous of degree one in (omega, g, delta), and
+    every tolerance is relative to omega: at 2**k times every input, every
+    output is exactly 2**k times its omega = 1 value (2**-k for 1/energy)."""
+
+    @staticmethod
+    def _run(name, s):
+        argv, _, _ = COVARIANT[name]
+        code, text = run_cli([repr(s * a) if isinstance(a, float) else a for a in argv])
+        assert code == 0
+        doc = json.loads(text)
+        tables = [doc[t] for t in ("events", "tracks")] if "events" in doc else [doc]
+        return doc["metadata"], [(t["columns"], t["rows"]) for t in tables]
+
+    @pytest.mark.parametrize("k", [-20, -3, 3, 16])
+    @pytest.mark.parametrize("name", list(COVARIANT))
+    def test_outputs_scale_exactly(self, name, k, monkeypatch):
+        # method a refining below one ulp of its levels would never end
+        call_limit(monkeypatch, rabicf.search, "pair_secular", 5000)
+        _, meta_power, column_power = COVARIANT[name]
+        s = 2.0**k
+        meta1, tables1 = self._run(name, 1.0)
+        meta, tables = self._run(name, s)
+        assert len(tables) == len(tables1)
+        for (columns, rows), (columns1, rows1) in zip(tables, tables1):
+            assert columns == columns1
+            assert len(rows) == len(rows1) > 0
+            for row, row1 in zip(rows, rows1):
+                for column, got, want in zip(columns, row, row1):
+                    power = column_power.get(column, 0)
+                    assert got == (want * s**power if power and want != "" else want), column
+        assert meta.keys() == meta1.keys()
+        for key, value in meta.items():
+            power = meta_power.get(key, 0)
+            if power:
+                got = [float(v) for v in value.split(":")]
+                assert got == [float(v) * s**power for v in meta1[key].split(":")], key
+            else:
+                assert value == meta1[key], key
 
 
 class TestCompare:

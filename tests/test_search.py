@@ -138,6 +138,23 @@ class TestRefineRoot:
         root = bisect_sign(f, 0.0, 2.0, 1e-12)
         assert root == pytest.approx(1.3, abs=1e-11)
 
+    def test_ends_on_adjacent_floats(self):
+        # one ulp of 9000 is 1.8e-12, so no bracket near it can shrink to
+        # the requested 1e-13: halving ends once lo and hi are adjacent.
+        # The sign flips between two floats, so no sample is a zero; the
+        # call guard fails the test where the loop would never end.
+        calls = []
+
+        def f(e):
+            calls.append(e)
+            if len(calls) > 200:
+                raise RuntimeError("bisect_sign does not end")
+            return 1.0 if e > 9000.123456789 else -1.0
+
+        root = bisect_sign(f, 9000.0, 9001.0, 1e-13)
+        assert root in (9000.123456789, math.nextafter(9000.123456789, math.inf))
+        assert len(calls) < 60
+
 
 class TestSolveMethodA:
     def test_ground_state_matches_oracle(self, oracle_union):

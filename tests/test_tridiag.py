@@ -15,11 +15,11 @@ from rabicf import (
 from rabicf.search import _batch_tables, _sweep_interval
 from rabicf.tridiag import (
     _dyadic_bracket,
-    _final_width,
     eigenvalues_batch,
     eigenvalues_rows,
     gershgorin_interval,
     lattice_cell,
+    lockstep_bisect,
 )
 
 from conftest import FIXTURE, ORACLE_MINUS_12, ORACLE_PLUS_12
@@ -140,8 +140,7 @@ class TestEigenvaluesRows:
         diag = np.broadcast_to(diag, off2.shape[:-1] + diag.shape[-1:])
         cold = eigenvalues_batch(diag, off2, 6, 1e-11, interval)
         rows, index = np.divmod(np.arange(cold.size), 6)
-        start, stop = _dyadic_bracket(*interval)
-        cell = _final_width(stop - start, 1e-11)
+        cell = lattice_cell(1e-11)
         return diag[rows], off2[rows], index, interval, cold.ravel(), cell
 
     @pytest.mark.parametrize("order", [300, 1200])
@@ -177,9 +176,21 @@ class TestEigenvaluesRows:
 class TestLatticeCell:
     def test_halvings(self):
         # the tracks' 2**-37 cell at omega = 1, seven halvings finer
-        interval = _sweep_interval(FIXTURE, "g", 1.2, 300)
-        assert lattice_cell(1e-11, interval) == 2.0**-37
-        assert lattice_cell(1e-11, interval, 7, magnitude=10.0) == 2.0**-44
+        assert lattice_cell(1e-11) == 2.0**-37
+        assert lattice_cell(1e-11, 7, magnitude=10.0) == 2.0**-44
+
+    @pytest.mark.parametrize("k", [-30, -20, -3, 0, 3, 16, 30])
+    def test_is_where_bisection_ends(self, k):
+        # the final width of bisection from the dyadic snap of the spectrum
+        # interval, for every tol at every scale 2**k of the fixture
+        s = 2.0**k
+        params = ModelParams(s * FIXTURE.omega, s * FIXTURE.g, s * FIXTURE.delta)
+        for order, tol in ((1, 1e-11), (300, 1e-12), (1200, 3e-9), (60, 2.0**-37)):
+            interval = gershgorin_interval(build_chain(params, Parity.PLUS, order))
+            lo, hi = _dyadic_bracket(*interval)
+            lo, hi = lockstep_bisect(np.array([lo]), np.array([hi]), tol * s,
+                                     lambda mid: mid >= 0.3 * s)
+            assert hi[0] - lo[0] == lattice_cell(tol * s) == s * lattice_cell(tol)
 
     def test_stops_at_four_ulps(self):
         # levels near -576: one ulp is 2**-43, so halving stops at 2**-41,
@@ -187,7 +198,7 @@ class TestLatticeCell:
         params = ModelParams(1.0, 24.0, 0.4)
         order = 700
         interval = _sweep_interval(params, "g", 24.0, order)
-        cell = lattice_cell(1e-11, interval, 7, magnitude=600.0)
+        cell = lattice_cell(1e-11, 7, magnitude=600.0)
         assert cell == 2.0**-41
         diag, off2 = _batch_tables(params, "g", np.array([24.0]), order)(1.0)
         cold = eigenvalues_batch(diag, off2, 3, cell, interval)[0]
@@ -211,3 +222,29 @@ class TestSpectrumApproximation:
         )
         assert spectrum.flagged_pairs == ((0, 1),)
         assert len(spectrum) == 2
+
+
+class TestLockstepBisect:
+    def test_ends_on_adjacent_floats(self):
+        # no bracket near 1.5 or 3.5 can shrink to tol = 0: halving ends
+        # once lo and hi are adjacent, and the call guard fails the test
+        # where the loop would never end
+        roots = np.array([1.5 + 2.0**-40 / 3.0, 3.5 - 2.0**-38 / 3.0])
+        calls = []
+
+        def left_of(mid):
+            calls.append(mid)
+            if len(calls) > 200:
+                raise RuntimeError("lockstep_bisect does not end")
+            return mid >= roots
+
+        lo, hi = lockstep_bisect(np.array([1.0, 3.0]), np.array([2.0, 4.0]), 0.0, left_of)
+        np.testing.assert_array_equal(hi, np.nextafter(lo, np.inf))
+        assert np.all((lo < roots) & (roots <= hi))
+        assert len(calls) < 60
+
+    def test_each_bracket_ends_at_tol(self):
+        # a bracket already within tol is not halved further
+        lo, hi = lockstep_bisect(np.array([0.0, 0.0]), np.array([1.0, 2.0**-20]), 2.0**-10,
+                                 lambda mid: mid >= 2.0**-30)
+        np.testing.assert_array_equal(hi - lo, [2.0**-10, 2.0**-20])

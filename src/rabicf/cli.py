@@ -152,8 +152,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order-2", type=int)
     p.add_argument("-m", "--m", dest="m", type=int, required=True,
                    help="number of levels compared")
-    p.add_argument("--tol", type=float, default=1e-7,
-                   help="pass threshold on the max deviation (exit 1 above it)")
+    p.add_argument("--tol", type=float,
+                   help="pass threshold on the max deviation (default 1e-7*omega; "
+                        "exit 1 at or above it)")
     p.add_argument("--parity", choices=("plus", "minus"),
                    help="restrict methods b/diag to one chain (default: union)")
     p.add_argument("--window", type=_parse_window)
@@ -311,9 +312,10 @@ def cmd_spectrum(args, out) -> int:
 
 
 def cmd_compare(args, out) -> int:
-    # args.tol is the pass threshold; both solvers run at their defaults.
+    # --tol is the pass threshold, not a solver tolerance; default 1e-7*omega
     config1 = _make_config(args, args.method_1, args.order_1, levels=args.m)
     config2 = _make_config(args, args.method_2, args.order_2, levels=args.m)
+    tol = args.tol if args.tol is not None else 1e-7 * config1.params.omega
     levels1, notes1 = _spectrum_levels(config1)
     levels2, notes2 = _spectrum_levels(config2)
     if len(levels1) < args.m or len(levels2) < args.m:
@@ -329,12 +331,12 @@ def cmd_compare(args, out) -> int:
     meta = _metadata_base(args, config1.params) | {
         "method_1": args.method_1, "order_1": config1.order,
         "method_2": args.method_2, "order_2": config2.order,
-        "m": args.m, "tol": repr(args.tol),
+        "m": args.m, "tol": repr(tol),
         "parity": notes1["parity"] if args.method_1 != "a" else notes2["parity"],
         "max_deviation": repr(worst),
     }
     _emit(meta, ["index", "energy_1", "energy_2", "deviation"], rows, args.format, out)
-    return EXIT_OK if worst < args.tol else EXIT_TOLERANCE
+    return EXIT_OK if worst < tol else EXIT_TOLERANCE
 
 
 def cmd_pathological(args, out) -> int:
@@ -418,20 +420,19 @@ def cmd_scan(args, out) -> int:
         for i in range(len(result.values))
     ]
     if args.format == "json":
-        json.dump({
-            "metadata": meta,
-            "events": {"columns": columns, "rows": rows},
-            "tracks": {"columns": track_cols, "rows": track_rows},
-        }, out, indent=1)
+        doc = {"metadata": meta, "events": {"columns": columns, "rows": rows}}
+        if not args.levels_out:
+            doc["tracks"] = {"columns": track_cols, "rows": track_rows}
+        json.dump(doc, out, indent=1)
         out.write("\n")
-        return EXIT_OK
-    _emit(meta, columns, rows, "csv", out)
+    else:
+        _emit(meta, columns, rows, "csv", out)
+        if not args.levels_out:
+            out.write("\n")
+            _emit({"section": "tracks"}, track_cols, track_rows, "csv", out)
     if args.levels_out:
         with open(args.levels_out, "w", encoding="utf-8") as fh:
             _emit({"section": "tracks"} | meta, track_cols, track_rows, "csv", fh)
-    else:
-        out.write("\n")
-        _emit({"section": "tracks"}, track_cols, track_rows, "csv", out)
     return EXIT_OK
 
 

@@ -194,7 +194,7 @@ def poles_of_resolvent(
 
     minor = lambda e: char_poly(e, chain)[0]
     poles: list[EnergyLevel] = []
-    for lo, hi in bracket_roots(minor, seg, grid).brackets[:max_levels]:
+    for lo, hi in bracket_roots(minor, seg, grid, max_levels).brackets:
         root = bisect_sign(minor, lo, hi, DEFAULT_REFINE_TOL * chain.params.omega)
         residual = abs(resolvent_cf(root, chain).reciprocal)
         poles.append(EnergyLevel(index=len(poles), energy=root, residual=residual))

@@ -142,8 +142,9 @@ class BracketScan:
     brackets: tuple[tuple[float, float], ...]
 
 
-def bracket_roots(f, seg: SegmentedWindow, grid: int) -> BracketScan:
-    """Maximal list of sign-change brackets of ``f`` over the segments.
+def bracket_roots(f, seg: SegmentedWindow, grid: int, levels: int | None = None) -> BracketScan:
+    """Sign-change brackets of ``f`` over the segments: the first
+    ``levels`` of them, or all when ``levels`` is None.
 
     ``f`` maps an array of energies to an array of values and is called
     once, on the samples of every segment concatenated; NaN marks a sample
@@ -153,7 +154,7 @@ def bracket_roots(f, seg: SegmentedWindow, grid: int) -> BracketScan:
     sample of one segment and the opening sample of the next straddles a
     cut and is not a bracket.  A sample sitting exactly on a root is its
     own bracket (lo == hi).  Brackets come in sample order, so the first k
-    hold the k lowest roots found.
+    hold the k lowest roots found: a caller refines every bracket returned.
     """
     need = 2 * max(1, len(seg.segments))
     if grid < need:
@@ -178,7 +179,7 @@ def bracket_roots(f, seg: SegmentedWindow, grid: int) -> BracketScan:
         flips = np.append(s[:-1] * s[1:] < 0, False)
         for i in np.nonzero(flips | (s == 0.0))[0]:
             brackets.append((float(xs[i]), float(xs[i + 1] if flips[i] else xs[i])))
-    return BracketScan(brackets=tuple(brackets))
+    return BracketScan(brackets=tuple(brackets[:levels]))
 
 
 def bisect_sign(f, lo: float, hi: float, tol: float) -> float:
@@ -232,7 +233,8 @@ def solve_method_a(
     grid: int = DEFAULT_GRID,
     eps_pole: float | None = None,
 ) -> MethodAResult:
-    """Locate the coefficient-method roots in a window.
+    """Locate the lowest ``levels`` coefficient-method roots in a window
+    (all of them when None); only their brackets are refined.
 
     Brackets come from sign changes of the pole-free secular form
     W_N = f_0 B_N - A_N (raw sampling of f_0 - F_N both misses root/pole
@@ -254,22 +256,14 @@ def solve_method_a(
         )
     seg = segment_window(window, params, guard=eps_pole)
     secular = lambda e: pair_secular(e, params, order, eps_pole)
-    scan = bracket_roots(secular, seg, grid)
-    found = []
-    for lo, hi in scan.brackets:
+    found: list[EnergyLevel] = []
+    for lo, hi in bracket_roots(secular, seg, grid, levels).brackets:
         root = bisect_sign(secular, lo, hi, DEFAULT_REFINE_TOL * params.omega)
         res = spectral_function_a(root, params, order, eps_pole)
         residual = abs(res.value) if res.converged else math.inf
-        found.append((root, residual))
-    found.sort()
-    if levels is not None:
-        found = found[:levels]
+        found.append(EnergyLevel(index=len(found), energy=root, residual=residual))
     spectrum = SpectrumApproximation.from_levels(
-        SpectralMethod.METHOD_A,
-        None,
-        order,
-        [EnergyLevel(index=i, energy=e, residual=r) for i, (e, r) in enumerate(found)],
-        params.omega,
+        SpectralMethod.METHOD_A, None, order, found, params.omega
     )
     return MethodAResult(spectrum=spectrum)
 
@@ -459,6 +453,8 @@ def scan_levels(
     """
     if steps < 10:
         raise ValueError("steps must be >= 10")
+    if not 1 <= levels <= order + 1:
+        raise ValueError(f"levels must be in 1..{order + 1} at order {order}, got {levels}")
     if not (math.isfinite(start) and math.isfinite(stop) and start < stop):
         raise ValueError("invalid scan range")
     if parameter == "g" and params_base.delta == 0.0:

@@ -212,6 +212,10 @@ COVARIANT = {
              {"omega": 1, "g": 1, "delta": 1, "from": 1, "to": 1},
              {"param_value": 1, "energy": 1, "shifted": 1, "deviation": 1,
               "g": 1, **{f"{p}_{n}": 1 for p in ("plus", "minus") for n in range(4)}}),
+    "compare": (["compare", *MODEL, "--method-1", "a", "--order-1", "150",
+                 "--method-2", "diag", "--order-2", "400", "-m", "10"],
+                {"omega": 1, "g": 1, "delta": 1, "tol": 1, "max_deviation": 1},
+                {"energy_1": 1, "energy_2": 1, "deviation": 1}),
     "pathological": (["pathological", *MODEL, "--e0", 0.5, "--order", "10,20,40"],
                      {"omega": 1, "g": 1, "delta": 1, "e0": 1, "tail_limit": -1,
                       "min_separation": 1},
@@ -285,6 +289,17 @@ class TestCompare:
              "--method-2", "diag", "--order-2", "300", "-m", "4", "--tol", "1e-300"]
         )
         assert code == 1
+
+    def test_explicit_tol_is_absolute(self):
+        # at omega = 2**16 the deviation, 2**16 times its omega = 1 value,
+        # exceeds 1e-7 (the default threshold scales; see TestScaleCovariance)
+        code, text = run_cli(
+            ["compare", "--omega", "65536", "--g", "45875.2", "--delta", "26214.4",
+             "--method-1", "a", "--order-1", "150", "--method-2", "diag",
+             "--order-2", "400", "-m", "10", "--tol", "1e-7"]
+        )
+        assert code == 1
+        assert parse_csv(text)[0]["tol"] == "1e-07"
 
     def test_m_exceeding_levels(self):
         code, _ = run_cli(
@@ -387,6 +402,30 @@ class TestScan:
         track_meta, track_header, track_rows = parse_csv(tracks.read_text())
         assert track_header[0] == "g"
         assert len(track_rows) == 40
+
+    def test_levels_beyond_chain(self):
+        # an order-3 chain holds 4 levels
+        for levels in ("8", "0"):
+            code, text = run_cli(
+                ["scan", *FIXTURE_ARGS, "--param", "g", "--from", "0.1", "--to", "0.5",
+                 "--steps", "20", "--levels", levels, "--order", "3"]
+            )
+            assert (code, text) == (2, "")
+
+    def test_json_levels_out(self, tmp_path):
+        argv = ["scan", *FIXTURE_ARGS, "--param", "g", "--from", "0.4", "--to", "0.52",
+                "--steps", "20", "--levels", "3", "--order", "60", "--format", "json"]
+        tracks = tmp_path / "tracks.csv"
+        code, text = run_cli([*argv, "--levels-out", str(tracks)])
+        assert code == 0
+        doc = json.loads(text)
+        assert "tracks" not in doc
+        whole = json.loads(run_cli(argv)[1])
+        assert doc["events"] == whole.pop("events")
+        meta, header, rows = parse_csv(tracks.read_text())
+        assert meta["section"] == "tracks"
+        assert header == whole["tracks"]["columns"]
+        assert [[float(v) for v in row] for row in rows] == whole["tracks"]["rows"]
 
     def test_json_scan(self):
         code, text = run_cli(

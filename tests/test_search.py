@@ -98,6 +98,14 @@ class TestBracketRoots:
         scan = bracket_roots(lambda e: (e - 0.3) * (e - 1.0) * (e - 1.7), seg, 11)
         assert scan.brackets == ((xs[1], xs[2]), (1.0, 1.0), (xs[8], xs[9]))
 
+    def test_levels_keeps_the_lowest(self):
+        f = lambda e: (e - 0.3) * (e - 1.0) * (e - 1.7)
+        seg = segment_window((0.0, 2.0))
+        every = bracket_roots(f, seg, 11).brackets
+        assert len(every) == 3
+        for levels in (0, 1, 2, 3, 4):
+            assert bracket_roots(f, seg, 11, levels).brackets == every[:levels]
+
     def test_raw_spectral_function_brackets_include_cf_poles(self, oracle_union):
         # sampling f0 - F_N raw also flips sign at the poles of F_N; the
         # refined residual separates them cleanly from genuine roots, which
@@ -200,8 +208,33 @@ class TestSolveMethodA:
         assert len(got) == len(union) == 12
         assert float(np.max(np.abs(got - union))) < 1e-10
 
+    @pytest.mark.parametrize("g", [0.7, 1.0, 2.0])
+    def test_refines_only_the_levels_returned(self, monkeypatch, g):
+        # the lowest k brackets are refined, not every bracket in the window
+        params = ModelParams(1.0, g, 0.4)
+        k = 6
+        window = default_window(params, k)
+        order = search.default_order_a(params, k, window)
+        calls = []
+        real = search.bisect_sign
+        monkeypatch.setattr(search, "bisect_sign", lambda *a: calls.append(a) or real(*a))
+        every = solve_method_a(params, order, window).spectrum.levels
+        assert len(calls) == len(every) > k
+        calls.clear()
+        lowest = solve_method_a(params, order, window, levels=k).spectrum.levels
+        assert len(calls) == k
+        assert lowest == every[:k]
+
 
 class TestScan:
+    def test_levels_beyond_chain_rejected(self):
+        # an order-3 chain holds 4 levels; more would read the top of the
+        # bisection interval as levels
+        assert scan_levels(FIXTURE, "g", 0.1, 0.5, 20, 4, 3).plus_levels.shape == (20, 4)
+        for levels in (0, 5, 8):
+            with pytest.raises(ValueError, match="levels must be in 1..4"):
+                scan_levels(FIXTURE, "g", 0.1, 0.5, 20, levels, 3)
+
     def test_delta_zero_rejected(self):
         with pytest.raises(DegenerateScanError):
             scan_crossings(ModelParams(1.0, 0.7, 0.0), "g", 0.1, 0.5, 20, 3, 60)

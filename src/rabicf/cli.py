@@ -419,6 +419,10 @@ def cmd_scan(args, out) -> int:
         + [float(v) for v in result.minus_levels[i]]
         for i in range(len(result.values))
     ]
+    # the file first: an unwritable path fails before anything is printed
+    if args.levels_out:
+        with open(args.levels_out, "w", encoding="utf-8") as fh:
+            _emit({"section": "tracks"} | meta, track_cols, track_rows, "csv", fh)
     if args.format == "json":
         doc = {"metadata": meta, "events": {"columns": columns, "rows": rows}}
         if not args.levels_out:
@@ -430,9 +434,6 @@ def cmd_scan(args, out) -> int:
         if not args.levels_out:
             out.write("\n")
             _emit({"section": "tracks"}, track_cols, track_rows, "csv", out)
-    if args.levels_out:
-        with open(args.levels_out, "w", encoding="utf-8") as fh:
-            _emit({"section": "tracks"} | meta, track_cols, track_rows, "csv", fh)
     return EXIT_OK
 
 
@@ -460,7 +461,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return _COMMANDS[args.command](args, out)
-    except (DegenerateScanError, PoleSeparationError, TooFewLevelsError, ValueError) as exc:
+    except (DegenerateScanError, PoleSeparationError, TooFewLevelsError, ValueError,
+            OSError) as exc:
         print(f"rabicf: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RabiSolverError as exc:

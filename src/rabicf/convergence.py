@@ -53,6 +53,8 @@ def tail_depth_bound(energy: float, params: ModelParams) -> int:
     """Smallest certified tail start: the dimensionful convergence bound,
     rounded up.  Returns 1 at g = 0, where every tail numerator vanishes
     and the tail is trivially convergent."""
+    if not math.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy!r}")
     w, g, d = params.omega, params.g, params.delta
     if g == 0.0:
         return 1
@@ -161,6 +163,6 @@ def tail_value(
     for j in range(n + depth, n - 1, -1):
         den = float(_tail_b(energy, params, parity, np.float64(j))) - acc
         if abs(den) < DEN_FLOOR:
-            return CfValue(value=math.nan, status=CfStatus.HIT_POLE, depth=depth)
+            return CfValue(value=math.nan, status=CfStatus.HIT_POLE)
         acc = j * g2 / den
-    return CfValue(value=float(acc), status=CfStatus.CONVERGED, depth=depth)
+    return CfValue(value=float(acc), status=CfStatus.CONVERGED)

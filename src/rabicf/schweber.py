@@ -81,13 +81,11 @@ class CfStatus(Enum):
 class CfValue:
     """Value of a finite continued fraction plus its evaluation status.
 
-    ``value`` is finite exactly when ``status`` is CONVERGED; ``depth`` is
-    the number of partial-fraction levels actually used.
+    ``value`` is finite exactly when ``status`` is CONVERGED.
     """
 
     value: float
     status: CfStatus
-    depth: int
 
     @property
     def converged(self) -> bool:
@@ -119,9 +117,13 @@ def _require_coupling(params: ModelParams):
 
 
 def pole_guard(params: ModelParams, eps_pole: float | None = None) -> float:
-    """Pole guard half-width in energy units: ``eps_pole``, or by default
-    EPS_POLE_REL * omega."""
-    return EPS_POLE_REL * params.omega if eps_pole is None else eps_pole
+    """Pole guard half-width in energy units: ``eps_pole``, finite and >= 0,
+    or by default EPS_POLE_REL * omega."""
+    if eps_pole is None:
+        return EPS_POLE_REL * params.omega
+    if not (math.isfinite(eps_pole) and eps_pole >= 0.0):
+        raise ValueError(f"eps_pole must be finite and >= 0, got {eps_pole!r}")
+    return eps_pole
 
 
 def coeff_f(
@@ -291,15 +293,15 @@ def finite_cf(
     try:
         f = _coeff_values(energy, params, n, eps_pole)
     except PoleError:
-        return CfValue(value=math.nan, status=CfStatus.HIT_POLE, depth=n)
+        return CfValue(value=math.nan, status=CfStatus.HIT_POLE)
     acc = f[n]
     for m in range(n - 1, 0, -1):
         if abs(acc) < DEN_FLOOR:
-            return CfValue(value=math.nan, status=CfStatus.OVERFLOW, depth=n)
+            return CfValue(value=math.nan, status=CfStatus.OVERFLOW)
         acc = f[m] - (m + 1) / acc
     if abs(acc) < DEN_FLOOR:
-        return CfValue(value=math.nan, status=CfStatus.OVERFLOW, depth=n)
-    return CfValue(value=float(1.0 / acc), status=CfStatus.CONVERGED, depth=n)
+        return CfValue(value=math.nan, status=CfStatus.OVERFLOW)
+    return CfValue(value=float(1.0 / acc), status=CfStatus.CONVERGED)
 
 
 def spectral_function_a(
@@ -313,10 +315,10 @@ def spectral_function_a(
     f0 = coeff_f(0, energy, params, eps_pole)
     tail = finite_cf(energy, params, order, eps_pole)
     if f0.at_pole:
-        return CfValue(value=math.nan, status=CfStatus.HIT_POLE, depth=tail.depth)
+        return CfValue(value=math.nan, status=CfStatus.HIT_POLE)
     if not tail.converged:
-        return CfValue(value=math.nan, status=tail.status, depth=tail.depth)
-    return CfValue(value=f0.value - tail.value, status=CfStatus.CONVERGED, depth=tail.depth)
+        return CfValue(value=math.nan, status=tail.status)
+    return CfValue(value=f0.value - tail.value, status=CfStatus.CONVERGED)
 
 
 @dataclass(frozen=True)

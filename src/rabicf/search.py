@@ -466,6 +466,8 @@ def scan_levels(
         raise DegenerateScanError("delta scan range must stay strictly positive")
     if tol is None:
         tol = DEFAULT_EIG_TOL * params_base.omega
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
     values = np.linspace(start, stop, steps)
     interval = _sweep_interval(params_base, parameter, float(np.max(values)), order)

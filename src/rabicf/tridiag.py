@@ -139,63 +139,10 @@ def gershgorin_interval(chain: ChainCoefficients) -> tuple[float, float]:
     return float(np.min(chain.diag - radius)), float(np.max(chain.diag + radius))
 
 
-def _dyadic_bracket(lo: float, hi: float) -> tuple[float, float]:
-    # Snap outward so both endpoints are integer multiples of a power of two;
-    # all bisection midpoints then stay on the absolute dyadic lattice.
-    width = 2.0 ** math.ceil(math.log2(max(hi - lo, 1e-30)))
-    start = width * math.floor(lo / width)
-    stop = start + width
-    while stop < hi:
-        stop += width
-    return start, stop
-
-
-def lockstep_bisect(lo: np.ndarray, hi: np.ndarray, tol: float, left_of):
-    """Halve the brackets (lo, hi) together, each until it is <= ``tol``
-    wide or its midpoint no longer lies strictly inside it (lo and hi are
-    adjacent floats), whichever comes first.
-
-    ``left_of(mid)`` maps the array of midpoints to a boolean array: True
-    keeps the lower half, False the upper.  Returns the final (lo, hi).
-    """
-    while True:
-        mid = 0.5 * (lo + hi)
-        live = (hi - lo > tol) & (lo < mid) & (mid < hi)
-        if not live.any():
-            return lo, hi
-        left = left_of(mid)
-        hi = np.where(live & left, mid, hi)
-        lo = np.where(live & ~left, mid, lo)
-
-
-def _cold_brackets(diag, off2, first_k, tol, interval) -> tuple[np.ndarray, np.ndarray]:
-    """Final Sturm brackets of the ``first_k`` lowest eigenvalues, all
-    bisected in lockstep from the dyadic snap of ``interval``: shape
-    (first_k,) for one chain (``off2`` of shape (n,)), (S, first_k) for S
-    chains (``off2`` of shape (S, n)).  A single chain keeps 1-D brackets,
-    since every pivot-sweep step pays numpy's per-dimension overhead."""
-    lo0, hi0 = _dyadic_bracket(*interval)
-    shape = off2.shape[:-1] + (first_k,)
-    d = np.broadcast_to(diag, off2.shape[:-1] + diag.shape[-1:])[..., None, :]
-    return _sturm_brackets(
-        d, off2[..., None, :], np.arange(1, first_k + 1),
-        np.full(shape, lo0), np.full(shape, hi0), tol,
-    )
-
-
-def _sturm_brackets(diag, off2, wanted, lo, hi, tol) -> tuple[np.ndarray, np.ndarray]:
-    """Count bisection of the brackets (lo, hi) of eigenvalue number
-    ``wanted`` (1-based), down to width <= ``tol``.  ``diag`` and ``off2``
-    broadcast against the brackets on their leading axes."""
-    return lockstep_bisect(
-        lo, hi, tol, lambda mid: _negative_pivot_counts(mid, diag, off2) >= wanted
-    )
-
-
 def lattice_cell(tol: float, halvings: int = 0, magnitude: float = 0.0) -> float:
-    """Width of the cells in which bisection from a dyadic snap down to
-    ``tol`` ends, the largest power of two <= ``tol``, halved up to
-    ``halvings`` more times.
+    """Width of the cells in which bisection down to ``tol`` ends, the
+    largest power of two <= ``tol``, halved up to ``halvings`` more times.
+    Bisection starts from :func:`_snap`, on this lattice.
 
     Halving stops short at 4 ulps of ``magnitude``, the largest |E| that is
     to be bisected down to the cell: below that the midpoint of two lattice
@@ -210,6 +157,49 @@ def lattice_cell(tol: float, halvings: int = 0, magnitude: float = 0.0) -> float
     return cell
 
 
+def _pow2_above(x: float) -> float:
+    """Smallest power of two >= x > 0."""
+    mant, expo = math.frexp(x)
+    return math.ldexp(1.0, expo - (mant == 0.5))
+
+
+def _snap(lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Snap the brackets (lo, hi) outward onto the :func:`lattice_cell`
+    lattice of ``tol``, all to one common power-of-two number of cells.
+
+    The cell is never finer than one ulp of the largest bracket end, where
+    ``lo / cell`` would overflow, nor coarser than the power of two that
+    covers the widest bracket, which would widen it past the spectrum.
+    Bisection from a snapped bracket that holds the wanted count ends in
+    the same lattice cell, whichever bracket it started from.
+    """
+    top = float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
+    span = float(np.max(hi - lo))
+    # a point bracket (a one-site chain) counts as 2**-99 wide
+    cell = min(max(lattice_cell(tol), math.ulp(top)), _pow2_above(max(span, 1e-30)))
+    lo = np.floor(lo / cell) * cell
+    return lo, lo + _pow2_above(max(float(np.max(hi - lo)), cell))
+
+
+def _bisect(diag, off2, wanted, lo, hi, tol) -> tuple[np.ndarray, np.ndarray]:
+    """Count bisection of the brackets (lo, hi) of eigenvalue number
+    ``wanted`` (1-based), all in lockstep from their :func:`_snap`.  Each
+    bracket is halved until it is <= ``tol`` wide or its midpoint no longer
+    lies strictly inside it (lo and hi are adjacent floats), whichever
+    comes first.  ``diag`` and ``off2`` broadcast against the brackets on
+    their leading axes.  Returns the final (lo, hi).
+    """
+    lo, hi = _snap(lo, hi, tol)
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (hi - lo > tol) & (lo < mid) & (mid < hi)
+        if not live.any():
+            return lo, hi
+        left = _negative_pivot_counts(mid, diag, off2) >= wanted
+        hi = np.where(live & left, mid, hi)
+        lo = np.where(live & ~left, mid, lo)
+
+
 def eigenvalues(chain: ChainCoefficients, first_k: int, tol: float | None = None) -> SpectrumApproximation:
     """The ``first_k`` smallest eigenvalues of the chain by Sturm bisection.
 
@@ -221,16 +211,16 @@ def eigenvalues(chain: ChainCoefficients, first_k: int, tol: float | None = None
     """
     if tol is None:
         tol = DEFAULT_EIG_TOL * chain.params.omega
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if not 1 <= first_k <= chain.dim:
         raise ValueError(f"first_k must be in 1..{chain.dim}, got {first_k}")
 
-    off2 = chain.offdiag * chain.offdiag
-    lo, hi = _cold_brackets(chain.diag, off2, first_k, tol, gershgorin_interval(chain))
-    widths = hi - lo
+    lo, hi = gershgorin_interval(chain)
+    lo, hi = _bisect(chain.diag, chain.offdiag * chain.offdiag, np.arange(1, first_k + 1),
+                     np.full(first_k, lo), np.full(first_k, hi), tol)
     levels = [
-        EnergyLevel(index=n, energy=float(0.5 * (lo[n] + hi[n])), residual=float(widths[n]))
+        EnergyLevel(index=n, energy=float(0.5 * (lo[n] + hi[n])), residual=float(hi[n] - lo[n]))
         for n in range(first_k)
     ]
     return SpectrumApproximation.from_levels(
@@ -251,7 +241,9 @@ def eigenvalues_batch(
     (S, first_k) array.  Used by the parameter scan, where hundreds of
     chains differ only in their off-diagonals.
     """
-    lo, hi = _cold_brackets(diag, off2, first_k, tol, interval)
+    shape = off2.shape[:-1] + (first_k,)
+    lo, hi = _bisect(diag[..., None, :], off2[..., None, :], np.arange(1, first_k + 1),
+                     np.full(shape, interval[0]), np.full(shape, interval[1]), tol)
     return 0.5 * (lo + hi)
 
 
@@ -268,28 +260,20 @@ def eigenvalues_rows(
     from a warm bracket [lo[r], hi[r]] that is believed to hold it.
 
     ``diag`` has shape (R, n+1), ``off2`` (R, n); returns an (R,) array.
-    The brackets are snapped outward, to one common width, onto the
-    :func:`lattice_cell` lattice of ``tol``, where bisection from a dyadic
-    snap ends.  Count bisection then ends in the same cell as in
-    :func:`eigenvalues_batch` with the same ``tol`` wherever the count is
-    monotone, so each value is bit for bit the one it returns.  One count
-    sweep checks every snapped bracket; a row whose bracket fails it is
-    bisected from the snap of ``interval`` instead, so a wrong guess costs
-    time but never a level.
+    Count bisection from the :func:`_snap` of the brackets ends in the same
+    cell as :func:`eigenvalues_batch` with the same ``tol`` wherever the
+    count is monotone and some bracket is at least ``tol`` wide, so each
+    value is bit for bit the one it returns.  One count sweep checks every
+    snapped bracket; a row whose bracket fails it restarts from
+    ``interval``, so a wrong guess costs time but never a level.
     """
-    start, stop = _dyadic_bracket(*interval)
-    cell = lattice_cell(tol)
     wanted = np.asarray(index) + 1
-    lo = np.floor(lo / cell) * cell
-    mant, expo = np.frexp(np.maximum(hi - lo, cell) / cell)
-    width = cell * 2.0 ** int(np.max(expo - (mant == 0.5)))
-    hi = lo + width
+    lo, hi = _snap(lo, hi, tol)
     ends = _negative_pivot_counts(np.stack([lo, hi], axis=-1), diag[:, None, :], off2[:, None, :])
     bad = (ends[:, 0] >= wanted) | (ends[:, 1] < wanted)
-    if bad.any():
-        lo = np.where(bad, start, lo)
-        hi = lo + max(width, stop - start)
-    lo, hi = _sturm_brackets(diag, off2, wanted, lo, hi, tol)
+    lo = np.where(bad, interval[0], lo)
+    hi = np.where(bad, interval[1], hi)
+    lo, hi = _bisect(diag, off2, wanted, lo, hi, tol)
     return 0.5 * (lo + hi)
 
 

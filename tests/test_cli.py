@@ -193,6 +193,76 @@ class TestHalvingEnds:
         assert 9000.0 < float(rows[0][1]) < 9002.0
 
 
+# (energy, residual) rows of `spectrum --method diag --levels 3` for the
+# union and the plus chain at extreme --tol.  Below one ulp of the levels
+# the brackets end on adjacent floats; at a tol as wide as the spectrum
+# they stay on the dyadic snap of the Gershgorin interval.
+ADJACENT_FLOATS = (
+    [("-0.7078050640984868", "1.1102230246251565e-16"),
+     ("-0.4270436745661865", "5.551115123125783e-17"),
+     ("0.37094976339069297", "5.551115123125783e-17")],
+    [("-0.4270436745661865", "5.551115123125783e-17"),
+     ("0.6736038250270113", "1.1102230246251565e-16"),
+     ("1.3607568321317176", "2.220446049250313e-16")],
+)
+WHOLE_SNAP = ([("0.0", "1024.0")] * 3,) * 2
+EDGE_TOL_ROWS = {
+    "1e-310": ADJACENT_FLOATS,
+    "1e-300": ADJACENT_FLOATS,
+    "1e-16": ADJACENT_FLOATS,
+    "1e-11": (
+        [("-0.7078050640957372", "7.275957614183426e-12"),
+         ("-0.4270436745682673", "7.275957614183426e-12"),
+         ("0.37094976339358254", "7.275957614183426e-12")],
+        [("-0.4270436745682673", "7.275957614183426e-12"),
+         ("0.673603825027385", "7.275957614183426e-12"),
+         ("1.360756832134939", "7.275957614183426e-12")],
+    ),
+    "1e3": ([("-256.0", "512.0"), ("-256.0", "512.0"), ("256.0", "512.0")],
+            [("-256.0", "512.0"), ("256.0", "512.0"), ("256.0", "512.0")]),
+    "1e10": WHOLE_SNAP,
+    "1e308": WHOLE_SNAP,
+}
+
+
+class TestEdgeTolerances:
+    @pytest.mark.parametrize("tol", list(EDGE_TOL_ROWS))
+    @pytest.mark.parametrize("parity", ["union", "plus"])
+    def test_oracle_rows(self, tol, parity):
+        argv = ["spectrum", *FIXTURE_ARGS, "--method", "diag", "--levels", "3", "--tol", tol]
+        if parity == "plus":
+            argv += ["--parity", "plus"]
+        code, text = run_cli(argv)
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        expected = EDGE_TOL_ROWS[tol][parity == "plus"]
+        assert [(r[1], r[2]) for r in rows] == expected
+
+
+MALFORMED = {
+    "diag-tol-nan": ["spectrum", *FIXTURE_ARGS, "--method", "diag", "--levels", "3",
+                     "--tol", "nan"],
+    "scan-tol-zero": ["scan", *FIXTURE_ARGS, "--param", "g", "--from", "0.05", "--to", "1.2",
+                      "--steps", "100", "--levels", "3", "--order", "60", "--tol", "0"],
+    "scan-tol-nan": ["scan", *FIXTURE_ARGS, "--param", "g", "--from", "0.05", "--to", "1.2",
+                     "--steps", "100", "--levels", "3", "--order", "60", "--tol", "nan"],
+    "eps-pole-negative": ["spectrum", *FIXTURE_ARGS, "--method", "a", "--order", "60",
+                          "--levels", "6", "--eps-pole=-1e-9"],
+    "eps-pole-nan": ["spectrum", *FIXTURE_ARGS, "--method", "a", "--order", "60",
+                     "--levels", "6", "--eps-pole", "nan"],
+    "bound-energy-inf": ["bound", *FIXTURE_ARGS, "--energy", "inf"],
+    "bound-energy-nan": ["bound", *FIXTURE_ARGS, "--energy", "nan"],
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_usage_exit(self, name, capsys):
+        assert run_cli(MALFORMED[name]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("rabicf: ") and "must be finite" in err
+
+
 # Each case: argv at omega = 1, with the floats that scale with omega given
 # as floats, and the power of omega in each output column and metadata
 # field; columns and fields not named scale as omega**0.  The
@@ -426,6 +496,17 @@ class TestScan:
         assert meta["section"] == "tracks"
         assert header == whole["tracks"]["columns"]
         assert [[float(v) for v in row] for row in rows] == whole["tracks"]["rows"]
+
+    def test_unwritable_levels_out(self, tmp_path, capsys):
+        # the tracks file is written before stdout: nothing is printed
+        missing = tmp_path / "missing" / "tracks.csv"
+        code, text = run_cli(
+            ["scan", *FIXTURE_ARGS, "--param", "g", "--from", "0.4", "--to", "0.52",
+             "--steps", "20", "--levels", "3", "--order", "60", "--levels-out", str(missing)]
+        )
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("rabicf: ") and str(missing) in err
 
     def test_json_scan(self):
         code, text = run_cli(

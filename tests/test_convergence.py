@@ -37,6 +37,11 @@ class TestTailDepthBound:
     def test_g_zero(self):
         assert tail_depth_bound(5.0, ModelParams(1.0, 0.0, 0.4)) == 1
 
+    @pytest.mark.parametrize("energy", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_energy_rejected(self, energy):
+        with pytest.raises(ValueError, match="energy must be finite"):
+            tail_depth_bound(energy, FIXTURE)
+
     def test_deep_strong_coupling_finite(self):
         p = ModelParams(1.0, 1.2, 0.4)
         n = tail_depth_bound(0.0, p)

@@ -24,7 +24,7 @@ from rabicf import (
     spectral_function_a,
 )
 
-from rabicf.schweber import EPS_POLE_REL
+from rabicf.schweber import EPS_POLE_REL, pole_guard
 
 from conftest import FIXTURE, ORACLE_UNION_24
 
@@ -52,6 +52,15 @@ class TestCoeffF:
         got = coeff_f(2, energy, FIXTURE)
         assert got.at_pole
         assert math.isnan(got.value)
+
+    @pytest.mark.parametrize("eps_pole", [-1e-9, float("nan"), float("inf")])
+    def test_malformed_pole_guard_rejected(self, eps_pole):
+        with pytest.raises(ValueError, match="eps_pole must be finite and >= 0"):
+            pole_guard(FIXTURE, eps_pole)
+
+    def test_pole_guard_values(self):
+        assert pole_guard(FIXTURE) == EPS_POLE_REL * FIXTURE.omega
+        assert pole_guard(FIXTURE, 0.0) == 0.0
 
     def test_g_zero_raises(self):
         with pytest.raises(GZeroError):

@@ -281,6 +281,11 @@ class TestScan:
         with pytest.raises(DegenerateScanError):
             scan_crossings(FIXTURE, "delta", 0.0, 0.5, 20, 3, 60)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-11, float("nan"), float("inf")])
+    def test_malformed_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            scan_levels(FIXTURE, "g", 0.1, 0.5, 20, 3, 60, tol=tol)
+
     def test_crossing_on_an_end_point(self):
         # the first scan point sits on the Juddian point, where the (1, 1)
         # gap is exactly zero with a neighbour on one side only

@@ -13,13 +13,13 @@ from rabicf import (
     sturm_count,
 )
 from rabicf.search import _batch_tables, _sweep_interval
+import rabicf.tridiag
 from rabicf.tridiag import (
-    _dyadic_bracket,
+    _bisect,
     eigenvalues_batch,
     eigenvalues_rows,
     gershgorin_interval,
     lattice_cell,
-    lockstep_bisect,
 )
 
 from conftest import FIXTURE, ORACLE_MINUS_12, ORACLE_PLUS_12
@@ -127,6 +127,11 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues(chain, 3, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [-1e-11, float("nan"), float("inf")])
+    def test_malformed_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            eigenvalues(build_chain(FIXTURE, Parity.PLUS, 10), 3, tol)
+
 
 class TestEigenvaluesRows:
     """One level per chain from a warm bracket, bit for bit the batched
@@ -181,16 +186,14 @@ class TestLatticeCell:
 
     @pytest.mark.parametrize("k", [-30, -20, -3, 0, 3, 16, 30])
     def test_is_where_bisection_ends(self, k):
-        # the final width of bisection from the dyadic snap of the spectrum
-        # interval, for every tol at every scale 2**k of the fixture
+        # the final width of every level, for every tol at every scale 2**k
+        # of the fixture
         s = 2.0**k
         params = ModelParams(s * FIXTURE.omega, s * FIXTURE.g, s * FIXTURE.delta)
         for order, tol in ((1, 1e-11), (300, 1e-12), (1200, 3e-9), (60, 2.0**-37)):
-            interval = gershgorin_interval(build_chain(params, Parity.PLUS, order))
-            lo, hi = _dyadic_bracket(*interval)
-            lo, hi = lockstep_bisect(np.array([lo]), np.array([hi]), tol * s,
-                                     lambda mid: mid >= 0.3 * s)
-            assert hi[0] - lo[0] == lattice_cell(tol * s) == s * lattice_cell(tol)
+            spectrum = eigenvalues(build_chain(params, Parity.PLUS, order), 2, tol * s)
+            for lev in spectrum.levels:
+                assert lev.residual == lattice_cell(tol * s) == s * lattice_cell(tol)
 
     def test_stops_at_four_ulps(self):
         # levels near -576: one ulp is 2**-43, so halving stops at 2**-41,
@@ -224,27 +227,37 @@ class TestSpectrumApproximation:
         assert len(spectrum) == 2
 
 
-class TestLockstepBisect:
-    def test_ends_on_adjacent_floats(self):
+class TestBisect:
+    """The one halving loop: each bracket stops at ``tol`` or on adjacent
+    floats, on its own.  A diagonal chain counts the diagonal entries below
+    E, so its eigenvalues can be placed anywhere."""
+
+    def test_ends_on_adjacent_floats(self, monkeypatch):
         # no bracket near 1.5 or 3.5 can shrink to tol = 0: halving ends
-        # once lo and hi are adjacent, and the call guard fails the test
+        # once lo and hi are adjacent, and the sweep guard fails the test
         # where the loop would never end
         roots = np.array([1.5 + 2.0**-40 / 3.0, 3.5 - 2.0**-38 / 3.0])
+        real = rabicf.tridiag._negative_pivot_counts
         calls = []
 
-        def left_of(mid):
-            calls.append(mid)
+        def counted(*args):
+            calls.append(args)
             if len(calls) > 200:
-                raise RuntimeError("lockstep_bisect does not end")
-            return mid >= roots
+                raise RuntimeError("_bisect does not end")
+            return real(*args)
 
-        lo, hi = lockstep_bisect(np.array([1.0, 3.0]), np.array([2.0, 4.0]), 0.0, left_of)
+        monkeypatch.setattr(rabicf.tridiag, "_negative_pivot_counts", counted)
+        lo, hi = _bisect(roots, np.zeros(1), np.array([1, 2]),
+                         np.array([1.0, 3.0]), np.array([2.0, 4.0]), 0.0)
         np.testing.assert_array_equal(hi, np.nextafter(lo, np.inf))
         assert np.all((lo < roots) & (roots <= hi))
         assert len(calls) < 60
 
-    def test_each_bracket_ends_at_tol(self):
-        # a bracket already within tol is not halved further
-        lo, hi = lockstep_bisect(np.array([0.0, 0.0]), np.array([1.0, 2.0**-20]), 2.0**-10,
-                                 lambda mid: mid >= 2.0**-30)
-        np.testing.assert_array_equal(hi - lo, [2.0**-10, 2.0**-20])
+    def test_each_bracket_ends_on_its_own(self):
+        # the bracket near 1e6 meets its adjacent float at 2**-33, above
+        # tol; the one near 0.3 goes on down to the 2**-44 cell
+        roots = np.array([0.3, 1e6 + 0.3])
+        lo, hi = _bisect(roots, np.zeros(1), np.array([1, 2]),
+                         np.array([0.0, 1e6 - 1.0]), np.array([1.0, 1e6 + 1.0]), 1e-13)
+        np.testing.assert_array_equal(hi - lo, [2.0**-44, 2.0**-33])
+        assert np.all((lo < roots) & (roots <= hi))

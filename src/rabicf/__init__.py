@@ -58,7 +58,6 @@ from .schweber import (
     spectral_function_a,
 )
 from .resolvent import (
-    ModifiedChain,
     PathologicalVariant,
     PlantedChain,
     ResolventStatus,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -271,6 +272,12 @@ def _spectrum_levels(config: RunConfig) -> tuple[list[EnergyLevel], dict]:
     return union_spectrum(spectra, first_k=config.levels), notes
 
 
+def _positive(tol: float) -> float:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    return tol
+
+
 def _make_config(args, method: str, order: int | None, solver_tol: float | None = None,
                  levels: int | None = None) -> RunConfig:
     params = ModelParams(args.omega, args.g, args.delta)
@@ -282,9 +289,7 @@ def _make_config(args, method: str, order: int | None, solver_tol: float | None 
             order = default_order_a(params, levels, window)
         else:
             order = max(300, 4 * levels)
-    tol = solver_tol
-    if tol is None:
-        tol = DEFAULT_EIG_TOL * params.omega
+    tol = _positive(solver_tol if solver_tol is not None else DEFAULT_EIG_TOL * params.omega)
     eps_pole = pole_guard(params, getattr(args, "eps_pole", None))
     parity = Parity.PLUS if getattr(args, "parity", None) == "plus" else (
         Parity.MINUS if getattr(args, "parity", None) == "minus" else None)
@@ -315,7 +320,7 @@ def cmd_compare(args, out) -> int:
     # --tol is the pass threshold, not a solver tolerance; default 1e-7*omega
     config1 = _make_config(args, args.method_1, args.order_1, levels=args.m)
     config2 = _make_config(args, args.method_2, args.order_2, levels=args.m)
-    tol = args.tol if args.tol is not None else 1e-7 * config1.params.omega
+    tol = _positive(args.tol if args.tol is not None else 1e-7 * config1.params.omega)
     levels1, notes1 = _spectrum_levels(config1)
     levels2, notes2 = _spectrum_levels(config2)
     if len(levels1) < args.m or len(levels2) < args.m:
@@ -347,17 +352,16 @@ def cmd_pathological(args, out) -> int:
     limit = -params.omega / (params.g * params.g)
     rows = []
     for order in args.order:
-        modified = build_pathological(args.e0, params, parity, order, variant)
-        chain = modified.to_chain()
+        chain = build_pathological(args.e0, params, parity, order, variant)
         planted = resolvent_cf(args.e0, chain)
         rows.append([
             order,
-            modified.modified_diag_nn,
-            modified.modified_offdiag if modified.modified_offdiag is not None else "",
-            modified.tail,
-            abs(modified.tail - limit),
+            chain.modified_diag_nn,
+            chain.modified_offdiag if chain.modified_offdiag is not None else "",
+            chain.tail,
+            abs(chain.tail - limit),
             abs(planted.reciprocal),
-            modified.slow_approach_diagnostic,
+            chain.slow_approach_diagnostic,
         ])
     meta = _metadata_base(args, params) | {
         "e0": repr(args.e0),

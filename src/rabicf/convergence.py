@@ -100,9 +100,9 @@ def best_certificate(
     parity: Parity,
     n: int,
     up_to: int,
-    grid: int = 400,
 ) -> PringsheimCertificate:
-    """Search c on a log grid over [g^2/w, n*w] and keep the best margin.
+    """Search c on a 400-point log grid over [g^2/w, n*w] and keep the best
+    margin.
 
     The optimum sits strictly inside that range whenever n satisfies the
     depth bound.  At g = 0 the inequality degenerates to |b_j| >= c; the
@@ -118,7 +118,7 @@ def best_certificate(
     if hi <= lo:
         hi = 4.0 * lo
     best = None
-    for c in np.geomspace(lo, hi, grid):
+    for c in np.geomspace(lo, hi, 400):
         cert = check_pringsheim(energy, params, parity, n, float(c), up_to)
         if best is None or cert.margin > best.margin:
             best = cert

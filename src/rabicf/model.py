@@ -107,19 +107,6 @@ class ChainCoefficients:
         """Continued-fraction numerators a_j = j*g**2 for j = 1..order."""
         return self.offdiag * self.offdiag
 
-    def principal_submatrix(self, order: int) -> "ChainCoefficients":
-        """Restriction to the first ``order + 1`` rows and columns."""
-        m = _check_order(order)
-        if m > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {m}")
-        return ChainCoefficients(
-            params=self.params,
-            parity=self.parity,
-            order=m,
-            diag=self.diag[: m + 1].copy(),
-            offdiag=self.offdiag[:m].copy(),
-        )
-
 
 def build_chain(params: ModelParams, parity: Parity, order: TruncationOrder) -> ChainCoefficients:
     """Build the truncated parity-chain coefficients for a parameter set."""

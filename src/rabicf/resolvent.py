@@ -57,7 +57,6 @@ __all__ = [
     "ResolventStatus",
     "ResolventValue",
     "PathologicalVariant",
-    "ModifiedChain",
     "PlantedChain",
     "char_poly",
     "resolvent_cf",
@@ -144,7 +143,7 @@ def resolvent_cf(energy: float, chain: ChainCoefficients) -> ResolventValue:
     reciprocal falls below the denominator floor, i.e. E sits on a chain
     eigenvalue to within working precision.
 
-    A ``PlantedChain`` (from ``ModifiedChain.to_chain``) is evaluated in
+    A ``PlantedChain`` (from ``build_pathological``) is evaluated in
     mpmath at its own precision, so the reciprocal at the planted energy
     reads the planted zero, not the O(1) background that double precision
     leaves there; the returned fields are that result rounded to double.
@@ -245,23 +244,10 @@ class PathologicalVariant(Enum):
 
 @dataclass(frozen=True)
 class PlantedChain(ChainCoefficients):
-    """The chain of a pathological truncation.
-
-    ``diag[order]`` is the planted entry H[N,N] correctly rounded to
-    double, so Sturm counts and eigensolvers see an ordinary chain;
-    ``planted_diag_nn`` is the same entry at ``digits`` decimal digits,
-    which ``resolvent_cf`` uses to resolve the planted pole.
-    """
-
-    planted_diag_nn: mpmath.mpf = field(repr=False)
-    digits: int
-
-
-@dataclass(frozen=True)
-class ModifiedChain:
-    """A chain altered in its last entries so the border resolvent acquires
-    a pole at ``target_energy`` while the projection onto the first N rows
-    and columns still equals the unmodified operator.
+    """The chain of a pathological truncation: ``base`` altered in its last
+    entries so the border resolvent acquires a pole at ``target_energy``,
+    while the projection onto the first N rows and columns still equals
+    the unmodified operator.
 
     DIAG_ONLY sets H[N,N] = E_0 - 1/G_N(E_0); DIAG_AND_OFFDIAG also sets
     H[N-1,N] = H[N,N-1] = g N, and H[N,N] = E_0 - a'_N/(a_N G_N(E_0)) with
@@ -269,47 +255,36 @@ class ModifiedChain:
     Their ratio is N only up to the rounding of g*sqrt(N), and the planted
     pole's residue is far too small to forgive that rounding.
 
-    G_N and H[N,N] are computed in mpmath at ``digits`` decimal digits
-    (``planted_diag_nn``); ``tail`` and ``modified_diag_nn`` are those
-    values correctly rounded to double.
+    G_N and H[N,N] are computed in mpmath at ``digits`` decimal digits;
+    ``planted_diag_nn`` is H[N,N] at that precision, which ``resolvent_cf``
+    uses to resolve the planted pole.  ``tail`` and ``diag[order]`` are
+    those values correctly rounded to double, so Sturm counts and
+    eigensolvers see an ordinary chain.
     """
 
     base: ChainCoefficients
     target_energy: float
-    modified_diag_nn: float
     variant: PathologicalVariant
     tail: float  # G_N(E_0) from the upward recurrence
     planted_diag_nn: mpmath.mpf = field(repr=False)
     digits: int
 
     @property
+    def modified_diag_nn(self) -> float:
+        return float(self.diag[self.order])
+
+    @property
     def modified_offdiag(self) -> float | None:
         if self.variant is PathologicalVariant.DIAG_AND_OFFDIAG:
-            return self.base.params.g * self.base.order
+            return float(self.offdiag[self.order - 1])
         return None
 
     @property
     def slow_approach_diagnostic(self) -> float:
         """N (G_N + omega/g^2): if this does not vanish with N, the
         off-diagonal variant need not produce a low-energy state."""
-        p = self.base.params
-        return self.base.order * (self.tail + p.omega / (p.g * p.g))
-
-    def to_chain(self) -> PlantedChain:
-        diag = self.base.diag.copy()
-        diag[self.base.order] = self.modified_diag_nn
-        offdiag = self.base.offdiag.copy()
-        if self.modified_offdiag is not None:
-            offdiag[self.base.order - 1] = self.modified_offdiag
-        return PlantedChain(
-            params=self.base.params,
-            parity=self.base.parity,
-            order=self.base.order,
-            diag=diag,
-            offdiag=offdiag,
-            planted_diag_nn=self.planted_diag_nn,
-            digits=self.digits,
-        )
+        p = self.params
+        return self.order * (self.tail + p.omega / (p.g * p.g))
 
 
 def build_pathological(
@@ -318,7 +293,7 @@ def build_pathological(
     parity: Parity,
     order: TruncationOrder,
     variant: PathologicalVariant = PathologicalVariant.DIAG_ONLY,
-) -> ModifiedChain:
+) -> PlantedChain:
     """Construct the truncation that plants a resolvent pole at energy0.
 
     ``energy0`` must keep a minimum separation, E0_MIN_SEPARATION * omega,
@@ -357,10 +332,17 @@ def build_pathological(
         for j in range(1, base.order):
             tail = (e0 - diag[j]) / a[j] - 1 / (a[j] * tail)
         hnn = e0 - mpmath.mpf(last_offdiag) ** 2 / (a[-1] * tail)
-    return ModifiedChain(
+    diag, offdiag = base.diag.copy(), base.offdiag.copy()
+    diag[base.order] = float(hnn)
+    offdiag[base.order - 1] = last_offdiag
+    return PlantedChain(
+        params=params,
+        parity=parity,
+        order=base.order,
+        diag=diag,
+        offdiag=offdiag,
         base=base,
         target_energy=energy0,
-        modified_diag_nn=float(hnn),
         variant=variant,
         tail=float(tail),
         planted_diag_nn=hnn,

@@ -21,7 +21,8 @@ evaluation and root finding, so exact level crossings, which live on that
 lattice, are never reported as roots.
 
 The convergents and the secular form run the scaled two-term recurrence of
-``rabicf.recurrence``.
+``rabicf.recurrence``; coefficient sequences are kept as ratios K_{n+1}/K_n,
+which need no rescale.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     TooShortError,
 )
 from .model import ModelParams, TruncationOrder, shifted_energy
-from .recurrence import RESCALE, RESCALE_LIMIT, scaled_pair, scaled_pair_lanes
+from .recurrence import scaled_pair, scaled_pair_lanes
 
 __all__ = [
     "CfStatus",
@@ -163,41 +164,35 @@ def _coeff_values(
 
 @dataclass(frozen=True)
 class CoefficientSequence:
-    """Coefficients K_0..K_N stored as mantissa / power-of-two exponent
-    pairs so that ratio diagnostics never overflow or underflow.
+    """Coefficients K_0..K_N with K_0 = 1, stored as their successive
+    ratios r[n] = K_{n+1}/K_n, so that no diagnostic overflows or
+    underflows.
 
     Absolute values are not meaningful downstream, only ratios; ``entries``
-    reconstructs the plain floats where representable (inf/0 otherwise).
+    multiplies them out where representable (inf/0 otherwise).  At an
+    exactly zero K_m the ratios read 0 and then +-inf, and ``entries``
+    reads NaN past K_m.
     """
 
-    mantissas: np.ndarray
-    exponents: np.ndarray
+    r: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.mantissas)
+        return len(self.r) + 1
 
     @property
     def entries(self) -> np.ndarray:
-        return np.ldexp(self.mantissas, self.exponents.astype(np.int64))
+        with np.errstate(all="ignore"):
+            return np.cumprod(np.concatenate(([1.0], self.r)))
 
     def ratio(self, n: int) -> float:
         """K_{n+1} / K_n."""
-        if not 0 <= n < len(self) - 1:
+        if not 0 <= n < len(self.r):
             raise IndexError(f"ratio index {n} out of range")
-        return float(
-            self.mantissas[n + 1] / self.mantissas[n]
-            * 2.0 ** float(self.exponents[n + 1] - self.exponents[n])
-        )
+        return float(self.r[n])
 
     def ratios(self) -> np.ndarray:
         """All consecutive ratios K_{n+1}/K_n, n = 0..N-1."""
-        return np.array([self.ratio(n) for n in range(len(self) - 1)])
-
-
-def _pack_scaled(values: list[tuple[float, int]]) -> CoefficientSequence:
-    m = np.array([v for v, _ in values])
-    e = np.array([s for _, s in values], dtype=np.int64)
-    return CoefficientSequence(mantissas=m, exponents=e)
+        return self.r.copy()
 
 
 def forward_recurrence(
@@ -209,69 +204,53 @@ def forward_recurrence(
     """Run the three-term recurrence forward from K_0 = 1, K_1 = k1.
 
     ``k1`` defaults to f_0(E), the seed forced by analyticity at the lower
-    singular point.  Forward iteration is exact for the recurrence but
-    numerically favours the dominant solution: at an eigenvalue the minimal
-    decay survives only until rounding feeds the dominant branch (use
-    :func:`minimal_sequence` for a stable minimal solution).
+    singular point.  The recurrence runs in ratio form, r_1 = k1 and
+    r_m = (f_{m-1} - 1/r_{m-1}) / m for r_m = K_m/K_{m-1}.  Forward
+    iteration is exact for the recurrence but numerically favours the
+    dominant solution: at an eigenvalue the minimal decay survives only
+    until rounding feeds the dominant branch (use :func:`minimal_sequence`
+    for a stable minimal solution).
     """
     _require_coupling(params)
     n = int(order)
     if n < 0:
         raise ValueError("order must be >= 0")
     f = _coeff_values(energy, params, max(n - 1, 0))
-    if k1 is None:
-        k1 = float(f[0])
-    out = [(1.0, 0)]
+    r = np.empty(n)
     if n >= 1:
-        out.append((float(k1), 0))
-        prev2, prev1, shift = 1.0, float(k1), 0
+        r[0] = f[0] if k1 is None else k1
+    with np.errstate(divide="ignore"):  # an exact zero K_m gives r = 0, then inf
         for m in range(2, n + 1):
-            cur = (f[m - 1] * prev1 - prev2) / m
-            prev2, prev1 = prev1, cur
-            if abs(prev1) > RESCALE_LIMIT or abs(prev2) > RESCALE_LIMIT:
-                prev1 *= RESCALE
-                prev2 *= RESCALE
-                shift += 256
-            out.append((prev1, shift))
-    return _pack_scaled(out)
+            r[m - 1] = (f[m - 1] - 1.0 / r[m - 2]) / m
+    return CoefficientSequence(r=r)
 
 
 def minimal_sequence(
     energy: float,
     params: ModelParams,
     order: TruncationOrder,
-    start_depth: int | None = None,
 ) -> CoefficientSequence:
     """Minimal solution K_0..K_N with K_0 = 1, built backward.
 
     The tail ratios xi_n = n K_n / K_{n-1} are generated by the downward
-    recursion xi_n = n / (f_n - xi_{n+1}) seeded well beyond ``order``
-    (Miller's device); the products then assemble the minimal solution,
-    which the forward recurrence cannot reach in floating point.  Note the
-    seed K_1 = xi_1 equals f_0(E) only at eigenvalues.
+    recursion xi_n = n / (f_n - xi_{n+1}) seeded at depth N + max(50, N),
+    well beyond ``order`` (Miller's device); xi_n / n are the ratios of the
+    minimal solution, which the forward recurrence cannot reach in floating
+    point.  Note the seed K_1 = xi_1 equals f_0(E) only at eigenvalues.
     """
     _require_coupling(params)
     n = int(order)
     if n < 0:
         raise ValueError("order must be >= 0")
-    if start_depth is None:
-        start_depth = n + max(50, n)
-    f = _coeff_values(energy, params, start_depth)
+    depth = n + max(50, n)
+    f = _coeff_values(energy, params, depth)
     xi = 0.0
-    ratio = np.empty(n + 1)
-    for m in range(start_depth, 0, -1):
+    r = np.empty(n)
+    for m in range(depth, 0, -1):
         xi = m / (f[m] - xi)
         if m <= n:
-            ratio[m] = xi / m
-    out = [(1.0, 0)]
-    mant, shift = 1.0, 0
-    for m in range(1, n + 1):
-        mant *= ratio[m]
-        while mant != 0.0 and abs(mant) < 1.0 / RESCALE_LIMIT:
-            mant /= RESCALE
-            shift -= 256
-        out.append((mant, shift))
-    return _pack_scaled(out)
+            r[m - 1] = xi / m
+    return CoefficientSequence(r=r)
 
 
 def finite_cf(
@@ -432,7 +411,7 @@ def classify_solution(seq: CoefficientSequence, params: ModelParams) -> Classifi
     if len(seq) < 20:
         raise TooShortError(f"need at least 20 entries, got {len(seq)}")
     target = params.omega / (2.0 * params.g)
-    last = np.array([seq.ratio(n) for n in range(len(seq) - 11, len(seq) - 1)])
+    last = seq.r[-10:]
     if np.all(np.abs(last - target) <= 0.2 * target):
         return Classification.DOMINANT_LIKE
     mags = np.abs(last)

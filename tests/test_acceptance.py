@@ -129,14 +129,13 @@ def test_criterion_4_pathological_truncation():
     reciprocals = {}
     projections_ok = True
     for order in orders:
-        modified = build_pathological(0.5, FIXTURE, Parity.PLUS, order)
-        chain = modified.to_chain()
-        base = modified.base
+        chain = build_pathological(0.5, FIXTURE, Parity.PLUS, order)
+        base = chain.base
         projections_ok &= bool(
             np.array_equal(chain.diag[:order], base.diag[:order])
             and np.array_equal(chain.offdiag, base.offdiag)
         )
-        tails[order] = modified.tail
+        tails[order] = chain.tail
         reciprocals[order] = abs(resolvent_cf(0.5, chain).reciprocal)
     elapsed = time.perf_counter() - t0
     approach_ok = abs(tails[160] - limit) < abs(tails[10] - limit)

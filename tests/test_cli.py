@@ -252,6 +252,13 @@ MALFORMED = {
                      "--levels", "6", "--eps-pole", "nan"],
     "bound-energy-inf": ["bound", *FIXTURE_ARGS, "--energy", "inf"],
     "bound-energy-nan": ["bound", *FIXTURE_ARGS, "--energy", "nan"],
+    "a-tol-negative": ["spectrum", *FIXTURE_ARGS, "--method", "a", "--levels", "3",
+                       "--tol", "-5"],
+    "b-tol-nan": ["spectrum", *FIXTURE_ARGS, "--method", "b", "--levels", "3", "--tol", "nan"],
+    "compare-tol-nan": ["compare", *FIXTURE_ARGS, "--method-1", "diag", "--method-2", "b",
+                        "-m", "3", "--tol", "nan"],
+    "compare-tol-negative": ["compare", *FIXTURE_ARGS, "--method-1", "diag", "--method-2", "b",
+                             "-m", "3", "--tol", "-1"],
 }
 
 

@@ -87,9 +87,8 @@ class TestBuildChain:
         sub_order = data.draw(st.integers(0, order))
         big = build_chain(p, Parity.PLUS, order)
         small = build_chain(p, Parity.PLUS, sub_order)
-        projected = big.principal_submatrix(sub_order)
-        np.testing.assert_array_equal(projected.diag, small.diag)
-        np.testing.assert_array_equal(projected.offdiag, small.offdiag)
+        np.testing.assert_array_equal(big.diag[: sub_order + 1], small.diag)
+        np.testing.assert_array_equal(big.offdiag[:sub_order], small.offdiag)
 
     def test_a_values_are_squared_entries(self):
         p = ModelParams(1.0, 0.7, 0.4)

@@ -183,22 +183,20 @@ class TestInverseRecurrenceTail:
 
 class TestPathological:
     def test_projection_untouched(self):
-        modified = build_pathological(0.5, FIXTURE, Parity.PLUS, 30)
-        chain = modified.to_chain()
-        base = modified.base
+        chain = build_pathological(0.5, FIXTURE, Parity.PLUS, 30)
+        base = chain.base
         np.testing.assert_array_equal(chain.diag[:30], base.diag[:30])
         np.testing.assert_array_equal(chain.offdiag, base.offdiag)
         assert chain.diag[30] != base.diag[30]
 
     def test_offdiag_variant_entries(self):
-        modified = build_pathological(
+        chain = build_pathological(
             0.5, FIXTURE, Parity.PLUS, 30, PathologicalVariant.DIAG_AND_OFFDIAG
         )
-        chain = modified.to_chain()
         assert chain.offdiag[29] == FIXTURE.g * 30
-        np.testing.assert_array_equal(chain.offdiag[:29], modified.base.offdiag[:29])
-        assert modified.modified_diag_nn == pytest.approx(
-            0.5 - 30 / modified.tail, rel=1e-14
+        np.testing.assert_array_equal(chain.offdiag[:29], chain.base.offdiag[:29])
+        assert chain.modified_diag_nn == pytest.approx(
+            0.5 - 30 / chain.tail, rel=1e-14
         )
 
     def test_planted_eigenvalue_location(self):
@@ -206,7 +204,7 @@ class TestPathological:
         # near machine precision, at every order; the Sturm count is the
         # robust witness
         for order in (10, 20, 40, 80, 160):
-            chain = build_pathological(0.5, FIXTURE, Parity.PLUS, order).to_chain()
+            chain = build_pathological(0.5, FIXTURE, Parity.PLUS, order)
             assert sturm_count(0.5 + 1e-10, chain) - sturm_count(0.5 - 1e-10, chain) == 1
 
     def test_planted_reciprocal_small_order(self):
@@ -214,7 +212,7 @@ class TestPathological:
         # resolvable in double precision; the planted chain carries its
         # last entry in extended precision at every order, and the
         # five-order sweep is checked in test_acceptance.py (criterion 4)
-        chain = build_pathological(0.5, FIXTURE, Parity.PLUS, 10).to_chain()
+        chain = build_pathological(0.5, FIXTURE, Parity.PLUS, 10)
         assert abs(resolvent_cf(0.5, chain).reciprocal) < 1e-9
 
     def test_offdiag_variant_planted_reciprocal(self):
@@ -224,7 +222,7 @@ class TestPathological:
         for order in (10, 20, 40, 80, 160):
             chain = build_pathological(
                 0.5, FIXTURE, Parity.PLUS, order, PathologicalVariant.DIAG_AND_OFFDIAG
-            ).to_chain()
+            )
             assert abs(resolvent_cf(0.5, chain).reciprocal) < 1e-9, order
 
     def test_precision_follows_planted_mode(self):
@@ -233,7 +231,7 @@ class TestPathological:
         # reciprocal near 1e-19 here, sized from the mode itself near 1e-40
         params = ModelParams(1.0, 0.2, 0.4)
         for order in (40, 160):
-            chain = build_pathological(-8.0, params, Parity.PLUS, order).to_chain()
+            chain = build_pathological(-8.0, params, Parity.PLUS, order)
             assert abs(resolvent_cf(-8.0, chain).reciprocal) < 1e-30, order
 
     def test_separation_from_genuine_poles(self):
@@ -249,7 +247,7 @@ class TestPathological:
     def test_low_mode_invariance_and_count(self):
         order = 40
         window = (-1.0, 6.0)
-        pathological = build_pathological(0.5, FIXTURE, Parity.PLUS, order).to_chain()
+        pathological = build_pathological(0.5, FIXTURE, Parity.PLUS, order)
         unmodified = build_chain(FIXTURE, Parity.PLUS, order)
         previous = build_chain(FIXTURE, Parity.PLUS, order - 1)
         count_pat = sturm_count(window[1], pathological) - sturm_count(window[0], pathological)

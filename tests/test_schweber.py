@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -271,6 +272,42 @@ class TestMinimalSequence:
         assert ratios[55] < ratios[20] < ratios[5]
         # exact minimal ratio approaches 2g/(omega n)
         assert ratios[55] == pytest.approx(2 * FIXTURE.g / (56 + 1), rel=0.3)
+
+
+EXACT_ORDER = 40
+
+
+def exact_reference_draws(count=200):
+    """Random (g, delta, E) with the float coefficients f_0..f_depth the
+    sequences see, at depth = EXACT_ORDER + max(50, EXACT_ORDER)."""
+    rng = np.random.default_rng(20121205)
+    depth = EXACT_ORDER + max(50, EXACT_ORDER)
+    for _ in range(count):
+        p = ModelParams(1.0, rng.uniform(0.05, 2.0), rng.uniform(0.0, 2.0))
+        energy = float(rng.uniform(-3.0, 10.0))
+        yield p, energy, [coeff_f(n, energy, p).value for n in range(depth + 1)]
+
+
+class TestExactReference:
+    # both sequences against the same recurrence run in exact rational
+    # arithmetic on the same float f_n
+    def test_forward_ratios(self):
+        for p, energy, f in exact_reference_draws():
+            k = [Fraction(1), Fraction(f[0])]
+            for m in range(2, EXACT_ORDER + 1):
+                k.append((Fraction(f[m - 1]) * k[-1] - k[-2]) / m)
+            exact = np.array([float(k[m + 1] / k[m]) for m in range(EXACT_ORDER)])
+            got = forward_recurrence(energy, p, EXACT_ORDER).ratios()
+            np.testing.assert_allclose(got, exact, rtol=1e-10, atol=0)
+
+    def test_minimal_ratios(self):
+        for p, energy, f in exact_reference_draws():
+            xi = [Fraction(0)] * (len(f) + 1)
+            for m in range(len(f) - 1, 0, -1):
+                xi[m] = m / (Fraction(f[m]) - xi[m + 1])
+            exact = np.array([float(xi[m] / m) for m in range(1, EXACT_ORDER + 1)])
+            got = minimal_sequence(energy, p, EXACT_ORDER).ratios()
+            np.testing.assert_allclose(got, exact, rtol=1e-10, atol=0)
 
 
 class TestClassification:

@@ -14,9 +14,9 @@ independent Sturm-bisection eigensolver on the truncated parity chains:
 
 Both continued fractions run one scaled two-term recurrence
 (``recurrence``).  ``convergence`` certifies resolvent-tail convergence
-and bounds the truncation depth; ``search`` provides pole-aware root scans
-and the inter-parity crossing detector; ``cli`` exposes everything as
-subcommands.
+and bounds the truncation depth; ``search`` provides the root scans of
+both continued fractions and the inter-parity crossing detector; ``cli``
+exposes everything as subcommands.
 """
 
 from .errors import (
@@ -55,6 +55,7 @@ from .schweber import (
     forward_recurrence,
     minimal_sequence,
     pair_secular,
+    secular_count,
     spectral_function_a,
 )
 from .resolvent import (
@@ -88,11 +89,9 @@ from .search import (
     CrossingEvent,
     MethodAResult,
     ScanResult,
-    SegmentedWindow,
     bracket_roots,
     scan_crossings,
     scan_levels,
-    segment_window,
     solve_method_a,
 )
 

@@ -142,8 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="Sturm bisection width of --method diag (default 1e-11*omega); "
                         "methods a and b ignore it and refine roots to 1e-12*omega")
     p.add_argument("--eps-pole", type=float,
-                   help="pole-guard half width of method a (default 1e-9*omega); "
-                        "methods b and diag ignore it")
+                   help="pole-guard half width of method a's residual, which reads inf "
+                        "closer to a pole (default 1e-9*omega); b and diag ignore it")
 
     p = sub.add_parser("compare", help="level-by-level deviation of two methods")
     _add_model_args(p)

@@ -67,6 +67,16 @@ def _tail_b(energy: float, params: ModelParams, parity: Parity, j: np.ndarray) -
     return energy - j * params.omega - parity.sign * ((-1.0) ** j) * params.delta
 
 
+def _candidate_levels(energy: float, params: ModelParams, n: int, up_to: int) -> np.ndarray:
+    """The levels of [n, up_to] where |b_j| - (j g^2/c + c) is least: on
+    each parity class it is linear in j but for a kink where b_j changes
+    sign, near j = (E -+ D)/w, so at a class end or next to a kink.  (At
+    c = g^2/w it is flat above the kink, and read to a few ulps of j w.)"""
+    kinks = [math.floor((energy + s * params.delta) / params.omega) for s in (-1.0, 1.0)]
+    js = {n, n + 1, up_to - 1, up_to, *(k + i for k in kinks for i in range(-1, 3))}
+    return np.array(sorted(j for j in js if n <= j <= up_to), dtype=float)
+
+
 def check_pringsheim(
     energy: float,
     params: ModelParams,
@@ -80,7 +90,7 @@ def check_pringsheim(
         raise ValueError("need 0 <= n <= up_to")
     if c <= 0:
         raise ValueError("c must be positive")
-    j = np.arange(n, up_to + 1, dtype=float)
+    j = _candidate_levels(energy, params, n, up_to)
     lhs = np.abs(_tail_b(energy, params, parity, j))
     rhs = j * params.g * params.g / c + c
     margin = float(np.min(lhs - rhs))
@@ -110,7 +120,7 @@ def best_certificate(
     """
     w, g = params.omega, params.g
     if g == 0.0:
-        j = np.arange(n, up_to + 1, dtype=float)
+        j = _candidate_levels(energy, params, n, up_to)
         c = float(np.min(np.abs(_tail_b(energy, params, parity, j))))
         c = max(c, DEN_FLOOR)
         return check_pringsheim(energy, params, parity, n, c, up_to)

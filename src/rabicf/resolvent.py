@@ -45,7 +45,7 @@ from .errors import (
 from .model import ChainCoefficients, ModelParams, Parity, TruncationOrder, build_chain
 from .recurrence import scaled_pair, scaled_pair_lanes
 from .schweber import DEN_FLOOR
-from .search import DEFAULT_REFINE_TOL, bisect_sign, bracket_roots, segment_window
+from .search import DEFAULT_REFINE_TOL, bisect_sign, bracket_roots, checked_window
 from .tridiag import (
     EnergyLevel,
     SpectralMethod,
@@ -178,22 +178,21 @@ def poles_of_resolvent(
     off-diagonal entry being nonzero), while sampling the reciprocal ratio
     itself would also flip at its own poles (the once-deleted chain's
     eigenvalues, which interlace) and, at g = 0, would lose every lifted
-    pole to exact factor cancellation.  The window is one cut-free segment
-    of ``grid`` samples (``bracket_roots``), a sample exactly on a pole
-    being its own bracket; the lowest ``max_levels`` brackets are refined
-    by sign bisection on the minor down to DEFAULT_REFINE_TOL * omega, and
-    the residual reported per pole is the reciprocal magnitude there.
+    pole to exact factor cancellation.  The window is sampled on ``grid``
+    points (``bracket_roots``), a sample exactly on a pole being its own
+    bracket; the lowest ``max_levels`` brackets are refined by sign
+    bisection on the minor down to DEFAULT_REFINE_TOL * omega, and the
+    residual reported per pole is the reciprocal magnitude there.
     """
-    seg = segment_window(window)
+    lo, hi = checked_window(window)
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
     if grid is None:
-        lo, hi = seg.window
         grid = max(512, int(128 * (hi - lo) / chain.params.omega))
 
     minor = lambda e: char_poly(e, chain)[0]
     poles: list[EnergyLevel] = []
-    for lo, hi in bracket_roots(minor, seg, grid, max_levels).brackets:
+    for lo, hi in bracket_roots(minor, window, grid, max_levels).brackets:
         root = bisect_sign(minor, lo, hi, DEFAULT_REFINE_TOL * chain.params.omega)
         residual = abs(resolvent_cf(root, chain).reciprocal)
         poles.append(EnergyLevel(index=len(poles), energy=root, residual=residual))

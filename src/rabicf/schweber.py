@@ -16,9 +16,9 @@ also satisfies the K_1 = f_0 seed, i.e. the zeros of
 
 The method sees only D^2, so it cannot discern the two parity chains: its
 roots approximate the union of both parity spectra.  The f_n have poles on
-the lattice x = n w; a guard interval around each pole is excluded from
-evaluation and root finding, so exact level crossings, which live on that
-lattice, are never reported as roots.
+the lattice x = n w (the cuts).  The root count ``secular_count`` counts
+across them, roots on a cut (exceptional, Juddian levels) included; only
+evaluations of f_n itself keep a guard interval around each pole.
 
 The convergents and the secular form run the scaled two-term recurrence of
 ``rabicf.recurrence``; coefficient sequences are kept as ratios K_{n+1}/K_n,
@@ -40,7 +40,7 @@ from .errors import (
     TooShortError,
 )
 from .model import ModelParams, TruncationOrder, shifted_energy
-from .recurrence import scaled_pair, scaled_pair_lanes
+from .recurrence import scaled_pair
 
 __all__ = [
     "CfStatus",
@@ -56,6 +56,8 @@ __all__ = [
     "spectral_function_a",
     "convergent_pair",
     "pair_secular",
+    "secular_count",
+    "meets_cut",
     "classify_solution",
     "pole_guard",
     "EPS_POLE_REL",
@@ -63,9 +65,15 @@ __all__ = [
 ]
 
 # Pole guard half-width around x = n*omega, relative to omega.  Inside it
-# f_n is reported at_pole instead of evaluated; the root finder excludes the
-# interval.
+# f_n is reported at_pole instead of evaluated, and the method-a residual
+# reads infinite; the root count needs no guard.
 EPS_POLE_REL = 1e-9
+
+# Pivots in (-PIVMIN, PIVMIN] are replaced by -PIVMIN before counting, the
+# convention of the Sturm oracle: an exactly singular leading minor counts
+# as a root below E.  Kept as its own copy, so that the oracle shares no
+# code path with the continued fractions.
+PIVMIN = 1e-290
 
 # An intermediate continued-fraction denominator below this magnitude is a
 # pole of a partial fraction; the evaluation reports Overflow status.
@@ -291,13 +299,11 @@ def spectral_function_a(
 ) -> CfValue:
     """S_N(E) = f_0(E) - F_N(E); its zeros are the method's eigenvalue
     estimates.  Pole and overflow statuses propagate."""
-    f0 = coeff_f(0, energy, params, eps_pole)
-    tail = finite_cf(energy, params, order, eps_pole)
-    if f0.at_pole:
-        return CfValue(value=math.nan, status=CfStatus.HIT_POLE)
+    tail = finite_cf(energy, params, order, eps_pole)  # guards f_0 too
     if not tail.converged:
-        return CfValue(value=math.nan, status=tail.status)
-    return CfValue(value=f0.value - tail.value, status=CfStatus.CONVERGED)
+        return tail
+    f0 = coeff_f(0, energy, params, eps_pole).value
+    return CfValue(value=f0 - tail.value, status=CfStatus.CONVERGED)
 
 
 @dataclass(frozen=True)
@@ -339,65 +345,91 @@ def convergent_pair(energy: float, params: ModelParams, n: int) -> ConvergentPai
     return ConvergentPair(a=math.ldexp(a, a_exp - top), b=math.ldexp(b, b_exp - top), n=n)
 
 
-def pair_secular(
-    energy,
-    params: ModelParams,
-    order: TruncationOrder,
-    eps_pole: float | None = None,
-):
+def pair_secular(energy: float, params: ModelParams, order: TruncationOrder) -> float:
     """Pole-free secular function W_N(E) = f_0(E) B_N - A_N, up to a
     positive rescale.
 
     W_N vanishes exactly where S_N = f_0 - F_N does, but stays finite and
     single-signed across the poles of F_N (where B_N = 0, W_N = -A_N != 0
-    since consecutive convergents never vanish together).  Sign scans on
-    W_N therefore see every root once and never see an F_N pole, which raw
-    sampling of S_N cannot guarantee: root/pole pairs closer than the grid
-    cancel, and isolated F_N poles masquerade as sign changes.
+    since consecutive convergents never vanish together), so sign
+    bisection on W_N never mistakes an F_N pole for a root.
 
     By linearity W satisfies the convergents' own recurrence,
     W_m = f_m W_{m-1} - m W_{m-2} from (W_{-1}, W_0) = (1, f_0), so one
-    scaled sequence gives it (``rabicf.recurrence``).
-
-    ``energy`` is a float or an array.  A float gives a float, NaN inside a
-    pole guard; an array gives an array from one recurrence pass over all
-    energies, element for element bit-identical to the float calls, NaN
-    positions included.
+    scaled sequence gives it (``rabicf.recurrence``).  W_N is undefined on
+    a cut x = m w, m <= N, where f_m has its pole; no guard is applied.
     """
     _require_coupling(params)
     n = int(order)
     if n < 1:
         raise ValueError("order must be >= 1")
-    if np.ndim(energy) != 0:
-        return _secular_lanes(np.asarray(energy, dtype=float), params, n, eps_pole)
-    try:
-        f = _coeff_values(energy, params, n, eps_pole).tolist()
-    except PoleError:
-        return math.nan
+    f = _coeff_values(energy, params, n, 0.0).tolist()  # no guard
     return scaled_pair(1.0, f[0], zip(f[1:], range(1, n + 1)))[1]
 
 
-def _secular_lanes(
-    energies: np.ndarray, params: ModelParams, n: int, eps_pole: float | None
-) -> np.ndarray:
-    """Array form of :func:`pair_secular`.  Each step computes the
-    coefficient row f_m for every lane and hands it to the lane recurrence
-    at once; lanes where any of f_0..f_n sits in its guard come back NaN."""
+def secular_count(energy, params: ModelParams, order: TruncationOrder):
+    """Root count c'(E) of W_N: the negative pivots q_0 = f_0,
+    q_m = f_m - m/q_{m-1} of its leading minors, plus the cuts x = m w,
+    0 <= m <= N, at or below x(E).
+
+    W_0..W_N are the leading minors of the tridiagonal T(x) with diagonal
+    f_0..f_N and squared off-diagonals 1..N, which decreases in E between
+    cuts, so the pivot count rises by one at each root and never falls
+    (discrete Sturm oscillation; F. V. Atkinson, 1964, ch. 4).  At a cut
+    f_m jumps from -inf to +inf (it is +inf on the cut) and the pivot count
+    drops by one, which the cut term restores: c'(b) - c'(a) roots lie in
+    (a, b], cuts included.  A float gives an int from a plain-float loop,
+    an array an int array from one numpy pass with the same arithmetic.
+    """
+    _require_coupling(params)
+    n = int(order)
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    x = shifted_energy(params, energy)
+    if np.ndim(energy) != 0:
+        return _count_lanes(np.asarray(x, dtype=float), params, n)
+    w, g, d = params.omega, params.g, params.delta
+    # _f_of_detune written out, operation for operation
+    base, two_g, d2 = 2.0 * g / w, 2.0 * g, d * d
+    count, q = 0, math.inf  # q_0 = f_0 - 0/inf
+    for m in range(n + 1):
+        detune = x - m * w
+        count += detune >= 0.0
+        f = base + (-detune + d2 / detune) / two_g if detune else math.inf
+        q = f - m / q
+        if q <= PIVMIN:
+            count += 1
+            q = min(q, -PIVMIN)
+    return count
+
+
+def _count_lanes(x: np.ndarray, params: ModelParams, n: int) -> np.ndarray:
+    """Lane form of :func:`secular_count` over shifted energies ``x``."""
+    count = np.zeros(x.shape, dtype=np.int64)
+    q = np.full_like(x, np.inf)
+    with np.errstate(divide="ignore"):  # f_m = +inf on a cut
+        for m in range(n + 1):
+            detune = x - m * params.omega
+            count += detune >= 0.0
+            q = _f_of_detune(detune, params) - m / q
+            neg = q <= PIVMIN
+            count += neg
+            q = np.where(neg, np.minimum(q, -PIVMIN), q)
+    return count
+
+
+def meets_cut(lo: float, hi: float, params: ModelParams, order: TruncationOrder) -> bool:
+    """Whether [lo, hi] meets a cut x = k w, 0 <= k <= N, with the
+    detuning x - k w computed as in :func:`secular_count`."""
     w = params.omega
-    eps_pole = pole_guard(params, eps_pole)
-    x = shifted_energy(params, energies)
-    hit = np.abs(x) < eps_pole  # f_0
-
-    def rows():
-        for m in range(1, n + 1):
-            detune = x - m * w
-            np.logical_or(hit, np.abs(detune) < eps_pole, out=hit)
-            yield _f_of_detune(detune, params), m
-
-    with np.errstate(all="ignore"):  # guard lanes divide by ~0; masked below
-        _, secular = scaled_pair_lanes(np.ones_like(x), _f_of_detune(x, params), rows())
-    secular[hit] = math.nan
-    return secular
+    x_lo = shifted_energy(params, lo)
+    # the first k >= 0 with x_lo - k w <= 0
+    k = max(0, math.ceil(x_lo / w))
+    while k > 0 and x_lo - (k - 1) * w <= 0.0:
+        k -= 1
+    while x_lo - k * w > 0.0:
+        k += 1
+    return k <= int(order) and shifted_energy(params, hi) - k * w >= 0.0
 
 
 def classify_solution(seq: CoefficientSequence, params: ModelParams) -> Classification:

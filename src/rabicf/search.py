@@ -1,10 +1,9 @@
-"""Pole-aware root localization and the parameter-scan crossing detector.
+"""Root localization and the parameter-scan crossing detector.
 
-Root scans here serve both spectral methods: the window is first segmented
-at known singular abscissae (for the coefficient method, the pole lattice
-E = k w - g^2/w), sign changes are bracketed per segment, and brackets are
-refined by sign bisection.  A sign change straddling a cut is
-never a root.
+Root scans here serve both spectral methods: the grid cells of one plain
+window that hold roots are brackets, found by sign change (method b) or by
+root count, cuts of the pole lattice E = k w - g^2/w included (method a),
+and are refined by sign bisection.
 
 The crossing scan tracks oracle eigenvalues of both parity chains across a
 coupling sweep and records every inter-parity crossing together with the
@@ -17,13 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .convergence import tail_depth_bound
 from .errors import DegenerateScanError, DeltaZeroError, GZeroError, LostBracketError
-from .model import ModelParams, Parity, TruncationOrder, build_chain, shifted_energy
-from .schweber import pair_secular, pole_guard, spectral_function_a
+from .model import ModelParams, Parity, TruncationOrder, build_chain
+from .schweber import meets_cut, pair_secular, secular_count, spectral_function_a
 from .tridiag import (
     DEFAULT_EIG_TOL,
     EnergyLevel,
@@ -36,8 +36,6 @@ from .tridiag import (
 )
 
 __all__ = [
-    "SegmentedWindow",
-    "segment_window",
     "BracketScan",
     "bracket_roots",
     "bisect_sign",
@@ -68,117 +66,47 @@ ITP_N0 = 1
 
 
 @dataclass(frozen=True)
-class SegmentedWindow:
-    """An energy window minus guard neighbourhoods around known cuts.
-
-    ``segments`` partition the window with open guard intervals of
-    half-width ``guard`` removed around each entry of ``cut_points``.
-    """
-
-    window: tuple[float, float]
-    cut_points: tuple[float, ...]
-    segments: tuple[tuple[float, float], ...]
-    guard: float
-
-
-def segment_window(
-    window: tuple[float, float],
-    params: ModelParams | None = None,
-    guard: float | None = None,
-) -> SegmentedWindow:
-    """Segment a window at the coefficient-pole lattice E = k w - g^2/w.
-
-    With ``params`` omitted the window is one cut-free segment (resolvent
-    and oracle scans have no excluded abscissae).  Segment endpoints next
-    to a cut lie outside its guard as the coefficient evaluation tests it,
-    so no segment opens or closes on a NaN sample.
-    """
-    lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"invalid window {window!r}")
-    ks, cuts = range(0), []
-    if params is not None:
-        guard = pole_guard(params, guard)
-        shift = params.g * params.g / params.omega
-        k_lo = math.ceil((lo + shift) / params.omega)
-        k_hi = math.floor((hi + shift) / params.omega)
-        ks = range(k_lo, k_hi + 1)
-        cuts = [k * params.omega - shift for k in ks]
-    guard = float(guard if guard is not None else 0.0)
-    segments = []
-    prev = lo
-    for k, c in zip(ks, cuts):
-        left = _clear_of_guard(c - guard, k, params, guard, -1.0)
-        if left > prev:
-            segments.append((prev, left))
-        prev = _clear_of_guard(c + guard, k, params, guard, 1.0)
-    if hi > prev:
-        segments.append((prev, hi))
-    return SegmentedWindow(
-        window=(lo, hi), cut_points=tuple(cuts), segments=tuple(segments), guard=guard
-    )
-
-
-def _clear_of_guard(
-    energy: float, k: int, params: ModelParams, guard: float, direction: float
-) -> float:
-    """Move ``energy`` away from the cut at x = k*omega until
-    |x(E) - k*omega| >= guard, the test coeff_f applies: cut +- guard can
-    round back into the guard.  Steps start at one ulp of x and double, so
-    the loop stays short even near E = 0, where one ulp of E is far below
-    one ulp of x.
-    """
-    step = math.ulp(shifted_energy(params, energy))
-    while abs(shifted_energy(params, energy) - k * params.omega) < guard:
-        energy += direction * step
-        step *= 2.0
-    return energy
-
-
-@dataclass(frozen=True)
 class BracketScan:
-    """Sign-change brackets of a sampled function."""
+    """Root brackets of a sampled function."""
 
     brackets: tuple[tuple[float, float], ...]
 
 
-def bracket_roots(f, seg: SegmentedWindow, grid: int, levels: int | None = None) -> BracketScan:
-    """Sign-change brackets of ``f`` over the segments: the first
-    ``levels`` of them, or all when ``levels`` is None.
+def checked_window(window) -> tuple[float, float]:
+    """``window`` as two floats, lo < hi, both finite; ValueError otherwise."""
+    lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"invalid window {window!r}")
+    return lo, hi
 
-    ``f`` maps an array of energies to an array of values and is called
-    once, on the samples of every segment concatenated; NaN marks a sample
-    whose evaluation did not converge and is skipped.  ``grid`` is the
-    total sample budget, distributed over segments proportionally to length
-    with at least two samples each.  A sign change between the closing
-    sample of one segment and the opening sample of the next straddles a
-    cut and is not a bracket.  A sample sitting exactly on a root is its
-    own bracket (lo == hi).  Brackets come in sample order, so the first k
-    hold the k lowest roots found: a caller refines every bracket returned.
+
+def bracket_roots(f, window: tuple[float, float], grid: int,
+                  levels: int | None = None) -> BracketScan:
+    """Root brackets of ``f`` over ``grid`` samples spanning ``window``:
+    the first ``levels`` of them, or all when ``levels`` is None.
+
+    ``f`` maps the array of samples to an array of values, in one call.
+    Integer values count roots: a cell over which the count rises by k is
+    its bracket k times.  Float values mark a root by a sign change between
+    neighbouring samples, skipping NaN (no convergence); a sample exactly
+    on a root is its own bracket (lo == hi).  Brackets come in sample
+    order, so the first k hold the k lowest roots: a caller refines every
+    bracket returned.
     """
-    need = 2 * max(1, len(seg.segments))
-    if grid < need:
-        raise ValueError(
-            f"--grid {grid} is too small: at least 2 samples per segment, "
-            f"{need} for {need // 2} segment(s)"
-        )
-    if not seg.segments:
-        return BracketScan(brackets=())
-    total = sum(b - a for a, b in seg.segments)
-    samples = [
-        np.linspace(a, b, max(2, int(round(grid * (b - a) / total))) if total > 0 else 2)
-        for a, b in seg.segments
-    ]
-    values = np.asarray(f(np.concatenate(samples)), dtype=float)
-    ends = np.cumsum([len(xs) for xs in samples])
-    brackets: list[tuple[float, float]] = []
-    for xs, vals in zip(samples, np.split(values, ends[:-1])):
-        ok = np.isfinite(vals)
-        xs, vals = xs[ok], vals[ok]
-        s = np.sign(vals)
-        flips = np.append(s[:-1] * s[1:] < 0, False)
-        for i in np.nonzero(flips | (s == 0.0))[0]:
-            brackets.append((float(xs[i]), float(xs[i + 1] if flips[i] else xs[i])))
+    lo, hi = checked_window(window)
+    if grid < 2:
+        raise ValueError(f"--grid {grid} is too small: at least 2 samples are needed")
+    xs = np.linspace(lo, hi, grid)
+    values = np.asarray(f(xs))
+    if values.dtype.kind in "iu":
+        cells = np.repeat(np.arange(grid - 1), np.diff(values))
+        return BracketScan(brackets=tuple((float(xs[i]), float(xs[i + 1])) for i in cells[:levels]))
+    ok = np.isfinite(values)
+    xs, values = xs[ok], values[ok]
+    s = np.sign(values)
+    flips = np.append(s[:-1] * s[1:] < 0, False)
+    brackets = [(float(xs[i]), float(xs[i + 1] if flips[i] else xs[i]))
+                for i in np.nonzero(flips | (s == 0.0))[0]]
     return BracketScan(brackets=tuple(brackets[:levels]))
 
 
@@ -236,16 +164,15 @@ def solve_method_a(
     """Locate the lowest ``levels`` coefficient-method roots in a window
     (all of them when None); only their brackets are refined.
 
-    Brackets come from sign changes of the pole-free secular form
-    W_N = f_0 B_N - A_N (raw sampling of f_0 - F_N both misses root/pole
-    pairs tighter than the grid and brackets isolated poles of F_N); the
-    refined root's residual is |f_0 - F_N| evaluated backward.  Refinement
-    bisects on the sign of W_N, whose rescaled magnitude is not continuous,
-    down to DEFAULT_REFINE_TOL * omega.
-
-    Raises DeltaZeroError at delta = 0: there the true eigenvalues sit
-    exactly on the pole lattice (root/pole collision), which this method
-    cannot resolve; use the resolvent method or the eigensolver.
+    Brackets are the grid cells over which the root count of W_N rises
+    (``secular_count``).  A cell holding one root and no cut is bisected on
+    the sign of W_N down to DEFAULT_REFINE_TOL * omega; any other is first
+    halved by count until each piece holds one root and no cut.  A piece
+    still holding a cut at that width is a root on the cut, reported at its
+    midpoint, once per root, with its width as residual; every other
+    residual is |f_0 - F_N|, infinite within ``eps_pole`` of a cut.
+    Raises DeltaZeroError at delta = 0, where f_n has no poles to count
+    across and every eigenvalue sits on a cut.
     """
     if params.g == 0.0:
         raise GZeroError("coefficient method undefined at g=0")
@@ -254,18 +181,48 @@ def solve_method_a(
             "at delta=0 every eigenvalue coincides with a coefficient pole; "
             "use the resolvent method or the eigensolver"
         )
-    seg = segment_window(window, params, guard=eps_pole)
-    secular = lambda e: pair_secular(e, params, order, eps_pole)
+    tol = DEFAULT_REFINE_TOL * params.omega
+    count = lambda e: secular_count(e, params, order)
+    brackets = bracket_roots(count, window, grid, levels).brackets
+    cells = [(cell, len(list(run))) for cell, run in groupby(brackets)]
     found: list[EnergyLevel] = []
-    for lo, hi in bracket_roots(secular, seg, grid, levels).brackets:
-        root = bisect_sign(secular, lo, hi, DEFAULT_REFINE_TOL * params.omega)
-        res = spectral_function_a(root, params, order, eps_pole)
-        residual = abs(res.value) if res.converged else math.inf
-        found.append(EnergyLevel(index=len(found), energy=root, residual=residual))
-    spectrum = SpectrumApproximation.from_levels(
+    for i, ((lo, hi), want) in enumerate(cells):
+        # the last cell may hold more roots than were asked for
+        whole = i < len(cells) - 1 or len(brackets) != levels
+        if want == 1 and whole and not meets_cut(lo, hi, params, order):
+            pieces = [(lo, hi, True)]
+        else:
+            pieces = _isolate(count, params, order, lo, hi, want, tol)
+        for a, b, isolated in pieces:
+            if isolated:
+                root = bisect_sign(lambda e: pair_secular(e, params, order), a, b, tol)
+                res = spectral_function_a(root, params, order, eps_pole)
+                residual = abs(res.value) if res.converged else math.inf
+            else:
+                root, residual = 0.5 * (a + b), b - a
+            found.append(EnergyLevel(index=len(found), energy=root, residual=residual))
+    return MethodAResult(SpectrumApproximation.from_levels(
         SpectralMethod.METHOD_A, None, order, found, params.omega
-    )
-    return MethodAResult(spectrum=spectrum)
+    ))
+
+
+def _isolate(count, params, order, lo, hi, want, tol) -> list[tuple[float, float, bool]]:
+    """Pieces (a, b, isolated) holding the lowest ``want`` roots of (lo, hi],
+    halved by ``count``: an isolated piece holds one root and no cut, and a
+    piece narrowed to ``tol`` without that counts once per root it holds."""
+    pieces: list[tuple[float, float, bool]] = []
+    stack = [(lo, hi, count(lo), count(hi))]
+    while stack and len(pieces) < want:
+        a, b, c_a, c_b = stack.pop()
+        roots, mid = c_b - c_a, 0.5 * (a + b)
+        if roots == 1 and not meets_cut(a, b, params, order):
+            pieces.append((a, b, True))
+        elif roots and (b - a <= tol or not a < mid < b):
+            pieces += [(a, b, False)] * roots
+        elif roots:
+            c_mid = count(mid)
+            stack += [(mid, b, c_mid, c_b), (a, mid, c_a, c_mid)]
+    return pieces[:want]
 
 
 @dataclass(frozen=True)

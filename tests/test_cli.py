@@ -90,7 +90,7 @@ class TestSpectrum:
         assert (code, text) == (2, "")
         err = capsys.readouterr().err
         assert "--grid 1" in err
-        assert "at least 2 samples per segment" in err
+        assert "at least 2 samples are needed" in err
 
     def test_metadata_records_tolerances(self):
         code, text = run_cli(

@@ -1,3 +1,7 @@
+import io
+import random
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,7 +25,35 @@ from rabicf import (
     union_spectrum,
 )
 
+from rabicf.cli import main
+from rabicf.convergence import _tail_b
+from rabicf.schweber import DEN_FLOOR
+
 from conftest import FIXTURE
+
+
+def _margin_every_level(energy, params, parity, n, c, up_to):
+    # the margin read on every level of [n, up_to]
+    j = np.arange(n, up_to + 1, dtype=float)
+    rhs = j * params.g * params.g / c + c
+    return float(np.min(np.abs(_tail_b(energy, params, parity, j)) - rhs))
+
+
+def _best_every_level(energy, params, parity, n, up_to):
+    # best_certificate's search of c, read on every level
+    if params.g == 0.0:
+        j = np.arange(n, up_to + 1, dtype=float)
+        c = max(float(np.min(np.abs(_tail_b(energy, params, parity, j)))), DEN_FLOOR)
+        return c, _margin_every_level(energy, params, parity, n, c, up_to)
+    lo, hi = params.g**2 / params.omega, max(n, 1) * params.omega
+    if hi <= lo:
+        hi = 4.0 * lo
+    best = None
+    for c in np.geomspace(lo, hi, 400):
+        margin = _margin_every_level(energy, params, parity, n, float(c), up_to)
+        if best is None or margin > best[1]:
+            best = (float(c), margin)
+    return best
 
 
 class TestTailDepthBound:
@@ -93,6 +125,35 @@ class TestCheckPringsheim:
         j = np.arange(1, 13, dtype=float)
         min_b = np.min(np.abs(0.3 - j - ((-1.0) ** j) * 0.4))
         assert cert.c <= min_b + 1e-12
+
+    def test_candidate_levels_give_every_level_margin(self):
+        # the margin is piecewise linear in j on each parity class, so the
+        # class ends and the levels next to the kink b_j = 0 hold its
+        # minimum, bit for bit
+        rng = random.Random(20121205)
+        for _ in range(40):
+            omega = rng.choice([0.5, 1.0, 2.0])
+            params = ModelParams(omega, rng.choice([0.0, rng.uniform(0.01, 3.0)]),
+                                 rng.uniform(0.0, 2.0))
+            energy = rng.uniform(-30.0, 60.0)
+            parity = rng.choice([Parity.PLUS, Parity.MINUS])
+            n = tail_depth_bound(energy, params)
+            cert = best_certificate(energy, params, parity, n, 10 * n)
+            c, margin = _best_every_level(energy, params, parity, n, 10 * n)
+            assert (cert.c, cert.margin) == (c, margin)
+            for start, up_to in ((n, 10 * n), (0, rng.randint(0, 50)), (rng.randint(0, 20), 80)):
+                c = rng.uniform(0.01, 5.0)
+                got = check_pringsheim(energy, params, parity, start, c, up_to).margin
+                assert got == _margin_every_level(energy, params, parity, start, c, up_to)
+
+    def test_bound_cost_does_not_grow_with_energy(self):
+        out = io.StringIO()
+        start = time.perf_counter()
+        code = main(["bound", "--omega", "1", "--g", "0.7", "--delta", "0.4",
+                     "--energy", "1e15"], out=out)
+        assert code == 0
+        assert time.perf_counter() - start < 0.5
+        assert "1000000044271889" in out.getvalue()
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

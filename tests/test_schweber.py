@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rabicf import (
@@ -13,6 +13,7 @@ from rabicf import (
     DegenerateDenominatorError,
     GZeroError,
     ModelParams,
+    Parity,
     PoleError,
     TooShortError,
     classify_solution,
@@ -20,12 +21,16 @@ from rabicf import (
     convergent_pair,
     finite_cf,
     forward_recurrence,
+    build_chain,
     minimal_sequence,
     pair_secular,
+    secular_count,
     spectral_function_a,
+    sturm_count,
 )
 
 from rabicf.schweber import EPS_POLE_REL, pole_guard
+from rabicf.search import default_window
 
 from conftest import FIXTURE, ORACLE_UNION_24
 
@@ -232,32 +237,42 @@ class TestPairSecular:
         vals = [pair_secular(e, FIXTURE, 60) for e in np.linspace(0.6, 0.67, 50)]
         assert all(math.isfinite(v) for v in vals)
 
-    def test_nan_inside_guard(self):
-        energy = 1.0 - FIXTURE.g**2 / FIXTURE.omega
-        assert math.isnan(pair_secular(energy, FIXTURE, 30))
 
+class TestSecularCount:
     @pytest.mark.parametrize("g", [0.3, 1.0, 2.0])
     @pytest.mark.parametrize("order", [1, 2, 150, 600])
-    def test_array_matches_scalar_bitwise(self, g, order):
-        # the one-pass grid recurrence must reproduce the scalar loop bit
-        # for bit, including which samples fall inside a pole guard
+    def test_lanes_match_scalar(self, g, order):
+        # the grid pass and the plain-float halving must count alike, on
+        # and next to the cuts too; sorted, the counts never fall
         params = ModelParams(1.0, g, 0.4)
         cuts = np.arange(8) * params.omega - g * g / params.omega
-        guard = EPS_POLE_REL * params.omega
-        edges = np.concatenate([cuts - guard, cuts + guard])
-        energies = np.concatenate([
-            np.linspace(-g * g - 1.5, 8.0, 401),
-            cuts,
-            edges,
-            np.nextafter(edges, -np.inf),
-            np.nextafter(edges, np.inf),
-        ])
-        grid = pair_secular(energies, params, order)
-        scalar = np.array([pair_secular(float(e), params, order) for e in energies])
-        nan = np.isnan(scalar)
-        assert nan.any() and not nan.all()
-        np.testing.assert_array_equal(np.isnan(grid), nan)
-        np.testing.assert_array_equal(grid[~nan].view(np.int64), scalar[~nan].view(np.int64))
+        below, above = [cuts], [cuts]
+        for _ in range(3):
+            below.append(np.nextafter(below[-1], -np.inf))
+            above.append(np.nextafter(above[-1], np.inf))
+        energies = np.sort(np.concatenate([np.linspace(-g * g - 1.5, 8.0, 401), *below, *above]))
+        lanes = secular_count(energies, params, order)
+        scalar = np.array([secular_count(float(e), params, order) for e in energies])
+        np.testing.assert_array_equal(lanes, scalar)
+        assert np.all(np.diff(lanes) >= 0)
+
+    @pytest.mark.parametrize("g", [math.sqrt(0.84) / 2, 0.7, 2.0, 3.0])
+    def test_never_falls_on_the_grid(self, g):
+        params = ModelParams(1.0, g, 0.4)
+        counts = secular_count(np.linspace(*default_window(params, 12), 2000), params, 600)
+        assert np.all(np.diff(counts) >= 0)
+
+    @given(st.floats(0.0, 3.0, exclude_min=True), st.floats(0.0, 2.0, exclude_min=True))
+    def test_window_count_matches_union_oracle(self, g, delta):
+        params = ModelParams(1.0, g, delta)
+        window = default_window(params, 8)
+        chains = [build_chain(params, parity, 300) for parity in (Parity.PLUS, Parity.MINUS)]
+        union = lambda e: sum(sturm_count(e, chain) for chain in chains)
+        margin = 1e-8 * params.omega
+        for end in window:
+            assume(union(end - margin) == union(end + margin))
+        lo, hi = (secular_count(end, params, 300) for end in window)
+        assert hi - lo == union(window[1]) - union(window[0])
 
 
 class TestMinimalSequence:

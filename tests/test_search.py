@@ -17,7 +17,7 @@ from rabicf import (
     pair_secular,
     scan_crossings,
     scan_levels,
-    segment_window,
+    secular_count,
     solve_method_a,
     spectral_function_a,
 )
@@ -27,92 +27,71 @@ from rabicf.search import bisect_sign, default_window
 from conftest import FIXTURE, ORACLE_UNION_24
 
 
-class TestSegmentWindow:
-    def test_cut_lattice(self):
-        seg = segment_window((-1.0, 3.0), FIXTURE)
-        # E = k - 0.49 for k = 0..3 lie inside (-1, 3)
-        np.testing.assert_allclose(seg.cut_points, [-0.49, 0.51, 1.51, 2.51], atol=1e-12)
-        assert len(seg.segments) == len(seg.cut_points) + 1
-
-    def test_guards_removed(self):
-        seg = segment_window((-1.0, 3.0), FIXTURE, guard=0.1)
-        for (a, b), cut in zip(seg.segments[:-1], seg.cut_points):
-            assert b == pytest.approx(cut - 0.1)
-        for (a, b), cut in zip(seg.segments[1:], seg.cut_points):
-            assert a == pytest.approx(cut + 0.1)
-
-    def test_no_params_single_segment(self):
-        seg = segment_window((0.0, 2.0))
-        assert seg.cut_points == ()
-        assert seg.segments == ((0.0, 2.0),)
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            segment_window((2.0, 1.0), FIXTURE)
-
-
 class TestBracketRoots:
+    def test_invalid_window(self):
+        with pytest.raises(ValueError, match="invalid window"):
+            bracket_roots(lambda e: e, (2.0, 1.0), 10)
+
     def test_linear_single_bracket(self):
-        seg = segment_window((0.0, 2.0))
-        scan = bracket_roots(lambda e: e - 1.0, seg, 10)
+        scan = bracket_roots(lambda e: e - 1.0, (0.0, 2.0), 10)
         assert len(scan.brackets) == 1
         lo, hi = scan.brackets[0]
         assert lo < 1.0 < hi
 
     def test_no_sign_change(self):
-        seg = segment_window((0.0, 2.0))
-        scan = bracket_roots(lambda e: e + 1.0, seg, 10)
+        scan = bracket_roots(lambda e: e + 1.0, (0.0, 2.0), 10)
         assert scan.brackets == ()
 
     def test_skips_nan_samples(self):
-        seg = segment_window((0.0, 2.0))
         scan = bracket_roots(
             np.vectorize(lambda e: math.nan if 0.9 < e < 1.1 else e - 1.0, otypes=[float]),
-            seg,
+            (0.0, 2.0),
             50,
         )
         assert len(scan.brackets) == 1
 
     def test_fixture_count_matches_oracle(self, oracle_union):
-        # pole-free secular sampling: bracket count equals the oracle
-        # eigenvalue count in the window
-        seg = segment_window((-1.0, 6.0), FIXTURE)
-        scan = bracket_roots(lambda e: pair_secular(e, FIXTURE, 150), seg, 2000)
+        # the secular root count brackets every oracle eigenvalue in the
+        # window, across the cuts of the pole lattice
+        scan = bracket_roots(lambda e: secular_count(e, FIXTURE, 150), (-1.0, 6.0), 2000)
         n_oracle = int(np.sum((oracle_union > -1.0) & (oracle_union < 6.0)))
         assert len(scan.brackets) == n_oracle == 14
 
     def test_grid_too_small(self):
-        seg = segment_window((-1.0, 3.0), FIXTURE)
-        with pytest.raises(ValueError):
-            bracket_roots(lambda e: e, seg, 3)
+        with pytest.raises(ValueError, match="--grid 1 is too small"):
+            bracket_roots(lambda e: e, (-1.0, 3.0), 1)
 
     def test_exact_zero_sample_is_bracket(self):
-        seg = segment_window((0.0, 2.0))
-        scan = bracket_roots(lambda e: e - 1.0, seg, 11)  # grid hits 1.0
+        scan = bracket_roots(lambda e: e - 1.0, (0.0, 2.0), 11)  # grid hits 1.0
         assert any(lo == hi == 1.0 for lo, hi in scan.brackets)
 
     def test_brackets_in_sample_order(self):
         # roots at 0.3 and 1.7 flip sign between samples; 1.0 is a sample
         xs = np.linspace(0.0, 2.0, 11)
-        seg = segment_window((0.0, 2.0))
-        scan = bracket_roots(lambda e: (e - 0.3) * (e - 1.0) * (e - 1.7), seg, 11)
+        scan = bracket_roots(lambda e: (e - 0.3) * (e - 1.0) * (e - 1.7), (0.0, 2.0), 11)
         assert scan.brackets == ((xs[1], xs[2]), (1.0, 1.0), (xs[8], xs[9]))
+
+    def test_count_rise_repeats_the_cell(self):
+        # an integer count that rises by 2 over one cell brackets it twice
+        xs = np.linspace(0.0, 2.0, 11)
+        count = lambda e: 2 * (e > 0.5) + (e > 1.5)
+        scan = bracket_roots(count, (0.0, 2.0), 11)
+        assert scan.brackets == ((xs[2], xs[3]), (xs[2], xs[3]), (xs[7], xs[8]))
+        assert bracket_roots(count, (0.0, 2.0), 11, 1).brackets == scan.brackets[:1]
 
     def test_levels_keeps_the_lowest(self):
         f = lambda e: (e - 0.3) * (e - 1.0) * (e - 1.7)
-        seg = segment_window((0.0, 2.0))
-        every = bracket_roots(f, seg, 11).brackets
+        every = bracket_roots(f, (0.0, 2.0), 11).brackets
         assert len(every) == 3
         for levels in (0, 1, 2, 3, 4):
-            assert bracket_roots(f, seg, 11, levels).brackets == every[:levels]
+            assert bracket_roots(f, (0.0, 2.0), 11, levels).brackets == every[:levels]
 
     def test_raw_spectral_function_brackets_include_cf_poles(self, oracle_union):
         # sampling f0 - F_N raw also flips sign at the poles of F_N; the
         # refined residual separates them cleanly from genuine roots, which
         # is why the solver brackets on the pole-free secular form instead
         raw_f = lambda e: spectral_function_a(e, FIXTURE, 150).value
-        seg = segment_window((-1.0, 6.0), FIXTURE)
-        raw = bracket_roots(np.vectorize(raw_f, otypes=[float]), seg, 2000)
+        raw = bracket_roots(np.vectorize(raw_f, otypes=[float]), (-1.0, 6.0), 2000)
         n_oracle = int(np.sum((oracle_union > -1.0) & (oracle_union < 6.0)))
         assert len(raw.brackets) > n_oracle
         kept = 0
@@ -171,12 +150,6 @@ class TestSolveMethodA:
             float(oracle_union[0]), abs=1e-8
         )
 
-    def test_no_root_inside_guard(self):
-        result = solve_method_a(FIXTURE, 120, (-1.2, 8.0))
-        seg = segment_window((-1.2, 8.0), FIXTURE)
-        for lev in result.spectrum.levels:
-            assert min(abs(lev.energy - c) for c in seg.cut_points) > 1e-9
-
     def test_delta_zero_refused(self):
         with pytest.raises(DeltaZeroError):
             solve_method_a(ModelParams(1.0, 0.7, 0.0), 100, (-1.0, 3.0))
@@ -191,14 +164,10 @@ class TestSolveMethodA:
         assert len(result.spectrum.levels) == n_oracle
 
     def test_no_level_lost_at_guard_edge(self):
-        # at g = 1 the segment opening at cut + guard used to round back
-        # into the pole guard, so its first grid cell went unchecked and
-        # the level at E = -0.99620 was lost
+        # at g = 1 a window segmented at the pole lattice once lost the
+        # level at E = -0.99620 next to the guard of a cut
         params = ModelParams(1.0, 1.0, 0.4)
         window = default_window(params, 12)
-        for a, b in segment_window(window, params).segments:
-            assert math.isfinite(pair_secular(a, params, 600))
-            assert math.isfinite(pair_secular(b, params, 600))
         got = solve_method_a(params, 600, window, levels=12).spectrum.energies
         union = np.sort(np.concatenate([
             eigenvalues(build_chain(params, parity, 600), 12, tol=1e-12).energies
@@ -224,6 +193,29 @@ class TestSolveMethodA:
         lowest = solve_method_a(params, order, window, levels=k).spectrum.levels
         assert len(calls) == k
         assert lowest == every[:k]
+
+    @staticmethod
+    def _juddian_pair(g, n):
+        # both parity chains hold the level E = n w - g^2/w, which sits on
+        # the cut of f_n: method a reports it twice
+        params = ModelParams(1.0, g, 0.4)
+        got = solve_method_a(params, 300, default_window(params, 8), levels=8).spectrum.energies
+        target = n * params.omega - g * g / params.omega
+        near = got[np.abs(got - target) < 1e-6]
+        assert len(near) == 2
+        assert float(np.max(np.abs(near - target))) < 1e-11 * params.omega
+
+    def test_juddian_pair_on_first_cut(self):
+        # 4 g^2 + delta^2 = omega^2 puts a doubly degenerate level on the
+        # cut x = omega (Judd, J. Phys. C 12, 1685 (1979))
+        self._juddian_pair(math.sqrt(0.84) / 2, 1)
+
+    @pytest.mark.parametrize("g_bracket", [(0.35, 0.36), (0.90, 0.91)])
+    def test_juddian_pair_on_second_cut(self, g_bracket):
+        # the n = 2 points are the couplings where the leading minor W_1
+        # vanishes at x = 2 w, bisected in g
+        w1 = lambda g: pair_secular(2.0 - g * g, ModelParams(1.0, g, 0.4), 1)
+        self._juddian_pair(bisect_sign(w1, *g_bracket, 1e-16), 2)
 
 
 class TestScan:

@@ -90,7 +90,6 @@ from .search import (
     MethodAResult,
     ScanResult,
     bracket_roots,
-    scan_crossings,
     scan_levels,
     solve_method_a,
 )

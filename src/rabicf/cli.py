@@ -39,6 +39,7 @@ from .resolvent import (
 from .schweber import DEN_FLOOR, pole_guard
 from .search import (
     DEFAULT_GRID,
+    DEFAULT_ORDER,
     DEFAULT_REFINE_TOL,
     default_order_a,
     default_window,
@@ -181,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--levels", type=int, default=8)
-    p.add_argument("--order", type=int, default=300)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--tol", type=float)
     p.add_argument("--levels-out",
                    help="write the level tracks to this CSV file instead of stdout")
@@ -288,7 +289,7 @@ def _make_config(args, method: str, order: int | None, solver_tol: float | None 
         if method == "a":
             order = default_order_a(params, levels, window)
         else:
-            order = max(300, 4 * levels)
+            order = max(DEFAULT_ORDER, 4 * levels)
     tol = _positive(solver_tol if solver_tol is not None else DEFAULT_EIG_TOL * params.omega)
     eps_pole = pole_guard(params, getattr(args, "eps_pole", None))
     parity = Parity.PLUS if getattr(args, "parity", None) == "plus" else (

@@ -72,9 +72,20 @@ def _candidate_levels(energy: float, params: ModelParams, n: int, up_to: int) ->
     each parity class it is linear in j but for a kink where b_j changes
     sign, near j = (E -+ D)/w, so at a class end or next to a kink.  (At
     c = g^2/w it is flat above the kink, and read to a few ulps of j w.)"""
+    if n < 0 or up_to < n:
+        raise ValueError("need 0 <= n <= up_to")
     kinks = [math.floor((energy + s * params.delta) / params.omega) for s in (-1.0, 1.0)]
     js = {n, n + 1, up_to - 1, up_to, *(k + i for k in kinks for i in range(-1, 3))}
     return np.array(sorted(j for j in js if n <= j <= up_to), dtype=float)
+
+
+def _margins(energy, params, parity, n, up_to, c):
+    """min over levels [n, up_to] of |b_j| - (j g^2/c + c), for a constant
+    ``c`` or each entry of an array of them."""
+    j = _candidate_levels(energy, params, n, up_to)
+    lhs = np.abs(_tail_b(energy, params, parity, j))
+    c = np.asarray(c, dtype=float)[..., None]
+    return np.min(lhs - (j * params.g * params.g / c + c), axis=-1)
 
 
 def check_pringsheim(
@@ -86,14 +97,9 @@ def check_pringsheim(
     up_to: int,
 ) -> PringsheimCertificate:
     """Verify the tail inequality with constant ``c`` on levels [n, up_to]."""
-    if n < 0 or up_to < n:
-        raise ValueError("need 0 <= n <= up_to")
     if c <= 0:
         raise ValueError("c must be positive")
-    j = _candidate_levels(energy, params, n, up_to)
-    lhs = np.abs(_tail_b(energy, params, parity, j))
-    rhs = j * params.g * params.g / c + c
-    margin = float(np.min(lhs - rhs))
+    margin = float(_margins(energy, params, parity, n, up_to, c))
     return PringsheimCertificate(
         c=c,
         start_index=n,
@@ -127,12 +133,10 @@ def best_certificate(
     lo, hi = g * g / w, max(n, 1) * w
     if hi <= lo:
         hi = 4.0 * lo
-    best = None
-    for c in np.geomspace(lo, hi, 400):
-        cert = check_pringsheim(energy, params, parity, n, float(c), up_to)
-        if best is None or cert.margin > best.margin:
-            best = cert
-    return best
+    cs = np.geomspace(lo, hi, 400)
+    # argmax keeps the first of equal margins
+    c = float(cs[np.argmax(_margins(energy, params, parity, n, up_to, cs))])
+    return check_pringsheim(energy, params, parity, n, c, up_to)
 
 
 def compare_spectra(a: SpectrumApproximation, b: SpectrumApproximation, m: int) -> float:

@@ -203,16 +203,21 @@ def poles_of_resolvent(
     )
 
 
-def _upward_ratios(energy0: float, chain: ChainCoefficients) -> list[float]:
-    """G_1(E_0) .. G_N(E_0) from the upward recurrence, in double."""
+def _upward_ratios(energy0: float, chain: ChainCoefficients, num=None) -> list:
+    """G_1(E_0) .. G_N(E_0) from the upward recurrence: in double, or in
+    ``num`` arithmetic (mpmath.mpf at the caller's precision), with b_j and
+    a_j built from the stored entries converted exactly."""
     if chain.params.g == 0.0:
         raise GZeroError("upward recurrence needs nonzero coupling (a_j > 0)")
     if chain.order < 1:
         raise ValueError("need order >= 1 for the upward recurrence")
     if not math.isfinite(energy0):
         raise ValueError("energy0 must be finite")
-    b = _b_values(energy0, chain)
-    a = chain.a_values()
+    if num is None:
+        b, a = _b_values(energy0, chain), chain.a_values()
+    else:
+        b = [num(energy0) - d for d in chain.diag.tolist()]
+        a = [num(x) ** 2 for x in chain.offdiag.tolist()]
     ratios = [b[0] / a[0]]  # G_1 = b_0/a_1
     for j in range(1, chain.order):
         cur = ratios[-1]
@@ -324,13 +329,9 @@ def build_pathological(
     last_offdiag = (params.g * base.order if variant is PathologicalVariant.DIAG_AND_OFFDIAG
                     else float(base.offdiag[-1]))
     with mpmath.workdps(digits):
-        e0 = mpmath.mpf(energy0)
-        diag = base.diag.tolist()
-        a = [mpmath.mpf(x) ** 2 for x in base.offdiag.tolist()]
-        tail = (e0 - diag[0]) / a[0]
-        for j in range(1, base.order):
-            tail = (e0 - diag[j]) / a[j] - 1 / (a[j] * tail)
-        hnn = e0 - mpmath.mpf(last_offdiag) ** 2 / (a[-1] * tail)
+        tail = _upward_ratios(energy0, base, mpmath.mpf)[-1]
+        a_n = mpmath.mpf(base.offdiag[-1]) ** 2
+        hnn = energy0 - mpmath.mpf(last_offdiag) ** 2 / (a_n * tail)
     diag, offdiag = base.diag.copy(), base.offdiag.copy()
     diag[base.order] = float(hnn)
     offdiag[base.order - 1] = last_offdiag

@@ -46,10 +46,13 @@ __all__ = [
     "CrossingEvent",
     "ScanResult",
     "scan_levels",
-    "scan_crossings",
 ]
 
 DEFAULT_GRID = 2000
+
+# Default truncation order of the resolvent method, the eigensolver and
+# the scan, and the floor of the coefficient method's.
+DEFAULT_ORDER = 300
 
 # Root refinement width, relative to omega.
 DEFAULT_REFINE_TOL = 1e-12
@@ -142,10 +145,11 @@ def default_window(params: ModelParams, levels: int) -> tuple[float, float]:
 
 
 def default_order_a(params: ModelParams, levels: int, window: tuple[float, float]) -> int:
-    """Default truncation for the coefficient method: the tail-depth bound
-    at the largest swept |E|, with floors of 4*levels and 50."""
+    """Default truncation for the coefficient method: twice the tail-depth
+    bound at the largest swept |E|, with floors of 4*levels and the
+    resolvent and eigensolver default, DEFAULT_ORDER."""
     emax = max(abs(window[0]), abs(window[1]))
-    return max(tail_depth_bound(emax, params), 4 * levels, 50)
+    return max(2 * tail_depth_bound(emax, params), 4 * levels, DEFAULT_ORDER)
 
 
 @dataclass(frozen=True)
@@ -229,10 +233,8 @@ def _isolate(count, params, order, lo, hi, want, tol) -> list[tuple[float, float
 class CrossingEvent:
     """An inter-parity level crossing found during a parameter scan."""
 
-    parameter: str
     value: float
     energy: float
-    parities: tuple[Parity, Parity]
     plus_level: int
     minus_level: int
     shifted: float
@@ -242,7 +244,6 @@ class CrossingEvent:
 
 @dataclass(frozen=True)
 class ScanResult:
-    parameter: str
     values: np.ndarray
     plus_levels: np.ndarray
     minus_levels: np.ndarray
@@ -376,10 +377,8 @@ def _crossing(base, parameter, a, b, value, energy) -> CrossingEvent:
     shifted = energy + p.g * p.g / p.omega
     k = int(round(shifted / p.omega))
     return CrossingEvent(
-        parameter=parameter,
         value=value,
         energy=energy,
-        parities=(Parity.PLUS, Parity.MINUS),
         plus_level=a,
         minus_level=b,
         shifted=shifted,
@@ -401,12 +400,12 @@ def scan_levels(
     """Track the lowest oracle eigenvalues of both parity chains across a
     parameter sweep and refine every inter-parity crossing.
 
-    Crossings are detected as sign changes of E_i^+ - E_j^- between
-    adjacent scan points for every level pair (tracking is by sorted order
-    within each chain, which parity conservation keeps consistent), then
-    refined by ITP on the gap.  A gap that is exactly zero on the first or
-    last scan point is a crossing there.  Events closer than one scan step
-    for the same pair are deduplicated.
+    Every sign change of a gap E_i^+ - E_j^- between adjacent scan points
+    is one crossing event, for every level pair (tracking is by sorted
+    order within each chain, which parity conservation keeps consistent),
+    refined by ITP on the gap; nothing is merged.  A gap that is exactly
+    zero on the first or last scan point, with a nonzero neighbour, is a
+    crossing there.  Events come sorted by value, then level pair.
     """
     if steps < 10:
         raise ValueError("steps must be >= 10")
@@ -430,9 +429,8 @@ def scan_levels(
     interval = _sweep_interval(params_base, parameter, float(np.max(values)), order)
     ep, em = _spectra_at(params_base, parameter, values, levels, order, tol, interval)
 
-    step = (stop - start) / (steps - 1)
     raw = []
-    events: list[CrossingEvent] = []
+    found: list[tuple[int, int, float, float]] = []
     for a in range(levels):
         for b in range(levels):
             # a crossing on a scan point leaves an exact-zero gap there:
@@ -448,46 +446,19 @@ def scan_levels(
             # run that reaches an end stays unresolved, as one inside does
             for i, n in ((0, 1), (steps - 1, steps - 2)):
                 if gap[i] == 0.0 and gap[n] != 0.0:
-                    events.append(_crossing(params_base, parameter, a, b,
-                                            float(values[i]), float(ep[i, a])))
+                    found.append((a, b, float(values[i]), float(ep[i, a])))
 
     if raw:
         value_tol = DEFAULT_REFINE_TOL * max(params_base.omega, abs(stop))
         stars, estars, _ = _refine_events(
             params_base, parameter, raw, order, tol, value_tol, interval
         )
-        for (a, b, *_), star, estar in zip(raw, stars, estars):
-            events.append(_crossing(params_base, parameter, a, b, float(star), float(estar)))
-    events.sort(key=lambda ev: (ev.value, ev.plus_level, ev.minus_level))
-    deduped: list[CrossingEvent] = []
-    for ev in events:
-        if any(
-            d.plus_level == ev.plus_level and d.minus_level == ev.minus_level
-            and abs(d.value - ev.value) < step
-            for d in deduped
-        ):
-            continue
-        deduped.append(ev)
+        found += [(a, b, float(star), float(estar))
+                  for (a, b, *_), star, estar in zip(raw, stars, estars)]
+    found.sort(key=lambda row: (row[2], row[0], row[1]))
     return ScanResult(
-        parameter=parameter,
         values=values,
         plus_levels=ep,
         minus_levels=em,
-        events=tuple(deduped),
-    )
-
-
-def scan_crossings(
-    params_base: ModelParams,
-    parameter: str,
-    start: float,
-    stop: float,
-    steps: int,
-    levels: int,
-    order: TruncationOrder,
-    tol: float | None = None,
-) -> list[CrossingEvent]:
-    """Crossing events only; see :func:`scan_levels` for the level tracks."""
-    return list(
-        scan_levels(params_base, parameter, start, stop, steps, levels, order, tol).events
+        events=tuple(_crossing(params_base, parameter, *row) for row in found),
     )

@@ -19,7 +19,6 @@ import numpy as np
 
 from rabicf import (
     Classification,
-    scan_crossings,
     ModelParams,
     Parity,
     build_chain,
@@ -34,6 +33,7 @@ from rabicf import (
     minimal_sequence,
     poles_of_resolvent,
     resolvent_cf,
+    scan_levels,
     solve_method_a,
     tail_depth_bound,
     tail_value,
@@ -210,7 +210,7 @@ def test_criterion_6_minimal_dominant_classification(oracle_union):
 
 def test_criterion_7_degeneracy_law():
     t0 = time.perf_counter()
-    events = scan_crossings(FIXTURE, "g", 0.05, 1.2, 600, 8, 300)
+    events = scan_levels(FIXTURE, "g", 0.05, 1.2, 600, 8, 300).events
     elapsed = time.perf_counter() - t0
     worst = max(ev.deviation for ev in events) if events else float("inf")
     ok = len(events) >= 1 and worst < 1e-4 and elapsed < 60.0

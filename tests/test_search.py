@@ -15,7 +15,6 @@ from rabicf import (
     build_chain,
     eigenvalues,
     pair_secular,
-    scan_crossings,
     scan_levels,
     secular_count,
     solve_method_a,
@@ -177,6 +176,27 @@ class TestSolveMethodA:
         assert len(got) == len(union) == 12
         assert float(np.max(np.abs(got - union))) < 1e-10
 
+    @pytest.mark.parametrize("g, delta", [
+        (2.29, 0.51), (2.51, 0.87), (2.70, 0.06), (3.0, 0.4), (4.0, 0.4), (5.0, 0.4), (8.0, 0.4),
+    ])
+    def test_default_order_converged(self, g, delta):
+        # the default truncation leaves the 8 lowest levels converged at
+        # strong coupling: twice that order moves the union by less than
+        # 1e-8 w
+        params, k = ModelParams(1.0, g, delta), 8
+        window = default_window(params, k)
+        order = search.default_order_a(params, k, window)
+        got = solve_method_a(params, order, window, levels=k).spectrum.energies
+        j = np.arange(2 * order + 1, dtype=float)
+        off = g * np.sqrt(j[1:])
+        union = np.sort(np.concatenate([
+            eigh_tridiagonal(j + sign * (-1.0) ** j * delta, off, eigvals_only=True,
+                             select="i", select_range=(0, k - 1))
+            for sign in (1, -1)
+        ]))[:k]
+        assert len(got) == k
+        assert float(np.max(np.abs(got - union))) < 1e-8 * params.omega
+
     @pytest.mark.parametrize("g", [0.7, 1.0, 2.0])
     def test_refines_only_the_levels_returned(self, monkeypatch, g):
         # the lowest k brackets are refined, not every bracket in the window
@@ -229,21 +249,20 @@ class TestScan:
 
     def test_delta_zero_rejected(self):
         with pytest.raises(DegenerateScanError):
-            scan_crossings(ModelParams(1.0, 0.7, 0.0), "g", 0.1, 0.5, 20, 3, 60)
+            scan_levels(ModelParams(1.0, 0.7, 0.0), "g", 0.1, 0.5, 20, 3, 60)
 
     def test_empty_range(self):
-        events = scan_crossings(FIXTURE, "g", 0.05, 0.08, 10, 3, 80)
-        assert events == []
+        events = scan_levels(FIXTURE, "g", 0.05, 0.08, 10, 3, 80).events
+        assert events == ()
 
     def test_single_crossing_refined(self):
         # the (1,1) pair crosses near g ~ 0.4583 with x* = 1 exactly
-        events = scan_crossings(FIXTURE, "g", 0.4, 0.52, 60, 3, 120)
+        events = scan_levels(FIXTURE, "g", 0.4, 0.52, 60, 3, 120).events
         assert len(events) == 1
         ev = events[0]
         assert ev.value == pytest.approx(0.45825756949, abs=1e-6)
         assert ev.nearest_multiple == 1
         assert ev.deviation < 1e-8
-        assert ev.parities == (Parity.PLUS, Parity.MINUS)
         assert (ev.plus_level, ev.minus_level) == (1, 1)
         # the crossing energy satisfies the integer-multiple law
         assert ev.shifted == pytest.approx(1.0, abs=1e-8)
@@ -252,7 +271,7 @@ class TestScan:
         # the midpoint sample is the first Juddian point 4g^2 + delta^2 = omega^2,
         # where the (1, 1) gap is exactly zero
         g_star = math.sqrt(0.84) / 2
-        events = scan_crossings(FIXTURE, "g", g_star - 0.01, g_star + 0.01, 11, 3, 150)
+        events = scan_levels(FIXTURE, "g", g_star - 0.01, g_star + 0.01, 11, 3, 150).events
         assert len(events) == 1
         assert (events[0].plus_level, events[0].minus_level) == (1, 1)
         assert abs(events[0].value - g_star) < 1e-9
@@ -265,13 +284,13 @@ class TestScan:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            scan_crossings(FIXTURE, "g", 0.1, 0.5, 5, 3, 60)
+            scan_levels(FIXTURE, "g", 0.1, 0.5, 5, 3, 60)
         with pytest.raises(ValueError):
-            scan_crossings(FIXTURE, "g", 0.5, 0.1, 20, 3, 60)
+            scan_levels(FIXTURE, "g", 0.5, 0.1, 20, 3, 60)
         with pytest.raises(ValueError):
-            scan_crossings(FIXTURE, "FAKE", 0.1, 0.5, 20, 3, 60)
+            scan_levels(FIXTURE, "FAKE", 0.1, 0.5, 20, 3, 60)
         with pytest.raises(DegenerateScanError):
-            scan_crossings(FIXTURE, "delta", 0.0, 0.5, 20, 3, 60)
+            scan_levels(FIXTURE, "delta", 0.0, 0.5, 20, 3, 60)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-11, float("nan"), float("inf")])
     def test_malformed_tol_rejected(self, tol):
@@ -282,13 +301,24 @@ class TestScan:
         # the first scan point sits on the Juddian point, where the (1, 1)
         # gap is exactly zero with a neighbour on one side only
         g_star = math.sqrt(0.84) / 2
-        events = scan_crossings(
+        events = scan_levels(
             FIXTURE, "g", 0.45825756949515895, 0.46825756949515895, 11, 3, 150
-        )
+        ).events
         assert len(events) == 1
         assert (events[0].plus_level, events[0].minus_level) == (1, 1)
         assert abs(events[0].value - g_star) < 1e-9
 
+    def test_every_grid_sign_change_is_an_event(self):
+        # on a coarse grid the (9, 9) gap changes sign in neighbouring
+        # cells, with crossings less than one step apart: each is an event
+        result = scan_levels(FIXTURE, "g", 0.05, 3.0, 12, 10, 200)
+        ep, em = result.plus_levels, result.minus_levels
+        flips = sum(
+            int(np.count_nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0))
+            for d in (ep[:, a] - em[:, b] for a in range(10) for b in range(10))
+        )
+        assert flips == 45
+        assert len(result.events) == flips
 
     @pytest.mark.parametrize("gap, found", [
         ([0.0, 1.0, 2.0], [0]),    # isolated zero on the first point

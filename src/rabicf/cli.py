@@ -18,7 +18,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .convergence import best_certificate, tail_depth_bound
@@ -41,6 +40,8 @@ from .search import (
     DEFAULT_GRID,
     DEFAULT_ORDER,
     DEFAULT_REFINE_TOL,
+    checked_grid,
+    checked_window,
     default_order_a,
     default_window,
     scan_levels,
@@ -53,28 +54,8 @@ EXIT_TOLERANCE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-
-@dataclass
-class RunConfig:
-    """Validated inputs of one spectrum computation."""
-
-    params: ModelParams
-    method: str  # "a" | "b" | "diag"
-    parity: Parity | None
-    order: int
-    levels: int
-    window: tuple[float, float]
-    grid: int
-    tol: float
-    eps_pole: float
-
-    def validate(self):
-        if self.method == "a" and self.params.g == 0.0:
-            raise ValueError("method a requires g > 0")
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
+# The --parity choices of every subcommand that takes one.
+PARITIES = {"plus": Parity.PLUS, "minus": Parity.MINUS}
 
 
 def _emit(metadata: dict, columns: list[str], rows: list[list], fmt: str, out) -> None:
@@ -130,15 +111,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("a", "b", "diag"), required=True,
                    help="a: coefficient continued fraction (parity-blind); "
                         "b: resolvent poles; diag: Sturm-bisection oracle")
-    p.add_argument("--parity", choices=("plus", "minus"),
+    p.add_argument("--parity", choices=PARITIES,
                    help="parity chain for methods b/diag; omitted = union of both; "
                         "ignored by method a")
     p.add_argument("--order", type=int, help="truncation order (defaults per method)")
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--window", type=_parse_window,
-                   help="search window lo:hi; use --window=lo:hi for a negative lo "
-                        "(default derived from the exact limits)")
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+                   help="search window lo:hi of methods a and b, checked for diag too; "
+                        "use --window=lo:hi for a negative lo (default derived from "
+                        "the exact limits)")
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                   help="samples across the window for methods a and b, at least 2 "
+                        "(checked for diag too)")
     p.add_argument("--tol", type=float,
                    help="Sturm bisection width of --method diag (default 1e-11*omega); "
                         "methods a and b ignore it and refine roots to 1e-12*omega")
@@ -157,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float,
                    help="pass threshold on the max deviation (default 1e-7*omega; "
                         "exit 1 at or above it)")
-    p.add_argument("--parity", choices=("plus", "minus"),
+    p.add_argument("--parity", choices=PARITIES,
                    help="restrict methods b/diag to one chain (default: union)")
     p.add_argument("--window", type=_parse_window)
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
@@ -165,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pathological", help="plant a fictitious resolvent pole")
     _add_model_args(p)
     p.add_argument("--e0", type=float, required=True, help="energy of the planted pole")
-    p.add_argument("--parity", choices=("plus", "minus"), default="plus")
+    p.add_argument("--parity", choices=PARITIES, default="plus")
     p.add_argument("--order", type=_parse_orders, default=[10, 20, 40, 80, 160],
                    help="comma-separated truncation orders for the sweep")
     p.add_argument("--variant", choices=("diag", "diag-offdiag"), default="diag")
@@ -173,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="tail-depth bound and convergence certificate")
     _add_model_args(p)
     p.add_argument("--energy", type=float, required=True)
-    p.add_argument("--parity", choices=("plus", "minus"), default="plus")
+    p.add_argument("--parity", choices=PARITIES, default="plus")
 
     p = sub.add_parser("scan", help="parameter scan with crossing detection")
     _add_model_args(p)
@@ -233,84 +217,62 @@ def _metadata_base(args, params: ModelParams) -> dict:
     }
 
 
-def _spectrum_levels(config: RunConfig) -> tuple[list[EnergyLevel], dict]:
-    """Compute one spectrum per the config; returns (levels, metadata bits)."""
-    params = config.params
-    notes: dict = {
-        "method": config.method,
-        "order": config.order,
-        "levels_requested": config.levels,
-        "window": f"{config.window[0]!r}:{config.window[1]!r}",
-        "eig_tol": repr(config.tol),
-        "refine_tol": repr(DEFAULT_REFINE_TOL * params.omega),
-        "eps_pole": repr(config.eps_pole),
-        "den_floor": repr(DEN_FLOOR),
-        "grid": config.grid,
-    }
-    if config.method == "a":
-        notes["parity"] = "n/a"
-        notes["parity_note"] = ("method a depends only on delta**2 "
-                                "and does not discern the parity chains")
-        result = solve_method_a(
-            params, config.order, config.window, levels=config.levels,
-            grid=config.grid, eps_pole=config.eps_pole,
-        )
-        return list(result.spectrum.levels), notes
-
-    parities = [config.parity] if config.parity else [Parity.PLUS, Parity.MINUS]
-    notes["parity"] = config.parity.label if config.parity else "union"
-    spectra = []
-    for parity in parities:
-        chain = build_chain(params, parity, config.order)
-        if config.method == "diag":
-            spectra.append(eigenvalues(chain, config.levels, config.tol))
-        else:
-            spectra.append(
-                poles_of_resolvent(chain, config.window, config.levels, grid=config.grid)
-            )
-    if config.parity:
-        return list(spectra[0].levels), notes
-    return union_spectrum(spectra, first_k=config.levels), notes
-
-
 def _positive(tol: float) -> float:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     return tol
 
 
-def _make_config(args, method: str, order: int | None, solver_tol: float | None = None,
-                 levels: int | None = None) -> RunConfig:
+def _solve_spectrum(args, method: str, order: int | None, levels: int,
+                    solver_tol: float | None = None) -> tuple[list[EnergyLevel], dict]:
+    """Check one spectrum request, fill in its defaults and solve it;
+    returns (levels, metadata bits), the order used among the latter."""
     params = ModelParams(args.omega, args.g, args.delta)
-    if levels is None:
-        levels = getattr(args, "levels", 8)
-    window = getattr(args, "window", None) or default_window(params, levels)
+    window = args.window or default_window(params, levels)
     if order is None:
-        if method == "a":
-            order = default_order_a(params, levels, window)
-        else:
-            order = max(DEFAULT_ORDER, 4 * levels)
+        order = (default_order_a(params, levels, window) if method == "a"
+                 else max(DEFAULT_ORDER, 4 * levels))
     tol = _positive(solver_tol if solver_tol is not None else DEFAULT_EIG_TOL * params.omega)
-    eps_pole = pole_guard(params, getattr(args, "eps_pole", None))
-    parity = Parity.PLUS if getattr(args, "parity", None) == "plus" else (
-        Parity.MINUS if getattr(args, "parity", None) == "minus" else None)
-    config = RunConfig(
-        params=params, method=method, parity=parity, order=order,
-        levels=levels, window=window, grid=getattr(args, "grid", DEFAULT_GRID),
-        tol=tol, eps_pole=eps_pole,
-    )
-    config.validate()
-    return config
+    eps_pole = pole_guard(params, getattr(args, "eps_pole", None))  # compare takes no --eps-pole
+    if method == "a" and params.g == 0.0:
+        raise ValueError("method a requires g > 0")
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    checked_window(window)
+    checked_grid(args.grid)
+    notes: dict = {
+        "method": method, "order": order, "levels_requested": levels,
+        "window": f"{window[0]!r}:{window[1]!r}", "eig_tol": repr(tol),
+        "refine_tol": repr(DEFAULT_REFINE_TOL * params.omega),
+        "eps_pole": repr(eps_pole), "den_floor": repr(DEN_FLOOR), "grid": args.grid,
+    }
+    if method == "a":
+        notes["parity"] = "n/a"
+        notes["parity_note"] = ("method a depends only on delta**2 "
+                                "and does not discern the parity chains")
+        result = solve_method_a(params, order, window, levels=levels,
+                                grid=args.grid, eps_pole=eps_pole)
+        return list(result.spectrum.levels), notes
+
+    notes["parity"] = args.parity.label if args.parity else "union"
+    spectra = []
+    for parity in [args.parity] if args.parity else list(Parity):
+        chain = build_chain(params, parity, order)
+        spectra.append(eigenvalues(chain, levels, tol) if method == "diag"
+                       else poles_of_resolvent(chain, window, levels, grid=args.grid))
+    if args.parity:
+        return list(spectra[0].levels), notes
+    return union_spectrum(spectra, first_k=levels), notes
 
 
 def cmd_spectrum(args, out) -> int:
-    config = _make_config(args, args.method, args.order, solver_tol=args.tol)
-    levels, notes = _spectrum_levels(config)
-    meta = _metadata_base(args, config.params) | notes
+    levels, notes = _solve_spectrum(args, args.method, args.order, args.levels, args.tol)
+    meta = _metadata_base(args, ModelParams(args.omega, args.g, args.delta)) | notes
     columns = ["index", "energy", "residual", "method", "order", "parity"]
-    parity_label = notes["parity"]
     rows = [
-        [lev.index, lev.energy, lev.residual, config.method, config.order, parity_label]
+        [lev.index, lev.energy, lev.residual, args.method, notes["order"], notes["parity"]]
         for lev in levels
     ]
     _emit(meta, columns, rows, args.format, out)
@@ -318,12 +280,11 @@ def cmd_spectrum(args, out) -> int:
 
 
 def cmd_compare(args, out) -> int:
+    params = ModelParams(args.omega, args.g, args.delta)
     # --tol is the pass threshold, not a solver tolerance; default 1e-7*omega
-    config1 = _make_config(args, args.method_1, args.order_1, levels=args.m)
-    config2 = _make_config(args, args.method_2, args.order_2, levels=args.m)
-    tol = _positive(args.tol if args.tol is not None else 1e-7 * config1.params.omega)
-    levels1, notes1 = _spectrum_levels(config1)
-    levels2, notes2 = _spectrum_levels(config2)
+    tol = _positive(args.tol if args.tol is not None else 1e-7 * params.omega)
+    levels1, notes1 = _solve_spectrum(args, args.method_1, args.order_1, args.m)
+    levels2, notes2 = _solve_spectrum(args, args.method_2, args.order_2, args.m)
     if len(levels1) < args.m or len(levels2) < args.m:
         raise TooFewLevelsError(
             f"need {args.m} levels, computed {len(levels1)} and {len(levels2)}"
@@ -334,9 +295,9 @@ def cmd_compare(args, out) -> int:
         dev = abs(levels1[n].energy - levels2[n].energy)
         worst = max(worst, dev)
         rows.append([n, levels1[n].energy, levels2[n].energy, dev])
-    meta = _metadata_base(args, config1.params) | {
-        "method_1": args.method_1, "order_1": config1.order,
-        "method_2": args.method_2, "order_2": config2.order,
+    meta = _metadata_base(args, params) | {
+        "method_1": args.method_1, "order_1": notes1["order"],
+        "method_2": args.method_2, "order_2": notes2["order"],
         "m": args.m, "tol": repr(tol),
         "parity": notes1["parity"] if args.method_1 != "a" else notes2["parity"],
         "max_deviation": repr(worst),
@@ -347,13 +308,11 @@ def cmd_compare(args, out) -> int:
 
 def cmd_pathological(args, out) -> int:
     params = ModelParams(args.omega, args.g, args.delta)
-    parity = Parity.PLUS if args.parity == "plus" else Parity.MINUS
-    variant = (PathologicalVariant.DIAG_ONLY if args.variant == "diag"
-               else PathologicalVariant.DIAG_AND_OFFDIAG)
+    variant = PathologicalVariant(args.variant)
     limit = -params.omega / (params.g * params.g)
     rows = []
     for order in args.order:
-        chain = build_pathological(args.e0, params, parity, order, variant)
+        chain = build_pathological(args.e0, params, args.parity, order, variant)
         planted = resolvent_cf(args.e0, chain)
         rows.append([
             order,
@@ -366,7 +325,7 @@ def cmd_pathological(args, out) -> int:
         ])
     meta = _metadata_base(args, params) | {
         "e0": repr(args.e0),
-        "parity": parity.label,
+        "parity": args.parity.label,
         "variant": args.variant,
         "tail_limit": repr(limit),
         "min_separation": repr(E0_MIN_SEPARATION * params.omega),
@@ -379,12 +338,11 @@ def cmd_pathological(args, out) -> int:
 
 def cmd_bound(args, out) -> int:
     params = ModelParams(args.omega, args.g, args.delta)
-    parity = Parity.PLUS if args.parity == "plus" else Parity.MINUS
     n = tail_depth_bound(args.energy, params)
-    cert = best_certificate(args.energy, params, parity, n, 10 * n)
+    cert = best_certificate(args.energy, params, args.parity, n, 10 * n)
     meta = _metadata_base(args, params) | {
         "energy": repr(args.energy),
-        "parity": parity.label,
+        "parity": args.parity.label,
     }
     if params.g == 0.0:
         meta["note"] = "g = 0: every tail numerator vanishes; tail trivially convergent"
@@ -464,13 +422,15 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
+    if getattr(args, "parity", None):
+        args.parity = PARITIES[args.parity]
     try:
         return _COMMANDS[args.command](args, out)
     except (DegenerateScanError, PoleSeparationError, TooFewLevelsError, ValueError,
             OSError) as exc:
         print(f"rabicf: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RabiSolverError as exc:
+    except (RabiSolverError, ArithmeticError) as exc:
         print(f"rabicf: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -83,6 +83,13 @@ def checked_window(window) -> tuple[float, float]:
     return lo, hi
 
 
+def checked_grid(grid: int) -> int:
+    """``grid`` when it holds at least 2 samples; ValueError otherwise."""
+    if grid < 2:
+        raise ValueError(f"--grid {grid} is too small: at least 2 samples are needed")
+    return grid
+
+
 def bracket_roots(f, window: tuple[float, float], grid: int,
                   levels: int | None = None) -> BracketScan:
     """Root brackets of ``f`` over ``grid`` samples spanning ``window``:
@@ -97,9 +104,7 @@ def bracket_roots(f, window: tuple[float, float], grid: int,
     bracket returned.
     """
     lo, hi = checked_window(window)
-    if grid < 2:
-        raise ValueError(f"--grid {grid} is too small: at least 2 samples are needed")
-    xs = np.linspace(lo, hi, grid)
+    xs = np.linspace(lo, hi, checked_grid(grid))
     values = np.asarray(f(xs))
     if values.dtype.kind in "iu":
         cells = np.repeat(np.arange(grid - 1), np.diff(values))

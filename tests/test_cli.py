@@ -270,6 +270,57 @@ class TestMalformedInputs:
         assert err.startswith("rabicf: ") and "must be finite" in err
 
 
+# A malformed --window or --grid, with the text its message names: refused
+# for every method, diag included, although diag samples neither.
+MALFORMED_SAMPLING = {
+    "diag-window-reversed": (["spectrum", *FIXTURE_ARGS, "--method", "diag", "--levels", "2",
+                              "--window=5:1"], "invalid window (5.0, 1.0)"),
+    "diag-plus-window-nan": (["spectrum", *FIXTURE_ARGS, "--method", "diag", "--levels", "2",
+                              "--parity", "plus", "--window=nan:1"], "invalid window (nan, 1.0)"),
+    "diag-grid-zero": (["spectrum", *FIXTURE_ARGS, "--method", "diag", "--levels", "2",
+                        "--grid", "0"], "--grid 0 is too small"),
+    "a-window-reversed": (["spectrum", *FIXTURE_ARGS, "--method", "a", "--order", "60",
+                           "--levels", "3", "--window=5:1"], "invalid window (5.0, 1.0)"),
+    "b-grid-one": (["spectrum", *FIXTURE_ARGS, "--method", "b", "--levels", "3",
+                    "--grid", "1"], "--grid 1 is too small"),
+    "compare-diag-window-nan": (["compare", *FIXTURE_ARGS, "--method-1", "diag",
+                                 "--method-2", "diag", "-m", "2", "--window=nan:1"],
+                                "invalid window (nan, 1.0)"),
+    "compare-diag-grid-negative": (["compare", *FIXTURE_ARGS, "--method-1", "diag",
+                                    "--method-2", "diag", "-m", "2", "--grid", "-5"],
+                                   "--grid -5 is too small"),
+    "compare-b-a-window-inf": (["compare", *FIXTURE_ARGS, "--method-1", "b", "--method-2", "a",
+                                "--order-2", "60", "-m", "2", "--window=-inf:1"],
+                               "invalid window (-inf, 1.0)"),
+}
+
+# Inputs whose arithmetic overflows or divides by zero before any solver runs.
+ARITHMETIC_FAILURES = {
+    "bound-omega-underflow": ["bound", "--omega", "1e-300", "--g", "0.7", "--delta", "0.4",
+                              "--energy", "1e10"],
+    "bound-energy-overflow": ["bound", *FIXTURE_ARGS, "--energy", "1e308"],
+    "a-window-overflow": ["spectrum", "--omega", "1", "--g", "1e200", "--delta", "0.4",
+                          "--method", "a"],
+}
+
+
+class TestMalformedSampling:
+    @pytest.mark.parametrize("name", list(MALFORMED_SAMPLING))
+    def test_usage_exit_for_every_method(self, name, capsys):
+        argv, message = MALFORMED_SAMPLING[name]
+        assert run_cli(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("rabicf: ") and message in err
+
+
+class TestArithmeticFailure:
+    @pytest.mark.parametrize("name", list(ARITHMETIC_FAILURES))
+    def test_numerical_exit(self, name, capsys):
+        assert run_cli(ARITHMETIC_FAILURES[name]) == (3, "")
+        err = capsys.readouterr().err
+        assert err.startswith("rabicf: ") and "Traceback" not in err
+
+
 # Each case: argv at omega = 1, with the floats that scale with omega given
 # as floats, and the power of omega in each output column and metadata
 # field; columns and fields not named scale as omega**0.  The

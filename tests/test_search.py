@@ -13,12 +13,14 @@ from rabicf import (
     Parity,
     bracket_roots,
     build_chain,
+    coeff_f,
     eigenvalues,
     pair_secular,
     scan_levels,
     secular_count,
     solve_method_a,
     spectral_function_a,
+    sturm_count,
 )
 import rabicf.search as search
 from rabicf.search import bisect_sign, default_window
@@ -380,6 +382,27 @@ def _lapack_level(params, sign, order, k):
     return eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(k, k))[0]
 
 
+def _juddian(n, g):
+    """W_{n-1} at the n-th Juddian energy E = n omega - g^2/omega of the
+    fixture at coupling g; its zeros in g are the exact crossings."""
+    p = ModelParams(FIXTURE.omega, g, FIXTURE.delta)
+    energy = n * p.omega - g * g / p.omega
+    return coeff_f(0, energy, p).value if n == 1 else pair_secular(energy, p, n - 1)
+
+
+def _juddian_points(lo, hi, grid):
+    """(n, g) of every exact crossing with n = 1..9 over [lo, hi]: bracketed
+    on a g grid, then bisected."""
+    points = []
+    gs = np.linspace(lo, hi, grid)
+    for n in range(1, 10):
+        vals = [_juddian(n, g) for g in gs]
+        for a, b, va, vb in zip(gs, gs[1:], vals, vals[1:]):
+            if va * vb < 0 or va == 0.0:
+                points.append((n, bisect_sign(lambda g: _juddian(n, g), a, b, 1e-15)))
+    return points
+
+
 class TestCrossingRefinement:
     def test_events_match_bisection(self, readme_scan):
         result, _ = readme_scan
@@ -406,6 +429,22 @@ class TestCrossingRefinement:
         ep, em = search._spectra_at(FIXTURE, "g", values, 8, 300, 1e-11, interval)
         for i, ev in enumerate(result.events):
             assert ev.energy == 0.5 * (ep[i, ev.plus_level] + em[i, ev.minus_level])
+
+    def test_no_crossing_lost(self, readme_scan):
+        # every event sits on an exact crossing of its own n, and every
+        # exact crossing between the 8 tracked levels of each chain is an event
+        result, _ = readme_scan
+        points = _juddian_points(0.05, 1.2, 400)
+        for ev in result.events:
+            nearest = min(abs(ev.value - g) for n, g in points if n == ev.nearest_multiple)
+            assert nearest <= 1e-12 * FIXTURE.omega
+        for n, g in points:
+            p = ModelParams(FIXTURE.omega, g, FIXTURE.delta)
+            energy = n * p.omega - g * g / p.omega
+            below = [sturm_count(energy - 1e-9, build_chain(p, parity, 300)) for parity in Parity]
+            if max(below) < 8:
+                assert any(ev.nearest_multiple == n and abs(ev.value - g) <= 1e-12 * FIXTURE.omega
+                           for ev in result.events), (n, g)
 
     def test_scaled_omega(self, readme_scan, readme_scan_scaled):
         # the refinement lattice follows omega: the scan ends, on the same

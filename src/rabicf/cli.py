@@ -228,7 +228,8 @@ def _solve_spectrum(args, method: str, order: int | None, levels: int,
     """Check one spectrum request, fill in its defaults and solve it;
     returns (levels, metadata bits), the order used among the latter."""
     params = ModelParams(args.omega, args.g, args.delta)
-    window = args.window or default_window(params, levels)
+    # a given window is checked before the default order reads it
+    window = checked_window(args.window) if args.window else default_window(params, levels)
     if order is None:
         order = (default_order_a(params, levels, window) if method == "a"
                  else max(DEFAULT_ORDER, 4 * levels))
@@ -430,8 +431,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
             OSError) as exc:
         print(f"rabicf: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RabiSolverError, ArithmeticError) as exc:
+    except RabiSolverError as exc:
         print(f"rabicf: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except ArithmeticError as exc:
+        print(f"rabicf: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -363,7 +363,8 @@ def pair_secular(energy: float, params: ModelParams, order: TruncationOrder) -> 
     n = int(order)
     if n < 1:
         raise ValueError("order must be >= 1")
-    f = _coeff_values(energy, params, n, 0.0).tolist()  # no guard
+    detune = shifted_energy(params, energy) - params.omega * np.arange(n + 1, dtype=float)
+    f = _f_of_detune(detune, params).tolist()
     return scaled_pair(1.0, f[0], zip(f[1:], range(1, n + 1)))[1]
 
 
@@ -419,17 +420,12 @@ def _count_lanes(x: np.ndarray, params: ModelParams, n: int) -> np.ndarray:
 
 
 def meets_cut(lo: float, hi: float, params: ModelParams, order: TruncationOrder) -> bool:
-    """Whether [lo, hi] meets a cut x = k w, 0 <= k <= N, with the
-    detuning x - k w computed as in :func:`secular_count`."""
-    w = params.omega
-    x_lo = shifted_energy(params, lo)
-    # the first k >= 0 with x_lo - k w <= 0
-    k = max(0, math.ceil(x_lo / w))
-    while k > 0 and x_lo - (k - 1) * w <= 0.0:
-        k -= 1
-    while x_lo - k * w > 0.0:
-        k += 1
-    return k <= int(order) and shifted_energy(params, hi) - k * w >= 0.0
+    """Whether [lo, hi] meets a cut x = k w, 0 <= k <= N: some k whose
+    detuning x - k w, computed as in :func:`secular_count`, is <= 0 at lo
+    and >= 0 at hi."""
+    k_w = np.arange(int(order) + 1) * params.omega
+    return bool(np.any((shifted_energy(params, lo) - k_w <= 0.0)
+                       & (shifted_energy(params, hi) - k_w >= 0.0)))
 
 
 def classify_solution(seq: CoefficientSequence, params: ModelParams) -> Classification:

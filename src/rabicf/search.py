@@ -15,7 +15,7 @@ only the two levels involved from warm-started brackets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 
 import numpy as np
@@ -255,58 +255,42 @@ class ScanResult:
     events: tuple[CrossingEvent, ...]
 
 
-def _scan_params(base: ModelParams, parameter: str, value: float) -> ModelParams:
-    if parameter == "g":
-        return ModelParams(base.omega, value, base.delta)
-    if parameter == "delta":
-        return ModelParams(base.omega, base.g, value)
-    raise ValueError(f"unsupported scan parameter {parameter!r}")
-
-
 def _sweep_interval(base, parameter, vmax, order) -> tuple[float, float]:
     """Spectrum envelope over the whole sweep (widest chain wins)."""
-    p = _scan_params(base, parameter, vmax)
-    lo_p, hi_p = gershgorin_interval(build_chain(p, Parity.PLUS, order))
-    lo_m, hi_m = gershgorin_interval(build_chain(p, Parity.MINUS, order))
-    return min(lo_p, lo_m), max(hi_p, hi_m)
+    p = replace(base, **{parameter: vmax})
+    ends = [gershgorin_interval(build_chain(p, parity, order)) for parity in Parity]
+    return min(lo for lo, _ in ends), max(hi for _, hi in ends)
 
 
-def _batch_tables(base, parameter, values, order):
-    """(diag, off2) tables of shape (S, order+1) / (S, order) for one parity
-    sign, broadcast over the scanned values."""
-    n_index = np.arange(1, order + 1, dtype=float)
+def _batch_tables(base, parameter, values, sign, order):
+    """(diag, off2) tables of shape (S, order+1) / (S, order) of the parity
+    chain ``sign`` at each scanned value: :func:`build_chain`'s diagonal and
+    g**2 * j, as broadcast views."""
     j = np.arange(order + 1, dtype=float)
-
-    def tables(sign):
-        if parameter == "g":
-            diag = j * base.omega + sign * ((-1.0) ** j) * base.delta
-            off2 = values[:, None] ** 2 * n_index[None, :]
-        else:
-            diag = (j * base.omega)[None, :] + sign * ((-1.0) ** j)[None, :] * values[:, None]
-            off2 = np.broadcast_to(base.g**2 * n_index, (len(values), order))
-        return diag, off2
-
-    return tables
+    scanned = values[:, None]
+    g, delta = (scanned, base.delta) if parameter == "g" else (base.g, scanned)
+    diag = j * base.omega + sign * ((-1.0) ** j) * delta
+    off2 = g**2 * j[1:]
+    return (np.broadcast_to(diag, (len(values), order + 1)),
+            np.broadcast_to(off2, (len(values), order)))
 
 
 def _spectra_at(base, parameter, values, levels, order, tol, interval):
     """(S, levels) eigenvalue tables for both parities, batched over the
     scan, every chain bisected from the same spectrum ``interval``."""
-    tables = _batch_tables(base, parameter, values, order)
-    out = []
-    for parity in (Parity.PLUS, Parity.MINUS):
-        diag, off2 = tables(parity.sign)
-        out.append(eigenvalues_batch(diag, off2, levels, tol, interval))
-    return out[0], out[1]
+    return tuple(eigenvalues_batch(*_batch_tables(base, parameter, values, parity.sign, order),
+                                   levels, tol, interval) for parity in Parity)
 
 
-def _refine_events(base, parameter, rows, order, tol, value_tol, interval):
+def _refine_events(base, parameter, a_idx, b_idx, lo, hi, e_lo, e_hi, order, tol,
+                   value_tol, interval):
     """Refine all detected crossings together by ITP on the gap
     E_a^+ - E_b^- over the scan parameter (Oliveira & Takahashi, ACM TOMS
     47(1), 2020), down to a bracket of width ``value_tol``.
 
-    ``rows`` are (plus_level, minus_level, lo, hi, e_lo, e_hi) with e_* the
-    (E_a^+, E_b^-) pair of the level tracks at the scan points lo < hi.
+    Row r is the level pair (a_idx[r], b_idx[r]) bracketed by the scan
+    points lo[r] < hi[r], with e_lo[r] and e_hi[r] the (E_a^+, E_b^-) pair
+    of the level tracks there; the four bracket arrays narrow in place.
     Each step solves only those two levels of every unfinished row, on the
     ``tol`` lattice refined FINE_HALVINGS times, from Weyl brackets around
     the values at the row's current ends: no level moves faster than
@@ -316,12 +300,6 @@ def _refine_events(base, parameter, rows, order, tol, value_tol, interval):
     bit for bit what :func:`_spectra_at` gives there.  Returns the crossing
     values, their energies and the ITP steps each row took.
     """
-    a_idx = np.array([r[0] for r in rows])
-    b_idx = np.array([r[1] for r in rows])
-    lo = np.array([r[2] for r in rows])
-    hi = np.array([r[3] for r in rows])
-    e_lo = np.array([r[4] for r in rows])
-    e_hi = np.array([r[5] for r in rows])
     lip = 2.0 * math.sqrt(order) if parameter == "g" else 1.0
     # Weyl keeps every level within lip*(hi-lo) of its track values, so no
     # step bisects a level larger than this down to the fine cell
@@ -335,15 +313,10 @@ def _refine_events(base, parameter, rows, order, tol, value_tol, interval):
         reach_hi = lip * (hi[sel] - x)[:, None]
         guess_lo = np.maximum(e_lo[sel] - reach_lo, e_hi[sel] - reach_hi) - tol
         guess_hi = np.minimum(e_lo[sel] + reach_lo, e_hi[sel] + reach_hi) + tol
-        tables = _batch_tables(base, parameter, x, order)
-        diags, off2s = zip(*(tables(parity.sign) for parity in (Parity.PLUS, Parity.MINUS)))
-        energies = eigenvalues_rows(
-            np.concatenate([np.broadcast_to(d, o.shape[:-1] + d.shape[-1:])
-                            for d, o in zip(diags, off2s)]),
-            np.concatenate(off2s),
-            np.concatenate([a_idx[sel], b_idx[sel]]),
-            cell, interval, guess_lo.T.ravel(), guess_hi.T.ravel(),
-        )
+        tables = [_batch_tables(base, parameter, x, parity.sign, order) for parity in Parity]
+        diag, off2 = (np.concatenate(t) for t in zip(*tables))
+        energies = eigenvalues_rows(diag, off2, np.concatenate([a_idx[sel], b_idx[sel]]),
+                                    cell, interval, guess_lo.T.ravel(), guess_hi.T.ravel())
         return energies.reshape(2, -1).T
 
     # orient every gap to rise from lo to hi
@@ -352,7 +325,7 @@ def _refine_events(base, parameter, rows, order, tol, value_tol, interval):
     f_hi = orient * (e_hi[:, 0] - e_hi[:, 1])
     kappa1 = ITP_KAPPA1 / (hi - lo)
     n_max = np.ceil(np.log2((hi - lo) / value_tol)) + ITP_N0
-    steps = np.zeros(len(rows), dtype=int)
+    steps = np.zeros(len(lo), dtype=int)
     while True:
         sel = np.flatnonzero(hi - lo > value_tol)
         if not len(sel):
@@ -373,14 +346,14 @@ def _refine_events(base, parameter, rows, order, tol, value_tol, interval):
             moved = sel[keep]
             end[moved], e_end[moved], f_end[moved] = x[keep], e_x[keep], f_x[keep]
     star = 0.5 * (lo + hi)
-    e_star = levels_at(star, np.arange(len(rows)), tol)
+    e_star = levels_at(star, np.arange(len(lo)), tol)
     return star, 0.5 * (e_star[:, 0] + e_star[:, 1]), steps
 
 
 def _crossing(base, parameter, a, b, value, energy) -> CrossingEvent:
-    p = _scan_params(base, parameter, value)
-    shifted = energy + p.g * p.g / p.omega
-    k = int(round(shifted / p.omega))
+    g = value if parameter == "g" else base.g
+    shifted = energy + g * g / base.omega
+    k = int(round(shifted / base.omega))
     return CrossingEvent(
         value=value,
         energy=energy,
@@ -388,7 +361,7 @@ def _crossing(base, parameter, a, b, value, energy) -> CrossingEvent:
         minus_level=b,
         shifted=shifted,
         nearest_multiple=k,
-        deviation=abs(shifted - k * p.omega),
+        deviation=abs(shifted - k * base.omega),
     )
 
 
@@ -412,6 +385,8 @@ def scan_levels(
     zero on the first or last scan point, with a nonzero neighbour, is a
     crossing there.  Events come sorted by value, then level pair.
     """
+    if parameter not in ("g", "delta"):
+        raise ValueError(f"unsupported scan parameter {parameter!r}")
     if steps < 10:
         raise ValueError("steps must be >= 10")
     if not 1 <= levels <= order + 1:
@@ -431,10 +406,13 @@ def scan_levels(
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
     values = np.linspace(start, stop, steps)
-    interval = _sweep_interval(params_base, parameter, float(np.max(values)), order)
+    # the chains widen with |value|: a g scan may run over negative couplings
+    interval = _sweep_interval(params_base, parameter, float(np.max(np.abs(values))), order)
     ep, em = _spectra_at(params_base, parameter, values, levels, order, tol, interval)
 
-    raw = []
+    # (a, b, i, j): the gap of plus level a and minus level b changes sign
+    # between scan points i < j; (a, b, value, energy): a found crossing
+    brackets: list[tuple[int, int, int, int]] = []
     found: list[tuple[int, int, float, float]] = []
     for a in range(levels):
         for b in range(levels):
@@ -444,22 +422,22 @@ def scan_levels(
             kept = np.flatnonzero(gap)
             s = np.sign(gap[kept])
             flips = np.nonzero(s[:-1] * s[1:] < 0)[0]
-            for i, j in zip(kept[flips], kept[flips + 1]):
-                raw.append((a, b, float(values[i]), float(values[j]),
-                            (ep[i, a], em[i, b]), (ep[j, a], em[j, b])))
+            brackets += [(a, b, i, j) for i, j in zip(kept[flips], kept[flips + 1])]
             # on an end point it has a neighbour on one side only; a zero
             # run that reaches an end stays unresolved, as one inside does
             for i, n in ((0, 1), (steps - 1, steps - 2)):
                 if gap[i] == 0.0 and gap[n] != 0.0:
                     found.append((a, b, float(values[i]), float(ep[i, a])))
 
-    if raw:
+    if brackets:
+        a, b, i, j = np.array(brackets).T
         value_tol = DEFAULT_REFINE_TOL * max(params_base.omega, abs(stop))
         stars, estars, _ = _refine_events(
-            params_base, parameter, raw, order, tol, value_tol, interval
+            params_base, parameter, a, b, values[i], values[j],
+            np.stack([ep[i, a], em[i, b]], axis=1), np.stack([ep[j, a], em[j, b]], axis=1),
+            order, tol, value_tol, interval,
         )
-        found += [(a, b, float(star), float(estar))
-                  for (a, b, *_), star, estar in zip(raw, stars, estars)]
+        found += zip(a.tolist(), b.tolist(), stars.tolist(), estars.tolist())
     found.sort(key=lambda row: (row[2], row[0], row[1]))
     return ScanResult(
         values=values,

@@ -292,6 +292,8 @@ MALFORMED_SAMPLING = {
     "compare-b-a-window-inf": (["compare", *FIXTURE_ARGS, "--method-1", "b", "--method-2", "a",
                                 "--order-2", "60", "-m", "2", "--window=-inf:1"],
                                "invalid window (-inf, 1.0)"),
+    "a-window-nan-default-order": (["spectrum", *FIXTURE_ARGS, "--method", "a",
+                                    "--window=nan:1"], "invalid window (nan, 1.0)"),
 }
 
 # Inputs whose arithmetic overflows or divides by zero before any solver runs.
@@ -301,6 +303,12 @@ ARITHMETIC_FAILURES = {
     "bound-energy-overflow": ["bound", *FIXTURE_ARGS, "--energy", "1e308"],
     "a-window-overflow": ["spectrum", "--omega", "1", "--g", "1e200", "--delta", "0.4",
                           "--method", "a"],
+}
+# The exception each of them raises, named on the error line with the subcommand.
+ARITHMETIC_KINDS = {
+    "bound-omega-underflow": "ZeroDivisionError",
+    "bound-energy-overflow": "OverflowError",
+    "a-window-overflow": "OverflowError",
 }
 
 
@@ -319,6 +327,7 @@ class TestArithmeticFailure:
         assert run_cli(ARITHMETIC_FAILURES[name]) == (3, "")
         err = capsys.readouterr().err
         assert err.startswith("rabicf: ") and "Traceback" not in err
+        assert err.startswith(f"rabicf: {ARITHMETIC_FAILURES[name][0]}: {ARITHMETIC_KINDS[name]}: ")
 
 
 # Each case: argv at omega = 1, with the floats that scale with omega given

@@ -29,7 +29,7 @@ from rabicf import (
     sturm_count,
 )
 
-from rabicf.schweber import EPS_POLE_REL, pole_guard
+from rabicf.schweber import EPS_POLE_REL, meets_cut, pole_guard
 from rabicf.search import default_window
 
 from conftest import FIXTURE, ORACLE_UNION_24
@@ -273,6 +273,45 @@ class TestSecularCount:
             assume(union(end - margin) == union(end + margin))
         lo, hi = (secular_count(end, params, 300) for end in window)
         assert hi - lo == union(window[1]) - union(window[0])
+
+
+def _meets_cut_by_walk(lo, hi, params, order):
+    """meets_cut by a walk to the first k >= 0 with x(lo) - k w <= 0, the
+    only cut that can lie in [lo, hi] if any does."""
+    w = params.omega
+    x_lo = lo + params.g * params.g / w
+    k = max(0, math.ceil(x_lo / w))
+    while k > 0 and x_lo - (k - 1) * w <= 0.0:
+        k -= 1
+    while x_lo - k * w > 0.0:
+        k += 1
+    return k <= order and hi + params.g * params.g / w - k * w >= 0.0
+
+
+class TestMeetsCut:
+    def test_matches_first_cut_walk(self):
+        # random intervals, and intervals that end on a cut or next to one
+        rng = np.random.default_rng(20121205)
+        hits = 0
+        for _ in range(20000):
+            omega = float(rng.choice([0.5, 1.0, 3.0]))
+            params = ModelParams(omega, rng.uniform(0.05, 3.0), 0.4)
+            order = int(rng.integers(0, 12))
+            ends = []
+            for _ in range(2):
+                if rng.random() < 0.5:
+                    ends.append(rng.uniform(-10.0, 14.0) * omega)
+                else:
+                    e = int(rng.integers(-1, 14)) * omega - params.g**2 / omega
+                    steps = int(rng.integers(-2, 3))
+                    for _ in range(abs(steps)):
+                        e = np.nextafter(e, math.copysign(np.inf, steps))
+                    ends.append(float(e))
+            lo, hi = sorted(ends)
+            expected = _meets_cut_by_walk(lo, hi, params, order)
+            assert meets_cut(lo, hi, params, order) == expected, (lo, hi, params, order)
+            hits += expected
+        assert 0 < hits < 20000
 
 
 class TestMinimalSequence:

@@ -336,6 +336,33 @@ class TestScan:
         result = scan_levels(FIXTURE, "g", 0.1, 0.2, steps, 1, 20)
         assert [ev.value for ev in result.events] == [result.values[i] for i in found]
 
+    def test_negative_couplings(self):
+        # the sign of g is irrelevant: the tracks over negative couplings
+        # are the oracle's levels at |g|, the widest chain at g = -1.2
+        result = scan_levels(FIXTURE, "g", -1.2, -0.05, 12, 3, 60)
+        for value, plus, minus in zip(result.values, result.plus_levels, result.minus_levels):
+            params = ModelParams(FIXTURE.omega, value, FIXTURE.delta)
+            for levels, parity in ((plus, Parity.PLUS), (minus, Parity.MINUS)):
+                oracle = eigenvalues(build_chain(params, parity, 60), 3).energies
+                np.testing.assert_allclose(levels, oracle, rtol=0, atol=1e-10)
+
+
+class TestBatchTables:
+    @pytest.mark.parametrize("parameter", ["g", "delta"])
+    @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
+    def test_rows_are_build_chain(self, parameter, parity):
+        # the scan's own copy of the chain formula, row by row
+        values = np.linspace(0.05, 3.0, 13)
+        order = 60
+        diag, off2 = search._batch_tables(FIXTURE, parameter, values, parity.sign, order)
+        assert diag.shape == (len(values), order + 1) and off2.shape == (len(values), order)
+        j = np.arange(1, order + 1, dtype=float)
+        for row, value in enumerate(values):
+            params = (ModelParams(FIXTURE.omega, value, FIXTURE.delta) if parameter == "g"
+                      else ModelParams(FIXTURE.omega, FIXTURE.g, value))
+            np.testing.assert_array_equal(diag[row], build_chain(params, parity, order).diag)
+            np.testing.assert_array_equal(off2[row], params.g**2 * j)
+
 
 # level pairs of the README scan's crossings in value order, as bisection
 # on the scan parameter found them before the ITP refinement
@@ -352,8 +379,10 @@ def readme_scan():
     refined = {}
     original = search._refine_events
 
-    def recording(base, parameter, rows, order, tol, value_tol, interval):
-        out = original(base, parameter, rows, order, tol, value_tol, interval)
+    def recording(base, parameter, a, b, lo, hi, e_lo, e_hi, order, tol, value_tol, interval):
+        # the bracket arrays narrow in place: keep the rows as they came in
+        rows = list(zip(a, b, lo.copy(), hi.copy(), e_lo.copy(), e_hi.copy()))
+        out = original(base, parameter, a, b, lo, hi, e_lo, e_hi, order, tol, value_tol, interval)
         refined.update(rows=rows, value_tol=value_tol, steps=out[2])
         return out
 

@@ -141,8 +141,7 @@ class TestEigenvaluesRows:
     def _cold(parameter, order, parity):
         values = np.linspace(0.3, 1.4, 3)
         interval = _sweep_interval(FIXTURE, parameter, float(values[-1]), order)
-        diag, off2 = _batch_tables(FIXTURE, parameter, values, order)(parity.sign)
-        diag = np.broadcast_to(diag, off2.shape[:-1] + diag.shape[-1:])
+        diag, off2 = _batch_tables(FIXTURE, parameter, values, parity.sign, order)
         cold = eigenvalues_batch(diag, off2, 6, 1e-11, interval)
         rows, index = np.divmod(np.arange(cold.size), 6)
         cell = lattice_cell(1e-11)
@@ -203,7 +202,7 @@ class TestLatticeCell:
         interval = _sweep_interval(params, "g", 24.0, order)
         cell = lattice_cell(1e-11, 7, magnitude=600.0)
         assert cell == 2.0**-41
-        diag, off2 = _batch_tables(params, "g", np.array([24.0]), order)(1.0)
+        diag, off2 = _batch_tables(params, "g", np.array([24.0]), 1.0, order)
         cold = eigenvalues_batch(diag, off2, 3, cell, interval)[0]
         assert np.all(np.abs(cold) > 512.0)
         got = eigenvalues_rows(np.broadcast_to(diag, (3, order + 1)),

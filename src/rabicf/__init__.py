@@ -31,7 +31,6 @@ from .errors import (
     RabiSolverError,
     TooFewLevelsError,
     TooShortError,
-    WindowEmptyError,
 )
 from .model import (
     ChainCoefficients,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 from . import __version__
@@ -27,7 +26,7 @@ from .errors import (
     RabiSolverError,
     TooFewLevelsError,
 )
-from .model import ModelParams, Parity, build_chain
+from .model import ModelParams, Parity, build_chain, checked_tol
 from .resolvent import (
     E0_MIN_SEPARATION,
     PathologicalVariant,
@@ -83,9 +82,12 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 def _parse_orders(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        orders = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad order list {text!r}") from None
+        orders = []
+    if not orders:
+        raise argparse.ArgumentTypeError(f"bad order list {text!r}")
+    return orders
 
 
 def _add_model_args(p: argparse.ArgumentParser):
@@ -217,12 +219,6 @@ def _metadata_base(args, params: ModelParams) -> dict:
     }
 
 
-def _positive(tol: float) -> float:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    return tol
-
-
 def _solve_spectrum(args, method: str, order: int | None, levels: int,
                     solver_tol: float | None = None) -> tuple[list[EnergyLevel], dict]:
     """Check one spectrum request, fill in its defaults and solve it;
@@ -233,7 +229,7 @@ def _solve_spectrum(args, method: str, order: int | None, levels: int,
     if order is None:
         order = (default_order_a(params, levels, window) if method == "a"
                  else max(DEFAULT_ORDER, 4 * levels))
-    tol = _positive(solver_tol if solver_tol is not None else DEFAULT_EIG_TOL * params.omega)
+    tol = checked_tol(solver_tol, DEFAULT_EIG_TOL * params.omega)
     eps_pole = pole_guard(params, getattr(args, "eps_pole", None))  # compare takes no --eps-pole
     if method == "a" and params.g == 0.0:
         raise ValueError("method a requires g > 0")
@@ -283,7 +279,9 @@ def cmd_spectrum(args, out) -> int:
 def cmd_compare(args, out) -> int:
     params = ModelParams(args.omega, args.g, args.delta)
     # --tol is the pass threshold, not a solver tolerance; default 1e-7*omega
-    tol = _positive(args.tol if args.tol is not None else 1e-7 * params.omega)
+    tol = checked_tol(args.tol, 1e-7 * params.omega)
+    if args.m < 1:
+        raise ValueError("m must be >= 1")
     levels1, notes1 = _solve_spectrum(args, args.method_1, args.order_1, args.m)
     levels2, notes2 = _solve_spectrum(args, args.method_2, args.order_2, args.m)
     if len(levels1) < args.m or len(levels2) < args.m:

@@ -53,10 +53,6 @@ class PoleSeparationError(RabiSolverError):
     unmodified resolvent for the demonstration to be unambiguous."""
 
 
-class WindowEmptyError(RabiSolverError):
-    """No pole/root found in the requested window."""
-
-
 class LostBracketError(RabiSolverError):
     """A bracket handed to sign bisection has no sign change between its
     ends, so it holds no root that bisection can refine."""

@@ -69,11 +69,22 @@ class ModelParams:
         object.__setattr__(self, "delta", abs(delta))
 
 
-def _check_order(order: int) -> int:
+def checked_order(order: int, least: int) -> int:
+    """``order`` as an int when it is an integer >= ``least``; ValueError
+    otherwise, so no routine truncates a fractional order silently."""
     n = int(order)
-    if n != order or n < 0:
-        raise ValueError(f"truncation order must be an integer >= 0, got {order!r}")
+    if n != order or n < least:
+        raise ValueError(f"truncation order must be an integer >= {least}, got {order!r}")
     return n
+
+
+def checked_tol(tol: float | None, default: float) -> float:
+    """``tol``, or ``default`` when it is None, once it is finite and > 0;
+    ValueError otherwise."""
+    tol = default if tol is None else tol
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -110,7 +121,7 @@ class ChainCoefficients:
 
 def build_chain(params: ModelParams, parity: Parity, order: TruncationOrder) -> ChainCoefficients:
     """Build the truncated parity-chain coefficients for a parameter set."""
-    n = _check_order(order)
+    n = checked_order(order, 0)
     j = np.arange(n + 1, dtype=float)
     diag = j * params.omega + parity.sign * ((-1.0) ** j) * params.delta
     offdiag = params.g * np.sqrt(np.arange(1, n + 1, dtype=float))

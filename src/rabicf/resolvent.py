@@ -40,7 +40,6 @@ from .errors import (
     DivergedTailError,
     GZeroError,
     PoleSeparationError,
-    WindowEmptyError,
 )
 from .model import ChainCoefficients, ModelParams, Parity, TruncationOrder, build_chain
 from .recurrence import scaled_pair, scaled_pair_lanes
@@ -183,6 +182,10 @@ def poles_of_resolvent(
     bracket; the lowest ``max_levels`` brackets are refined by sign
     bisection on the minor down to DEFAULT_REFINE_TOL * omega, and the
     residual reported per pole is the reciprocal magnitude there.
+
+    Returns the poles found, fewer than ``max_levels`` or none when the
+    window holds fewer; ``solve_method_a`` answers the same way, and a
+    caller that needs a count checks it (``union_spectrum(first_k=...)``).
     """
     lo, hi = checked_window(window)
     if max_levels < 1:
@@ -196,8 +199,6 @@ def poles_of_resolvent(
         root = bisect_sign(minor, lo, hi, DEFAULT_REFINE_TOL * chain.params.omega)
         residual = abs(resolvent_cf(root, chain).reciprocal)
         poles.append(EnergyLevel(index=len(poles), energy=root, residual=residual))
-    if not poles:
-        raise WindowEmptyError(f"no resolvent pole in window {window!r}")
     return SpectrumApproximation.from_levels(
         SpectralMethod.METHOD_B, chain.parity, chain.order, poles, chain.params.omega
     )

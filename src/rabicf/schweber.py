@@ -39,7 +39,7 @@ from .errors import (
     PoleError,
     TooShortError,
 )
-from .model import ModelParams, TruncationOrder, shifted_energy
+from .model import ModelParams, TruncationOrder, checked_order, shifted_energy
 from .recurrence import scaled_pair
 
 __all__ = [
@@ -220,9 +220,7 @@ def forward_recurrence(
     for a stable minimal solution).
     """
     _require_coupling(params)
-    n = int(order)
-    if n < 0:
-        raise ValueError("order must be >= 0")
+    n = checked_order(order, 0)
     f = _coeff_values(energy, params, max(n - 1, 0))
     r = np.empty(n)
     if n >= 1:
@@ -247,9 +245,7 @@ def minimal_sequence(
     point.  Note the seed K_1 = xi_1 equals f_0(E) only at eigenvalues.
     """
     _require_coupling(params)
-    n = int(order)
-    if n < 0:
-        raise ValueError("order must be >= 0")
+    n = checked_order(order, 0)
     depth = n + max(50, n)
     f = _coeff_values(energy, params, depth)
     xi = 0.0
@@ -274,9 +270,7 @@ def finite_cf(
     if an intermediate denominator falls below DEN_FLOOR.
     """
     _require_coupling(params)
-    n = int(order)
-    if n < 1:
-        raise ValueError("order must be >= 1 for the continued fraction")
+    n = checked_order(order, 1)
     try:
         f = _coeff_values(energy, params, n, eps_pole)
     except PoleError:
@@ -360,9 +354,7 @@ def pair_secular(energy: float, params: ModelParams, order: TruncationOrder) -> 
     a cut x = m w, m <= N, where f_m has its pole; no guard is applied.
     """
     _require_coupling(params)
-    n = int(order)
-    if n < 1:
-        raise ValueError("order must be >= 1")
+    n = checked_order(order, 1)
     detune = shifted_energy(params, energy) - params.omega * np.arange(n + 1, dtype=float)
     f = _f_of_detune(detune, params).tolist()
     return scaled_pair(1.0, f[0], zip(f[1:], range(1, n + 1)))[1]
@@ -383,9 +375,7 @@ def secular_count(energy, params: ModelParams, order: TruncationOrder):
     an array an int array from one numpy pass with the same arithmetic.
     """
     _require_coupling(params)
-    n = int(order)
-    if n < 1:
-        raise ValueError("order must be >= 1")
+    n = checked_order(order, 1)
     x = shifted_energy(params, energy)
     if np.ndim(energy) != 0:
         return _count_lanes(np.asarray(x, dtype=float), params, n)
@@ -423,7 +413,7 @@ def meets_cut(lo: float, hi: float, params: ModelParams, order: TruncationOrder)
     """Whether [lo, hi] meets a cut x = k w, 0 <= k <= N: some k whose
     detuning x - k w, computed as in :func:`secular_count`, is <= 0 at lo
     and >= 0 at hi."""
-    k_w = np.arange(int(order) + 1) * params.omega
+    k_w = np.arange(checked_order(order, 0) + 1) * params.omega
     return bool(np.any((shifted_energy(params, lo) - k_w <= 0.0)
                        & (shifted_energy(params, hi) - k_w >= 0.0)))
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .convergence import tail_depth_bound
 from .errors import DegenerateScanError, DeltaZeroError, GZeroError, LostBracketError
-from .model import ModelParams, Parity, TruncationOrder, build_chain
+from .model import ModelParams, Parity, TruncationOrder, build_chain, checked_tol
 from .schweber import meets_cut, pair_secular, secular_count, spectral_function_a
 from .tridiag import (
     DEFAULT_EIG_TOL,
@@ -180,8 +180,10 @@ def solve_method_a(
     still holding a cut at that width is a root on the cut, reported at its
     midpoint, once per root, with its width as residual; every other
     residual is |f_0 - F_N|, infinite within ``eps_pole`` of a cut.
-    Raises DeltaZeroError at delta = 0, where f_n has no poles to count
-    across and every eigenvalue sits on a cut.
+    Returns the roots found, fewer than ``levels`` or none when the window
+    holds fewer, as ``poles_of_resolvent`` does.  Raises DeltaZeroError at
+    delta = 0, where f_n has no poles to count across and every eigenvalue
+    sits on a cut.
     """
     if params.g == 0.0:
         raise GZeroError("coefficient method undefined at g=0")
@@ -400,10 +402,7 @@ def scan_levels(
         )
     if parameter == "delta" and start <= 0.0:
         raise DegenerateScanError("delta scan range must stay strictly positive")
-    if tol is None:
-        tol = DEFAULT_EIG_TOL * params_base.omega
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    tol = checked_tol(tol, DEFAULT_EIG_TOL * params_base.omega)
 
     values = np.linspace(start, stop, steps)
     # the chains widen with |value|: a g scan may run over negative couplings

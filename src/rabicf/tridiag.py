@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import TooFewLevelsError
-from .model import ChainCoefficients, Parity, TruncationOrder
+from .model import ChainCoefficients, Parity, TruncationOrder, checked_tol
 
 __all__ = [
     "SpectralMethod",
@@ -209,10 +209,7 @@ def eigenvalues(chain: ChainCoefficients, first_k: int, tol: float | None = None
     the final width.  Deterministic; all ``first_k`` bisections run in
     lockstep on one vectorized pivot sweep per iteration.
     """
-    if tol is None:
-        tol = DEFAULT_EIG_TOL * chain.params.omega
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    tol = checked_tol(tol, DEFAULT_EIG_TOL * chain.params.omega)
     if not 1 <= first_k <= chain.dim:
         raise ValueError(f"first_k must be in 1..{chain.dim}, got {first_k}")
 

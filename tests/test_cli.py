@@ -15,7 +15,7 @@ import rabicf
 import rabicf.resolvent
 import rabicf.search
 import rabicf.tridiag
-from rabicf.cli import main
+from rabicf.cli import _load_config_args, main
 
 from conftest import ORACLE_UNION_24
 
@@ -79,11 +79,27 @@ class TestSpectrum:
         assert meta["parity"] == "n/a"
         assert "does not discern" in meta["parity_note"]
 
-    def test_method_b_empty_window(self):
+    def test_method_b_empty_window(self, capsys):
+        # each chain's window is empty; the union is short of --levels
         code, text = run_cli(
             ["spectrum", *FIXTURE_ARGS, "--method", "b", "--window=-5:-4", "--levels", "3"]
         )
-        assert (code, text) == (3, "")
+        assert (code, text) == (2, "")
+        assert "requested 3 levels, have 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", *FIXTURE_ARGS, "--method", "b", "--levels", "1", "--order", "100"],
+        ["compare", *FIXTURE_ARGS, "--method-1", "a", "--method-2", "b", "-m", "1"],
+    ], ids=["b-union", "compare-a-b"])
+    def test_window_of_one_chain(self, argv):
+        # the window holds the plus ground state only: the minus chain's
+        # empty window is an empty spectrum, not a failure
+        code, text = run_cli([*argv, "--window=-0.5:-0.4"])
+        assert code == 0
+        _, header, rows = parse_csv(text)
+        energies = {row[i] for row in rows for i, col in enumerate(header)
+                    if col.startswith("energy")}
+        assert len(rows) == 1 and energies == {"-0.4270436745660642"}
 
     def test_method_b_grid_too_small(self, capsys):
         code, text = run_cli(["spectrum", *FIXTURE_ARGS, "--method", "b", "--grid", "1"])
@@ -438,6 +454,13 @@ class TestCompare:
         assert code == 1
         assert parse_csv(text)[0]["tol"] == "1e-07"
 
+    def test_m_zero(self, capsys):
+        code, text = run_cli(
+            ["compare", *FIXTURE_ARGS, "--method-1", "diag", "--method-2", "b", "-m", "0"]
+        )
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "rabicf: m must be >= 1\n"
+
     def test_m_exceeding_levels(self):
         code, _ = run_cli(
             ["compare", *FIXTURE_ARGS, "--method-1", "diag", "--order-1", "60",
@@ -471,6 +494,14 @@ class TestPathological:
         _, header, rows = parse_csv(text)
         assert "order_times_tail_offset" in header
         assert float(rows[0][header.index("modified_offdiag")]) == 0.7 * 20
+
+    @pytest.mark.parametrize("orders", [",", ""])
+    def test_empty_order_list(self, orders, capsys):
+        code, text = run_cli(
+            ["pathological", *FIXTURE_ARGS, "--e0", "0.5", "--order", orders]
+        )
+        assert (code, text) == (2, "")
+        assert f"bad order list {orders!r}" in capsys.readouterr().err
 
     def test_e0_on_genuine_pole(self):
         code, _ = run_cli(
@@ -615,3 +646,10 @@ class TestConfigFile:
         cfg.write_text("omega 1\n")
         code, _ = run_cli(["spectrum", "--config", str(cfg)])
         assert code == 2
+
+    @pytest.mark.parametrize("value, seeded", [("on", True), ("off", False)])
+    def test_boolean_value(self, tmp_path, value, seeded):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seedless = {value}\n")
+        argv = ["spectrum", "--config", str(cfg)]
+        assert _load_config_args(argv) == argv[:1] + ["--seedless"] * seeded + argv[1:]

@@ -221,6 +221,15 @@ class TestConvergentPair:
             convergent_pair(energy, FIXTURE, 10)
 
 
+@pytest.mark.parametrize("routine", [forward_recurrence, minimal_sequence, finite_cf,
+                                     pair_secular, secular_count])
+def test_fractional_order_refused(routine):
+    # a fractional order is refused, not truncated to the integer below
+    with pytest.raises(ValueError, match="integer >= "):
+        routine(0.5, FIXTURE, 2.5)
+    routine(0.5, FIXTURE, 2.0)
+
+
 class TestPairSecular:
     def test_zero_iff_spectral_zero(self, oracle_union):
         # W and f0 - F_N vanish together; check sign change brackets match

@@ -159,6 +159,10 @@ class TestSolveMethodA:
         with pytest.raises(GZeroError):
             solve_method_a(ModelParams(1.0, 0.0, 0.4), 100, (-1.0, 3.0))
 
+    def test_fractional_order_refused(self):
+        with pytest.raises(ValueError, match="integer >= "):
+            solve_method_a(FIXTURE, 60.5, (-1.0, 2.0), levels=3)
+
     def test_root_count_matches_oracle_above_depth_bound(self, oracle_union):
         result = solve_method_a(FIXTURE, 150, (-1.0, 6.0))
         n_oracle = int(np.sum((oracle_union > -1.0) & (oracle_union < 6.0)))

@@ -13,10 +13,10 @@ independent Sturm-bisection eigensolver on the truncated parity chains:
   continued-fraction route.
 
 Both continued fractions run one scaled two-term recurrence
-(``recurrence``).  ``convergence`` certifies resolvent-tail convergence
-and bounds the truncation depth; ``search`` provides the root scans of
-both continued fractions and the inter-parity crossing detector; ``cli``
-exposes everything as subcommands.
+(``recurrence``) and count their roots (``secular_count``, ``pole_count``)
+for one root driver in ``search``, next to the inter-parity crossing
+detector; ``convergence`` certifies resolvent-tail convergence and bounds
+the truncation depth; ``cli`` exposes everything as subcommands.
 """
 
 from .errors import (
@@ -65,6 +65,7 @@ from .resolvent import (
     build_pathological,
     char_poly,
     inverse_recurrence_tail,
+    pole_count,
     poles_of_resolvent,
     resolvent_cf,
 )

@@ -12,16 +12,12 @@ above 2**256, up when nonzero below 2**-256.  Power-of-two scaling commutes
 with rounding, so every value keeps the bits it would have unscaled, up to
 that factor, and signs and ratios are exact.
 
-``scaled_pair`` runs on Python floats (or mpmath numbers); ``scaled_pair_lanes``
-runs the same rule lane by lane on numpy arrays and gives the same bits
-in every lane.
+``scaled_pair`` runs on Python floats (or mpmath numbers).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["RESCALE_LIMIT", "RESCALE", "scaled_pair", "scaled_pair_lanes"]
+__all__ = ["RESCALE_LIMIT", "RESCALE", "scaled_pair"]
 
 RESCALE_LIMIT = 2.0**256
 RESCALE = 2.0**-256
@@ -51,22 +47,3 @@ def scaled_pair(prev, cur, steps):
             exponent -= 256
     return prev, cur, exponent
 
-
-def scaled_pair_lanes(prev: np.ndarray, cur: np.ndarray, rows):
-    """Lane form of :func:`scaled_pair`: ``prev`` and ``cur`` hold one seed
-    per lane and ``rows`` yields (p_k, q_k) per step, each an array over
-    the lanes or a scalar.  Rows are consumed one at a time, so no
-    (steps, lanes) coefficient table is built.
-
-    Returns the last pair (y_{K-1}, y_K), each lane rescaled under the same
-    rule as the scalar form and so bit-identical to it.
-    """
-    for p, q in rows:
-        prev, cur = cur, p * cur - q * prev
-        mag = np.maximum(np.abs(prev), np.abs(cur))
-        down = mag > RESCALE_LIMIT
-        up = mag < RESCALE
-        if down.any() or up.any():
-            scale = np.where(down, RESCALE, np.where(up & (mag > 0.0), RESCALE_LIMIT, 1.0))
-            prev, cur = prev * scale, cur * scale
-    return prev, cur

@@ -16,9 +16,11 @@ The ratio form is evaluated here through the scaled minor pair (the
 two-term recurrence of ``rabicf.recurrence``) rather than by chained
 divisions.  The two are algebraically identical, but the minor
 recurrence is linear and backward stable, passes through partial-fraction
-poles without blowup, and keeps a sign-true witness D_0 for pole
-bracketing; a float "infinity" of the division form witnesses nothing, so
-pole detection always uses the denominator chain.
+poles without blowup, and keeps a sign-true D_0 for refining a pole.
+The same fraction counts its poles: u_j = -D_j/D_{j+1} are the pivots
+u_N = d_N - E, u_j = (d_j - E) - a_{j+1}/u_{j+1} of a backward LDL^T of
+H - E, so by Sylvester's law of inertia the negative ones number the poles
+at or below E (``pole_count``; Atkinson 1964, ch. 4; Parlett 1980).
 
 A pathological truncation's chain (``PlantedChain``) is the one exception
 to double precision: its planted pole has a border residue of roughly
@@ -42,9 +44,9 @@ from .errors import (
     PoleSeparationError,
 )
 from .model import ChainCoefficients, ModelParams, Parity, TruncationOrder, build_chain
-from .recurrence import scaled_pair, scaled_pair_lanes
+from .recurrence import scaled_pair
 from .schweber import DEN_FLOOR
-from .search import DEFAULT_REFINE_TOL, bisect_sign, bracket_roots, checked_window
+from .search import DEFAULT_GRID, DEFAULT_REFINE_TOL, checked_window, counted_roots
 from .tridiag import (
     EnergyLevel,
     SpectralMethod,
@@ -58,6 +60,7 @@ __all__ = [
     "PathologicalVariant",
     "PlantedChain",
     "char_poly",
+    "pole_count",
     "resolvent_cf",
     "poles_of_resolvent",
     "inverse_recurrence_tail",
@@ -68,6 +71,10 @@ __all__ = [
 # Decimal digits kept beyond what the planted mode's own growth consumes;
 # the reciprocal at the planted energy then reads about 10**-_PLANT_MARGIN.
 _PLANT_MARGIN = 40
+
+# Pivots in (-PIVMIN, PIVMIN] count as negative: the oracle's rule
+# (``tridiag.PIVMIN``), copied so that method b shares no code with it.
+PIVMIN = 1e-290
 
 # Plant energies within this many omega of a genuine pole are rejected: the
 # demonstration needs the planted pole to be separable from the real ones.
@@ -96,26 +103,33 @@ def _b_values(energy: float, chain: ChainCoefficients) -> np.ndarray:
     return energy - chain.diag
 
 
-def char_poly(energy, chain: ChainCoefficients):
+def char_poly(energy: float, chain: ChainCoefficients) -> tuple[float, float]:
     """The characteristic minors (D_0, D_1) of E - H for a chain, both
     under a shared positive power-of-two rescale (``rabicf.recurrence``).
 
     D_0 = det(E - H) up to that factor: its zeros over energy are the
     truncated-chain eigenvalues, and D_1/D_0 is the border resolvent G_0.
-    ``energy`` is a float, giving two floats, or an array, giving two
-    arrays from one recurrence pass, lane for lane bit-identical to the
-    float calls.
     """
     # step j takes (b_j, a_{j+1}); a_{N+1} = 0 starts from D_{N+2} = 0
     a = np.append(chain.a_values(), 0.0)[::-1]
-    if np.ndim(energy) == 0:
-        steps = zip(_b_values(energy, chain)[::-1].tolist(), a.tolist())
-        d1, d0, _ = scaled_pair(0.0, 1.0, steps)
-    else:
-        energies = np.asarray(energy, dtype=float)
-        rows = ((energies - d, q) for d, q in zip(chain.diag[::-1], a))
-        d1, d0 = scaled_pair_lanes(np.zeros_like(energies), np.ones_like(energies), rows)
+    steps = zip(_b_values(energy, chain)[::-1].tolist(), a.tolist())
+    d1, d0, _ = scaled_pair(0.0, 1.0, steps)
     return d0, d1
+
+
+def pole_count(energy, chain: ChainCoefficients) -> np.ndarray:
+    """Number of poles of G_0 at or below each ``energy`` (an array, or a
+    float giving a 0-d array): the negative backward pivots u_N .. u_0 of
+    H - E, run lane by lane, an exactly singular pivot counting as one."""
+    energies = np.asarray(energy, dtype=float)
+    count = np.zeros(energies.shape, dtype=np.int64)
+    u = np.full(energies.shape, np.inf)
+    for d, a in zip(chain.diag[::-1], np.append(chain.a_values(), 0.0)[::-1]):
+        u = (d - energies) - a / u
+        neg = u <= PIVMIN
+        count += neg
+        u = np.where(neg, np.minimum(u, -PIVMIN), u)
+    return count
 
 
 def _det_pair_planted(energy: float, chain: "PlantedChain") -> tuple[float, float]:
@@ -168,37 +182,28 @@ def poles_of_resolvent(
     chain: ChainCoefficients,
     window: tuple[float, float],
     max_levels: int,
-    grid: int | None = None,
+    grid: int = DEFAULT_GRID,
 ) -> SpectrumApproximation:
     """Poles of G_0 inside a window, i.e. the truncated-chain eigenvalues.
 
-    Detection runs on sign changes of the j = 0 characteristic minor: for
-    g > 0 its zeros are exactly the reciprocal's (no pole is lifted, every
-    off-diagonal entry being nonzero), while sampling the reciprocal ratio
-    itself would also flip at its own poles (the once-deleted chain's
-    eigenvalues, which interlace) and, at g = 0, would lose every lifted
-    pole to exact factor cancellation.  The window is sampled on ``grid``
-    points (``bracket_roots``), a sample exactly on a pole being its own
-    bracket; the lowest ``max_levels`` brackets are refined by sign
-    bisection on the minor down to DEFAULT_REFINE_TOL * omega, and the
-    residual reported per pole is the reciprocal magnitude there.
+    ``search.counted_roots`` brackets the window's ``grid`` samples by
+    ``pole_count``, which finds every pole at any grid of 2 or more
+    samples, and refines each pole by sign bisection on D_0 (not on the
+    reciprocal, which also flips at the interlacing zeros of D_1) down to
+    DEFAULT_REFINE_TOL * omega.  The residual reported per pole is the
+    reciprocal magnitude there.
 
     Returns the poles found, fewer than ``max_levels`` or none when the
     window holds fewer; ``solve_method_a`` answers the same way, and a
     caller that needs a count checks it (``union_spectrum(first_k=...)``).
     """
-    lo, hi = checked_window(window)
+    checked_window(window)
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
-    if grid is None:
-        grid = max(512, int(128 * (hi - lo) / chain.params.omega))
-
-    minor = lambda e: char_poly(e, chain)[0]
-    poles: list[EnergyLevel] = []
-    for lo, hi in bracket_roots(minor, window, grid, max_levels).brackets:
-        root = bisect_sign(minor, lo, hi, DEFAULT_REFINE_TOL * chain.params.omega)
-        residual = abs(resolvent_cf(root, chain).reciprocal)
-        poles.append(EnergyLevel(index=len(poles), energy=root, residual=residual))
+    roots = counted_roots(lambda e: pole_count(e, chain), lambda e: char_poly(e, chain)[0],
+                          window, grid, max_levels, DEFAULT_REFINE_TOL * chain.params.omega)
+    poles = [EnergyLevel(index=i, energy=root, residual=abs(resolvent_cf(root, chain).reciprocal))
+             for i, (root, _) in enumerate(roots)]
     return SpectrumApproximation.from_levels(
         SpectralMethod.METHOD_B, chain.parity, chain.order, poles, chain.params.omega
     )

@@ -1,9 +1,10 @@
 """Root localization and the parameter-scan crossing detector.
 
-Root scans here serve both spectral methods: the grid cells of one plain
-window that hold roots are brackets, found by sign change (method b) or by
-root count, cuts of the pole lattice E = k w - g^2/w included (method a),
-and are refined by sign bisection.
+Both continued fractions find their roots through one driver,
+``counted_roots``: the grid cells of one plain window over which a root
+count rises (``secular_count`` for method a, cuts of the pole lattice
+E = k w - g^2/w included; ``pole_count`` for method b) are brackets,
+halved by count until each holds one root, and refined by sign bisection.
 
 The crossing scan tracks oracle eigenvalues of both parity chains across a
 coupling sweep and records every inter-parity crossing together with the
@@ -39,6 +40,7 @@ __all__ = [
     "BracketScan",
     "bracket_roots",
     "bisect_sign",
+    "counted_roots",
     "MethodAResult",
     "solve_method_a",
     "default_window",
@@ -70,9 +72,11 @@ ITP_N0 = 1
 
 @dataclass(frozen=True)
 class BracketScan:
-    """Root brackets of a sampled function."""
+    """Root brackets of a sampled function; ``partial_last`` when the last
+    bracket's cell holds more roots than were returned for it."""
 
     brackets: tuple[tuple[float, float], ...]
+    partial_last: bool
 
 
 def checked_window(window) -> tuple[float, float]:
@@ -90,43 +94,37 @@ def checked_grid(grid: int) -> int:
     return grid
 
 
-def bracket_roots(f, window: tuple[float, float], grid: int,
+def bracket_roots(count, window: tuple[float, float], grid: int,
                   levels: int | None = None) -> BracketScan:
-    """Root brackets of ``f`` over ``grid`` samples spanning ``window``:
-    the first ``levels`` of them, or all when ``levels`` is None.
+    """Root brackets of a counted function over ``grid`` samples spanning
+    ``window``: the first ``levels`` of them, or all when ``levels`` is None.
 
-    ``f`` maps the array of samples to an array of values, in one call.
-    Integer values count roots: a cell over which the count rises by k is
-    its bracket k times.  Float values mark a root by a sign change between
-    neighbouring samples, skipping NaN (no convergence); a sample exactly
-    on a root is its own bracket (lo == hi).  Brackets come in sample
+    ``count`` maps the array of samples to an integer array in one call,
+    the number of roots at or below each sample; a cell over which the
+    count rises by k is its bracket k times.  Brackets come in sample
     order, so the first k hold the k lowest roots: a caller refines every
     bracket returned.
     """
     lo, hi = checked_window(window)
     xs = np.linspace(lo, hi, checked_grid(grid))
-    values = np.asarray(f(xs))
-    if values.dtype.kind in "iu":
-        cells = np.repeat(np.arange(grid - 1), np.diff(values))
-        return BracketScan(brackets=tuple((float(xs[i]), float(xs[i + 1])) for i in cells[:levels]))
-    ok = np.isfinite(values)
-    xs, values = xs[ok], values[ok]
-    s = np.sign(values)
-    flips = np.append(s[:-1] * s[1:] < 0, False)
-    brackets = [(float(xs[i]), float(xs[i + 1] if flips[i] else xs[i]))
-                for i in np.nonzero(flips | (s == 0.0))[0]]
-    return BracketScan(brackets=tuple(brackets[:levels]))
+    cells = np.repeat(np.arange(grid - 1), np.diff(count(xs)))
+    kept = cells[:levels]
+    return BracketScan(brackets=tuple((float(xs[i]), float(xs[i + 1])) for i in kept),
+                       partial_last=bool(0 < len(kept) < len(cells) and cells[len(kept)] == kept[-1]))
 
 
 def bisect_sign(f, lo: float, hi: float, tol: float) -> float:
-    """Bisection using only the sign of ``f``; robust for functions whose
-    magnitude jumps (rescaled determinant mantissas).  Halving stops at
-    width ``tol``, or earlier once lo and hi are adjacent floats."""
+    """Bisection for the root of ``f`` in (lo, hi] using only its sign;
+    robust for functions whose magnitude jumps (rescaled determinant
+    mantissas).  A zero at ``hi`` is the root; one at ``lo`` belongs to the
+    cell below, so halving goes on to the sign change above it.  Halving
+    stops at width ``tol``, or earlier once lo and hi are adjacent floats."""
     flo = f(lo)
-    if flo == 0.0:
-        return lo
-    if np.sign(flo) == np.sign(f(hi)):
+    if (fhi := f(hi)) == 0.0:
+        return hi
+    if np.sign(flo) == np.sign(fhi):
         raise LostBracketError(f"no sign change over ({lo!r}, {hi!r})")
+    below = np.sign(flo) or -np.sign(fhi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -134,11 +132,54 @@ def bisect_sign(f, lo: float, hi: float, tol: float) -> float:
         fm = f(mid)
         if fm == 0.0:
             return mid
-        if np.sign(fm) == np.sign(flo):
-            lo, flo = mid, fm
+        if np.sign(fm) == below:
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def counted_roots(count, f, window: tuple[float, float], grid: int, levels: int | None,
+                  tol: float, cut=None) -> list[tuple[float, float | None]]:
+    """The lowest ``levels`` roots in ``window`` (all when None), ascending,
+    as (root, width) pairs.  ``count`` gives the number of roots at or below
+    each energy of an array or at a float; ``cut(lo, hi)``, if given, tells
+    whether [lo, hi] meets a sign change of ``f`` that is no root.  A grid
+    cell holding one root and no cut is bisected on the sign of ``f`` down
+    to ``tol`` (width None); any other is first halved by count.  A piece
+    still holding several roots or a cut at ``tol`` is a root at its
+    midpoint, once per root, with its width."""
+    scan = bracket_roots(count, window, grid, levels)
+    cells = [(cell, len(list(run))) for cell, run in groupby(scan.brackets)]
+    found: list[tuple[float, float | None]] = []
+    for i, ((lo, hi), want) in enumerate(cells):
+        whole = i < len(cells) - 1 or not scan.partial_last
+        if want == 1 and whole and not (cut and cut(lo, hi)):
+            pieces = [(lo, hi, True)]
+        else:
+            pieces = _isolate(count, cut, lo, hi, want, tol)
+        for a, b, isolated in pieces:
+            found.append((bisect_sign(f, a, b, tol), None) if isolated else (0.5 * (a + b), b - a))
+    return found
+
+
+def _isolate(count, cut, lo, hi, want, tol) -> list[tuple[float, float, bool]]:
+    """Pieces (a, b, isolated) holding the lowest ``want`` roots of (lo, hi],
+    halved by ``count``: an isolated piece holds one root and no cut, and a
+    piece narrowed to ``tol`` without that counts once per root it holds."""
+    pieces: list[tuple[float, float, bool]] = []
+    stack = [(lo, hi, count(lo), count(hi))]
+    while stack and len(pieces) < want:
+        a, b, c_a, c_b = stack.pop()
+        roots, mid = c_b - c_a, 0.5 * (a + b)
+        if roots == 1 and not (cut and cut(a, b)):
+            pieces.append((a, b, True))
+        elif roots and (b - a <= tol or not a < mid < b):
+            pieces += [(a, b, False)] * roots
+        elif roots:
+            c_mid = count(mid)
+            stack += [(mid, b, c_mid, c_b), (a, mid, c_a, c_mid)]
+    return pieces[:want]
 
 
 def default_window(params: ModelParams, levels: int) -> tuple[float, float]:
@@ -173,13 +214,12 @@ def solve_method_a(
     """Locate the lowest ``levels`` coefficient-method roots in a window
     (all of them when None); only their brackets are refined.
 
-    Brackets are the grid cells over which the root count of W_N rises
-    (``secular_count``).  A cell holding one root and no cut is bisected on
-    the sign of W_N down to DEFAULT_REFINE_TOL * omega; any other is first
-    halved by count until each piece holds one root and no cut.  A piece
-    still holding a cut at that width is a root on the cut, reported at its
-    midpoint, once per root, with its width as residual; every other
-    residual is |f_0 - F_N|, infinite within ``eps_pole`` of a cut.
+    The roots come from ``counted_roots`` on the root count of W_N
+    (``secular_count``) and its sign, with the cuts that ``meets_cut``
+    finds, down to DEFAULT_REFINE_TOL * omega.  A piece still holding a cut
+    at that width is a root on the cut, reported at its midpoint with its
+    width as residual; every other residual is |f_0 - F_N|, infinite
+    within ``eps_pole`` of a cut.
     Returns the roots found, fewer than ``levels`` or none when the window
     holds fewer, as ``poles_of_resolvent`` does.  Raises DeltaZeroError at
     delta = 0, where f_n has no poles to count across and every eigenvalue
@@ -192,48 +232,19 @@ def solve_method_a(
             "at delta=0 every eigenvalue coincides with a coefficient pole; "
             "use the resolvent method or the eigensolver"
         )
-    tol = DEFAULT_REFINE_TOL * params.omega
-    count = lambda e: secular_count(e, params, order)
-    brackets = bracket_roots(count, window, grid, levels).brackets
-    cells = [(cell, len(list(run))) for cell, run in groupby(brackets)]
+    roots = counted_roots(lambda e: secular_count(e, params, order),
+                          lambda e: pair_secular(e, params, order), window, grid, levels,
+                          DEFAULT_REFINE_TOL * params.omega,
+                          lambda lo, hi: meets_cut(lo, hi, params, order))
     found: list[EnergyLevel] = []
-    for i, ((lo, hi), want) in enumerate(cells):
-        # the last cell may hold more roots than were asked for
-        whole = i < len(cells) - 1 or len(brackets) != levels
-        if want == 1 and whole and not meets_cut(lo, hi, params, order):
-            pieces = [(lo, hi, True)]
-        else:
-            pieces = _isolate(count, params, order, lo, hi, want, tol)
-        for a, b, isolated in pieces:
-            if isolated:
-                root = bisect_sign(lambda e: pair_secular(e, params, order), a, b, tol)
-                res = spectral_function_a(root, params, order, eps_pole)
-                residual = abs(res.value) if res.converged else math.inf
-            else:
-                root, residual = 0.5 * (a + b), b - a
-            found.append(EnergyLevel(index=len(found), energy=root, residual=residual))
+    for root, residual in roots:
+        if residual is None:
+            res = spectral_function_a(root, params, order, eps_pole)
+            residual = abs(res.value) if res.converged else math.inf
+        found.append(EnergyLevel(index=len(found), energy=root, residual=residual))
     return MethodAResult(SpectrumApproximation.from_levels(
         SpectralMethod.METHOD_A, None, order, found, params.omega
     ))
-
-
-def _isolate(count, params, order, lo, hi, want, tol) -> list[tuple[float, float, bool]]:
-    """Pieces (a, b, isolated) holding the lowest ``want`` roots of (lo, hi],
-    halved by ``count``: an isolated piece holds one root and no cut, and a
-    piece narrowed to ``tol`` without that counts once per root it holds."""
-    pieces: list[tuple[float, float, bool]] = []
-    stack = [(lo, hi, count(lo), count(hi))]
-    while stack and len(pieces) < want:
-        a, b, c_a, c_b = stack.pop()
-        roots, mid = c_b - c_a, 0.5 * (a + b)
-        if roots == 1 and not meets_cut(a, b, params, order):
-            pieces.append((a, b, True))
-        elif roots and (b - a <= tol or not a < mid < b):
-            pieces += [(a, b, False)] * roots
-        elif roots:
-            c_mid = count(mid)
-            stack += [(mid, b, c_mid, c_b), (a, mid, c_a, c_mid)]
-    return pieces[:want]
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,8 @@ class SpectrumApproximation:
 
 
 def _negative_pivot_counts(energies: np.ndarray, diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
-    """Count eigenvalues strictly below each energy, vectorized.
+    """Count eigenvalues at or below each energy, vectorized (an exactly
+    singular pivot counting as negative).
 
     ``energies`` has any shape; ``diag`` (..., n+1) and ``off2`` (..., n)
     broadcast against it on the leading axes.
@@ -121,7 +122,8 @@ def _negative_pivot_counts(energies: np.ndarray, diag: np.ndarray, off2: np.ndar
 
 
 def sturm_count(energy: float, chain: ChainCoefficients) -> int:
-    """Number of chain eigenvalues strictly less than ``energy``.
+    """Number of chain eigenvalues at or below ``energy``, an exactly
+    singular pivot counting as negative.
 
     Monotone non-decreasing in the energy; ranges 0..order+1.  Exactly
     singular pivots are perturbed to -PIVMIN, which keeps the count

@@ -101,6 +101,23 @@ class TestSpectrum:
                     if col.startswith("energy")}
         assert len(rows) == 1 and energies == {"-0.4270436745660642"}
 
+    @pytest.mark.parametrize("argv", [
+        [*FIXTURE_ARGS, "--parity", "plus", "--levels", "6", "--order", "100", "--grid", "5"],
+        ["--omega", "1", "--g", "2", "--delta", "0.4", "--parity", "minus",
+         "--levels", "12", "--order", "300", "--grid", "16"],
+    ], ids=["two-poles-a-cell", "g2-minus"])
+    def test_method_b_coarse_grid_loses_no_pole(self, argv):
+        # grid cells holding several poles of one chain are halved by the
+        # pole count: every level the oracle finds is printed, none skipped
+        code, text = run_cli(["spectrum", *argv, "--method", "b"])
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        code, oracle = run_cli(["spectrum", *argv, "--method", "diag"])
+        assert code == 0
+        want = [float(r[1]) for r in parse_csv(oracle)[2]]
+        assert len(rows) == len(want) == int(argv[argv.index("--levels") + 1])
+        np.testing.assert_allclose([float(r[1]) for r in rows], want, atol=1e-9)
+
     def test_method_b_grid_too_small(self, capsys):
         code, text = run_cli(["spectrum", *FIXTURE_ARGS, "--method", "b", "--grid", "1"])
         assert (code, text) == (2, "")

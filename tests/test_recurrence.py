@@ -1,9 +1,8 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from rabicf.recurrence import scaled_pair, scaled_pair_lanes
+from rabicf.recurrence import scaled_pair
 
 
 def dyadic_steps(sign):
@@ -44,16 +43,3 @@ def test_scalar_pair_is_exact_times_power_of_two(sign, seeds):
 def test_zero_pair_is_not_rescaled():
     assert scaled_pair(0.0, 0.0, [(2.0**-300, 1.0)] * 5) == (0.0, 0.0, 0)
 
-
-def test_lanes_match_scalar_bitwise():
-    seeds = [(1.0, 3.0), (-2.0, 5.0), (0.0, 1.0), (0.0, 0.0), (7.0, -1.0)]
-    for sign in (1.0, -1.0):
-        steps = dyadic_steps(sign)
-        prev, cur = scaled_pair_lanes(
-            np.array([s[0] for s in seeds]), np.array([s[1] for s in seeds]), iter(steps)
-        )
-        scalar = [scaled_pair(a, b, steps)[:2] for a, b in seeds]
-        np.testing.assert_array_equal(prev.view(np.int64),
-                                      np.array([s[0] for s in scalar]).view(np.int64))
-        np.testing.assert_array_equal(cur.view(np.int64),
-                                      np.array([s[1] for s in scalar]).view(np.int64))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from rabicf import (
     DivergedTailError,
@@ -15,11 +17,13 @@ from rabicf import (
     char_poly,
     eigenvalues,
     inverse_recurrence_tail,
+    pole_count,
     poles_of_resolvent,
     resolvent_cf,
     sturm_count,
 )
 from rabicf.resolvent import PathologicalVariant
+from rabicf.search import default_window
 
 from conftest import FIXTURE, ORACLE_MINUS_12, ORACLE_PLUS_12
 
@@ -56,24 +60,26 @@ class TestCharPoly:
         d0, d1 = char_poly(0.2, chain)
         assert d1 / d0 == pytest.approx(resolvent_cf(0.2, chain).value, rel=1e-12)
 
-    @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
-    @pytest.mark.parametrize("order", [1, 2, 300, 1200])
-    def test_array_matches_scalar_bitwise(self, parity, order):
-        # the grid scan and the bisection must see the same minors, on
-        # and next to the chain eigenvalues too
-        chain = build_chain(FIXTURE, parity, order)
-        roots = eigenvalues(chain, min(order + 1, 12)).energies
-        energies = np.concatenate([
-            np.linspace(-2.0, 0.6 * order + 2.0, 401),
-            roots,
-            np.nextafter(roots, -np.inf),
-            np.nextafter(roots, np.inf),
-        ])
-        grid = char_poly(energies, chain)
-        scalar = np.array([char_poly(float(e), chain) for e in energies]).T
-        for lanes, floats in zip(grid, scalar):
-            assert np.all(np.isfinite(floats))
-            np.testing.assert_array_equal(lanes.view(np.int64), floats.view(np.int64))
+
+class TestPoleCount:
+    @pytest.mark.parametrize("params, parity, order, special", [
+        (FIXTURE, Parity.PLUS, 100, ORACLE_PLUS_12[0]),
+        (FIXTURE, Parity.MINUS, 100, ORACLE_MINUS_12[0]),
+        # g = 0: 0.25 is exactly the lowest eigenvalue
+        (ModelParams(1.0, 0.0, 0.25), Parity.PLUS, 20, 0.25),
+        # the oracle's forward pivot at level 1 vanishes exactly at E = -1
+        (ModelParams(1.0, 1.2, 0.4), Parity.MINUS, 300, -1.0),
+    ])
+    def test_matches_sturm_count(self, params, parity, order, special):
+        chain = build_chain(params, parity, order)
+        energies = np.append(np.linspace(-5.0, 12.0, 341), special)
+        want = [sturm_count(e, chain) for e in energies]
+        np.testing.assert_array_equal(pole_count(energies, chain), want)
+        assert pole_count(special, chain) == sturm_count(special, chain)
+
+    def test_pole_on_the_energy_counts(self):
+        chain = build_chain(ModelParams(1.0, 0.0, 0.25), Parity.PLUS, 20)
+        assert [int(pole_count(e, chain)) for e in (0.0, 0.25, 0.5)] == [0, 1, 1]
 
 
 class TestResolventCf:
@@ -128,6 +134,32 @@ class TestPolesOfResolvent:
         chain = build_chain(ModelParams(1.0, 0.0, 0.25), Parity.PLUS, 20)
         got = poles_of_resolvent(chain, (0.0, 0.5), 3, grid=3).energies
         np.testing.assert_array_equal(got, [0.25])
+
+    @given(st.floats(0.0, 3.0, exclude_min=True), st.floats(0.0, 2.0, exclude_min=True),
+           st.integers(1, 60), st.integers(2, 40))
+    def test_every_pole_at_any_grid(self, g, delta, order, grid):
+        # the pole count brackets every pole, however many share a cell
+        params = ModelParams(1.0, g, delta)
+        lo, hi = default_window(params, 6)
+        margin = 1e-8 * params.omega
+        for parity in Parity:
+            chain = build_chain(params, parity, order)
+            for end in (lo, hi):
+                assume(sturm_count(end - margin, chain) == sturm_count(end + margin, chain))
+            n_lo, n_hi = sturm_count(lo, chain), sturm_count(hi, chain)
+            got = poles_of_resolvent(chain, (lo, hi), order + 1, grid=grid).energies
+            assert len(got) == n_hi - n_lo
+            if n_hi > n_lo:
+                want = eigenvalues(chain, n_hi).energies[n_lo:]
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+    def test_poles_on_consecutive_samples(self):
+        # g = delta = 0: the poles 0, 1, 2, 3 are samples; each cell ends on
+        # its own pole and starts on the one below
+        chain = build_chain(ModelParams(1.0, 0.0, 0.0), Parity.PLUS, 6)
+        for grid in (2, 3, 5):
+            got = poles_of_resolvent(chain, (-1.0, 3.0), 10, grid=grid).energies
+            np.testing.assert_array_equal(got, [0.0, 1.0, 2.0, 3.0])
 
     def test_interlacing_with_next_order(self):
         big = poles_of_resolvent(build_chain(FIXTURE, Parity.PLUS, 31), (-1.0, 6.0), 8).energies

@@ -19,37 +19,35 @@ from rabicf import (
     scan_levels,
     secular_count,
     solve_method_a,
-    spectral_function_a,
     sturm_count,
 )
 import rabicf.search as search
-from rabicf.search import bisect_sign, default_window
+from rabicf.search import bisect_sign, counted_roots, default_window
 
 from conftest import FIXTURE, ORACLE_UNION_24
+
+
+def roots_at(*roots):
+    """Root count of a function whose roots are ``roots``: how many lie at
+    or below each sample."""
+    return lambda e: sum(np.greater_equal(e, r).astype(int) for r in roots)
 
 
 class TestBracketRoots:
     def test_invalid_window(self):
         with pytest.raises(ValueError, match="invalid window"):
-            bracket_roots(lambda e: e, (2.0, 1.0), 10)
+            bracket_roots(roots_at(), (2.0, 1.0), 10)
 
     def test_linear_single_bracket(self):
-        scan = bracket_roots(lambda e: e - 1.0, (0.0, 2.0), 10)
+        scan = bracket_roots(roots_at(1.0), (0.0, 2.0), 10)
         assert len(scan.brackets) == 1
         lo, hi = scan.brackets[0]
         assert lo < 1.0 < hi
 
     def test_no_sign_change(self):
-        scan = bracket_roots(lambda e: e + 1.0, (0.0, 2.0), 10)
+        # a count that never rises over the window brackets nothing
+        scan = bracket_roots(roots_at(-1.0), (0.0, 2.0), 10)
         assert scan.brackets == ()
-
-    def test_skips_nan_samples(self):
-        scan = bracket_roots(
-            np.vectorize(lambda e: math.nan if 0.9 < e < 1.1 else e - 1.0, otypes=[float]),
-            (0.0, 2.0),
-            50,
-        )
-        assert len(scan.brackets) == 1
 
     def test_fixture_count_matches_oracle(self, oracle_union):
         # the secular root count brackets every oracle eigenvalue in the
@@ -60,17 +58,19 @@ class TestBracketRoots:
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError, match="--grid 1 is too small"):
-            bracket_roots(lambda e: e, (-1.0, 3.0), 1)
+            bracket_roots(roots_at(), (-1.0, 3.0), 1)
 
     def test_exact_zero_sample_is_bracket(self):
-        scan = bracket_roots(lambda e: e - 1.0, (0.0, 2.0), 11)  # grid hits 1.0
-        assert any(lo == hi == 1.0 for lo, hi in scan.brackets)
+        # a root on a sample is counted there: the cell ending on it
+        xs = np.linspace(0.0, 2.0, 11)
+        scan = bracket_roots(roots_at(1.0), (0.0, 2.0), 11)  # grid hits 1.0
+        assert scan.brackets == ((xs[4], 1.0),)
 
     def test_brackets_in_sample_order(self):
-        # roots at 0.3 and 1.7 flip sign between samples; 1.0 is a sample
+        # roots at 0.3 and 1.7 lie between samples; 1.0 is a sample
         xs = np.linspace(0.0, 2.0, 11)
-        scan = bracket_roots(lambda e: (e - 0.3) * (e - 1.0) * (e - 1.7), (0.0, 2.0), 11)
-        assert scan.brackets == ((xs[1], xs[2]), (1.0, 1.0), (xs[8], xs[9]))
+        scan = bracket_roots(roots_at(0.3, 1.0, 1.7), (0.0, 2.0), 11)
+        assert scan.brackets == ((xs[1], xs[2]), (xs[4], 1.0), (xs[8], xs[9]))
 
     def test_count_rise_repeats_the_cell(self):
         # an integer count that rises by 2 over one cell brackets it twice
@@ -80,25 +80,48 @@ class TestBracketRoots:
         assert scan.brackets == ((xs[2], xs[3]), (xs[2], xs[3]), (xs[7], xs[8]))
         assert bracket_roots(count, (0.0, 2.0), 11, 1).brackets == scan.brackets[:1]
 
+    def test_partial_last_cell(self):
+        # levels that stop inside a cell's roots mark the last bracket
+        count = lambda e: 2 * (e > 0.5) + (e > 1.5)
+        assert [bracket_roots(count, (0.0, 2.0), 11, k).partial_last
+                for k in (None, 0, 1, 2, 3, 4)] == [False, False, True, False, False, False]
+
     def test_levels_keeps_the_lowest(self):
-        f = lambda e: (e - 0.3) * (e - 1.0) * (e - 1.7)
-        every = bracket_roots(f, (0.0, 2.0), 11).brackets
+        count = roots_at(0.3, 1.0, 1.7)
+        every = bracket_roots(count, (0.0, 2.0), 11).brackets
         assert len(every) == 3
         for levels in (0, 1, 2, 3, 4):
-            assert bracket_roots(f, (0.0, 2.0), 11, levels).brackets == every[:levels]
+            assert bracket_roots(count, (0.0, 2.0), 11, levels).brackets == every[:levels]
 
-    def test_raw_spectral_function_brackets_include_cf_poles(self, oracle_union):
-        # sampling f0 - F_N raw also flips sign at the poles of F_N; the
-        # refined residual separates them cleanly from genuine roots, which
-        # is why the solver brackets on the pole-free secular form instead
-        raw_f = lambda e: spectral_function_a(e, FIXTURE, 150).value
-        raw = bracket_roots(np.vectorize(raw_f, otypes=[float]), (-1.0, 6.0), 2000)
-        n_oracle = int(np.sum((oracle_union > -1.0) & (oracle_union < 6.0)))
-        assert len(raw.brackets) > n_oracle
-        kept = 0
-        for lo, hi in raw.brackets:
-            kept += abs(raw_f(bisect_sign(raw_f, lo, hi, 1e-12))) < 1e-6
-        assert kept == n_oracle
+
+class TestCountedRoots:
+    def test_two_roots_in_one_cell(self):
+        # one cell of a two-sample grid holds both roots: halved by count
+        f = lambda e: (e - 0.3) * (e - 0.35)
+        got = counted_roots(roots_at(0.3, 0.35), f, (0.0, 2.0), 2, None, 1e-12)
+        assert [w for _, w in got] == [None, None]
+        np.testing.assert_allclose([r for r, _ in got], [0.3, 0.35], atol=1e-12)
+
+    def test_levels_inside_the_last_cell(self):
+        # the cell holds more roots than were asked for: the lowest is kept
+        f = lambda e: (e - 0.3) * (e - 0.35)
+        got = counted_roots(roots_at(0.3, 0.35), f, (0.0, 2.0), 2, 1, 1e-12)
+        assert len(got) == 1 and got[0][0] == pytest.approx(0.3, abs=1e-12)
+
+    def test_cut_is_halved_away(self):
+        # f also changes sign at a cut at 0.4, where the count holds no root
+        f = lambda e: (e - 0.7) / (e - 0.4)
+        cut = lambda lo, hi: lo <= 0.4 <= hi
+        got = counted_roots(roots_at(0.7), f, (0.0, 1.0), 2, None, 1e-12, cut)
+        assert len(got) == 1 and got[0][1] is None
+        assert got[0][0] == pytest.approx(0.7, abs=1e-12)
+
+    def test_root_on_a_cut(self):
+        # a root that never leaves the cut's piece is its midpoint and width
+        cut = lambda lo, hi: lo <= 0.5 <= hi
+        (root, width), = counted_roots(roots_at(0.5), None, (0.0, 1.0), 2, None, 1e-12, cut)
+        assert 0.0 < width <= 1e-12
+        assert abs(root - 0.5) <= width
 
 
 class TestRefineRoot:
@@ -109,6 +132,16 @@ class TestRefineRoot:
     def test_odd_multiplicity(self):
         root = bisect_sign(lambda e: (e - 0.5) ** 3, 0.0, 2.0, 1e-10)
         assert root == pytest.approx(0.5, abs=1e-9)
+
+    def test_root_on_the_upper_end(self):
+        # a root on a grid sample lies in the cell that ends there
+        assert bisect_sign(lambda e: e - 1.0, 0.0, 1.0, 1e-12) == 1.0
+
+    def test_zero_on_the_lower_end_is_not_taken(self):
+        # a root on the lower end belongs to the cell below: the root in
+        # (lo, hi] is the one found
+        root = bisect_sign(lambda e: e * (e - 0.6), 0.0, 1.0, 1e-12)
+        assert root == pytest.approx(0.6, abs=1e-12)
 
     def test_no_sign_change_rejected(self):
         with pytest.raises(LostBracketError):

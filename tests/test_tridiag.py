@@ -50,6 +50,12 @@ class TestSturmCount:
         chain = build_chain(ModelParams(1.0, 1.2, 0.4), Parity.MINUS, 300)
         assert sturm_count(-1.0, chain) == 1
 
+    def test_singular_pivot_counts_the_level(self):
+        # g = 0: the lowest level is exactly 0.25, and the count at 0.25
+        # includes it (at or below, not strictly below)
+        chain = build_chain(ModelParams(1.0, 0.0, 0.25), Parity.PLUS, 20)
+        assert sturm_count(0.25, chain) == 1
+
     def test_counts_match_bisection(self):
         chain = build_chain(FIXTURE, Parity.PLUS, 80)
         spectrum = eigenvalues(chain, 8)

@@ -12,9 +12,9 @@ independent Sturm-bisection eigensolver on the truncated parity chains:
 * oracle (``tridiag``): Sturm-count bisection, sharing no code with either
   continued-fraction route.
 
-Both continued fractions run one scaled two-term recurrence
-(``recurrence``) and count their roots (``secular_count``, ``pole_count``)
-for one root driver in ``search``, next to the inter-parity crossing
+Both continued fractions run one scaled two-term recurrence and count
+their roots (``secular_count``, ``pole_count``) with one pivot count, both
+in ``recurrence``, for one root driver in ``search``, next to the crossing
 detector; ``convergence`` certifies resolvent-tail convergence and bounds
 the truncation depth; ``cli`` exposes everything as subcommands.
 """

@@ -17,10 +17,9 @@ two-term recurrence of ``rabicf.recurrence``) rather than by chained
 divisions.  The two are algebraically identical, but the minor
 recurrence is linear and backward stable, passes through partial-fraction
 poles without blowup, and keeps a sign-true D_0 for refining a pole.
-The same fraction counts its poles: u_j = -D_j/D_{j+1} are the pivots
-u_N = d_N - E, u_j = (d_j - E) - a_{j+1}/u_{j+1} of a backward LDL^T of
-H - E, so by Sylvester's law of inertia the negative ones number the poles
-at or below E (``pole_count``; Atkinson 1964, ch. 4; Parlett 1980).
+The same fraction counts its poles: u_j = -D_j/D_{j+1} are the backward
+pivots u_j = (d_j - E) - a_{j+1}/u_{j+1} of H - E, and the negative ones
+number the poles at or below E (``pole_count``, ``recurrence.negative_pivots``).
 
 A pathological truncation's chain (``PlantedChain``) is the one exception
 to double precision: its planted pole has a border residue of roughly
@@ -44,7 +43,7 @@ from .errors import (
     PoleSeparationError,
 )
 from .model import ChainCoefficients, ModelParams, Parity, TruncationOrder, build_chain
-from .recurrence import scaled_pair
+from .recurrence import negative_pivots, scaled_pair
 from .schweber import DEN_FLOOR
 from .search import DEFAULT_GRID, DEFAULT_REFINE_TOL, checked_window, counted_roots
 from .tridiag import (
@@ -71,10 +70,6 @@ __all__ = [
 # Decimal digits kept beyond what the planted mode's own growth consumes;
 # the reciprocal at the planted energy then reads about 10**-_PLANT_MARGIN.
 _PLANT_MARGIN = 40
-
-# Pivots in (-PIVMIN, PIVMIN] count as negative: the oracle's rule
-# (``tridiag.PIVMIN``), copied so that method b shares no code with it.
-PIVMIN = 1e-290
 
 # Plant energies within this many omega of a genuine pole are rejected: the
 # demonstration needs the planted pole to be separable from the real ones.
@@ -117,19 +112,14 @@ def char_poly(energy: float, chain: ChainCoefficients) -> tuple[float, float]:
     return d0, d1
 
 
-def pole_count(energy, chain: ChainCoefficients) -> np.ndarray:
-    """Number of poles of G_0 at or below each ``energy`` (an array, or a
-    float giving a 0-d array): the negative backward pivots u_N .. u_0 of
-    H - E, run lane by lane, an exactly singular pivot counting as one."""
-    energies = np.asarray(energy, dtype=float)
-    count = np.zeros(energies.shape, dtype=np.int64)
-    u = np.full(energies.shape, np.inf)
-    for d, a in zip(chain.diag[::-1], np.append(chain.a_values(), 0.0)[::-1]):
-        u = (d - energies) - a / u
-        neg = u <= PIVMIN
-        count += neg
-        u = np.where(neg, np.minimum(u, -PIVMIN), u)
-    return count
+def pole_count(energy, chain: ChainCoefficients):
+    """Poles of G_0 at or below ``energy`` (an int for a float, an int array
+    for an array): the negative backward pivots u_N .. u_0 of H - E, an
+    exactly singular one included (``recurrence.negative_pivots``)."""
+    a = np.append(chain.a_values(), 0.0)[::-1]
+    if np.ndim(energy) == 0:
+        return negative_pivots(zip((chain.diag[::-1] - energy).tolist(), a.tolist()))
+    return negative_pivots((d - energy, a_j) for d, a_j in zip(chain.diag[::-1], a))
 
 
 def _det_pair_planted(energy: float, chain: "PlantedChain") -> tuple[float, float]:

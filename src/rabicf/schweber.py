@@ -21,8 +21,8 @@ across them, roots on a cut (exceptional, Juddian levels) included; only
 evaluations of f_n itself keep a guard interval around each pole.
 
 The convergents and the secular form run the scaled two-term recurrence of
-``rabicf.recurrence``; coefficient sequences are kept as ratios K_{n+1}/K_n,
-which need no rescale.
+``rabicf.recurrence``, and the root count its pivot count; coefficient
+sequences are kept as ratios K_{n+1}/K_n, which need no rescale.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     TooShortError,
 )
 from .model import ModelParams, TruncationOrder, checked_order, shifted_energy
-from .recurrence import scaled_pair
+from .recurrence import negative_pivots, scaled_pair
 
 __all__ = [
     "CfStatus",
@@ -68,12 +68,6 @@ __all__ = [
 # f_n is reported at_pole instead of evaluated, and the method-a residual
 # reads infinite; the root count needs no guard.
 EPS_POLE_REL = 1e-9
-
-# Pivots in (-PIVMIN, PIVMIN] are replaced by -PIVMIN before counting, the
-# convention of the Sturm oracle: an exactly singular leading minor counts
-# as a root below E.  Kept as its own copy, so that the oracle shares no
-# code path with the continued fractions.
-PIVMIN = 1e-290
 
 # An intermediate continued-fraction denominator below this magnitude is a
 # pole of a partial fraction; the evaluation reports Overflow status.
@@ -371,48 +365,26 @@ def secular_count(energy, params: ModelParams, order: TruncationOrder):
     (discrete Sturm oscillation; F. V. Atkinson, 1964, ch. 4).  At a cut
     f_m jumps from -inf to +inf (it is +inf on the cut) and the pivot count
     drops by one, which the cut term restores: c'(b) - c'(a) roots lie in
-    (a, b], cuts included.  A float gives an int from a plain-float loop,
-    an array an int array from one numpy pass with the same arithmetic.
+    (a, b], cuts included.  A float gives an int, an array an int array
+    (``recurrence.negative_pivots``).
     """
     _require_coupling(params)
     n = checked_order(order, 1)
     x = shifted_energy(params, energy)
-    if np.ndim(energy) != 0:
-        return _count_lanes(np.asarray(x, dtype=float), params, n)
-    w, g, d = params.omega, params.g, params.delta
-    # _f_of_detune written out, operation for operation
-    base, two_g, d2 = 2.0 * g / w, 2.0 * g, d * d
-    count, q = 0, math.inf  # q_0 = f_0 - 0/inf
-    for m in range(n + 1):
-        detune = x - m * w
-        count += detune >= 0.0
-        f = base + (-detune + d2 / detune) / two_g if detune else math.inf
-        q = f - m / q
-        if q <= PIVMIN:
-            count += 1
-            q = min(q, -PIVMIN)
-    return count
-
-
-def _count_lanes(x: np.ndarray, params: ModelParams, n: int) -> np.ndarray:
-    """Lane form of :func:`secular_count` over shifted energies ``x``."""
-    count = np.zeros(x.shape, dtype=np.int64)
-    q = np.full_like(x, np.inf)
-    with np.errstate(divide="ignore"):  # f_m = +inf on a cut
-        for m in range(n + 1):
-            detune = x - m * params.omega
-            count += detune >= 0.0
-            q = _f_of_detune(detune, params) - m / q
-            neg = q <= PIVMIN
-            count += neg
-            q = np.where(neg, np.minimum(q, -PIVMIN), q)
-    return count
+    m_w = params.omega * np.arange(n + 1, dtype=float)
+    cuts = np.searchsorted(m_w, x, side="right")  # x - m w >= 0 iff x >= m w
+    with np.errstate(divide="ignore", over="ignore"):  # inf on a cut, or at tiny g
+        if np.ndim(x) == 0:
+            f = _f_of_detune(x - m_w, params).tolist()
+            return int(cuts) + negative_pivots(zip(f, range(n + 1)))
+        return cuts + negative_pivots((_f_of_detune(x - mw, params), m)
+                                      for m, mw in enumerate(m_w))
 
 
 def meets_cut(lo: float, hi: float, params: ModelParams, order: TruncationOrder) -> bool:
     """Whether [lo, hi] meets a cut x = k w, 0 <= k <= N: some k whose
-    detuning x - k w, computed as in :func:`secular_count`, is <= 0 at lo
-    and >= 0 at hi."""
+    detuning x - k w is <= 0 at lo and >= 0 at hi, the test by which
+    :func:`secular_count` counts a cut."""
     k_w = np.arange(checked_order(order, 0) + 1) * params.omega
     return bool(np.any((shifted_energy(params, lo) - k_w <= 0.0)
                        & (shifted_energy(params, hi) - k_w >= 0.0)))

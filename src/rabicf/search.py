@@ -72,11 +72,9 @@ ITP_N0 = 1
 
 @dataclass(frozen=True)
 class BracketScan:
-    """Root brackets of a sampled function; ``partial_last`` when the last
-    bracket's cell holds more roots than were returned for it."""
+    """Root brackets of a sampled function."""
 
     brackets: tuple[tuple[float, float], ...]
-    partial_last: bool
 
 
 def checked_window(window) -> tuple[float, float]:
@@ -108,9 +106,7 @@ def bracket_roots(count, window: tuple[float, float], grid: int,
     lo, hi = checked_window(window)
     xs = np.linspace(lo, hi, checked_grid(grid))
     cells = np.repeat(np.arange(grid - 1), np.diff(count(xs)))
-    kept = cells[:levels]
-    return BracketScan(brackets=tuple((float(xs[i]), float(xs[i + 1])) for i in kept),
-                       partial_last=bool(0 < len(kept) < len(cells) and cells[len(kept)] == kept[-1]))
+    return BracketScan(brackets=tuple((float(xs[i]), float(xs[i + 1])) for i in cells[:levels]))
 
 
 def bisect_sign(f, lo: float, hi: float, tol: float) -> float:
@@ -118,12 +114,13 @@ def bisect_sign(f, lo: float, hi: float, tol: float) -> float:
     robust for functions whose magnitude jumps (rescaled determinant
     mantissas).  A zero at ``hi`` is the root; one at ``lo`` belongs to the
     cell below, so halving goes on to the sign change above it.  Halving
-    stops at width ``tol``, or earlier once lo and hi are adjacent floats."""
+    stops at width ``tol``, or earlier once lo and hi are adjacent floats.
+    A NaN value of ``f`` loses the bracket (LostBracketError)."""
     flo = f(lo)
     if (fhi := f(hi)) == 0.0:
         return hi
-    if np.sign(flo) == np.sign(fhi):
-        raise LostBracketError(f"no sign change over ({lo!r}, {hi!r})")
+    if np.sign(flo) == np.sign(fhi) or flo != flo or fhi != fhi:
+        raise LostBracketError(f"no sign change over ({lo!r}, {hi!r}): f = {flo!r}, {fhi!r}")
     below = np.sign(flo) or -np.sign(fhi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -132,6 +129,8 @@ def bisect_sign(f, lo: float, hi: float, tol: float) -> float:
         fm = f(mid)
         if fm == 0.0:
             return mid
+        if fm != fm:
+            raise LostBracketError(f"f is NaN at {mid!r} in ({lo!r}, {hi!r})")
         if np.sign(fm) == below:
             lo = mid
         else:
@@ -153,7 +152,7 @@ def counted_roots(count, f, window: tuple[float, float], grid: int, levels: int 
     cells = [(cell, len(list(run))) for cell, run in groupby(scan.brackets)]
     found: list[tuple[float, float | None]] = []
     for i, ((lo, hi), want) in enumerate(cells):
-        whole = i < len(cells) - 1 or not scan.partial_last
+        whole = i < len(cells) - 1 or levels is None or len(scan.brackets) < levels
         if want == 1 and whole and not (cut and cut(lo, hi)):
             pieces = [(lo, hi, True)]
         else:

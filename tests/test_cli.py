@@ -118,6 +118,15 @@ class TestSpectrum:
         assert len(rows) == len(want) == int(argv[argv.index("--levels") + 1])
         np.testing.assert_allclose([float(r[1]) for r in rows], want, atol=1e-9)
 
+    def test_method_a_nan_secular_is_lost(self, capsys):
+        # at g = 1e-76 the secular form W_N is NaN across the ground state's
+        # cell: no level is printed near it, the bracket is reported lost
+        argv = ["spectrum", "--omega", "1", "--g", "1e-76", "--delta", "1.5",
+                "--method", "a", "--levels", "2", "--order", "300"]
+        assert run_cli(argv) == (3, "")
+        err = capsys.readouterr().err
+        assert err.startswith("rabicf: no sign change over (") and "nan" in err
+
     def test_method_b_grid_too_small(self, capsys):
         code, text = run_cli(["spectrum", *FIXTURE_ARGS, "--method", "b", "--grid", "1"])
         assert (code, text) == (2, "")

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from rabicf.recurrence import scaled_pair
+from rabicf.recurrence import PIVMIN, negative_pivots, scaled_pair
 
 
 def dyadic_steps(sign):
@@ -43,3 +44,43 @@ def test_scalar_pair_is_exact_times_power_of_two(sign, seeds):
 def test_zero_pair_is_not_rescaled():
     assert scaled_pair(0.0, 0.0, [(2.0**-300, 1.0)] * 5) == (0.0, 0.0, 0)
 
+
+def pivot_rows(seed, steps=40, lanes=9):
+    """Random rows (p_k, a_k) of a tridiagonal with diagonal p and squared
+    off-diagonals a_1..; a_0 = 0 is the unused first coupling."""
+    rng = np.random.default_rng(seed)
+    p = rng.normal(size=(steps, lanes))
+    a = rng.uniform(0.1, 2.0, size=steps)
+    a[0] = 0.0
+    return p, a
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pivots_count_negative_eigenvalues(seed):
+    # Sylvester's law of inertia: the count is that of the matrix's
+    # negative eigenvalues, lane by lane
+    p, a = pivot_rows(seed)
+    for j in range(p.shape[1]):
+        t = np.diag(p[:, j]) + np.diag(np.sqrt(a[1:]), 1) + np.diag(np.sqrt(a[1:]), -1)
+        want = int(np.sum(np.linalg.eigvalsh(t) < 0.0))
+        assert negative_pivots(zip(p[:, j].tolist(), a.tolist())) == want
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pivots_floats_match_lanes(seed):
+    p, a = pivot_rows(seed)
+    # lane 0 meets an exactly zero pivot at step 1; lanes 1 and 2 start on
+    # PIVMIN and on -0.0
+    p[:2, 0], a[1] = 1.0, 1.0
+    p[0, 1:3] = PIVMIN, -0.0
+    lanes = negative_pivots(zip(p, a))
+    floats = [negative_pivots(zip(p[:, j].tolist(), a.tolist())) for j in range(p.shape[1])]
+    assert all(type(c) is int for c in floats)
+    assert lanes.dtype == np.int64 and lanes.shape == (p.shape[1],)
+    np.testing.assert_array_equal(lanes, floats)
+
+
+def test_singular_pivot_counts_and_continues_below():
+    # q_1 = 1 - 1/1 = 0 counts; continuing as -PIVMIN, q_2 = 0 + 1/PIVMIN > 0
+    assert negative_pivots([(1.0, 0.0), (1.0, 1.0)]) == 1
+    assert negative_pivots([(1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]) == 1

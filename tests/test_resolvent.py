@@ -74,8 +74,12 @@ class TestPoleCount:
         chain = build_chain(params, parity, order)
         energies = np.append(np.linspace(-5.0, 12.0, 341), special)
         want = [sturm_count(e, chain) for e in energies]
-        np.testing.assert_array_equal(pole_count(energies, chain), want)
-        assert pole_count(special, chain) == sturm_count(special, chain)
+        lanes = pole_count(energies, chain)
+        np.testing.assert_array_equal(lanes, want)
+        # a float counts with the plain-float loop: an int, equal to its lane
+        floats = [pole_count(float(e), chain) for e in energies]
+        assert all(type(c) is int for c in floats)
+        np.testing.assert_array_equal(floats, lanes)
 
     def test_pole_on_the_energy_counts(self):
         chain = build_chain(ModelParams(1.0, 0.0, 0.25), Parity.PLUS, 20)

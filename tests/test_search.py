@@ -80,12 +80,6 @@ class TestBracketRoots:
         assert scan.brackets == ((xs[2], xs[3]), (xs[2], xs[3]), (xs[7], xs[8]))
         assert bracket_roots(count, (0.0, 2.0), 11, 1).brackets == scan.brackets[:1]
 
-    def test_partial_last_cell(self):
-        # levels that stop inside a cell's roots mark the last bracket
-        count = lambda e: 2 * (e > 0.5) + (e > 1.5)
-        assert [bracket_roots(count, (0.0, 2.0), 11, k).partial_last
-                for k in (None, 0, 1, 2, 3, 4)] == [False, False, True, False, False, False]
-
     def test_levels_keeps_the_lowest(self):
         count = roots_at(0.3, 1.0, 1.7)
         every = bracket_roots(count, (0.0, 2.0), 11).brackets
@@ -146,6 +140,18 @@ class TestRefineRoot:
     def test_no_sign_change_rejected(self):
         with pytest.raises(LostBracketError):
             bisect_sign(lambda e: e * e + 1.0, 0.0, 1.0, 1e-12)
+
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    def test_nan_at_an_end_rejected(self, end):
+        f = lambda e: math.nan if e == end else e - 0.5
+        with pytest.raises(LostBracketError):
+            bisect_sign(f, 0.0, 1.0, 1e-12)
+
+    def test_nan_inside_rejected(self):
+        # finite with a sign change at both ends, NaN at every interior point
+        f = lambda e: e - 0.5 if e in (0.0, 1.0) else math.nan
+        with pytest.raises(LostBracketError, match="NaN"):
+            bisect_sign(f, 0.0, 1.0, 1e-12)
 
     def test_endpoint_perturbation_invariance(self):
         f = lambda e: math.tanh(3.0 * (e - 1.25))

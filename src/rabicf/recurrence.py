@@ -7,9 +7,10 @@ minors, all run the same recurrence
     y_k = p_k y_{k-1} - q_k y_{k-2}
 
 with different coefficients.  Its solutions grow or shrink without bound
-with the order, so the running pair (y_{k-1}, y_k) is rescaled by an exact
-power of two whenever its larger magnitude leaves [2**-256, 2**256]: down
-above 2**256, up when nonzero below 2**-256.  Power-of-two scaling commutes
+with the order, so whenever the larger magnitude of the running pair
+(y_{k-1}, y_k) leaves [2**-256, 2**256] the pair is rescaled by 2**256 until
+it is back: down above 2**256, up when nonzero below 2**-256 (a pair holding
+inf or NaN is left as it is).  Power-of-two scaling commutes
 with rounding, so every value keeps the bits it would have unscaled, up to
 that factor, and signs and ratios are exact.
 
@@ -47,15 +48,13 @@ def scaled_pair(prev, cur, steps):
     for p, q in steps:
         prev, cur = cur, p * cur - q * prev
         # max(|prev|, |cur|) against both bounds, as chained compares: no
-        # calls in the hot loop
-        if not (-lim <= cur <= lim and -lim <= prev <= lim):
-            prev *= tiny
-            cur *= tiny
-            exponent += 256
-        elif -tiny < cur < tiny and -tiny < prev < tiny and (cur or prev):
-            prev *= lim
-            cur *= lim
-            exponent -= 256
+        # calls in the hot loop.  One step may move the pair past a bound by
+        # more than 2**256; x - x is 0 only for finite x, so inf and NaN
+        # are left as they are
+        while not (-lim <= cur <= lim and -lim <= prev <= lim) and cur - cur == prev - prev == 0:
+            prev, cur, exponent = prev * tiny, cur * tiny, exponent + 256
+        while -tiny < cur < tiny and -tiny < prev < tiny and (cur or prev):
+            prev, cur, exponent = prev * lim, cur * lim, exponent - 256
     return prev, cur, exponent
 
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDenominatorError,
+    DeltaZeroError,
     GZeroError,
     PoleError,
     TooShortError,
@@ -366,9 +367,13 @@ def secular_count(energy, params: ModelParams, order: TruncationOrder):
     f_m jumps from -inf to +inf (it is +inf on the cut) and the pivot count
     drops by one, which the cut term restores: c'(b) - c'(a) roots lie in
     (a, b], cuts included.  A float gives an int, an array an int array
-    (``recurrence.negative_pivots``).
+    (``recurrence.negative_pivots``).  At delta = 0 f_m has no pole for the
+    cut term to count (it reads 0/0 on a cut): DeltaZeroError.
     """
     _require_coupling(params)
+    if params.delta == 0.0:
+        raise DeltaZeroError("at delta=0 every eigenvalue coincides with a coefficient pole; "
+                             "use the resolvent method or the eigensolver")
     n = checked_order(order, 1)
     x = shifted_energy(params, energy)
     m_w = params.omega * np.arange(n + 1, dtype=float)

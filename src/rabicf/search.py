@@ -3,8 +3,9 @@
 Both continued fractions find their roots through one driver,
 ``counted_roots``: the grid cells of one plain window over which a root
 count rises (``secular_count`` for method a, cuts of the pole lattice
-E = k w - g^2/w included; ``pole_count`` for method b) are brackets,
-halved by count until each holds one root, and refined by sign bisection.
+E = k w - g^2/w included; ``pole_count`` for method b) are brackets, one
+per root.  Each is halved by count toward its own root number until the
+piece holds that root alone, and refined by sign bisection.
 
 The crossing scan tracks oracle eigenvalues of both parity chains across a
 coupling sweep and records every inter-parity crossing together with the
@@ -17,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import groupby
 
 import numpy as np
 
 from .convergence import tail_depth_bound
-from .errors import DegenerateScanError, DeltaZeroError, GZeroError, LostBracketError
+from .errors import DegenerateScanError, LostBracketError
 from .model import ModelParams, Parity, TruncationOrder, build_chain, checked_tol
 from .schweber import meets_cut, pair_secular, secular_count, spectral_function_a
 from .tridiag import (
@@ -72,9 +72,12 @@ ITP_N0 = 1
 
 @dataclass(frozen=True)
 class BracketScan:
-    """Root brackets of a sampled function."""
+    """Root brackets of a counted function, in sample order, with the
+    count at both ends of each: a cell over which the count rises by k
+    appears k times in both."""
 
     brackets: tuple[tuple[float, float], ...]
+    counts: tuple[tuple[int, int], ...]
 
 
 def checked_window(window) -> tuple[float, float]:
@@ -99,14 +102,18 @@ def bracket_roots(count, window: tuple[float, float], grid: int,
 
     ``count`` maps the array of samples to an integer array in one call,
     the number of roots at or below each sample; a cell over which the
-    count rises by k is its bracket k times.  Brackets come in sample
-    order, so the first k hold the k lowest roots: a caller refines every
-    bracket returned.
+    count rises by k is its bracket k times, each with the counts at its
+    two samples.  Brackets come in sample order, so the first k hold the
+    k lowest roots: a caller refines every bracket returned.  A negative
+    ``levels`` is a ValueError.
     """
+    if levels is not None and levels < 0:
+        raise ValueError(f"levels must be >= 0, got {levels}")
     lo, hi = checked_window(window)
     xs = np.linspace(lo, hi, checked_grid(grid))
-    cells = np.repeat(np.arange(grid - 1), np.diff(count(xs)))
-    return BracketScan(brackets=tuple((float(xs[i]), float(xs[i + 1])) for i in cells[:levels]))
+    cells = np.repeat(np.arange(grid - 1), np.diff(counts := count(xs)))[:levels]
+    return BracketScan(brackets=tuple(zip(xs[cells].tolist(), xs[cells + 1].tolist())),
+                       counts=tuple(zip(counts[cells].tolist(), counts[cells + 1].tolist())))
 
 
 def bisect_sign(f, lo: float, hi: float, tol: float) -> float:
@@ -143,42 +150,34 @@ def counted_roots(count, f, window: tuple[float, float], grid: int, levels: int 
     """The lowest ``levels`` roots in ``window`` (all when None), ascending,
     as (root, width) pairs.  ``count`` gives the number of roots at or below
     each energy of an array or at a float; ``cut(lo, hi)``, if given, tells
-    whether [lo, hi] meets a sign change of ``f`` that is no root.  A grid
-    cell holding one root and no cut is bisected on the sign of ``f`` down
-    to ``tol`` (width None); any other is first halved by count.  A piece
-    still holding several roots or a cut at ``tol`` is a root at its
-    midpoint, once per root, with its width."""
+    whether [lo, hi] meets a sign change of ``f`` that is no root.  The
+    i-th bracket holds root number count(window[0]) + 1 + i, which
+    ``_isolate`` halves toward by count; the piece left holding it alone is
+    bisected on the sign of ``f`` down to ``tol`` (width None).  A piece
+    still holding other roots or a cut at ``tol`` is a root at its
+    midpoint, with its width."""
     scan = bracket_roots(count, window, grid, levels)
-    cells = [(cell, len(list(run))) for cell, run in groupby(scan.brackets)]
     found: list[tuple[float, float | None]] = []
-    for i, ((lo, hi), want) in enumerate(cells):
-        whole = i < len(cells) - 1 or levels is None or len(scan.brackets) < levels
-        if want == 1 and whole and not (cut and cut(lo, hi)):
-            pieces = [(lo, hi, True)]
-        else:
-            pieces = _isolate(count, cut, lo, hi, want, tol)
-        for a, b, isolated in pieces:
-            found.append((bisect_sign(f, a, b, tol), None) if isolated else (0.5 * (a + b), b - a))
+    for i, (bracket, ends) in enumerate(zip(scan.brackets, scan.counts)):
+        a, b, alone = _isolate(count, cut, *bracket, *ends, scan.counts[0][0] + 1 + i, tol)
+        found.append((bisect_sign(f, a, b, tol), None) if alone else (0.5 * (a + b), b - a))
     return found
 
 
-def _isolate(count, cut, lo, hi, want, tol) -> list[tuple[float, float, bool]]:
-    """Pieces (a, b, isolated) holding the lowest ``want`` roots of (lo, hi],
-    halved by ``count``: an isolated piece holds one root and no cut, and a
-    piece narrowed to ``tol`` without that counts once per root it holds."""
-    pieces: list[tuple[float, float, bool]] = []
-    stack = [(lo, hi, count(lo), count(hi))]
-    while stack and len(pieces) < want:
-        a, b, c_a, c_b = stack.pop()
-        roots, mid = c_b - c_a, 0.5 * (a + b)
-        if roots == 1 and not (cut and cut(a, b)):
-            pieces.append((a, b, True))
-        elif roots and (b - a <= tol or not a < mid < b):
-            pieces += [(a, b, False)] * roots
-        elif roots:
-            c_mid = count(mid)
-            stack += [(mid, b, c_mid, c_b), (a, mid, c_a, c_mid)]
-    return pieces[:want]
+def _isolate(count, cut, lo, hi, c_lo, c_hi, k, tol) -> tuple[float, float, bool]:
+    """The piece (a, b, alone) of (lo, hi] that holds root number ``k``,
+    with c_lo < k <= c_hi the counts at its ends, halved by ``count``
+    toward that root until it holds no other root and no cut (alone), or
+    until it is ``tol`` wide or cannot be split (not alone)."""
+    while c_hi - c_lo > 1 or (cut and cut(lo, hi)):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or not lo < mid < hi:
+            return lo, hi, False
+        if (c_mid := count(mid)) >= k:
+            hi, c_hi = mid, c_mid
+        else:
+            lo, c_lo = mid, c_mid
+    return lo, hi, True
 
 
 def default_window(params: ModelParams, levels: int) -> tuple[float, float]:
@@ -220,17 +219,9 @@ def solve_method_a(
     width as residual; every other residual is |f_0 - F_N|, infinite
     within ``eps_pole`` of a cut.
     Returns the roots found, fewer than ``levels`` or none when the window
-    holds fewer, as ``poles_of_resolvent`` does.  Raises DeltaZeroError at
-    delta = 0, where f_n has no poles to count across and every eigenvalue
-    sits on a cut.
+    holds fewer, as ``poles_of_resolvent`` does.  ``secular_count`` raises
+    GZeroError at g = 0 and DeltaZeroError at delta = 0.
     """
-    if params.g == 0.0:
-        raise GZeroError("coefficient method undefined at g=0")
-    if params.delta == 0.0:
-        raise DeltaZeroError(
-            "at delta=0 every eigenvalue coincides with a coefficient pole; "
-            "use the resolvent method or the eigensolver"
-        )
     roots = counted_roots(lambda e: secular_count(e, params, order),
                           lambda e: pair_secular(e, params, order), window, grid, levels,
                           DEFAULT_REFINE_TOL * params.omega,

@@ -119,13 +119,26 @@ class TestSpectrum:
         np.testing.assert_allclose([float(r[1]) for r in rows], want, atol=1e-9)
 
     def test_method_a_nan_secular_is_lost(self, capsys):
-        # at g = 1e-76 the secular form W_N is NaN across the ground state's
+        # at g = 1e-300 the secular form W_N is NaN across the ground state's
         # cell: no level is printed near it, the bracket is reported lost
-        argv = ["spectrum", "--omega", "1", "--g", "1e-76", "--delta", "1.5",
+        argv = ["spectrum", "--omega", "1", "--g", "1e-300", "--delta", "1.5",
                 "--method", "a", "--levels", "2", "--order", "300"]
         assert run_cli(argv) == (3, "")
         err = capsys.readouterr().err
         assert err.startswith("rabicf: no sign change over (") and "nan" in err
+
+    @pytest.mark.parametrize("g", ["1e-76", "1e-150"])
+    def test_method_a_tiny_coupling_matches_oracle(self, g):
+        # f_m ~ (m w - x)/(2g) grows the secular pair by more than 2**256
+        # per step: it is rescaled until back in range, not left to overflow
+        argv = ["--omega", "1", "--g", g, "--delta", "1.5", "--levels", "2", "--order", "300"]
+        levels = {}
+        for method in ("a", "diag"):
+            code, text = run_cli(["spectrum", *argv, "--method", method])
+            assert code == 0
+            levels[method] = [float(row[1]) for row in parse_csv(text)[2]]
+        assert len(levels["a"]) == 2
+        np.testing.assert_allclose(levels["a"], levels["diag"], atol=1e-9)
 
     def test_method_b_grid_too_small(self, capsys):
         code, text = run_cli(["spectrum", *FIXTURE_ARGS, "--method", "b", "--grid", "1"])

@@ -27,10 +27,17 @@ def exact(prev, cur, steps):
     return prev, cur
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
+# rows (2**300, 0) grow the pair by more than 2**256 per step and
+# (2**-300, 0) shrink it as much: one rescale a step overflows, then
+# underflows
+JUMPS = [(2.0**300, 0.0)] * 40 + [(2.0**-300, 0.0)] * 80
+
+
+@pytest.mark.parametrize("steps", [pytest.param(dyadic_steps(1.0), id="1.0"),
+                                   pytest.param(dyadic_steps(-1.0), id="-1.0"),
+                                   pytest.param(JUMPS, id="jumps")])
 @pytest.mark.parametrize("seeds", [(1.0, 3.0), (-2.0, 5.0), (0.0, 1.0)])
-def test_scalar_pair_is_exact_times_power_of_two(sign, seeds):
-    steps = dyadic_steps(sign)
+def test_scalar_pair_is_exact_times_power_of_two(steps, seeds):
     prev, cur, exponent = scaled_pair(*seeds, steps)
     want_prev, want_cur = exact(*seeds, steps)
     # climbed past 2**1024 and fell below 2**-1024: both rescale directions ran
@@ -39,6 +46,13 @@ def test_scalar_pair_is_exact_times_power_of_two(sign, seeds):
     assert Fraction(cur) * Fraction(2) ** exponent == want_cur
     # the pair sits inside the rescale bounds
     assert 2.0**-256 <= max(abs(prev), abs(cur)) <= 2.0**256
+
+
+@pytest.mark.parametrize("seeds", [(1.0, float("inf")), (float("nan"), 1.0)])
+def test_nonfinite_pair_ends(seeds):
+    # inf * 2**-256 is inf: the rescale must not spin on it
+    prev, cur, _ = scaled_pair(*seeds, [(2.0**300, 1.0)] * 3)
+    assert not np.isfinite(cur)
 
 
 def test_zero_pair_is_not_rescaled():

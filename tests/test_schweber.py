@@ -11,6 +11,7 @@ from rabicf import (
     Classification,
     ConvergentPair,
     DegenerateDenominatorError,
+    DeltaZeroError,
     GZeroError,
     ModelParams,
     Parity,
@@ -265,6 +266,13 @@ class TestSecularCount:
         scalar = np.array([secular_count(float(e), params, order) for e in energies])
         np.testing.assert_array_equal(lanes, scalar)
         assert np.all(np.diff(lanes) >= 0)
+
+    @pytest.mark.parametrize("energy", [0.51, np.arange(6) - 0.49], ids=["float", "lanes"])
+    def test_delta_zero_refused(self, energy):
+        # the cut term counts the poles of f_m, which delta = 0 removes:
+        # on a cut x = m w f_m reads 0/0
+        with pytest.raises(DeltaZeroError, match="at delta=0 every eigenvalue coincides"):
+            secular_count(energy, ModelParams(1.0, 0.7, 0.0), 20)
 
     @pytest.mark.parametrize("g", [math.sqrt(0.84) / 2, 0.7, 2.0, 3.0])
     def test_never_falls_on_the_grid(self, g):

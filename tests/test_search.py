@@ -21,7 +21,9 @@ from rabicf import (
     solve_method_a,
     sturm_count,
 )
+import rabicf.resolvent as resolvent
 import rabicf.search as search
+from rabicf.resolvent import poles_of_resolvent
 from rabicf.search import bisect_sign, counted_roots, default_window
 
 from conftest import FIXTURE, ORACLE_UNION_24
@@ -87,6 +89,21 @@ class TestBracketRoots:
         for levels in (0, 1, 2, 3, 4):
             assert bracket_roots(count, (0.0, 2.0), 11, levels).brackets == every[:levels]
 
+    @pytest.mark.parametrize("levels", [-1, -5])
+    def test_negative_levels_refused(self, levels):
+        # a negative slice would drop the highest brackets: 7 and 3 of the
+        # window's 8 roots, silently
+        with pytest.raises(ValueError, match="levels must be >= 0"):
+            bracket_roots(roots_at(0.3, 1.0, 1.7), (0.0, 2.0), 11, levels)
+        with pytest.raises(ValueError, match="levels must be >= 0"):
+            solve_method_a(FIXTURE, 150, (-1.2, 3.0), levels=levels)
+
+    def test_counts_at_both_ends(self):
+        # a cell over which the count rises by 2 carries its end counts twice
+        count = lambda e: 1 + 2 * (e > 0.5) + (e > 1.5)
+        scan = bracket_roots(count, (0.0, 2.0), 11)
+        assert scan.counts == ((1, 3), (1, 3), (3, 4))
+
 
 class TestCountedRoots:
     def test_two_roots_in_one_cell(self):
@@ -101,6 +118,40 @@ class TestCountedRoots:
         f = lambda e: (e - 0.3) * (e - 0.35)
         got = counted_roots(roots_at(0.3, 0.35), f, (0.0, 2.0), 2, 1, 1e-12)
         assert len(got) == 1 and got[0][0] == pytest.approx(0.3, abs=1e-12)
+
+    def test_levels_inside_a_cell_of_three(self):
+        # each bracket halves toward its own root number: the third root
+        # of the cell is neither counted down to nor returned
+        f = lambda e: (e - 0.3) * (e - 0.35) * (e - 0.4)
+        got = counted_roots(roots_at(0.3, 0.35, 0.4), f, (0.0, 2.0), 2, 2, 1e-12)
+        assert [w for _, w in got] == [None, None]
+        np.testing.assert_allclose([r for r, _ in got], [0.3, 0.35], atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["a", "b"])
+    def test_grid_samples_are_counted_once(self, monkeypatch, method):
+        # the grid pass counts every sample: halving a cell that holds
+        # several roots, or the last cell that levels stops inside, never
+        # counts one of them again
+        if method == "a":  # cell 0 of 2 holds 18 roots, 12 kept
+            params, order, levels, grid = ModelParams(1.0, 2.0, 0.4), 300, 12, 3
+            module, name = search, "secular_count"
+            solve = lambda w: solve_method_a(params, order, w, levels, grid).spectrum
+        else:  # cells of 1, 3, 2 and 3 poles, the cell of 2 cut to 1
+            params, order, levels, grid = FIXTURE, 100, 5, 5
+            module, name = resolvent, "pole_count"
+            chain = build_chain(params, Parity.PLUS, order)
+            solve = lambda w: poles_of_resolvent(chain, w, levels, grid)
+        window = default_window(params, levels)
+        floats, real = [], getattr(module, name)
+
+        def count(energy, *args):
+            if np.ndim(energy) == 0:
+                floats.append(energy)
+            return real(energy, *args)
+
+        monkeypatch.setattr(module, name, count)
+        assert len(solve(window).levels) == levels
+        assert floats and not set(floats) & set(np.linspace(*window, grid).tolist())
 
     def test_cut_is_halved_away(self):
         # f also changes sign at a cut at 0.4, where the count holds no root

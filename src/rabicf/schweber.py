@@ -17,12 +17,13 @@ also satisfies the K_1 = f_0 seed, i.e. the zeros of
 The method sees only D^2, so it cannot discern the two parity chains: its
 roots approximate the union of both parity spectra.  The f_n have poles on
 the lattice x = n w (the cuts).  The root count ``secular_count`` counts
-across them, roots on a cut (exceptional, Juddian levels) included; only
+across them and the secular polynomial ``pair_secular`` has them cleared,
+so roots on a cut (exceptional, Juddian levels) are found; only
 evaluations of f_n itself keep a guard interval around each pole.
 
-The convergents and the secular form run the scaled two-term recurrence of
-``rabicf.recurrence``, and the root count its pivot count; coefficient
-sequences are kept as ratios K_{n+1}/K_n, which need no rescale.
+The convergents and the secular polynomial run the scaled two-term
+recurrence of ``rabicf.recurrence``, and the root count its pivot count;
+coefficient sequences are kept as ratios K_{n+1}/K_n, which need no rescale.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ __all__ = [
     "convergent_pair",
     "pair_secular",
     "secular_count",
-    "meets_cut",
     "classify_solution",
     "pole_guard",
     "EPS_POLE_REL",
@@ -335,24 +335,24 @@ def convergent_pair(energy: float, params: ModelParams, n: int) -> ConvergentPai
 
 
 def pair_secular(energy: float, params: ModelParams, order: TruncationOrder) -> float:
-    """Pole-free secular function W_N(E) = f_0(E) B_N - A_N, up to a
-    positive rescale.
+    """Pole-free secular polynomial P_N = W_N prod_{m<=N} (x - m w), up to a
+    positive rescale: W_N = f_0 B_N - A_N vanishes exactly where
+    S_N = f_0 - F_N does (consecutive convergents never vanish together).
 
-    W_N vanishes exactly where S_N = f_0 - F_N does, but stays finite and
-    single-signed across the poles of F_N (where B_N = 0, W_N = -A_N != 0
-    since consecutive convergents never vanish together), so sign
-    bisection on W_N never mistakes an F_N pole for a root.
-
-    By linearity W satisfies the convergents' own recurrence,
-    W_m = f_m W_{m-1} - m W_{m-2} from (W_{-1}, W_0) = (1, f_0), so one
-    scaled sequence gives it (``rabicf.recurrence``).  W_N is undefined on
-    a cut x = m w, m <= N, where f_m has its pole; no guard is applied.
+    W_m = f_m W_{m-1} - m W_{m-2} from (W_{-1}, W_0) = (1, f_0), so with
+    d_m = x - m w, P_m = p_m P_{m-1} - m d_m d_{m-1} P_{m-2} from (1, p_0),
+    p_m = f_m d_m = d_m (2g/w - d_m/(2g)) + D^2/(2g): one scaled sequence
+    (``rabicf.recurrence``), finite on every cut.  Its sign is
+    (-1)^(N + 1 + secular_count(E)), so sign bisection needs no cut test.
     """
     _require_coupling(params)
     n = checked_order(order, 1)
-    detune = shifted_energy(params, energy) - params.omega * np.arange(n + 1, dtype=float)
-    f = _f_of_detune(detune, params).tolist()
-    return scaled_pair(1.0, f[0], zip(f[1:], range(1, n + 1)))[1]
+    w, g, delta = params.omega, params.g, params.delta
+    m = np.arange(n + 1, dtype=float)
+    d = shifted_energy(params, energy) - w * m
+    p = (d * (2.0 * g / w - d / (2.0 * g)) + delta * delta / (2.0 * g)).tolist()
+    q = (m[1:] * d[1:] * d[:-1]).tolist()
+    return scaled_pair(1.0, p[0], zip(p[1:], q))[1]
 
 
 def secular_count(energy, params: ModelParams, order: TruncationOrder):
@@ -384,15 +384,6 @@ def secular_count(energy, params: ModelParams, order: TruncationOrder):
             return int(cuts) + negative_pivots(zip(f, range(n + 1)))
         return cuts + negative_pivots((_f_of_detune(x - mw, params), m)
                                       for m, mw in enumerate(m_w))
-
-
-def meets_cut(lo: float, hi: float, params: ModelParams, order: TruncationOrder) -> bool:
-    """Whether [lo, hi] meets a cut x = k w, 0 <= k <= N: some k whose
-    detuning x - k w is <= 0 at lo and >= 0 at hi, the test by which
-    :func:`secular_count` counts a cut."""
-    k_w = np.arange(checked_order(order, 0) + 1) * params.omega
-    return bool(np.any((shifted_energy(params, lo) - k_w <= 0.0)
-                       & (shifted_energy(params, hi) - k_w >= 0.0)))
 
 
 def classify_solution(seq: CoefficientSequence, params: ModelParams) -> Classification:

@@ -5,7 +5,8 @@ Both continued fractions find their roots through one driver,
 count rises (``secular_count`` for method a, cuts of the pole lattice
 E = k w - g^2/w included; ``pole_count`` for method b) are brackets, one
 per root.  Each is halved by count toward its own root number until the
-piece holds that root alone, and refined by sign bisection.
+piece holds that root alone, and bisected on the sign of a function with
+no pole in it: P_N for method a, D_0 for method b.
 
 The crossing scan tracks oracle eigenvalues of both parity chains across a
 coupling sweep and records every inter-parity crossing together with the
@@ -24,7 +25,7 @@ import numpy as np
 from .convergence import tail_depth_bound
 from .errors import DegenerateScanError, LostBracketError
 from .model import ModelParams, Parity, TruncationOrder, build_chain, checked_tol
-from .schweber import meets_cut, pair_secular, secular_count, spectral_function_a
+from .schweber import pair_secular, pole_guard, secular_count, spectral_function_a
 from .tridiag import (
     DEFAULT_EIG_TOL,
     EnergyLevel,
@@ -146,38 +147,33 @@ def bisect_sign(f, lo: float, hi: float, tol: float) -> float:
 
 
 def counted_roots(count, f, window: tuple[float, float], grid: int, levels: int | None,
-                  tol: float, cut=None) -> list[tuple[float, float | None]]:
+                  tol: float) -> list[tuple[float, float | None]]:
     """The lowest ``levels`` roots in ``window`` (all when None), ascending,
     as (root, width) pairs.  ``count`` gives the number of roots at or below
-    each energy of an array or at a float; ``cut(lo, hi)``, if given, tells
-    whether [lo, hi] meets a sign change of ``f`` that is no root.  The
-    i-th bracket holds root number count(window[0]) + 1 + i, which
-    ``_isolate`` halves toward by count; the piece left holding it alone is
-    bisected on the sign of ``f`` down to ``tol`` (width None).  A piece
-    still holding other roots or a cut at ``tol`` is a root at its
-    midpoint, with its width."""
+    each energy of an array or at a float; ``f`` changes sign at each root
+    and nowhere else.  Bracket i holds root number count(window[0]) + 1 + i,
+    which ``_isolate`` halves toward by count; the piece left holding it
+    alone is bisected on ``f`` down to ``tol`` (width None), and one still
+    holding other roots at ``tol`` is a root at its midpoint, with its width."""
     scan = bracket_roots(count, window, grid, levels)
     found: list[tuple[float, float | None]] = []
     for i, (bracket, ends) in enumerate(zip(scan.brackets, scan.counts)):
-        a, b, alone = _isolate(count, cut, *bracket, *ends, scan.counts[0][0] + 1 + i, tol)
+        a, b, alone = _isolate(count, *bracket, *ends, scan.counts[0][0] + 1 + i, tol)
         found.append((bisect_sign(f, a, b, tol), None) if alone else (0.5 * (a + b), b - a))
     return found
 
 
-def _isolate(count, cut, lo, hi, c_lo, c_hi, k, tol) -> tuple[float, float, bool]:
+def _isolate(count, lo, hi, c_lo, c_hi, k, tol) -> tuple[float, float, bool]:
     """The piece (a, b, alone) of (lo, hi] that holds root number ``k``,
     with c_lo < k <= c_hi the counts at its ends, halved by ``count``
-    toward that root until it holds no other root and no cut (alone), or
-    until it is ``tol`` wide or cannot be split (not alone)."""
-    while c_hi - c_lo > 1 or (cut and cut(lo, hi)):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or not lo < mid < hi:
-            return lo, hi, False
+    toward that root until it holds no other root (alone), or until it is
+    ``tol`` wide or cannot be split (not alone)."""
+    while c_hi - c_lo > 1 and hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if (c_mid := count(mid)) >= k:
             hi, c_hi = mid, c_mid
         else:
             lo, c_lo = mid, c_mid
-    return lo, hi, True
+    return lo, hi, c_hi - c_lo == 1
 
 
 def default_window(params: ModelParams, levels: int) -> tuple[float, float]:
@@ -212,24 +208,22 @@ def solve_method_a(
     """Locate the lowest ``levels`` coefficient-method roots in a window
     (all of them when None); only their brackets are refined.
 
-    The roots come from ``counted_roots`` on the root count of W_N
-    (``secular_count``) and its sign, with the cuts that ``meets_cut``
-    finds, down to DEFAULT_REFINE_TOL * omega.  A piece still holding a cut
-    at that width is a root on the cut, reported at its midpoint with its
-    width as residual; every other residual is |f_0 - F_N|, infinite
-    within ``eps_pole`` of a cut.
-    Returns the roots found, fewer than ``levels`` or none when the window
-    holds fewer, as ``poles_of_resolvent`` does.  ``secular_count`` raises
-    GZeroError at g = 0 and DeltaZeroError at delta = 0.
+    ``counted_roots`` finds them on the root count of W_N (``secular_count``)
+    and the sign of the pole-free P_N (``pair_secular``), down to
+    DEFAULT_REFINE_TOL * omega.  The residual is |f_0 - F_N|, infinite
+    within ``eps_pole`` of a cut (checked before solving), or the width of
+    a piece still holding several roots at that tolerance.  Fewer than
+    ``levels`` roots come back when the window holds fewer.  GZeroError at
+    g = 0 and DeltaZeroError at delta = 0 come from ``secular_count``.
     """
+    guard = pole_guard(params, eps_pole)
     roots = counted_roots(lambda e: secular_count(e, params, order),
                           lambda e: pair_secular(e, params, order), window, grid, levels,
-                          DEFAULT_REFINE_TOL * params.omega,
-                          lambda lo, hi: meets_cut(lo, hi, params, order))
+                          DEFAULT_REFINE_TOL * params.omega)
     found: list[EnergyLevel] = []
     for root, residual in roots:
         if residual is None:
-            res = spectral_function_a(root, params, order, eps_pole)
+            res = spectral_function_a(root, params, order, guard)
             residual = abs(res.value) if res.converged else math.inf
         found.append(EnergyLevel(index=len(found), energy=root, residual=residual))
     return MethodAResult(SpectrumApproximation.from_levels(

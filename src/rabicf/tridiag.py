@@ -38,11 +38,11 @@ DEFAULT_EIG_TOL = 1e-11
 # relative to omega.
 NEAR_DEGENERATE_GAP = 1e-10
 
-# Pivots in (-PIVMIN, PIVMIN] are replaced by -PIVMIN before counting, the
-# usual bisection convention: an exactly singular leading submatrix counts
-# as an eigenvalue below E.  Small enough never to matter at physical
-# scales, large enough that a_j / PIVMIN cannot overflow for any
-# representable chain.
+# Pivots at or below PIVMIN count as negative, and those in (-PIVMIN,
+# PIVMIN] continue as -PIVMIN, the usual bisection convention: an exactly
+# singular leading submatrix counts as an eigenvalue below E.  Small
+# enough never to matter at physical scales, large enough that
+# a_j / PIVMIN cannot overflow for any representable chain.
 PIVMIN = 1e-290
 
 
@@ -105,19 +105,16 @@ class SpectrumApproximation:
 
 
 def _negative_pivot_counts(energies: np.ndarray, diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
-    """Count eigenvalues at or below each energy, vectorized (an exactly
-    singular pivot counting as negative).
-
-    ``energies`` has any shape; ``diag`` (..., n+1) and ``off2`` (..., n)
-    broadcast against it on the leading axes.
-    """
+    """Count eigenvalues at or below each energy, vectorized: the pivots at
+    or below PIVMIN.  ``energies`` has any shape; ``diag`` (..., n+1) and
+    ``off2`` (..., n) broadcast against it on the leading axes."""
     q = diag[..., 0] - energies
-    q = np.where(q <= PIVMIN, np.minimum(q, -PIVMIN), q)
-    count = (q < 0).astype(np.int64)
-    for j in range(1, diag.shape[-1]):
-        q = (diag[..., j] - energies) - off2[..., j - 1] / q
-        q = np.where(q <= PIVMIN, np.minimum(q, -PIVMIN), q)
-        count += q < 0
+    count = np.zeros(q.shape, dtype=np.int64)
+    for j in range(diag.shape[-1]):
+        if j:
+            q = (diag[..., j] - energies) - off2[..., j - 1] / q
+        count += (neg := q <= PIVMIN)
+        q = np.where(neg, np.minimum(q, -PIVMIN), q)
     return count
 
 

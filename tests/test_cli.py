@@ -127,10 +127,11 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert err.startswith("rabicf: no sign change over (") and "nan" in err
 
-    @pytest.mark.parametrize("g", ["1e-76", "1e-150"])
+    @pytest.mark.parametrize("g", ["1e-76", "1e-150", "1e-200"])
     def test_method_a_tiny_coupling_matches_oracle(self, g):
-        # f_m ~ (m w - x)/(2g) grows the secular pair by more than 2**256
-        # per step: it is rescaled until back in range, not left to overflow
+        # p_m ~ -(x - m w)^2/(2g) grows the secular pair by more than 2**256
+        # per step, from the seed p_0 on: it is rescaled until back in
+        # range, not left to overflow
         argv = ["--omega", "1", "--g", g, "--delta", "1.5", "--levels", "2", "--order", "300"]
         levels = {}
         for method in ("a", "diag"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,11 +27,12 @@ from rabicf import (
     minimal_sequence,
     pair_secular,
     secular_count,
+    shifted_energy,
     spectral_function_a,
     sturm_count,
 )
 
-from rabicf.schweber import EPS_POLE_REL, meets_cut, pole_guard
+from rabicf.schweber import EPS_POLE_REL, pole_guard
 from rabicf.search import default_window
 
 from conftest import FIXTURE, ORACLE_UNION_24
@@ -247,6 +249,34 @@ class TestPairSecular:
         vals = [pair_secular(e, FIXTURE, 60) for e in np.linspace(0.6, 0.67, 50)]
         assert all(math.isfinite(v) for v in vals)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sign_is_root_count_parity(self, seed):
+        # P_N = W_N prod (x - m w) has no pole: at random energies, on every
+        # cut x = m w (m <= min(N, 12)) and within 2 ulps of one, it is
+        # finite, warns of nothing and has the sign (-1)^(N + 1 + count)
+        rng = np.random.default_rng(seed)
+        on_cut = 0
+        for _ in range(30):
+            params = ModelParams(float(rng.choice([0.5, 1.0, 3.0])), rng.uniform(0.05, 3.0),
+                                 rng.uniform(0.05, 2.0))
+            order, w = int(rng.integers(1, 300)), params.omega
+            energies = (rng.uniform(-10.0, 15.0, 20) * w).tolist()
+            for m in range(min(order, 12) + 1):
+                cut = m * w - params.g**2 / w
+                for side in (-math.inf, math.inf):
+                    e = cut
+                    for _ in range(2):
+                        energies.append(e := math.nextafter(e, side))
+                energies.append(cut)
+                on_cut += sum(shifted_energy(params, e) == m * w for e in energies[-5:])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for e in energies:
+                    value = pair_secular(e, params, order)
+                    count = secular_count(e, params, order)
+                    assert math.isfinite(value) and np.sign(value) == (-1) ** (order + 1 + count)
+        assert on_cut > 0
+
 
 class TestSecularCount:
     @pytest.mark.parametrize("g", [1e-323, 0.3, 1.0, 2.0])
@@ -291,45 +321,6 @@ class TestSecularCount:
             assume(union(end - margin) == union(end + margin))
         lo, hi = (secular_count(end, params, 300) for end in window)
         assert hi - lo == union(window[1]) - union(window[0])
-
-
-def _meets_cut_by_walk(lo, hi, params, order):
-    """meets_cut by a walk to the first k >= 0 with x(lo) - k w <= 0, the
-    only cut that can lie in [lo, hi] if any does."""
-    w = params.omega
-    x_lo = lo + params.g * params.g / w
-    k = max(0, math.ceil(x_lo / w))
-    while k > 0 and x_lo - (k - 1) * w <= 0.0:
-        k -= 1
-    while x_lo - k * w > 0.0:
-        k += 1
-    return k <= order and hi + params.g * params.g / w - k * w >= 0.0
-
-
-class TestMeetsCut:
-    def test_matches_first_cut_walk(self):
-        # random intervals, and intervals that end on a cut or next to one
-        rng = np.random.default_rng(20121205)
-        hits = 0
-        for _ in range(20000):
-            omega = float(rng.choice([0.5, 1.0, 3.0]))
-            params = ModelParams(omega, rng.uniform(0.05, 3.0), 0.4)
-            order = int(rng.integers(0, 12))
-            ends = []
-            for _ in range(2):
-                if rng.random() < 0.5:
-                    ends.append(rng.uniform(-10.0, 14.0) * omega)
-                else:
-                    e = int(rng.integers(-1, 14)) * omega - params.g**2 / omega
-                    steps = int(rng.integers(-2, 3))
-                    for _ in range(abs(steps)):
-                        e = np.nextafter(e, math.copysign(np.inf, steps))
-                    ends.append(float(e))
-            lo, hi = sorted(ends)
-            expected = _meets_cut_by_walk(lo, hi, params, order)
-            assert meets_cut(lo, hi, params, order) == expected, (lo, hi, params, order)
-            hits += expected
-        assert 0 < hits < 20000
 
 
 class TestMinimalSequence:

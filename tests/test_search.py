@@ -153,20 +153,14 @@ class TestCountedRoots:
         assert len(solve(window).levels) == levels
         assert floats and not set(floats) & set(np.linspace(*window, grid).tolist())
 
-    def test_cut_is_halved_away(self):
-        # f also changes sign at a cut at 0.4, where the count holds no root
-        f = lambda e: (e - 0.7) / (e - 0.4)
-        cut = lambda lo, hi: lo <= 0.4 <= hi
-        got = counted_roots(roots_at(0.7), f, (0.0, 1.0), 2, None, 1e-12, cut)
-        assert len(got) == 1 and got[0][1] is None
-        assert got[0][0] == pytest.approx(0.7, abs=1e-12)
-
-    def test_root_on_a_cut(self):
-        # a root that never leaves the cut's piece is its midpoint and width
-        cut = lambda lo, hi: lo <= 0.5 <= hi
-        (root, width), = counted_roots(roots_at(0.5), None, (0.0, 1.0), 2, None, 1e-12, cut)
-        assert 0.0 < width <= 1e-12
-        assert abs(root - 0.5) <= width
+    def test_two_roots_at_one_point(self):
+        # a piece that still holds both roots at tol is never refined on f:
+        # each root is its midpoint, with its width
+        got = counted_roots(roots_at(0.5, 0.5), None, (0.0, 1.0), 2, None, 1e-12)
+        assert len(got) == 2
+        for root, width in got:
+            assert 0.0 < width <= 1e-12
+            assert abs(root - 0.5) <= width
 
 
 class TestRefineRoot:
@@ -252,6 +246,14 @@ class TestSolveMethodA:
     def test_fractional_order_refused(self):
         with pytest.raises(ValueError, match="integer >= "):
             solve_method_a(FIXTURE, 60.5, (-1.0, 2.0), levels=3)
+
+    @pytest.mark.parametrize("eps_pole", [-1.0, math.nan])
+    @pytest.mark.parametrize("window", [(-5.0, -4.0), (-1.2, 1.0)])
+    def test_malformed_eps_pole_refused(self, eps_pole, window):
+        # checked before anything is solved, also over a window that holds
+        # no level
+        with pytest.raises(ValueError, match="eps_pole must be finite and >= 0"):
+            solve_method_a(ModelParams(1.0, 0.7, 0.4), 150, window, eps_pole=eps_pole)
 
     def test_root_count_matches_oracle_above_depth_bound(self, oracle_union):
         result = solve_method_a(FIXTURE, 150, (-1.0, 6.0))

@@ -51,8 +51,7 @@ def measure(src: str) -> dict:
     from rabicf import search, tridiag
 
     seen = {}
-    pivot_counts, refine_events, spectra_at = (
-        tridiag._negative_pivot_counts, search._refine_events, search._spectra_at)
+    pivot_counts, refine_events = tridiag._negative_pivot_counts, search._refine_events
 
     def counted_sweep(energies, diag, off2):
         if seen.get("inside"):
@@ -60,38 +59,30 @@ def measure(src: str) -> dict:
             seen["counts"] += int(np.broadcast(energies, diag[..., 0]).size)
         return pivot_counts(energies, diag, off2)
 
-    def counted_spectra(*args):
-        seen["rounds"] += bool(seen.get("inside"))
-        return spectra_at(*args)
-
     def refining(*args):
         seen["inside"] = True
         try:
             out = refine_events(*args)
         finally:
             seen["inside"] = False
-        seen["itp_steps"] = out[2].tolist() if len(out) == 3 else None
+        seen["itp_steps"] = out[2].tolist()
         return out
 
     tridiag._negative_pivot_counts = counted_sweep
-    search._spectra_at = counted_spectra
     search._refine_events = refining
     result = {}
     for name, spec in _cases().items():
-        seen.update(sweeps=0, counts=0, rounds=0, itp_steps=None)
+        seen.update(sweeps=0, counts=0, itp_steps=[])
         base = ModelParams(1.0, spec["g"], spec["delta"])
         start = time.perf_counter()
         scan = scan_levels(base, spec["param"], spec["from"], spec["to"], spec["steps"],
                            spec["levels"], spec["order"])
         wall = time.perf_counter() - start
         events = len(scan.events)
-        # lockstep bisection: every event takes every halving, and the
-        # first and last eigensolve rounds only read signs and energies
-        steps = seen["itp_steps"] or [max(seen["rounds"] - 2, 0)] * events
         result[name] = {
             "wall_s": round(wall, 3),
             "events": events,
-            "parameter_steps_per_event": steps,
+            "parameter_steps_per_event": seen["itp_steps"],
             "pivot_sweeps": seen["sweeps"],
             "pivot_sweeps_per_event": round(seen["sweeps"] / max(events, 1), 1),
             "sturm_counts_per_event": round(seen["counts"] / max(events, 1)),

@@ -6,13 +6,14 @@ minors, all run the same recurrence
 
     y_k = p_k y_{k-1} - q_k y_{k-2}
 
-with different coefficients.  Its solutions grow or shrink without bound
-with the order, so whenever the larger magnitude of the running pair
-(y_{k-1}, y_k), the seeds included, leaves [2**-256, 2**256] the pair is
-rescaled by 2**256 until it is back: down above 2**256, up when nonzero
-below 2**-256 (a pair holding inf or NaN is left as it is).  Power-of-two
-scaling commutes with rounding, so every value keeps the bits it would
-have unscaled, up to that factor, and signs and ratios are exact.
+with different coefficients, from (y_{-1}, y_0) = (0, 1): a sequence's own
+initial terms are its first steps.  Its solutions grow or shrink without
+bound with the order, so whenever the larger magnitude of the running pair
+(y_{k-1}, y_k) leaves [2**-256, 2**256] the pair is rescaled by 2**256
+until it is back: down above 2**256, up when nonzero below 2**-256 (a pair
+holding inf or NaN is left as it is).  Power-of-two scaling commutes with
+rounding, so every value keeps the bits it would have unscaled, up to that
+factor, and signs and ratios are exact.
 
 ``scaled_pair`` runs on Python floats (or mpmath numbers).  Its ratio form
 counts roots: ``negative_pivots`` counts the negative pivots of an LDL^T,
@@ -35,34 +36,22 @@ RESCALE = 2.0**-256
 PIVMIN = 1e-290
 
 
-def scaled_pair(prev, cur, steps):
+def scaled_pair(steps):
     """Run the recurrence over ``steps``, an iterable of (p_k, q_k), from
-    the seeds (y_{-1}, y_0) = (prev, cur), which are rescaled first.
+    (y_{-1}, y_0) = (0, 1); a first step (t, 0) leaves the pair (1, t).
 
     Returns (y_{K-1}, y_K, exponent) for the last step K: the true pair is
     the returned pair times 2**exponent.  Plain arithmetic and comparisons
     only, so mpmath numbers run through it unchanged.
     """
     lim, tiny = RESCALE_LIMIT, RESCALE
-    prev, cur, exponent = _in_range(prev, cur, 0)
+    prev, cur, exponent = 0.0, 1.0, 0
     for p, q in steps:
         prev, cur = cur, p * cur - q * prev
-        # _in_range written out, so that the hot loop makes no calls
         while not (-lim <= cur <= lim and -lim <= prev <= lim) and cur - cur == prev - prev == 0:
             prev, cur, exponent = prev * tiny, cur * tiny, exponent + 256
         while -tiny < cur < tiny and -tiny < prev < tiny and (cur or prev):
             prev, cur, exponent = prev * lim, cur * lim, exponent - 256
-    return prev, cur, exponent
-
-
-def _in_range(prev, cur, exponent):
-    """(prev, cur, exponent) rescaled until max(|prev|, |cur|) is in
-    [2**-256, 2**256]; (0, 0), inf and NaN (x - x != 0) are left as they are."""
-    lim, tiny = RESCALE_LIMIT, RESCALE
-    while not (-lim <= cur <= lim and -lim <= prev <= lim) and cur - cur == prev - prev == 0:
-        prev, cur, exponent = prev * tiny, cur * tiny, exponent + 256
-    while -tiny < cur < tiny and -tiny < prev < tiny and (cur or prev):
-        prev, cur, exponent = prev * lim, cur * lim, exponent - 256
     return prev, cur, exponent
 
 

@@ -108,7 +108,7 @@ def char_poly(energy: float, chain: ChainCoefficients) -> tuple[float, float]:
     # step j takes (b_j, a_{j+1}); a_{N+1} = 0 starts from D_{N+2} = 0
     a = np.append(chain.a_values(), 0.0)[::-1]
     steps = zip(_b_values(energy, chain)[::-1].tolist(), a.tolist())
-    d1, d0, _ = scaled_pair(0.0, 1.0, steps)
+    d1, d0, _ = scaled_pair(steps)
     return d0, d1
 
 
@@ -116,10 +116,8 @@ def pole_count(energy, chain: ChainCoefficients):
     """Poles of G_0 at or below ``energy`` (an int for a float, an int array
     for an array): the negative backward pivots u_N .. u_0 of H - E, an
     exactly singular one included (``recurrence.negative_pivots``)."""
-    a = np.append(chain.a_values(), 0.0)[::-1]
-    if np.ndim(energy) == 0:
-        return negative_pivots(zip((chain.diag[::-1] - energy).tolist(), a.tolist()))
-    return negative_pivots((d - energy, a_j) for d, a_j in zip(chain.diag[::-1], a))
+    a = np.append(chain.a_values(), 0.0)[::-1].tolist()
+    return negative_pivots((d - energy, a_j) for d, a_j in zip(chain.diag[::-1].tolist(), a))
 
 
 def _det_pair_planted(energy: float, chain: "PlantedChain") -> tuple[float, float]:
@@ -132,7 +130,7 @@ def _det_pair_planted(energy: float, chain: "PlantedChain") -> tuple[float, floa
         b = [e - d for d in chain.diag[-2::-1].tolist()]
         a = [mpmath.mpf(x) ** 2 for x in chain.offdiag[::-1].tolist()]
         # from D_{N+1} = 1 and D_N on the extended planted entry
-        d1, d0, _ = scaled_pair(mpmath.mpf(1), e - chain.planted_diag_nn, zip(b, a))
+        d1, d0, _ = scaled_pair([(e - chain.planted_diag_nn, 0)] + list(zip(b, a)))
         scale = abs(d1) or abs(d0)
         return float(d0 / scale), float(d1 / scale)
 

@@ -328,8 +328,8 @@ def convergent_pair(energy: float, params: ModelParams, n: int) -> ConvergentPai
         return ConvergentPair(a=0.0, b=1.0, n=0)
     f = _coeff_values(energy, params, n).tolist()
     steps = list(zip(f[2:], range(2, n + 1)))
-    _, a, a_exp = scaled_pair(0.0, 1.0, steps)
-    _, b, b_exp = scaled_pair(1.0, f[1], steps)
+    _, a, a_exp = scaled_pair(steps)
+    _, b, b_exp = scaled_pair([(f[1], 0.0)] + steps)
     top = max(a_exp, b_exp)
     return ConvergentPair(a=math.ldexp(a, a_exp - top), b=math.ldexp(b, b_exp - top), n=n)
 
@@ -340,19 +340,21 @@ def pair_secular(energy: float, params: ModelParams, order: TruncationOrder) -> 
     S_N = f_0 - F_N does (consecutive convergents never vanish together).
 
     W_m = f_m W_{m-1} - m W_{m-2} from (W_{-1}, W_0) = (1, f_0), so with
-    d_m = x - m w, P_m = p_m P_{m-1} - m d_m d_{m-1} P_{m-2} from (1, p_0),
-    p_m = f_m d_m = d_m (2g/w - d_m/(2g)) + D^2/(2g): one scaled sequence
-    (``rabicf.recurrence``), finite on every cut.  Its sign is
-    (-1)^(N + 1 + secular_count(E)), so sign bisection needs no cut test.
+    d_m = x - m w, (2g)^(m+1) P_m runs on the rows p_m = 2g f_m d_m =
+    d_m (4g^2/w - d_m) + D^2 and q_m = 4g^2 m d_m d_{m-1} from (1, p_0):
+    one scaled sequence (``rabicf.recurrence``) with no 1/g, finite on every
+    cut and at tiny g.  Its sign is (-1)^(N + 1 + secular_count(E)), so
+    sign bisection needs no cut test.
     """
     _require_coupling(params)
     n = checked_order(order, 1)
     w, g, delta = params.omega, params.g, params.delta
     m = np.arange(n + 1, dtype=float)
     d = shifted_energy(params, energy) - w * m
-    p = (d * (2.0 * g / w - d / (2.0 * g)) + delta * delta / (2.0 * g)).tolist()
-    q = (m[1:] * d[1:] * d[:-1]).tolist()
-    return scaled_pair(1.0, p[0], zip(p[1:], q))[1]
+    g4 = 4.0 * g * g
+    p = (d * (g4 / w - d) + delta * delta).tolist()
+    q = (g4 * m[1:] * d[1:] * d[:-1]).tolist()
+    return scaled_pair(zip(p, [0.0] + q))[1]
 
 
 def secular_count(energy, params: ModelParams, order: TruncationOrder):

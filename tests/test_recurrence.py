@@ -20,11 +20,17 @@ def dyadic_steps(sign):
     return steps
 
 
-def exact(prev, cur, steps):
-    prev, cur = Fraction(prev), Fraction(cur)
+def exact(steps):
+    prev, cur = Fraction(0), Fraction(1)
     for p, q in steps:
         prev, cur = cur, Fraction(p) * cur - Fraction(q) * prev
     return prev, cur
+
+
+def seeded(a, b, steps):
+    """``steps`` run from (y_{-1}, y_0) = (a, b): two leading steps reach
+    that pair exactly from the kernel's (0, 1)."""
+    return [(a, 0.0), (0.0, -b)] + steps
 
 
 # rows (2**300, 0) grow the pair by more than 2**256 per step and
@@ -38,8 +44,9 @@ JUMPS = [(2.0**300, 0.0)] * 40 + [(2.0**-300, 0.0)] * 80
                                    pytest.param(JUMPS, id="jumps")])
 @pytest.mark.parametrize("seeds", [(1.0, 3.0), (-2.0, 5.0), (0.0, 1.0)])
 def test_scalar_pair_is_exact_times_power_of_two(steps, seeds):
-    prev, cur, exponent = scaled_pair(*seeds, steps)
-    want_prev, want_cur = exact(*seeds, steps)
+    steps = seeded(*seeds, steps)
+    prev, cur, exponent = scaled_pair(steps)
+    want_prev, want_cur = exact(steps)
     # climbed past 2**1024 and fell below 2**-1024: both rescale directions ran
     assert want_cur != 0 and exponent < -1024
     assert Fraction(prev) * Fraction(2) ** exponent == want_prev
@@ -51,12 +58,25 @@ def test_scalar_pair_is_exact_times_power_of_two(steps, seeds):
 @pytest.mark.parametrize("seeds", [(1.0, float("inf")), (float("nan"), 1.0)])
 def test_nonfinite_pair_ends(seeds):
     # inf * 2**-256 is inf: the rescale must not spin on it
-    prev, cur, _ = scaled_pair(*seeds, [(2.0**300, 1.0)] * 3)
+    prev, cur, _ = scaled_pair(seeded(*seeds, [(2.0**300, 1.0)] * 3))
     assert not np.isfinite(cur)
 
 
 def test_zero_pair_is_not_rescaled():
-    assert scaled_pair(0.0, 0.0, [(2.0**-300, 1.0)] * 5) == (0.0, 0.0, 0)
+    steps = [(0.0, 0.0), (0.0, 0.0)] + [(2.0**-300, 1.0)] * 5
+    assert scaled_pair(steps) == (0.0, 0.0, 0)
+
+
+def test_out_of_range_first_term_is_rescaled():
+    # y_0 = 2**600 leaves the range on the first step: the loop's range
+    # rule brings the pair back, as it does after any other step
+    steps = [(2.0**600, 0.0), (1.0, 2.0**590)]
+    prev, cur, exponent = scaled_pair(steps)
+    want_prev, want_cur = exact(steps)
+    assert exponent == 512
+    assert Fraction(prev) * Fraction(2) ** exponent == want_prev
+    assert Fraction(cur) * Fraction(2) ** exponent == want_cur
+    assert 2.0**-256 <= max(abs(prev), abs(cur)) <= 2.0**256
 
 
 def pivot_rows(seed, steps=40, lanes=9):

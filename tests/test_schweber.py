@@ -277,6 +277,22 @@ class TestPairSecular:
                     assert math.isfinite(value) and np.sign(value) == (-1) ** (order + 1 + count)
         assert on_cut > 0
 
+    @pytest.mark.parametrize("g", [1e-300, 1e-250, 1e-228, 1e-150])
+    def test_sign_is_root_count_parity_at_tiny_coupling(self, g):
+        # the rows p_m = d_m (4g^2/w - d_m) + D^2 and q_m = 4g^2 m d_m d_{m-1}
+        # carry no 1/g, so no step product overflows: at tiny g P_N is
+        # finite, warns of nothing and has the sign (-1)^(N + 1 + count)
+        rng = np.random.default_rng(round(-math.log10(g)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(10):
+                params = ModelParams(float(rng.choice([0.5, 1.0, 3.0])), g, rng.uniform(0.05, 2.0))
+                order = int(rng.integers(1, 300))
+                for e in (rng.uniform(-3.0, 12.0, 100) * params.omega).tolist():
+                    value = pair_secular(e, params, order)
+                    count = secular_count(e, params, order)
+                    assert math.isfinite(value) and np.sign(value) == (-1) ** (order + 1 + count)
+
 
 class TestSecularCount:
     @pytest.mark.parametrize("g", [1e-323, 0.3, 1.0, 2.0])

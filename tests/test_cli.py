@@ -118,11 +118,23 @@ class TestSpectrum:
         assert len(rows) == len(want) == int(argv[argv.index("--levels") + 1])
         np.testing.assert_allclose([float(r[1]) for r in rows], want, atol=1e-9)
 
+    def test_method_a_nan_secular_is_lost(self, capsys):
+        # at 2**510 times (omega, g, delta) = (1, 0.3, 0.4) the secular rows
+        # q_m ~ (x - m w)**2 overflow and P_N is NaN across the ground
+        # state's cell: no level is printed near it, the bracket is lost
+        s = 2.0**510
+        argv = ["spectrum", "--omega", repr(s), "--g", repr(0.3 * s), "--delta", repr(0.4 * s),
+                "--method", "a", "--levels", "2", "--order", "300"]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert run_cli(argv) == (3, "")
+        err = capsys.readouterr().err
+        assert err.startswith("rabicf: no sign change over (") and "nan" in err
+
     @pytest.mark.parametrize("g", ["1e-76", "1e-150", "1e-200", "1e-228", "1e-300", "1e-305"])
     def test_method_a_tiny_coupling_matches_oracle(self, g):
-        # the secular rows p_m = d_m (4g^2/w - d_m) + D^2 and
-        # q_m = 4g^2 m d_m d_{m-1} carry no 1/g, so no step overflows and
-        # both levels are found down to g = 1e-305
+        # below g = w/2 the secular rows p_m = d_m (4g^2/w^2 - d_m/w) + D^2/w
+        # and q_m = (4g^2/w^2) m d_m d_{m-1} carry no 1/g, so no step
+        # overflows and both levels are found down to g = 1e-305
         argv = ["--omega", "1", "--g", g, "--delta", "1.5", "--levels", "2", "--order", "300"]
         levels = {}
         for method in ("a", "diag"):
@@ -422,7 +434,7 @@ class TestScaleCovariance:
         tables = [doc[t] for t in ("events", "tracks")] if "events" in doc else [doc]
         return doc["metadata"], [(t["columns"], t["rows"]) for t in tables]
 
-    @pytest.mark.parametrize("k", [-20, -3, 3, 16])
+    @pytest.mark.parametrize("k", [-270, -20, -3, 3, 16, 260])
     @pytest.mark.parametrize("name", list(COVARIANT))
     def test_outputs_scale_exactly(self, name, k, monkeypatch):
         # method a refining below one ulp of its levels would never end

@@ -37,11 +37,10 @@ from .resolvent import (
 from .schweber import DEN_FLOOR, pole_guard
 from .search import (
     DEFAULT_GRID,
-    DEFAULT_ORDER,
     DEFAULT_REFINE_TOL,
     checked_grid,
     checked_window,
-    default_order_a,
+    default_order,
     default_window,
     scan_levels,
     solve_method_a,
@@ -116,7 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity", choices=PARITIES,
                    help="parity chain for methods b/diag; omitted = union of both; "
                         "ignored by method a")
-    p.add_argument("--order", type=int, help="truncation order (defaults per method)")
+    p.add_argument("--order", type=int, help="truncation order (default for every method: "
+                   "max(2*tail-depth bound at the window's largest |E|, 4*levels, 300))")
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--window", type=_parse_window,
                    help="search window lo:hi of methods a and b, checked for diag too; "
@@ -168,7 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--levels", type=int, default=8)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--order", type=int, help="truncation order (default: the rule of "
+                   "spectrum --order, with the parameter at max(|from|, |to|))")
     p.add_argument("--tol", type=float)
     p.add_argument("--levels-out",
                    help="write the level tracks to this CSV file instead of stdout")
@@ -227,8 +228,7 @@ def _solve_spectrum(args, method: str, order: int | None, levels: int,
     # a given window is checked before the default order reads it
     window = checked_window(args.window) if args.window else default_window(params, levels)
     if order is None:
-        order = (default_order_a(params, levels, window) if method == "a"
-                 else max(DEFAULT_ORDER, 4 * levels))
+        order = default_order(params, levels, window)
     tol = checked_tol(solver_tol, DEFAULT_EIG_TOL * params.omega)
     eps_pole = pole_guard(params, getattr(args, "eps_pole", None))  # compare takes no --eps-pole
     if method == "a" and params.g == 0.0:
@@ -362,7 +362,7 @@ def cmd_scan(args, out) -> int:
     meta = _metadata_base(args, params) | {
         "param": args.param,
         "from": repr(args.start), "to": repr(args.stop), "steps": args.steps,
-        "levels": args.levels, "order": args.order,
+        "levels": args.levels, "order": result.order,
         "events": len(result.events),
     }
     columns = ["param_value", "energy", "shifted", "nearest_multiple", "deviation",

@@ -94,10 +94,6 @@ class ResolventValue:
     status: ResolventStatus
 
 
-def _b_values(energy: float, chain: ChainCoefficients) -> np.ndarray:
-    return energy - chain.diag
-
-
 def char_poly(energy: float, chain: ChainCoefficients) -> tuple[float, float]:
     """The characteristic minors (D_0, D_1) of E - H for a chain, both
     under a shared positive power-of-two rescale (``rabicf.recurrence``).
@@ -107,7 +103,7 @@ def char_poly(energy: float, chain: ChainCoefficients) -> tuple[float, float]:
     """
     # step j takes (b_j, a_{j+1}); a_{N+1} = 0 starts from D_{N+2} = 0
     a = np.append(chain.a_values(), 0.0)[::-1]
-    steps = zip(_b_values(energy, chain)[::-1].tolist(), a.tolist())
+    steps = zip((energy - chain.diag)[::-1].tolist(), a.tolist())
     d1, d0, _ = scaled_pair(steps)
     return d0, d1
 
@@ -208,7 +204,7 @@ def _upward_ratios(energy0: float, chain: ChainCoefficients, num=None) -> list:
     if not math.isfinite(energy0):
         raise ValueError("energy0 must be finite")
     if num is None:
-        b, a = _b_values(energy0, chain), chain.a_values()
+        b, a = energy0 - chain.diag, chain.a_values()
     else:
         b = [num(energy0) - d for d in chain.diag.tolist()]
         a = [num(x) ** 2 for x in chain.offdiag.tolist()]

@@ -267,7 +267,8 @@ def finite_cf(
     _require_coupling(params)
     n = checked_order(order, 1)
     try:
-        f = _coeff_values(energy, params, n, eps_pole)
+        with np.errstate(over="ignore"):  # below g ~ 1e-307 some f_m, and the residual, read inf
+            f = _coeff_values(energy, params, n, eps_pole)
     except PoleError:
         return CfValue(value=math.nan, status=CfStatus.HIT_POLE)
     acc = f[n]
@@ -340,21 +341,21 @@ def pair_secular(energy: float, params: ModelParams, order: TruncationOrder) -> 
     S_N = f_0 - F_N does (consecutive convergents never vanish together).
 
     W_m = f_m W_{m-1} - m W_{m-2} from (W_{-1}, W_0) = (1, f_0), so with
-    d_m = x - m w, t = max(2g, w) and c = 2g/t, c^(m+1) P_m runs on the rows
-    p_m = c f_m d_m = d_m (2g c/w - d_m/t) + D^2/t and q_m = c^2 m d_m d_{m-1}
-    from (1, p_0): one scaled sequence (``rabicf.recurrence``), finite on
-    every cut, with no 1/g below g = w/2 and no g^2 above, whose rows grow
-    like the scale of (w, g, D) and its square.  Its sign is
+    d_m = x - m w, t = max(2g, w) and c = 2g/t, (c/w)^(m+1) P_m runs on the
+    rows p_m = c f_m d_m/w = (d_m/w)(2g c/w - d_m/t) + D^2/(t w) and
+    q_m = c^2 m (d_m/w)(d_{m-1}/w) from (1, p_0): one scaled sequence
+    (``rabicf.recurrence``), finite on every cut, with no 1/g below g = w/2,
+    no g^2 above and no overall scale of (w, g, D).  Its sign is
     (-1)^(N + 1 + secular_count(E)), so sign bisection needs no cut test.
     """
     _require_coupling(params)
     n = checked_order(order, 1)
     w, g, delta = params.omega, params.g, params.delta
     m = np.arange(n + 1, dtype=float)
-    d = shifted_energy(params, energy) - w * m
+    dw = (d := shifted_energy(params, energy) - w * m) / w
     c = 2.0 * g / (t := max(2.0 * g, w))  # min(2g/w, 1)
-    p = (d * (c * (2.0 * g / w) - d / t) + delta * delta / t).tolist()
-    q = (c * c * m[1:] * d[1:] * d[:-1]).tolist()
+    p = (dw * (c * (2.0 * g / w) - d / t) + delta * delta / (t * w)).tolist()
+    q = (c * c * m[1:] * dw[1:] * dw[:-1]).tolist()
     return scaled_pair(zip(p, [0.0] + q))[1]
 
 

@@ -45,7 +45,7 @@ __all__ = [
     "MethodAResult",
     "solve_method_a",
     "default_window",
-    "default_order_a",
+    "default_order",
     "CrossingEvent",
     "ScanResult",
     "scan_levels",
@@ -53,8 +53,7 @@ __all__ = [
 
 DEFAULT_GRID = 2000
 
-# Default truncation order of the resolvent method, the eigensolver and
-# the scan, and the floor of the coefficient method's.
+# Floor of every default truncation order (``default_order``).
 DEFAULT_ORDER = 300
 
 # Root refinement width, relative to omega.
@@ -184,10 +183,10 @@ def default_window(params: ModelParams, levels: int) -> tuple[float, float]:
     return lo, hi
 
 
-def default_order_a(params: ModelParams, levels: int, window: tuple[float, float]) -> int:
-    """Default truncation for the coefficient method: twice the tail-depth
-    bound at the largest swept |E|, with floors of 4*levels and the
-    resolvent and eigensolver default, DEFAULT_ORDER."""
+def default_order(params: ModelParams, levels: int, window: tuple[float, float]) -> int:
+    """Default truncation order of every route (methods a and b, the oracle,
+    the scan): twice the tail-depth bound at the largest |E| of ``window``,
+    which grows with g^2/w^2, with floors of 4*levels and DEFAULT_ORDER."""
     emax = max(abs(window[0]), abs(window[1]))
     return max(2 * tail_depth_bound(emax, params), 4 * levels, DEFAULT_ORDER)
 
@@ -246,6 +245,7 @@ class CrossingEvent:
 
 @dataclass(frozen=True)
 class ScanResult:
+    order: TruncationOrder
     values: np.ndarray
     plus_levels: np.ndarray
     minus_levels: np.ndarray
@@ -369,11 +369,12 @@ def scan_levels(
     stop: float,
     steps: int,
     levels: int,
-    order: TruncationOrder,
+    order: TruncationOrder | None = None,
     tol: float | None = None,
 ) -> ScanResult:
     """Track the lowest oracle eigenvalues of both parity chains across a
-    parameter sweep and refine every inter-parity crossing.
+    parameter sweep and refine every inter-parity crossing.  ``order``
+    defaults to ``default_order`` with the parameter at max(|start|, |stop|).
 
     Every sign change of a gap E_i^+ - E_j^- between adjacent scan points
     is one crossing event, for every level pair (tracking is by sorted
@@ -386,7 +387,10 @@ def scan_levels(
         raise ValueError(f"unsupported scan parameter {parameter!r}")
     if steps < 10:
         raise ValueError("steps must be >= 10")
-    if not 1 <= levels <= order + 1:
+    if order is None and math.isfinite(start) and math.isfinite(stop):  # nan/inf: refused below
+        top = replace(params_base, **{parameter: max(abs(start), abs(stop))})
+        order = default_order(top, levels, default_window(top, levels))
+    if order is not None and not 1 <= levels <= order + 1:
         raise ValueError(f"levels must be in 1..{order + 1} at order {order}, got {levels}")
     if not (math.isfinite(start) and math.isfinite(stop) and start < stop):
         raise ValueError("invalid scan range")
@@ -434,6 +438,7 @@ def scan_levels(
         found += zip(a.tolist(), b.tolist(), stars.tolist(), estars.tolist())
     found.sort(key=lambda row: (row[2], row[0], row[1]))
     return ScanResult(
+        order=order,
         values=values,
         plus_levels=ep,
         minus_levels=em,

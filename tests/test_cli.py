@@ -10,12 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 import rabicf
 import rabicf.resolvent
 import rabicf.search
 import rabicf.tridiag
 from rabicf.cli import _load_config_args, main
+from rabicf.model import ModelParams
+from rabicf.search import default_order, default_window
 
 from conftest import ORACLE_UNION_24
 
@@ -41,6 +44,18 @@ def parse_csv(text):
 
 
 FIXTURE_ARGS = ["--omega", "1", "--g", "0.7", "--delta", "0.4"]
+
+
+def chain_reference(g, delta, parities, k, order=6000):
+    """The k lowest levels of the omega = 1 chains of ``parities`` at a
+    truncation far past the default's, by scipy."""
+    j = np.arange(order + 1, dtype=float)
+    signs = {"plus": 1.0, "minus": -1.0}
+    return np.sort(np.concatenate([
+        eigh_tridiagonal(j + signs[p] * (-1.0) ** j * delta, g * np.sqrt(j[1:]),
+                         eigvals_only=True, select="i", select_range=(0, k - 1))
+        for p in parities
+    ]))[:k]
 
 
 class TestSpectrum:
@@ -118,23 +133,14 @@ class TestSpectrum:
         assert len(rows) == len(want) == int(argv[argv.index("--levels") + 1])
         np.testing.assert_allclose([float(r[1]) for r in rows], want, atol=1e-9)
 
-    def test_method_a_nan_secular_is_lost(self, capsys):
-        # at 2**510 times (omega, g, delta) = (1, 0.3, 0.4) the secular rows
-        # q_m ~ (x - m w)**2 overflow and P_N is NaN across the ground
-        # state's cell: no level is printed near it, the bracket is lost
-        s = 2.0**510
-        argv = ["spectrum", "--omega", repr(s), "--g", repr(0.3 * s), "--delta", repr(0.4 * s),
-                "--method", "a", "--levels", "2", "--order", "300"]
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert run_cli(argv) == (3, "")
-        err = capsys.readouterr().err
-        assert err.startswith("rabicf: no sign change over (") and "nan" in err
-
-    @pytest.mark.parametrize("g", ["1e-76", "1e-150", "1e-200", "1e-228", "1e-300", "1e-305"])
+    @pytest.mark.parametrize("g", ["1e-76", "1e-150", "1e-200", "1e-228", "1e-300", "1e-305",
+                                   "1e-307", "1e-310"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_method_a_tiny_coupling_matches_oracle(self, g):
-        # below g = w/2 the secular rows p_m = d_m (4g^2/w^2 - d_m/w) + D^2/w
-        # and q_m = (4g^2/w^2) m d_m d_{m-1} carry no 1/g, so no step
-        # overflows and both levels are found down to g = 1e-305
+        # below g = w/2 the secular rows p_m = (d_m/w)(4g^2/w^2 - d_m/w) + D^2/w^2
+        # and q_m = (4g^2/w^2) m (d_m/w)(d_{m-1}/w) carry no 1/g, so no step
+        # overflows and both levels are found down to g = 1e-310; from about
+        # 1e-307 some of the residual's f_m read inf, with no warning
         argv = ["--omega", "1", "--g", g, "--delta", "1.5", "--levels", "2", "--order", "300"]
         levels = {}
         for method in ("a", "diag"):
@@ -143,6 +149,22 @@ class TestSpectrum:
             levels[method] = [float(row[1]) for row in parse_csv(text)[2]]
         assert len(levels["a"]) == 2
         np.testing.assert_allclose(levels["a"], levels["diag"], atol=1e-9)
+
+    @pytest.mark.parametrize("method, g, parity", [
+        ("diag", 15.0, None), ("diag", 20.0, "plus"), ("b", 20.0, None), ("b", 15.0, "minus"),
+    ])
+    def test_default_order_at_strong_coupling(self, method, g, parity):
+        # every method takes default_order, which grows with g: 2630 at
+        # g = 15 and 4670 at g = 20, where order 300 is off by 0.02 and 20
+        params, k = ModelParams(1.0, g, 0.4), 4
+        argv = ["spectrum", "--omega", "1", "--g", repr(g), "--delta", "0.4",
+                "--levels", str(k), "--method", method] + (["--parity", parity] if parity else [])
+        code, text = run_cli(argv)
+        assert code == 0
+        meta, _, rows = parse_csv(text)
+        assert int(meta["order"]) == default_order(params, k, default_window(params, k))
+        want = chain_reference(g, 0.4, [parity] if parity else ["plus", "minus"], k)
+        np.testing.assert_allclose([float(r[1]) for r in rows], want, rtol=0, atol=1e-10)
 
     def test_method_b_grid_too_small(self, capsys):
         code, text = run_cli(["spectrum", *FIXTURE_ARGS, "--method", "b", "--grid", "1"])
@@ -434,8 +456,13 @@ class TestScaleCovariance:
         tables = [doc[t] for t in ("events", "tracks")] if "events" in doc else [doc]
         return doc["metadata"], [(t["columns"], t["rows"]) for t in tables]
 
-    @pytest.mark.parametrize("k", [-270, -20, -3, 3, 16, 260])
-    @pytest.mark.parametrize("name", list(COVARIANT))
+    # method a's rows are in units of omega: exact from 2**-510 to 2**511
+    # (from 2**509 the oracle's off-diagonal squares overflow in compare)
+    @pytest.mark.parametrize("name, k", [
+        *((name, k) for name in COVARIANT for k in (-270, -20, -3, 3, 16, 260)),
+        *(("spectrum-a", k) for k in (-420, -416, -400, 500, 502, 510)),
+        *(("compare", k) for k in (-420, -416, -400, 500, 502)),
+    ])
     def test_outputs_scale_exactly(self, name, k, monkeypatch):
         # method a refining below one ulp of its levels would never end
         call_limit(monkeypatch, rabicf.search, "pair_secular", 5000)
@@ -613,6 +640,19 @@ class TestScan:
         track_meta, track_header, track_rows = parse_csv(tracks.read_text())
         assert track_header[0] == "g"
         assert len(track_rows) == 40
+
+    def test_default_order_at_largest_value(self):
+        # without --order the scan takes default_order with g at max(|from|, |to|)
+        code, text = run_cli(["scan", "--omega", "1", "--g", "15", "--delta", "0.4", "--param", "g",
+                              "--from", "14", "--to", "15", "--steps", "10", "--levels", "2",
+                              "--format", "json"])
+        assert code == 0
+        doc = json.loads(text)
+        top = ModelParams(1.0, 15.0, 0.4)
+        assert doc["metadata"]["order"] == default_order(top, 2, default_window(top, 2)) == 2630
+        for g, *levels in doc["tracks"]["rows"]:
+            want = [chain_reference(g, 0.4, [p], 2) for p in ("plus", "minus")]
+            np.testing.assert_allclose(levels, np.concatenate(want), rtol=0, atol=1e-10)
 
     def test_levels_beyond_chain(self):
         # an order-3 chain holds 4 levels

@@ -283,7 +283,7 @@ class TestSolveMethodA:
         # 1e-8 w
         params, k = ModelParams(1.0, g, delta), 8
         window = default_window(params, k)
-        order = search.default_order_a(params, k, window)
+        order = search.default_order(params, k, window)
         got = solve_method_a(params, order, window, levels=k).spectrum.energies
         j = np.arange(2 * order + 1, dtype=float)
         off = g * np.sqrt(j[1:])
@@ -301,7 +301,7 @@ class TestSolveMethodA:
         params = ModelParams(1.0, g, 0.4)
         k = 6
         window = default_window(params, k)
-        order = search.default_order_a(params, k, window)
+        order = search.default_order(params, k, window)
         calls = []
         real = search.bisect_sign
         monkeypatch.setattr(search, "bisect_sign", lambda *a: calls.append(a) or real(*a))

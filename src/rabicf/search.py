@@ -56,6 +56,10 @@ DEFAULT_GRID = 2000
 # Floor of every default truncation order (``default_order``).
 DEFAULT_ORDER = 300
 
+# Largest default truncation order: above it every route would allocate
+# chains of millions of sites, so an explicit order is required.
+MAX_DEFAULT_ORDER = 10**6
+
 # Root refinement width, relative to omega.
 DEFAULT_REFINE_TOL = 1e-12
 
@@ -186,9 +190,14 @@ def default_window(params: ModelParams, levels: int) -> tuple[float, float]:
 def default_order(params: ModelParams, levels: int, window: tuple[float, float]) -> int:
     """Default truncation order of every route (methods a and b, the oracle,
     the scan): twice the tail-depth bound at the largest |E| of ``window``,
-    which grows with g^2/w^2, with floors of 4*levels and DEFAULT_ORDER."""
+    which grows with g^2/w^2, with floors of 4*levels and DEFAULT_ORDER.
+    ValueError above MAX_DEFAULT_ORDER."""
     emax = max(abs(window[0]), abs(window[1]))
-    return max(2 * tail_depth_bound(emax, params), 4 * levels, DEFAULT_ORDER)
+    order = max(2 * tail_depth_bound(emax, params), 4 * levels, DEFAULT_ORDER)
+    if order > MAX_DEFAULT_ORDER:
+        raise ValueError(f"the default truncation order {order} exceeds {MAX_DEFAULT_ORDER}; "
+                         "pass --order")
+    return order
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,11 @@ Bisection brackets are snapped outward to a power-of-two lattice, so every
 endpoint is an exact dyadic number.  Results are then bit-reproducible at a
 fixed tolerance, independent of truncation order: any two chains that agree
 on an eigenvalue far below the tolerance return the identical float.
+
+A few brackets take up to four halvings per pivot sweep (dyadic
+multisection, as in LAPACK ``dstebz``; Demmel, *Applied Numerical Linear
+Algebra*, 5.3), the thousands of a parameter scan's tracks one, and all
+end in the cell that bisection reaches wherever the count is monotone.
 """
 
 from __future__ import annotations
@@ -126,8 +131,8 @@ def sturm_count(energy: float, chain: ChainCoefficients) -> int:
     singular pivots are perturbed to -PIVMIN, which keeps the count
     deterministic.
     """
-    off2 = chain.offdiag * chain.offdiag
-    return int(_negative_pivot_counts(np.asarray(float(energy)), chain.diag, off2))
+    scale, diag, off2 = _squared(chain)
+    return int(_negative_pivot_counts(np.asarray(scale * float(energy)), diag, off2))
 
 
 def gershgorin_interval(chain: ChainCoefficients) -> tuple[float, float]:
@@ -136,6 +141,18 @@ def gershgorin_interval(chain: ChainCoefficients) -> tuple[float, float]:
     radius[:-1] += np.abs(chain.offdiag)
     radius[1:] += np.abs(chain.offdiag)
     return float(np.min(chain.diag - radius)), float(np.max(chain.diag + radius))
+
+
+def _squared(chain: ChainCoefficients) -> tuple[float, np.ndarray, np.ndarray]:
+    """(scale, diag, off2): the chain times ``scale`` and its squared
+    off-diagonals.  ``scale`` is 1, or 2**-256 for a chain whose Gershgorin
+    interval reaches beyond 2**256, whose squares would overflow from
+    about 2**512.  Power-of-two scaling commutes with rounding, so counts
+    and bisection in the scaled chain are exact up to that factor."""
+    lo, hi = gershgorin_interval(chain)
+    scale = 2.0**-256 if max(-lo, hi) > 2.0**256 else 1.0
+    off = scale * chain.offdiag
+    return scale, scale * chain.diag, off * off
 
 
 def lattice_cell(tol: float, halvings: int = 0, magnitude: float = 0.0) -> float:
@@ -180,13 +197,31 @@ def _snap(lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
     return lo, lo + _pow2_above(max(float(np.max(hi - lo)), cell))
 
 
+# Most Sturm counts, lanes times (2**m - 1) probes, that one sweep of m > 1
+# halvings may take.  Measured on a 2-vCPU x86-64 VM at orders 300 and
+# 1200: up to a few hundred lanes the fastest m takes about 1000-2500
+# counts a sweep, and from about 1500 lanes, where a sweep is bound by
+# memory traffic, plain bisection (m = 1) is fastest.
+_MULTISECTION_PROBES = 2048
+
+
 def _bisect(diag, off2, wanted, lo, hi, tol) -> tuple[np.ndarray, np.ndarray]:
-    """Count bisection of the brackets (lo, hi) of eigenvalue number
+    """Count multisection of the brackets (lo, hi) of eigenvalue number
     ``wanted`` (1-based), all in lockstep from their :func:`_snap`.  Each
     bracket is halved until it is <= ``tol`` wide or its midpoint no longer
     lies strictly inside it (lo and hi are adjacent floats), whichever
     comes first.  ``diag`` and ``off2`` broadcast against the brackets on
     their leading axes.  Returns the final (lo, hi).
+
+    Every live bracket has the same power-of-two width W, so one pivot
+    sweep takes s halvings at once: it counts at the 2**s - 1 dyadic
+    points lo + i*W/2**s, and the new lo is lo + j*W/2**s with j the number
+    of them whose count is below ``wanted``, the cell that s bisection
+    steps reach wherever the count is monotone.  s is the largest value
+    up to 4 with lanes * (2**s - 1) <= _MULTISECTION_PROBES that every
+    live bracket can still take: W/2**(s-1) above ``tol``, and W/2**s no
+    finer than one ulp of the largest live end, so every probe is exact.
+    It is at least 1, the midpoint, which the stop rule checks.
     """
     lo, hi = _snap(lo, hi, tol)
     while True:
@@ -194,9 +229,16 @@ def _bisect(diag, off2, wanted, lo, hi, tol) -> tuple[np.ndarray, np.ndarray]:
         live = (hi - lo > tol) & (lo < mid) & (mid < hi)
         if not live.any():
             return lo, hi
-        left = _negative_pivot_counts(mid, diag, off2) >= wanted
-        hi = np.where(live & left, mid, hi)
-        lo = np.where(live & ~left, mid, lo)
+        width = float(np.max((hi - lo)[live]))
+        ulp = math.ulp(float(np.max(np.maximum(np.abs(lo), np.abs(hi))[live])))
+        s = 1
+        while (s < 4 and lo.size * (2 ** (s + 1) - 1) <= _MULTISECTION_PROBES
+               and width * 2.0**-(s + 1) >= ulp and width * 2.0**-s > tol):
+            s += 1
+        step = width * 2.0**-s
+        probes = lo + step * np.arange(1, 2**s).reshape((-1,) + (1,) * lo.ndim)
+        below = np.sum(_negative_pivot_counts(probes, diag, off2) < wanted, axis=0)
+        lo, hi = np.where(live, lo + below * step, lo), np.where(live, lo + (below + 1) * step, hi)
 
 
 def eigenvalues(chain: ChainCoefficients, first_k: int, tol: float | None = None) -> SpectrumApproximation:
@@ -205,16 +247,18 @@ def eigenvalues(chain: ChainCoefficients, first_k: int, tol: float | None = None
     Each eigenvalue is bracketed until the bracket width drops below
     ``tol`` (default 1e-11 * omega), or until its ends are adjacent floats;
     the reported energy is the final bracket midpoint and the residual is
-    the final width.  Deterministic; all ``first_k`` bisections run in
-    lockstep on one vectorized pivot sweep per iteration.
+    the final width.  Deterministic; all ``first_k`` brackets are
+    multisected in lockstep, up to four halvings per vectorized pivot sweep.
     """
     tol = checked_tol(tol, DEFAULT_EIG_TOL * chain.params.omega)
     if not 1 <= first_k <= chain.dim:
         raise ValueError(f"first_k must be in 1..{chain.dim}, got {first_k}")
 
+    scale, diag, off2 = _squared(chain)
     lo, hi = gershgorin_interval(chain)
-    lo, hi = _bisect(chain.diag, chain.offdiag * chain.offdiag, np.arange(1, first_k + 1),
-                     np.full(first_k, lo), np.full(first_k, hi), tol)
+    lo, hi = _bisect(diag, off2, np.arange(1, first_k + 1), np.full(first_k, scale * lo),
+                     np.full(first_k, scale * hi), scale * tol)
+    lo, hi = lo / scale, hi / scale
     levels = [
         EnergyLevel(index=n, energy=float(0.5 * (lo[n] + hi[n])), residual=float(hi[n] - lo[n]))
         for n in range(first_k)

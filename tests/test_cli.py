@@ -13,6 +13,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import rabicf
+import rabicf.cli
 import rabicf.resolvent
 import rabicf.search
 import rabicf.tridiag
@@ -165,6 +166,26 @@ class TestSpectrum:
         assert int(meta["order"]) == default_order(params, k, default_window(params, k))
         want = chain_reference(g, 0.4, [parity] if parity else ["plus", "minus"], k)
         np.testing.assert_allclose([float(r[1]) for r in rows], want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--g", "1e4", "--method", "a"],
+        ["spectrum", "--g", "1e4", "--method", "b"],
+        ["spectrum", "--g", "1e4", "--method", "diag"],
+        ["scan", "--g", "0.7", "--param", "g", "--from", "0.05", "--to", "1e4",
+         "--steps", "10", "--levels", "2"],
+    ])
+    def test_default_order_above_cap_refused(self, argv, monkeypatch, capsys):
+        # default_order reads 1165685432 at g = 1e4 and 8 levels (2 in the
+        # scan): refused before any chain is built
+        def no_chain(*args):
+            raise AssertionError("build_chain called")
+
+        for module in (rabicf.cli, rabicf.resolvent, rabicf.search):
+            monkeypatch.setattr(module, "build_chain", no_chain)
+        code, text = run_cli([argv[0], "--omega", "1", "--delta", "0.4", *argv[1:]])
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert "1165685432" in err and "pass --order" in err
 
     def test_method_b_grid_too_small(self, capsys):
         code, text = run_cli(["spectrum", *FIXTURE_ARGS, "--method", "b", "--grid", "1"])
@@ -456,12 +477,14 @@ class TestScaleCovariance:
         tables = [doc[t] for t in ("events", "tracks")] if "events" in doc else [doc]
         return doc["metadata"], [(t["columns"], t["rows"]) for t in tables]
 
-    # method a's rows are in units of omega: exact from 2**-510 to 2**511
-    # (from 2**509 the oracle's off-diagonal squares overflow in compare)
+    # method a's rows are in units of omega: exact from 2**-510 to 2**511;
+    # the oracle scales a chain reaching beyond 2**256 down by 2**-256
+    # before it squares the off-diagonals
     @pytest.mark.parametrize("name, k", [
         *((name, k) for name in COVARIANT for k in (-270, -20, -3, 3, 16, 260)),
         *(("spectrum-a", k) for k in (-420, -416, -400, 500, 502, 510)),
-        *(("compare", k) for k in (-420, -416, -400, 500, 502)),
+        *(("compare", k) for k in (-420, -416, -400, 500, 502, 509, 510)),
+        *(("spectrum-diag", k) for k in (509, 510)),
     ])
     def test_outputs_scale_exactly(self, name, k, monkeypatch):
         # method a refining below one ulp of its levels would never end

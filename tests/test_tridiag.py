@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -16,6 +18,8 @@ from rabicf.search import _batch_tables, _sweep_interval
 import rabicf.tridiag
 from rabicf.tridiag import (
     _bisect,
+    _negative_pivot_counts,
+    _snap,
     eigenvalues_batch,
     eigenvalues_rows,
     gershgorin_interval,
@@ -266,3 +270,112 @@ class TestBisect:
                          np.array([0.0, 1e6 - 1.0]), np.array([1.0, 1e6 + 1.0]), 1e-13)
         np.testing.assert_array_equal(hi - lo, [2.0**-44, 2.0**-33])
         assert np.all((lo < roots) & (roots <= hi))
+
+
+def reference_bisect(diag, off2, wanted, lo, hi, tol):
+    """Plain lockstep count bisection from the snapped brackets, one
+    midpoint per pivot sweep, with _bisect's stop rule."""
+    lo, hi = _snap(lo, hi, tol)
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (hi - lo > tol) & (lo < mid) & (mid < hi)
+        if not live.any():
+            return lo, hi
+        left = _negative_pivot_counts(mid, diag, off2) >= wanted
+        hi = np.where(live & left, mid, hi)
+        lo = np.where(live & ~left, mid, lo)
+
+
+def counted_sweeps(monkeypatch):
+    """Count the calls of _negative_pivot_counts, one per pivot sweep."""
+    calls = []
+    real = rabicf.tridiag._negative_pivot_counts
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rabicf.tridiag, "_negative_pivot_counts", counted)
+    return calls
+
+
+class TestMultisection:
+    """Up to four halvings per pivot sweep, ending bit for bit where plain
+    bisection ends."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("tol", [1e-11, 0.0])
+    @pytest.mark.parametrize("copies", [1, 20, 60, 100])
+    def test_same_cell_as_bisection(self, seed, tol, copies):
+        # 8 levels repeated: 8, 160, 480 and 800 lanes take 4, 3, 2 and 1
+        # halvings a sweep
+        rng = np.random.default_rng(seed)
+        params = ModelParams(1.0, rng.uniform(0.2, 4.0), rng.uniform(0.1, 2.0))
+        parity = (Parity.PLUS, Parity.MINUS)[seed % 2]
+        chain = build_chain(params, parity, int(rng.integers(8, 401)))
+        off2 = chain.offdiag * chain.offdiag
+        wanted = np.tile(np.arange(1, 9), copies)
+        lo, hi = gershgorin_interval(chain)
+        brackets = np.full(wanted.size, lo), np.full(wanted.size, hi)
+        got = _bisect(chain.diag, off2, wanted, *brackets, tol)
+        want = reference_bisect(chain.diag, off2, wanted, *brackets, tol)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("tol, widths", [
+        (1e-13, [2.0**-44, 2.0**-44, 2.0**-33, 2.0**-21]),
+        (0.0, [2.0**-76, 2.0**-53, 2.0**-33, 2.0**-21]),
+    ])
+    def test_lanes_stop_at_different_depths(self, tol, widths):
+        # adjacent floats come at 2**-76 near 1e-7, 2**-53 just below 1,
+        # 2**-33 near 1e6 and 2**-21 near -3e9
+        roots = np.array([1e-7, 1.0 - 2.0**-50, 1e6 + 0.3, -3e9 - 1.0 / 3.0])
+        wanted = np.array([2, 3, 4, 1])
+        lo = np.array([-1.0, 0.5, 1e6 - 1.0, -3.1e9])
+        hi = np.array([1.0, 1.5, 1e6 + 1.0, -2.9e9])
+        got = _bisect(roots, np.zeros(3), wanted, lo, hi, tol)
+        want = reference_bisect(roots, np.zeros(3), wanted, lo, hi, tol)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got[1] - got[0], widths)
+        assert np.all((got[0] < np.sort(roots)[wanted - 1]) & (np.sort(roots)[wanted - 1] <= got[1]))
+
+    @pytest.mark.parametrize("roots, lo, hi", [
+        ([0.9999999999998863, -0.003456474980611698, -0.0005718811384953244],
+         [0.9979231857650344, -0.007158214389234819, -0.005713309888050771],
+         [1.0165067772668486, 0.0010387328642744338, 0.01572207038140503]),
+        ([0.9999999999999929, -12854.879567060732, 8041592956.426211],
+         [0.9028723482716012, -12854.957237768202, 8041592956.384948],
+         [1.0129655923154517, -12854.839479460245, 8041592956.452334]),
+    ])
+    def test_brackets_that_miss_their_level(self, roots, lo, hi):
+        # two of the three brackets miss their level and end on one of their
+        # ends, as in bisection: no sweep probes finer than one ulp of a
+        # live end, where a probe would round
+        got = _bisect(np.array(roots), np.zeros(2), np.arange(1, 4), np.array(lo), np.array(hi), 0.0)
+        want = reference_bisect(np.array(roots), np.zeros(2), np.arange(1, 4), np.array(lo),
+                                np.array(hi), 0.0)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_eigenvalues_sweeps(self, monkeypatch):
+        # order 300, 8 levels: 46 halvings from the snapped Gershgorin
+        # interval down to the 2**-37 cell, 4 per sweep
+        chain = build_chain(FIXTURE, Parity.PLUS, 300)
+        lo, hi = _snap(*(np.array([end]) for end in gershgorin_interval(chain)), 1e-11)
+        halvings = int(math.log2(float(hi[0] - lo[0]) / lattice_cell(1e-11)))
+        assert halvings == 46
+        calls = counted_sweeps(monkeypatch)
+        eigenvalues(chain, 8)
+        assert len(calls) == math.ceil(halvings / 4) == 12
+
+    def test_batch_keeps_bisection(self, monkeypatch):
+        # the README scan's tracks, 600 chains x 8 levels: one halving a sweep
+        values = np.linspace(0.05, 1.2, 600)
+        interval = _sweep_interval(FIXTURE, "g", 1.2, 300)
+        diag, off2 = _batch_tables(FIXTURE, "g", values, 1.0, 300)
+        lo, hi = _snap(np.array([interval[0]]), np.array([interval[1]]), 1e-11)
+        halvings = int(math.log2(float(hi[0] - lo[0]) / lattice_cell(1e-11)))
+        calls = counted_sweeps(monkeypatch)
+        eigenvalues_batch(diag, off2, 8, 1e-11, interval)
+        assert len(calls) == halvings

@@ -54,8 +54,8 @@ class PoleSeparationError(RabiSolverError):
 
 
 class LostBracketError(RabiSolverError):
-    """A bracket handed to sign bisection has no sign change between its
-    ends, so it holds no root that bisection can refine."""
+    """A bracket handed to root refinement has no sign change between its
+    ends, or a NaN inside, so it holds no root that can be refined."""
 
 
 class TooFewLevelsError(RabiSolverError):

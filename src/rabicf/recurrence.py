@@ -13,7 +13,7 @@ bound with the order, so whenever the larger magnitude of the running pair
 until it is back: down above 2**256, up when nonzero below 2**-256 (a pair
 holding inf or NaN is left as it is).  Power-of-two scaling commutes with
 rounding, so every value keeps the bits it would have unscaled, up to that
-factor, and signs and ratios are exact.
+factor, and signs and ratios are exact.  A ``Scaled`` float keeps that factor.
 
 ``scaled_pair`` runs on Python floats (or mpmath numbers).  Its ratio form
 counts roots: ``negative_pivots`` counts the negative pivots of an LDL^T,
@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-__all__ = ["RESCALE_LIMIT", "RESCALE", "PIVMIN", "scaled_pair", "negative_pivots"]
+__all__ = ["RESCALE_LIMIT", "RESCALE", "PIVMIN", "Scaled", "scaled_pair", "negative_pivots"]
 
 RESCALE_LIMIT = 2.0**256
 RESCALE = 2.0**-256
@@ -34,6 +34,15 @@ RESCALE = 2.0**-256
 # Pivots at or below PIVMIN count as negative, the oracle's rule; a copy of
 # ``tridiag.PIVMIN``, so that the continued fractions share no code with it.
 PIVMIN = 1e-290
+
+
+class Scaled(float):
+    """A recurrence value: this float, which sign tests read, times 2**exponent."""
+    __slots__ = ("exponent",)
+
+    def __new__(cls, mantissa, exponent: int):
+        (value := super().__new__(cls, mantissa)).exponent = exponent
+        return value
 
 
 def scaled_pair(steps):

@@ -42,7 +42,7 @@ from .errors import (
     TooShortError,
 )
 from .model import ModelParams, TruncationOrder, checked_order, shifted_energy
-from .recurrence import negative_pivots, scaled_pair
+from .recurrence import Scaled, negative_pivots, scaled_pair
 
 __all__ = [
     "CfStatus",
@@ -335,9 +335,9 @@ def convergent_pair(energy: float, params: ModelParams, n: int) -> ConvergentPai
     return ConvergentPair(a=math.ldexp(a, a_exp - top), b=math.ldexp(b, b_exp - top), n=n)
 
 
-def pair_secular(energy: float, params: ModelParams, order: TruncationOrder) -> float:
-    """Pole-free secular polynomial P_N = W_N prod_{m<=N} (x - m w), up to a
-    positive rescale: W_N = f_0 B_N - A_N vanishes exactly where
+def pair_secular(energy: float, params: ModelParams, order: TruncationOrder) -> Scaled:
+    """Pole-free secular polynomial P_N = W_N prod_{m<=N} (x - m w), as a
+    ``Scaled`` (its rescale kept): W_N = f_0 B_N - A_N vanishes exactly where
     S_N = f_0 - F_N does (consecutive convergents never vanish together).
 
     W_m = f_m W_{m-1} - m W_{m-2} from (W_{-1}, W_0) = (1, f_0), so with
@@ -346,7 +346,7 @@ def pair_secular(energy: float, params: ModelParams, order: TruncationOrder) -> 
     q_m = c^2 m (d_m/w)(d_{m-1}/w) from (1, p_0): one scaled sequence
     (``rabicf.recurrence``), finite on every cut, with no 1/g below g = w/2,
     no g^2 above and no overall scale of (w, g, D).  Its sign is
-    (-1)^(N + 1 + secular_count(E)), so sign bisection needs no cut test.
+    (-1)^(N + 1 + secular_count(E)), so refinement needs no cut test.
     """
     _require_coupling(params)
     n = checked_order(order, 1)
@@ -356,7 +356,7 @@ def pair_secular(energy: float, params: ModelParams, order: TruncationOrder) -> 
     c = 2.0 * g / (t := max(2.0 * g, w))  # min(2g/w, 1)
     p = (dw * (c * (2.0 * g / w) - d / t) + delta * delta / (t * w)).tolist()
     q = (c * c * m[1:] * dw[1:] * dw[:-1]).tolist()
-    return scaled_pair(zip(p, [0.0] + q))[1]
+    return Scaled(*scaled_pair(zip(p, [0.0] + q))[1:])
 
 
 def secular_count(energy, params: ModelParams, order: TruncationOrder):

@@ -5,14 +5,15 @@ Both continued fractions find their roots through one driver,
 count rises (``secular_count`` for method a, cuts of the pole lattice
 E = k w - g^2/w included; ``pole_count`` for method b) are brackets, one
 per root.  Each is halved by count toward its own root number until the
-piece holds that root alone, and bisected on the sign of a function with
-no pole in it: P_N for method a, D_0 for method b.
+piece holds that root alone, and refined by ITP (``bisect_sign``) on a
+function with no pole in it: P_N for method a, D_0 for method b.
 
 The crossing scan tracks oracle eigenvalues of both parity chains across a
 coupling sweep and records every inter-parity crossing together with the
 deviation of the shifted energy x* = E* + g*^2/w from the nearest integer
 multiple of w.  Crossings are refined by ITP on the gap, each step solving
-only the two levels involved from warm-started brackets.
+only the two levels involved from warm-started brackets.  Both refine by
+one ITP rule (Oliveira & Takahashi, ACM TOMS 47(1), 2020), ``_itp_point``.
 """
 
 from __future__ import annotations
@@ -120,32 +121,58 @@ def bracket_roots(count, window: tuple[float, float], grid: int,
                        counts=tuple(zip(counts[cells].tolist(), counts[cells + 1].tolist())))
 
 
+def _itp_point(a, b, fa, fb, w0, tol, steps):
+    """ITP's next point in brackets (a, b), f = fa, fb of opposite signs at
+    the ends, ``w0`` wide at first, ``steps`` taken toward width ``tol``:
+    regula falsi truncated toward the midpoint by kappa1 * width**2 and
+    projected into the minmax reach: ceil(log2(w0/tol)) + ITP_N0 at most."""
+    width, mid = b - a, 0.5 * (a + b)
+    n_max = np.ceil(np.log2(w0 / tol)) + ITP_N0
+    reach = 0.5 * tol * 2.0 ** (n_max - steps) - 0.5 * width
+    falsi = (b * fa - a * fb) / (fa - fb)
+    toward = np.sign(mid - falsi)
+    shift = ITP_KAPPA1 / w0 * width * width
+    trial = np.where(shift <= np.abs(mid - falsi), falsi + toward * shift, mid)
+    return np.where(np.abs(trial - mid) <= reach, trial, mid - toward * reach)
+
+
 def bisect_sign(f, lo: float, hi: float, tol: float) -> float:
-    """Bisection for the root of ``f`` in (lo, hi] using only its sign;
-    robust for functions whose magnitude jumps (rescaled determinant
-    mantissas).  A zero at ``hi`` is the root; one at ``lo`` belongs to the
-    cell below, so halving goes on to the sign change above it.  Halving
-    stops at width ``tol``, or earlier once lo and hi are adjacent floats.
-    A NaN value of ``f`` loses the bracket (LostBracketError)."""
+    """The root of ``f`` in (lo, hi] that sign bisection finds (a zero at
+    ``hi``, not at ``lo``; one met on the way; else the midpoint of the cell
+    holding the sign change once ``tol`` wide or adjacent floats), in fewer
+    steps: ``_itp_point`` picks the tree's nodes by index down to cells
+    ``tol`` (or 128 ulps) wide, taking a ``recurrence.Scaled`` as float *
+    2**exponent.  NaN loses the bracket (LostBracketError).  The name stays
+    for the one call per bracket that ``bench/spans.py`` traces by it."""
     flo = f(lo)
     if (fhi := f(hi)) == 0.0:
         return hi
     if np.sign(flo) == np.sign(fhi) or flo != flo or fhi != fhi:
         raise LostBracketError(f"no sign change over ({lo!r}, {hi!r}): f = {flo!r}, {fhi!r}")
-    below = np.sign(flo) or -np.sign(fhi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fm != fm:
-            raise LostBracketError(f"f is NaN at {mid!r} in ({lo!r}, {hi!r})")
-        if np.sign(fm) == below:
-            lo = mid
-        else:
-            hi = mid
+    w, floor, root, j = hi - lo, 128 * math.ulp(max(-lo, hi)), (lo, hi), 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # tol 0: to adjacent floats
+        depth = int(max(0, min(np.ceil(np.log2(np.divide(w, tol))), np.floor(np.log2(w / floor)))))
+        ka, kb, w0 = 0, 2**depth, 2.0**depth
+        while hi - lo > tol:
+            if kb - ka == 1:  # one level down, where the midpoint is the only node
+                depth, ka, kb = depth + 1, 2 * ka, 2 * kb
+            d = getattr(fhi, "exponent", 0) - getattr(flo, "exponent", 0)  # to one exponent
+            k = _itp_point(ka, kb, np.ldexp(flo, min(0, -d)), np.ldexp(fhi, min(0, d)), w0, 1, j)
+            k = min(max(int(k + 0.5), ka + 1), kb - 1) if ka < k < kb else (ka + kb) // 2
+            x, b = root
+            for bit in range(depth - 1, -1, -1):  # x: node k, halved to as bisection halves
+                x, b = (0.5 * (x + b), b) if k >> bit & 1 else (x, 0.5 * (x + b))
+            if not lo < x < hi:
+                break
+            if (fx := f(x)) == 0.0:
+                return x
+            if fx != fx:
+                raise LostBracketError(f"f is NaN at {x!r} in ({lo!r}, {hi!r})")
+            if (fx > 0.0) == (fhi > 0.0):
+                hi, fhi, kb = x, fx, k
+            else:
+                lo, flo, ka = x, fx, k
+            j += 1
     return 0.5 * (lo + hi)
 
 
@@ -156,7 +183,7 @@ def counted_roots(count, f, window: tuple[float, float], grid: int, levels: int 
     each energy of an array or at a float; ``f`` changes sign at each root
     and nowhere else.  Bracket i holds root number count(window[0]) + 1 + i,
     which ``_isolate`` halves toward by count; the piece left holding it
-    alone is bisected on ``f`` down to ``tol`` (width None), and one still
+    alone is refined on ``f`` down to ``tol`` (width None), and one still
     holding other roots at ``tol`` is a root at its midpoint, with its width."""
     scan = bracket_roots(count, window, grid, levels)
     found: list[tuple[float, float | None]] = []
@@ -191,7 +218,7 @@ def default_order(params: ModelParams, levels: int, window: tuple[float, float])
     """Default truncation order of every route (methods a and b, the oracle,
     the scan): twice the tail-depth bound at the largest |E| of ``window``,
     which grows with g^2/w^2, with floors of 4*levels and DEFAULT_ORDER.
-    ValueError above MAX_DEFAULT_ORDER."""
+    ValueError above MAX_DEFAULT_ORDER, an infinite bound included."""
     emax = max(abs(window[0]), abs(window[1]))
     order = max(2 * tail_depth_bound(emax, params), 4 * levels, DEFAULT_ORDER)
     if order > MAX_DEFAULT_ORDER:
@@ -217,7 +244,7 @@ def solve_method_a(
     (all of them when None); only their brackets are refined.
 
     ``counted_roots`` finds them on the root count of W_N (``secular_count``)
-    and the sign of the pole-free P_N (``pair_secular``), down to
+    and ITP on the pole-free P_N (``pair_secular``), down to
     DEFAULT_REFINE_TOL * omega.  The residual is |f_0 - F_N|, infinite
     within ``eps_pole`` of a cut (checked before solving), or the width of
     a piece still holding several roots at that tolerance.  Fewer than
@@ -290,9 +317,9 @@ def _spectra_at(base, parameter, values, levels, order, tol, interval):
 
 def _refine_events(base, parameter, a_idx, b_idx, lo, hi, e_lo, e_hi, order, tol,
                    value_tol, interval):
-    """Refine all detected crossings together by ITP on the gap
-    E_a^+ - E_b^- over the scan parameter (Oliveira & Takahashi, ACM TOMS
-    47(1), 2020), down to a bracket of width ``value_tol``.
+    """Refine all detected crossings together by ITP (``_itp_point``) on
+    the gap E_a^+ - E_b^- over the scan parameter, down to a bracket of
+    width ``value_tol``.
 
     Row r is the level pair (a_idx[r], b_idx[r]) bracketed by the scan
     points lo[r] < hi[r], with e_lo[r] and e_hi[r] the (E_a^+, E_b^-) pair
@@ -329,21 +356,9 @@ def _refine_events(base, parameter, a_idx, b_idx, lo, hi, e_lo, e_hi, order, tol
     orient = -np.sign(e_lo[:, 0] - e_lo[:, 1])
     f_lo = orient * (e_lo[:, 0] - e_lo[:, 1])
     f_hi = orient * (e_hi[:, 0] - e_hi[:, 1])
-    kappa1 = ITP_KAPPA1 / (hi - lo)
-    n_max = np.ceil(np.log2((hi - lo) / value_tol)) + ITP_N0
-    steps = np.zeros(len(lo), dtype=int)
-    while True:
-        sel = np.flatnonzero(hi - lo > value_tol)
-        if not len(sel):
-            break
-        a, b, fa, fb = lo[sel], hi[sel], f_lo[sel], f_hi[sel]
-        width, mid = b - a, 0.5 * (a + b)
-        reach = 0.5 * value_tol * 2.0 ** (n_max[sel] - steps[sel]) - 0.5 * width
-        falsi = (b * fa - a * fb) / (fa - fb)
-        toward = np.sign(mid - falsi)
-        shift = kappa1[sel] * width * width
-        trial = np.where(shift <= np.abs(mid - falsi), falsi + toward * shift, mid)
-        x = np.where(np.abs(trial - mid) <= reach, trial, mid - toward * reach)
+    w0, steps = hi - lo, np.zeros(len(lo), dtype=int)
+    while len(sel := np.flatnonzero(hi - lo > value_tol)):
+        x = _itp_point(lo[sel], hi[sel], f_lo[sel], f_hi[sel], w0[sel], value_tol, steps[sel])
         e_x = levels_at(x, sel, fine)
         f_x = orient[sel] * (e_x[:, 0] - e_x[:, 1])
         steps[sel] += 1

@@ -187,6 +187,23 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert "1165685432" in err and "pass --order" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--method", "a", "--levels", "8"],
+        ["spectrum", "--method", "b", "--levels", "8"],
+        ["spectrum", "--method", "diag", "--levels", "8"],
+        ["scan", "--param", "g", "--from", repr(0.05 * 2.0**511), "--to", repr(1.2 * 2.0**511),
+         "--steps", "10", "--levels", "2"],
+    ])
+    def test_default_order_of_an_overflowing_bound_refused(self, argv, capsys):
+        # at 2**511 * (1, 0.7, 0.4) the tail-depth bound overflows to inf,
+        # which the default-order cap refuses like any order above it
+        s = 2.0**511
+        code, text = run_cli([argv[0], "--omega", repr(s), "--g", repr(0.7 * s),
+                              "--delta", repr(0.4 * s), *argv[1:]])
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert "default truncation order inf" in err and "pass --order" in err
+
     def test_method_b_grid_too_small(self, capsys):
         code, text = run_cli(["spectrum", *FIXTURE_ARGS, "--method", "b", "--grid", "1"])
         assert (code, text) == (2, "")

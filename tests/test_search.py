@@ -23,6 +23,7 @@ from rabicf import (
 )
 import rabicf.resolvent as resolvent
 import rabicf.search as search
+from rabicf.recurrence import Scaled
 from rabicf.resolvent import poles_of_resolvent
 from rabicf.search import bisect_sign, counted_roots, default_window
 
@@ -226,6 +227,123 @@ class TestRefineRoot:
         root = bisect_sign(f, 9000.0, 9001.0, 1e-13)
         assert root in (9000.123456789, math.nextafter(9000.123456789, math.inf))
         assert len(calls) < 60
+
+
+def _sign_bisection(f, lo, hi, tol):
+    """Plain bisection on the sign of ``f`` alone, by the rules of
+    ``bisect_sign``: the reference its ITP steps are held to."""
+    flo, fhi = f(lo), f(hi)
+    if fhi == 0.0:
+        return hi
+    below = np.sign(flo) or -np.sign(fhi)
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if (fm := f(mid)) == 0.0:
+            return mid
+        lo, hi = (mid, hi) if np.sign(fm) == below else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.fixture(scope="module")
+def seeded_pieces():
+    """(f, lo, hi, tol) of every piece that ``bisect_sign`` refines in
+    seeded method-a solves and method-b solves (plus chain), six levels
+    each, at g in [0.2, 3], delta in [0.1, 1.5] and orders 100 to 1200."""
+    rng = np.random.default_rng(23)
+    pieces, real = [], search.bisect_sign
+    search.bisect_sign = lambda *args: pieces.append(args) or real(*args)
+    try:
+        for method in ("a", "b") * 4:
+            params = ModelParams(1.0, rng.uniform(0.2, 3.0), rng.uniform(0.1, 1.5))
+            order, window = int(rng.integers(100, 1201)), default_window(params, 6)
+            if method == "a":
+                solve_method_a(params, order, window, levels=6)
+            else:
+                poles_of_resolvent(build_chain(params, Parity.PLUS, order), window, 6)
+    finally:
+        search.bisect_sign = real
+    assert len(pieces) == 48
+    return pieces
+
+
+def _evaluations(f, lo, hi, tol):
+    calls = []
+    root = bisect_sign(lambda e: calls.append(e) or f(e), lo, hi, tol)
+    return root, len(calls)
+
+
+class TestItpRefinement:
+    def test_steps_within_bisection_budget(self, seeded_pieces):
+        # ITP never takes more than the halvings of bisection plus n0 (and
+        # the two ends); on these smooth P_N and D_0, a third of them
+        itp = plain = 0
+        for f, lo, hi, tol in seeded_pieces:
+            halvings = math.ceil(math.log2((hi - lo) / tol))
+            _, calls = _evaluations(f, lo, hi, tol)
+            assert calls <= halvings + search.ITP_N0 + 2
+            itp, plain = itp + calls, plain + halvings + 2
+        assert 3 * itp <= plain
+
+    def test_roots_agree_with_sign_bisection(self, seeded_pieces):
+        # ITP steps on the nodes of the bisection tree: where the sign of f
+        # is the same at every node it meets, it ends in the same cell
+        for f, lo, hi, tol in seeded_pieces:
+            assert bisect_sign(f, lo, hi, tol) == _sign_bisection(f, lo, hi, tol)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, -3])
+    def test_ends_of_different_exponent(self, k):
+        # e - 0.3 with its mantissa scaled by 2**(-256 k) above the root:
+        # only the exponent makes the two ends interpolate
+        def f(e):
+            exponent = 256 * k if e > 0.3 else 0
+            return Scaled(math.ldexp(e - 0.3, -exponent), exponent)
+
+        root, calls = _evaluations(f, 0.0, 1.0, 1e-12)
+        assert abs(root - 0.3) <= 1e-12
+        assert abs(root - _sign_bisection(f, 0.0, 1.0, 1e-12)) <= 1e-12
+        assert calls <= 12  # bisection takes 42
+
+    def test_plain_float_values(self):
+        root, calls = _evaluations(lambda e: (e - 0.3) ** 3 + 0.1 * (e - 0.3), 0.0, 1.0, 1e-12)
+        assert abs(root - 0.3) <= 1e-12 and calls <= 12
+
+    def test_zero_tol_ends_on_adjacent_floats(self):
+        f = lambda e: 1.0 if e > 0.123456789 else -1.0
+        root, calls = _evaluations(f, 0.0, 1.0, 0.0)
+        assert root == _sign_bisection(f, 0.0, 1.0, 0.0)
+        assert root in (0.123456789, math.nextafter(0.123456789, 1.0)) and calls < 70
+
+    def test_nan_at_an_interior_point(self):
+        # the first point inside is ITP's, off the midpoint: NaN there
+        # loses the bracket as NaN anywhere does
+        calls = []
+
+        def f(e):
+            calls.append(e)
+            return math.nan if len(calls) == 3 else e - 0.2
+
+        with pytest.raises(LostBracketError, match="NaN"):
+            bisect_sign(f, 0.0, 1.0, 1e-12)
+        assert len(calls) == 3 and abs(calls[2] - 0.5) > 0.05
+
+    def test_one_rule_for_both_refinements(self, monkeypatch):
+        # method a's brackets (scalars) and the crossing refinement (arrays)
+        # both step by search._itp_point
+        shapes, real = [], search._itp_point
+        monkeypatch.setattr(search, "_itp_point",
+                            lambda *args: shapes.append(np.ndim(args[0])) or real(*args))
+        solve_method_a(FIXTURE, 150, (-1.2, 0.0), levels=2)
+        scan_levels(FIXTURE, "g", 0.05, 1.2, 60, 4, order=60)
+        assert set(shapes) == {0, 1}
+
+    def test_rule_is_elementwise(self):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-1.0, 1.0, 64)
+        b = a + rng.uniform(1e-9, 1.0, 64)
+        fa, fb = -rng.uniform(0.0, 1.0, 64), rng.uniform(0.0, 1.0, 64)
+        w0, steps = (b - a) * rng.uniform(1.0, 8.0, 64), rng.integers(0, 12, 64)
+        got = search._itp_point(a, b, fa, fb, w0, 1e-12, steps)
+        for i in range(64):
+            assert got[i] == search._itp_point(a[i], b[i], fa[i], fb[i], w0[i], 1e-12, steps[i])
 
 
 class TestSolveMethodA:

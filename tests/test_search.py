@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -334,6 +335,15 @@ class TestItpRefinement:
         solve_method_a(FIXTURE, 150, (-1.2, 0.0), levels=2)
         scan_levels(FIXTURE, "g", 0.05, 1.2, 60, 4, order=60)
         assert set(shapes) == {0, 1}
+
+    def test_readme_scan_crossings_bit_for_bit(self, readme_scan):
+        # the shared rule keeps the crossing refinement's arithmetic: a
+        # change to it that moves the README scan's crossings shows here
+        result, refined = readme_scan
+        text = "".join(f"{ev.value!r} {ev.energy!r}\n" for ev in result.events)
+        digest = "692aa9eeda8435f5c6a6b546159b489bf44e68ae7e35be59e822edb1061c0b3b"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert refined["steps"].tolist() == [8, 7, 8, 7, 8, 9, 8, 8, 7, 7, 7, 8, 8, 9, 8, 8, 8, 8, 8]
 
     def test_rule_is_elementwise(self):
         rng = np.random.default_rng(5)

@@ -337,8 +337,7 @@ def cmd_pathological(args, out) -> int:
 
 def cmd_bound(args, out) -> int:
     params = ModelParams(args.omega, args.g, args.delta)
-    if (n := tail_depth_bound(args.energy, params)) == float("inf"):
-        raise OverflowError(f"the tail-depth bound at energy {args.energy!r} overflows")
+    n = tail_depth_bound(args.energy, params)
     cert = best_certificate(args.energy, params, args.parity, n, 10 * n)
     meta = _metadata_base(args, params) | {
         "energy": repr(args.energy),

@@ -49,10 +49,10 @@ class PringsheimCertificate:
     unbounded_product: bool
 
 
-def tail_depth_bound(energy: float, params: ModelParams) -> int | float:
+def tail_depth_bound(energy: float, params: ModelParams) -> int:
     """Smallest certified tail start: the dimensionful convergence bound,
-    rounded up, or inf where it overflows.  Returns 1 at g = 0, where every
-    tail numerator vanishes and the tail is trivially convergent."""
+    rounded up.  Returns 1 at g = 0, where every tail numerator vanishes
+    and the tail is trivially convergent."""
     if not math.isfinite(energy):
         raise ValueError(f"energy must be finite, got {energy!r}")
     w, g, d = params.omega, params.g, params.delta
@@ -60,7 +60,7 @@ def tail_depth_bound(energy: float, params: ModelParams) -> int | float:
         return 1
     s = abs(energy) + d
     n = s / w + (2.0 * g * g / (w * w)) * (1.0 + math.sqrt(1.0 + s * w / (g * g)))
-    return max(1, math.ceil(n)) if n < math.inf else math.inf
+    return max(1, math.ceil(n))
 
 
 def _tail_b(energy: float, params: ModelParams, parity: Parity, j: np.ndarray) -> np.ndarray:

@@ -12,8 +12,7 @@ The crossing scan tracks oracle eigenvalues of both parity chains across a
 coupling sweep and records every inter-parity crossing together with the
 deviation of the shifted energy x* = E* + g*^2/w from the nearest integer
 multiple of w.  Crossings are refined by ITP on the gap, each step solving
-only the two levels involved from warm-started brackets.  Both refine by
-one ITP rule (Oliveira & Takahashi, ACM TOMS 47(1), 2020), ``_itp_point``.
+only the two levels involved from warm-started brackets.
 """
 
 from __future__ import annotations
@@ -122,13 +121,12 @@ def bracket_roots(count, window: tuple[float, float], grid: int,
 
 
 def _itp_point(a, b, fa, fb, w0, tol, steps):
-    """ITP's next point in brackets (a, b), f = fa, fb of opposite signs at
-    the ends, ``w0`` wide at first, ``steps`` taken toward width ``tol``:
-    regula falsi truncated toward the midpoint by kappa1 * width**2 and
-    projected into the minmax reach: ceil(log2(w0/tol)) + ITP_N0 at most."""
+    """ITP's next point (Oliveira & Takahashi, ACM TOMS 47(1), 2020) for both
+    refinements, elementwise: in (a, b) with fa, fb of opposite signs, ``w0``
+    wide at first, ``steps`` taken toward width ``tol``, regula falsi truncated
+    toward the midpoint, projected into the reach of ceil(log2(w0/tol)) + ITP_N0."""
     width, mid = b - a, 0.5 * (a + b)
-    n_max = np.ceil(np.log2(w0 / tol)) + ITP_N0
-    reach = 0.5 * tol * 2.0 ** (n_max - steps) - 0.5 * width
+    reach = 0.5 * tol * 2.0 ** (np.ceil(np.log2(w0 / tol)) + ITP_N0 - steps) - 0.5 * width
     falsi = (b * fa - a * fb) / (fa - fb)
     toward = np.sign(mid - falsi)
     shift = ITP_KAPPA1 / w0 * width * width
@@ -140,10 +138,9 @@ def bisect_sign(f, lo: float, hi: float, tol: float) -> float:
     """The root of ``f`` in (lo, hi] that sign bisection finds (a zero at
     ``hi``, not at ``lo``; one met on the way; else the midpoint of the cell
     holding the sign change once ``tol`` wide or adjacent floats), in fewer
-    steps: ``_itp_point`` picks the tree's nodes by index down to cells
-    ``tol`` (or 128 ulps) wide, taking a ``recurrence.Scaled`` as float *
-    2**exponent.  NaN loses the bracket (LostBracketError).  The name stays
-    for the one call per bracket that ``bench/spans.py`` traces by it."""
+    steps: ITP on the indices of the tree's nodes, down to cells ``tol`` (or
+    128 ulps) wide, reading a ``recurrence.Scaled`` as float * 2**exponent.
+    NaN raises LostBracketError.  ``bench/`` traces one call a bracket by this name."""
     flo = f(lo)
     if (fhi := f(hi)) == 0.0:
         return hi
@@ -218,9 +215,14 @@ def default_order(params: ModelParams, levels: int, window: tuple[float, float])
     """Default truncation order of every route (methods a and b, the oracle,
     the scan): twice the tail-depth bound at the largest |E| of ``window``,
     which grows with g^2/w^2, with floors of 4*levels and DEFAULT_ORDER.
-    ValueError above MAX_DEFAULT_ORDER, an infinite bound included."""
+    ValueError above MAX_DEFAULT_ORDER, a bound that overflows included."""
     emax = max(abs(window[0]), abs(window[1]))
-    order = max(2 * tail_depth_bound(emax, params), 4 * levels, DEFAULT_ORDER)
+    try:
+        order = max(2 * tail_depth_bound(emax, params), 4 * levels, DEFAULT_ORDER)
+    except (OverflowError, ValueError):  # ceil of an inf or NaN bound
+        if not math.isfinite(emax):
+            raise
+        order = math.inf
     if order > MAX_DEFAULT_ORDER:
         raise ValueError(f"the default truncation order {order} exceeds {MAX_DEFAULT_ORDER}; "
                          "pass --order")

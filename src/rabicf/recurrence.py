@@ -38,7 +38,6 @@ PIVMIN = 1e-290
 
 class Scaled(float):
     """A recurrence value: this float, which sign tests read, times 2**exponent."""
-    __slots__ = ("exponent",)
 
     def __new__(cls, mantissa, exponent: int):
         (value := super().__new__(cls, mantissa)).exponent = exponent

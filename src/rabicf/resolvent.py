@@ -43,7 +43,7 @@ from .errors import (
     PoleSeparationError,
 )
 from .model import ChainCoefficients, ModelParams, Parity, TruncationOrder, build_chain
-from .recurrence import Scaled, negative_pivots, scaled_pair
+from .recurrence import negative_pivots, scaled_pair
 from .schweber import DEN_FLOOR
 from .search import DEFAULT_GRID, DEFAULT_REFINE_TOL, checked_window, counted_roots
 from .tridiag import (
@@ -94,18 +94,18 @@ class ResolventValue:
     status: ResolventStatus
 
 
-def char_poly(energy: float, chain: ChainCoefficients) -> tuple[Scaled, float]:
+def char_poly(energy: float, chain: ChainCoefficients) -> tuple[float, float]:
     """The characteristic minors (D_0, D_1) of E - H for a chain, both
     under a shared positive power-of-two rescale (``rabicf.recurrence``).
 
-    D_0 = det(E - H) up to that factor, which its ``Scaled`` keeps: its zeros
-    are the truncated-chain eigenvalues, and D_1/D_0 is the border resolvent G_0.
+    D_0 = det(E - H) up to that factor: its zeros over energy are the
+    truncated-chain eigenvalues, and D_1/D_0 is the border resolvent G_0.
     """
     # step j takes (b_j, a_{j+1}); a_{N+1} = 0 starts from D_{N+2} = 0
     a = np.append(chain.a_values(), 0.0)[::-1]
     steps = zip((energy - chain.diag)[::-1].tolist(), a.tolist())
-    d1, d0, exponent = scaled_pair(steps)
-    return Scaled(d0, exponent), d1
+    d1, d0, _ = scaled_pair(steps)
+    return d0, d1
 
 
 def pole_count(energy, chain: ChainCoefficients):

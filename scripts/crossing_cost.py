@@ -1,15 +1,25 @@
 #!/usr/bin/env python3
-"""Cost of the crossing refinement, next to the benchmark verdicts.
+"""Cost of the crossing refinement and of the root refinement.
 
     python3 scripts/crossing_cost.py --parent-src DIR --compare FILE --out FILE
 
-Runs the README coupling scan and the seeded delta scan of the
-coupling-scan workload (``bench/workloads.py``) in process, once on the
-rabicf sources of this checkout and once on those under ``--parent-src``
-(for example a ``git archive`` of the parent commit).  For every scan it
-records the wall time, the events, and what reached the crossing
-refinement: parameter steps per event and pivot sweeps (calls of
-``tridiag._negative_pivot_counts``) with the Sturm counts they evaluated.
+Runs in process, once on the rabicf sources of this checkout and once on
+those under ``--parent-src`` (for example a ``git archive`` of the parent
+commit):
+
+* the README coupling scan and the seeded delta scan of the coupling-scan
+  workload (``bench/workloads.py``): for every scan the wall time, the
+  events, and what reached the crossing refinement: parameter steps per
+  event and pivot sweeps (calls of ``tridiag._negative_pivot_counts``) with
+  the Sturm counts they evaluated;
+* the evaluations that ``search.bisect_sign`` makes of P_N
+  (``schweber.pair_secular``, method a) and of D_0 (``resolvent.char_poly``,
+  method b): exact counts for the README examples ``spectrum --method a
+  --order 150 --levels 10`` and ``--method b --parity plus --levels 8`` at
+  (omega, g, delta) = (1, 0.7, 0.4), and at orders 150, 300 and 600 on the
+  default window evaluations per bracket and the time of one
+  ``bisect_sign`` call (mean over the brackets, best of 5 solves).
+
 ``--compare`` is the file ``bench/compare.py --json`` wrote for the same
 parent/change pair; it is copied in unchanged.
 """
@@ -17,6 +27,7 @@ parent/change pair; it is copied in unchanged.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -29,6 +40,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 20121205)
 README_SCAN = {"param": "g", "g": 0.7, "delta": 0.4, "from": 0.05, "to": 1.2,
                "steps": 600, "levels": 8, "order": 300}
+MODEL = ["--omega", "1", "--g", "0.7", "--delta", "0.4"]
+README_SPECTRA = {
+    "readme method a": (["--method", "a", "--order", "150", "--levels", "10"], "pair_secular"),
+    "readme method b": (["--method", "b", "--parity", "plus", "--levels", "8"], "char_poly"),
+}
+ORDERS = (150, 300, 600)
+REPEATS = 5
 
 
 def _cases() -> dict[str, dict]:
@@ -44,8 +62,12 @@ def _cases() -> dict[str, dict]:
 
 
 def measure(src: str) -> dict:
-    """Refinement cost of every case on the rabicf under ``src``."""
+    """Both refinement costs on the rabicf under ``src``."""
     sys.path.insert(0, src)
+    return {"crossing refinement": _crossing_cost(), "root refinement": _root_cost()}
+
+
+def _crossing_cost() -> dict:
     import numpy as np
     from rabicf import ModelParams, scan_levels
     from rabicf import search, tridiag
@@ -87,6 +109,71 @@ def measure(src: str) -> dict:
             "pivot_sweeps_per_event": round(seen["sweeps"] / max(events, 1), 1),
             "sturm_counts_per_event": round(seen["counts"] / max(events, 1)),
         }
+    return result
+
+
+def _root_cost() -> dict:
+    from rabicf import ModelParams, Parity, build_chain, poles_of_resolvent, solve_method_a
+    from rabicf import resolvent, search
+    from rabicf.cli import main
+
+    seen = {"inside": False, "pair_secular": 0, "char_poly": 0, "brackets": 0, "s": 0.0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            seen[name] += seen["inside"]
+            return real(*args)
+
+        setattr(module, name, wrapper)
+
+    bisect_sign = search.bisect_sign
+
+    def bisecting(*args):
+        seen["inside"], seen["brackets"] = True, seen["brackets"] + 1
+        start = time.perf_counter()
+        try:
+            return bisect_sign(*args)
+        finally:
+            seen["s"] += time.perf_counter() - start
+            seen["inside"] = False
+
+    counted(search, "pair_secular")
+    counted(resolvent, "char_poly")
+    search.bisect_sign = bisecting
+
+    def reset():
+        seen.update(pair_secular=0, char_poly=0, brackets=0, s=0.0)
+
+    result = {}
+    for name, (argv, kernel) in README_SPECTRA.items():
+        reset()
+        if main(["spectrum", *MODEL, *argv], out=io.StringIO()) != 0:
+            raise RuntimeError(f"{name} failed")
+        result[name] = {f"{kernel}_calls": seen[kernel], "brackets": seen["brackets"]}
+
+    params = ModelParams(1.0, 0.7, 0.4)
+    solves = {
+        "method a": (lambda n: solve_method_a(params, n, search.default_window(params, 10),
+                                              levels=10), "pair_secular"),
+        "method b": (lambda n: poles_of_resolvent(build_chain(params, Parity.PLUS, n),
+                                                  search.default_window(params, 8), 8),
+                     "char_poly"),
+    }
+    for name, (solve, kernel) in solves.items():
+        for order in ORDERS:
+            best = None
+            for _ in range(REPEATS):
+                reset()
+                solve(order)
+                best = seen["s"] if best is None else min(best, seen["s"])
+            result[f"{name}, order {order}"] = {
+                "brackets": seen["brackets"],
+                f"{kernel}_calls": seen[kernel],
+                "calls_per_bracket": round(seen[kernel] / seen["brackets"], 2),
+                "ms_per_bracket": round(1e3 * best / seen["brackets"], 3),
+            }
     return result
 
 

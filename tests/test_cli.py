@@ -195,8 +195,8 @@ class TestSpectrum:
          "--steps", "10", "--levels", "2"],
     ])
     def test_default_order_of_an_overflowing_bound_refused(self, argv, capsys):
-        # at 2**511 * (1, 0.7, 0.4) the tail-depth bound overflows to inf,
-        # which the default-order cap refuses like any order above it
+        # at 2**511 * (1, 0.7, 0.4) the tail-depth bound overflows, which
+        # default_order refuses like any order above its cap
         s = 2.0**511
         code, text = run_cli([argv[0], "--omega", repr(s), "--g", repr(0.7 * s),
                               "--delta", repr(0.4 * s), *argv[1:]])

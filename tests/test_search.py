@@ -440,6 +440,16 @@ class TestSolveMethodA:
         assert len(calls) == k
         assert lowest == every[:k]
 
+    def test_default_order_of_a_bound_that_is_not_finite(self):
+        # at w = g = 2**520 both w*w and g*g overflow and the tail-depth
+        # bound is NaN: refused like an order above the cap; an infinite
+        # window is still named as such
+        params = ModelParams(2.0**520, 2.0**520, 1.0)
+        with pytest.raises(ValueError, match="order inf exceeds 1000000; pass --order"):
+            search.default_order(params, 8, (-1.0, 1.0))
+        with pytest.raises(ValueError, match="energy must be finite"):
+            search.default_order(FIXTURE, 8, (-math.inf, 1.0))
+
     @staticmethod
     def _juddian_pair(g, n):
         # both parity chains hold the level E = n w - g^2/w, which sits on

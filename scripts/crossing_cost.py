@@ -18,7 +18,21 @@ commit):
   --order 150 --levels 10`` and ``--method b --parity plus --levels 8`` at
   (omega, g, delta) = (1, 0.7, 0.4), and at orders 150, 300 and 600 on the
   default window evaluations per bracket and the time of one
-  ``bisect_sign`` call (mean over the brackets, best of 5 solves).
+  ``bisect_sign`` call (mean over the brackets, best of 5 solves);
+* the pivot sweeps that one call of each of these makes: the tracks of the
+  README g scan (600 chains x 8 levels, order 300) and of the seed-1 delta
+  scan (200 x 6, order 150) by ``tridiag.eigenvalues_batch``, the README
+  scan's crossing refinement, and ``tridiag.eigenvalues`` on one chain at
+  8 levels and orders 300, 600 and 1200: sweeps per call, Sturm counts per
+  sweep and, for this checkout, whether every count equals the per-step
+  rule that ``tests/test_tridiag.py`` keeps as its reference.
+
+Then, in this process, the time of one pivot sweep of each of those calls,
+the parent's kernel on its own sweeps and this checkout's on its own,
+interleaved (median of REPEATS alternating rounds), and the multisection
+crossover on this checkout: ``tridiag._bisect`` on 720 and 1440 per-row
+chains of the README g scan at orders 300 and 1200 with m = 1 and m = 2
+halvings a sweep, forced through ``_MULTISECTION_PROBES``.
 
 ``--compare`` is the file ``bench/compare.py --json`` wrote for the same
 parent/change pair; it is copied in unchanged.
@@ -27,6 +41,7 @@ parent/change pair; it is copied in unchanged.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -47,6 +62,8 @@ README_SPECTRA = {
 }
 ORDERS = (150, 300, 600)
 REPEATS = 5
+CHAIN_ORDERS = (300, 600, 1200)
+CROSSOVER = ((300, 720), (300, 1440), (1200, 720), (1200, 1440))
 
 
 def _cases() -> dict[str, dict]:
@@ -62,9 +79,12 @@ def _cases() -> dict[str, dict]:
 
 
 def measure(src: str) -> dict:
-    """Both refinement costs on the rabicf under ``src``."""
+    """Both refinement costs and the pivot sweeps on the rabicf under ``src``."""
     sys.path.insert(0, src)
-    return {"crossing refinement": _crossing_cost(), "root refinement": _root_cost()}
+    import rabicf
+
+    return {"crossing refinement": _crossing_cost(), "root refinement": _root_cost(),
+            "pivot sweeps": _sweep_counts(rabicf, Path(src).resolve() == ROOT / "src")}
 
 
 def _crossing_cost() -> dict:
@@ -76,10 +96,11 @@ def _crossing_cost() -> dict:
     pivot_counts, refine_events = tridiag._negative_pivot_counts, search._refine_events
 
     def counted_sweep(energies, diag, off2):
+        counts = pivot_counts(energies, diag, off2)
         if seen.get("inside"):
             seen["sweeps"] += 1
-            seen["counts"] += int(np.broadcast(energies, diag[..., 0]).size)
-        return pivot_counts(energies, diag, off2)
+            seen["counts"] += counts.size
+        return counts
 
     def refining(*args):
         seen["inside"] = True
@@ -177,6 +198,145 @@ def _root_cost() -> dict:
     return result
 
 
+def _sweep_args(rabicf) -> dict[str, list[tuple]]:
+    """The arguments of every pivot sweep that one call of each shape makes
+    in ``rabicf``, in that package's own table layout."""
+    import numpy as np
+
+    tridiag, search = rabicf.tridiag, rabicf.search
+    kernel, refine_events = tridiag._negative_pivot_counts, search._refine_events
+    calls, on = [], [True]
+
+    def recording(*args):
+        if on[0]:
+            calls.append(args)
+        return kernel(*args)
+
+    def refining(*args):
+        on[0] = True
+        try:
+            return refine_events(*args)
+        finally:
+            on[0] = False
+
+    def captured(call):
+        calls.clear()
+        call()
+        return list(calls)
+
+    base = rabicf.ModelParams(1.0, 0.7, 0.4)
+    shapes = {}
+    tridiag._negative_pivot_counts = recording
+    try:
+        for label, spec in (("readme g scan", README_SCAN),
+                            ("delta scan, seed 1", _cases()["delta scan, seed 1"])):
+            p = rabicf.ModelParams(1.0, spec["g"], spec["delta"])
+            values = np.linspace(spec["from"], spec["to"], spec["steps"])
+            tables = search._batch_tables(p, spec["param"], values, 1.0, spec["order"])
+            interval = search._sweep_interval(p, spec["param"], spec["to"], spec["order"])
+            name = f"{label} tracks, {spec['steps']} x {spec['levels']}, order {spec['order']}"
+            shapes[name] = captured(lambda: tridiag.eigenvalues_batch(
+                *tables, spec["levels"], 1e-11 * base.omega, interval))
+        search._refine_events, on[0] = refining, False
+        spec = README_SCAN
+        shapes["readme g scan refinement rows"] = captured(lambda: rabicf.scan_levels(
+            base, "g", spec["from"], spec["to"], spec["steps"], spec["levels"], spec["order"]))
+        search._refine_events, on[0] = refine_events, True
+        for order in CHAIN_ORDERS:
+            chain = rabicf.build_chain(base, rabicf.Parity.PLUS, order)
+            shapes[f"one chain, 8 levels, order {order}"] = captured(
+                lambda: tridiag.eigenvalues(chain, 8))
+    finally:
+        tridiag._negative_pivot_counts, search._refine_events = kernel, refine_events
+    return shapes
+
+
+def _sweep_counts(rabicf, reference: bool) -> dict:
+    """Sweeps per call and Sturm counts per sweep of each shape; with
+    ``reference``, whether every count equals the per-step rule of this
+    checkout's tests (its tables have the chain steps on the last axis)."""
+    import numpy as np
+
+    if reference:
+        sys.path.insert(0, str(ROOT / "tests"))
+        from test_tridiag import reference_pivot_counts
+    result = {}
+    for name, calls in _sweep_args(rabicf).items():
+        counts = [rabicf.tridiag._negative_pivot_counts(*args) for args in calls]
+        result[name] = {"sweeps_per_call": len(calls), "sturm_counts_per_sweep":
+                        round(sum(c.size for c in counts) / max(len(calls), 1))}
+        if reference:
+            result[name]["counts_equal_reference"] = all(
+                np.array_equal(got, reference_pivot_counts(
+                    e, np.moveaxis(diag, 0, -1), np.moveaxis(off2, 0, -1)))
+                for got, (e, diag, off2) in zip(counts, calls))
+    return result
+
+
+def _load(src: str, name: str):
+    """The rabicf package under ``src``, imported as ``name``."""
+    init = Path(src) / "rabicf" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sweep_times(parent_src: str) -> dict:
+    """Milliseconds per pivot sweep of each shape, the parent's kernel on its
+    own sweeps against this checkout's, in REPEATS alternating rounds."""
+    import numpy as np
+
+    sides = {"parent": _load(parent_src, "rabicf_parent"), "change": _load(str(ROOT / "src"), "rabicf")}
+    args = {side: _sweep_args(pkg) for side, pkg in sides.items()}
+    result = {}
+    for name in args["change"]:
+        ms = {"parent": [], "change": []}
+        for round_ in range(REPEATS):
+            for side in (("parent", "change") if round_ % 2 == 0 else ("change", "parent")):
+                kernel, calls = sides[side].tridiag._negative_pivot_counts, args[side][name]
+                start = time.perf_counter()
+                for call in calls:
+                    kernel(*call)
+                ms[side].append(1e3 * (time.perf_counter() - start) / len(calls))
+        result[name] = {
+            "sweeps_per_call": {side: len(args[side][name]) for side in sides},
+            "ms_per_sweep": {side: round(float(np.median(ms[side])), 3) for side in sides},
+            "speedup": round(float(np.median(ms["parent"]) / np.median(ms["change"])), 2),
+        }
+    return result
+
+
+def _crossover() -> dict:
+    """Milliseconds of one ``tridiag._bisect`` of the README g scan's per-row
+    chains, levels 1..8 in turn, with m = 1 and m = 2 halvings a sweep
+    (median of REPEATS alternating rounds), on this checkout."""
+    import numpy as np
+    from rabicf import ModelParams, search, tridiag
+
+    p, probes, result = ModelParams(1.0, 0.7, 0.4), tridiag._MULTISECTION_PROBES, {}
+    try:
+        for order, lanes in CROSSOVER:
+            tables = search._batch_tables(p, "g", np.linspace(0.05, 1.2, lanes), 1.0, order)
+            interval = search._sweep_interval(p, "g", 1.2, order)
+            wanted = np.arange(lanes) % 8 + 1
+            ms = {1: [], 2: []}
+            for round_ in range(REPEATS):
+                for m in ((1, 2) if round_ % 2 == 0 else (2, 1)):
+                    tridiag._MULTISECTION_PROBES = lanes * 3 if m == 2 else 0
+                    start = time.perf_counter()
+                    tridiag._bisect(*tables, wanted, np.full(lanes, interval[0]),
+                                    np.full(lanes, interval[1]), 1e-11)
+                    ms[m].append(1e3 * (time.perf_counter() - start))
+            result[f"order {order}, {lanes} brackets"] = {
+                f"m={m}": round(float(np.median(t)), 1) for m, t in ms.items()}
+    finally:
+        tridiag._MULTISECTION_PROBES = probes
+    return result
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent-src", required=True)
@@ -202,6 +362,8 @@ def main(argv=None) -> int:
                  "python": platform.python_version(), "numpy": numpy.__version__},
         "compare": json.loads(Path(args.compare).read_text(encoding="utf-8")),
         "refinement": sides,
+        "pivot sweep ms": _sweep_times(args.parent_src),
+        "multisection crossover ms": _crossover(),
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

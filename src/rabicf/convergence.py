@@ -81,11 +81,16 @@ def _candidate_levels(energy: float, params: ModelParams, n: int, up_to: int) ->
 
 def _margins(energy, params, parity, n, up_to, c):
     """min over levels [n, up_to] of |b_j| - (j g^2/c + c), for a constant
-    ``c`` or each entry of an array of them."""
+    ``c`` or each entry of an array of them.  Inputs reaching beyond 2**256
+    are scaled by 2**-256 first, so that j g^2 cannot overflow; power-of-two
+    scaling commutes with rounding, so the margin is exact up to that factor."""
     j = _candidate_levels(energy, params, n, up_to)
-    lhs = np.abs(_tail_b(energy, params, parity, j))
     c = np.asarray(c, dtype=float)[..., None]
-    return np.min(lhs - (j * params.g * params.g / c + c), axis=-1)
+    top = max(abs(energy), params.omega, params.g, params.delta, float(np.max(c)))
+    s = 2.0**-256 if top > 2.0**256 else 1.0
+    scaled = ModelParams(s * params.omega, s * params.g, s * params.delta)
+    lhs = np.abs(_tail_b(s * energy, scaled, parity, j))
+    return np.min(lhs - (j * scaled.g * scaled.g / (s * c) + s * c), axis=-1) / s
 
 
 def check_pringsheim(

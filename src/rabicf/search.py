@@ -298,16 +298,15 @@ def _sweep_interval(base, parameter, vmax, order) -> tuple[float, float]:
 
 
 def _batch_tables(base, parameter, values, sign, order):
-    """(diag, off2) tables of shape (S, order+1) / (S, order) of the parity
-    chain ``sign`` at each scanned value: :func:`build_chain`'s diagonal and
-    g**2 * j, as broadcast views."""
-    j = np.arange(order + 1, dtype=float)
-    scanned = values[:, None]
-    g, delta = (scanned, base.delta) if parameter == "g" else (base.g, scanned)
+    """Step-major (diag, off2) tables of shape (order+1, S) / (order, S) of
+    the parity chain ``sign`` at each scanned value: :func:`build_chain`'s
+    diagonal and g**2 * j, as broadcast views."""
+    j = np.arange(order + 1, dtype=float)[:, None]
+    g, delta = (values, base.delta) if parameter == "g" else (base.g, values)
     diag = j * base.omega + sign * ((-1.0) ** j) * delta
     off2 = g**2 * j[1:]
-    return (np.broadcast_to(diag, (len(values), order + 1)),
-            np.broadcast_to(off2, (len(values), order)))
+    return (np.broadcast_to(diag, (order + 1, len(values))),
+            np.broadcast_to(off2, (order, len(values))))
 
 
 def _spectra_at(base, parameter, values, levels, order, tol, interval):
@@ -349,7 +348,7 @@ def _refine_events(base, parameter, a_idx, b_idx, lo, hi, e_lo, e_hi, order, tol
         guess_lo = np.maximum(e_lo[sel] - reach_lo, e_hi[sel] - reach_hi) - tol
         guess_hi = np.minimum(e_lo[sel] + reach_lo, e_hi[sel] + reach_hi) + tol
         tables = [_batch_tables(base, parameter, x, parity.sign, order) for parity in Parity]
-        diag, off2 = (np.concatenate(t) for t in zip(*tables))
+        diag, off2 = (np.concatenate(t, axis=1) for t in zip(*tables))
         energies = eigenvalues_rows(diag, off2, np.concatenate([a_idx[sel], b_idx[sel]]),
                                     cell, interval, guess_lo.T.ravel(), guess_hi.T.ravel())
         return energies.reshape(2, -1).T

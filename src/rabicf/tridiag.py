@@ -109,17 +109,58 @@ class SpectrumApproximation:
                    flagged_pairs=flagged)
 
 
+# Chain steps per block of the pivot sweep.  Measured on a 2-vCPU x86-64
+# VM: 16 is 5-10% faster than 32 on the scan's 600 x 8 lanes at order 300,
+# 32 about 10% faster on one chain's 8 x 15 lanes and on the crossing
+# refinement's rows, 64 no faster; each sweep takes about half the time of
+# the per-step PIVMIN rule (scripts/crossing_cost.py, BENCH_24.json).
+_ROWS = 32
+
+
 def _negative_pivot_counts(energies: np.ndarray, diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
     """Count eigenvalues at or below each energy, vectorized: the pivots at
-    or below PIVMIN.  ``energies`` has any shape; ``diag`` (..., n+1) and
-    ``off2`` (..., n) broadcast against it on the leading axes."""
-    q = diag[..., 0] - energies
-    count = np.zeros(q.shape, dtype=np.int64)
-    for j in range(diag.shape[-1]):
-        if j:
-            q = (diag[..., j] - energies) - off2[..., j - 1] / q
-        count += (neg := q <= PIVMIN)
-        q = np.where(neg, np.minimum(q, -PIVMIN), q)
+    or below PIVMIN.  ``energies`` has any shape; the step-major tables
+    ``diag`` (n+1, ...) and ``off2`` (n, ...) broadcast against it on their
+    trailing axes.
+
+    The sweep is step-major and blocked, with the PIVMIN check deferred
+    (LAPACK ``dlaneg``; Marques, Riedy and Voemel, SIAM J. Sci. Comput.
+    28(5), 2006): a block of _ROWS steps is filled with d_j - E in one call,
+    then each step is two in-place calls, with no per-step clamp.  After
+    the block, the first row with a pivot in [-PIVMIN, PIVMIN] has those
+    lanes set to -PIVMIN (a no-op at -PIVMIN itself) and the rows after it
+    are filled and run again.  Up to that row every pivot is the one the
+    per-step rule makes, so the counts are equal bit for bit.  A zero pivot
+    divides by zero before its repair, hence the errstate.
+    """
+    energies = np.asarray(energies, dtype=float)
+    lanes = np.broadcast_shapes(energies.shape, diag.shape[1:], off2.shape[1:])
+    diag = diag.reshape(diag.shape[:1] + (1,) * (len(lanes) + 1 - diag.ndim) + diag.shape[1:])
+    rows = np.empty((_ROWS + 1,) + lanes)  # row 0: the last pivot of the block before
+    neg = np.empty((_ROWS,) + lanes, dtype=bool)
+    t = np.empty(lanes)
+    count = np.zeros(lanes, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j0 in range(0, diag.shape[0], _ROWS):
+            m = min(_ROWS, diag.shape[0] - j0)
+            np.subtract(diag[j0:j0 + m], energies, out=rows[1:m + 1])
+            first, check = (2 if j0 == 0 else 1), 1
+            while True:
+                for i in range(first, m + 1):  # row i is step j0 + i - 1
+                    q = rows[i, ...]  # a view, also for scalar energies
+                    np.divide(off2[j0 + i - 2], rows[i - 1], out=t)
+                    np.subtract(q, t, out=q)
+                # no pivot in [-PIVMIN, PIVMIN] when as many are <= PIVMIN as < -PIVMIN
+                np.less_equal(rows[check:m + 1], PIVMIN, out=neg[check - 1:m])
+                if np.count_nonzero(neg[check - 1:m]) == np.count_nonzero(rows[check:m + 1] < -PIVMIN):
+                    break
+                tiny = np.abs(rows[check:m + 1]) <= PIVMIN
+                r = check + int(np.flatnonzero(tiny.reshape(len(tiny), -1).any(axis=1))[0])
+                np.copyto(rows[r, ...], -PIVMIN, where=tiny[r - check])
+                np.subtract(diag[j0 + r:j0 + m], energies, out=rows[r + 1:m + 1])
+                first = check = r + 1
+            count += np.add.reduce(neg[:m].view(np.uint8), axis=0, dtype=np.uint8)
+            rows[0] = rows[m]
     return count
 
 
@@ -210,8 +251,8 @@ def _bisect(diag, off2, wanted, lo, hi, tol) -> tuple[np.ndarray, np.ndarray]:
     ``wanted`` (1-based), all in lockstep from their :func:`_snap`.  Each
     bracket is halved until it is <= ``tol`` wide or its midpoint no longer
     lies strictly inside it (lo and hi are adjacent floats), whichever
-    comes first.  ``diag`` and ``off2`` broadcast against the brackets on
-    their leading axes.  Returns the final (lo, hi).
+    comes first.  The step-major ``diag`` and ``off2`` broadcast against
+    the brackets on their trailing axes.  Returns the final (lo, hi).
 
     Every live bracket has the same power-of-two width W, so one pivot
     sweep takes s halvings at once: it counts at the 2**s - 1 dyadic
@@ -277,14 +318,17 @@ def eigenvalues_batch(
 ) -> np.ndarray:
     """Low-level batched bisection over many chains at once.
 
-    ``diag`` has shape (S, n+1) or (n+1,), ``off2`` shape (S, n); returns an
-    (S, first_k) array.  Used by the parameter scan, where hundreds of
-    chains differ only in their off-diagonals.
+    The tables are step-major: ``diag`` has shape (n+1, S) or (n+1,),
+    ``off2`` shape (n, S); returns an (S, first_k) array.  Used by the
+    parameter scan, where hundreds of chains differ only in their
+    off-diagonals.  The brackets are level-major, (first_k, S), so that
+    each step of a pivot sweep runs over the S chains in one inner loop.
     """
-    shape = off2.shape[:-1] + (first_k,)
-    lo, hi = _bisect(diag[..., None, :], off2[..., None, :], np.arange(1, first_k + 1),
-                     np.full(shape, interval[0]), np.full(shape, interval[1]), tol)
-    return 0.5 * (lo + hi)
+    shape = (first_k,) + off2.shape[1:]
+    wanted = np.arange(1, first_k + 1).reshape((-1,) + (1,) * (off2.ndim - 1))
+    lo, hi = _bisect(diag, off2, wanted, np.full(shape, interval[0]),
+                     np.full(shape, interval[1]), tol)
+    return (0.5 * (lo + hi)).T
 
 
 def eigenvalues_rows(
@@ -299,7 +343,8 @@ def eigenvalues_rows(
     """Eigenvalue number ``index[r]`` (0-based) of chain r only, bisected
     from a warm bracket [lo[r], hi[r]] that is believed to hold it.
 
-    ``diag`` has shape (R, n+1), ``off2`` (R, n); returns an (R,) array.
+    The step-major ``diag`` has shape (n+1, R), ``off2`` (n, R); returns an
+    (R,) array.
     Count bisection from the :func:`_snap` of the brackets ends in the same
     cell as :func:`eigenvalues_batch` with the same ``tol`` wherever the
     count is monotone and some bracket is at least ``tol`` wide, so each
@@ -309,8 +354,8 @@ def eigenvalues_rows(
     """
     wanted = np.asarray(index) + 1
     lo, hi = _snap(lo, hi, tol)
-    ends = _negative_pivot_counts(np.stack([lo, hi], axis=-1), diag[:, None, :], off2[:, None, :])
-    bad = (ends[:, 0] >= wanted) | (ends[:, 1] < wanted)
+    ends = _negative_pivot_counts(np.stack([lo, hi]), diag, off2)
+    bad = (ends[0] >= wanted) | (ends[1] < wanted)
     lo = np.where(bad, interval[0], lo)
     hi = np.where(bad, interval[1], hi)
     lo, hi = _bisect(diag, off2, wanted, lo, hi, tol)

@@ -18,7 +18,8 @@ import rabicf.resolvent
 import rabicf.search
 import rabicf.tridiag
 from rabicf.cli import _load_config_args, main
-from rabicf.model import ModelParams
+from rabicf.convergence import check_pringsheim
+from rabicf.model import ModelParams, Parity
 from rabicf.search import default_order, default_window
 
 from conftest import ORACLE_UNION_24
@@ -526,6 +527,22 @@ class TestScaleCovariance:
                 assert got == [float(v) * s**power for v in meta1[key].split(":")], key
             else:
                 assert value == meta1[key], key
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-270, 260, 511])
+    def test_bound_margin_scales(self, k):
+        # the searched c moves with its log grid, but the margin at that c
+        # is exactly 2**k times its omega = 1 value, 2**511 included, where
+        # j g^2 would overflow unscaled
+        s = 2.0**k
+        code, text = run_cli(["bound", *(repr(s * a) if isinstance(a, float) else a for a in MODEL),
+                              "--energy", "0"])
+        assert code == 0
+        doc = json.loads(text)
+        row = dict(zip(doc["columns"], doc["rows"][0]))
+        cert = check_pringsheim(0.0, ModelParams(1.0, 0.7, 0.4), Parity.PLUS, row["start_index"],
+                                row["c"] / s, row["verified_up_to"])
+        assert row["holds"] and row["margin"] == s * cert.margin > 0.0
 
 
 class TestCompare:

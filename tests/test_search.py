@@ -589,13 +589,13 @@ class TestBatchTables:
         values = np.linspace(0.05, 3.0, 13)
         order = 60
         diag, off2 = search._batch_tables(FIXTURE, parameter, values, parity.sign, order)
-        assert diag.shape == (len(values), order + 1) and off2.shape == (len(values), order)
+        assert diag.shape == (order + 1, len(values)) and off2.shape == (order, len(values))
         j = np.arange(1, order + 1, dtype=float)
         for row, value in enumerate(values):
             params = (ModelParams(FIXTURE.omega, value, FIXTURE.delta) if parameter == "g"
                       else ModelParams(FIXTURE.omega, FIXTURE.g, value))
-            np.testing.assert_array_equal(diag[row], build_chain(params, parity, order).diag)
-            np.testing.assert_array_equal(off2[row], params.g**2 * j)
+            np.testing.assert_array_equal(diag[:, row], build_chain(params, parity, order).diag)
+            np.testing.assert_array_equal(off2[:, row], params.g**2 * j)
 
 
 # level pairs of the README scan's crossings in value order, as bisection

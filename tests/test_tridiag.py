@@ -17,6 +17,8 @@ from rabicf import (
 from rabicf.search import _batch_tables, _sweep_interval
 import rabicf.tridiag
 from rabicf.tridiag import (
+    PIVMIN,
+    _ROWS,
     _bisect,
     _negative_pivot_counts,
     _snap,
@@ -91,7 +93,7 @@ class TestEigenvalues:
     def test_batch_of_one_matches_fixture(self, parity, reference):
         chain = build_chain(FIXTURE, parity, 400)
         got = eigenvalues_batch(
-            chain.diag, (chain.offdiag * chain.offdiag)[None, :], 12, 1e-11, gershgorin_interval(chain)
+            chain.diag, (chain.offdiag * chain.offdiag)[:, None], 12, 1e-11, gershgorin_interval(chain)
         )
         assert got.shape == (1, 12)
         np.testing.assert_array_equal(got[0], reference)
@@ -155,7 +157,7 @@ class TestEigenvaluesRows:
         cold = eigenvalues_batch(diag, off2, 6, 1e-11, interval)
         rows, index = np.divmod(np.arange(cold.size), 6)
         cell = lattice_cell(1e-11)
-        return diag[rows], off2[rows], index, interval, cold.ravel(), cell
+        return diag[:, rows], off2[:, rows], index, interval, cold.ravel(), cell
 
     @pytest.mark.parametrize("order", [300, 1200])
     @pytest.mark.parametrize("parameter", ["g", "delta"])
@@ -215,8 +217,8 @@ class TestLatticeCell:
         diag, off2 = _batch_tables(params, "g", np.array([24.0]), 1.0, order)
         cold = eigenvalues_batch(diag, off2, 3, cell, interval)[0]
         assert np.all(np.abs(cold) > 512.0)
-        got = eigenvalues_rows(np.broadcast_to(diag, (3, order + 1)),
-                               np.broadcast_to(off2, (3, order)), np.arange(3),
+        got = eigenvalues_rows(np.broadcast_to(diag, (order + 1, 3)),
+                               np.broadcast_to(off2, (order, 3)), np.arange(3),
                                cell, interval, cold - 1e-6, cold + 1e-6)
         np.testing.assert_array_equal(got, cold)
 
@@ -284,6 +286,116 @@ def reference_bisect(diag, off2, wanted, lo, hi, tol):
         left = _negative_pivot_counts(mid, diag, off2) >= wanted
         hi = np.where(live & left, mid, hi)
         lo = np.where(live & ~left, mid, lo)
+
+
+def reference_pivot_counts(energies, diag, off2):
+    """The per-step PIVMIN rule that the blocked sweep replaced, on tables
+    with the chain steps on the last axis: a pivot at or below PIVMIN counts,
+    and one in (-PIVMIN, PIVMIN] continues as -PIVMIN.  An overflowing or
+    NaN pivot carries on silently, as in the sweep."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = diag[..., 0] - energies
+        count = np.zeros(q.shape, dtype=np.int64)
+        for j in range(diag.shape[-1]):
+            if j:
+                q = (diag[..., j] - energies) - off2[..., j - 1] / q
+            count += (neg := q <= PIVMIN)
+            q = np.where(neg, np.minimum(q, -PIVMIN), q)
+    return count
+
+
+def assert_same_counts(energies, diag, off2):
+    """The sweep on step-major tables equals the per-step rule, bit for bit."""
+    got = _negative_pivot_counts(energies, diag, off2)
+    want = reference_pivot_counts(energies, np.moveaxis(diag, 0, -1), np.moveaxis(off2, 0, -1))
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    return got
+
+
+# pivots at and between +-PIVMIN, and next to them
+TINY = [0.0, -0.0, PIVMIN, -PIVMIN, 0.5 * PIVMIN, -0.5 * PIVMIN, 5e-324,
+        np.nextafter(PIVMIN, 1.0), np.nextafter(-PIVMIN, -1.0)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPivotSweep:
+    """The blocked sweep, which repairs a block only where a pivot came out
+    within PIVMIN of zero, counts exactly what the per-step rule counts."""
+
+    ORDER = 2 * _ROWS + 7
+
+    @staticmethod
+    def _chain(seed, order):
+        rng = np.random.default_rng(seed)
+        params = ModelParams(1.0, rng.uniform(0.2, 3.0), rng.uniform(0.1, 1.5))
+        return rng, params, build_chain(params, (Parity.PLUS, Parity.MINUS)[seed % 2], order)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_chains(self, seed):
+        # 1 to 3 blocks, the last one partial or full
+        rng, params, chain = self._chain(seed, [1, _ROWS - 1, _ROWS, 2 * _ROWS, 150, 300][seed])
+        lo, hi = gershgorin_interval(chain)
+        off2 = chain.offdiag * chain.offdiag
+        for shape in [(), (8,), (5, 8)]:
+            assert_same_counts(rng.uniform(lo, hi, shape), chain.diag, off2)
+        assert isinstance(sturm_count(0.5 * (lo + hi), chain), int)
+        # (P, k, S) lanes on the scan's tables, diag (g) or off2 (delta)
+        # broadcast along the chains with stride 0
+        values = np.sort(rng.uniform(0.2, 1.5, 7))
+        for parameter in ("g", "delta"):
+            diag, off2 = _batch_tables(params, parameter, values, chain.parity.sign, chain.order)
+            assert 0 in diag.strides + off2.strides
+            assert_same_counts(rng.uniform(lo, hi, (3, 4, 7)), diag, off2)
+
+    @pytest.mark.parametrize("planted", [[0], [_ROWS - 1], [_ROWS], [ORDER],
+                                         [0, _ROWS - 1, _ROWS, ORDER], [3, 5, _ROWS + 1]])
+    def test_exact_zero_pivots(self, planted):
+        # with off2 = 0 into row r, the pivot there is d_r - E, exactly 0
+        # at E = d_r; the clamp to -PIVMIN then shows in the rows after it
+        rng, _, chain = self._chain(7, self.ORDER)
+        diag, off2 = chain.diag.copy(), chain.offdiag * chain.offdiag
+        diag[planted] = 0.25
+        off2[[r - 1 for r in planted if r]] = 0.0
+        energies = np.array([0.25, 0.25 + 1e-300, -1.0, 2.0, 0.25, 30.0])
+        counts = assert_same_counts(energies, diag, off2)
+        assert counts[0] == counts[4] >= 1
+        assert_same_counts(np.stack([energies, energies[::-1]]), diag, off2)
+
+    def test_tiny_pivots_in_every_lane(self):
+        # chain s of S holds the pivot TINY[s % 9] at E = 0 in row
+        # planted[s]: several repairs in one block, rows and lanes apart
+        rng, _, chain = self._chain(8, self.ORDER)
+        rows = [0, 1, 3, _ROWS - 1, _ROWS, _ROWS + 2, 2 * _ROWS - 1, 2 * _ROWS, self.ORDER]
+        planted = np.array(rows * 2)
+        lanes = np.arange(planted.size)
+        diag = np.repeat(chain.diag[:, None], planted.size, axis=1)
+        off2 = np.repeat((chain.offdiag * chain.offdiag)[:, None], planted.size, axis=1)
+        diag[planted, lanes] = np.array(TINY * 2)
+        off2[planted[planted > 0] - 1, lanes[planted > 0]] = 0.0
+        energies = np.zeros((2, 3, planted.size))
+        energies[1] = rng.uniform(-2.0, 8.0, (3, planted.size))
+        assert_same_counts(energies, diag, off2)
+        # the same on one chain holding all of them, energies in any shape
+        diag1, off21 = chain.diag.copy(), chain.offdiag * chain.offdiag
+        diag1[rows], off21[[r - 1 for r in rows if r]] = TINY, 0.0
+        for energies in (0.0, np.zeros(3), np.array([[0.0, -0.0], [1.0, 40.0]])):
+            assert_same_counts(energies, diag1, off21)
+
+    def test_nan_energies(self):
+        _, _, chain = self._chain(9, self.ORDER)
+        energies = np.array([np.nan, 0.3, np.nan, -1.0, 5.0])
+        counts = assert_same_counts(energies, chain.diag, chain.offdiag * chain.offdiag)
+        assert counts[0] == counts[2] == 0
+
+    def test_overflowing_step_after_a_clamp(self):
+        # o / -PIVMIN overflows to +inf after a zero pivot, and the step
+        # after that divides by inf
+        _, _, chain = self._chain(10, self.ORDER)
+        diag, off2 = chain.diag.copy(), chain.offdiag * chain.offdiag
+        for r in (2, _ROWS - 1, _ROWS + 4):
+            diag[r], off2[r - 1], off2[r] = 0.0, 0.0, 1e300
+        assert_same_counts(np.array([0.0, -0.0, 1.0, 1e-300]), diag, off2)
 
 
 def counted_sweeps(monkeypatch):

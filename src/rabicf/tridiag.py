@@ -14,6 +14,13 @@ A few brackets take up to four halvings per pivot sweep (dyadic
 multisection, as in LAPACK ``dstebz``; Demmel, *Applied Numerical Linear
 Algebra*, 5.3), the thousands of a parameter scan's tracks one, and all
 end in the cell that bisection reaches wherever the count is monotone.
+
+A pivot sweep runs over step-major tables, diag (n+1, ...) and off2
+(n, ...), a block of chain steps at a time with two in-place numpy calls a
+step.  The PIVMIN rule is checked once a block and a block is run again
+only from the first pivot within PIVMIN of zero, as in LAPACK ``dlaneg``:
+the count is the per-step rule's, bit for bit, whose monotonicity Demmel,
+Dhillon and Ren analyse (ETNA 3, 1995).
 """
 
 from __future__ import annotations

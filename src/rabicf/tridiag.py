@@ -249,7 +249,10 @@ def _snap(lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
 # halvings may take.  Measured on a 2-vCPU x86-64 VM at orders 300 and
 # 1200: up to a few hundred lanes the fastest m takes about 1000-2500
 # counts a sweep, and from about 1500 lanes, where a sweep is bound by
-# memory traffic, plain bisection (m = 1) is fastest.
+# memory traffic, plain bisection (m = 1) is fastest.  Between, the rule
+# keeps m = 1 where m = 2 is faster on the blocked sweep: 720 lanes take
+# 94 -> 77 ms at order 300 and 372 -> 314 ms at 1200, 1440 lanes 114 ->
+# 106 and 376 -> 368 ms (BENCH_24.json); no workload has that shape.
 _MULTISECTION_PROBES = 2048
 
 

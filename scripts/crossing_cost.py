@@ -236,7 +236,7 @@ def _sweep_args(rabicf) -> dict[str, list[tuple]]:
             interval = search._sweep_interval(p, spec["param"], spec["to"], spec["order"])
             name = f"{label} tracks, {spec['steps']} x {spec['levels']}, order {spec['order']}"
             shapes[name] = captured(lambda: tridiag.eigenvalues_batch(
-                *tables, spec["levels"], 1e-11 * base.omega, interval))
+                *tables, spec["levels"], 1e-11, interval))
         search._refine_events, on[0] = refining, False
         spec = README_SCAN
         shapes["readme g scan refinement rows"] = captured(lambda: rabicf.scan_levels(
@@ -284,12 +284,12 @@ def _load(src: str, name: str):
     return module
 
 
-def _sweep_times(parent_src: str) -> dict:
-    """Milliseconds per pivot sweep of each shape, the parent's kernel on its
-    own sweeps against this checkout's, in REPEATS alternating rounds."""
+def _sweep_times(sides: dict) -> dict:
+    """Milliseconds per pivot sweep of each shape, the kernel of the parent
+    package on its own sweeps against the change's, in REPEATS alternating
+    rounds."""
     import numpy as np
 
-    sides = {"parent": _load(parent_src, "rabicf_parent"), "change": _load(str(ROOT / "src"), "rabicf")}
     args = {side: _sweep_args(pkg) for side, pkg in sides.items()}
     result = {}
     for name in args["change"]:
@@ -309,14 +309,14 @@ def _sweep_times(parent_src: str) -> dict:
     return result
 
 
-def _crossover() -> dict:
+def _crossover(rabicf) -> dict:
     """Milliseconds of one ``tridiag._bisect`` of the README g scan's per-row
     chains, levels 1..8 in turn, with m = 1 and m = 2 halvings a sweep
-    (median of REPEATS alternating rounds), on this checkout."""
+    (median of REPEATS alternating rounds), in ``rabicf``."""
     import numpy as np
-    from rabicf import ModelParams, search, tridiag
 
-    p, probes, result = ModelParams(1.0, 0.7, 0.4), tridiag._MULTISECTION_PROBES, {}
+    search, tridiag = rabicf.search, rabicf.tridiag
+    p, probes, result = rabicf.ModelParams(1.0, 0.7, 0.4), tridiag._MULTISECTION_PROBES, {}
     try:
         for order, lanes in CROSSOVER:
             tables = search._batch_tables(p, "g", np.linspace(0.05, 1.2, lanes), 1.0, order)
@@ -357,13 +357,15 @@ def main(argv=None) -> int:
         sides[side] = json.loads(done.stdout)
     import numpy
 
+    packages = {"parent": _load(args.parent_src, "rabicf_parent"),
+                "change": _load(str(ROOT / "src"), "rabicf")}
     record = {
         "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": numpy.__version__},
         "compare": json.loads(Path(args.compare).read_text(encoding="utf-8")),
         "refinement": sides,
-        "pivot sweep ms": _sweep_times(args.parent_src),
-        "multisection crossover ms": _crossover(),
+        "pivot sweep ms": _sweep_times(packages),
+        "multisection crossover ms": _crossover(packages["change"]),
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -119,8 +119,8 @@ class SpectrumApproximation:
 # Chain steps per block of the pivot sweep.  Measured on a 2-vCPU x86-64
 # VM: 16 is 5-10% faster than 32 on the scan's 600 x 8 lanes at order 300,
 # 32 about 10% faster on one chain's 8 x 15 lanes and on the crossing
-# refinement's rows, 64 no faster; each sweep takes about half the time of
-# the per-step PIVMIN rule (scripts/crossing_cost.py, BENCH_24.json).
+# refinement's rows, 64 no faster; each sweep takes about 40% of the time
+# of the per-step PIVMIN rule (scripts/crossing_cost.py, BENCH_24.json).
 _ROWS = 32
 
 
@@ -250,9 +250,9 @@ def _snap(lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
 # 1200: up to a few hundred lanes the fastest m takes about 1000-2500
 # counts a sweep, and from about 1500 lanes, where a sweep is bound by
 # memory traffic, plain bisection (m = 1) is fastest.  Between, the rule
-# keeps m = 1 where m = 2 is faster on the blocked sweep: 720 lanes take
-# 94 -> 77 ms at order 300 and 372 -> 314 ms at 1200, 1440 lanes 114 ->
-# 106 and 376 -> 368 ms (BENCH_24.json); no workload has that shape.
+# keeps m = 1 at 720 and 1440 lanes, where m = 2 measured 1-18% faster on
+# the blocked sweep at orders 300 and 1200 (BENCH_24.json); no workload
+# has that shape.
 _MULTISECTION_PROBES = 2048
 
 

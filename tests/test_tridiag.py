@@ -357,7 +357,7 @@ class TestPivotSweep:
         diag, off2 = chain.diag.copy(), chain.offdiag * chain.offdiag
         diag[planted] = 0.25
         off2[[r - 1 for r in planted if r]] = 0.0
-        energies = np.array([0.25, 0.25 + 1e-300, -1.0, 2.0, 0.25, 30.0])
+        energies = np.array([0.25, np.nextafter(0.25, 1.0), -1.0, 2.0, 0.25, 30.0])
         counts = assert_same_counts(energies, diag, off2)
         assert counts[0] == counts[4] >= 1
         assert_same_counts(np.stack([energies, energies[::-1]]), diag, off2)

@@ -333,7 +333,7 @@ class TestPivotSweep:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_seeded_chains(self, seed):
-        # 1 to 3 blocks, the last one partial or full
+        # one block or several, the last one full or holding a single row
         rng, params, chain = self._chain(seed, [1, _ROWS - 1, _ROWS, 2 * _ROWS, 150, 300][seed])
         lo, hi = gershgorin_interval(chain)
         off2 = chain.offdiag * chain.offdiag
@@ -353,7 +353,7 @@ class TestPivotSweep:
     def test_exact_zero_pivots(self, planted):
         # with off2 = 0 into row r, the pivot there is d_r - E, exactly 0
         # at E = d_r; the clamp to -PIVMIN then shows in the rows after it
-        rng, _, chain = self._chain(7, self.ORDER)
+        _, _, chain = self._chain(7, self.ORDER)
         diag, off2 = chain.diag.copy(), chain.offdiag * chain.offdiag
         diag[planted] = 0.25
         off2[[r - 1 for r in planted if r]] = 0.0

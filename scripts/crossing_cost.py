@@ -19,6 +19,8 @@ commit):
   (omega, g, delta) = (1, 0.7, 0.4), and at orders 150, 300 and 600 on the
   default window evaluations per bracket and the time of one
   ``bisect_sign`` call (mean over the brackets, best of 5 solves);
+* the samples that ``search.bracket_roots`` counts (the lengths of the
+  arrays it hands its count) for those two README examples;
 * the pivot sweeps that one call of each of these makes: the tracks of the
   README g scan (600 chains x 8 levels, order 300) and of the seed-1 delta
   scan (200 x 6, order 150) by ``tridiag.eigenvalues_batch``, the README
@@ -29,7 +31,12 @@ commit):
 
 Then, in this process, the time of one pivot sweep of each of those calls,
 the parent's kernel on its own sweeps and this checkout's on its own,
-interleaved (median of REPEATS alternating rounds), and the multisection
+interleaved (median of REPEATS alternating rounds); in the same way the
+time of one grid pass (``bracket_roots`` at the default grid) of method a
+at 10 levels, orders 100-600, and of method b on the plus chain at 8
+levels, orders 300-1200, and of one ``recurrence.scaled_pair`` call on the
+steps of ``resolvent.char_poly`` at order 1200 and of
+``schweber.pair_secular`` at order 300; and the multisection
 crossover on this checkout: ``tridiag._bisect`` on 720 and 1440 per-row
 chains of the README g scan at orders 300 and 1200 with m = 1 and m = 2
 halvings a sweep, forced through ``_MULTISECTION_PROBES``.
@@ -62,8 +69,10 @@ README_SPECTRA = {
 }
 ORDERS = (150, 300, 600)
 REPEATS = 5
+NUMBER = 5
 CHAIN_ORDERS = (300, 600, 1200)
 CROSSOVER = ((300, 720), (300, 1440), (1200, 720), (1200, 1440))
+GRID_ORDERS = {"method a": (100, 150, 300, 600), "method b": (300, 600, 1200)}
 
 
 def _cases() -> dict[str, dict]:
@@ -138,7 +147,8 @@ def _root_cost() -> dict:
     from rabicf import resolvent, search
     from rabicf.cli import main
 
-    seen = {"inside": False, "pair_secular": 0, "char_poly": 0, "brackets": 0, "s": 0.0}
+    seen = {"inside": False, "pair_secular": 0, "char_poly": 0, "brackets": 0, "s": 0.0,
+            "samples": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -160,19 +170,29 @@ def _root_cost() -> dict:
             seen["s"] += time.perf_counter() - start
             seen["inside"] = False
 
+    bracket_roots = search.bracket_roots
+
+    def scanning(count, *args):
+        def counting(energies):
+            seen["samples"] += len(energies)
+            return count(energies)
+
+        return bracket_roots(counting, *args)
+
     counted(search, "pair_secular")
     counted(resolvent, "char_poly")
-    search.bisect_sign = bisecting
+    search.bisect_sign, search.bracket_roots = bisecting, scanning
 
     def reset():
-        seen.update(pair_secular=0, char_poly=0, brackets=0, s=0.0)
+        seen.update(pair_secular=0, char_poly=0, brackets=0, s=0.0, samples=0)
 
     result = {}
     for name, (argv, kernel) in README_SPECTRA.items():
         reset()
         if main(["spectrum", *MODEL, *argv], out=io.StringIO()) != 0:
             raise RuntimeError(f"{name} failed")
-        result[name] = {f"{kernel}_calls": seen[kernel], "brackets": seen["brackets"]}
+        result[name] = {f"{kernel}_calls": seen[kernel], "brackets": seen["brackets"],
+                        "grid_samples": seen["samples"]}
 
     params = ModelParams(1.0, 0.7, 0.4)
     solves = {
@@ -309,6 +329,79 @@ def _sweep_times(sides: dict) -> dict:
     return result
 
 
+def _alternating_ms(calls: dict) -> dict:
+    """Milliseconds of one call of each side's ``calls[side]`` (a function
+    of no arguments), in REPEATS alternating rounds of NUMBER calls."""
+    import numpy as np
+
+    ms = {side: [] for side in calls}
+    for round_ in range(REPEATS):
+        for side in (("parent", "change") if round_ % 2 == 0 else ("change", "parent")):
+            start = time.perf_counter()
+            for _ in range(NUMBER):
+                calls[side]()
+            ms[side].append(1e3 * (time.perf_counter() - start) / NUMBER)
+    medians = {side: float(np.median(t)) for side, t in ms.items()}
+    return {"ms_per_call": {side: round(t, 4) for side, t in medians.items()},
+            "speedup": round(medians["parent"] / medians["change"], 2)}
+
+
+def _grid_pass_times(sides: dict) -> dict:
+    """Milliseconds of one grid pass (``bracket_roots`` at the default grid
+    and window), parent against change, of method a at 10 levels and of
+    method b on the plus chain at 8 levels, g = 0.7, delta = 0.4."""
+    def passes(pkg):
+        search, params = pkg.search, pkg.ModelParams(1.0, 0.7, 0.4)
+        out = {}
+        for order in GRID_ORDERS["method a"]:
+            out[f"method a, order {order}"] = lambda order=order: search.bracket_roots(
+                lambda e: pkg.secular_count(e, params, order),
+                search.default_window(params, 10), search.DEFAULT_GRID, 10)
+        for order in GRID_ORDERS["method b"]:
+            chain = pkg.build_chain(params, pkg.Parity.PLUS, order)
+            out[f"method b, order {order}"] = lambda chain=chain: search.bracket_roots(
+                lambda e: pkg.resolvent.pole_count(e, chain),
+                search.default_window(params, 8), search.DEFAULT_GRID, 8)
+        return out
+
+    calls = {side: passes(pkg) for side, pkg in sides.items()}
+    return {name: _alternating_ms({side: calls[side][name] for side in sides})
+            for name in calls["change"]}
+
+
+def _scaled_pair_times(sides: dict) -> dict:
+    """Milliseconds of one ``recurrence.scaled_pair`` call, parent against
+    change, on the step lists that ``resolvent.char_poly`` (plus chain,
+    order 1200, E = 0.5) and ``schweber.pair_secular`` (order 300, E = 0.5)
+    hand it, captured from the change's package."""
+    change = sides["change"]
+    steps = {}
+
+    def capture(name, module, call):
+        real = module.scaled_pair
+
+        def keep(rows):
+            steps[name] = list(rows)
+            return real(steps[name])
+
+        module.scaled_pair = keep
+        try:
+            call()
+        finally:
+            module.scaled_pair = real
+
+    params = change.ModelParams(1.0, 0.7, 0.4)
+    chain = change.build_chain(params, change.Parity.PLUS, 1200)
+    capture("char_poly steps, order 1200", change.resolvent,
+            lambda: change.resolvent.char_poly(0.5, chain))
+    capture("pair_secular steps, order 300", change.schweber,
+            lambda: change.schweber.pair_secular(0.5, params, 300))
+    return {name: _alternating_ms({side: (lambda pkg=pkg, rows=rows:
+                                          pkg.recurrence.scaled_pair(rows))
+                                   for side, pkg in sides.items()})
+            for name, rows in steps.items()}
+
+
 def _crossover(rabicf) -> dict:
     """Milliseconds of one ``tridiag._bisect`` of the README g scan's per-row
     chains, levels 1..8 in turn, with m = 1 and m = 2 halvings a sweep
@@ -365,6 +458,8 @@ def main(argv=None) -> int:
         "compare": json.loads(Path(args.compare).read_text(encoding="utf-8")),
         "refinement": sides,
         "pivot sweep ms": _sweep_times(packages),
+        "grid pass ms": _grid_pass_times(packages),
+        "scaled_pair ms": _scaled_pair_times(packages),
         "multisection crossover ms": _crossover(packages["change"]),
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -14,15 +14,16 @@ until it is back: down above 2**256, up when nonzero below 2**-256 (a pair
 holding inf or NaN is left as it is).  Power-of-two scaling commutes with
 rounding, so every value keeps the bits it would have unscaled, up to that
 factor, and signs and ratios are exact.  A ``Scaled`` float keeps that factor.
+A step whose new y_k lies in [2**-256, 2**256] needs no rescale, which one
+test finds.
 
 ``scaled_pair`` runs on Python floats (or mpmath numbers).  Its ratio form
 counts roots: ``negative_pivots`` counts the negative pivots of an LDL^T,
-whose number is the number of negative eigenvalues (Sylvester; Parlett 1980).
+whose number is the number of negative eigenvalues (Sylvester; Parlett 1980),
+in a float loop for one energy and in a blocked numpy sweep for many.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
@@ -34,6 +35,9 @@ RESCALE = 2.0**-256
 # Pivots at or below PIVMIN count as negative, the oracle's rule; a copy of
 # ``tridiag.PIVMIN``, so that the continued fractions share no code with it.
 PIVMIN = 1e-290
+
+# Steps a block of the lane sweep runs between two PIVMIN checks.
+_ROWS = 32
 
 
 class Scaled(float):
@@ -56,6 +60,8 @@ def scaled_pair(steps):
     prev, cur, exponent = 0.0, 1.0, 0
     for p, q in steps:
         prev, cur = cur, p * cur - q * prev
+        if tiny <= abs(cur) <= lim:  # no rescale: prev, the last cur, left the loops within lim
+            continue
         while not (-lim <= cur <= lim and -lim <= prev <= lim) and cur - cur == prev - prev == 0:
             prev, cur, exponent = prev * tiny, cur * tiny, exponent + 256
         while -tiny < cur < tiny and -tiny < prev < tiny and (cur or prev):
@@ -63,23 +69,69 @@ def scaled_pair(steps):
     return prev, cur, exponent
 
 
-def negative_pivots(steps):
+def negative_pivots(steps, rows=None):
     """Number of pivots q_k = p_k - a_k/q_{k-1}, from q_{-1} = inf, at or
-    below PIVMIN (each then continues as -PIVMIN or below) over ``steps``,
-    an iterable of (p_k, a_k).  Python floats run a plain-float loop into an
-    int; arrays p_k run as lanes, one numpy pass with the same arithmetic,
-    into an int array."""
-    first = next(steps := iter(steps))
+    below PIVMIN (each then continues as -PIVMIN or below).
+
+    Python floats: ``steps`` is an iterable of (p_k, a_k), run in a plain
+    loop into an int.  Lanes: ``steps`` is the sequence a_0 .. a_K and
+    ``rows(i, j)`` gives the (j - i, *lanes) array p_i .. p_{j-1}, counted
+    into an int array of the lanes' shape.
+
+    The lane sweep is blocked, with the PIVMIN check deferred (LAPACK
+    ``dlaneg``; Marques, Riedy and Voemel, SIAM J. Sci. Comput. 28(5),
+    2006), as ``tridiag._negative_pivot_counts`` runs it: _ROWS rows are
+    filled at a time and each step is two in-place calls.  After the block,
+    the first row with a pivot in [-PIVMIN, PIVMIN] has those lanes set to
+    -PIVMIN and the rows after it are filled and run again, so every count
+    is the per-step rule's, bit for bit.
+    """
+    if rows is not None:
+        return _negative_pivot_lanes(rows, steps)
+    count, q = 0, np.inf
     with np.errstate(divide="ignore", over="ignore"):
-        if isinstance(first[0], np.ndarray):
-            count, q = np.zeros(first[0].shape, dtype=np.int64), np.inf
-            for p, a in chain([first], steps):
-                neg = (q := p - a / q) <= PIVMIN
-                count += neg
-                q = np.where(neg, np.minimum(q, -PIVMIN), q)
-            return count
-        count, q = 0, np.inf
-        for p, a in chain([first], steps):
+        for p, a in steps:
             if (q := p - a / q) <= PIVMIN:
                 count, q = count + 1, min(q, -PIVMIN)
-        return count
+    return count
+
+
+def _negative_pivot_lanes(rows, couplings):
+    """``negative_pivots`` on lanes: block row i is step j0 + i - 1, and row
+    0 holds the last pivot of the block before (inf before the first).  A
+    zero pivot divides by zero before its repair, hence the errstate.  The
+    loop is ``tridiag._negative_pivot_counts``'s, written out again so that
+    the oracle shares no code with the continued fractions."""
+    block, steps = None, len(couplings)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j0 in range(0, steps, _ROWS):
+            m = min(_ROWS, steps - j0)
+            fill = rows(j0, j0 + m)
+            if block is None:
+                block = np.empty((_ROWS + 1,) + fill.shape[1:])
+                row = [block[i, ...] for i in range(_ROWS + 1)]  # views, also for 0-d lanes
+                neg = np.empty(block.shape, dtype=bool)
+                t = np.empty(fill.shape[1:])
+                count = np.zeros(fill.shape[1:], dtype=np.int64)
+                block[0] = np.inf
+            block[1:m + 1] = fill
+            first = 1
+            while True:
+                for a, before, q in zip(couplings[j0 + first - 1:j0 + m], row[first - 1:m],
+                                        row[first:m + 1]):
+                    np.divide(a, before, out=t)
+                    np.subtract(q, t, out=q)
+                # no pivot in [-PIVMIN, PIVMIN] when as many are <= PIVMIN as < -PIVMIN
+                np.less_equal(block[first:m + 1], PIVMIN, out=neg[first:m + 1])
+                if np.count_nonzero(neg[first:m + 1]) == np.count_nonzero(
+                        block[first:m + 1] < -PIVMIN):
+                    break
+                tiny = np.abs(block[first:m + 1]) <= PIVMIN
+                r = first + int(np.flatnonzero(tiny.reshape(len(tiny), -1).any(axis=1))[0])
+                np.copyto(row[r], -PIVMIN, where=tiny[r - first])
+                if r < m:
+                    block[r + 1:m + 1] = rows(j0 + r, j0 + m)
+                first = r + 1
+            count += np.add.reduce(neg[1:m + 1].view(np.uint8), axis=0, dtype=np.uint8)
+            block[0] = block[m]
+    return count

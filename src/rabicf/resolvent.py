@@ -112,8 +112,11 @@ def pole_count(energy, chain: ChainCoefficients):
     """Poles of G_0 at or below ``energy`` (an int for a float, an int array
     for an array): the negative backward pivots u_N .. u_0 of H - E, an
     exactly singular one included (``recurrence.negative_pivots``)."""
-    a = np.append(chain.a_values(), 0.0)[::-1].tolist()
-    return negative_pivots((d - energy, a_j) for d, a_j in zip(chain.diag[::-1].tolist(), a))
+    diag, a = chain.diag[::-1], np.append(chain.a_values(), 0.0)[::-1].tolist()
+    if np.ndim(energy) == 0:
+        return negative_pivots((d - energy, a_j) for d, a_j in zip(diag.tolist(), a))
+    lanes = (-1,) + (1,) * np.ndim(energy)
+    return negative_pivots(a, lambda i, j: diag[i:j].reshape(lanes) - energy)
 
 
 def _det_pair_planted(energy: float, chain: "PlantedChain") -> tuple[float, float]:

@@ -386,8 +386,9 @@ def secular_count(energy, params: ModelParams, order: TruncationOrder):
         if np.ndim(x) == 0:
             f = _f_of_detune(x - m_w, params).tolist()
             return int(cuts) + negative_pivots(zip(f, range(n + 1)))
-        return cuts + negative_pivots((_f_of_detune(x - mw, params), m)
-                                      for m, mw in enumerate(m_w))
+        lanes = (-1,) + (1,) * np.ndim(x)
+        return cuts + negative_pivots(range(n + 1), lambda i, j: _f_of_detune(
+            x - m_w[i:j].reshape(lanes), params))
 
 
 def classify_solution(seq: CoefficientSequence, params: ModelParams) -> Classification:

@@ -4,9 +4,12 @@ Both continued fractions find their roots through one driver,
 ``counted_roots``: the grid cells of one plain window over which a root
 count rises (``secular_count`` for method a, cuts of the pole lattice
 E = k w - g^2/w included; ``pole_count`` for method b) are brackets, one
-per root.  Each is halved by count toward its own root number until the
-piece holds that root alone, and refined by ITP (``bisect_sign``) on a
-function with no pole in it: P_N for method a, D_0 for method b.
+per root.  The count is monotone, so ``bracket_roots`` counts a coarse
+grid first and every sample only inside the coarse cells whose count
+rises and that can hold a wanted root.  Each bracket is halved by count
+toward its own root number until the piece holds that root alone, and
+refined by ITP (``bisect_sign``) on a function with no pole in it: P_N
+for method a, D_0 for method b.
 
 The crossing scan tracks oracle eigenvalues of both parity chains across a
 coupling sweep and records every inter-parity crossing together with the
@@ -104,18 +107,34 @@ def bracket_roots(count, window: tuple[float, float], grid: int,
     """Root brackets of a counted function over ``grid`` samples spanning
     ``window``: the first ``levels`` of them, or all when ``levels`` is None.
 
-    ``count`` maps the array of samples to an integer array in one call,
+    ``count`` maps an array of samples to an integer array in one call,
     the number of roots at or below each sample; a cell over which the
     count rises by k is its bracket k times, each with the counts at its
     two samples.  Brackets come in sample order, so the first k hold the
     k lowest roots: a caller refines every bracket returned.  A negative
     ``levels`` is a ValueError.
+
+    The count is monotone, so only samples that can move a bracket are
+    counted: every isqrt(grid)-th sample and the last, then every sample
+    inside the coarse cells whose count changes and that hold one of the
+    lowest ``levels`` roots.  Every other cell holds its end count.  The
+    brackets and counts are those of counting every sample.
     """
     if levels is not None and levels < 0:
         raise ValueError(f"levels must be >= 0, got {levels}")
     lo, hi = checked_window(window)
     xs = np.linspace(lo, hi, checked_grid(grid))
-    cells = np.repeat(np.arange(grid - 1), np.diff(counts := count(xs)))[:levels]
+    coarse = np.append(np.arange(0, grid - 1, math.isqrt(grid)), grid - 1)
+    ends = count(xs[coarse])
+    fine = ends[1:] != ends[:-1]  # a falling cell too, which np.repeat refuses below
+    if levels is not None:
+        fine &= ends[:-1] < ends[0] + levels
+    counts = np.repeat(ends, np.diff(coarse, append=grid))
+    inside = np.repeat(fine, np.diff(coarse))
+    inside[coarse[:-1]] = False
+    if (inside := np.flatnonzero(inside)).size:
+        counts[inside] = count(xs[inside])
+    cells = np.repeat(np.arange(grid - 1), np.diff(counts))[:levels]
     return BracketScan(brackets=tuple(zip(xs[cells].tolist(), xs[cells + 1].tolist())),
                        counts=tuple(zip(counts[cells].tolist(), counts[cells + 1].tolist())))
 

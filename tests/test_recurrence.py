@@ -1,9 +1,14 @@
+import math
 from fractions import Fraction
+from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rabicf.recurrence import PIVMIN, negative_pivots, scaled_pair
+from rabicf.recurrence import _ROWS, PIVMIN, RESCALE, RESCALE_LIMIT, negative_pivots, scaled_pair
 
 
 def dyadic_steps(sign):
@@ -107,7 +112,7 @@ def test_pivots_floats_match_lanes(seed):
     # PIVMIN and on -0.0
     p[:2, 0], a[1] = 1.0, 1.0
     p[0, 1:3] = PIVMIN, -0.0
-    lanes = negative_pivots(zip(p, a))
+    lanes = negative_pivots(a.tolist(), lambda i, j: p[i:j])
     floats = [negative_pivots(zip(p[:, j].tolist(), a.tolist())) for j in range(p.shape[1])]
     assert all(type(c) is int for c in floats)
     assert lanes.dtype == np.int64 and lanes.shape == (p.shape[1],)
@@ -118,3 +123,138 @@ def test_singular_pivot_counts_and_continues_below():
     # q_1 = 1 - 1/1 = 0 counts; continuing as -PIVMIN, q_2 = 0 + 1/PIVMIN > 0
     assert negative_pivots([(1.0, 0.0), (1.0, 1.0)]) == 1
     assert negative_pivots([(1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]) == 1
+
+
+def reference_scaled_pair(steps):
+    """The range rule before its one-test shortcut: both rescale loops
+    after every step."""
+    lim, tiny = RESCALE_LIMIT, RESCALE
+    prev, cur, exponent = 0.0, 1.0, 0
+    for p, q in steps:
+        prev, cur = cur, p * cur - q * prev
+        while not (-lim <= cur <= lim and -lim <= prev <= lim) and cur - cur == prev - prev == 0:
+            prev, cur, exponent = prev * tiny, cur * tiny, exponent + 256
+        while -tiny < cur < tiny and -tiny < prev < tiny and (cur or prev):
+            prev, cur, exponent = prev * lim, cur * lim, exponent - 256
+    return prev, cur, exponent
+
+
+# the rescale bounds exactly and next to them, zeros, subnormals and
+# non-finite values
+EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.0**-1030, 2.0**-1022]
+for _x in (2.0**256, 2.0**-256):
+    EDGES += [_x, -_x, math.nextafter(_x, 0.0), math.nextafter(_x, math.inf)]
+_coefficient = st.one_of(
+    st.sampled_from(EDGES),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+              st.integers(-1100, 1024)))
+_mpf = st.one_of(
+    st.builds(mpmath.mpf, _coefficient),
+    st.builds(mpmath.ldexp, st.floats(-2.0, 2.0).map(mpmath.mpf), st.integers(-3000, 3000)))
+
+
+def _bits(pair):
+    """(prev, cur, exponent) with signed zeros and NaN told apart."""
+    return tuple(repr(x) for x in pair)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.tuples(_coefficient, _coefficient), max_size=24))
+def test_scaled_pair_equals_both_loops_every_step(steps):
+    assert _bits(scaled_pair(steps)) == _bits(reference_scaled_pair(steps))
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.one_of(_mpf, _coefficient), _mpf), max_size=16))
+def test_scaled_pair_on_mpf_equals_both_loops_every_step(steps):
+    with mpmath.workdps(40):
+        assert _bits(scaled_pair(steps)) == _bits(reference_scaled_pair(steps))
+
+
+def reference_pivot_lanes(couplings, p):
+    """The per-step-clamp lane loop that the blocked sweep replaced, on the
+    full table ``p`` (steps, *lanes): a pivot at or below PIVMIN counts and
+    continues as -PIVMIN or below."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        count, q = np.zeros(p.shape[1:], dtype=np.int64), np.inf
+        for p_k, a_k in zip(p, couplings):
+            neg = (q := p_k - a_k / q) <= PIVMIN
+            count += neg
+            q = np.where(neg, np.minimum(q, -PIVMIN), q)
+    return count
+
+
+def assert_same_pivot_counts(couplings, p):
+    """The blocked sweep counts what the per-step rule counts, filling no
+    more than one block of rows at a time and leaving the rows it got alone."""
+    blocks, table = [], p.copy()
+
+    def rows(i, j):
+        blocks.append((i, j))
+        return p[i:j]
+
+    got = negative_pivots(couplings, rows)
+    want = reference_pivot_lanes(couplings, p)
+    assert got.dtype == np.int64 and got.shape == p.shape[1:]
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(p, table)
+    assert all(0 <= i < j <= len(couplings) and j - i <= _ROWS for i, j in blocks)
+    return got
+
+
+# three full blocks and a part
+STEPS = 3 * _ROWS + 5
+# pivots within PIVMIN of zero and next to it, and a cut (+inf)
+SPECIAL = [0.0, -0.0, PIVMIN, -PIVMIN, 0.5 * PIVMIN, np.nextafter(PIVMIN, 1.0),
+           np.nextafter(-PIVMIN, -1.0), np.inf]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPivotLanes:
+    """The blocked lane sweep, which repairs a block only where a pivot came
+    out within PIVMIN of zero, counts exactly what the per-step rule counts."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [1, _ROWS - 1, _ROWS, _ROWS + 1, STEPS])
+    @pytest.mark.parametrize("lanes", [(), (7,), (3, 4)])
+    def test_seeded_rows(self, seed, steps, lanes):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.1, 2.0, steps)
+        a[0] = 0.0
+        assert_same_pivot_counts(a.tolist(), rng.normal(size=(steps,) + lanes))
+
+    @pytest.mark.parametrize("zeroed", [False, True])
+    def test_special_pivots_in_every_lane(self, zeroed):
+        # lane (r, v) holds the pivot v in row r when the coupling into it is
+        # zero; with couplings left on, v is one diagonal entry among others
+        planted = [0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS, STEPS - 1]
+        rng = np.random.default_rng(4)
+        p = rng.normal(size=(STEPS, len(planted) * len(SPECIAL)))
+        a = rng.uniform(0.1, 2.0, STEPS)
+        a[0] = 0.0
+        if zeroed:
+            a[planted] = 0.0
+        for lane, (row, value) in enumerate(product(planted, SPECIAL)):
+            p[row, lane] = value
+        counts = assert_same_pivot_counts(a.tolist(), p)
+        if zeroed:  # every planted value but inf counts
+            assert np.all(counts >= np.array([v != np.inf for v in SPECIAL] * len(planted)))
+
+    def test_exact_zero_pivots_in_one_lane(self):
+        # zero pivots at the block edges and in the last row of one chain,
+        # each followed by a division by zero before its repair
+        planted = [_ROWS - 1, _ROWS, _ROWS + 1, STEPS - 1]
+        p = np.random.default_rng(5).normal(size=(STEPS, 3))
+        a = np.ones(STEPS)
+        a[0] = 0.0
+        a[planted] = 0.0
+        p[planted] = 0.0
+        p[_ROWS + 2, 1] = np.inf  # a cut right after a repaired row
+        assert_same_pivot_counts(a.tolist(), p)
+        assert_same_pivot_counts(range(STEPS), p)  # integer couplings, as secular_count's
+
+    def test_nan_rows(self):
+        p = np.random.default_rng(6).normal(size=(STEPS, 4))
+        p[_ROWS, :2] = np.nan
+        assert_same_pivot_counts([0.0] + [1.0] * (STEPS - 1), p)

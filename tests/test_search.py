@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from rabicf import (
@@ -26,7 +28,7 @@ import rabicf.resolvent as resolvent
 import rabicf.search as search
 from rabicf.recurrence import Scaled
 from rabicf.resolvent import poles_of_resolvent
-from rabicf.search import bisect_sign, counted_roots, default_window
+from rabicf.search import BracketScan, bisect_sign, counted_roots, default_window
 
 from conftest import FIXTURE, ORACLE_UNION_24
 
@@ -107,6 +109,76 @@ class TestBracketRoots:
         assert scan.counts == ((1, 3), (1, 3), (3, 4))
 
 
+def reference_bracket_roots(count, window, grid, levels=None):
+    """``bracket_roots`` as it was before it counted coarse cells first:
+    every sample of the grid counted."""
+    xs = np.linspace(*window, grid)
+    cells = np.repeat(np.arange(grid - 1), np.diff(counts := count(xs)))[:levels]
+    return BracketScan(brackets=tuple(zip(xs[cells].tolist(), xs[cells + 1].tolist())),
+                       counts=tuple(zip(counts[cells].tolist(), counts[cells + 1].tolist())))
+
+
+@st.composite
+def counted_grids(draw):
+    """(count, window, grid, levels): a non-decreasing step count with
+    roots between samples and on them, some repeated, and a count below
+    the window."""
+    grid = draw(st.integers(2, 5000))
+    lo = draw(st.floats(-10.0, 10.0))
+    window = (lo, lo + draw(st.floats(1e-6, 100.0)))
+    xs = np.linspace(*window, grid)
+    between = st.floats(window[0] - 1.0, window[1] + 1.0)
+    on = st.integers(0, grid - 1).map(lambda i: float(xs[i]))
+    roots = draw(st.lists(st.tuples(st.one_of(between, on), st.integers(1, 3)), max_size=40))
+    roots = np.sort([r for r, times in roots for _ in range(times)])
+    below = draw(st.integers(0, 5))
+    count = lambda e: below + np.searchsorted(roots, e, side="right")
+    inside = int(np.count_nonzero((roots > window[0]) & (roots <= window[1])))
+    levels = draw(st.one_of(st.none(), st.sampled_from([0, 1]), st.integers(0, inside + 3)))
+    return count, window, grid, levels
+
+
+class TestCoarseCount:
+    """``bracket_roots`` counts the samples inside only those coarse cells
+    that can hold a wanted root, and returns what counting every sample
+    returns."""
+
+    @settings(max_examples=300)
+    @given(counted_grids())
+    def test_equals_counting_every_sample(self, case):
+        count, window, grid, levels = case
+        seen = []
+
+        def counting(e):
+            seen.extend(e.tolist())
+            return count(e)
+
+        assert bracket_roots(counting, window, grid, levels) == reference_bracket_roots(
+            count, window, grid, levels)
+        # no sample counted twice
+        assert len(seen) == len(set(seen)) <= grid
+
+    @pytest.mark.parametrize("method", ["a", "b"])
+    def test_readme_requests_count_few_samples(self, method):
+        # the README requests spectrum --method a --order 150 --levels 10
+        # and --method b --parity plus --levels 8 (order 300) at the default
+        # grid: a few hundred of the 2000 samples, the same brackets
+        levels = 10 if method == "a" else 8
+        if method == "a":
+            count = lambda e: secular_count(e, FIXTURE, 150)
+        else:
+            count = lambda e: resolvent.pole_count(e, build_chain(FIXTURE, Parity.PLUS, 300))
+        window, seen = default_window(FIXTURE, levels), []
+
+        def counting(e):
+            seen.append(len(e))
+            return count(e)
+
+        assert bracket_roots(counting, window, 2000, levels) == reference_bracket_roots(
+            count, window, 2000, levels)
+        assert sum(seen) <= 400
+
+
 class TestCountedRoots:
     def test_two_roots_in_one_cell(self):
         # one cell of a two-sample grid holds both roots: halved by count
@@ -131,9 +203,9 @@ class TestCountedRoots:
 
     @pytest.mark.parametrize("method", ["a", "b"])
     def test_grid_samples_are_counted_once(self, monkeypatch, method):
-        # the grid pass counts every sample: halving a cell that holds
-        # several roots, or the last cell that levels stops inside, never
-        # counts one of them again
+        # the grid pass never counts a sample twice: halving a cell that
+        # holds several roots, or the last cell that levels stops inside,
+        # never counts one of them again
         if method == "a":  # cell 0 of 2 holds 18 roots, 12 kept
             params, order, levels, grid = ModelParams(1.0, 2.0, 0.4), 300, 12, 3
             module, name = search, "secular_count"

@@ -304,46 +304,46 @@ def _load(src: str, name: str):
     return module
 
 
-def _sweep_times(sides: dict) -> dict:
-    """Milliseconds per pivot sweep of each shape, the kernel of the parent
-    package on its own sweeps against the change's, in REPEATS alternating
-    rounds."""
-    import numpy as np
-
-    args = {side: _sweep_args(pkg) for side, pkg in sides.items()}
-    result = {}
-    for name in args["change"]:
-        ms = {"parent": [], "change": []}
-        for round_ in range(REPEATS):
-            for side in (("parent", "change") if round_ % 2 == 0 else ("change", "parent")):
-                kernel, calls = sides[side].tridiag._negative_pivot_counts, args[side][name]
-                start = time.perf_counter()
-                for call in calls:
-                    kernel(*call)
-                ms[side].append(1e3 * (time.perf_counter() - start) / len(calls))
-        result[name] = {
-            "sweeps_per_call": {side: len(args[side][name]) for side in sides},
-            "ms_per_sweep": {side: round(float(np.median(ms[side])), 3) for side in sides},
-            "speedup": round(float(np.median(ms["parent"]) / np.median(ms["change"])), 2),
-        }
-    return result
-
-
-def _alternating_ms(calls: dict) -> dict:
-    """Milliseconds of one call of each side's ``calls[side]`` (a function
-    of no arguments), in REPEATS alternating rounds of NUMBER calls."""
+def _alternating_ms(calls: dict, number: int = 1) -> dict:
+    """Median milliseconds of one call of each side's ``calls[side]`` (a
+    function of no arguments), in REPEATS alternating rounds of ``number``
+    calls."""
     import numpy as np
 
     ms = {side: [] for side in calls}
     for round_ in range(REPEATS):
         for side in (("parent", "change") if round_ % 2 == 0 else ("change", "parent")):
             start = time.perf_counter()
-            for _ in range(NUMBER):
+            for _ in range(number):
                 calls[side]()
-            ms[side].append(1e3 * (time.perf_counter() - start) / NUMBER)
-    medians = {side: float(np.median(t)) for side, t in ms.items()}
-    return {"ms_per_call": {side: round(t, 4) for side, t in medians.items()},
-            "speedup": round(medians["parent"] / medians["change"], 2)}
+            ms[side].append(1e3 * (time.perf_counter() - start) / number)
+    return {side: float(np.median(t)) for side, t in ms.items()}
+
+
+def _per_call(ms: dict) -> dict:
+    """``_alternating_ms`` medians as a record, with the parent/change ratio."""
+    return {"ms_per_call": {side: round(t, 4) for side, t in ms.items()},
+            "speedup": round(ms["parent"] / ms["change"], 2)}
+
+
+def _sweep_times(sides: dict) -> dict:
+    """Milliseconds per pivot sweep of each shape, the kernel of the parent
+    package on its own sweeps against the change's, in REPEATS alternating
+    rounds."""
+    args = {side: _sweep_args(pkg) for side, pkg in sides.items()}
+    result = {}
+    for name in args["change"]:
+        sweeps = {side: len(args[side][name]) for side in sides}
+        ms = _alternating_ms({side: lambda kernel=pkg.tridiag._negative_pivot_counts,
+                              calls=args[side][name]: [kernel(*call) for call in calls]
+                              for side, pkg in sides.items()})
+        ms = {side: t / sweeps[side] for side, t in ms.items()}
+        result[name] = {
+            "sweeps_per_call": sweeps,
+            "ms_per_sweep": {side: round(t, 3) for side, t in ms.items()},
+            "speedup": round(ms["parent"] / ms["change"], 2),
+        }
+    return result
 
 
 def _grid_pass_times(sides: dict) -> dict:
@@ -365,7 +365,7 @@ def _grid_pass_times(sides: dict) -> dict:
         return out
 
     calls = {side: passes(pkg) for side, pkg in sides.items()}
-    return {name: _alternating_ms({side: calls[side][name] for side in sides})
+    return {name: _per_call(_alternating_ms({side: calls[side][name] for side in sides}, NUMBER))
             for name in calls["change"]}
 
 
@@ -396,9 +396,9 @@ def _scaled_pair_times(sides: dict) -> dict:
             lambda: change.resolvent.char_poly(0.5, chain))
     capture("pair_secular steps, order 300", change.schweber,
             lambda: change.schweber.pair_secular(0.5, params, 300))
-    return {name: _alternating_ms({side: (lambda pkg=pkg, rows=rows:
-                                          pkg.recurrence.scaled_pair(rows))
-                                   for side, pkg in sides.items()})
+    return {name: _per_call(_alternating_ms({side: lambda pkg=pkg, rows=rows:
+                                             pkg.recurrence.scaled_pair(rows)
+                                             for side, pkg in sides.items()}, NUMBER))
             for name, rows in steps.items()}
 
 

@@ -14,8 +14,9 @@ until it is back: down above 2**256, up when nonzero below 2**-256 (a pair
 holding inf or NaN is left as it is).  Power-of-two scaling commutes with
 rounding, so every value keeps the bits it would have unscaled, up to that
 factor, and signs and ratios are exact.  A ``Scaled`` float keeps that factor.
-A step whose new y_k lies in [2**-256, 2**256] needs no rescale, which one
-test finds.
+A step whose new y_k lies in [2**-256, 2**256] needs no rescale (y_{k-1},
+the last y_k, is within 2**256), so one range test a step decides whether
+the rule runs.
 
 ``scaled_pair`` runs on Python floats (or mpmath numbers).  Its ratio form
 counts roots: ``negative_pivots`` counts the negative pivots of an LDL^T,

@@ -163,11 +163,11 @@ class TestCoarseCount:
         # the README requests spectrum --method a --order 150 --levels 10
         # and --method b --parity plus --levels 8 (order 300) at the default
         # grid: a few hundred of the 2000 samples, the same brackets
-        levels = 10 if method == "a" else 8
         if method == "a":
-            count = lambda e: secular_count(e, FIXTURE, 150)
+            levels, count = 10, lambda e: secular_count(e, FIXTURE, 150)
         else:
-            count = lambda e: resolvent.pole_count(e, build_chain(FIXTURE, Parity.PLUS, 300))
+            chain = build_chain(FIXTURE, Parity.PLUS, 300)
+            levels, count = 8, lambda e: resolvent.pole_count(e, chain)
         window, seen = default_window(FIXTURE, levels), []
 
         def counting(e):

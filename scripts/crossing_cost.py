@@ -11,7 +11,7 @@ commit):
   workload (``bench/workloads.py``): for every scan the wall time, the
   events, and what reached the crossing refinement: parameter steps per
   event and pivot sweeps (calls of ``tridiag._negative_pivot_counts``) with
-  the Sturm counts they evaluated;
+  the Sturm counts they evaluated and the chain steps they read;
 * the evaluations that ``search.bisect_sign`` makes of P_N
   (``schweber.pair_secular``, method a) and of D_0 (``resolvent.char_poly``,
   method b): exact counts for the README examples ``spectrum --method a
@@ -25,9 +25,11 @@ commit):
   README g scan (600 chains x 8 levels, order 300) and of the seed-1 delta
   scan (200 x 6, order 150) by ``tridiag.eigenvalues_batch``, the README
   scan's crossing refinement, and ``tridiag.eigenvalues`` on one chain at
-  8 levels and orders 300, 600 and 1200: sweeps per call, Sturm counts per
-  sweep and, for this checkout, whether every count equals the per-step
-  rule that ``tests/test_tridiag.py`` keeps as its reference.
+  8 levels and orders 300, 600 and 1200: sweeps per call, Sturm counts and
+  chain steps read per sweep (a sweep that stops where the tail is
+  dominant reads fewer than n + 1) and, for this checkout, whether every
+  count equals the per-step rule that ``tests/test_tridiag.py`` keeps as
+  its reference.
 
 Then, in this process, the time of one pivot sweep of each of those calls,
 the parent's kernel on its own sweeps and this checkout's on its own,
@@ -37,9 +39,10 @@ at 10 levels, orders 100-600, and of method b on the plus chain at 8
 levels, orders 300-1200, and of one ``recurrence.scaled_pair`` call on the
 steps of ``resolvent.char_poly`` at order 1200 and of
 ``schweber.pair_secular`` at order 300; and the multisection
-crossover on this checkout: ``tridiag._bisect`` on 720 and 1440 per-row
-chains of the README g scan at orders 300 and 1200 with m = 1 and m = 2
-halvings a sweep, forced through ``_MULTISECTION_PROBES``.
+crossover on this checkout: ``tridiag._bisect`` on 720, 1440 and 4800
+per-row chains of the README g scan at orders 300 and 1200, each level
+from its interlacing start as ``eigenvalues_batch`` brackets it, with
+m = 1, 2 and 3 halvings a sweep, forced through ``_MULTISECTION_PROBES``.
 
 ``--compare`` is the file ``bench/compare.py --json`` wrote for the same
 parent/change pair; it is copied in unchanged.
@@ -71,7 +74,7 @@ ORDERS = (150, 300, 600)
 REPEATS = 5
 NUMBER = 5
 CHAIN_ORDERS = (300, 600, 1200)
-CROSSOVER = ((300, 720), (300, 1440), (1200, 720), (1200, 1440))
+CROSSOVER = tuple((order, lanes) for order in (300, 1200) for lanes in (720, 1440, 4800))
 GRID_ORDERS = {"method a": (100, 150, 300, 600), "method b": (300, 600, 1200)}
 
 
@@ -96,19 +99,26 @@ def measure(src: str) -> dict:
             "pivot sweeps": _sweep_counts(rabicf, Path(src).resolve() == ROOT / "src")}
 
 
+def _steps_read(tridiag):
+    """The sweep of ``tridiag`` as (counts, chain steps read); a package
+    without ``_pivot_sweep`` reads all n + 1 steps every sweep."""
+    kernel = tridiag._negative_pivot_counts
+    return getattr(tridiag, "_pivot_sweep", lambda *args: (kernel(*args), args[1].shape[0]))
+
+
 def _crossing_cost() -> dict:
-    import numpy as np
     from rabicf import ModelParams, scan_levels
     from rabicf import search, tridiag
 
     seen = {}
-    pivot_counts, refine_events = tridiag._negative_pivot_counts, search._refine_events
+    sweep, refine_events = _steps_read(tridiag), search._refine_events
 
-    def counted_sweep(energies, diag, off2):
-        counts = pivot_counts(energies, diag, off2)
+    def counted_sweep(energies, diag, off2, tail=None):
+        counts, steps = sweep(energies, diag, off2, *([] if tail is None else [tail]))
         if seen.get("inside"):
             seen["sweeps"] += 1
             seen["counts"] += counts.size
+            seen["steps"] += steps
         return counts
 
     def refining(*args):
@@ -124,7 +134,7 @@ def _crossing_cost() -> dict:
     search._refine_events = refining
     result = {}
     for name, spec in _cases().items():
-        seen.update(sweeps=0, counts=0, itp_steps=[])
+        seen.update(sweeps=0, counts=0, steps=0, itp_steps=[])
         base = ModelParams(1.0, spec["g"], spec["delta"])
         start = time.perf_counter()
         scan = scan_levels(base, spec["param"], spec["from"], spec["to"], spec["steps"],
@@ -137,6 +147,7 @@ def _crossing_cost() -> dict:
             "parameter_steps_per_event": seen["itp_steps"],
             "pivot_sweeps": seen["sweeps"],
             "pivot_sweeps_per_event": round(seen["sweeps"] / max(events, 1), 1),
+            "pivot_steps_read": seen["steps"],
             "sturm_counts_per_event": round(seen["counts"] / max(events, 1)),
         }
     return result
@@ -272,24 +283,27 @@ def _sweep_args(rabicf) -> dict[str, list[tuple]]:
 
 
 def _sweep_counts(rabicf, reference: bool) -> dict:
-    """Sweeps per call and Sturm counts per sweep of each shape; with
-    ``reference``, whether every count equals the per-step rule of this
-    checkout's tests (its tables have the chain steps on the last axis)."""
+    """Sweeps per call, Sturm counts and chain steps read per sweep of each
+    shape, and the chain's n + 1 steps; with ``reference``, whether every
+    count equals the per-step rule of this checkout's tests (its tables
+    have the chain steps on the last axis)."""
     import numpy as np
 
     if reference:
         sys.path.insert(0, str(ROOT / "tests"))
         from test_tridiag import reference_pivot_counts
-    result = {}
+    sweep, result = _steps_read(rabicf.tridiag), {}
     for name, calls in _sweep_args(rabicf).items():
-        counts = [rabicf.tridiag._negative_pivot_counts(*args) for args in calls]
+        counts, steps = zip(*(sweep(*args) for args in calls))
         result[name] = {"sweeps_per_call": len(calls), "sturm_counts_per_sweep":
-                        round(sum(c.size for c in counts) / max(len(calls), 1))}
+                        round(sum(c.size for c in counts) / len(calls)),
+                        "steps_read_per_sweep": round(sum(steps) / len(calls), 1),
+                        "chain_steps": calls[0][1].shape[0]}
         if reference:
             result[name]["counts_equal_reference"] = all(
                 np.array_equal(got, reference_pivot_counts(
                     e, np.moveaxis(diag, 0, -1), np.moveaxis(off2, 0, -1)))
-                for got, (e, diag, off2) in zip(counts, calls))
+                for got, (e, diag, off2, *_) in zip(counts, calls))
     return result
 
 
@@ -404,8 +418,9 @@ def _scaled_pair_times(sides: dict) -> dict:
 
 def _crossover(rabicf) -> dict:
     """Milliseconds of one ``tridiag._bisect`` of the README g scan's per-row
-    chains, levels 1..8 in turn, with m = 1 and m = 2 halvings a sweep
-    (median of REPEATS alternating rounds), in ``rabicf``."""
+    chains, levels 1..8 in turn, each from its interlacing start, with
+    m = 1, 2 and 3 halvings a sweep (median of REPEATS alternating rounds),
+    in ``rabicf``."""
     import numpy as np
 
     search, tridiag = rabicf.search, rabicf.tridiag
@@ -415,13 +430,13 @@ def _crossover(rabicf) -> dict:
             tables = search._batch_tables(p, "g", np.linspace(0.05, 1.2, lanes), 1.0, order)
             interval = search._sweep_interval(p, "g", 1.2, order)
             wanted = np.arange(lanes) % 8 + 1
-            ms = {1: [], 2: []}
+            tops = tridiag._start_tops(*tables, 8, 1e-11, interval)[wanted - 1, np.arange(lanes)]
+            ms = {1: [], 2: [], 3: []}
             for round_ in range(REPEATS):
-                for m in ((1, 2) if round_ % 2 == 0 else (2, 1)):
-                    tridiag._MULTISECTION_PROBES = lanes * 3 if m == 2 else 0
+                for m in ((1, 2, 3) if round_ % 2 == 0 else (3, 2, 1)):
+                    tridiag._MULTISECTION_PROBES = lanes * (2**m - 1) if m > 1 else 0
                     start = time.perf_counter()
-                    tridiag._bisect(*tables, wanted, np.full(lanes, interval[0]),
-                                    np.full(lanes, interval[1]), 1e-11)
+                    tridiag._bisect(*tables, wanted, np.full(lanes, interval[0]), tops, 1e-11)
                     ms[m].append(1e3 * (time.perf_counter() - start))
             result[f"order {order}, {lanes} brackets"] = {
                 f"m={m}": round(float(np.median(t)), 1) for m, t in ms.items()}

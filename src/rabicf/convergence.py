@@ -81,16 +81,18 @@ def _candidate_levels(energy: float, params: ModelParams, n: int, up_to: int) ->
 
 def _margins(energy, params, parity, n, up_to, c):
     """min over levels [n, up_to] of |b_j| - (j g^2/c + c), for a constant
-    ``c`` or each entry of an array of them.  Inputs reaching beyond 2**256
-    are scaled by 2**-256 first, so that j g^2 cannot overflow; power-of-two
-    scaling commutes with rounding, so the margin is exact up to that factor."""
+    ``c`` or each entry of an array of them.  For each c, inputs reaching
+    beyond 2**256 (|E|, w*up_to, g*sqrt(up_to), D or c) are first scaled by
+    the power of two that brings the largest to at most 2**256, so that
+    j g^2 cannot overflow; power-of-two scaling commutes with rounding, so
+    the margin is exact up to that factor."""
     j = _candidate_levels(energy, params, n, up_to)
     c = np.asarray(c, dtype=float)[..., None]
-    top = max(abs(energy), params.omega, params.g, params.delta, float(np.max(c)))
-    s = 2.0**-256 if top > 2.0**256 else 1.0
-    scaled = ModelParams(s * params.omega, s * params.g, s * params.delta)
-    lhs = np.abs(_tail_b(s * energy, scaled, parity, j))
-    return np.min(lhs - (j * scaled.g * scaled.g / (s * c) + s * c), axis=-1) / s
+    w, g, d = params.omega, params.g, params.delta
+    top = np.maximum(max(abs(energy), w * up_to, g * math.sqrt(up_to), w, d), c)
+    s = np.ldexp(1.0, np.minimum(0, 256 - np.frexp(top)[1]))
+    lhs = np.abs(s * energy - j * (s * w) - parity.sign * ((-1.0) ** j) * (s * d))
+    return np.min(lhs - (j * (s * g) * (s * g) / (s * c) + s * c), axis=-1) / s[..., 0]
 
 
 def check_pringsheim(
@@ -122,11 +124,13 @@ def best_certificate(
     n: int,
     up_to: int,
 ) -> PringsheimCertificate:
-    """Search c on a 400-point log grid over [g^2/w, n*w] and keep the best
-    margin.
+    """The c of the best margin, in closed form.
 
-    The optimum sits strictly inside that range whenever n satisfies the
-    depth bound.  At g = 0 the inequality degenerates to |b_j| >= c; the
+    The margin min_j(|b_j| - j g^2/c - c) over the candidate levels is a
+    minimum of functions concave in c > 0, so it is concave, and its
+    maximum lies at a piece's vertex c = g sqrt(j) or where two pieces
+    meet, c = (i - j) g^2/(|b_i| - |b_j|): it is the best margin at those
+    points.  At g = 0 the inequality degenerates to |b_j| >= c; the
     largest admissible c is min |b_j| and is used directly.
     """
     w, g = params.omega, params.g
@@ -135,11 +139,13 @@ def best_certificate(
         c = float(np.min(np.abs(_tail_b(energy, params, parity, j))))
         c = max(c, DEN_FLOOR)
         return check_pringsheim(energy, params, parity, n, c, up_to)
-    lo, hi = g * g / w, max(n, 1) * w
-    if hi <= lo:
-        hi = 4.0 * lo
-    cs = np.geomspace(lo, hi, 400)
-    # argmax keeps the first of equal margins
+    j = _candidate_levels(energy, params, n, up_to)
+    b = np.abs(_tail_b(energy, params, parity, j))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        meet = (j[:, None] - j) / (b[:, None] - b) * g * g
+    cs = np.unique(np.concatenate([g * np.sqrt(np.maximum(j, 1.0)), meet.ravel()]))
+    cs = cs[np.isfinite(cs) & (cs > 0.0)]
+    # argmax keeps the first (smallest) of equal margins
     c = float(cs[np.argmax(_margins(energy, params, parity, n, up_to, cs))])
     return check_pringsheim(energy, params, parity, n, c, up_to)
 

@@ -21,6 +21,16 @@ step.  The PIVMIN rule is checked once a block and a block is run again
 only from the first pivot within PIVMIN of zero, as in LAPACK ``dlaneg``:
 the count is the per-step rule's, bit for bit, whose monotonicity Demmel,
 Dhillon and Ren analyse (ETNA 3, 1995).
+
+A sweep stops at the end of a block once the rest of the chain is
+diagonally dominant above every energy of the sweep, with the last pivot
+large enough to start an induction: the paper's Pringsheim criterion, site
+by site.  Beyond that block no pivot can reach PIVMIN, so the count is the
+full sweep's, bit for bit; low levels of long chains are settled within
+the first block.  Bisection starts each level k at the Gershgorin upper end
+of the leading k x k block, an upper bound by Cauchy interlacing that needs
+no count, and ends in the lattice cell that the whole spectrum interval
+gives.
 """
 
 from __future__ import annotations
@@ -123,31 +133,61 @@ class SpectrumApproximation:
 # of the per-step PIVMIN rule (scripts/crossing_cost.py, BENCH_24.json).
 _ROWS = 32
 
+# Relative slack of the dominance exit: of the energy, of each diagonal row
+# and of the pivot's bound.  About 1e7 units of roundoff, far above the
+# rounding of one step, far below any gap that decides where a sweep stops.
+_SLACK = 1e-9
 
-def _negative_pivot_counts(energies: np.ndarray, diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
-    """Count eigenvalues at or below each energy, vectorized: the pivots at
-    or below PIVMIN.  ``energies`` has any shape; the step-major tables
-    ``diag`` (n+1, ...) and ``off2`` (n, ...) broadcast against it on their
-    trailing axes.
 
-    The sweep is step-major and blocked, with the PIVMIN check deferred
-    (LAPACK ``dlaneg``; Marques, Riedy and Voemel, SIAM J. Sci. Comput.
-    28(5), 2006): a block of _ROWS steps is filled with d_j - E in one call,
-    then each step is two in-place calls, with no per-step clamp.  After
-    the block, the first row with a pivot in [-PIVMIN, PIVMIN] has those
-    lanes set to -PIVMIN (a no-op at -PIVMIN itself) and the rows after it
-    are filled and run again.  Up to that row every pivot is the one the
-    per-step rule makes, so the counts are equal bit for bit.  A zero pivot
-    divides by zero before its repair, hence the errstate.
+def _steps(diag: np.ndarray, lanes: tuple) -> np.ndarray:
+    """``diag`` (n+1, ...) with its trailing axes right-aligned to ``lanes``,
+    so that a block diag[i:j] broadcasts against (lanes) arrays."""
+    return diag.reshape(diag.shape[:1] + (1,) * (len(lanes) + 1 - diag.ndim) + diag.shape[1:])
+
+
+def _tail_table(diag: np.ndarray, off2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(bound, floor) at the end of every block of a pivot sweep over the
+    step-major tables: for the block whose last step is J, bound is
+    b_{J+1}*(1 + _SLACK) and floor is S_{J+1}, with b_j = sqrt(a_j), a_j =
+    ``off2[j-1]`` the squared off-diagonal into step j (a_0 = a_{n+1} = 0)
+    and
+
+        S_J = min_{j >= J} (d_j - b_j - b_{j+1} - _SLACK*(|d_j| + b_j + b_{j+1}) - 4*PIVMIN),
+
+    the suffix minimum, +inf past the last step.  Built block by block from
+    the end, so no (n+1)-row table is formed beside the chain's own.
     """
+    n1, blocks = diag.shape[0], -(-diag.shape[0] // _ROWS)
+    chains = np.broadcast_shapes(diag.shape[1:], off2.shape[1:])
+    diag = _steps(diag, chains)
+    bound, floor = np.zeros((blocks,) + chains), np.empty((blocks,) + chains)
+    suffix = np.full(chains, np.inf)
+    for k in range(blocks - 1, -1, -1):
+        j0, j1 = k * _ROWS, min((k + 1) * _ROWS, n1)
+        floor[k] = suffix
+        b = np.zeros((j1 - j0 + 1,) + chains)  # b_{j0} .. b_{j1}
+        b[(j0 == 0):j1 - j0 + (j1 < n1)] = np.sqrt(off2[max(j0, 1) - 1:j1 - (j1 == n1)])
+        bound[k] = b[-1] * (1.0 + _SLACK)
+        d, r = diag[j0:j1], b[:-1] + b[1:]
+        row = d - r - (_SLACK * (np.abs(d) + r) + 4.0 * PIVMIN)
+        suffix = np.minimum(suffix, np.min(row, axis=0))
+    return bound, floor
+
+
+def _pivot_sweep(energies, diag, off2, tail=None) -> tuple[np.ndarray, int]:
+    """(counts, steps read) of :func:`_negative_pivot_counts`."""
     energies = np.asarray(energies, dtype=float)
     lanes = np.broadcast_shapes(energies.shape, diag.shape[1:], off2.shape[1:])
-    diag = diag.reshape(diag.shape[:1] + (1,) * (len(lanes) + 1 - diag.ndim) + diag.shape[1:])
+    diag = _steps(diag, lanes)
     rows = np.empty((_ROWS + 1,) + lanes)  # row 0: the last pivot of the block before
     neg = np.empty((_ROWS,) + lanes, dtype=bool)
     t = np.empty(lanes)
     count = np.zeros(lanes, dtype=np.int64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if tail is not None:
+            bound, floor = tail
+            # NaN for NaN and -inf energies, which never pass
+            top, settled = energies + _SLACK * np.abs(energies), False
         for j0 in range(0, diag.shape[0], _ROWS):
             m = min(_ROWS, diag.shape[0] - j0)
             np.subtract(diag[j0:j0 + m], energies, out=rows[1:m + 1])
@@ -168,7 +208,43 @@ def _negative_pivot_counts(energies: np.ndarray, diag: np.ndarray, off2: np.ndar
                 first = check = r + 1
             count += np.add.reduce(neg[:m].view(np.uint8), axis=0, dtype=np.uint8)
             rows[0] = rows[m]
-    return count
+            if tail is not None and j0 + m < diag.shape[0]:
+                # S_J rises with J: once every energy is below it, it stays
+                k = j0 // _ROWS
+                settled = settled or bool(np.all(top <= floor[k]))
+                if settled and np.all(rows[m] >= bound[k]):
+                    return count, j0 + m
+    return count, diag.shape[0]
+
+
+def _negative_pivot_counts(energies: np.ndarray, diag: np.ndarray, off2: np.ndarray,
+                           tail: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Count eigenvalues at or below each energy, vectorized: the pivots at
+    or below PIVMIN.  ``energies`` has any shape; the step-major tables
+    ``diag`` (n+1, ...) and ``off2`` (n, ...) broadcast against it on their
+    trailing axes.
+
+    The sweep is step-major and blocked, with the PIVMIN check deferred
+    (LAPACK ``dlaneg``; Marques, Riedy and Voemel, SIAM J. Sci. Comput.
+    28(5), 2006): a block of _ROWS steps is filled with d_j - E in one call,
+    then each step is two in-place calls, with no per-step clamp.  After
+    the block, the first row with a pivot in [-PIVMIN, PIVMIN] has those
+    lanes set to -PIVMIN (a no-op at -PIVMIN itself) and the rows after it
+    are filled and run again.  Up to that row every pivot is the one the
+    per-step rule makes, so the counts are equal bit for bit.  A zero pivot
+    divides by zero before its repair, hence the errstate.
+
+    With the ``tail`` of :func:`_tail_table` the sweep stops after the
+    block ending at step J once every lane has q_J >= b_{J+1}*(1 + _SLACK)
+    and E + _SLACK*|E| <= S_{J+1}: the tail is then diagonally dominant
+    above E, and by induction q_j = d_j - E - a_j/q_{j-1} > d_j - E - b_j
+    >= b_{j+1}*(1 + _SLACK) for every j > J, the slack covering the
+    rounding of each step; so no later pivot reaches PIVMIN, and the count
+    is the full sweep's, bit for bit.  This is the Pringsheim criterion of
+    :mod:`rabicf.convergence` with a constant c_j = b_{j+1} per step.  NaN
+    lanes never pass and run the whole chain.
+    """
+    return _pivot_sweep(energies, diag, off2, tail)[0]
 
 
 def sturm_count(energy: float, chain: ChainCoefficients) -> int:
@@ -245,6 +321,33 @@ def _snap(lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
     return lo, lo + _pow2_above(max(float(np.max(hi - lo)), cell))
 
 
+def _start_tops(diag, off2, first_k, tol, interval) -> np.ndarray:
+    """Upper bracket ends for levels 1..``first_k`` of the chains of the
+    step-major tables, (first_k, ...), with no count.
+
+    By Cauchy interlacing level k is at most the largest eigenvalue of the
+    leading k x k block, so at most that block's Gershgorin upper end
+    u_k = max_{j<k}(d_j + b_j + b_{j+1}), where row k-1 takes no b_k (b_j =
+    sqrt(``off2[j-1]``), b_0 = 0); each row's end is raised by 2**-50 of
+    its magnitude, above the rounding of its sum.  The end is
+    min(interval[1], max(u_k, interval[0] + cell)) with the ``tol`` lattice
+    cell: the lower clamp keeps the span that :func:`_snap` sees at least
+    one cell wide, so the cell, and with it the level, is the one that the
+    whole ``interval`` gives.
+    """
+    chains = np.broadcast_shapes(diag.shape[1:], off2.shape[1:])
+    b = np.zeros((first_k + 1,) + chains)
+    b[1:first_k] = np.sqrt(off2[:first_k - 1])
+    d = _steps(diag, chains)[:first_k]
+
+    def ends(r):
+        return d + r + 2.0**-50 * (np.abs(d) + r)
+
+    top, full = ends(b[:-1]), ends(b[:-1] + b[1:])
+    top[1:] = np.maximum(np.maximum.accumulate(full[:-1], axis=0), top[1:])
+    return np.minimum(interval[1], np.maximum(top, interval[0] + lattice_cell(tol)))
+
+
 # Most Sturm counts, lanes times (2**m - 1) probes, that one sweep of m > 1
 # halvings may take.  Measured on a 2-vCPU x86-64 VM at orders 300 and
 # 1200: up to a few hundred lanes the fastest m takes about 1000-2500
@@ -256,7 +359,7 @@ def _snap(lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
 _MULTISECTION_PROBES = 2048
 
 
-def _bisect(diag, off2, wanted, lo, hi, tol) -> tuple[np.ndarray, np.ndarray]:
+def _bisect(diag, off2, wanted, lo, hi, tol, tail=None) -> tuple[np.ndarray, np.ndarray]:
     """Count multisection of the brackets (lo, hi) of eigenvalue number
     ``wanted`` (1-based), all in lockstep from their :func:`_snap`.  Each
     bracket is halved until it is <= ``tol`` wide or its midpoint no longer
@@ -273,8 +376,13 @@ def _bisect(diag, off2, wanted, lo, hi, tol) -> tuple[np.ndarray, np.ndarray]:
     live bracket can still take: W/2**(s-1) above ``tol``, and W/2**s no
     finer than one ulp of the largest live end, so every probe is exact.
     It is at least 1, the midpoint, which the stop rule checks.
+
+    Every sweep stops where the chains' tails are dominant above its
+    energies, on one :func:`_tail_table` (``tail``, built when not given).
     """
     lo, hi = _snap(lo, hi, tol)
+    if tail is None:
+        tail = _tail_table(diag, off2)
     while True:
         mid = 0.5 * (lo + hi)
         live = (hi - lo > tol) & (lo < mid) & (mid < hi)
@@ -288,7 +396,7 @@ def _bisect(diag, off2, wanted, lo, hi, tol) -> tuple[np.ndarray, np.ndarray]:
             s += 1
         step = width * 2.0**-s
         probes = lo + step * np.arange(1, 2**s).reshape((-1,) + (1,) * lo.ndim)
-        below = np.sum(_negative_pivot_counts(probes, diag, off2) < wanted, axis=0)
+        below = np.sum(_negative_pivot_counts(probes, diag, off2, tail) < wanted, axis=0)
         lo, hi = np.where(live, lo + below * step, lo), np.where(live, lo + (below + 1) * step, hi)
 
 
@@ -299,16 +407,18 @@ def eigenvalues(chain: ChainCoefficients, first_k: int, tol: float | None = None
     ``tol`` (default 1e-11 * omega), or until its ends are adjacent floats;
     the reported energy is the final bracket midpoint and the residual is
     the final width.  Deterministic; all ``first_k`` brackets are
-    multisected in lockstep, up to four halvings per vectorized pivot sweep.
+    multisected in lockstep, up to four halvings per vectorized pivot sweep,
+    level k from the Gershgorin lower end up to :func:`_start_tops`.
     """
     tol = checked_tol(tol, DEFAULT_EIG_TOL * chain.params.omega)
     if not 1 <= first_k <= chain.dim:
         raise ValueError(f"first_k must be in 1..{chain.dim}, got {first_k}")
 
     scale, diag, off2 = _squared(chain)
-    lo, hi = gershgorin_interval(chain)
-    lo, hi = _bisect(diag, off2, np.arange(1, first_k + 1), np.full(first_k, scale * lo),
-                     np.full(first_k, scale * hi), scale * tol)
+    interval = tuple(scale * end for end in gershgorin_interval(chain))
+    hi = _start_tops(diag, off2, first_k, scale * tol, interval)
+    lo, hi = _bisect(diag, off2, np.arange(1, first_k + 1), np.full(first_k, interval[0]),
+                     hi, scale * tol)
     lo, hi = lo / scale, hi / scale
     levels = [
         EnergyLevel(index=n, energy=float(0.5 * (lo[n] + hi[n])), residual=float(hi[n] - lo[n]))
@@ -332,12 +442,13 @@ def eigenvalues_batch(
     ``off2`` shape (n, S); returns an (S, first_k) array.  Used by the
     parameter scan, where hundreds of chains differ only in their
     off-diagonals.  The brackets are level-major, (first_k, S), so that
-    each step of a pivot sweep runs over the S chains in one inner loop.
+    each step of a pivot sweep runs over the S chains in one inner loop,
+    level k of each chain from ``interval[0]`` up to its :func:`_start_tops`.
     """
     shape = (first_k,) + off2.shape[1:]
     wanted = np.arange(1, first_k + 1).reshape((-1,) + (1,) * (off2.ndim - 1))
-    lo, hi = _bisect(diag, off2, wanted, np.full(shape, interval[0]),
-                     np.full(shape, interval[1]), tol)
+    hi = _start_tops(diag, off2, first_k, tol, interval)
+    lo, hi = _bisect(diag, off2, wanted, np.full(shape, interval[0]), hi, tol)
     return (0.5 * (lo + hi)).T
 
 
@@ -364,11 +475,12 @@ def eigenvalues_rows(
     """
     wanted = np.asarray(index) + 1
     lo, hi = _snap(lo, hi, tol)
-    ends = _negative_pivot_counts(np.stack([lo, hi]), diag, off2)
+    tail = _tail_table(diag, off2)
+    ends = _negative_pivot_counts(np.stack([lo, hi]), diag, off2, tail)
     bad = (ends[0] >= wanted) | (ends[1] < wanted)
     lo = np.where(bad, interval[0], lo)
     hi = np.where(bad, interval[1], hi)
-    lo, hi = _bisect(diag, off2, wanted, lo, hi, tol)
+    lo, hi = _bisect(diag, off2, wanted, lo, hi, tol, tail)
     return 0.5 * (lo + hi)
 
 

@@ -531,9 +531,8 @@ class TestScaleCovariance:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("k", [-270, 260, 511])
     def test_bound_margin_scales(self, k):
-        # the searched c moves with its log grid, but the margin at that c
-        # is exactly 2**k times its omega = 1 value, 2**511 included, where
-        # j g^2 would overflow unscaled
+        # the margin at the printed c is exactly 2**k times its omega = 1
+        # value, 2**511 included, where j g^2 would overflow unscaled
         s = 2.0**k
         code, text = run_cli(["bound", *(repr(s * a) if isinstance(a, float) else a for a in MODEL),
                               "--energy", "0"])

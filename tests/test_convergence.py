@@ -1,4 +1,5 @@
 import io
+import math
 import random
 import time
 
@@ -39,21 +40,11 @@ def _margin_every_level(energy, params, parity, n, c, up_to):
     return float(np.min(np.abs(_tail_b(energy, params, parity, j)) - rhs))
 
 
-def _best_every_level(energy, params, parity, n, up_to):
-    # best_certificate's search of c, read on every level
-    if params.g == 0.0:
-        j = np.arange(n, up_to + 1, dtype=float)
-        c = max(float(np.min(np.abs(_tail_b(energy, params, parity, j)))), DEN_FLOOR)
-        return c, _margin_every_level(energy, params, parity, n, c, up_to)
-    lo, hi = params.g**2 / params.omega, max(n, 1) * params.omega
-    if hi <= lo:
-        hi = 4.0 * lo
-    best = None
-    for c in np.geomspace(lo, hi, 400):
-        margin = _margin_every_level(energy, params, parity, n, float(c), up_to)
-        if best is None or margin > best[1]:
-            best = (float(c), margin)
-    return best
+def _least_b_every_level(energy, params, parity, n, up_to):
+    # best_certificate's c at g = 0, read on every level
+    j = np.arange(n, up_to + 1, dtype=float)
+    c = max(float(np.min(np.abs(_tail_b(energy, params, parity, j)))), DEN_FLOOR)
+    return c, _margin_every_level(energy, params, parity, n, c, up_to)
 
 
 class TestTailDepthBound:
@@ -129,7 +120,9 @@ class TestCheckPringsheim:
     def test_candidate_levels_give_every_level_margin(self):
         # the margin is piecewise linear in j on each parity class, so the
         # class ends and the levels next to the kink b_j = 0 hold its
-        # minimum, bit for bit
+        # minimum, bit for bit; it is concave in c, so no point of a
+        # 400-point log grid over [g^2/w, n w], nor a neighbour of the
+        # closed-form c, has a larger one
         rng = random.Random(20121205)
         for _ in range(40):
             omega = rng.choice([0.5, 1.0, 2.0])
@@ -139,12 +132,44 @@ class TestCheckPringsheim:
             parity = rng.choice([Parity.PLUS, Parity.MINUS])
             n = tail_depth_bound(energy, params)
             cert = best_certificate(energy, params, parity, n, 10 * n)
-            c, margin = _best_every_level(energy, params, parity, n, 10 * n)
-            assert (cert.c, cert.margin) == (c, margin)
+            assert cert.margin == _margin_every_level(energy, params, parity, n, cert.c, 10 * n)
+            if params.g == 0.0:
+                assert (cert.c, cert.margin) == _least_b_every_level(energy, params, parity, n,
+                                                                     10 * n)
+            else:
+                lo, hi = params.g**2 / omega, max(n, 1) * omega
+                slack = 1e-12 * (abs(energy) + 10 * n * omega)
+                for c in [*np.geomspace(lo, max(hi, 4.0 * lo), 400), cert.c * (1.0 - 1e-6),
+                          cert.c * (1.0 + 1e-6)]:
+                    margin = _margin_every_level(energy, params, parity, n, float(c), 10 * n)
+                    assert margin <= cert.margin + slack
             for start, up_to in ((n, 10 * n), (0, rng.randint(0, 50)), (rng.randint(0, 20), 80)):
                 c = rng.uniform(0.01, 5.0)
                 got = check_pringsheim(energy, params, parity, start, c, up_to).margin
                 assert got == _margin_every_level(energy, params, parity, start, c, up_to)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("g", [0.7, 3.0, 100.0, 200.0, 1e3, 1e5, 1e100, 1e150])
+    def test_closed_form_c_holds_at_large_coupling(self, g):
+        # at E = 0, delta = 0.4 the margin is about 0.1 from g = 100 up (a
+        # 400-point log grid of c read -0.14 at g = 200), and nothing
+        # overflows up to g = 1e150, where |b_j| ~ 4 g^2 leaves no digit of it
+        params = ModelParams(1.0, g, 0.4)
+        n = tail_depth_bound(0.0, params)
+        cert = best_certificate(0.0, params, Parity.PLUS, n, 10 * n)
+        assert math.isfinite(cert.c) and math.isfinite(cert.margin)
+        if g <= 1e5:
+            assert cert.holds and cert.margin >= 0.0
+
+    @pytest.mark.parametrize("k", [-500, -256, 257, 500])
+    def test_closed_form_c_scales(self, k):
+        # c and the margin are exactly 2**k times their omega = 1 values
+        s = 2.0**k
+        n = tail_depth_bound(0.0, FIXTURE)
+        one = best_certificate(0.0, FIXTURE, Parity.MINUS, n, 10 * n)
+        params = ModelParams(s * FIXTURE.omega, s * FIXTURE.g, s * FIXTURE.delta)
+        scaled = best_certificate(0.0, params, Parity.MINUS, n, 10 * n)
+        assert (scaled.c, scaled.margin) == (s * one.c, s * one.margin) and scaled.holds
 
     def test_bound_cost_does_not_grow_with_energy(self):
         out = io.StringIO()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from rabicf import (
@@ -19,9 +21,13 @@ import rabicf.tridiag
 from rabicf.tridiag import (
     PIVMIN,
     _ROWS,
+    _SLACK,
     _bisect,
     _negative_pivot_counts,
+    _pivot_sweep,
     _snap,
+    _start_tops,
+    _tail_table,
     eigenvalues_batch,
     eigenvalues_rows,
     gershgorin_interval,
@@ -305,11 +311,14 @@ def reference_pivot_counts(energies, diag, off2):
 
 
 def assert_same_counts(energies, diag, off2):
-    """The sweep on step-major tables equals the per-step rule, bit for bit."""
+    """The sweep on step-major tables, run through and with the dominance
+    exit, equals the per-step rule, bit for bit."""
     got = _negative_pivot_counts(energies, diag, off2)
     want = reference_pivot_counts(energies, np.moveaxis(diag, 0, -1), np.moveaxis(off2, 0, -1))
     assert got.shape == want.shape
     np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(_negative_pivot_counts(energies, diag, off2,
+                                                         _tail_table(diag, off2)), want)
     return got
 
 
@@ -470,24 +479,124 @@ class TestMultisection:
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
+    @staticmethod
+    def _halvings(diag, off2, levels, interval):
+        # from the snapped interlacing brackets, one common power-of-two
+        # width, down to the 2**-37 cell
+        hi = _start_tops(diag, off2, levels, 1e-11, interval)
+        lo, hi = _snap(np.full(hi.shape, interval[0]), hi, 1e-11)
+        return int(math.log2(float(np.max(hi - lo)) / lattice_cell(1e-11)))
+
     def test_eigenvalues_sweeps(self, monkeypatch):
-        # order 300, 8 levels: 46 halvings from the snapped Gershgorin
-        # interval down to the 2**-37 cell, 4 per sweep
+        # order 300, 8 levels: 41 halvings from the snapped interlacing
+        # brackets (46 from the Gershgorin interval), 4 per sweep
         chain = build_chain(FIXTURE, Parity.PLUS, 300)
-        lo, hi = _snap(*(np.array([end]) for end in gershgorin_interval(chain)), 1e-11)
-        halvings = int(math.log2(float(hi[0] - lo[0]) / lattice_cell(1e-11)))
-        assert halvings == 46
+        off2 = chain.offdiag * chain.offdiag
+        halvings = self._halvings(chain.diag, off2, 8, gershgorin_interval(chain))
+        assert halvings == 41
         calls = counted_sweeps(monkeypatch)
         eigenvalues(chain, 8)
-        assert len(calls) == math.ceil(halvings / 4) == 12
+        assert len(calls) == math.ceil(halvings / 4) == 11
 
     def test_batch_keeps_bisection(self, monkeypatch):
         # the README scan's tracks, 600 chains x 8 levels: one halving a sweep
         values = np.linspace(0.05, 1.2, 600)
         interval = _sweep_interval(FIXTURE, "g", 1.2, 300)
         diag, off2 = _batch_tables(FIXTURE, "g", values, 1.0, 300)
-        lo, hi = _snap(np.array([interval[0]]), np.array([interval[1]]), 1e-11)
-        halvings = int(math.log2(float(hi[0] - lo[0]) / lattice_cell(1e-11)))
+        halvings = self._halvings(diag, off2, 8, interval)
         calls = counted_sweeps(monkeypatch)
         eigenvalues_batch(diag, off2, 8, 1e-11, interval)
         assert len(calls) == halvings
+
+
+@st.composite
+def exit_sweeps(draw):
+    """(energies, diag, off2): Rabi-like step-major tables of one chain or
+    three, with decoupled sites (a_j = 0), planted pivots at and near
+    +-PIVMIN at block edges (exact zeros among them, at E = 0), and an
+    overall 2**-256 scale; energies low and high, 0, NaN and +-inf."""
+    n1 = draw(st.sampled_from([1, 2, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS, 3 * _ROWS + 5, 150]))
+    chains = draw(st.sampled_from([(), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    j = np.arange(n1, dtype=float).reshape((-1,) + (1,) * len(chains))
+    omega = draw(st.sampled_from([1.0, 0.3]))
+    diag = j * omega + (-1.0) ** j * rng.uniform(0.0, 2.0, chains)
+    diag = diag + draw(st.sampled_from([0.0, 0.1])) * rng.normal(size=diag.shape)
+    off2 = rng.uniform(0.0, 3.0, chains) ** 2 * j[1:] * omega
+    off2[rng.random(off2.shape) < draw(st.sampled_from([0.0, 0.1]))] = 0.0
+    for r in draw(st.lists(st.sampled_from([0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS, n1 - 1]),
+                           max_size=3)):
+        if r < n1:
+            diag[r] = draw(st.sampled_from(TINY))
+            if r:
+                off2[r - 1] = 0.0
+    energies = draw(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]),
+        st.floats(-8.0, 4.0), st.floats(-8.0, 60.0)), min_size=1, max_size=10))
+    energies = np.array(energies).reshape(draw(st.sampled_from([(-1,), (1, -1)])))
+    scale = draw(st.sampled_from([1.0, 2.0**-256]))
+    return scale * energies, scale * diag, scale * scale * off2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestDominanceExit:
+    """A sweep that stops where the tail is diagonally dominant above every
+    energy counts what the full blocked sweep counts, and the interlacing
+    start is an upper end of its level."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exit_sweeps())
+    def test_counts_equal_the_full_sweep(self, case):
+        energies, diag, off2 = case
+        if diag.ndim == 2:
+            energies = energies[..., None]
+        got, steps = _pivot_sweep(energies, diag, off2, _tail_table(diag, off2))
+        want, read = _pivot_sweep(energies, diag, off2)
+        np.testing.assert_array_equal(got, want)
+        assert read == diag.shape[0] and (steps % _ROWS == 0 or steps == diag.shape[0])
+        if np.isnan(energies).any():
+            assert steps == diag.shape[0]
+
+    def test_stops_after_one_block_below_the_spectrum(self):
+        # order 300 at g = 0.7: dominant from a few sites above E = 1
+        chain = build_chain(FIXTURE, Parity.PLUS, 300)
+        diag, off2 = chain.diag, chain.offdiag * chain.offdiag
+        tail = _tail_table(diag, off2)
+        for energies, steps in (([-1.0, 0.5, 1.0], _ROWS), ([0.5, 400.0], 301), ([0.5, np.nan], 301)):
+            got, read = _pivot_sweep(np.array(energies), diag, off2, tail)
+            assert read == steps
+            np.testing.assert_array_equal(got, _negative_pivot_counts(np.array(energies), diag, off2))
+
+    def test_tail_table_is_the_suffix_minimum(self):
+        # bound and floor at every block end, against S_J formed on every row
+        for order in (0, _ROWS - 1, _ROWS, 150):
+            chain = build_chain(ModelParams(1.0, 1.3, 0.6), Parity.MINUS, order)
+            diag, off2 = chain.diag, chain.offdiag * chain.offdiag
+            b = np.sqrt(np.concatenate([[0.0], off2, [0.0]]))
+            r = b[:-1] + b[1:]
+            rows = diag - r - (_SLACK * (np.abs(diag) + r) + 4.0 * PIVMIN)
+            bound, floor = _tail_table(diag, off2)
+            assert len(bound) == len(floor) == -(-(order + 1) // _ROWS)
+            for k in range(len(bound)):
+                J = min((k + 1) * _ROWS, order + 1)
+                assert bound[k] == b[J] * (1.0 + _SLACK)
+                assert floor[k] == (np.min(rows[J:]) if J <= order else np.inf)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_interlacing_tops_hold_their_level(self, seed):
+        # u_k, unclamped, >= lambda_k of the whole chain on random chains
+        rng = np.random.default_rng(seed)
+        n1 = int(rng.integers(1, 60))
+        k = min(1 + seed, n1)
+        diag = rng.normal(0.0, 3.0, (n1, 4)) + np.arange(n1)[:, None] * rng.uniform(0.0, 1.0)
+        off = rng.normal(0.0, 2.0, (n1 - 1, 4))
+        tops = _start_tops(diag, off * off, k, 1e-11, (-np.inf, np.inf))
+        for s in range(4):
+            t = np.diag(diag[:, s]) + np.diag(off[:, s], 1) + np.diag(off[:, s], -1)
+            assert np.all(tops[:, s] >= np.linalg.eigvalsh(t)[:k])
+        # clamped to at least one 512 cell above the lower end, at most the upper
+        lo = float(np.min(diag)) - 10.0
+        for hi in (lo + 2000.0, lo + 100.0):
+            starts = _start_tops(diag, off * off, k, 1e3, (lo, hi))
+            np.testing.assert_array_equal(starts, np.minimum(hi, np.maximum(tops, lo + 512.0)))
+        np.testing.assert_array_equal(_start_tops(diag, off * off, k, 1e-11, (lo, 1e9)), tops)

@@ -143,9 +143,9 @@ def best_certificate(
     b = np.abs(_tail_b(energy, params, parity, j))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         meet = (j[:, None] - j) / (b[:, None] - b) * g * g
-    cs = np.unique(np.concatenate([g * np.sqrt(np.maximum(j, 1.0)), meet.ravel()]))
+    cs = np.concatenate([g * np.sqrt(np.maximum(j, 1.0)), meet.ravel()])
     cs = cs[np.isfinite(cs) & (cs > 0.0)]
-    # argmax keeps the first (smallest) of equal margins
+    # argmax keeps the first of equal margins
     c = float(cs[np.argmax(_margins(energy, params, parity, n, up_to, cs))])
     return check_pringsheim(energy, params, parity, n, c, up_to)
 

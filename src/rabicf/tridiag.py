@@ -174,6 +174,10 @@ def _tail_table(diag: np.ndarray, off2: np.ndarray) -> tuple[np.ndarray, np.ndar
     return bound, floor
 
 
+def _every(mask: np.ndarray) -> bool:
+    return np.count_nonzero(mask) == mask.size
+
+
 def _pivot_sweep(energies, diag, off2, tail=None) -> tuple[np.ndarray, int]:
     """(counts, steps read) of :func:`_negative_pivot_counts`."""
     energies = np.asarray(energies, dtype=float)
@@ -209,10 +213,12 @@ def _pivot_sweep(energies, diag, off2, tail=None) -> tuple[np.ndarray, int]:
             count += np.add.reduce(neg[:m].view(np.uint8), axis=0, dtype=np.uint8)
             rows[0] = rows[m]
             if tail is not None and j0 + m < diag.shape[0]:
-                # S_J rises with J: once every energy is below it, it stays
+                # S_J rises with J: once every energy is below it, it stays.
+                # count_nonzero, as above: np.all would map in one more
+                # numpy reduction loop (about 60 KiB of RSS)
                 k = j0 // _ROWS
-                settled = settled or bool(np.all(top <= floor[k]))
-                if settled and np.all(rows[m] >= bound[k]):
+                settled = settled or _every(top <= floor[k])
+                if settled and _every(rows[m] >= bound[k]):
                     return count, j0 + m
     return count, diag.shape[0]
 

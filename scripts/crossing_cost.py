@@ -19,8 +19,12 @@ commit):
   (omega, g, delta) = (1, 0.7, 0.4), and at orders 150, 300 and 600 on the
   default window evaluations per bracket and the time of one
   ``bisect_sign`` call (mean over the brackets, best of 5 solves);
-* the samples that ``search.bracket_roots`` counts (the lengths of the
-  arrays it hands its count) for those two README examples;
+* for those two README examples, the samples that ``search.bracket_roots``
+  counts (the lengths of the arrays it hands its count) and the rows that
+  each of its pivot sweeps reads (``schweber.secular_count``'s sweep stops
+  where the rest of the rows is dominant, ``resolvent.pole_count``'s reads
+  all n + 1), and outside it the lockstep narrowing's sweeps and the rows
+  each reads, and the scalar counts (a parent's halving by count);
 * the pivot sweeps that one call of each of these makes: the tracks of the
   README g scan (600 chains x 8 levels, order 300) and of the seed-1 delta
   scan (200 x 6, order 150) by ``tridiag.eigenvalues_batch``, the README
@@ -155,11 +159,35 @@ def _crossing_cost() -> dict:
 
 def _root_cost() -> dict:
     from rabicf import ModelParams, Parity, build_chain, poles_of_resolvent, solve_method_a
-    from rabicf import resolvent, search
+    from rabicf import resolvent, schweber, search
     from rabicf.cli import main
 
     seen = {"inside": False, "pair_secular": 0, "char_poly": 0, "brackets": 0, "s": 0.0,
-            "samples": 0}
+            "samples": 0, "gridding": False, "grid_rows": [], "narrowing_rows": [],
+            "scalar_counts": 0}
+
+    def pivots(module):
+        """Wrap the pivot count that ``module``'s root count runs on, to
+        record the rows each lane sweep reads (the last row it fills), in
+        the grid pass and outside it (the narrowing), and the scalar counts
+        outside it (a parent's halving by count)."""
+        real = module.negative_pivots
+
+        def counting(steps, rows=None, *args):
+            if rows is None:
+                seen["scalar_counts"] += not seen["gridding"]
+                return real(steps, rows, *args)
+            last = [0]
+
+            def reading(i, j):
+                last[0] = max(last[0], j)
+                return rows(i, j)
+
+            out = real(steps, reading, *args)
+            seen["grid_rows" if seen["gridding"] else "narrowing_rows"].append(last[0])
+            return out
+
+        module.negative_pivots = counting
 
     def counted(module, name):
         real = getattr(module, name)
@@ -172,11 +200,11 @@ def _root_cost() -> dict:
 
     bisect_sign = search.bisect_sign
 
-    def bisecting(*args):
+    def bisecting(*args, **kwargs):
         seen["inside"], seen["brackets"] = True, seen["brackets"] + 1
         start = time.perf_counter()
         try:
-            return bisect_sign(*args)
+            return bisect_sign(*args, **kwargs)
         finally:
             seen["s"] += time.perf_counter() - start
             seen["inside"] = False
@@ -188,14 +216,21 @@ def _root_cost() -> dict:
             seen["samples"] += len(energies)
             return count(energies)
 
-        return bracket_roots(counting, *args)
+        seen["gridding"] = True
+        try:
+            return bracket_roots(counting, *args)
+        finally:
+            seen["gridding"] = False
 
     counted(search, "pair_secular")
     counted(resolvent, "char_poly")
+    pivots(schweber)
+    pivots(resolvent)
     search.bisect_sign, search.bracket_roots = bisecting, scanning
 
     def reset():
-        seen.update(pair_secular=0, char_poly=0, brackets=0, s=0.0, samples=0)
+        seen.update(pair_secular=0, char_poly=0, brackets=0, s=0.0, samples=0, grid_rows=[],
+                    narrowing_rows=[], scalar_counts=0)
 
     result = {}
     for name, (argv, kernel) in README_SPECTRA.items():
@@ -203,7 +238,10 @@ def _root_cost() -> dict:
         if main(["spectrum", *MODEL, *argv], out=io.StringIO()) != 0:
             raise RuntimeError(f"{name} failed")
         result[name] = {f"{kernel}_calls": seen[kernel], "brackets": seen["brackets"],
-                        "grid_samples": seen["samples"]}
+                        "grid_samples": seen["samples"], "grid_rows_read": seen["grid_rows"],
+                        "narrowing_sweeps": len(seen["narrowing_rows"]),
+                        "narrowing_rows_read": seen["narrowing_rows"],
+                        "scalar_counts": seen["scalar_counts"]}
 
     params = ModelParams(1.0, 0.7, 0.4)
     solves = {

@@ -25,6 +25,7 @@ from .errors import (
     DeltaZeroError,
     DivergedTailError,
     GZeroError,
+    LevelSpacingError,
     LostBracketError,
     PoleError,
     PoleSeparationError,

@@ -58,6 +58,12 @@ class LostBracketError(RabiSolverError):
     ends, or a NaN inside, so it holds no root that can be refined."""
 
 
+class LevelSpacingError(RabiSolverError):
+    """Two or more levels lie closer together than the float spacing at their
+    energy, so halving cannot separate them and they cannot be returned
+    strictly increasing."""
+
+
 class TooFewLevelsError(RabiSolverError):
     """A spectrum comparison was requested over more levels than computed."""
 

@@ -26,9 +26,12 @@ in a float loop for one energy and in a blocked numpy sweep for many.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["RESCALE_LIMIT", "RESCALE", "PIVMIN", "Scaled", "scaled_pair", "negative_pivots"]
+__all__ = ["RESCALE_LIMIT", "RESCALE", "PIVMIN", "SLACK", "Scaled", "scaled_pair",
+           "negative_pivots"]
 
 RESCALE_LIMIT = 2.0**256
 RESCALE = 2.0**-256
@@ -39,6 +42,11 @@ PIVMIN = 1e-290
 
 # Steps a block of the lane sweep runs between two PIVMIN checks.
 _ROWS = 32
+
+# Relative slack of the dominance exit, a copy of ``tridiag._SLACK``: far
+# above the rounding of one step, far below any margin that decides where a
+# sweep stops.
+SLACK = 1e-9
 
 
 class Scaled(float):
@@ -70,7 +78,7 @@ def scaled_pair(steps):
     return prev, cur, exponent
 
 
-def negative_pivots(steps, rows=None):
+def negative_pivots(steps, rows=None, dominant=None):
     """Number of pivots q_k = p_k - a_k/q_{k-1}, from q_{-1} = inf, at or
     below PIVMIN (each then continues as -PIVMIN or below).
 
@@ -86,9 +94,19 @@ def negative_pivots(steps, rows=None):
     the first row with a pivot in [-PIVMIN, PIVMIN] has those lanes set to
     -PIVMIN and the rows after it are filled and run again, so every count
     is the per-step rule's, bit for bit.
+
+    ``dominant`` = J, for lanes only, is the caller's promise that every
+    row from J on is diagonally dominant in every lane: p_j >= b_j +
+    b_{j+1} + SLACK*(|p_j| + b_j + b_{j+1}) + 4*PIVMIN with b_j = sqrt(a_j)
+    (b past the last step may read as any value >= 0).  The sweep then
+    stops after the first block whose last step K has K + 1 >= J and
+    q_K >= b_{K+1}*(1 + SLACK) in every lane: by induction q_j > p_j - b_j
+    >= b_{j+1}*(1 + SLACK) for every j > K, the slack covering the rounding
+    of each step, so no later pivot reaches PIVMIN and the count is the
+    full sweep's, bit for bit.  NaN lanes never pass.
     """
     if rows is not None:
-        return _negative_pivot_lanes(rows, steps)
+        return _negative_pivot_lanes(rows, steps, dominant)
     count, q = 0, np.inf
     with np.errstate(divide="ignore", over="ignore"):
         for p, a in steps:
@@ -97,7 +115,7 @@ def negative_pivots(steps, rows=None):
     return count
 
 
-def _negative_pivot_lanes(rows, couplings):
+def _negative_pivot_lanes(rows, couplings, dominant=None):
     """``negative_pivots`` on lanes: block row i is step j0 + i - 1, and row
     0 holds the last pivot of the block before (inf before the first).  A
     zero pivot divides by zero before its repair, hence the errstate.  The
@@ -135,4 +153,7 @@ def _negative_pivot_lanes(rows, couplings):
                 first = r + 1
             count += np.add.reduce(neg[1:m + 1].view(np.uint8), axis=0, dtype=np.uint8)
             block[0] = block[m]
+            if dominant is not None and dominant <= j0 + m < steps and np.count_nonzero(
+                    block[0] >= math.sqrt(couplings[j0 + m]) * (1.0 + SLACK)) == block[0].size:
+                break
     return count

@@ -42,7 +42,7 @@ from .errors import (
     TooShortError,
 )
 from .model import ModelParams, TruncationOrder, checked_order, shifted_energy
-from .recurrence import Scaled, negative_pivots, scaled_pair
+from .recurrence import PIVMIN, SLACK, Scaled, negative_pivots, scaled_pair
 
 __all__ = [
     "CfStatus",
@@ -373,6 +373,10 @@ def secular_count(energy, params: ModelParams, order: TruncationOrder):
     (a, b], cuts included.  A float gives an int, an array an int array
     (``recurrence.negative_pivots``).  At delta = 0 f_m has no pole for the
     cut term to count (it reads 0/0 on a cut): DeltaZeroError.
+
+    The lane sweep stops where the rest of T(x) is diagonally dominant
+    (``_dominant_row``), so it reads a number of rows that depends on the
+    energies, not on N; its counts are the full sweep's, bit for bit.
     """
     _require_coupling(params)
     if params.delta == 0.0:
@@ -388,7 +392,28 @@ def secular_count(energy, params: ModelParams, order: TruncationOrder):
             return int(cuts) + negative_pivots(zip(f, range(n + 1)))
         lanes = (-1,) + (1,) * np.ndim(x)
         return cuts + negative_pivots(range(n + 1), lambda i, j: _f_of_detune(
-            x - m_w[i:j].reshape(lanes), params))
+            x - m_w[i:j].reshape(lanes), params), _dominant_row(x, m_w, params))
+
+
+def _dominant_row(x, m_w, params: ModelParams) -> int:
+    """The first row J of ``secular_count``'s sweep over the lanes ``x`` from
+    which every row m lies above every lane's cut (m w > max x) with
+
+        f_m(max x) >= sqrt(m) + sqrt(m+1) + SLACK*(|f_m| + sqrt(m) + sqrt(m+1)) + 4*PIVMIN,
+
+    the dominance that ``recurrence.negative_pivots`` takes from J on (its
+    couplings are a_m = m); N + 1 when there is none.  Above its cut f_m
+    falls as x rises, in floats too (each operation rounds monotonically),
+    so the row at max x bounds the row of every lane.  A NaN lane gives N + 1.
+    """
+    top = np.max(x, initial=-np.inf)
+    root = np.sqrt(np.arange(len(m_w) + 1.0))
+    r = root[:-1] + root[1:]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # such a row fails
+        f = _f_of_detune(top - m_w, params)
+        dominant = (m_w > top) & (f - r - (SLACK * (np.abs(f) + r) + 4.0 * PIVMIN) >= 0.0)
+    below = np.flatnonzero(~dominant)
+    return int(below[-1]) + 1 if below.size else 0
 
 
 def classify_solution(seq: CoefficientSequence, params: ModelParams) -> Classification:

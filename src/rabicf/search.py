@@ -6,10 +6,12 @@ count rises (``secular_count`` for method a, cuts of the pole lattice
 E = k w - g^2/w included; ``pole_count`` for method b) are brackets, one
 per root.  The count is monotone, so ``bracket_roots`` counts a coarse
 grid first and every sample only inside the coarse cells whose count
-rises and that can hold a wanted root.  Each bracket is halved by count
-toward its own root number until the piece holds that root alone, and
-refined by ITP (``bisect_sign``) on a function with no pole in it: P_N
-for method a, D_0 for method b.
+rises and that can hold a wanted root.  All brackets of a request then
+narrow together by count down their bisection trees, 15 nodes a bracket in
+one count call a sweep: first to the piece that holds the bracket's own
+root alone, then 16 levels below it.  ITP (``bisect_sign``) refines each
+piece from the cell reached, on a function with no pole in it: P_N for
+method a, D_0 for method b.
 
 The crossing scan tracks oracle eigenvalues of both parity chains across a
 coupling sweep and records every inter-parity crossing together with the
@@ -26,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .convergence import tail_depth_bound
-from .errors import DegenerateScanError, LostBracketError
+from .errors import DegenerateScanError, LevelSpacingError, LostBracketError
 from .model import ModelParams, Parity, TruncationOrder, build_chain, checked_tol
 from .schweber import pair_secular, pole_guard, secular_count, spectral_function_a
 from .tridiag import (
@@ -71,6 +73,15 @@ DEFAULT_REFINE_TOL = 1e-12
 # and the default tol).  On the tracks' own the gap is quantised near a
 # crossing and regula falsi stalls.
 FINE_HALVINGS = 7
+
+# Levels of every bracket's bisection tree that one count of the lockstep
+# narrowing reads: 2**NARROW_LEVELS - 1 nodes a bracket a sweep.
+NARROW_LEVELS = 4
+
+# The narrowing by count stops this many levels below each bracket's piece
+# (cells 2**-16 of it), well short of the root, where the count's parity
+# and the sign of f may part in floats; ITP on f takes the rest.
+NARROW_DEPTH = 16
 
 # ITP constants: kappa1 = ITP_KAPPA1 / (initial width), kappa2 = 2, n0.
 ITP_KAPPA1 = 0.2
@@ -153,31 +164,68 @@ def _itp_point(a, b, fa, fb, w0, tol, steps):
     return np.where(np.abs(trial - mid) <= reach, trial, mid - toward * reach)
 
 
-def bisect_sign(f, lo: float, hi: float, tol: float) -> float:
+def _tree_cell(lo: float, hi: float, level: int, index: int) -> tuple[float, float]:
+    """Cell ``index`` (from 0, left to right) of the 2**level cells that
+    halving (lo, hi) ``level`` times by 0.5*(lo + hi) makes.  Halving is
+    deterministic, so a node is the same from whichever cell above it it is
+    halved to."""
+    for bit in range(level - 1, -1, -1):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if index >> bit & 1 else (lo, mid)
+    return lo, hi
+
+
+def _tree_depth(lo: float, hi: float, tol: float) -> int:
+    """Levels of the bisection tree of (lo, hi) down to cells ``tol`` (or 128
+    ulps) wide; at tol 0, the 128 ulps."""
+    w, floor = hi - lo, 128 * math.ulp(max(-lo, hi))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # tol 0: to the floor
+        return int(max(0, min(np.ceil(np.log2(np.divide(w, tol))), np.floor(np.log2(w / floor)))))
+
+
+def bisect_sign(f, lo: float, hi: float, tol: float, *,
+                start: tuple[int, int] | None = None) -> float:
     """The root of ``f`` in (lo, hi] that sign bisection finds (a zero at
     ``hi``, not at ``lo``; one met on the way; else the midpoint of the cell
     holding the sign change once ``tol`` wide or adjacent floats), in fewer
     steps: ITP on the indices of the tree's nodes, down to cells ``tol`` (or
     128 ulps) wide, reading a ``recurrence.Scaled`` as float * 2**exponent.
-    NaN raises LostBracketError.  ``bench/`` traces one call a bracket by this name."""
-    flo = f(lo)
-    if (fhi := f(hi)) == 0.0:
-        return hi
-    if np.sign(flo) == np.sign(fhi) or flo != flo or fhi != fhi:
+    NaN raises LostBracketError.  ``bench/`` traces one call a bracket by this name.
+
+    ``start`` = (level, index) is a cell of that tree (``_tree_cell``), such
+    as the one ``counted_roots`` narrows to by count.  ITP then starts from
+    its ends and descends to each node from it, on the depth of the tree of
+    (lo, hi); where ``f`` shows no sign change over it (opposite signs, or a
+    zero at its upper end alone), the whole of (lo, hi) is refined."""
+    depth = _tree_depth(lo, hi, tol)
+    if start is not None:
+        a, b = _tree_cell(lo, hi, *start)
+        fa, fb = f(a), f(b)
+        if fa == fa and fb == fb and fa != 0.0 and (fb == 0.0 or (fa > 0.0) != (fb > 0.0)):
+            return _itp_nodes(f, a, b, fa, fb, max(0, depth - start[0]), 2.0**depth, tol)
+    flo, fhi = f(lo), f(hi)
+    if fhi != 0.0 and (np.sign(flo) == np.sign(fhi) or flo != flo or fhi != fhi):
         raise LostBracketError(f"no sign change over ({lo!r}, {hi!r}): f = {flo!r}, {fhi!r}")
-    w, floor, root, j = hi - lo, 128 * math.ulp(max(-lo, hi)), (lo, hi), 0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # tol 0: to adjacent floats
-        depth = int(max(0, min(np.ceil(np.log2(np.divide(w, tol))), np.floor(np.log2(w / floor)))))
-        ka, kb, w0 = 0, 2**depth, 2.0**depth
+    return _itp_nodes(f, lo, hi, flo, fhi, depth, 2.0**depth, tol)
+
+
+def _itp_nodes(f, lo, hi, flo, fhi, depth, w0, tol) -> float:
+    """``bisect_sign`` on the cell (lo, hi) of a tree cut ``depth`` levels
+    below it, from f's values flo and fhi at its ends: ITP with the initial
+    width ``w0`` of the whole tree, in units of the cells ``depth`` levels
+    below (lo, hi)."""
+    if fhi == 0.0:
+        return hi
+    cell, j = (lo, hi), 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ka, kb = 0, 2**depth
         while hi - lo > tol:
             if kb - ka == 1:  # one level down, where the midpoint is the only node
                 depth, ka, kb = depth + 1, 2 * ka, 2 * kb
             d = getattr(fhi, "exponent", 0) - getattr(flo, "exponent", 0)  # to one exponent
             k = _itp_point(ka, kb, np.ldexp(flo, min(0, -d)), np.ldexp(fhi, min(0, d)), w0, 1, j)
             k = min(max(int(k + 0.5), ka + 1), kb - 1) if ka < k < kb else (ka + kb) // 2
-            x, b = root
-            for bit in range(depth - 1, -1, -1):  # x: node k, halved to as bisection halves
-                x, b = (0.5 * (x + b), b) if k >> bit & 1 else (x, 0.5 * (x + b))
+            x = _tree_cell(*cell, depth, k)[0]  # node k
             if not lo < x < hi:
                 break
             if (fx := f(x)) == 0.0:
@@ -196,30 +244,96 @@ def counted_roots(count, f, window: tuple[float, float], grid: int, levels: int 
                   tol: float) -> list[tuple[float, float | None]]:
     """The lowest ``levels`` roots in ``window`` (all when None), ascending,
     as (root, width) pairs.  ``count`` gives the number of roots at or below
-    each energy of an array or at a float; ``f`` changes sign at each root
-    and nowhere else.  Bracket i holds root number count(window[0]) + 1 + i,
-    which ``_isolate`` halves toward by count; the piece left holding it
-    alone is refined on ``f`` down to ``tol`` (width None), and one still
-    holding other roots at ``tol`` is a root at its midpoint, with its width."""
-    scan = bracket_roots(count, window, grid, levels)
+    each energy of an array; ``f`` changes sign at each root and nowhere else.
+
+    Bracket i of ``bracket_roots`` holds root number count(window[0]) + 1 + i.
+    Every bracket then narrows by count toward its root, down its bisection
+    tree, all in lockstep (``_narrow``).  The first cell whose ends' counts
+    differ by one is its piece, which holds that root alone.  The piece
+    narrows NARROW_DEPTH levels further, and ``bisect_sign`` refines it on
+    ``f`` down to ``tol`` from the cell reached (width None).  A piece still
+    holding other roots at ``tol`` is a root at its midpoint, with its
+    width.  One that holds several roots and cannot be halved although wider
+    than ``tol`` (its midpoint is an end, or overflows) raises
+    LevelSpacingError: those roots lie closer than the float spacing there,
+    and would not come out strictly increasing."""
     found: list[tuple[float, float | None]] = []
-    for i, (bracket, ends) in enumerate(zip(scan.brackets, scan.counts)):
-        a, b, alone = _isolate(count, *bracket, *ends, scan.counts[0][0] + 1 + i, tol)
-        found.append((bisect_sign(f, a, b, tol), None) if alone else (0.5 * (a + b), b - a))
+    for (a, b), start in _narrow(count, bracket_roots(count, window, grid, levels), tol):
+        if start is not None:
+            found.append((bisect_sign(f, a, b, tol, start=start), None))
+        elif b - a > tol:
+            raise LevelSpacingError(f"levels in ({a!r}, {b!r}] lie closer together than "
+                                    "halving can separate: below the float spacing there")
+        else:
+            found.append((0.5 * (a + b), b - a))
     return found
 
 
-def _isolate(count, lo, hi, c_lo, c_hi, k, tol) -> tuple[float, float, bool]:
-    """The piece (a, b, alone) of (lo, hi] that holds root number ``k``,
-    with c_lo < k <= c_hi the counts at its ends, halved by ``count``
-    toward that root until it holds no other root (alone), or until it is
-    ``tol`` wide or cannot be split (not alone)."""
-    while c_hi - c_lo > 1 and hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if (c_mid := count(mid)) >= k:
-            hi, c_hi = mid, c_mid
-        else:
-            lo, c_lo = mid, c_mid
-    return lo, hi, c_hi - c_lo == 1
+@dataclass
+class _Narrowing:
+    """A bracket of ``_narrow``: its cell (lo, hi] with the counts at both
+    ends and the root number k it narrows toward; once found, its piece, the
+    levels below it to narrow to, and the cell reached as (level, index) of
+    the piece's tree."""
+
+    lo: float
+    hi: float
+    c_lo: int
+    c_hi: int
+    k: int
+    piece: tuple[float, float] | None = None
+    target: int = 0
+    level: int = 0
+    index: int = 0
+
+
+def _narrow(count, scan: BracketScan, tol: float) -> list:
+    """For each bracket of ``scan``, its piece (a, b) and the (level, index) of
+    the cell of the piece's tree NARROW_DEPTH levels down (fewer in a
+    shallower tree) that holds the root; or the cell, still holding other
+    roots, where halving stopped, and None.
+
+    Each sweep forms the 2**NARROW_LEVELS - 1 nodes below every unfinished
+    bracket's cell by halving, counts them all in one call, and descends
+    each bracket by the counts as halving by count one node at a time
+    would: toward root number k, into the half whose upper end counts k or
+    more; the piece is the first cell whose ends' counts differ by one.  A
+    bracket stops short of its piece at ``tol`` wide or where its midpoint
+    is one of its ends."""
+    first = scan.counts[0][0] if scan.counts else 0
+    state = [_Narrowing(a, b, c_lo, c_hi, first + 1 + i)
+             for i, ((a, b), (c_lo, c_hi)) in enumerate(zip(scan.brackets, scan.counts))]
+    result: list = [None] * len(state)
+    leaves = 2**NARROW_LEVELS
+    while todo := [i for i, out in enumerate(result) if out is None]:
+        ends = np.empty((len(todo), leaves + 1))
+        ends[:, 0], ends[:, leaves] = [state[i].lo for i in todo], [state[i].hi for i in todo]
+        with np.errstate(over="ignore"):  # ends beyond 2**1023 halve to inf, as floats do
+            for step in (leaves >> j for j in range(NARROW_LEVELS)):
+                ends[:, step // 2::step] = 0.5 * (ends[:, :-(step // 2):step] + ends[:, step::step])
+        for i, e, c in zip(todo, ends.tolist(), count(ends[:, 1:-1]).tolist()):
+            s = state[i]
+            c = [s.c_lo, *c, s.c_hi]
+            at, span = 0, leaves
+            while True:
+                a, b = e[at], e[at + span]
+                if s.piece is None and c[at + span] - c[at] == 1:  # alone: the piece
+                    s.piece, s.target = (a, b), min(NARROW_DEPTH, _tree_depth(a, b, tol))
+                if s.piece is not None and s.level == s.target:
+                    result[i] = s.piece, (s.level, s.index)
+                    break
+                if span == 1:  # the next sweep goes on from this cell
+                    s.lo, s.hi, s.c_lo, s.c_hi = a, b, c[at], c[at + 1]
+                    break
+                mid = at + span // 2
+                if s.piece is None and not (b - a > tol and a < e[mid] < b):
+                    result[i] = (a, b), None
+                    break
+                right = c[mid] < s.k
+                if s.piece is not None:
+                    s.level, s.index = s.level + 1, 2 * s.index + right
+                at, span = (mid if right else at), span // 2
+    return result
 
 
 def default_window(params: ModelParams, levels: int) -> tuple[float, float]:

@@ -450,6 +450,19 @@ class TestArithmeticFailure:
         assert err.startswith(f"rabicf: {ARITHMETIC_FAILURES[name][0]}: {ARITHMETIC_KINDS[name]}: ")
 
 
+class TestLevelSpacing:
+    # from g = 1e20 on, the spacing omega of levels near E = -g^2/omega is
+    # below the float spacing there: method a's lowest two levels cannot be
+    # told apart, and every such request exits 3 with one named error
+    @pytest.mark.parametrize("g", ["1e20", "7e153", "1e154"])
+    def test_levels_closer_than_the_float_spacing(self, g, capsys):
+        argv = ["spectrum", "--omega", "1", "--g", g, "--delta", "1.5", "--method", "a",
+                "--levels", "2", "--order", "300"]
+        assert run_cli(argv) == (3, "")
+        err = capsys.readouterr().err
+        assert err.startswith("rabicf: levels in (") and "closer together than halving" in err
+
+
 # Each case: argv at omega = 1, with the floats that scale with omega given
 # as floats, and the power of omega in each output column and metadata
 # field; columns and fields not named scale as omega**0.  The

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabicf.recurrence import _ROWS, PIVMIN, RESCALE, RESCALE_LIMIT, negative_pivots, scaled_pair
+from rabicf.recurrence import (
+    _ROWS,
+    PIVMIN,
+    RESCALE,
+    RESCALE_LIMIT,
+    SLACK,
+    negative_pivots,
+    scaled_pair,
+)
 
 
 def dyadic_steps(sign):
@@ -258,3 +266,88 @@ class TestPivotLanes:
         p = np.random.default_rng(6).normal(size=(STEPS, 4))
         p[_ROWS, :2] = np.nan
         assert_same_pivot_counts([0.0] + [1.0] * (STEPS - 1), p)
+
+
+def dominant_rows(couplings, dominant, p):
+    """``p`` (steps, *lanes) with every row from ``dominant`` on raised to the
+    least that ``negative_pivots`` takes as dominant, times 1 + 3*SLACK: the
+    tail is as close to its bound as the exit allows."""
+    b = np.sqrt(np.append(np.asarray(couplings, dtype=float), 0.0))
+    p = p.copy()
+    bound = (b[:-1] + b[1:]) * (1.0 + 3.0 * SLACK) + 4.0 * PIVMIN
+    p[dominant:] = np.maximum(p[dominant:], bound[dominant:].reshape((-1,) + (1,) * (p.ndim - 1)))
+    return p
+
+
+def assert_exit_counts(couplings, p, dominant):
+    """With rows dominant from ``dominant`` on, the sweep that may stop
+    there counts what the full sweep counts."""
+    got = negative_pivots(couplings, lambda i, j: p[i:j], dominant)
+    np.testing.assert_array_equal(got, reference_pivot_lanes(couplings, p))
+    return got
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestDominanceExit:
+    """The lane sweep that stops after the first block past a dominant row
+    counts what the full sweep counts."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [1, _ROWS - 1, _ROWS, _ROWS + 1, STEPS])
+    @pytest.mark.parametrize("lanes", [(), (7,), (3, 4)])
+    @pytest.mark.parametrize("dominant", [0, 1, _ROWS, _ROWS + 1, STEPS])
+    def test_every_lane_shape(self, seed, steps, lanes, dominant):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.1, 2.0, steps)
+        a[0] = 0.0
+        p = dominant_rows(a, dominant, rng.normal(size=(steps,) + lanes))
+        assert_exit_counts(a.tolist(), p, dominant)
+
+    def test_pivot_below_the_next_coupling(self):
+        # lane 0's last pivot of the first block, 0.5*b_{J+1}, passes a test
+        # against b_J = 0 but not against b_{J+1}: the row after it, at its
+        # dominance bound, then turns negative and counts
+        a = np.ones(STEPS)
+        a[0], a[_ROWS - 1], a[_ROWS] = 0.0, 0.0, 4.0
+        p = np.full((STEPS, 2), 10.0)
+        p[_ROWS - 1, 0], p[_ROWS:] = 1.0, 0.0  # q_{J-1} = p_{J-1}: its coupling is 0
+        counts = assert_exit_counts(a.tolist(), dominant_rows(a, _ROWS, p), _ROWS)
+        assert counts.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("value", [1e-280, 1e-9, 0.3])
+    def test_small_positive_pivot_at_a_block_end(self, value):
+        # a positive last pivot below b_{J+1} makes the next one negative
+        a = np.full(STEPS, 2.0)
+        a[0], a[_ROWS - 1] = 0.0, 0.0
+        p = dominant_rows(a, _ROWS, np.full((STEPS, 3), 5.0))
+        p[_ROWS - 1, 0] = value  # q_{J-1} = p_{J-1}: its coupling is 0
+        assert assert_exit_counts(a.tolist(), p, _ROWS).tolist() == [1, 0, 0]
+
+    def test_exact_zero_pivots_at_block_edges(self):
+        # zero pivots planted where a block ends and starts, before the
+        # dominant rows, each repaired to -PIVMIN as the full sweep does
+        planted = [_ROWS - 1, _ROWS, 2 * _ROWS - 1, 2 * _ROWS]
+        a = np.ones(STEPS)
+        a[0] = 0.0
+        a[planted] = 0.0
+        p = np.random.default_rng(7).normal(size=(STEPS, 4))
+        p[planted, :2] = 0.0
+        for dominant in (_ROWS, _ROWS + 1, 2 * _ROWS, 2 * _ROWS + 1):
+            assert_exit_counts(a.tolist(), dominant_rows(a, dominant, p), dominant)
+
+    def test_nan_and_infinite_lanes(self):
+        a = np.full(STEPS, 0.5)
+        a[0] = 0.0
+        p = dominant_rows(a, 1, np.random.default_rng(8).normal(size=(STEPS, 4)))
+        p[3, 0], p[_ROWS + 3, 1], p[5, 2] = np.nan, np.nan, np.inf
+        assert_exit_counts(a.tolist(), p, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3 * _ROWS + 7), st.integers(0, 2**32 - 1), st.data())
+    def test_random_chains(self, steps, seed, data):
+        rng = np.random.default_rng(seed)
+        dominant = data.draw(st.integers(0, steps))
+        a = rng.choice([0.0, 0.01, 0.5, 2.0, 100.0], steps) * rng.uniform(0.5, 2.0, steps)
+        a[0] = 0.0
+        p = rng.normal(size=(steps, 6)) * rng.choice([1e-6, 1.0, 10.0], (1, 6))
+        assert_exit_counts(a.tolist(), dominant_rows(a, dominant, p), dominant)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rabicf import (
@@ -32,7 +32,8 @@ from rabicf import (
     sturm_count,
 )
 
-from rabicf.schweber import EPS_POLE_REL, pole_guard
+from rabicf.recurrence import _ROWS, negative_pivots
+from rabicf.schweber import EPS_POLE_REL, _f_of_detune, pole_guard
 from rabicf.search import default_window
 
 from conftest import FIXTURE, ORACLE_UNION_24
@@ -325,6 +326,65 @@ class TestSecularCount:
             assume(union(end - margin) == union(end + margin))
         lo, hi = (secular_count(end, params, 300) for end in window)
         assert hi - lo == union(window[1]) - union(window[0])
+
+
+def full_secular_count(energy, params, order):
+    """``secular_count`` on lanes with its pivot sweep run through all N + 1
+    rows: the reference that the sweep's dominance exit is held to."""
+    x = shifted_energy(params, np.asarray(energy, dtype=float))
+    m_w = params.omega * np.arange(order + 1, dtype=float)
+    lanes = (-1,) + (1,) * np.ndim(x)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.searchsorted(m_w, x, side="right") + negative_pivots(
+            range(order + 1), lambda i, j: _f_of_detune(x - m_w[i:j].reshape(lanes), params))
+
+
+def near_cuts(params, order, rng, shape):
+    """Energies of ``shape`` on the cuts x = m w of rows 0..order + 1, on the
+    floats next to them and within 1e-3 w of them."""
+    m = rng.integers(0, order + 2, shape)
+    x = m * params.omega + rng.choice([0.0, 1e-3, -1e-3], shape) * rng.uniform(0.0, 1.0, shape)
+    x = np.where(rng.uniform(size=shape) < 0.3, np.nextafter(x, rng.choice([-1.0, 1.0], shape)), x)
+    return x - params.g**2 / params.omega
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSecularCountExit:
+    """``secular_count``'s lane sweep, which stops after the first block past
+    the row from which every row is dominant, counts what the full sweep
+    counts."""
+
+    @pytest.mark.parametrize("steps", [2, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 5])
+    @pytest.mark.parametrize("lanes", [(), (7,), (3, 4)])
+    @pytest.mark.parametrize("g", [0.05, 0.7, 2.0])
+    def test_every_lane_shape(self, steps, lanes, g):
+        params = ModelParams(1.0, g, 0.4)
+        energies = near_cuts(params, steps - 1, np.random.default_rng(steps), lanes)
+        np.testing.assert_array_equal(secular_count(energies, params, steps - 1),
+                                      full_secular_count(energies, params, steps - 1))
+
+    @pytest.mark.parametrize("g", [3.0, 5.0])
+    def test_rows_that_dip_below_dominance(self, g):
+        # at strong coupling f_m - sqrt(m) - sqrt(m+1) is positive on the
+        # first rows above these cuts, negative near m = 4 g^2 and positive
+        # again: the exit waits for the last of those rows, not the first
+        params = ModelParams(1.0, g, 0.4)
+        energies = np.array([-1e-3, 0.5, 1.5]) - g * g
+        np.testing.assert_array_equal(secular_count(energies, params, 300),
+                                      full_secular_count(energies, params, 300))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-3, 20.0), st.floats(0.01, 3.0), st.integers(1, 600),
+           st.integers(0, 2**32 - 1), st.integers(1, 12),
+           st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=2))
+    def test_random_couplings(self, g, delta, order, seed, lanes, nonfinite):
+        params = ModelParams(1.0, g, delta)
+        rng = np.random.default_rng(seed)
+        low = near_cuts(params, min(order, 8), rng, lanes // 2)  # the lowest cuts, and x < 0
+        energies = np.concatenate([low, near_cuts(params, order, rng, lanes - lanes // 2),
+                                   nonfinite])
+        np.testing.assert_array_equal(secular_count(energies, params, order),
+                                      full_secular_count(energies, params, order))
 
 
 class TestMinimalSequence:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
@@ -11,6 +11,7 @@ from rabicf import (
     DegenerateScanError,
     DeltaZeroError,
     GZeroError,
+    LevelSpacingError,
     LostBracketError,
     ModelParams,
     Parity,
@@ -203,9 +204,9 @@ class TestCountedRoots:
 
     @pytest.mark.parametrize("method", ["a", "b"])
     def test_grid_samples_are_counted_once(self, monkeypatch, method):
-        # the grid pass never counts a sample twice: halving a cell that
+        # the grid pass never counts a sample twice: narrowing a cell that
         # holds several roots, or the last cell that levels stops inside,
-        # never counts one of them again
+        # counts only nodes inside it
         if method == "a":  # cell 0 of 2 holds 18 roots, 12 kept
             params, order, levels, grid = ModelParams(1.0, 2.0, 0.4), 300, 12, 3
             module, name = search, "secular_count"
@@ -216,16 +217,17 @@ class TestCountedRoots:
             chain = build_chain(params, Parity.PLUS, order)
             solve = lambda w: poles_of_resolvent(chain, w, levels, grid)
         window = default_window(params, levels)
-        floats, real = [], getattr(module, name)
+        counted, real = [], getattr(module, name)
 
         def count(energy, *args):
-            if np.ndim(energy) == 0:
-                floats.append(energy)
+            counted.extend(np.ravel(energy).tolist())
             return real(energy, *args)
 
         monkeypatch.setattr(module, name, count)
         assert len(solve(window).levels) == levels
-        assert floats and not set(floats) & set(np.linspace(*window, grid).tolist())
+        samples = np.linspace(*window, grid).tolist()
+        assert len(counted) > grid
+        assert all(counted.count(x) <= 1 for x in samples)
 
     def test_two_roots_at_one_point(self):
         # a piece that still holds both roots at tol is never refined on f:
@@ -235,6 +237,98 @@ class TestCountedRoots:
         for root, width in got:
             assert 0.0 < width <= 1e-12
             assert abs(root - 0.5) <= width
+
+    def test_roots_closer_than_an_ulp(self):
+        # one ulp of 9000 is 1.8e-12: a piece holding both roots cannot be
+        # halved to 1e-13, and its two midpoints would be equal
+        with pytest.raises(LevelSpacingError, match="closer together than halving"):
+            counted_roots(roots_at(9000.5, 9000.5), None, (9000.0, 9001.0), 2, None, 1e-13)
+
+
+def reference_counted_roots(count, f, window, grid, levels, tol):
+    """The driver before the lockstep narrowing: each bracket halved alone by
+    a scalar count toward its own root until its piece holds that root
+    alone (``_isolate``), then ``bisect_sign`` on the whole piece."""
+    scan = bracket_roots(count, window, grid, levels)
+    found = []
+    for i, ((lo, hi), (c_lo, c_hi)) in enumerate(zip(scan.brackets, scan.counts)):
+        k = scan.counts[0][0] + 1 + i
+        while c_hi - c_lo > 1 and hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+            if (c_mid := count(mid)) >= k:
+                hi, c_hi = mid, c_mid
+            else:
+                lo, c_lo = mid, c_mid
+        found.append((bisect_sign(f, lo, hi, tol), None) if c_hi - c_lo == 1
+                     else (0.5 * (lo + hi), hi - lo))
+    return found
+
+
+def _request(method, params, order, levels):
+    """(count, f, window, tol) of a method-a solve or a method-b solve on the
+    plus chain, as ``solve_method_a`` and ``poles_of_resolvent`` form them."""
+    window, tol = default_window(params, levels), search.DEFAULT_REFINE_TOL * params.omega
+    if method == "a":
+        return (lambda e: secular_count(e, params, order),
+                lambda e: pair_secular(e, params, order), window, tol)
+    chain = build_chain(params, Parity.PLUS, order)
+    return (lambda e: resolvent.pole_count(e, chain),
+            lambda e: resolvent.char_poly(e, chain)[0], window, tol)
+
+
+class TestLockstepNarrowing:
+    """``counted_roots`` returns what the scalar driver it replaced returns."""
+
+    @pytest.mark.parametrize("method", ["a", "b"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seeded_requests(self, method, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            params = ModelParams(1.0, rng.uniform(0.2, 3.0), rng.uniform(0.1, 1.5))
+            levels = int(rng.integers(4, 13))
+            count, f, window, tol = _request(method, params, int(rng.integers(100, 601)), levels)
+            want = reference_counted_roots(count, f, window, search.DEFAULT_GRID, levels, tol)
+            assert counted_roots(count, f, window, search.DEFAULT_GRID, levels, tol) == want
+
+    @pytest.mark.parametrize("method", ["a", "b"])
+    @pytest.mark.parametrize("grid", [2, 3])
+    def test_cells_of_several_roots(self, method, grid):
+        # a coarse grid leaves many roots in one cell: each bracket finds its
+        # piece by count first
+        count, f, window, tol = _request(method, ModelParams(1.0, 1.0, 0.4), 300, 12)
+        want = reference_counted_roots(count, f, window, grid, 12, tol)
+        assert counted_roots(count, f, window, grid, 12, tol) == want
+        assert len(want) == 12 and all(width is None for _, width in want)
+
+    def test_pieces_not_alone_at_tol(self):
+        roots = (0.3, 0.3 + 1e-14, 0.7)
+        f = lambda e: (e - roots[0]) * (e - roots[1]) * (e - roots[2])
+        want = reference_counted_roots(roots_at(*roots), f, (0.0, 1.0), 2, None, 1e-12)
+        got = counted_roots(roots_at(*roots), f, (0.0, 1.0), 2, None, 1e-12)
+        assert got == want
+        assert [width is None for _, width in got] == [False, False, True]
+
+    def test_count_and_sign_disagree(self):
+        # the count puts the root at 0.3, f changes sign at 0.6: no sign
+        # change over the cell narrowed to, so the whole piece is refined
+        calls = []
+        f = lambda e: calls.append(e) or e - 0.6
+        got = counted_roots(roots_at(0.3), f, (0.0, 1.0), 2, None, 1e-12)
+        assert got == reference_counted_roots(roots_at(0.3), f, (0.0, 1.0), 2, None, 1e-12)
+        assert got[0][0] == pytest.approx(0.6, abs=1e-12)
+        assert abs(calls[0] - 0.3) < 2.0**-16 and calls[2:4] == [0.0, 1.0]
+
+    @given(st.floats(-1e6, 1e6), st.floats(1e-9, 1e6), st.integers(1, 40), st.data())
+    def test_nodes_from_a_cell_equal_nodes_from_the_root(self, lo, width, depth, data):
+        # halving is deterministic: a node halved to from any cell above it
+        # is the node halved to from the whole tree
+        hi = lo + width
+        assume(lo < hi)
+        level = data.draw(st.integers(0, depth))
+        k = data.draw(st.integers(0, 2**depth - 1))
+        below = depth - level
+        cell = search._tree_cell(lo, hi, level, k >> below)
+        assert search._tree_cell(*cell, below, k & (2**below - 1)) == \
+            search._tree_cell(lo, hi, depth, k)
 
 
 class TestRefineRoot:
@@ -323,7 +417,7 @@ def seeded_pieces():
     each, at g in [0.2, 3], delta in [0.1, 1.5] and orders 100 to 1200."""
     rng = np.random.default_rng(23)
     pieces, real = [], search.bisect_sign
-    search.bisect_sign = lambda *args: pieces.append(args) or real(*args)
+    search.bisect_sign = lambda *args, **kw: pieces.append(args) or real(*args, **kw)
     try:
         for method in ("a", "b") * 4:
             params = ModelParams(1.0, rng.uniform(0.2, 3.0), rng.uniform(0.1, 1.5))
@@ -504,7 +598,8 @@ class TestSolveMethodA:
         order = search.default_order(params, k, window)
         calls = []
         real = search.bisect_sign
-        monkeypatch.setattr(search, "bisect_sign", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(search, "bisect_sign",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
         every = solve_method_a(params, order, window).spectrum.levels
         assert len(calls) == len(every) > k
         calls.clear()

@@ -21,10 +21,11 @@ commit):
   ``bisect_sign`` call (mean over the brackets, best of 5 solves);
 * for those two README examples, the samples that ``search.bracket_roots``
   counts (the lengths of the arrays it hands its count) and the rows that
-  each of its pivot sweeps reads (``schweber.secular_count``'s sweep stops
-  where the rest of the rows is dominant, ``resolvent.pole_count``'s reads
-  all n + 1), and outside it the lockstep narrowing's sweeps and the rows
-  each reads, and the scalar counts (a parent's halving by count);
+  each of its pivot sweeps reads (``schweber.secular_count``'s and
+  ``resolvent.pole_count``'s forward sweeps stop where the rest of the rows
+  is dominant; a parent's backward ``pole_count`` reads all n + 1), and
+  outside it the lockstep narrowing's sweeps and the rows each reads, and
+  the scalar counts (a parent's halving by count);
 * the pivot sweeps that one call of each of these makes: the tracks of the
   README g scan (600 chains x 8 levels, order 300) and of the seed-1 delta
   scan (200 x 6, order 150) by ``tridiag.eigenvalues_batch``, the README

@@ -13,10 +13,11 @@ independent Sturm-bisection eigensolver on the truncated parity chains:
   continued-fraction route.
 
 Both continued fractions run one scaled two-term recurrence and count
-their roots (``secular_count``, ``pole_count``) with one pivot count, both
-in ``recurrence``, for one root driver in ``search``, next to the crossing
-detector; ``convergence`` certifies resolvent-tail convergence and bounds
-the truncation depth; ``cli`` exposes everything as subcommands.
+their roots (``secular_count``, ``pole_count``) with one forward pivot
+count that stops at the dominant tail, both in ``recurrence``, for one
+root driver in ``search``, next to the crossing detector; ``convergence``
+certifies resolvent-tail convergence and bounds the truncation depth;
+``cli`` exposes everything as subcommands.
 """
 
 from .errors import (

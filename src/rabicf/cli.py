@@ -152,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--e0", type=float, required=True, help="energy of the planted pole")
     p.add_argument("--parity", choices=PARITIES, default="plus")
-    p.add_argument("--order", type=_parse_orders, default=[10, 20, 40, 80, 160],
+    p.add_argument("--order", type=_parse_orders, default=(10, 20, 40, 80, 160),
                    help="comma-separated truncation orders for the sweep")
     p.add_argument("--variant", choices=("diag", "diag-offdiag"), default="diag")
 

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 __all__ = ["RESCALE_LIMIT", "RESCALE", "PIVMIN", "SLACK", "Scaled", "scaled_pair",
-           "negative_pivots"]
+           "negative_pivots", "dominant_row"]
 
 RESCALE_LIMIT = 2.0**256
 RESCALE = 2.0**-256
@@ -103,7 +103,7 @@ def negative_pivots(steps, rows=None, dominant=None):
     q_K >= b_{K+1}*(1 + SLACK) in every lane: by induction q_j > p_j - b_j
     >= b_{j+1}*(1 + SLACK) for every j > K, the slack covering the rounding
     of each step, so no later pivot reaches PIVMIN and the count is the
-    full sweep's, bit for bit.  NaN lanes never pass.
+    full sweep's, bit for bit.  NaN lanes never pass; ``dominant_row`` finds J.
     """
     if rows is not None:
         return _negative_pivot_lanes(rows, steps, dominant)
@@ -113,6 +113,17 @@ def negative_pivots(steps, rows=None, dominant=None):
             if (q := p - a / q) <= PIVMIN:
                 count, q = count + 1, min(q, -PIVMIN)
     return count
+
+
+def dominant_row(p, b) -> int:
+    """The first row J from which every row j of ``p``, the rows p_0 .. p_K
+    at or below those of every lane, passes the dominance test that
+    ``negative_pivots`` takes from J on, with ``b`` = b_0 .. b_{K+1};
+    K + 1 when the last row fails.  A NaN row fails."""
+    r = b[:-1] + b[1:]
+    with np.errstate(invalid="ignore", over="ignore"):  # such a row fails
+        below = np.flatnonzero(~(p - r - (SLACK * (np.abs(p) + r) + 4.0 * PIVMIN) >= 0.0))
+    return int(below[-1]) + 1 if below.size else 0
 
 
 def _negative_pivot_lanes(rows, couplings, dominant=None):

@@ -17,9 +17,10 @@ two-term recurrence of ``rabicf.recurrence``) rather than by chained
 divisions.  The two are algebraically identical, but the minor
 recurrence is linear and backward stable, passes through partial-fraction
 poles without blowup, and keeps a sign-true D_0 for refining a pole.
-The same fraction counts its poles: u_j = -D_j/D_{j+1} are the backward
-pivots u_j = (d_j - E) - a_{j+1}/u_{j+1} of H - E, and the negative ones
-number the poles at or below E (``pole_count``, ``recurrence.negative_pivots``).
+The same fraction counts its poles: the forward pivots q_j = (d_j - E) -
+a_j/q_{j-1} of H - E are -a_{j+1} G_{j+1}(E), the upward ratios of
+``_upward_ratios`` scaled by -a_{j+1}, and the negative ones number the
+poles at or below E (``pole_count``, ``recurrence.negative_pivots``).
 
 A pathological truncation's chain (``PlantedChain``) is the one exception
 to double precision: its planted pole has a border residue of roughly
@@ -41,9 +42,10 @@ from .errors import (
     DivergedTailError,
     GZeroError,
     PoleSeparationError,
+    RabiSolverError,
 )
 from .model import ChainCoefficients, ModelParams, Parity, TruncationOrder, build_chain
-from .recurrence import negative_pivots, scaled_pair
+from .recurrence import dominant_row, negative_pivots, scaled_pair
 from .schweber import DEN_FLOOR
 from .search import DEFAULT_GRID, DEFAULT_REFINE_TOL, checked_window, counted_roots
 from .tridiag import (
@@ -110,13 +112,16 @@ def char_poly(energy: float, chain: ChainCoefficients) -> tuple[float, float]:
 
 def pole_count(energy, chain: ChainCoefficients):
     """Poles of G_0 at or below ``energy`` (an int for a float, an int array
-    for an array): the negative backward pivots u_N .. u_0 of H - E, an
-    exactly singular one included (``recurrence.negative_pivots``)."""
-    diag, a = chain.diag[::-1], np.append(chain.a_values(), 0.0)[::-1].tolist()
+    for an array): the negative forward pivots q_0 .. q_N of H - E, the
+    ratios of ``_upward_ratios`` scaled by -a_{j+1}, an exactly singular one
+    included (``recurrence.negative_pivots``).  The lane sweep stops where
+    the rest of the chain is dominant above every lane (``dominant_row``)."""
+    diag, a = chain.diag, [0.0] + chain.a_values().tolist()
     if np.ndim(energy) == 0:
-        return negative_pivots((d - energy, a_j) for d, a_j in zip(diag.tolist(), a))
-    lanes = (-1,) + (1,) * np.ndim(energy)
-    return negative_pivots(a, lambda i, j: diag[i:j].reshape(lanes) - energy)
+        return negative_pivots(zip((diag - energy).tolist(), a))
+    lanes, top = (-1,) + (1,) * np.ndim(energy), np.max(energy, initial=-np.inf)
+    return negative_pivots(a, lambda i, j: diag[i:j].reshape(lanes) - energy,
+                           dominant_row(diag - top, np.sqrt(a + [0.0])))
 
 
 def _det_pair_planted(energy: float, chain: "PlantedChain") -> tuple[float, float]:
@@ -183,10 +188,15 @@ def poles_of_resolvent(
     Returns the poles found, fewer than ``max_levels`` or none when the
     window holds fewer; ``solve_method_a`` answers the same way, and a
     caller that needs a count checks it (``union_spectrum(first_k=...)``).
+    A squared coupling a_j that overflows raises RabiSolverError.
     """
     checked_window(window)
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
+    with np.errstate(over="ignore"):  # a_j = j g^2 overflows at huge g
+        if not np.isfinite(chain.a_values()).all():
+            raise RabiSolverError(f"method b: a squared coupling a_j overflows at "
+                                  f"g = {chain.params.g!r}, order {chain.order}")
     roots = counted_roots(lambda e: pole_count(e, chain), lambda e: char_poly(e, chain)[0],
                           window, grid, max_levels, DEFAULT_REFINE_TOL * chain.params.omega)
     poles = [EnergyLevel(index=i, energy=root, residual=abs(resolvent_cf(root, chain).reciprocal))

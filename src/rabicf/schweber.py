@@ -42,7 +42,7 @@ from .errors import (
     TooShortError,
 )
 from .model import ModelParams, TruncationOrder, checked_order, shifted_energy
-from .recurrence import PIVMIN, SLACK, Scaled, negative_pivots, scaled_pair
+from .recurrence import Scaled, dominant_row, negative_pivots, scaled_pair
 
 __all__ = [
     "CfStatus",
@@ -396,24 +396,15 @@ def secular_count(energy, params: ModelParams, order: TruncationOrder):
 
 
 def _dominant_row(x, m_w, params: ModelParams) -> int:
-    """The first row J of ``secular_count``'s sweep over the lanes ``x`` from
-    which every row m lies above every lane's cut (m w > max x) with
-
-        f_m(max x) >= sqrt(m) + sqrt(m+1) + SLACK*(|f_m| + sqrt(m) + sqrt(m+1)) + 4*PIVMIN,
-
-    the dominance that ``recurrence.negative_pivots`` takes from J on (its
-    couplings are a_m = m); N + 1 when there is none.  Above its cut f_m
-    falls as x rises, in floats too (each operation rounds monotonically),
-    so the row at max x bounds the row of every lane.  A NaN lane gives N + 1.
-    """
+    """``recurrence.dominant_row`` of ``secular_count``'s sweep over the
+    lanes ``x`` (its couplings are a_m = m): rows at max x, those at or
+    below a cut (m w <= max x) failing.  Above its cut f_m falls as x
+    rises, in floats too (each operation rounds monotonically), so the row
+    at max x bounds the row of every lane.  A NaN lane gives N + 1."""
     top = np.max(x, initial=-np.inf)
-    root = np.sqrt(np.arange(len(m_w) + 1.0))
-    r = root[:-1] + root[1:]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # such a row fails
-        f = _f_of_detune(top - m_w, params)
-        dominant = (m_w > top) & (f - r - (SLACK * (np.abs(f) + r) + 4.0 * PIVMIN) >= 0.0)
-    below = np.flatnonzero(~dominant)
-    return int(below[-1]) + 1 if below.size else 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = np.where(m_w > top, _f_of_detune(top - m_w, params), np.nan)
+    return dominant_row(f, np.sqrt(np.arange(len(m_w) + 1.0)))
 
 
 def classify_solution(seq: CoefficientSequence, params: ModelParams) -> Classification:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import itertools
@@ -462,6 +463,17 @@ class TestLevelSpacing:
         err = capsys.readouterr().err
         assert err.startswith("rabicf: levels in (") and "closer together than halving" in err
 
+    # there the squared couplings a_j = j g^2 of an order-300 chain overflow:
+    # method b exits 3 with one named error and no numpy warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("g", ["7e153", "1e154"])
+    def test_method_b_couplings_overflow(self, g, capsys):
+        argv = ["spectrum", "--omega", "1", "--g", g, "--delta", "1.5", "--method", "b",
+                "--parity", "plus", "--levels", "2", "--order", "300"]
+        assert run_cli(argv) == (3, "")
+        assert capsys.readouterr().err == (f"rabicf: method b: a squared coupling a_j "
+                                           f"overflows at g = {float(g)!r}, order 300\n")
+
 
 # Each case: argv at omega = 1, with the floats that scale with omega given
 # as floats, and the power of omega in each output column and metadata
@@ -767,6 +779,54 @@ class TestScan:
         doc = json.loads(text)
         assert "events" in doc and "tracks" in doc
         assert len(doc["tracks"]["rows"]) == 10
+
+
+class TestRepeatedMain:
+    """Back-to-back ``main`` calls in one process print and exit as a fresh
+    process does for each request: no call leaves state behind, in the
+    parser or its defaults, that a later one reads."""
+
+    def test_back_to_back_calls(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega = 1\ng = 0.7\ndelta = 0.4\nmethod = diag\nlevels = 3\n")
+        small = [*FIXTURE_ARGS, "--order", "40", "--levels", "3"]
+        requests = [
+            ["spectrum", *small, "--method", "a"],
+            ["spectrum", *small, "--method", "b", "--parity", "plus", "--format", "json"],
+            ["spectrum", *FIXTURE_ARGS, "--method", "bogus"],  # usage error
+            ["spectrum", "--config", str(cfg), "--parity", "minus"],
+            ["compare", *FIXTURE_ARGS, "--method-1", "b", "--order-1", "40",
+             "--method-2", "diag", "--order-2", "40", "-m", "3"],
+            ["pathological", *FIXTURE_ARGS, "--e0", "0.5"],  # the default orders
+            ["pathological", *FIXTURE_ARGS, "--e0", "0.5", "--order", "10,20",
+             "--format", "json"],
+            ["pathological", *FIXTURE_ARGS, "--e0", "0.5"],
+            ["bound", *FIXTURE_ARGS, "--energy", "0"],
+            ["scan", *FIXTURE_ARGS, "--from", "0.05", "--to", "0.5", "--steps", "10",
+             "--levels", "2", "--order", "20"],
+            ["--version"],
+            ["spectrum", "--config", str(tmp_path / "missing.cfg")],
+        ]
+        src = str(Path(rabicf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+        def fresh(argv):
+            return subprocess.Popen([sys.executable, "-m", "rabicf.cli", *argv], env=env,
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+        ahead = 3  # fresh processes running at a time
+        procs = [fresh(argv) for argv in requests[:ahead]]
+        for i, argv in enumerate(requests):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            stdout, stderr = procs[i].communicate(timeout=120)
+            if i + ahead < len(requests):
+                procs.append(fresh(requests[i + ahead]))
+            assert (code, out.getvalue(), err.getvalue()) == (procs[i].returncode, stdout,
+                                                               stderr), argv
 
 
 class TestConfigFile:

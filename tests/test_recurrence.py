@@ -14,6 +14,7 @@ from rabicf.recurrence import (
     RESCALE,
     RESCALE_LIMIT,
     SLACK,
+    dominant_row,
     negative_pivots,
     scaled_pair,
 )
@@ -334,6 +335,17 @@ class TestDominanceExit:
         p[planted, :2] = 0.0
         for dominant in (_ROWS, _ROWS + 1, 2 * _ROWS, 2 * _ROWS + 1):
             assert_exit_counts(a.tolist(), dominant_rows(a, dominant, p), dominant)
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, -np.inf])
+    def test_dominant_row(self, bad):
+        # the first row from which every row passes the test; a row that
+        # fails, NaN included, moves it past that row
+        a = np.array([0.0, 1.0, 4.0, 1.0])
+        b = np.sqrt(np.append(a, 0.0))
+        p = dominant_rows(a, 0, np.zeros((4, 1)))[:, 0]
+        assert dominant_row(p, b) == 0
+        for row in range(4):
+            assert dominant_row(np.where(np.arange(4) == row, bad * p, p), b) == row + 1
 
     def test_nan_and_infinite_lanes(self):
         a = np.full(STEPS, 0.5)

@@ -1,8 +1,9 @@
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rabicf import (
@@ -22,6 +23,9 @@ from rabicf import (
     resolvent_cf,
     sturm_count,
 )
+from rabicf import resolvent
+from rabicf.model import ChainCoefficients
+from rabicf.recurrence import _ROWS, PIVMIN, SLACK, negative_pivots
 from rabicf.resolvent import PathologicalVariant
 from rabicf.search import default_window
 
@@ -84,6 +88,134 @@ class TestPoleCount:
     def test_pole_on_the_energy_counts(self):
         chain = build_chain(ModelParams(1.0, 0.0, 0.25), Parity.PLUS, 20)
         assert [int(pole_count(e, chain)) for e in (0.0, 0.25, 0.5)] == [0, 1, 1]
+
+
+def reference_pole_count(energy, chain):
+    """The backward count that ``pole_count`` ran before its forward sweep:
+    the negative backward pivots u_N .. u_0 of H - E, from u_N = d_N - E,
+    u_j = (d_j - E) - a_{j+1}/u_{j+1}, read through all N + 1 sites."""
+    diag, a = chain.diag[::-1], np.append(chain.a_values(), 0.0)[::-1].tolist()
+    if np.ndim(energy) == 0:
+        return negative_pivots((d - energy, a_j) for d, a_j in zip(diag.tolist(), a))
+    lanes = (-1,) + (1,) * np.ndim(energy)
+    return negative_pivots(a, lambda i, j: diag[i:j].reshape(lanes) - energy)
+
+
+def full_forward_count(energies, chain):
+    """``pole_count`` on lanes with its forward sweep run through all N + 1
+    sites: the reference that the sweep's dominance exit is held to."""
+    a = [0.0] + chain.a_values().tolist()
+    return negative_pivots(a, lambda i, j: chain.diag[i:j].reshape(-1, 1) - energies)
+
+
+def chain_matrix(chain):
+    return np.diag(chain.diag) + np.diag(chain.offdiag, 1) + np.diag(chain.offdiag, -1)
+
+
+def lanes_at_levels(levels):
+    """Energies on ``levels``, on the floats next to them and halfway
+    between neighbours."""
+    return np.concatenate([levels, np.nextafter(levels, -np.inf), np.nextafter(levels, np.inf),
+                           (levels[:-1] + levels[1:]) / 2.0])
+
+
+def planted_chain(diag, offdiag):
+    """A chain with the given entries: ``pole_count`` reads only these."""
+    diag, offdiag = np.asarray(diag, dtype=float), np.asarray(offdiag, dtype=float)
+    return ChainCoefficients(FIXTURE, Parity.PLUS, len(offdiag), diag, offdiag)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPoleCountExit:
+    """``pole_count``'s forward lane sweep, which stops after the first block
+    past the site from which the chain is dominant above every lane, counts
+    what the full forward sweep counts, and what the backward count counted
+    away from the eigenvalues."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.floats(1e-3, 20.0), st.floats(0.0, 3.0), st.integers(1, 1300),
+           st.sampled_from(Parity), st.integers(0, 40), st.integers(1, 12),
+           st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=2))
+    def test_random_chains(self, g, delta, order, parity, first, count, nonfinite):
+        chain = build_chain(ModelParams(1.0, g, delta), parity, order)
+        levels = np.linalg.eigvalsh(chain_matrix(chain))
+        energies = np.concatenate([lanes_at_levels(levels[first:first + count]), nonfinite])
+        got = pole_count(energies, chain)
+        np.testing.assert_array_equal(got, full_forward_count(energies, chain))
+        # the float path is the same forward loop, without the exit
+        np.testing.assert_array_equal([pole_count(float(e), chain) for e in energies], got)
+        # away from every eigenvalue the backward count agrees: each count is
+        # exact for a matrix within rounding of the chain
+        finite = np.isfinite(energies)
+        gap = np.abs(energies[finite, None] - levels).min(axis=1)
+        far = gap > 1e-13 * np.abs(levels).max()
+        np.testing.assert_array_equal(got[finite][far],
+                                      reference_pole_count(energies[finite][far], chain))
+
+    def test_exit_takes_the_first_dominant_site(self, monkeypatch):
+        # the J handed to the sweep is the first site from which every
+        # d_j - max E passes the dominance test; the site before fails it
+        chain = build_chain(ModelParams(1.0, 0.7, 0.4), Parity.MINUS, 300)
+        energies = np.linspace(-1.0, 7.3, 50)
+        seen = []
+
+        def spy(steps, rows=None, dominant=None):
+            seen.append(dominant)
+            return negative_pivots(steps, rows, dominant)
+
+        monkeypatch.setattr(resolvent, "negative_pivots", spy)
+        pole_count(energies, chain)
+        b = np.sqrt(np.append(np.append(0.0, chain.a_values()), 0.0))
+        p, r = chain.diag - energies.max(), b[:-1] + b[1:]
+        passes = p >= r + SLACK * (np.abs(p) + r) + 4.0 * PIVMIN
+        J = seen[0]
+        assert 0 < J < chain.order and passes[J:].all() and not passes[J - 1]
+
+    def test_pivot_below_the_next_coupling(self):
+        # site 31 sits just above the top lane and is not dominant, every site
+        # from 32 on is: at E = 0 the first block ends on q_31 = d_31 - E,
+        # small and positive, so the next pivot is negative and counts; at
+        # E = -1, q_31 = 1.001 passes and no later pivot is negative
+        diag = np.full(3 * _ROWS, 50.0)
+        diag[_ROWS - 1] = 1e-3
+        offdiag = np.ones(3 * _ROWS - 1)
+        offdiag[_ROWS - 2] = 0.0  # q_31 = d_31 - E
+        chain = planted_chain(diag, offdiag)
+        energies = np.array([-1.0, 0.0])
+        assert pole_count(energies, chain).tolist() == [0, 1]
+        np.testing.assert_array_equal(pole_count(energies, chain),
+                                      full_forward_count(energies, chain))
+
+    def test_negative_site_just_before_the_dominant_tail(self):
+        # site 32 lies far below the lanes, every site from 33 on and
+        # before 32 is dominant: the sweep may stop after the block that
+        # holds site 32, never after the one before it
+        diag = np.full(3 * _ROWS, 50.0)
+        diag[_ROWS] = -100.0
+        chain = planted_chain(diag, np.ones(3 * _ROWS - 1))
+        energies = np.array([-1.0, 0.0])
+        assert pole_count(energies, chain).tolist() == [1, 1]
+        np.testing.assert_array_equal(pole_count(energies, chain),
+                                      full_forward_count(energies, chain))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 20121205])
+    def test_poles_equal_the_backward_count(self, seed, monkeypatch):
+        # seeded method-b requests: the brackets the forward count gives
+        # refine to the roots and residuals the backward count gave
+        rng = random.Random(seed)
+        requests = [(ModelParams(1.0, round(rng.uniform(0.2, 2.0), 4),
+                                 round(rng.uniform(0.1, 1.5), 4)), parity, order)
+                    for order in (300, 600, 1200) for parity in Parity]
+        def solve():
+            return [poles_of_resolvent(build_chain(p, parity, order), default_window(p, 8), 8)
+                    for p, parity, order in requests]
+
+        got = solve()
+        monkeypatch.setattr(resolvent, "pole_count", reference_pole_count)
+        want = solve()
+        for mine, theirs in zip(got, want):
+            assert [(lev.energy, lev.residual) for lev in mine.levels] == \
+                [(lev.energy, lev.residual) for lev in theirs.levels]
 
 
 class TestResolventCf:

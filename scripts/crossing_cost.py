@@ -24,8 +24,7 @@ commit):
   each of its pivot sweeps reads (``schweber.secular_count``'s and
   ``resolvent.pole_count``'s forward sweeps stop where the rest of the rows
   is dominant; a parent's backward ``pole_count`` reads all n + 1), and
-  outside it the lockstep narrowing's sweeps and the rows each reads, and
-  the scalar counts (a parent's halving by count);
+  outside it the lockstep narrowing's sweeps and the rows each reads;
 * the pivot sweeps that one call of each of these makes: the tracks of the
   README g scan (600 chains x 8 levels, order 300) and of the seed-1 delta
   scan (200 x 6, order 150) by ``tridiag.eigenvalues_batch``, the README
@@ -164,27 +163,22 @@ def _root_cost() -> dict:
     from rabicf.cli import main
 
     seen = {"inside": False, "pair_secular": 0, "char_poly": 0, "brackets": 0, "s": 0.0,
-            "samples": 0, "gridding": False, "grid_rows": [], "narrowing_rows": [],
-            "scalar_counts": 0}
+            "samples": 0, "gridding": False, "grid_rows": [], "narrowing_rows": []}
 
     def pivots(module):
         """Wrap the pivot count that ``module``'s root count runs on, to
-        record the rows each lane sweep reads (the last row it fills), in
-        the grid pass and outside it (the narrowing), and the scalar counts
-        outside it (a parent's halving by count)."""
+        record the rows each sweep reads (the last row it fills), in the
+        grid pass and outside it (the narrowing)."""
         real = module.negative_pivots
 
-        def counting(steps, rows=None, *args):
-            if rows is None:
-                seen["scalar_counts"] += not seen["gridding"]
-                return real(steps, rows, *args)
+        def counting(couplings, rows, dominant):
             last = [0]
 
             def reading(i, j):
                 last[0] = max(last[0], j)
                 return rows(i, j)
 
-            out = real(steps, reading, *args)
+            out = real(couplings, reading, dominant)
             seen["grid_rows" if seen["gridding"] else "narrowing_rows"].append(last[0])
             return out
 
@@ -231,7 +225,7 @@ def _root_cost() -> dict:
 
     def reset():
         seen.update(pair_secular=0, char_poly=0, brackets=0, s=0.0, samples=0, grid_rows=[],
-                    narrowing_rows=[], scalar_counts=0)
+                    narrowing_rows=[])
 
     result = {}
     for name, (argv, kernel) in README_SPECTRA.items():
@@ -241,8 +235,7 @@ def _root_cost() -> dict:
         result[name] = {f"{kernel}_calls": seen[kernel], "brackets": seen["brackets"],
                         "grid_samples": seen["samples"], "grid_rows_read": seen["grid_rows"],
                         "narrowing_sweeps": len(seen["narrowing_rows"]),
-                        "narrowing_rows_read": seen["narrowing_rows"],
-                        "scalar_counts": seen["scalar_counts"]}
+                        "narrowing_rows_read": seen["narrowing_rows"]}
 
     params = ModelParams(1.0, 0.7, 0.4)
     solves = {
@@ -475,7 +468,8 @@ def _crossover(rabicf) -> dict:
                 for m in ((1, 2, 3) if round_ % 2 == 0 else (3, 2, 1)):
                     tridiag._MULTISECTION_PROBES = lanes * (2**m - 1) if m > 1 else 0
                     start = time.perf_counter()
-                    tridiag._bisect(*tables, wanted, np.full(lanes, interval[0]), tops, 1e-11)
+                    tridiag._bisect(*tables, wanted, np.full(lanes, interval[0]), tops, 1e-11,
+                                    tridiag._tail_table(*tables))
                     ms[m].append(1e3 * (time.perf_counter() - start))
             result[f"order {order}, {lanes} brackets"] = {
                 f"m={m}": round(float(np.median(t)), 1) for m, t in ms.items()}

@@ -119,11 +119,16 @@ class ChainCoefficients:
         return self.offdiag * self.offdiag
 
 
+def chain_diagonal(j, omega, sign, delta):
+    """The diagonal j*omega + sign*(-1)**j*delta of the parity chain
+    ``sign`` at the sites ``j``, a float array; ``delta`` broadcasts."""
+    return j * omega + sign * ((-1.0) ** j) * delta
+
+
 def build_chain(params: ModelParams, parity: Parity, order: TruncationOrder) -> ChainCoefficients:
     """Build the truncated parity-chain coefficients for a parameter set."""
     n = checked_order(order, 0)
-    j = np.arange(n + 1, dtype=float)
-    diag = j * params.omega + parity.sign * ((-1.0) ** j) * params.delta
+    diag = chain_diagonal(np.arange(n + 1, dtype=float), params.omega, parity.sign, params.delta)
     offdiag = params.g * np.sqrt(np.arange(1, n + 1, dtype=float))
     return ChainCoefficients(params=params, parity=parity, order=n, diag=diag, offdiag=offdiag)
 

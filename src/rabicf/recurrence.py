@@ -21,7 +21,7 @@ the rule runs.
 ``scaled_pair`` runs on Python floats (or mpmath numbers).  Its ratio form
 counts roots: ``negative_pivots`` counts the negative pivots of an LDL^T,
 whose number is the number of negative eigenvalues (Sylvester; Parlett 1980),
-in a float loop for one energy and in a blocked numpy sweep for many.
+in one blocked numpy sweep over an array of energies (0-d for one).
 """
 
 from __future__ import annotations
@@ -78,73 +78,49 @@ def scaled_pair(steps):
     return prev, cur, exponent
 
 
-def negative_pivots(steps, rows=None, dominant=None):
+def negative_pivots(couplings, rows, dominant):
     """Number of pivots q_k = p_k - a_k/q_{k-1}, from q_{-1} = inf, at or
-    below PIVMIN (each then continues as -PIVMIN or below).
-
-    Python floats: ``steps`` is an iterable of (p_k, a_k), run in a plain
-    loop into an int.  Lanes: ``steps`` is the sequence a_0 .. a_K and
+    below PIVMIN (each then continues as -PIVMIN or below), in every lane
+    of an energy array: ``couplings`` is the sequence a_0 .. a_K and
     ``rows(i, j)`` gives the (j - i, *lanes) array p_i .. p_{j-1}, counted
-    into an int array of the lanes' shape.
+    into an int array of the lanes' shape (0-d for one energy).
 
-    The lane sweep is blocked, with the PIVMIN check deferred (LAPACK
+    The sweep is blocked, with the PIVMIN check deferred (LAPACK
     ``dlaneg``; Marques, Riedy and Voemel, SIAM J. Sci. Comput. 28(5),
     2006), as ``tridiag._negative_pivot_counts`` runs it: _ROWS rows are
     filled at a time and each step is two in-place calls.  After the block,
     the first row with a pivot in [-PIVMIN, PIVMIN] has those lanes set to
     -PIVMIN and the rows after it are filled and run again, so every count
-    is the per-step rule's, bit for bit.
+    is the per-step rule's, bit for bit.  Block row i is step j0 + i - 1,
+    and row 0 holds the last pivot of the block before (inf before the
+    first).  The errstate covers ``rows``, which may give inf or overflow,
+    and a zero pivot, which divides by zero before its repair.  The loop is
+    written out again so that the oracle shares no code with the continued
+    fractions.
 
-    ``dominant`` = J, for lanes only, is the caller's promise that every
-    row from J on is diagonally dominant in every lane: p_j >= b_j +
-    b_{j+1} + SLACK*(|p_j| + b_j + b_{j+1}) + 4*PIVMIN with b_j = sqrt(a_j)
-    (b past the last step may read as any value >= 0).  The sweep then
-    stops after the first block whose last step K has K + 1 >= J and
-    q_K >= b_{K+1}*(1 + SLACK) in every lane: by induction q_j > p_j - b_j
-    >= b_{j+1}*(1 + SLACK) for every j > K, the slack covering the rounding
-    of each step, so no later pivot reaches PIVMIN and the count is the
-    full sweep's, bit for bit.  NaN lanes never pass; ``dominant_row`` finds J.
+    ``dominant`` = J is the caller's promise that every row from J on is
+    diagonally dominant in every lane: p_j >= b_j + b_{j+1} +
+    SLACK*(|p_j| + b_j + b_{j+1}) + 4*PIVMIN with b_j = sqrt(a_j) (b past
+    the last step may read as any value >= 0); J = len(couplings) promises
+    nothing.  The sweep stops after the first block whose last step K has
+    K + 1 >= J and q_K >= b_{K+1}*(1 + SLACK) in every lane: by induction
+    q_j > p_j - b_j >= b_{j+1}*(1 + SLACK) for every j > K, the slack
+    covering the rounding of each step, so no later pivot reaches PIVMIN
+    and the count is the full sweep's, bit for bit.  NaN lanes never pass;
+    ``dominant_row`` finds J.
     """
-    if rows is not None:
-        return _negative_pivot_lanes(rows, steps, dominant)
-    count, q = 0, np.inf
-    with np.errstate(divide="ignore", over="ignore"):
-        for p, a in steps:
-            if (q := p - a / q) <= PIVMIN:
-                count, q = count + 1, min(q, -PIVMIN)
-    return count
-
-
-def dominant_row(p, b) -> int:
-    """The first row J from which every row j of ``p``, the rows p_0 .. p_K
-    at or below those of every lane, passes the dominance test that
-    ``negative_pivots`` takes from J on, with ``b`` = b_0 .. b_{K+1};
-    K + 1 when the last row fails.  A NaN row fails."""
-    r = b[:-1] + b[1:]
-    with np.errstate(invalid="ignore", over="ignore"):  # such a row fails
-        below = np.flatnonzero(~(p - r - (SLACK * (np.abs(p) + r) + 4.0 * PIVMIN) >= 0.0))
-    return int(below[-1]) + 1 if below.size else 0
-
-
-def _negative_pivot_lanes(rows, couplings, dominant=None):
-    """``negative_pivots`` on lanes: block row i is step j0 + i - 1, and row
-    0 holds the last pivot of the block before (inf before the first).  A
-    zero pivot divides by zero before its repair, hence the errstate.  The
-    loop is ``tridiag._negative_pivot_counts``'s, written out again so that
-    the oracle shares no code with the continued fractions."""
-    block, steps = None, len(couplings)
+    steps = len(couplings)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fill = rows(0, min(_ROWS, steps))  # the first block, which gives the lanes' shape
+        block = np.empty((_ROWS + 1,) + fill.shape[1:])
+        row = [block[i, ...] for i in range(_ROWS + 1)]  # views, also for 0-d lanes
+        neg = np.empty(block.shape, dtype=bool)
+        t = np.empty(fill.shape[1:])
+        count = np.zeros(fill.shape[1:], dtype=np.int64)
+        block[0] = np.inf
         for j0 in range(0, steps, _ROWS):
             m = min(_ROWS, steps - j0)
-            fill = rows(j0, j0 + m)
-            if block is None:
-                block = np.empty((_ROWS + 1,) + fill.shape[1:])
-                row = [block[i, ...] for i in range(_ROWS + 1)]  # views, also for 0-d lanes
-                neg = np.empty(block.shape, dtype=bool)
-                t = np.empty(fill.shape[1:])
-                count = np.zeros(fill.shape[1:], dtype=np.int64)
-                block[0] = np.inf
-            block[1:m + 1] = fill
+            block[1:m + 1] = fill if j0 == 0 else rows(j0, j0 + m)
             first = 1
             while True:
                 for a, before, q in zip(couplings[j0 + first - 1:j0 + m], row[first - 1:m],
@@ -164,7 +140,18 @@ def _negative_pivot_lanes(rows, couplings, dominant=None):
                 first = r + 1
             count += np.add.reduce(neg[1:m + 1].view(np.uint8), axis=0, dtype=np.uint8)
             block[0] = block[m]
-            if dominant is not None and dominant <= j0 + m < steps and np.count_nonzero(
+            if dominant <= j0 + m < steps and np.count_nonzero(
                     block[0] >= math.sqrt(couplings[j0 + m]) * (1.0 + SLACK)) == block[0].size:
                 break
     return count
+
+
+def dominant_row(p, b) -> int:
+    """The first row J from which every row j of ``p``, the rows p_0 .. p_K
+    at or below those of every lane, passes the dominance test that
+    ``negative_pivots`` takes from J on, with ``b`` = b_0 .. b_{K+1};
+    K + 1 when the last row fails.  A NaN row fails."""
+    r = b[:-1] + b[1:]
+    with np.errstate(invalid="ignore", over="ignore"):  # such a row fails
+        below = np.flatnonzero(~(p - r - (SLACK * (np.abs(p) + r) + 4.0 * PIVMIN) >= 0.0))
+    return int(below[-1]) + 1 if below.size else 0

@@ -111,17 +111,16 @@ def char_poly(energy: float, chain: ChainCoefficients) -> tuple[float, float]:
 
 
 def pole_count(energy, chain: ChainCoefficients):
-    """Poles of G_0 at or below ``energy`` (an int for a float, an int array
-    for an array): the negative forward pivots q_0 .. q_N of H - E, the
-    ratios of ``_upward_ratios`` scaled by -a_{j+1}, an exactly singular one
-    included (``recurrence.negative_pivots``).  The lane sweep stops where
-    the rest of the chain is dominant above every lane (``dominant_row``)."""
+    """Poles of G_0 at or below ``energy`` (an int for a float, a 0-d lane,
+    an int array for an array): the negative forward pivots q_0 .. q_N of
+    H - E, the ratios of ``_upward_ratios`` scaled by -a_{j+1}, an exactly
+    singular one included (``recurrence.negative_pivots``).  The sweep stops
+    where the rest of the chain is dominant above every lane (``dominant_row``)."""
     diag, a = chain.diag, [0.0] + chain.a_values().tolist()
-    if np.ndim(energy) == 0:
-        return negative_pivots(zip((diag - energy).tolist(), a))
     lanes, top = (-1,) + (1,) * np.ndim(energy), np.max(energy, initial=-np.inf)
-    return negative_pivots(a, lambda i, j: diag[i:j].reshape(lanes) - energy,
-                           dominant_row(diag - top, np.sqrt(a + [0.0])))
+    count = negative_pivots(a, lambda i, j: diag[i:j].reshape(lanes) - energy,
+                            dominant_row(diag - top, np.sqrt(a + [0.0])))
+    return int(count) if np.ndim(energy) == 0 else count
 
 
 def _det_pair_planted(energy: float, chain: "PlantedChain") -> tuple[float, float]:

@@ -370,11 +370,11 @@ def secular_count(energy, params: ModelParams, order: TruncationOrder):
     (discrete Sturm oscillation; F. V. Atkinson, 1964, ch. 4).  At a cut
     f_m jumps from -inf to +inf (it is +inf on the cut) and the pivot count
     drops by one, which the cut term restores: c'(b) - c'(a) roots lie in
-    (a, b], cuts included.  A float gives an int, an array an int array
-    (``recurrence.negative_pivots``).  At delta = 0 f_m has no pole for the
-    cut term to count (it reads 0/0 on a cut): DeltaZeroError.
+    (a, b], cuts included.  A float gives an int (one 0-d lane), an array
+    an int array (``recurrence.negative_pivots``).  At delta = 0 f_m has no
+    pole for the cut term to count (it reads 0/0 on a cut): DeltaZeroError.
 
-    The lane sweep stops where the rest of T(x) is diagonally dominant
+    The sweep stops where the rest of T(x) is diagonally dominant
     (``_dominant_row``), so it reads a number of rows that depends on the
     energies, not on N; its counts are the full sweep's, bit for bit.
     """
@@ -386,13 +386,10 @@ def secular_count(energy, params: ModelParams, order: TruncationOrder):
     x = shifted_energy(params, energy)
     m_w = params.omega * np.arange(n + 1, dtype=float)
     cuts = np.searchsorted(m_w, x, side="right")  # x - m w >= 0 iff x >= m w
-    with np.errstate(divide="ignore", over="ignore"):  # inf on a cut, or at tiny g
-        if np.ndim(x) == 0:
-            f = _f_of_detune(x - m_w, params).tolist()
-            return int(cuts) + negative_pivots(zip(f, range(n + 1)))
-        lanes = (-1,) + (1,) * np.ndim(x)
-        return cuts + negative_pivots(range(n + 1), lambda i, j: _f_of_detune(
-            x - m_w[i:j].reshape(lanes), params), _dominant_row(x, m_w, params))
+    lanes = (-1,) + (1,) * np.ndim(x)
+    count = cuts + negative_pivots(range(n + 1), lambda i, j: _f_of_detune(
+        x - m_w[i:j].reshape(lanes), params), _dominant_row(x, m_w, params))
+    return int(count) if np.ndim(x) == 0 else count
 
 
 def _dominant_row(x, m_w, params: ModelParams) -> int:

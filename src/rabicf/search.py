@@ -29,7 +29,7 @@ import numpy as np
 
 from .convergence import tail_depth_bound
 from .errors import DegenerateScanError, LevelSpacingError, LostBracketError
-from .model import ModelParams, Parity, TruncationOrder, build_chain, checked_tol
+from .model import ModelParams, Parity, TruncationOrder, build_chain, chain_diagonal, checked_tol
 from .schweber import pair_secular, pole_guard, secular_count, spectral_function_a
 from .tridiag import (
     DEFAULT_EIG_TOL,
@@ -433,10 +433,10 @@ def _sweep_interval(base, parameter, vmax, order) -> tuple[float, float]:
 def _batch_tables(base, parameter, values, sign, order):
     """Step-major (diag, off2) tables of shape (order+1, S) / (order, S) of
     the parity chain ``sign`` at each scanned value: :func:`build_chain`'s
-    diagonal and g**2 * j, as broadcast views."""
+    ``chain_diagonal`` and g**2 * j, as broadcast views."""
     j = np.arange(order + 1, dtype=float)[:, None]
     g, delta = (values, base.delta) if parameter == "g" else (base.g, values)
-    diag = j * base.omega + sign * ((-1.0) ** j) * delta
+    diag = chain_diagonal(j, base.omega, sign, delta)
     off2 = g**2 * j[1:]
     return (np.broadcast_to(diag, (order + 1, len(values))),
             np.broadcast_to(off2, (order, len(values))))

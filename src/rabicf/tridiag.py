@@ -181,7 +181,7 @@ def _every(mask: np.ndarray) -> bool:
     return np.count_nonzero(mask) == mask.size
 
 
-def _pivot_sweep(energies, diag, off2, tail=None) -> tuple[np.ndarray, int]:
+def _pivot_sweep(energies, diag, off2, tail) -> tuple[np.ndarray, int]:
     """(counts, steps read) of :func:`_negative_pivot_counts`."""
     energies = np.asarray(energies, dtype=float)
     lanes = np.broadcast_shapes(energies.shape, diag.shape[1:], off2.shape[1:])
@@ -190,11 +190,10 @@ def _pivot_sweep(energies, diag, off2, tail=None) -> tuple[np.ndarray, int]:
     neg = np.empty((_ROWS,) + lanes, dtype=bool)
     t = np.empty(lanes)
     count = np.zeros(lanes, dtype=np.int64)
+    bound, floor = tail
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if tail is not None:
-            bound, floor = tail
-            # NaN for NaN and -inf energies, which never pass
-            top, settled = energies + _SLACK * np.abs(energies), False
+        # NaN for NaN and -inf energies, which never pass
+        top, settled = energies + _SLACK * np.abs(energies), False
         for j0 in range(0, diag.shape[0], _ROWS):
             m = min(_ROWS, diag.shape[0] - j0)
             np.subtract(diag[j0:j0 + m], energies, out=rows[1:m + 1])
@@ -215,17 +214,16 @@ def _pivot_sweep(energies, diag, off2, tail=None) -> tuple[np.ndarray, int]:
                 first = check = r + 1
             count += np.add.reduce(neg[:m].view(np.uint8), axis=0, dtype=np.uint8)
             rows[0] = rows[m]
-            if tail is not None and j0 + m < diag.shape[0]:
-                # S_J rises with J: once every energy is below it, it stays
-                k = j0 // _ROWS
-                settled = settled or _every(top <= floor[k])
-                if settled and _every(rows[m] >= bound[k]):
-                    return count, j0 + m
+            # S_J rises with J: once every energy is below it, it stays (inf past the end)
+            k = j0 // _ROWS
+            settled = settled or _every(top <= floor[k])
+            if settled and _every(rows[m] >= bound[k]):
+                return count, j0 + m
     return count, diag.shape[0]
 
 
 def _negative_pivot_counts(energies: np.ndarray, diag: np.ndarray, off2: np.ndarray,
-                           tail: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                           tail: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Count eigenvalues at or below each energy, vectorized: the pivots at
     or below PIVMIN.  ``energies`` has any shape; the step-major tables
     ``diag`` (n+1, ...) and ``off2`` (n, ...) broadcast against it on their
@@ -241,7 +239,7 @@ def _negative_pivot_counts(energies: np.ndarray, diag: np.ndarray, off2: np.ndar
     per-step rule makes, so the counts are equal bit for bit.  A zero pivot
     divides by zero before its repair, hence the errstate.
 
-    With the ``tail`` of :func:`_tail_table` the sweep stops after the
+    The sweep stops, on the ``tail`` of :func:`_tail_table`, after the
     block ending at step J once every lane has q_J >= b_{J+1}*(1 + _SLACK)
     and E + _SLACK*|E| <= S_{J+1}: the tail is then diagonally dominant
     above E, and by induction q_j = d_j - E - a_j/q_{j-1} > d_j - E - b_j
@@ -260,10 +258,10 @@ def sturm_count(energy: float, chain: ChainCoefficients) -> int:
 
     Monotone non-decreasing in the energy; ranges 0..order+1.  Exactly
     singular pivots are perturbed to -PIVMIN, which keeps the count
-    deterministic.
+    deterministic.  A 0-d lane of the sweep, which stops at the dominant tail.
     """
-    scale, diag, off2 = _squared(chain)
-    return int(_negative_pivot_counts(np.asarray(scale * float(energy)), diag, off2))
+    scale, diag, off2, _ = _squared(chain)
+    return int(_negative_pivot_counts(scale * float(energy), diag, off2, _tail_table(diag, off2)))
 
 
 def gershgorin_interval(chain: ChainCoefficients) -> tuple[float, float]:
@@ -274,16 +272,16 @@ def gershgorin_interval(chain: ChainCoefficients) -> tuple[float, float]:
     return float(np.min(chain.diag - radius)), float(np.max(chain.diag + radius))
 
 
-def _squared(chain: ChainCoefficients) -> tuple[float, np.ndarray, np.ndarray]:
-    """(scale, diag, off2): the chain times ``scale`` and its squared
-    off-diagonals.  ``scale`` is 1, or 2**-256 for a chain whose Gershgorin
-    interval reaches beyond 2**256, whose squares would overflow from
+def _squared(chain: ChainCoefficients) -> tuple[float, np.ndarray, np.ndarray, tuple]:
+    """(scale, diag, off2, interval): the chain, its squared off-diagonals
+    and its Gershgorin interval, times ``scale``: 1, or 2**-256 for a chain
+    whose interval reaches beyond 2**256, whose squares would overflow from
     about 2**512.  Power-of-two scaling commutes with rounding, so counts
     and bisection in the scaled chain are exact up to that factor."""
     lo, hi = gershgorin_interval(chain)
     scale = 2.0**-256 if max(-lo, hi) > 2.0**256 else 1.0
     off = scale * chain.offdiag
-    return scale, scale * chain.diag, off * off
+    return scale, scale * chain.diag, off * off, (scale * lo, scale * hi)
 
 
 def lattice_cell(tol: float, halvings: int = 0, magnitude: float = 0.0) -> float:
@@ -366,7 +364,7 @@ def _start_tops(diag, off2, first_k, tol, interval) -> np.ndarray:
 _MULTISECTION_PROBES = 2048
 
 
-def _bisect(diag, off2, wanted, lo, hi, tol, tail=None) -> tuple[np.ndarray, np.ndarray]:
+def _bisect(diag, off2, wanted, lo, hi, tol, tail) -> tuple[np.ndarray, np.ndarray]:
     """Count multisection of the brackets (lo, hi) of eigenvalue number
     ``wanted`` (1-based), all in lockstep from their :func:`_snap`.  Each
     bracket is halved until it is <= ``tol`` wide or its midpoint no longer
@@ -385,11 +383,9 @@ def _bisect(diag, off2, wanted, lo, hi, tol, tail=None) -> tuple[np.ndarray, np.
     It is at least 1, the midpoint, which the stop rule checks.
 
     Every sweep stops where the chains' tails are dominant above its
-    energies, on one :func:`_tail_table` (``tail``, built when not given).
+    energies, on one :func:`_tail_table` of the chains, ``tail``.
     """
     lo, hi = _snap(lo, hi, tol)
-    if tail is None:
-        tail = _tail_table(diag, off2)
     while True:
         mid = 0.5 * (lo + hi)
         live = (hi - lo > tol) & (lo < mid) & (mid < hi)
@@ -421,11 +417,10 @@ def eigenvalues(chain: ChainCoefficients, first_k: int, tol: float | None = None
     if not 1 <= first_k <= chain.dim:
         raise ValueError(f"first_k must be in 1..{chain.dim}, got {first_k}")
 
-    scale, diag, off2 = _squared(chain)
-    interval = tuple(scale * end for end in gershgorin_interval(chain))
+    scale, diag, off2, interval = _squared(chain)
     hi = _start_tops(diag, off2, first_k, scale * tol, interval)
     lo, hi = _bisect(diag, off2, np.arange(1, first_k + 1), np.full(first_k, interval[0]),
-                     hi, scale * tol)
+                     hi, scale * tol, _tail_table(diag, off2))
     lo, hi = lo / scale, hi / scale
     levels = [
         EnergyLevel(index=n, energy=float(0.5 * (lo[n] + hi[n])), residual=float(hi[n] - lo[n]))
@@ -455,7 +450,8 @@ def eigenvalues_batch(
     shape = (first_k,) + off2.shape[1:]
     wanted = np.arange(1, first_k + 1).reshape((-1,) + (1,) * (off2.ndim - 1))
     hi = _start_tops(diag, off2, first_k, tol, interval)
-    lo, hi = _bisect(diag, off2, wanted, np.full(shape, interval[0]), hi, tol)
+    lo, hi = _bisect(diag, off2, wanted, np.full(shape, interval[0]), hi, tol,
+                     _tail_table(diag, off2))
     return (0.5 * (lo + hi)).T
 
 

@@ -103,15 +103,23 @@ def pivot_rows(seed, steps=40, lanes=9):
     return p, a
 
 
+def full_count(couplings, p):
+    """``negative_pivots`` over the table ``p`` (steps, *lanes) with no
+    dominance promised, so the sweep runs every row."""
+    return negative_pivots(couplings, lambda i, j: p[i:j], len(couplings))
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_pivots_count_negative_eigenvalues(seed):
     # Sylvester's law of inertia: the count is that of the matrix's
-    # negative eigenvalues, lane by lane
+    # negative eigenvalues, lane by lane, on 0-d lanes and on 1-D ones
     p, a = pivot_rows(seed)
+    want = []
     for j in range(p.shape[1]):
         t = np.diag(p[:, j]) + np.diag(np.sqrt(a[1:]), 1) + np.diag(np.sqrt(a[1:]), -1)
-        want = int(np.sum(np.linalg.eigvalsh(t) < 0.0))
-        assert negative_pivots(zip(p[:, j].tolist(), a.tolist())) == want
+        want.append(int(np.sum(np.linalg.eigvalsh(t) < 0.0)))
+        assert full_count(a.tolist(), p[:, j]) == want[j]
+    np.testing.assert_array_equal(full_count(a.tolist(), p), want)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -121,17 +129,20 @@ def test_pivots_floats_match_lanes(seed):
     # PIVMIN and on -0.0
     p[:2, 0], a[1] = 1.0, 1.0
     p[0, 1:3] = PIVMIN, -0.0
-    lanes = negative_pivots(a.tolist(), lambda i, j: p[i:j])
-    floats = [negative_pivots(zip(p[:, j].tolist(), a.tolist())) for j in range(p.shape[1])]
-    assert all(type(c) is int for c in floats)
+    lanes = full_count(a.tolist(), p)
+    floats = [full_count(a.tolist(), p[:, j]) for j in range(p.shape[1])]
+    assert all(c.dtype == np.int64 and c.shape == () for c in floats)
     assert lanes.dtype == np.int64 and lanes.shape == (p.shape[1],)
     np.testing.assert_array_equal(lanes, floats)
 
 
 def test_singular_pivot_counts_and_continues_below():
-    # q_1 = 1 - 1/1 = 0 counts; continuing as -PIVMIN, q_2 = 0 + 1/PIVMIN > 0
-    assert negative_pivots([(1.0, 0.0), (1.0, 1.0)]) == 1
-    assert negative_pivots([(1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]) == 1
+    # q_1 = 1 - 1/1 = 0 counts; continuing as -PIVMIN, q_2 = 0 + 1/PIVMIN > 0;
+    # on a 0-d lane and on a 1-D one
+    for lanes in [(), (1,)]:
+        p = np.array([1.0, 1.0, 0.0]).reshape((3,) + lanes)
+        assert full_count([0.0, 1.0], p[:2]) == 1
+        assert full_count([0.0, 1.0, 1.0], p) == 1
 
 
 def reference_scaled_pair(steps):
@@ -203,7 +214,7 @@ def assert_same_pivot_counts(couplings, p):
         blocks.append((i, j))
         return p[i:j]
 
-    got = negative_pivots(couplings, rows)
+    got = negative_pivots(couplings, rows, len(couplings))
     want = reference_pivot_lanes(couplings, p)
     assert got.dtype == np.int64 and got.shape == p.shape[1:]
     np.testing.assert_array_equal(got, want)

@@ -80,7 +80,7 @@ class TestPoleCount:
         want = [sturm_count(e, chain) for e in energies]
         lanes = pole_count(energies, chain)
         np.testing.assert_array_equal(lanes, want)
-        # a float counts with the plain-float loop: an int, equal to its lane
+        # a float counts as one 0-d lane: an int, equal to its lane
         floats = [pole_count(float(e), chain) for e in energies]
         assert all(type(c) is int for c in floats)
         np.testing.assert_array_equal(floats, lanes)
@@ -95,17 +95,21 @@ def reference_pole_count(energy, chain):
     the negative backward pivots u_N .. u_0 of H - E, from u_N = d_N - E,
     u_j = (d_j - E) - a_{j+1}/u_{j+1}, read through all N + 1 sites."""
     diag, a = chain.diag[::-1], np.append(chain.a_values(), 0.0)[::-1].tolist()
-    if np.ndim(energy) == 0:
-        return negative_pivots((d - energy, a_j) for d, a_j in zip(diag.tolist(), a))
+    if np.ndim(energy) == 0:  # a plain-float loop, a pivot at or below PIVMIN counting
+        count, u = 0, math.inf
+        for d, a_j in zip(diag.tolist(), a):
+            if (u := (d - float(energy)) - a_j / u) <= PIVMIN:
+                count, u = count + 1, min(u, -PIVMIN)
+        return count
     lanes = (-1,) + (1,) * np.ndim(energy)
-    return negative_pivots(a, lambda i, j: diag[i:j].reshape(lanes) - energy)
+    return negative_pivots(a, lambda i, j: diag[i:j].reshape(lanes) - energy, len(a))
 
 
 def full_forward_count(energies, chain):
     """``pole_count`` on lanes with its forward sweep run through all N + 1
     sites: the reference that the sweep's dominance exit is held to."""
     a = [0.0] + chain.a_values().tolist()
-    return negative_pivots(a, lambda i, j: chain.diag[i:j].reshape(-1, 1) - energies)
+    return negative_pivots(a, lambda i, j: chain.diag[i:j].reshape(-1, 1) - energies, len(a))
 
 
 def chain_matrix(chain):
@@ -142,7 +146,7 @@ class TestPoleCountExit:
         energies = np.concatenate([lanes_at_levels(levels[first:first + count]), nonfinite])
         got = pole_count(energies, chain)
         np.testing.assert_array_equal(got, full_forward_count(energies, chain))
-        # the float path is the same forward loop, without the exit
+        # a float is one 0-d lane of the same sweep
         np.testing.assert_array_equal([pole_count(float(e), chain) for e in energies], got)
         # away from every eigenvalue the backward count agrees: each count is
         # exact for a matrix within rounding of the chain
@@ -159,9 +163,9 @@ class TestPoleCountExit:
         energies = np.linspace(-1.0, 7.3, 50)
         seen = []
 
-        def spy(steps, rows=None, dominant=None):
+        def spy(couplings, rows, dominant):
             seen.append(dominant)
-            return negative_pivots(steps, rows, dominant)
+            return negative_pivots(couplings, rows, dominant)
 
         monkeypatch.setattr(resolvent, "negative_pivots", spy)
         pole_count(energies, chain)
@@ -197,6 +201,27 @@ class TestPoleCountExit:
         assert pole_count(energies, chain).tolist() == [1, 1]
         np.testing.assert_array_equal(pole_count(energies, chain),
                                       full_forward_count(energies, chain))
+
+    @pytest.mark.parametrize("chain, level", [
+        # g = 0: 0.25 is exactly the lowest eigenvalue, a zero pivot
+        (build_chain(ModelParams(1.0, 0.0, 0.25), Parity.PLUS, 20), 0.25),
+        (build_chain(ModelParams(1.0, 0.7, 0.4), Parity.MINUS, 300), None),
+    ])
+    def test_single_energies(self, chain, level):
+        # NaN, +-inf and an eigenvalue (numpy.linalg.eigvalsh's level 3 when
+        # none is exact): a float gives a Python int, equal to its lane, to
+        # the full forward sweep and, where the backward count is exact, to it
+        if level is None:
+            level = float(np.linalg.eigvalsh(chain_matrix(chain))[3])
+        energies = [math.nan, math.inf, -math.inf, level]
+        lanes = pole_count(np.array(energies), chain)
+        for e, lane in zip(energies, lanes):
+            got = pole_count(e, chain)
+            assert type(got) is int
+            assert got == lane == full_forward_count(np.array([e]), chain)[0]
+            if not math.isfinite(e) or chain.params.g == 0.0:
+                assert got == reference_pole_count(e, chain)
+        assert lanes.tolist()[:3] == [0, chain.dim, 0]
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 20121205])
     def test_poles_equal_the_backward_count(self, seed, monkeypatch):

@@ -287,7 +287,7 @@ class TestSecularCount:
     @pytest.mark.parametrize("g", [1e-323, 0.3, 1.0, 2.0])
     @pytest.mark.parametrize("order", [1, 2, 150, 600])
     def test_lanes_match_scalar(self, g, order):
-        # the grid pass and the plain-float halving must count alike, on
+        # a float, one 0-d lane, must count as its lane of the grid pass, on
         # and next to the cuts too, silently at subnormal g; sorted, the
         # counts never fall
         params = ModelParams(1.0, g, 0.4)
@@ -336,7 +336,8 @@ def full_secular_count(energy, params, order):
     lanes = (-1,) + (1,) * np.ndim(x)
     with np.errstate(divide="ignore", over="ignore"):
         return np.searchsorted(m_w, x, side="right") + negative_pivots(
-            range(order + 1), lambda i, j: _f_of_detune(x - m_w[i:j].reshape(lanes), params))
+            range(order + 1), lambda i, j: _f_of_detune(x - m_w[i:j].reshape(lanes), params),
+            order + 1)
 
 
 def near_cuts(params, order, rng, shape):
@@ -362,6 +363,22 @@ class TestSecularCountExit:
         energies = near_cuts(params, steps - 1, np.random.default_rng(steps), lanes)
         np.testing.assert_array_equal(secular_count(energies, params, steps - 1),
                                       full_secular_count(energies, params, steps - 1))
+
+    def test_single_energies(self):
+        # NaN, +-inf, an oracle eigenvalue and a cut (at g = 0.5, E = 1.75
+        # is x = 2 w exactly): a float gives a Python int, equal to its lane
+        # and to the full sweep on a 0-d lane and on a 1-D one
+        cut = ModelParams(1.0, 0.5, 0.4)
+        assert shifted_energy(cut, 1.75) == 2.0
+        for params, special in ((FIXTURE, float(ORACLE_UNION_24[0])), (cut, 1.75)):
+            energies = [math.nan, math.inf, -math.inf, special]
+            lanes = secular_count(np.array(energies), params, 150)
+            for e, lane in zip(energies, lanes):
+                got = secular_count(e, params, 150)
+                assert type(got) is int
+                assert got == lane == full_secular_count(e, params, 150)
+                assert got == full_secular_count(np.array([e]), params, 150)[0]
+            assert lanes.tolist()[1:3] == [2 * 151, 0]
 
     @pytest.mark.parametrize("g", [3.0, 5.0])
     def test_rows_that_dip_below_dominance(self, g):

@@ -264,8 +264,8 @@ class TestBisect:
             return real(*args)
 
         monkeypatch.setattr(rabicf.tridiag, "_negative_pivot_counts", counted)
-        lo, hi = _bisect(roots, np.zeros(1), np.array([1, 2]),
-                         np.array([1.0, 3.0]), np.array([2.0, 4.0]), 0.0)
+        lo, hi = _bisect(roots, np.zeros(1), np.array([1, 2]), np.array([1.0, 3.0]),
+                         np.array([2.0, 4.0]), 0.0, _tail_table(roots, np.zeros(1)))
         np.testing.assert_array_equal(hi, np.nextafter(lo, np.inf))
         assert np.all((lo < roots) & (roots <= hi))
         assert len(calls) < 60
@@ -274,22 +274,23 @@ class TestBisect:
         # the bracket near 1e6 meets its adjacent float at 2**-33, above
         # tol; the one near 0.3 goes on down to the 2**-44 cell
         roots = np.array([0.3, 1e6 + 0.3])
-        lo, hi = _bisect(roots, np.zeros(1), np.array([1, 2]),
-                         np.array([0.0, 1e6 - 1.0]), np.array([1.0, 1e6 + 1.0]), 1e-13)
+        lo, hi = _bisect(roots, np.zeros(1), np.array([1, 2]), np.array([0.0, 1e6 - 1.0]),
+                         np.array([1.0, 1e6 + 1.0]), 1e-13, _tail_table(roots, np.zeros(1)))
         np.testing.assert_array_equal(hi - lo, [2.0**-44, 2.0**-33])
         assert np.all((lo < roots) & (roots <= hi))
 
 
 def reference_bisect(diag, off2, wanted, lo, hi, tol):
     """Plain lockstep count bisection from the snapped brackets, one
-    midpoint per pivot sweep, with _bisect's stop rule."""
+    midpoint per count of the per-step rule, with _bisect's stop rule."""
     lo, hi = _snap(lo, hi, tol)
     while True:
         mid = 0.5 * (lo + hi)
         live = (hi - lo > tol) & (lo < mid) & (mid < hi)
         if not live.any():
             return lo, hi
-        left = _negative_pivot_counts(mid, diag, off2) >= wanted
+        left = reference_pivot_counts(mid, np.moveaxis(diag, 0, -1),
+                                      np.moveaxis(off2, 0, -1)) >= wanted
         hi = np.where(live & left, mid, hi)
         lo = np.where(live & ~left, mid, lo)
 
@@ -311,14 +312,12 @@ def reference_pivot_counts(energies, diag, off2):
 
 
 def assert_same_counts(energies, diag, off2):
-    """The sweep on step-major tables, run through and with the dominance
-    exit, equals the per-step rule, bit for bit."""
-    got = _negative_pivot_counts(energies, diag, off2)
+    """The sweep on step-major tables, with its dominance exit, equals the
+    per-step rule, bit for bit."""
+    got = _negative_pivot_counts(energies, diag, off2, _tail_table(diag, off2))
     want = reference_pivot_counts(energies, np.moveaxis(diag, 0, -1), np.moveaxis(off2, 0, -1))
     assert got.shape == want.shape
     np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(_negative_pivot_counts(energies, diag, off2,
-                                                         _tail_table(diag, off2)), want)
     return got
 
 
@@ -438,7 +437,7 @@ class TestMultisection:
         wanted = np.tile(np.arange(1, 9), copies)
         lo, hi = gershgorin_interval(chain)
         brackets = np.full(wanted.size, lo), np.full(wanted.size, hi)
-        got = _bisect(chain.diag, off2, wanted, *brackets, tol)
+        got = _bisect(chain.diag, off2, wanted, *brackets, tol, _tail_table(chain.diag, off2))
         want = reference_bisect(chain.diag, off2, wanted, *brackets, tol)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
@@ -454,7 +453,7 @@ class TestMultisection:
         wanted = np.array([2, 3, 4, 1])
         lo = np.array([-1.0, 0.5, 1e6 - 1.0, -3.1e9])
         hi = np.array([1.0, 1.5, 1e6 + 1.0, -2.9e9])
-        got = _bisect(roots, np.zeros(3), wanted, lo, hi, tol)
+        got = _bisect(roots, np.zeros(3), wanted, lo, hi, tol, _tail_table(roots, np.zeros(3)))
         want = reference_bisect(roots, np.zeros(3), wanted, lo, hi, tol)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
@@ -473,7 +472,8 @@ class TestMultisection:
         # two of the three brackets miss their level and end on one of their
         # ends, as in bisection: no sweep probes finer than one ulp of a
         # live end, where a probe would round
-        got = _bisect(np.array(roots), np.zeros(2), np.arange(1, 4), np.array(lo), np.array(hi), 0.0)
+        got = _bisect(np.array(roots), np.zeros(2), np.arange(1, 4), np.array(lo), np.array(hi), 0.0,
+                      _tail_table(np.array(roots), np.zeros(2)))
         want = reference_bisect(np.array(roots), np.zeros(2), np.arange(1, 4), np.array(lo),
                                 np.array(hi), 0.0)
         np.testing.assert_array_equal(got[0], want[0])
@@ -541,8 +541,8 @@ def exit_sweeps(draw):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestDominanceExit:
     """A sweep that stops where the tail is diagonally dominant above every
-    energy counts what the full blocked sweep counts, and the interlacing
-    start is an upper end of its level."""
+    energy counts what the per-step rule counts over the whole chain, and
+    the interlacing start is an upper end of its level."""
 
     @settings(max_examples=300, deadline=None)
     @given(exit_sweeps())
@@ -551,9 +551,10 @@ class TestDominanceExit:
         if diag.ndim == 2:
             energies = energies[..., None]
         got, steps = _pivot_sweep(energies, diag, off2, _tail_table(diag, off2))
-        want, read = _pivot_sweep(energies, diag, off2)
+        want = reference_pivot_counts(energies, np.moveaxis(diag, 0, -1),
+                                      np.moveaxis(off2, 0, -1))
         np.testing.assert_array_equal(got, want)
-        assert read == diag.shape[0] and (steps % _ROWS == 0 or steps == diag.shape[0])
+        assert steps % _ROWS == 0 or steps == diag.shape[0]
         if np.isnan(energies).any():
             assert steps == diag.shape[0]
 
@@ -565,7 +566,43 @@ class TestDominanceExit:
         for energies, steps in (([-1.0, 0.5, 1.0], _ROWS), ([0.5, 400.0], 301), ([0.5, np.nan], 301)):
             got, read = _pivot_sweep(np.array(energies), diag, off2, tail)
             assert read == steps
-            np.testing.assert_array_equal(got, _negative_pivot_counts(np.array(energies), diag, off2))
+            np.testing.assert_array_equal(got, reference_pivot_counts(np.array(energies), diag, off2))
+
+    @pytest.mark.parametrize("params, parity, order, level", [
+        (FIXTURE, Parity.PLUS, 400, ORACLE_PLUS_12[0]),
+        # the pivot at level 1 vanishes exactly at E = -1
+        (ModelParams(1.0, 1.2, 0.4), Parity.MINUS, 300, -1.0),
+        # g = 0: 0.25 is exactly the lowest eigenvalue
+        (ModelParams(1.0, 0.0, 0.25), Parity.PLUS, 20, 0.25),
+    ])
+    def test_sturm_count_single_energies(self, params, parity, order, level):
+        # NaN, +-inf and a level: a Python int, equal to its lane in one
+        # sweep over all four and to the per-step rule
+        chain = build_chain(params, parity, order)
+        diag, off2 = chain.diag, chain.offdiag * chain.offdiag
+        energies = [math.nan, math.inf, -math.inf, level]
+        lanes = _negative_pivot_counts(np.array(energies), diag, off2, _tail_table(diag, off2))
+        want = reference_pivot_counts(np.array(energies), diag, off2)
+        got = [sturm_count(e, chain) for e in energies]
+        assert all(type(c) is int for c in got)
+        assert got == lanes.tolist() == want.tolist()
+        assert got[:3] == [0, chain.dim, 0]
+
+    def test_sturm_count_stops_at_the_dominant_tail(self, monkeypatch):
+        # order 160: one block of 32 steps below the spectrum, where the tail
+        # is dominant; a NaN energy never passes and reads all 161
+        chain = build_chain(FIXTURE, Parity.PLUS, 160)
+        real, read = rabicf.tridiag._pivot_sweep, []
+
+        def spy(*args):
+            counts, steps = real(*args)
+            read.append(steps)
+            return counts, steps
+
+        monkeypatch.setattr(rabicf.tridiag, "_pivot_sweep", spy)
+        assert [sturm_count(e, chain) for e in (-1.0, gershgorin_interval(chain)[0], math.nan)] \
+            == [0, 0, 0]
+        assert read == [_ROWS, _ROWS, 161]
 
     def test_tail_table_is_the_suffix_minimum(self):
         # bound and floor at every block end, against S_J formed on every row

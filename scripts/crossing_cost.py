@@ -103,22 +103,15 @@ def measure(src: str) -> dict:
             "pivot sweeps": _sweep_counts(rabicf, Path(src).resolve() == ROOT / "src")}
 
 
-def _steps_read(tridiag):
-    """The sweep of ``tridiag`` as (counts, chain steps read); a package
-    without ``_pivot_sweep`` reads all n + 1 steps every sweep."""
-    kernel = tridiag._negative_pivot_counts
-    return getattr(tridiag, "_pivot_sweep", lambda *args: (kernel(*args), args[1].shape[0]))
-
-
 def _crossing_cost() -> dict:
     from rabicf import ModelParams, scan_levels
     from rabicf import search, tridiag
 
     seen = {}
-    sweep, refine_events = _steps_read(tridiag), search._refine_events
+    sweep, refine_events = tridiag._pivot_sweep, search._refine_events
 
-    def counted_sweep(energies, diag, off2, tail=None):
-        counts, steps = sweep(energies, diag, off2, *([] if tail is None else [tail]))
+    def counted_sweep(*args):
+        counts, steps = sweep(*args)
         if seen.get("inside"):
             seen["sweeps"] += 1
             seen["counts"] += counts.size
@@ -324,7 +317,7 @@ def _sweep_counts(rabicf, reference: bool) -> dict:
     if reference:
         sys.path.insert(0, str(ROOT / "tests"))
         from test_tridiag import reference_pivot_counts
-    sweep, result = _steps_read(rabicf.tridiag), {}
+    sweep, result = rabicf.tridiag._pivot_sweep, {}
     for name, calls in _sweep_args(rabicf).items():
         counts, steps = zip(*(sweep(*args) for args in calls))
         result[name] = {"sweeps_per_call": len(calls), "sturm_counts_per_sweep":
@@ -469,7 +462,7 @@ def _crossover(rabicf) -> dict:
                     tridiag._MULTISECTION_PROBES = lanes * (2**m - 1) if m > 1 else 0
                     start = time.perf_counter()
                     tridiag._bisect(*tables, wanted, np.full(lanes, interval[0]), tops, 1e-11,
-                                    tridiag._tail_table(*tables))
+                                    tridiag._dominance_floor(*tables))
                     ms[m].append(1e3 * (time.perf_counter() - start))
             result[f"order {order}, {lanes} brackets"] = {
                 f"m={m}": round(float(np.median(t)), 1) for m, t in ms.items()}

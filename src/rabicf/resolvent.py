@@ -316,8 +316,7 @@ def build_pathological(
         raise GZeroError("pathological construction needs nonzero coupling")
     base = build_chain(params, parity, order)
     separation = E0_MIN_SEPARATION * params.omega
-    below = sturm_count(energy0 - separation, base)
-    above = sturm_count(energy0 + separation, base)
+    below, above = sturm_count(energy0 + np.array([-separation, separation]), base)
     if below != above:
         raise PoleSeparationError(
             f"E0={energy0!r} lies within {separation} of a genuine "

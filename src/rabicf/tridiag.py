@@ -22,12 +22,13 @@ only from the first pivot within PIVMIN of zero, as in LAPACK ``dlaneg``:
 the count is the per-step rule's, bit for bit, whose monotonicity Demmel,
 Dhillon and Ren analyse (ETNA 3, 1995).
 
-A sweep stops at the end of a block once the rest of the chain is
-diagonally dominant above every energy of the sweep, with the last pivot
-large enough to start an induction: the paper's Pringsheim criterion, site
-by site.  Beyond that block no pivot can reach PIVMIN, so the count is the
-full sweep's, bit for bit; low levels of long chains are settled within
-the first block.  Bisection starts each level k at the Gershgorin upper end
+A sweep stops at the end of a block once the rest of every chain is
+diagonally dominant above its largest energy, read from one floor a step,
+and every lane's last pivot can start an induction: the paper's Pringsheim
+criterion, site by site, tested as in both continued-fraction counts.
+Beyond that block no pivot can reach PIVMIN, so the count is the full
+sweep's, bit for bit; low levels of long chains are settled within the
+first block.  Bisection starts each level k at the Gershgorin upper end
 of the leading k x k block, an upper bound by Cauchy interlacing that needs
 no count, and ends in the lattice cell that the whole spectrum interval
 gives.
@@ -145,57 +146,43 @@ def _steps(diag: np.ndarray, lanes: tuple) -> np.ndarray:
     return diag.reshape(diag.shape[:1] + (1,) * (len(lanes) + 1 - diag.ndim) + diag.shape[1:])
 
 
-def _tail_table(diag: np.ndarray, off2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(bound, floor) at the end of every block of a pivot sweep over the
-    step-major tables: for the block whose last step is J, bound is
-    b_{J+1}*(1 + _SLACK) and floor is S_{J+1}, with b_j = sqrt(a_j), a_j =
-    ``off2[j-1]`` the squared off-diagonal into step j (a_0 = a_{n+1} = 0)
-    and
+def _dominance_floor(diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
+    """S_0 .. S_{n+1} of the step-major tables, a lower bound on the rows of
+    every chain from step J on:
 
-        S_J = min_{j >= J} (d_j - b_j - b_{j+1} - _SLACK*(|d_j| + b_j + b_{j+1}) - 4*PIVMIN),
+        S_J = min_{j >= J} (dlo_j - r_j - _SLACK*(|d|_j + r_j) - 4*PIVMIN),
 
-    the suffix minimum, +inf past the last step.  Built block by block from
-    the end, so no (n+1)-row table is formed beside the chain's own.
+    the suffix minimum, S_{n+1} = +inf, with dlo_j the least d_j of the
+    chains, |d|_j the largest |d_j|, r_j = b_j + b_{j+1} and b_j the square
+    root of the largest a_j = ``off2[j-1]`` (a_0 = a_{n+1} = 0).  Each float
+    operation rounds monotonically, so S_J is at most every chain's own
+    suffix minimum.  No energy passes the NaN or -inf of an inf or NaN entry.
     """
-    n1, blocks = diag.shape[0], -(-diag.shape[0] // _ROWS)
-    chains = np.broadcast_shapes(diag.shape[1:], off2.shape[1:])
-    diag = _steps(diag, chains)
-    bound, floor = np.zeros((blocks,) + chains), np.empty((blocks,) + chains)
-    suffix = np.full(chains, np.inf)
-    for k in range(blocks - 1, -1, -1):
-        j0, j1 = k * _ROWS, min((k + 1) * _ROWS, n1)
-        floor[k] = suffix
-        b = np.zeros((j1 - j0 + 1,) + chains)  # b_{j0} .. b_{j1}
-        b[(j0 == 0):j1 - j0 + (j1 < n1)] = np.sqrt(off2[max(j0, 1) - 1:j1 - (j1 == n1)])
-        bound[k] = b[-1] * (1.0 + _SLACK)
-        d, r = diag[j0:j1], b[:-1] + b[1:]
-        row = d - r - (_SLACK * (np.abs(d) + r) + 4.0 * PIVMIN)
-        suffix = np.minimum(suffix, np.min(row, axis=0))
-    return bound, floor
+    n1 = diag.shape[0]
+    lo = np.min(diag, axis=tuple(range(1, diag.ndim)))
+    mag = np.maximum(np.max(diag, axis=tuple(range(1, diag.ndim))), -lo)
+    b = np.zeros(n1 + 1)
+    b[1:n1] = np.sqrt(np.max(off2, axis=tuple(range(1, off2.ndim))))
+    r = b[:-1] + b[1:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        row = lo - r - (_SLACK * (mag + r) + 4.0 * PIVMIN)
+    return np.append(np.minimum.accumulate(row[::-1])[::-1], np.inf)
 
 
-def _every(mask: np.ndarray) -> bool:
-    """Whether every entry of ``mask`` is true, by ``np.count_nonzero`` as
-    in the sweep: ``np.all`` would map in one more numpy loop on the
-    oracle's requests (about 60 KiB of RSS)."""
-    return np.count_nonzero(mask) == mask.size
-
-
-def _pivot_sweep(energies, diag, off2, tail) -> tuple[np.ndarray, int]:
+def _pivot_sweep(energies, diag, off2, floor) -> tuple[np.ndarray, int]:
     """(counts, steps read) of :func:`_negative_pivot_counts`."""
     energies = np.asarray(energies, dtype=float)
     lanes = np.broadcast_shapes(energies.shape, diag.shape[1:], off2.shape[1:])
-    diag = _steps(diag, lanes)
+    n1, diag = diag.shape[0], _steps(diag, lanes)
     rows = np.empty((_ROWS + 1,) + lanes)  # row 0: the last pivot of the block before
     neg = np.empty((_ROWS,) + lanes, dtype=bool)
     t = np.empty(lanes)
     count = np.zeros(lanes, dtype=np.int64)
-    bound, floor = tail
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # NaN for NaN and -inf energies, which never pass
-        top, settled = energies + _SLACK * np.abs(energies), False
-        for j0 in range(0, diag.shape[0], _ROWS):
-            m = min(_ROWS, diag.shape[0] - j0)
+        # NaN when a lane is NaN or -inf, which never passes
+        top = np.max(energies + _SLACK * np.abs(energies), initial=-np.inf)
+        for j0 in range(0, n1, _ROWS):
+            m = min(_ROWS, n1 - j0)
             np.subtract(diag[j0:j0 + m], energies, out=rows[1:m + 1])
             first, check = (2 if j0 == 0 else 1), 1
             while True:
@@ -214,16 +201,18 @@ def _pivot_sweep(energies, diag, off2, tail) -> tuple[np.ndarray, int]:
                 first = check = r + 1
             count += np.add.reduce(neg[:m].view(np.uint8), axis=0, dtype=np.uint8)
             rows[0] = rows[m]
-            # S_J rises with J: once every energy is below it, it stays (inf past the end)
-            k = j0 // _ROWS
-            settled = settled or _every(top <= floor[k])
-            if settled and _every(rows[m] >= bound[k]):
-                return count, j0 + m
-    return count, diag.shape[0]
+            end = j0 + m
+            if end < n1 and floor[end] >= top:
+                # np.count_nonzero, not np.all, which would map in one more
+                # numpy loop on the oracle's requests (about 60 KiB of RSS)
+                held = rows[0] >= np.sqrt(off2[end - 1]) * (1.0 + _SLACK)
+                if np.count_nonzero(held) == held.size:
+                    return count, end
+    return count, n1
 
 
 def _negative_pivot_counts(energies: np.ndarray, diag: np.ndarray, off2: np.ndarray,
-                           tail: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+                           floor: np.ndarray) -> np.ndarray:
     """Count eigenvalues at or below each energy, vectorized: the pivots at
     or below PIVMIN.  ``energies`` has any shape; the step-major tables
     ``diag`` (n+1, ...) and ``off2`` (n, ...) broadcast against it on their
@@ -239,29 +228,33 @@ def _negative_pivot_counts(energies: np.ndarray, diag: np.ndarray, off2: np.ndar
     per-step rule makes, so the counts are equal bit for bit.  A zero pivot
     divides by zero before its repair, hence the errstate.
 
-    The sweep stops, on the ``tail`` of :func:`_tail_table`, after the
-    block ending at step J once every lane has q_J >= b_{J+1}*(1 + _SLACK)
-    and E + _SLACK*|E| <= S_{J+1}: the tail is then diagonally dominant
-    above E, and by induction q_j = d_j - E - a_j/q_{j-1} > d_j - E - b_j
-    >= b_{j+1}*(1 + _SLACK) for every j > J, the slack covering the
-    rounding of each step; so no later pivot reaches PIVMIN, and the count
-    is the full sweep's, bit for bit.  This is the Pringsheim criterion of
-    :mod:`rabicf.convergence` with a constant c_j = b_{j+1} per step.  NaN
-    lanes never pass and run the whole chain.
+    The sweep stops after the block ending at step J once max E + _SLACK*|E|
+    over the lanes is at most S_{J+1} of ``floor`` (:func:`_dominance_floor`)
+    and every lane has q_J >= b_{J+1}*(1 + _SLACK), b_{J+1} its chain's own:
+    every tail is then diagonally dominant above every E, and by induction
+    q_j = d_j - E - a_j/q_{j-1} > d_j - E - b_j >= b_{j+1}*(1 + _SLACK) for
+    every j > J, the slack covering the rounding of each step; so no later
+    pivot reaches PIVMIN, and the count is the full sweep's, bit for bit.
+    This is the Pringsheim criterion of :mod:`rabicf.convergence` with c_j =
+    b_{j+1}, as ``recurrence.negative_pivots`` tests it; NaN and -inf lanes
+    never pass.
     """
-    return _pivot_sweep(energies, diag, off2, tail)[0]
+    return _pivot_sweep(energies, diag, off2, floor)[0]
 
 
-def sturm_count(energy: float, chain: ChainCoefficients) -> int:
+def sturm_count(energy, chain: ChainCoefficients):
     """Number of chain eigenvalues at or below ``energy``, an exactly
-    singular pivot counting as negative.
+    singular pivot counting as negative: an int for a float, an int array
+    for an array, counted in one sweep that stops at the dominant tail.
 
     Monotone non-decreasing in the energy; ranges 0..order+1.  Exactly
     singular pivots are perturbed to -PIVMIN, which keeps the count
-    deterministic.  A 0-d lane of the sweep, which stops at the dominant tail.
+    deterministic.
     """
     scale, diag, off2, _ = _squared(chain)
-    return int(_negative_pivot_counts(scale * float(energy), diag, off2, _tail_table(diag, off2)))
+    count = _negative_pivot_counts(scale * np.asarray(energy, dtype=float), diag, off2,
+                                   _dominance_floor(diag, off2))
+    return int(count) if np.ndim(energy) == 0 else count
 
 
 def gershgorin_interval(chain: ChainCoefficients) -> tuple[float, float]:
@@ -364,7 +357,7 @@ def _start_tops(diag, off2, first_k, tol, interval) -> np.ndarray:
 _MULTISECTION_PROBES = 2048
 
 
-def _bisect(diag, off2, wanted, lo, hi, tol, tail) -> tuple[np.ndarray, np.ndarray]:
+def _bisect(diag, off2, wanted, lo, hi, tol, floor) -> tuple[np.ndarray, np.ndarray]:
     """Count multisection of the brackets (lo, hi) of eigenvalue number
     ``wanted`` (1-based), all in lockstep from their :func:`_snap`.  Each
     bracket is halved until it is <= ``tol`` wide or its midpoint no longer
@@ -383,7 +376,7 @@ def _bisect(diag, off2, wanted, lo, hi, tol, tail) -> tuple[np.ndarray, np.ndarr
     It is at least 1, the midpoint, which the stop rule checks.
 
     Every sweep stops where the chains' tails are dominant above its
-    energies, on one :func:`_tail_table` of the chains, ``tail``.
+    energies, on one :func:`_dominance_floor` of the chains, ``floor``.
     """
     lo, hi = _snap(lo, hi, tol)
     while True:
@@ -399,7 +392,7 @@ def _bisect(diag, off2, wanted, lo, hi, tol, tail) -> tuple[np.ndarray, np.ndarr
             s += 1
         step = width * 2.0**-s
         probes = lo + step * np.arange(1, 2**s).reshape((-1,) + (1,) * lo.ndim)
-        below = np.sum(_negative_pivot_counts(probes, diag, off2, tail) < wanted, axis=0)
+        below = np.sum(_negative_pivot_counts(probes, diag, off2, floor) < wanted, axis=0)
         lo, hi = np.where(live, lo + below * step, lo), np.where(live, lo + (below + 1) * step, hi)
 
 
@@ -420,7 +413,7 @@ def eigenvalues(chain: ChainCoefficients, first_k: int, tol: float | None = None
     scale, diag, off2, interval = _squared(chain)
     hi = _start_tops(diag, off2, first_k, scale * tol, interval)
     lo, hi = _bisect(diag, off2, np.arange(1, first_k + 1), np.full(first_k, interval[0]),
-                     hi, scale * tol, _tail_table(diag, off2))
+                     hi, scale * tol, _dominance_floor(diag, off2))
     lo, hi = lo / scale, hi / scale
     levels = [
         EnergyLevel(index=n, energy=float(0.5 * (lo[n] + hi[n])), residual=float(hi[n] - lo[n]))
@@ -451,7 +444,7 @@ def eigenvalues_batch(
     wanted = np.arange(1, first_k + 1).reshape((-1,) + (1,) * (off2.ndim - 1))
     hi = _start_tops(diag, off2, first_k, tol, interval)
     lo, hi = _bisect(diag, off2, wanted, np.full(shape, interval[0]), hi, tol,
-                     _tail_table(diag, off2))
+                     _dominance_floor(diag, off2))
     return (0.5 * (lo + hi)).T
 
 
@@ -478,12 +471,12 @@ def eigenvalues_rows(
     """
     wanted = np.asarray(index) + 1
     lo, hi = _snap(lo, hi, tol)
-    tail = _tail_table(diag, off2)
-    ends = _negative_pivot_counts(np.stack([lo, hi]), diag, off2, tail)
+    floor = _dominance_floor(diag, off2)
+    ends = _negative_pivot_counts(np.stack([lo, hi]), diag, off2, floor)
     bad = (ends[0] >= wanted) | (ends[1] < wanted)
     lo = np.where(bad, interval[0], lo)
     hi = np.where(bad, interval[1], hi)
-    lo, hi = _bisect(diag, off2, wanted, lo, hi, tol, tail)
+    lo, hi = _bisect(diag, off2, wanted, lo, hi, tol, floor)
     return 0.5 * (lo + hi)
 
 

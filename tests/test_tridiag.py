@@ -27,7 +27,7 @@ from rabicf.tridiag import (
     _pivot_sweep,
     _snap,
     _start_tops,
-    _tail_table,
+    _dominance_floor,
     eigenvalues_batch,
     eigenvalues_rows,
     gershgorin_interval,
@@ -265,7 +265,7 @@ class TestBisect:
 
         monkeypatch.setattr(rabicf.tridiag, "_negative_pivot_counts", counted)
         lo, hi = _bisect(roots, np.zeros(1), np.array([1, 2]), np.array([1.0, 3.0]),
-                         np.array([2.0, 4.0]), 0.0, _tail_table(roots, np.zeros(1)))
+                         np.array([2.0, 4.0]), 0.0, _dominance_floor(roots, np.zeros(1)))
         np.testing.assert_array_equal(hi, np.nextafter(lo, np.inf))
         assert np.all((lo < roots) & (roots <= hi))
         assert len(calls) < 60
@@ -275,7 +275,7 @@ class TestBisect:
         # tol; the one near 0.3 goes on down to the 2**-44 cell
         roots = np.array([0.3, 1e6 + 0.3])
         lo, hi = _bisect(roots, np.zeros(1), np.array([1, 2]), np.array([0.0, 1e6 - 1.0]),
-                         np.array([1.0, 1e6 + 1.0]), 1e-13, _tail_table(roots, np.zeros(1)))
+                         np.array([1.0, 1e6 + 1.0]), 1e-13, _dominance_floor(roots, np.zeros(1)))
         np.testing.assert_array_equal(hi - lo, [2.0**-44, 2.0**-33])
         assert np.all((lo < roots) & (roots <= hi))
 
@@ -314,7 +314,7 @@ def reference_pivot_counts(energies, diag, off2):
 def assert_same_counts(energies, diag, off2):
     """The sweep on step-major tables, with its dominance exit, equals the
     per-step rule, bit for bit."""
-    got = _negative_pivot_counts(energies, diag, off2, _tail_table(diag, off2))
+    got = _negative_pivot_counts(energies, diag, off2, _dominance_floor(diag, off2))
     want = reference_pivot_counts(energies, np.moveaxis(diag, 0, -1), np.moveaxis(off2, 0, -1))
     assert got.shape == want.shape
     np.testing.assert_array_equal(got, want)
@@ -437,7 +437,7 @@ class TestMultisection:
         wanted = np.tile(np.arange(1, 9), copies)
         lo, hi = gershgorin_interval(chain)
         brackets = np.full(wanted.size, lo), np.full(wanted.size, hi)
-        got = _bisect(chain.diag, off2, wanted, *brackets, tol, _tail_table(chain.diag, off2))
+        got = _bisect(chain.diag, off2, wanted, *brackets, tol, _dominance_floor(chain.diag, off2))
         want = reference_bisect(chain.diag, off2, wanted, *brackets, tol)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
@@ -453,7 +453,7 @@ class TestMultisection:
         wanted = np.array([2, 3, 4, 1])
         lo = np.array([-1.0, 0.5, 1e6 - 1.0, -3.1e9])
         hi = np.array([1.0, 1.5, 1e6 + 1.0, -2.9e9])
-        got = _bisect(roots, np.zeros(3), wanted, lo, hi, tol, _tail_table(roots, np.zeros(3)))
+        got = _bisect(roots, np.zeros(3), wanted, lo, hi, tol, _dominance_floor(roots, np.zeros(3)))
         want = reference_bisect(roots, np.zeros(3), wanted, lo, hi, tol)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
@@ -473,7 +473,7 @@ class TestMultisection:
         # ends, as in bisection: no sweep probes finer than one ulp of a
         # live end, where a probe would round
         got = _bisect(np.array(roots), np.zeros(2), np.arange(1, 4), np.array(lo), np.array(hi), 0.0,
-                      _tail_table(np.array(roots), np.zeros(2)))
+                      _dominance_floor(np.array(roots), np.zeros(2)))
         want = reference_bisect(np.array(roots), np.zeros(2), np.arange(1, 4), np.array(lo),
                                 np.array(hi), 0.0)
         np.testing.assert_array_equal(got[0], want[0])
@@ -550,7 +550,7 @@ class TestDominanceExit:
         energies, diag, off2 = case
         if diag.ndim == 2:
             energies = energies[..., None]
-        got, steps = _pivot_sweep(energies, diag, off2, _tail_table(diag, off2))
+        got, steps = _pivot_sweep(energies, diag, off2, _dominance_floor(diag, off2))
         want = reference_pivot_counts(energies, np.moveaxis(diag, 0, -1),
                                       np.moveaxis(off2, 0, -1))
         np.testing.assert_array_equal(got, want)
@@ -562,7 +562,7 @@ class TestDominanceExit:
         # order 300 at g = 0.7: dominant from a few sites above E = 1
         chain = build_chain(FIXTURE, Parity.PLUS, 300)
         diag, off2 = chain.diag, chain.offdiag * chain.offdiag
-        tail = _tail_table(diag, off2)
+        tail = _dominance_floor(diag, off2)
         for energies, steps in (([-1.0, 0.5, 1.0], _ROWS), ([0.5, 400.0], 301), ([0.5, np.nan], 301)):
             got, read = _pivot_sweep(np.array(energies), diag, off2, tail)
             assert read == steps
@@ -581,7 +581,7 @@ class TestDominanceExit:
         chain = build_chain(params, parity, order)
         diag, off2 = chain.diag, chain.offdiag * chain.offdiag
         energies = [math.nan, math.inf, -math.inf, level]
-        lanes = _negative_pivot_counts(np.array(energies), diag, off2, _tail_table(diag, off2))
+        lanes = _negative_pivot_counts(np.array(energies), diag, off2, _dominance_floor(diag, off2))
         want = reference_pivot_counts(np.array(energies), diag, off2)
         got = [sturm_count(e, chain) for e in energies]
         assert all(type(c) is int for c in got)
@@ -604,20 +604,75 @@ class TestDominanceExit:
             == [0, 0, 0]
         assert read == [_ROWS, _ROWS, 161]
 
-    def test_tail_table_is_the_suffix_minimum(self):
-        # bound and floor at every block end, against S_J formed on every row
-        for order in (0, _ROWS - 1, _ROWS, 150):
+    @staticmethod
+    def _suffix_minima(diag, off2):
+        """S_0 .. S_n of each chain of step-major tables on its own, formed
+        on every row: (n+1, ...)."""
+        b = np.sqrt(np.concatenate([np.zeros((1,) + off2.shape[1:]), off2,
+                                    np.zeros((1,) + off2.shape[1:])]))
+        r = b[:-1] + b[1:]
+        rows = diag - r - (_SLACK * (np.abs(diag) + r) + 4.0 * PIVMIN)
+        return np.minimum.accumulate(rows[::-1], axis=0)[::-1]
+
+    def test_dominance_floor_is_the_suffix_minimum(self):
+        # one chain: S_0 .. S_{n+1}, bit for bit
+        for order in (0, 1, _ROWS - 1, _ROWS, 150):
             chain = build_chain(ModelParams(1.0, 1.3, 0.6), Parity.MINUS, order)
             diag, off2 = chain.diag, chain.offdiag * chain.offdiag
-            b = np.sqrt(np.concatenate([[0.0], off2, [0.0]]))
-            r = b[:-1] + b[1:]
-            rows = diag - r - (_SLACK * (np.abs(diag) + r) + 4.0 * PIVMIN)
-            bound, floor = _tail_table(diag, off2)
-            assert len(bound) == len(floor) == -(-(order + 1) // _ROWS)
-            for k in range(len(bound)):
-                J = min((k + 1) * _ROWS, order + 1)
-                assert bound[k] == b[J] * (1.0 + _SLACK)
-                assert floor[k] == (np.min(rows[J:]) if J <= order else np.inf)
+            floor = _dominance_floor(diag, off2)
+            want = np.append(self._suffix_minima(diag, off2), np.inf)
+            assert floor.shape == (order + 2,)
+            assert floor.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tables", ["readme tracks", "three chains"])
+    def test_dominance_floor_bounds_every_chain(self, tables):
+        # at most each chain's own S_J: the README g scan's 600 chains, which
+        # share their diagonal, and three chains with diagonals of both signs
+        if tables == "readme tracks":
+            diag, off2 = _batch_tables(FIXTURE, "g", np.linspace(0.05, 1.2, 600), 1.0, 300)
+        else:
+            rng = np.random.default_rng(7)
+            j = np.arange(151.0)[:, None]
+            diag = j * rng.uniform(0.2, 2.0, 3) + rng.normal(0.0, 40.0, (151, 3))
+            off2 = rng.uniform(0.0, 3.0, (150, 3)) ** 2 * j[1:]
+        own = self._suffix_minima(diag, off2)
+        floor = _dominance_floor(diag, off2)
+        assert floor.shape == (diag.shape[0] + 1,) and floor[-1] == np.inf
+        assert np.all(floor[:-1, None] <= own)
+
+    @pytest.mark.parametrize("table, value", [
+        ("diag", np.inf), ("diag", -np.inf), ("diag", np.nan), ("off2", np.inf), ("off2", np.nan)])
+    def test_dominance_floor_never_passes_a_bad_entry(self, table, value):
+        # an inf or NaN entry at step 100 of one of three chains: no S_J
+        # with J <= 100 passes any energy, and a sweep below the spectrum,
+        # which stops after one block without it, reads past that step
+        energies, diag, off2 = np.array([[-1.0], [0.0]]), np.full((151, 3), 5.0), np.ones((150, 3))
+        assert _pivot_sweep(energies, diag, off2, _dominance_floor(diag, off2))[1] == _ROWS
+        (diag[100] if table == "diag" else off2[99])[1] = value
+        floor = _dominance_floor(diag, off2)
+        assert not np.any(floor[:101] > -np.inf)
+        assert _pivot_sweep(energies, diag, off2, floor)[1] > 100
+
+    @pytest.mark.parametrize("energies", [
+        np.array(math.nan), np.array(2.5), np.array([-1.0, 0.3, math.nan, 4.7, 9.0]),
+        np.array([[math.nan, -2.0, 1.1], [3.3, 6.0, 12.0]]),
+    ])
+    def test_sturm_count_arrays(self, monkeypatch, energies):
+        # one sweep over every energy, NaN lanes included: an int for a 0-d
+        # input, else an int64 array of its shape, equal to the per-float
+        # calls and to the per-step rule
+        chain = build_chain(FIXTURE, Parity.MINUS, 120)
+        calls = counted_sweeps(monkeypatch)
+        got = sturm_count(energies, chain)
+        assert len(calls) == 1
+        per_float = [sturm_count(float(e), chain) for e in energies.flat]
+        want = reference_pivot_counts(energies, chain.diag, chain.offdiag * chain.offdiag)
+        if energies.ndim == 0:
+            assert type(got) is int
+        else:
+            assert type(got) is np.ndarray and got.dtype == np.int64
+            assert got.shape == energies.shape
+        assert np.ravel(got).tolist() == per_float == want.ravel().tolist()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_interlacing_tops_hold_their_level(self, seed):

@@ -18,10 +18,10 @@ A step whose new y_k lies in [2**-256, 2**256] needs no rescale (y_{k-1},
 the last y_k, is within 2**256), so one range test a step decides whether
 the rule runs.
 
-``scaled_pair`` runs on Python floats (or mpmath numbers).  Its ratio form
-counts roots: ``negative_pivots`` counts the negative pivots of an LDL^T,
-whose number is the number of negative eigenvalues (Sylvester; Parlett 1980),
-in one blocked numpy sweep over an array of energies (0-d for one).
+``scaled_pair`` runs on Python floats.  Its ratio form counts roots:
+``negative_pivots`` counts the negative pivots of an LDL^T, whose number is
+the number of negative eigenvalues (Sylvester; Parlett 1980), in one
+blocked numpy sweep over an array of energies (0-d for one).
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ def scaled_pair(steps):
     (y_{-1}, y_0) = (0, 1); a first step (t, 0) leaves the pair (1, t).
 
     Returns (y_{K-1}, y_K, exponent) for the last step K: the true pair is
-    the returned pair times 2**exponent.  Plain arithmetic and comparisons
-    only, so mpmath numbers run through it unchanged.
+    the returned pair times 2**exponent.
     """
     lim, tiny = RESCALE_LIMIT, RESCALE
     prev, cur, exponent = 0.0, 1.0, 0

@@ -19,14 +19,15 @@ recurrence is linear and backward stable, passes through partial-fraction
 poles without blowup, and keeps a sign-true D_0 for refining a pole.
 The same fraction counts its poles: the forward pivots q_j = (d_j - E) -
 a_j/q_{j-1} of H - E are -a_{j+1} G_{j+1}(E), the upward ratios of
-``_upward_ratios`` scaled by -a_{j+1}, and the negative ones number the
-poles at or below E (``pole_count``, ``recurrence.negative_pivots``).
+``inverse_recurrence_tail`` scaled by -a_{j+1}, and the negative ones
+number the poles at or below E (``pole_count``,
+``recurrence.negative_pivots``).
 
 A pathological truncation's chain (``PlantedChain``) is the one exception
 to double precision: its planted pole has a border residue of roughly
-g^(2N)/N!, far below one float spacing, so both its last diagonal entry
-and its resolvent are carried in mpmath at a precision worked out from
-the planted mode itself.
+g^(2N)/N!, far below one float spacing, so its last diagonal entry and its
+resolvent are computed exactly, in Python ints on the entries scaled by one
+power of two (``_dyadic_steps``), and each value is rounded once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -68,10 +68,6 @@ __all__ = [
     "build_pathological",
     "E0_MIN_SEPARATION",
 ]
-
-# Decimal digits kept beyond what the planted mode's own growth consumes;
-# the reciprocal at the planted energy then reads about 10**-_PLANT_MARGIN.
-_PLANT_MARGIN = 40
 
 # Plant energies within this many omega of a genuine pole are rejected: the
 # demonstration needs the planted pole to be separable from the real ones.
@@ -113,7 +109,7 @@ def char_poly(energy: float, chain: ChainCoefficients) -> tuple[float, float]:
 def pole_count(energy, chain: ChainCoefficients):
     """Poles of G_0 at or below ``energy`` (an int for a float, a 0-d lane,
     an int array for an array): the negative forward pivots q_0 .. q_N of
-    H - E, the ratios of ``_upward_ratios`` scaled by -a_{j+1}, an exactly
+    H - E, the upward ratios G_{j+1}(E) scaled by -a_{j+1}, an exactly
     singular one included (``recurrence.negative_pivots``).  The sweep stops
     where the rest of the chain is dominant above every lane (``dominant_row``)."""
     diag, a = chain.diag, [0.0] + chain.a_values().tolist()
@@ -123,19 +119,36 @@ def pole_count(energy, chain: ChainCoefficients):
     return int(count) if np.ndim(energy) == 0 else count
 
 
+def _dyadic_steps(energy: float, diag, offdiag) -> tuple[int, list[int], list[int], int]:
+    """(E*2**s, B, A, s): the ints B_j = (E - diag_j)*2**s and A_j =
+    offdiag_j**2 * 4**s, for the least s that the floats E, ``diag`` and
+    ``offdiag`` all fit in (each is an int over a power of two)."""
+    ratios = [x.as_integer_ratio() for x in [energy, *diag, *offdiag]]
+    s = max(q.bit_length() for _, q in ratios) - 1
+    ints = [p << s + 1 - q.bit_length() for p, q in ratios]
+    e, n = ints[0], len(diag) + 1
+    return e, [e - d for d in ints[1:n]], [o * o for o in ints[n:]], s
+
+
+def _minors(steps, prev: int, cur: int) -> tuple[int, int]:
+    """Run y_k = B_k y_{k-1} - A_k y_{k-2} over ``steps`` (B_k, A_k) from
+    (prev, cur) exactly in ints; returns the last pair (y_{K-1}, y_K)."""
+    for b, a in steps:
+        prev, cur = cur, b * cur - a * prev
+    return prev, cur
+
+
 def _det_pair_planted(energy: float, chain: "PlantedChain") -> tuple[float, float]:
-    """(D_0, D_1) of a planted chain, evaluated in mpmath at the chain's
-    own precision on the exact values of its entries (the stored doubles,
-    their exact squares and the extended planted entry), then divided by
-    the positive |D_1| (|D_0| if D_1 vanishes) and rounded to double."""
-    with mpmath.workdps(chain.digits):
-        e = mpmath.mpf(energy)
-        b = [e - d for d in chain.diag[-2::-1].tolist()]
-        a = [mpmath.mpf(x) ** 2 for x in chain.offdiag[::-1].tolist()]
-        # from D_{N+1} = 1 and D_N on the extended planted entry
-        d1, d0, _ = scaled_pair([(e - chain.planted_diag_nn, 0)] + list(zip(b, a)))
-        scale = abs(d1) or abs(d0)
-        return float(d0 / scale), float(d1 / scale)
+    """(D_0, D_1) of a planted chain, exact, divided by the positive |D_1|
+    (|D_0| if D_1 vanishes) and rounded once: the minors run backward in
+    ints on the entries scaled by 2**s, from (D_{N+1}, D_N) = (denominator,
+    numerator) of (E - H[N,N])*2**s, so D_0/D_1 is the last pair's ratio over 2**s."""
+    e, b, a, s = _dyadic_steps(energy, chain.diag[:-1].tolist(), chain.offdiag.tolist())
+    num, den = chain.planted_diag_nn
+    d1, d0 = _minors(zip(b[::-1], a[::-1]), den, e * den - (num << s))
+    d1 <<= s
+    scale = abs(d1) or abs(d0)
+    return d0 / scale, d1 / scale
 
 
 def resolvent_cf(energy: float, chain: ChainCoefficients) -> ResolventValue:
@@ -147,11 +160,13 @@ def resolvent_cf(energy: float, chain: ChainCoefficients) -> ResolventValue:
     reciprocal falls below the denominator floor, i.e. E sits on a chain
     eigenvalue to within working precision.
 
-    A ``PlantedChain`` (from ``build_pathological``) is evaluated in
-    mpmath at its own precision, so the reciprocal at the planted energy
-    reads the planted zero, not the O(1) background that double precision
-    leaves there; the returned fields are that result rounded to double.
-    Every other chain takes the double-precision minor recurrence.
+    A ``PlantedChain`` (from ``build_pathological``) is evaluated exactly
+    on its exact planted entry, and the reciprocal is rounded once, so at
+    the planted energy it reads 0.0 (POLE_HIT), not the O(1) background
+    that double precision leaves there.  OverflowError is raised where the
+    reciprocal leaves the float range, and ValueError or OverflowError for
+    a non-finite energy.  Every other chain takes the double-precision
+    minor recurrence.
     """
     if isinstance(chain, PlantedChain):
         d0, d1 = _det_pair_planted(energy, chain)
@@ -205,30 +220,6 @@ def poles_of_resolvent(
     )
 
 
-def _upward_ratios(energy0: float, chain: ChainCoefficients, num=None) -> list:
-    """G_1(E_0) .. G_N(E_0) from the upward recurrence: in double, or in
-    ``num`` arithmetic (mpmath.mpf at the caller's precision), with b_j and
-    a_j built from the stored entries converted exactly."""
-    if chain.params.g == 0.0:
-        raise GZeroError("upward recurrence needs nonzero coupling (a_j > 0)")
-    if chain.order < 1:
-        raise ValueError("need order >= 1 for the upward recurrence")
-    if not math.isfinite(energy0):
-        raise ValueError("energy0 must be finite")
-    if num is None:
-        b, a = energy0 - chain.diag, chain.a_values()
-    else:
-        b = [num(energy0) - d for d in chain.diag.tolist()]
-        a = [num(x) ** 2 for x in chain.offdiag.tolist()]
-    ratios = [b[0] / a[0]]  # G_1 = b_0/a_1
-    for j in range(1, chain.order):
-        cur = ratios[-1]
-        if abs(cur) < DEN_FLOOR:
-            raise DivergedTailError(j)
-        ratios.append(b[j] / a[j] - 1.0 / (a[j] * cur))
-    return ratios
-
-
 def inverse_recurrence_tail(energy0: float, chain: ChainCoefficients) -> float:
     """Run the two-term recurrence upward from a forced pole at energy0.
 
@@ -236,11 +227,24 @@ def inverse_recurrence_tail(energy0: float, chain: ChainCoefficients) -> float:
 
         G_{j+1} = b_j(E_0)/a_{j+1} - 1/(a_{j+1} G_j)
 
-    climbs to G_N(E_0).  The upward direction is the unstable one for
-    generic seeds, which the pathological construction exploits: G_N tends
-    to -omega/g^2 regardless of E_0 as the order grows.
+    climbs to G_N(E_0), in double.  The upward direction is the unstable
+    one for generic seeds, which the pathological construction exploits:
+    G_N tends to -omega/g^2 regardless of E_0 as the order grows.  A G_j
+    below the denominator floor raises DivergedTailError(j).
     """
-    return float(_upward_ratios(energy0, chain)[-1])
+    if chain.params.g == 0.0:
+        raise GZeroError("upward recurrence needs nonzero coupling (a_j > 0)")
+    if chain.order < 1:
+        raise ValueError("need order >= 1 for the upward recurrence")
+    if not math.isfinite(energy0):
+        raise ValueError("energy0 must be finite")
+    b, a = energy0 - chain.diag, chain.a_values()
+    tail = b[0] / a[0]  # G_1 = b_0/a_1
+    for j in range(1, chain.order):
+        if abs(tail) < DEN_FLOOR:
+            raise DivergedTailError(j)
+        tail = b[j] / a[j] - 1.0 / (a[j] * tail)
+    return float(tail)
 
 
 class PathologicalVariant(Enum):
@@ -261,19 +265,18 @@ class PlantedChain(ChainCoefficients):
     Their ratio is N only up to the rounding of g*sqrt(N), and the planted
     pole's residue is far too small to forgive that rounding.
 
-    G_N and H[N,N] are computed in mpmath at ``digits`` decimal digits;
-    ``planted_diag_nn`` is H[N,N] at that precision, which ``resolvent_cf``
-    uses to resolve the planted pole.  ``tail`` and ``diag[order]`` are
-    those values correctly rounded to double, so Sturm counts and
-    eigensolvers see an ordinary chain.
+    G_N and H[N,N] are exact rationals on the stored entries;
+    ``planted_diag_nn`` is H[N,N] as an int pair (numerator, denominator),
+    which ``resolvent_cf`` uses to resolve the planted pole.  ``tail`` and
+    ``diag[order]`` are those values correctly rounded to double, so Sturm
+    counts and eigensolvers see an ordinary chain.
     """
 
     base: ChainCoefficients
     target_energy: float
     variant: PathologicalVariant
     tail: float  # G_N(E_0) from the upward recurrence
-    planted_diag_nn: mpmath.mpf = field(repr=False)
-    digits: int
+    planted_diag_nn: tuple[int, int] = field(repr=False)
 
     @property
     def modified_diag_nn(self) -> float:
@@ -306,11 +309,11 @@ def build_pathological(
     from every genuine pole of the unmodified truncated resolvent so that
     the planted pole is unambiguous; violations raise PoleSeparationError.
 
-    The planted mode's components are the orthonormal polynomials
-    p_j(E_0) = prod_{i<=j} sqrt(a_i) G_i(E_0), and its border residue is
-    about 1/max_j p_j^2.  A double upward pass measures max_j log10|p_j|;
-    the tail and H[N,N] are then recomputed in mpmath at twice that many
-    digits plus a margin of 40, which leaves |D_0/D_1| at E_0 near 1e-40.
+    G_N = P_N/(a_N P_{N-1}) for the polynomials P_{j+1} = b_j P_j - a_j
+    P_{j-1} from (0, 1), exactly: on entries scaled by 2**s (``_dyadic_steps``)
+    Q_j = 2**(sj) P_j are ints, G_N = Q_N 2**s/(A_N Q_{N-1}) and H[N,N] =
+    (E_0 2**s Q_N - A'_N Q_{N-1})/(Q_N 2**s), each rounded once (OverflowError
+    out of range).  A zero Q_{N-1} or Q_N raises DivergedTailError(its index).
     """
     if params.g == 0.0:
         raise GZeroError("pathological construction needs nonzero coupling")
@@ -322,30 +325,24 @@ def build_pathological(
             f"E0={energy0!r} lies within {separation} of a genuine "
             f"pole of the unmodified resolvent at order {order}"
         )
-    ratios = _upward_ratios(energy0, base)
-    if ratios[-1] == 0.0:
-        raise DivergedTailError(base.order)
-    log10_p = np.cumsum(np.log10(np.abs(base.offdiag * ratios)))
-    digits = _PLANT_MARGIN + math.ceil(2.0 * max(0.0, float(log10_p.max())))
-    last_offdiag = (params.g * base.order if variant is PathologicalVariant.DIAG_AND_OFFDIAG
+    n = base.order
+    if n < 1:
+        raise ValueError("need order >= 1 for the upward recurrence")
+    if not math.isfinite(energy0):
+        raise ValueError("energy0 must be finite")
+    last_offdiag = (params.g * n if variant is PathologicalVariant.DIAG_AND_OFFDIAG
                     else float(base.offdiag[-1]))
-    with mpmath.workdps(digits):
-        tail = _upward_ratios(energy0, base, mpmath.mpf)[-1]
-        a_n = mpmath.mpf(base.offdiag[-1]) ** 2
-        hnn = energy0 - mpmath.mpf(last_offdiag) ** 2 / (a_n * tail)
+    e, b, a, s = _dyadic_steps(energy0, base.diag[:-1].tolist(),
+                               base.offdiag.tolist() + [last_offdiag])
+    # step j takes (B_j, A_{j-1}) for Q_{j+1}; A_{-1} = 0
+    q_before, q_n = _minors(zip(b, [0] + a[:-2]), 0, 1)
+    for j, q in ((n - 1, q_before), (n, q_n)):
+        if q == 0:
+            raise DivergedTailError(j)
+    hnn = (e * q_n - a[-1] * q_before, q_n << s)
     diag, offdiag = base.diag.copy(), base.offdiag.copy()
-    diag[base.order] = float(hnn)
-    offdiag[base.order - 1] = last_offdiag
-    return PlantedChain(
-        params=params,
-        parity=parity,
-        order=base.order,
-        diag=diag,
-        offdiag=offdiag,
-        base=base,
-        target_energy=energy0,
-        variant=variant,
-        tail=float(tail),
-        planted_diag_nn=hnn,
-        digits=digits,
-    )
+    diag[n] = hnn[0] / hnn[1]
+    offdiag[n - 1] = last_offdiag
+    return PlantedChain(params=params, parity=parity, order=n, diag=diag, offdiag=offdiag,
+                        base=base, target_energy=energy0, variant=variant,
+                        tail=(q_n << s) / (a[-2] * q_before), planted_diag_nn=hnn)

@@ -6,9 +6,9 @@ planted pole's border residue (the squared site-0 amplitude of the planted
 mode, ~ g^(2N)/N!) falls factorially with the order, to ~2e-53 at N = 40,
 so in double precision the zero of the reciprocal and the pole of its
 denominator would sit closer together than one float spacing.  The
-pathological chain therefore carries its planted entry in extended
-precision and the reciprocal is evaluated at that precision; it reads
-~1e-40 at E0.  The planted eigenvalue of the double chain is verified to
+pathological chain therefore carries its planted entry as an exact
+rational and the reciprocal is evaluated exactly on it; it reads 0.0 at
+E0.  The planted eigenvalue of the double chain is verified to
 ~1e-14 of E0 at every order in test_resolvent.py::TestPathological.
 """
 
@@ -154,8 +154,8 @@ def test_criterion_4_pathological_truncation():
     # part (b), faithful to the stated criterion: |reciprocal| < 1e-9 at E0
     # for every order.  The planted pole's residue (~g^(2N)/N!) is below
     # one float spacing for orders >= 20, so this holds only because the
-    # planted entry and the reciprocal are carried in extended precision
-    # (see module docstring).
+    # planted entry and the reciprocal are computed exactly (see module
+    # docstring).
     for order in orders:
         assert reciprocals[order] < 1e-9, (
             f"planted-pole reciprocal at order {order} is {reciprocals[order]:.3e}; "

@@ -661,6 +661,18 @@ class TestPathological:
         )
         assert code == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_coupling(self):
+        # a_j = j g^2 overflows in double; the planted entries are exact
+        code, text = run_cli(
+            ["pathological", "--omega", "1", "--g", "1e154", "--delta", "0.4", "--e0", "0.5",
+             "--parity", "plus", "--order", "10,20"]
+        )
+        assert code == 0
+        _, header, rows = parse_csv(text)
+        assert [r[header.index("planted_reciprocal")] for r in rows] == ["0.0", "0.0"]
+        assert all(math.isfinite(float(r[header.index("tail_gn")])) for r in rows)
+
 
 class TestBound:
     def test_fixture(self):

@@ -2,7 +2,6 @@ import math
 from fractions import Fraction
 from itertools import product
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,9 +168,6 @@ _coefficient = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
               st.integers(-1100, 1024)))
-_mpf = st.one_of(
-    st.builds(mpmath.mpf, _coefficient),
-    st.builds(mpmath.ldexp, st.floats(-2.0, 2.0).map(mpmath.mpf), st.integers(-3000, 3000)))
 
 
 def _bits(pair):
@@ -183,13 +179,6 @@ def _bits(pair):
 @given(st.lists(st.tuples(_coefficient, _coefficient), max_size=24))
 def test_scaled_pair_equals_both_loops_every_step(steps):
     assert _bits(scaled_pair(steps)) == _bits(reference_scaled_pair(steps))
-
-
-@settings(max_examples=100)
-@given(st.lists(st.tuples(st.one_of(_mpf, _coefficient), _mpf), max_size=16))
-def test_scaled_pair_on_mpf_equals_both_loops_every_step(steps):
-    with mpmath.workdps(40):
-        assert _bits(scaled_pair(steps)) == _bits(reference_scaled_pair(steps))
 
 
 def reference_pivot_lanes(couplings, p):

@@ -1,5 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from rabicf import (
     resolvent_cf,
     sturm_count,
 )
+import rabicf
 from rabicf import resolvent
 from rabicf.model import ChainCoefficients
 from rabicf.recurrence import _ROWS, PIVMIN, SLACK, negative_pivots
@@ -402,8 +408,8 @@ class TestPathological:
     def test_planted_reciprocal_small_order(self):
         # at order 10 the planted pole's residue (~2e-5) would still be
         # resolvable in double precision; the planted chain carries its
-        # last entry in extended precision at every order, and the
-        # five-order sweep is checked in test_acceptance.py (criterion 4)
+        # last entry exactly at every order, and the five-order sweep is
+        # checked in test_acceptance.py (criterion 4)
         chain = build_pathological(0.5, FIXTURE, Parity.PLUS, 10)
         assert abs(resolvent_cf(0.5, chain).reciprocal) < 1e-9
 
@@ -419,8 +425,7 @@ class TestPathological:
 
     def test_precision_follows_planted_mode(self):
         # far below the diagonal the planted mode grows faster than
-        # sqrt(N!)/g^N; precision sized from that closed form leaves the
-        # reciprocal near 1e-19 here, sized from the mode itself near 1e-40
+        # sqrt(N!)/g^N; the exact planted entry leaves the reciprocal 0.0
         params = ModelParams(1.0, 0.2, 0.4)
         for order in (40, 160):
             chain = build_pathological(-8.0, params, Parity.PLUS, order)
@@ -458,3 +463,77 @@ class TestPathological:
         assert modified.slow_approach_diagnostic == pytest.approx(
             80 * (modified.tail - limit), rel=1e-14
         )
+
+
+def fraction_plant(chain):
+    """G_N(E_0) and H[N,N] of a planted chain in plain Fractions, from the
+    upward ratios G_1 .. G_N on every entry converted exactly."""
+    base, e = chain.base, Fraction(chain.target_energy)
+    b = [e - Fraction(d) for d in base.diag.tolist()]
+    a = [Fraction(o) ** 2 for o in base.offdiag.tolist()]
+    tail = b[0] / a[0]
+    for j in range(1, base.order):
+        tail = b[j] / a[j] - 1 / (a[j] * tail)
+    return tail, e - Fraction(chain.offdiag[-1]) ** 2 / (a[-1] * tail)
+
+
+def fraction_reciprocal(energy, chain, hnn):
+    """D_0/D_1 of a chain whose last diagonal entry is ``hnn``, from the
+    backward minors in plain Fractions on every entry converted exactly."""
+    e = Fraction(energy)
+    prev, cur = Fraction(1), e - hnn  # D_{N+1}, D_N
+    for d, o in zip(chain.diag[-2::-1].tolist(), chain.offdiag[::-1].tolist()):
+        prev, cur = cur, (e - Fraction(d)) * cur - Fraction(o) ** 2 * prev
+    return cur / prev
+
+
+class TestExactPlant:
+    """The planted entry and the planted reciprocal are exact rationals
+    rounded once."""
+
+    @pytest.mark.parametrize("variant", list(PathologicalVariant))
+    @pytest.mark.parametrize("params, parity, energy0", [
+        (FIXTURE, Parity.PLUS, 0.5),
+        (ModelParams(1.0, 0.2, 0.4), Parity.PLUS, -8.0),
+        (ModelParams(1.0, 1.5626, 0.1894), Parity.MINUS, -0.3491),
+    ])
+    def test_equals_the_fraction_reference(self, params, parity, energy0, variant):
+        for order in (10, 20, 40, 80, 160):
+            chain = build_pathological(energy0, params, parity, order, variant)
+            tail, hnn = fraction_plant(chain)
+            assert chain.tail == float(tail), order
+            assert chain.modified_diag_nn == float(hnn), order
+            assert fraction_reciprocal(energy0, chain, hnn) == 0
+            got = resolvent_cf(energy0, chain)
+            assert (got.reciprocal, got.status) == (0.0, ResolventStatus.POLE_HIT), order
+            for energy in (energy0 - 1e-3, energy0 + 1e-3):
+                want = float(fraction_reciprocal(energy, chain, hnn))
+                assert resolvent_cf(energy, chain).reciprocal == want, (order, energy)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_zero_leading_minor_reports_its_index(self, order):
+        # E0 = diag[0] zeroes Q_1, which is Q_N at order 1 and Q_{N-1} at order 2
+        with pytest.raises(DivergedTailError) as exc:
+            build_pathological(0.4, FIXTURE, Parity.PLUS, order)
+        assert exc.value.j == 1
+
+    def test_plants_past_a_zero_leading_minor(self):
+        # at order 3 only Q_1 vanishes, which the double recurrence refused
+        chain = build_pathological(0.4, FIXTURE, Parity.PLUS, 3)
+        assert resolvent_cf(0.4, chain).reciprocal == 0.0
+        assert sturm_count(0.4 + 1e-10, chain) - sturm_count(0.4 - 1e-10, chain) == 1
+
+    def test_no_mpmath_import(self):
+        # the CLI and a planted chain's resolvent run on numpy and ints alone
+        code = ("import io, sys\n"
+                "import rabicf.cli\n"
+                "argv = ['pathological', '--omega', '1', '--g', '0.7', '--delta', '0.4',\n"
+                "        '--e0', '0.5', '--order', '10,160']\n"
+                "assert rabicf.cli.main(argv, out=io.StringIO()) == 0\n"
+                "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n")
+        src = str(Path(rabicf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -66,7 +66,6 @@ from .resolvent import (
     ResolventValue,
     build_pathological,
     char_poly,
-    inverse_recurrence_tail,
     pole_count,
     poles_of_resolvent,
     resolvent_cf,

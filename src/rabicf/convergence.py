@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFewLevelsError
-from .model import ModelParams, Parity
+from .model import ModelParams, Parity, range_scale
 from .schweber import CfStatus, CfValue, DEN_FLOOR
 from .tridiag import SpectrumApproximation
 
@@ -83,14 +83,13 @@ def _margins(energy, params, parity, n, up_to, c):
     """min over levels [n, up_to] of |b_j| - (j g^2/c + c), for a constant
     ``c`` or each entry of an array of them.  For each c, inputs reaching
     beyond 2**256 (|E|, w*up_to, g*sqrt(up_to), D or c) are first scaled by
-    the power of two that brings the largest to at most 2**256, so that
-    j g^2 cannot overflow; power-of-two scaling commutes with rounding, so
-    the margin is exact up to that factor."""
+    ``range_scale`` of the largest, so that j g^2 cannot overflow, and the
+    margin is exact up to that factor."""
     j = _candidate_levels(energy, params, n, up_to)
     c = np.asarray(c, dtype=float)[..., None]
     w, g, d = params.omega, params.g, params.delta
     top = np.maximum(max(abs(energy), w * up_to, g * math.sqrt(up_to), w, d), c)
-    s = np.ldexp(1.0, np.minimum(0, 256 - np.frexp(top)[1]))
+    s = range_scale(top)
     lhs = np.abs(s * energy - j * (s * w) - parity.sign * ((-1.0) ** j) * (s * d))
     return np.min(lhs - (j * (s * g) * (s * g) / (s * c) + s * c), axis=-1) / s[..., 0]
 

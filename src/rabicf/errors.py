@@ -41,7 +41,8 @@ class DegenerateDenominatorError(RabiSolverError):
 
 
 class DivergedTailError(RabiSolverError):
-    """The upward resolvent recurrence passed through a pole."""
+    """An exact leading minor Q_j of a pathological plant is zero, so
+    G_N(E_0) or the planted entry has no value (``build_pathological``)."""
 
     def __init__(self, j: int):
         self.j = j

@@ -119,6 +119,12 @@ class ChainCoefficients:
         return self.offdiag * self.offdiag
 
 
+def range_scale(top):
+    """The power of two, at most 1, that brings the magnitude ``top`` (a float
+    or an array) to at most 2**256, where a product of two cannot overflow."""
+    return np.ldexp(1.0, np.minimum(0, 256 - np.frexp(top)[1]))
+
+
 def chain_diagonal(j, omega, sign, delta):
     """The diagonal j*omega + sign*(-1)**j*delta of the parity chain
     ``sign`` at the sites ``j``, a float array; ``delta`` broadcasts."""

@@ -18,10 +18,10 @@ divisions.  The two are algebraically identical, but the minor
 recurrence is linear and backward stable, passes through partial-fraction
 poles without blowup, and keeps a sign-true D_0 for refining a pole.
 The same fraction counts its poles: the forward pivots q_j = (d_j - E) -
-a_j/q_{j-1} of H - E are -a_{j+1} G_{j+1}(E), the upward ratios of
-``inverse_recurrence_tail`` scaled by -a_{j+1}, and the negative ones
-number the poles at or below E (``pole_count``,
-``recurrence.negative_pivots``).
+a_j/q_{j-1} of H - E are -P_{j+1}/P_j for the leading minors P_j =
+det(E - H)_{0..j-1} (the ratios G_{j+1}(E) of ``build_pathological``
+scaled by -a_{j+1}), and the negative ones number the poles at or below E
+(``pole_count``, ``recurrence.negative_pivots``).
 
 A pathological truncation's chain (``PlantedChain``) is the one exception
 to double precision: its planted pole has a border residue of roughly
@@ -64,7 +64,6 @@ __all__ = [
     "pole_count",
     "resolvent_cf",
     "poles_of_resolvent",
-    "inverse_recurrence_tail",
     "build_pathological",
     "E0_MIN_SEPARATION",
 ]
@@ -109,7 +108,7 @@ def char_poly(energy: float, chain: ChainCoefficients) -> tuple[float, float]:
 def pole_count(energy, chain: ChainCoefficients):
     """Poles of G_0 at or below ``energy`` (an int for a float, a 0-d lane,
     an int array for an array): the negative forward pivots q_0 .. q_N of
-    H - E, the upward ratios G_{j+1}(E) scaled by -a_{j+1}, an exactly
+    H - E, the ratios -P_{j+1}/P_j of its leading minors, an exactly
     singular one included (``recurrence.negative_pivots``).  The sweep stops
     where the rest of the chain is dominant above every lane (``dominant_row``)."""
     diag, a = chain.diag, [0.0] + chain.a_values().tolist()
@@ -220,33 +219,6 @@ def poles_of_resolvent(
     )
 
 
-def inverse_recurrence_tail(energy0: float, chain: ChainCoefficients) -> float:
-    """Run the two-term recurrence upward from a forced pole at energy0.
-
-    Demanding G_0(E_0) = infinity fixes the seed G_1 = b_0(E_0)/a_1, and
-
-        G_{j+1} = b_j(E_0)/a_{j+1} - 1/(a_{j+1} G_j)
-
-    climbs to G_N(E_0), in double.  The upward direction is the unstable
-    one for generic seeds, which the pathological construction exploits:
-    G_N tends to -omega/g^2 regardless of E_0 as the order grows.  A G_j
-    below the denominator floor raises DivergedTailError(j).
-    """
-    if chain.params.g == 0.0:
-        raise GZeroError("upward recurrence needs nonzero coupling (a_j > 0)")
-    if chain.order < 1:
-        raise ValueError("need order >= 1 for the upward recurrence")
-    if not math.isfinite(energy0):
-        raise ValueError("energy0 must be finite")
-    b, a = energy0 - chain.diag, chain.a_values()
-    tail = b[0] / a[0]  # G_1 = b_0/a_1
-    for j in range(1, chain.order):
-        if abs(tail) < DEN_FLOOR:
-            raise DivergedTailError(j)
-        tail = b[j] / a[j] - 1.0 / (a[j] * tail)
-    return float(tail)
-
-
 class PathologicalVariant(Enum):
     DIAG_ONLY = "diag"
     DIAG_AND_OFFDIAG = "diag-offdiag"
@@ -275,7 +247,7 @@ class PlantedChain(ChainCoefficients):
     base: ChainCoefficients
     target_energy: float
     variant: PathologicalVariant
-    tail: float  # G_N(E_0) from the upward recurrence
+    tail: float  # G_N(E_0), the exact rational rounded once
     planted_diag_nn: tuple[int, int] = field(repr=False)
 
     @property

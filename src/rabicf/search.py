@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .convergence import tail_depth_bound
-from .errors import DegenerateScanError, LevelSpacingError, LostBracketError
+from .errors import DegenerateScanError, LevelSpacingError, LostBracketError, RabiSolverError
 from .model import ModelParams, Parity, TruncationOrder, build_chain, chain_diagonal, checked_tol
 from .schweber import pair_secular, pole_guard, secular_count, spectral_function_a
 from .tridiag import (
@@ -424,8 +424,12 @@ class ScanResult:
 
 
 def _sweep_interval(base, parameter, vmax, order) -> tuple[float, float]:
-    """Spectrum envelope over the whole sweep (widest chain wins)."""
+    """Spectrum envelope over the whole sweep (widest chain wins).  A
+    squared coupling a_j = j g^2 that overflows there raises RabiSolverError."""
     p = replace(base, **{parameter: vmax})
+    if not math.isfinite(p.g * p.g * order):
+        raise RabiSolverError(f"scan: a squared coupling a_j overflows at "
+                              f"g = {p.g!r}, order {order}")
     ends = [gershgorin_interval(build_chain(p, parity, order)) for parity in Parity]
     return min(lo for lo, _ in ends), max(hi for _, hi in ends)
 

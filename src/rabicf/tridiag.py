@@ -43,7 +43,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import TooFewLevelsError
-from .model import ChainCoefficients, Parity, TruncationOrder, checked_tol
+from .model import ChainCoefficients, Parity, TruncationOrder, checked_tol, range_scale
 
 __all__ = [
     "SpectralMethod",
@@ -267,12 +267,13 @@ def gershgorin_interval(chain: ChainCoefficients) -> tuple[float, float]:
 
 def _squared(chain: ChainCoefficients) -> tuple[float, np.ndarray, np.ndarray, tuple]:
     """(scale, diag, off2, interval): the chain, its squared off-diagonals
-    and its Gershgorin interval, times ``scale``: 1, or 2**-256 for a chain
-    whose interval reaches beyond 2**256, whose squares would overflow from
-    about 2**512.  Power-of-two scaling commutes with rounding, so counts
-    and bisection in the scaled chain are exact up to that factor."""
+    and its Gershgorin interval, times ``scale``, the ``range_scale`` of the
+    interval's larger end: 1 unless it reaches beyond 2**256, and no square
+    can overflow.  Counts and bisection in the scaled chain are exact up to
+    that factor."""
     lo, hi = gershgorin_interval(chain)
-    scale = 2.0**-256 if max(-lo, hi) > 2.0**256 else 1.0
+    # range_scale is 1 below 2**256: ordinary chains skip its numpy calls
+    scale = 1.0 if max(-lo, hi) < 2.0**256 else float(range_scale(max(-lo, hi)))
     off = scale * chain.offdiag
     return scale, scale * chain.diag, off * off, (scale * lo, scale * hi)
 

@@ -498,6 +498,8 @@ COVARIANT = {
                  "--method-2", "diag", "--order-2", "400", "-m", "10"],
                 {"omega": 1, "g": 1, "delta": 1, "tol": 1, "max_deviation": 1},
                 {"energy_1": 1, "energy_2": 1, "deviation": 1}),
+    "bound": (["bound", *MODEL, "--energy", 7.25], {"omega": 1, "g": 1, "delta": 1, "energy": 1},
+              {"c": 1, "margin": 1}),
     "pathological": (["pathological", *MODEL, "--e0", 0.5, "--order", "10,20,40"],
                      {"omega": 1, "g": 1, "delta": 1, "e0": 1, "tail_limit": -1,
                       "min_separation": 1},
@@ -521,13 +523,15 @@ class TestScaleCovariance:
         return doc["metadata"], [(t["columns"], t["rows"]) for t in tables]
 
     # method a's rows are in units of omega: exact from 2**-510 to 2**511;
-    # the oracle scales a chain reaching beyond 2**256 down by 2**-256
-    # before it squares the off-diagonals
+    # the oracle scales a chain reaching beyond 2**256 down to at most
+    # 2**256 before it squares the off-diagonals, and bound's margins are
+    # formed on inputs scaled the same way
     @pytest.mark.parametrize("name, k", [
         *((name, k) for name in COVARIANT for k in (-270, -20, -3, 3, 16, 260)),
         *(("spectrum-a", k) for k in (-420, -416, -400, 500, 502, 510)),
         *(("compare", k) for k in (-420, -416, -400, 500, 502, 509, 510)),
         *(("spectrum-diag", k) for k in (509, 510)),
+        *(("bound", k) for k in (-500, -420, 500)),
     ])
     def test_outputs_scale_exactly(self, name, k, monkeypatch):
         # method a refining below one ulp of its levels would never end
@@ -673,6 +677,18 @@ class TestPathological:
         assert [r[header.index("planted_reciprocal")] for r in rows] == ["0.0", "0.0"]
         assert all(math.isfinite(float(r[header.index("tail_gn")])) for r in rows)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_separation_check_at_huge_coupling(self):
+        # the Sturm check squares the chain scaled to at most 2**256, where
+        # a fixed 2**-256 scale leaves g sqrt(j) above 2**512 from g ~ 1e231
+        code, text = run_cli(
+            ["pathological", "--omega", "1", "--g", "1e300", "--delta", "0.4", "--e0", "0.5",
+             "--parity", "plus", "--order", "10"]
+        )
+        assert code == 0
+        _, header, rows = parse_csv(text)
+        assert rows[0][header.index("planted_reciprocal")] == "0.0"
+
 
 class TestBound:
     def test_fixture(self):
@@ -701,6 +717,33 @@ class TestBound:
 
 
 class TestScan:
+    # a_j = j g^2 of the widest chain overflows: a g scan and a delta scan
+    # exit 3 with one named error and no numpy warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("param, g, start, stop", [
+        ("g", "0.7", "1e200", "2e200"), ("g", "0.7", "1e152", "3e153"),
+        ("delta", "1e200", "0.1", "1"),
+    ])
+    def test_couplings_overflow(self, param, g, start, stop, capsys):
+        argv = ["scan", "--omega", "1", "--g", g, "--delta", "0.4", "--param", param,
+                "--from", start, "--to", stop, "--steps", "10", "--levels", "1", "--order", "20"]
+        assert run_cli(argv) == (3, "")
+        top = float(stop if param == "g" else g)
+        assert capsys.readouterr().err == (f"rabicf: scan: a squared coupling a_j "
+                                           f"overflows at g = {top!r}, order 20\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_couplings_at_the_overflow_edge(self):
+        # 20 (2.998e153)**2 is still finite: the scan runs
+        code, text = run_cli(
+            ["scan", "--omega", "1", "--g", "0.7", "--delta", "0.4", "--param", "g",
+             "--from", "1e152", "--to", "2.998e153", "--steps", "10", "--levels", "2",
+             "--order", "20"]
+        )
+        assert code == 0
+        _, header, rows = parse_csv(text)
+        assert len(rows) > 0
+
     def test_delta_zero_degenerate(self):
         code, _ = run_cli(
             ["scan", "--omega", "1", "--g", "0.7", "--delta", "0", "--param", "g",

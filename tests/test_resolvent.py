@@ -22,7 +22,6 @@ from rabicf import (
     build_pathological,
     char_poly,
     eigenvalues,
-    inverse_recurrence_tail,
     pole_count,
     poles_of_resolvent,
     resolvent_cf,
@@ -347,36 +346,31 @@ class TestPolesOfResolvent:
             assert np.min(np.abs(minus - value)) > 0.1
 
 
-class TestInverseRecurrenceTail:
+class TestPlantedTail:
+    """G_N(E_0) of the plant, ``PlantedChain.tail``."""
+
     def test_seed_formula(self):
-        chain = build_chain(FIXTURE, Parity.PLUS, 1)
-        got = inverse_recurrence_tail(0.0, chain)
+        # at order 1, G_1 = b_0/a_1, rounded once
+        got = build_pathological(0.0, FIXTURE, Parity.PLUS, 1).tail
+        assert got == float(Fraction(0.0 - 0.4) / Fraction(0.7) ** 2)
         assert got == pytest.approx(-0.4 / 0.49, rel=1e-15)
         assert got == pytest.approx(-0.8163265306122449, rel=1e-14)
 
     def test_approach_to_limit(self):
-        # the upward recurrence is attracted to -omega/g^2 regardless of E0
+        # G_N(E0) tends to -omega/g^2 regardless of E0
         limit = -FIXTURE.omega / FIXTURE.g**2
-        g40 = inverse_recurrence_tail(0.5, build_chain(FIXTURE, Parity.PLUS, 40))
+        g40 = build_pathological(0.5, FIXTURE, Parity.PLUS, 40).tail
         assert abs(g40 - limit) < 0.1 * abs(limit)
 
     def test_monotone_approach(self):
         limit = -FIXTURE.omega / FIXTURE.g**2
-        g20 = inverse_recurrence_tail(0.5, build_chain(FIXTURE, Parity.PLUS, 20))
-        g200 = inverse_recurrence_tail(0.5, build_chain(FIXTURE, Parity.PLUS, 200))
+        g20 = build_pathological(0.5, FIXTURE, Parity.PLUS, 20).tail
+        g200 = build_pathological(0.5, FIXTURE, Parity.PLUS, 200).tail
         assert abs(g200 - limit) < abs(g20 - limit)
 
     def test_g_zero_rejected(self):
-        chain = build_chain(ModelParams(1.0, 0.0, 0.4), Parity.PLUS, 5)
         with pytest.raises(GZeroError):
-            inverse_recurrence_tail(0.0, chain)
-
-    def test_diverged_tail_reports_level(self):
-        # E0 on the first diagonal entry zeroes the seed: pole at j=1
-        chain = build_chain(FIXTURE, Parity.PLUS, 10)
-        with pytest.raises(DivergedTailError) as exc:
-            inverse_recurrence_tail(0.4, chain)
-        assert exc.value.j == 1
+            build_pathological(0.0, ModelParams(1.0, 0.0, 0.4), Parity.PLUS, 5)
 
 
 class TestPathological:

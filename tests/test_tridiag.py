@@ -113,6 +113,20 @@ class TestEigenvalues:
         )
         np.testing.assert_allclose(ours, lapack, atol=2e-11)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("g", [1e225, 1e231, 1e250, 1e300])
+    def test_huge_coupling_against_lapack(self, g):
+        # the chain is scaled to at most 2**256 before its off-diagonals are
+        # squared; LAPACK runs on it scaled by a power of two.  Counts are
+        # compared between levels, not at 0, where LAPACK cannot resolve
+        # the sign of the middle level.
+        chain = build_chain(ModelParams(1.0, g, 0.4), Parity.PLUS, 50)
+        s = math.ldexp(1.0, -math.frexp(g)[1] - 8)
+        lapack = eigh_tridiagonal(s * chain.diag, s * chain.offdiag, select="i",
+                                  select_range=(0, 2), eigvals_only=True) / s
+        np.testing.assert_allclose(eigenvalues(chain, 3).energies, lapack, rtol=1e-14)
+        assert sturm_count(0.5 * (lapack[:-1] + lapack[1:]), chain).tolist() == [1, 2]
+
     def test_interlacing(self):
         big = eigenvalues(build_chain(FIXTURE, Parity.PLUS, 41), 10).energies
         small = eigenvalues(build_chain(FIXTURE, Parity.PLUS, 40), 9).energies

@@ -17,8 +17,14 @@ commit):
   method b): exact counts for the README examples ``spectrum --method a
   --order 150 --levels 10`` and ``--method b --parity plus --levels 8`` at
   (omega, g, delta) = (1, 0.7, 0.4), and at orders 150, 300 and 600 on the
-  default window evaluations per bracket and the time of one
-  ``bisect_sign`` call (mean over the brackets, best of 5 solves);
+  default window evaluations per bracket and the time of one piece's
+  refinement (mean over the brackets, best of 5 solves);
+* for method b, where ``resolvent._refine_pole`` refines each pole on a
+  leading minor of D_0 (``resolvent._leading_minor``): its evaluations, the
+  rows each reads and the restarts on D_0 where its pivot test misses, for
+  the README method-b example and for ``spectrum --method b --levels 8`` at
+  g = 13 and 20 (omega 1, delta 0.4, default order), the D_0 evaluations
+  inside the refinement counted as above;
 * for those two README examples, the samples that ``search.bracket_roots``
   counts (the lengths of the arrays it hands its count) and the rows that
   each of its pivot sweeps reads (``schweber.secular_count``'s and
@@ -42,7 +48,11 @@ time of one grid pass (``bracket_roots`` at the default grid) of method a
 at 10 levels, orders 100-600, and of method b on the plus chain at 8
 levels, orders 300-1200, and of one ``recurrence.scaled_pair`` call on the
 steps of ``resolvent.char_poly`` at order 1200 and of
-``schweber.pair_secular`` at order 300; and the multisection
+``schweber.pair_secular`` at order 300; of method b on the plus chain at
+orders 300, 600 and 1200, one piece's refinement (each piece of an 8-level
+solve), one ``pole_count`` of one energy and of the 2000 grid samples, and
+one ``char_poly``; and of the whole g = 13 and 20 method-b requests
+(``cli.main``); and the multisection
 crossover on this checkout: ``tridiag._bisect`` on 720, 1440 and 4800
 per-row chains of the README g scan at orders 300 and 1200, each level
 from its interlacing start as ``eigenvalues_batch`` brackets it, with
@@ -63,6 +73,7 @@ import platform
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,6 +85,8 @@ README_SPECTRA = {
     "readme method a": (["--method", "a", "--order", "150", "--levels", "10"], "pair_secular"),
     "readme method b": (["--method", "b", "--parity", "plus", "--levels", "8"], "char_poly"),
 }
+LARGE_G = {f"method b, g = {g}": ["spectrum", "--omega", "1", "--g", g, "--delta", "0.4",
+                                   "--method", "b", "--levels", "8"] for g in ("13", "20")}
 ORDERS = (150, 300, 600)
 REPEATS = 5
 NUMBER = 5
@@ -156,7 +169,8 @@ def _root_cost() -> dict:
     from rabicf.cli import main
 
     seen = {"inside": False, "pair_secular": 0, "char_poly": 0, "brackets": 0, "s": 0.0,
-            "samples": 0, "gridding": False, "grid_rows": [], "narrowing_rows": []}
+            "samples": 0, "gridding": False, "grid_rows": [], "narrowing_rows": [],
+            "minor_rows": [], "restarts": 0}
 
     def pivots(module):
         """Wrap the pivot count that ``module``'s root count runs on, to
@@ -186,16 +200,33 @@ def _root_cost() -> dict:
 
         setattr(module, name, wrapper)
 
-    bisect_sign = search.bisect_sign
+    def refining(refine):
+        """``refine`` (one piece's refinement) counted and timed a bracket."""
+        def wrapper(*args, **kwargs):
+            seen["inside"], seen["brackets"] = True, seen["brackets"] + 1
+            start = time.perf_counter()
+            try:
+                return refine(*args, **kwargs)
+            finally:
+                seen["s"] += time.perf_counter() - start
+                seen["inside"] = False
 
-    def bisecting(*args, **kwargs):
-        seen["inside"], seen["brackets"] = True, seen["brackets"] + 1
-        start = time.perf_counter()
+        return wrapper
+
+    # a parent without the leading-minor refinement has none of these
+    minor = getattr(resolvent, "_leading_minor", None)
+
+    def minoring(*args, **kwargs):
+        seen["minor_rows"].append(kwargs["k"] + 1)
         try:
-            return bisect_sign(*args, **kwargs)
-        finally:
-            seen["s"] += time.perf_counter() - start
-            seen["inside"] = False
+            return minor(*args, **kwargs)
+        except resolvent._Unsettled:
+            seen["restarts"] += 1
+            raise
+
+    if minor is not None:
+        resolvent._leading_minor = minoring
+        resolvent._refine_pole = refining(resolvent._refine_pole)
 
     bracket_roots = search.bracket_roots
 
@@ -214,11 +245,15 @@ def _root_cost() -> dict:
     counted(resolvent, "char_poly")
     pivots(schweber)
     pivots(resolvent)
-    search.bisect_sign, search.bracket_roots = bisecting, scanning
+    search.bisect_sign, search.bracket_roots = refining(search.bisect_sign), scanning
 
     def reset():
         seen.update(pair_secular=0, char_poly=0, brackets=0, s=0.0, samples=0, grid_rows=[],
-                    narrowing_rows=[])
+                    narrowing_rows=[], minor_rows=[], restarts=0)
+
+    def minors():
+        return {"leading_minor_calls": len(seen["minor_rows"]),
+                "leading_minor_rows_read": seen["minor_rows"], "restarts": seen["restarts"]}
 
     result = {}
     for name, (argv, kernel) in README_SPECTRA.items():
@@ -229,6 +264,14 @@ def _root_cost() -> dict:
                         "grid_samples": seen["samples"], "grid_rows_read": seen["grid_rows"],
                         "narrowing_sweeps": len(seen["narrowing_rows"]),
                         "narrowing_rows_read": seen["narrowing_rows"]}
+        if kernel == "char_poly":
+            result[name] |= minors()
+    for name, argv in LARGE_G.items():
+        reset()
+        if main(argv, out=io.StringIO()) != 0:
+            raise RuntimeError(f"{name} failed")
+        result[name] = {"char_poly_calls": seen["char_poly"], "brackets": seen["brackets"],
+                        **minors()}
 
     params = ModelParams(1.0, 0.7, 0.4)
     solves = {
@@ -251,6 +294,8 @@ def _root_cost() -> dict:
                 "calls_per_bracket": round(seen[kernel] / seen["brackets"], 2),
                 "ms_per_bracket": round(1e3 * best / seen["brackets"], 3),
             }
+            if kernel == "char_poly":
+                result[f"{name}, order {order}"] |= minors()
     return result
 
 
@@ -441,6 +486,54 @@ def _scaled_pair_times(sides: dict) -> dict:
             for name, rows in steps.items()}
 
 
+def _method_b_times(sides: dict) -> dict:
+    """Milliseconds, parent against change, of method b's kernels on the plus
+    chain at (omega, g, delta) = (1, 0.7, 0.4) and orders 300, 600 and
+    1200: one piece's refinement (the 8 pieces of an 8-level solve on the
+    default window, each from the cell the narrowing reaches, per piece),
+    one ``pole_count`` of E = 0.5 and of the 2000 grid samples, and one
+    ``char_poly`` at E = 0.5; then one whole method-b request at g = 13 and
+    20 (``LARGE_G``), through each side's ``cli.main``."""
+    import numpy as np
+
+    change, result = sides["change"], {}
+    for order in CHAIN_ORDERS:
+        calls, count = {}, {}
+        for side, pkg in sides.items():
+            params = pkg.ModelParams(1.0, 0.7, 0.4)
+            chain = pkg.build_chain(params, pkg.Parity.PLUS, order)
+            window = pkg.search.default_window(params, 8)
+            grid = np.linspace(*window, pkg.search.DEFAULT_GRID)
+            calls[side] = {
+                "pole_count, one energy": lambda pkg=pkg, chain=chain:
+                    pkg.resolvent.pole_count(0.5, chain),
+                "pole_count, 2000 energies": lambda pkg=pkg, chain=chain, grid=grid:
+                    pkg.resolvent.pole_count(grid, chain),
+                "char_poly": lambda pkg=pkg, chain=chain: pkg.resolvent.char_poly(0.5, chain),
+            }
+            f = lambda e, pkg=pkg, chain=chain: pkg.resolvent.char_poly(e, chain)[0]
+            pieces = []
+            change.search.counted_roots(
+                lambda e, pkg=pkg, chain=chain: pkg.resolvent.pole_count(e, chain), f, window,
+                change.search.DEFAULT_GRID, 8, change.search.DEFAULT_REFINE_TOL,
+                refine=lambda f, *args, **kwargs: pieces.append((args, kwargs)) or 0.0)
+            refine = (partial(pkg.resolvent._refine_pole, chain)
+                      if hasattr(pkg.resolvent, "_refine_pole") else pkg.search.bisect_sign)
+            calls[side]["refinement, one piece"] = lambda refine=refine, f=f, pieces=pieces: [
+                refine(f, *args, **kwargs) for args, kwargs in pieces]
+            count[side] = len(pieces)
+        for name in calls["change"]:
+            ms = _alternating_ms({side: calls[side][name] for side in sides}, NUMBER)
+            if name.startswith("refinement"):
+                ms = {side: t / count[side] for side, t in ms.items()}
+            result[f"{name}, order {order}"] = _per_call(ms)
+    clis = {side: importlib.import_module(f"{pkg.__name__}.cli") for side, pkg in sides.items()}
+    for name, argv in LARGE_G.items():
+        result[name] = _per_call(_alternating_ms({
+            side: lambda cli=cli: cli.main(argv, out=io.StringIO()) for side, cli in clis.items()}))
+    return result
+
+
 def _crossover(rabicf) -> dict:
     """Milliseconds of one ``tridiag._bisect`` of the README g scan's per-row
     chains, levels 1..8 in turn, each from its interlacing start, with
@@ -501,6 +594,7 @@ def main(argv=None) -> int:
         "pivot sweep ms": _sweep_times(packages),
         "grid pass ms": _grid_pass_times(packages),
         "scaled_pair ms": _scaled_pair_times(packages),
+        "method b ms": _method_b_times(packages),
         "multisection crossover ms": _crossover(packages["change"]),
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

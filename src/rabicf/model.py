@@ -11,8 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
+
+from .errors import RabiSolverError
 
 __all__ = [
     "ModelParams",
@@ -118,6 +121,20 @@ class ChainCoefficients:
         """Continued-fraction numerators a_j = j*g**2 for j = 1..order."""
         return self.offdiag * self.offdiag
 
+    @cached_property
+    def couplings(self) -> tuple[float, ...]:
+        """a_0 .. a_N with a_0 = 0, the coupling column of the forward minor
+        and pivot recurrences; built on first use and kept with the chain."""
+        return (0.0, *self.a_values().tolist())
+
+    @cached_property
+    def coupling_roots(self) -> np.ndarray:
+        """b_0 .. b_{N+1} = sqrt(a_j), with b_{N+1} = 0: the dominance test's
+        off-diagonal magnitudes (``recurrence.dominant_row``), read-only."""
+        roots = np.sqrt(self.couplings + (0.0,))
+        roots.setflags(write=False)
+        return roots
+
 
 def range_scale(top):
     """The power of two, at most 1, that brings the magnitude ``top`` (a float
@@ -132,8 +149,12 @@ def chain_diagonal(j, omega, sign, delta):
 
 
 def build_chain(params: ModelParams, parity: Parity, order: TruncationOrder) -> ChainCoefficients:
-    """Build the truncated parity-chain coefficients for a parameter set."""
+    """Build the truncated parity-chain coefficients for a parameter set.
+    RabiSolverError where the largest off-diagonal g*sqrt(order) overflows."""
     n = checked_order(order, 0)
+    if not math.isfinite(params.g * math.sqrt(n)):
+        raise RabiSolverError(f"chain: an off-diagonal g*sqrt(j) overflows at "
+                              f"g = {params.g!r}, order {n}")
     diag = chain_diagonal(np.arange(n + 1, dtype=float), params.omega, parity.sign, params.delta)
     offdiag = params.g * np.sqrt(np.arange(1, n + 1, dtype=float))
     return ChainCoefficients(params=params, parity=parity, order=n, diag=diag, offdiag=offdiag)

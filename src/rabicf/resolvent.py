@@ -21,7 +21,12 @@ The same fraction counts its poles: the forward pivots q_j = (d_j - E) -
 a_j/q_{j-1} of H - E are -P_{j+1}/P_j for the leading minors P_j =
 det(E - H)_{0..j-1} (the ratios G_{j+1}(E) of ``build_pathological``
 scaled by -a_{j+1}), and the negative ones number the poles at or below E
-(``pole_count``, ``recurrence.negative_pivots``).
+(``pole_count``, ``recurrence.negative_pivots``).  Past the row where the
+rest of the chain is dominant and a pivot clears the next coupling, every
+later pivot is positive, so a leading minor P_{K+1} has D_0 = P_{N+1}'s
+sign up to (-1)**(N - K): each pole is refined on it (``_refine_pole``).
+A chain's couplings and their square roots are built once, on first use
+(``ChainCoefficients.couplings``, ``coupling_roots``).
 
 A pathological truncation's chain (``PlantedChain``) is the one exception
 to double precision: its planted pole has a border residue of roughly
@@ -35,6 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from itertools import chain as chained
 
 import numpy as np
 
@@ -45,9 +52,9 @@ from .errors import (
     RabiSolverError,
 )
 from .model import ChainCoefficients, ModelParams, Parity, TruncationOrder, build_chain
-from .recurrence import dominant_row, negative_pivots, scaled_pair
+from .recurrence import PIVMIN, SLACK, Scaled, dominant_row, negative_pivots, scaled_pair
 from .schweber import DEN_FLOOR
-from .search import DEFAULT_GRID, DEFAULT_REFINE_TOL, checked_window, counted_roots
+from .search import DEFAULT_GRID, DEFAULT_REFINE_TOL, bisect_sign, checked_window, counted_roots
 from .tridiag import (
     EnergyLevel,
     SpectralMethod,
@@ -72,6 +79,11 @@ __all__ = [
 # demonstration needs the planted pole to be separable from the real ones.
 E0_MIN_SEPARATION = 1e-6
 
+# Rows past the first row that settles D_0's sign at both ends of a pole's
+# piece, up to which the pole is refined: the row that settles the sign
+# moves out as the energy nears the pole.
+SETTLE_MARGIN = 32
+
 
 class ResolventStatus(Enum):
     CONVERGED = "converged"
@@ -93,14 +105,18 @@ class ResolventValue:
 
 def char_poly(energy: float, chain: ChainCoefficients) -> tuple[float, float]:
     """The characteristic minors (D_0, D_1) of E - H for a chain, both
-    under a shared positive power-of-two rescale (``rabicf.recurrence``).
+    under a shared positive power-of-two rescale (``rabicf.recurrence``),
+    run backward over all N + 1 rows.
 
     D_0 = det(E - H) up to that factor: its zeros over energy are the
-    truncated-chain eigenvalues, and D_1/D_0 is the border resolvent G_0.
+    truncated-chain eigenvalues, and D_1/D_0 is the border resolvent G_0
+    (``resolvent_cf``, each pole's residual).  A pole is refined on D_0
+    only where no leading minor settles its sign (``_refine_pole``).
     """
-    # step j takes (b_j, a_{j+1}); a_{N+1} = 0 starts from D_{N+2} = 0
-    a = np.append(chain.a_values(), 0.0)[::-1]
-    steps = zip((energy - chain.diag)[::-1].tolist(), a.tolist())
+    # step j takes (b_j, a_{j+1}); a_{N+1} = 0 starts from D_{N+2} = 0, and
+    # zip stops before a_0
+    couplings = chained((0.0,), reversed(chain.couplings))
+    steps = zip(reversed((energy - chain.diag).tolist()), couplings)
     d1, d0, _ = scaled_pair(steps)
     return d0, d1
 
@@ -111,11 +127,65 @@ def pole_count(energy, chain: ChainCoefficients):
     H - E, the ratios -P_{j+1}/P_j of its leading minors, an exactly
     singular one included (``recurrence.negative_pivots``).  The sweep stops
     where the rest of the chain is dominant above every lane (``dominant_row``)."""
-    diag, a = chain.diag, [0.0] + chain.a_values().tolist()
+    diag = chain.diag
     lanes, top = (-1,) + (1,) * np.ndim(energy), np.max(energy, initial=-np.inf)
-    count = negative_pivots(a, lambda i, j: diag[i:j].reshape(lanes) - energy,
-                            dominant_row(diag - top, np.sqrt(a + [0.0])))
+    count = negative_pivots(chain.couplings, lambda i, j: diag[i:j].reshape(lanes) - energy,
+                            dominant_row(diag - top, chain.coupling_roots))
     return int(count) if np.ndim(energy) == 0 else count
+
+
+class _Unsettled(Exception):
+    """A leading minor's pivot missed the dominance test at an energy."""
+
+
+def _settled_row(chain: ChainCoefficients, lo: float, hi: float) -> int:
+    """The last row K of the leading minors that a pole's piece (lo, hi) is
+    refined on: SETTLE_MARGIN rows past K0, the first row at or after
+    J - 1 whose forward pivots q_K0 at lo and at hi both clear
+    b_{K0+1}*(1 + SLACK), with J = ``dominant_row`` at hi; N when no row
+    before N - SETTLE_MARGIN clears.  A pivot of exactly 0 continues as
+    -PIVMIN, as in the pole count."""
+    n, b = chain.order, chain.coupling_roots
+    first = dominant_row(chain.diag - hi, b) - 1
+    q_lo = q_hi = math.inf
+    rows = chain.diag[:max(n - SETTLE_MARGIN, 0)]
+    for k, (d, a) in enumerate(zip(map(float, rows), chain.couplings)):
+        q_lo = (d - lo) - a / q_lo or -PIVMIN
+        q_hi = (d - hi) - a / q_hi or -PIVMIN
+        if k >= first and min(q_lo, q_hi) >= b[k + 1] * (1.0 + SLACK):
+            return k + SETTLE_MARGIN
+    return n
+
+
+def _leading_minor(energy: float, chain: ChainCoefficients, k: int) -> Scaled:
+    """(-1)**(N - K) * P_{K+1}(E), the leading minor det(E - H)_{0..K}
+    under the power-of-two rescale of ``scaled_pair``, which has the sign
+    of D_0 = P_{N+1} once the forward pivot q_K = -P_{K+1}/P_K clears
+    b_{K+1}*(1 + SLACK): every later row is dominant at energies up to the
+    piece's upper end, so every later pivot is positive.  _Unsettled where
+    it does not clear."""
+    prev, cur, exponent = scaled_pair(zip((energy - chain.diag[:k + 1]).tolist(),
+                                          chain.couplings))
+    if not (prev and -cur / prev >= chain.coupling_roots[k + 1] * (1.0 + SLACK)):
+        raise _Unsettled
+    return Scaled(-cur if (chain.order - k) % 2 else cur, exponent)
+
+
+def _refine_pole(chain: ChainCoefficients, f, lo: float, hi: float, tol: float, *,
+                 start) -> float:
+    """``search.bisect_sign`` on one pole's piece, with its arguments: on
+    the leading minor P_{K+1} of ``_settled_row`` where K < N, and on ``f``
+    (D_0) where K = N, or again from the same start cell where the minor's
+    pivot misses the test at an energy it is read at.  The two have the same
+    sign wherever the minor is read, so the root is the same."""
+    k = _settled_row(chain, lo, hi)
+    if k < chain.order:
+        try:
+            return bisect_sign(partial(_leading_minor, chain=chain, k=k), lo, hi, tol,
+                               start=start)
+        except _Unsettled:
+            pass
+    return bisect_sign(f, lo, hi, tol, start=start)
 
 
 def _dyadic_steps(energy: float, diag, offdiag) -> tuple[int, list[int], list[int], int]:
@@ -193,10 +263,12 @@ def poles_of_resolvent(
 
     ``search.counted_roots`` brackets the window's ``grid`` samples by
     ``pole_count``, which finds every pole at any grid of 2 or more
-    samples, and refines each pole by ITP on D_0 (``search.bisect_sign``;
-    not on the reciprocal, which also flips at the zeros of D_1) down to
-    DEFAULT_REFINE_TOL * omega.  The residual reported per pole is the
-    reciprocal magnitude there.
+    samples, and refines each pole by ITP (``search.bisect_sign``) down to
+    DEFAULT_REFINE_TOL * omega on a function with D_0's sign there (not on
+    the reciprocal, which also flips at the zeros of D_1): a leading minor
+    of D_0 up to a row that settles its sign, or D_0 on all rows
+    (``_refine_pole``), with the same root.  The residual reported per pole
+    is the reciprocal magnitude there, from D_0 and D_1 on all rows.
 
     Returns the poles found, fewer than ``max_levels`` or none when the
     window holds fewer; ``solve_method_a`` answers the same way, and a
@@ -211,7 +283,8 @@ def poles_of_resolvent(
             raise RabiSolverError(f"method b: a squared coupling a_j overflows at "
                                   f"g = {chain.params.g!r}, order {chain.order}")
     roots = counted_roots(lambda e: pole_count(e, chain), lambda e: char_poly(e, chain)[0],
-                          window, grid, max_levels, DEFAULT_REFINE_TOL * chain.params.omega)
+                          window, grid, max_levels, DEFAULT_REFINE_TOL * chain.params.omega,
+                          refine=partial(_refine_pole, chain))
     poles = [EnergyLevel(index=i, energy=root, residual=abs(resolvent_cf(root, chain).reciprocal))
              for i, (root, _) in enumerate(roots)]
     return SpectrumApproximation.from_levels(

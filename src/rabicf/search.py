@@ -11,7 +11,7 @@ narrow together by count down their bisection trees, 15 nodes a bracket in
 one count call a sweep: first to the piece that holds the bracket's own
 root alone, then 16 levels below it.  ITP (``bisect_sign``) refines each
 piece from the cell reached, on a function with no pole in it: P_N for
-method a, D_0 for method b.
+method a, D_0 or a leading minor with its sign for method b (``refine``).
 
 The crossing scan tracks oracle eigenvalues of both parity chains across a
 coupling sweep and records every inter-parity crossing together with the
@@ -241,7 +241,7 @@ def _itp_nodes(f, lo, hi, flo, fhi, depth, w0, tol) -> float:
 
 
 def counted_roots(count, f, window: tuple[float, float], grid: int, levels: int | None,
-                  tol: float) -> list[tuple[float, float | None]]:
+                  tol: float, refine=None) -> list[tuple[float, float | None]]:
     """The lowest ``levels`` roots in ``window`` (all when None), ascending,
     as (root, width) pairs.  ``count`` gives the number of roots at or below
     each energy of an array; ``f`` changes sign at each root and nowhere else.
@@ -251,7 +251,9 @@ def counted_roots(count, f, window: tuple[float, float], grid: int, levels: int 
     tree, all in lockstep (``_narrow``).  The first cell whose ends' counts
     differ by one is its piece, which holds that root alone.  The piece
     narrows NARROW_DEPTH levels further, and ``bisect_sign`` refines it on
-    ``f`` down to ``tol`` from the cell reached (width None).  A piece still
+    ``f`` down to ``tol`` from the cell reached (width None); ``refine``, when
+    given, stands in for ``bisect_sign`` there, called as it is, so that a
+    caller can refine each piece on a cheaper function of f's sign.  A piece still
     holding other roots at ``tol`` is a root at its midpoint, with its
     width.  One that holds several roots and cannot be halved although wider
     than ``tol`` (its midpoint is an end, or overflows) raises
@@ -260,7 +262,7 @@ def counted_roots(count, f, window: tuple[float, float], grid: int, levels: int 
     found: list[tuple[float, float | None]] = []
     for (a, b), start in _narrow(count, bracket_roots(count, window, grid, levels), tol):
         if start is not None:
-            found.append((bisect_sign(f, a, b, tol, start=start), None))
+            found.append(((refine or bisect_sign)(f, a, b, tol, start=start), None))
         elif b - a > tol:
             raise LevelSpacingError(f"levels in ({a!r}, {b!r}] lie closer together than "
                                     "halving can separate: below the float spacing there")
@@ -338,9 +340,16 @@ def _narrow(count, scan: BracketScan, tol: float) -> list:
 
 def default_window(params: ModelParams, levels: int) -> tuple[float, float]:
     """Envelope window holding at least ``levels`` low-lying states: the
-    g = 0 and delta = 0 exact spectra bound the sweep."""
-    lo = -params.g**2 / params.omega - params.delta - params.omega
-    hi = (levels + 2) * params.omega
+    g = 0 and delta = 0 exact spectra bound the sweep.  RabiSolverError
+    where an end overflows."""
+    try:
+        lo = -params.g**2 / params.omega - params.delta - params.omega
+        hi = (levels + 2) * params.omega
+    except OverflowError:
+        lo = hi = math.inf
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise RabiSolverError(f"the default window overflows at omega = {params.omega!r}, "
+                              f"g = {params.g!r}, delta = {params.delta!r}; pass --window")
     return lo, hi
 
 
@@ -551,7 +560,12 @@ def scan_levels(
         raise ValueError("steps must be >= 10")
     if order is None and math.isfinite(start) and math.isfinite(stop):  # nan/inf: refused below
         top = replace(params_base, **{parameter: max(abs(start), abs(stop))})
-        order = default_order(top, levels, default_window(top, levels))
+        try:
+            window = default_window(top, levels)
+        except RabiSolverError:  # a scan takes no --window
+            raise RabiSolverError(f"scan: the default window overflows at {parameter} = "
+                                  f"{getattr(top, parameter)!r}; pass --order") from None
+        order = default_order(top, levels, window)
     if order is not None and not 1 <= levels <= order + 1:
         raise ValueError(f"levels must be in 1..{order + 1} at order {order}, got {levels}")
     if not (math.isfinite(start) and math.isfinite(stop) and start < stop):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -304,14 +305,33 @@ class TestHalvingEnds:
         assert np.all(residuals <= np.maximum(1e-16, [math.ulp(e) for e in energies]))
 
     def test_method_b_refine_below_ulp(self, monkeypatch):
-        # one ulp of 9000 exceeds the 1e-12 refinement width
+        # one ulp of 9000 exceeds the 1e-12 refinement width; the pole is
+        # refined on a leading minor of D_0, or on D_0 after a restart
         call_limit(monkeypatch, rabicf.resolvent, "char_poly", 500)
+        call_limit(monkeypatch, rabicf.resolvent, "_leading_minor", 500)
         code, text = run_cli(["spectrum", *FIXTURE_ARGS, "--method", "b", "--parity", "plus",
                               "--order", "9100", "--window=9000:9002", "--levels", "1"])
         assert code == 0
         _, _, rows = parse_csv(text)
         assert len(rows) == 1
         assert 9000.0 < float(rows[0][1]) < 9002.0
+
+    def test_method_b_refine_below_ulp_on_a_leading_minor(self, monkeypatch):
+        # at order 9200 the pole near 9000 is refined on the leading minors
+        # up to row 9179, each capped as D_0 is
+        calls = []
+        real = rabicf.resolvent._leading_minor
+        monkeypatch.setattr(rabicf.resolvent, "_leading_minor",
+                            lambda *args, **kw: calls.append(kw["k"]) or real(*args, **kw))
+        call_limit(monkeypatch, rabicf.resolvent, "char_poly", 500)
+        call_limit(monkeypatch, rabicf.resolvent, "_leading_minor", 500)
+        code, text = run_cli(["spectrum", *FIXTURE_ARGS, "--method", "b", "--parity", "plus",
+                              "--order", "9200", "--window=9000:9002", "--levels", "1"])
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        assert len(rows) == 1
+        assert 9000.0 < float(rows[0][1]) < 9002.0
+        assert calls and set(calls) == {9179}
 
 
 # (energy, residual) rows of `spectrum --method diag --levels 3` for the
@@ -422,14 +442,11 @@ ARITHMETIC_FAILURES = {
     "bound-omega-underflow": ["bound", "--omega", "1e-300", "--g", "0.7", "--delta", "0.4",
                               "--energy", "1e10"],
     "bound-energy-overflow": ["bound", *FIXTURE_ARGS, "--energy", "1e308"],
-    "a-window-overflow": ["spectrum", "--omega", "1", "--g", "1e200", "--delta", "0.4",
-                          "--method", "a"],
 }
 # The exception each of them raises, named on the error line with the subcommand.
 ARITHMETIC_KINDS = {
     "bound-omega-underflow": "ZeroDivisionError",
     "bound-energy-overflow": "OverflowError",
-    "a-window-overflow": "OverflowError",
 }
 
 
@@ -473,6 +490,44 @@ class TestLevelSpacing:
         assert run_cli(argv) == (3, "")
         assert capsys.readouterr().err == (f"rabicf: method b: a squared coupling a_j "
                                            f"overflows at g = {float(g)!r}, order 300\n")
+
+
+class TestHugeCoupling:
+    # past g ~ 1.3e154 g**2 overflows in the default window: a request
+    # without --window exits 3 with one named error and no numpy warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method, g", [("a", "1e200"), ("b", "1e250"), ("diag", "1e250")])
+    def test_default_window_overflows(self, method, g, capsys):
+        argv = ["spectrum", "--omega", "1", "--g", g, "--delta", "0.4", "--method", method,
+                "--levels", "2", "--order", "50"]
+        assert run_cli(argv) == (3, "")
+        assert capsys.readouterr().err == (f"rabicf: the default window overflows at omega = "
+                                           f"1.0, g = {float(g)!r}, delta = 0.4; pass --window\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scan_default_window_overflows(self, capsys):
+        # a scan takes no --window: the default order needs the window
+        argv = ["scan", "--omega", "1", "--g", "0.7", "--delta", "0.4", "--param", "g",
+                "--from", "0.05", "--to", "1e250", "--steps", "10", "--levels", "1"]
+        assert run_cli(argv) == (3, "")
+        assert capsys.readouterr().err == ("rabicf: scan: the default window overflows at "
+                                           "g = 1e+250; pass --order\n")
+
+    # at g = 1e308 the off-diagonals g sqrt(j) themselves overflow: every
+    # route that builds the chain refuses it up front
+    @pytest.mark.parametrize("argv", [
+        ["pathological", "--omega", "1", "--g", "1e308", "--delta", "0.4", "--e0", "0.5",
+         "--parity", "plus", "--order", "10"],
+        ["spectrum", "--omega", "1", "--g", "1e308", "--delta", "0.4", "--method", "diag",
+         "--parity", "plus", "--levels", "2", "--order", "10", "--window=-1:1"],
+    ], ids=["pathological", "diag"])
+    def test_off_diagonal_overflows(self, argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(argv) == (3, "")
+        assert not caught
+        assert capsys.readouterr().err == ("rabicf: chain: an off-diagonal g*sqrt(j) overflows "
+                                           "at g = 1e+308, order 10\n")
 
 
 # Each case: argv at omega = 1, with the floats that scale with omega given

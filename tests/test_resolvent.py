@@ -32,7 +32,14 @@ from rabicf import resolvent
 from rabicf.model import ChainCoefficients
 from rabicf.recurrence import _ROWS, PIVMIN, SLACK, negative_pivots
 from rabicf.resolvent import PathologicalVariant
-from rabicf.search import default_window
+from rabicf.search import (
+    DEFAULT_GRID,
+    DEFAULT_REFINE_TOL,
+    bisect_sign,
+    counted_roots,
+    default_order,
+    default_window,
+)
 
 from conftest import FIXTURE, ORACLE_MINUS_12, ORACLE_PLUS_12
 
@@ -344,6 +351,118 @@ class TestPolesOfResolvent:
         # each value appears in exactly one chain
         for value in plus:
             assert np.min(np.abs(minus - value)) > 0.1
+
+
+def full_row_poles(chain, window, levels):
+    """The poles that ITP on D_0 over all N + 1 rows refines to: the
+    refinement ``poles_of_resolvent`` ran before its leading minors."""
+    return [root for root, _ in counted_roots(
+        lambda e: pole_count(e, chain), lambda e: char_poly(e, chain)[0], window,
+        DEFAULT_GRID, levels, DEFAULT_REFINE_TOL * chain.params.omega)]
+
+
+def counting_minors(monkeypatch):
+    """Count the leading-minor evaluations, and those that miss the pivot
+    test and so restart a piece on D_0."""
+    seen = {"evaluations": 0, "restarts": 0}
+    real = resolvent._leading_minor
+
+    def counted(*args, **kwargs):
+        seen["evaluations"] += 1
+        try:
+            return real(*args, **kwargs)
+        except resolvent._Unsettled:
+            seen["restarts"] += 1
+            raise
+
+    monkeypatch.setattr(resolvent, "_leading_minor", counted)
+    return seen
+
+
+class TestLeadingMinorRefinement:
+    """Each pole is refined on the leading minors up to a row that settles
+    D_0's sign, and comes out bit for bit as ITP on D_0 gives it."""
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_roots_equal_the_full_row_refinement(self, seed, parity, monkeypatch):
+        seen = counting_minors(monkeypatch)
+        rng = np.random.default_rng(seed)
+        for g, order in zip(np.geomspace(0.05, 3.0, 6), [10, 40, 150, 300, 600, 1200]):
+            params = ModelParams(1.0, g * rng.uniform(0.9, 1.1), rng.uniform(0.1, 1.5))
+            levels = int(rng.integers(4, 11))
+            chain, window = build_chain(params, parity, order), default_window(params, levels)
+            assert poles_of_resolvent(chain, window, levels).energies.tolist() == \
+                full_row_poles(chain, window, levels)
+        assert seen["evaluations"] > 10 * seen["restarts"]
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("g", [13.0, 20.0])
+    def test_large_coupling_at_the_default_order(self, g, parity):
+        # the pivot test misses at one of the first nodes of every piece
+        # there, and each piece restarts on D_0
+        params = ModelParams(1.0, g, 0.4)
+        window = default_window(params, 8)
+        chain = build_chain(params, parity, default_order(params, 8, window))
+        assert poles_of_resolvent(chain, window, 8).energies.tolist() == \
+            full_row_poles(chain, window, 8)
+
+    def test_restart_from_the_same_cell(self, monkeypatch):
+        # no margin: the pivot test misses at the first node of every piece,
+        # which then refines on D_0 from the cell it started from
+        monkeypatch.setattr(resolvent, "SETTLE_MARGIN", 0)
+        seen = counting_minors(monkeypatch)
+        calls, real = [], resolvent.bisect_sign
+
+        def recorded(f, *args, **kwargs):
+            calls.append((f, args, kwargs))
+            return real(f, *args, **kwargs)
+
+        monkeypatch.setattr(resolvent, "bisect_sign", recorded)
+        chain, window = build_chain(FIXTURE, Parity.PLUS, 300), default_window(FIXTURE, 8)
+        assert poles_of_resolvent(chain, window, 8).energies.tolist() == \
+            full_row_poles(chain, window, 8)
+        assert seen["restarts"] == 8 and len(calls) == 16
+        for (minor, *first), (d0, *again) in zip(calls[::2], calls[1::2]):
+            assert minor.func is resolvent._leading_minor and first == again
+            assert d0(0.5) == char_poly(0.5, chain)[0]
+
+    def test_minor_has_the_sign_of_d0(self):
+        # wherever its pivot test passes, (-1)**(N - K) P_{K+1} has D_0's sign
+        chain = build_chain(FIXTURE, Parity.PLUS, 300)
+        parities = set()
+        for e in np.linspace(-1.5, 9.0, 211).tolist():
+            k = resolvent._settled_row(chain, e, e)
+            assert k < chain.order
+            parities.add((chain.order - k) % 2)
+            assert np.sign(resolvent._leading_minor(e, chain, k)) == \
+                np.sign(char_poly(e, chain)[0]) != 0
+        assert parities == {0, 1}
+
+    @pytest.mark.parametrize("order", [0, 1, 20, 32, 33, 40])
+    def test_last_row_is_within_the_chain(self, order):
+        # K = min(N, K0 + SETTLE_MARGIN): a chain shorter than the margin
+        # refines on D_0
+        chain = build_chain(FIXTURE, Parity.PLUS, order)
+        k = resolvent._settled_row(chain, -1.0, -0.5)
+        assert k == order if order <= resolvent.SETTLE_MARGIN else k <= order
+
+    def test_exactly_zero_pivot(self):
+        # the piece (d_0, 1] of the README plus chain holds one pole, and at
+        # its lower end the first pivot d_0 - E is exactly 0
+        chain = build_chain(FIXTURE, Parity.PLUS, 300)
+        lo = float(chain.diag[0])
+        assert pole_count(1.0, chain) - pole_count(lo, chain) == 1
+        k = resolvent._settled_row(chain, lo, 1.0)
+        assert k < chain.order
+        d0 = lambda e: char_poly(e, chain)[0]
+        tol = DEFAULT_REFINE_TOL
+        assert resolvent._refine_pole(chain, d0, lo, 1.0, tol, start=(0, 0)) == \
+            bisect_sign(d0, lo, 1.0, tol, start=(0, 0))
+        # P_1 = 0 there, so the minors ending at rows 0 and 1 cannot vouch
+        for k in (0, 1):
+            with pytest.raises(resolvent._Unsettled):
+                resolvent._leading_minor(lo, chain, k)
 
 
 class TestPlantedTail:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -264,15 +265,17 @@ def reference_counted_roots(count, f, window, grid, levels, tol):
 
 
 def _request(method, params, order, levels):
-    """(count, f, window, tol) of a method-a solve or a method-b solve on the
-    plus chain, as ``solve_method_a`` and ``poles_of_resolvent`` form them."""
+    """(count, f, window, tol, refine) of a method-a solve or a method-b
+    solve on the plus chain, as ``solve_method_a`` and ``poles_of_resolvent``
+    form them: method b refines each piece on a leading minor of D_0."""
     window, tol = default_window(params, levels), search.DEFAULT_REFINE_TOL * params.omega
     if method == "a":
         return (lambda e: secular_count(e, params, order),
-                lambda e: pair_secular(e, params, order), window, tol)
+                lambda e: pair_secular(e, params, order), window, tol, None)
     chain = build_chain(params, Parity.PLUS, order)
     return (lambda e: resolvent.pole_count(e, chain),
-            lambda e: resolvent.char_poly(e, chain)[0], window, tol)
+            lambda e: resolvent.char_poly(e, chain)[0], window, tol,
+            partial(resolvent._refine_pole, chain))
 
 
 class TestLockstepNarrowing:
@@ -285,18 +288,20 @@ class TestLockstepNarrowing:
         for _ in range(3):
             params = ModelParams(1.0, rng.uniform(0.2, 3.0), rng.uniform(0.1, 1.5))
             levels = int(rng.integers(4, 13))
-            count, f, window, tol = _request(method, params, int(rng.integers(100, 601)), levels)
+            count, f, window, tol, refine = _request(method, params,
+                                                     int(rng.integers(100, 601)), levels)
             want = reference_counted_roots(count, f, window, search.DEFAULT_GRID, levels, tol)
-            assert counted_roots(count, f, window, search.DEFAULT_GRID, levels, tol) == want
+            assert counted_roots(count, f, window, search.DEFAULT_GRID, levels, tol,
+                                 refine=refine) == want
 
     @pytest.mark.parametrize("method", ["a", "b"])
     @pytest.mark.parametrize("grid", [2, 3])
     def test_cells_of_several_roots(self, method, grid):
         # a coarse grid leaves many roots in one cell: each bracket finds its
         # piece by count first
-        count, f, window, tol = _request(method, ModelParams(1.0, 1.0, 0.4), 300, 12)
+        count, f, window, tol, refine = _request(method, ModelParams(1.0, 1.0, 0.4), 300, 12)
         want = reference_counted_roots(count, f, window, grid, 12, tol)
-        assert counted_roots(count, f, window, grid, 12, tol) == want
+        assert counted_roots(count, f, window, grid, 12, tol, refine=refine) == want
         assert len(want) == 12 and all(width is None for _, width in want)
 
     def test_pieces_not_alone_at_tol(self):
@@ -414,10 +419,13 @@ def _sign_bisection(f, lo, hi, tol):
 def seeded_pieces():
     """(f, lo, hi, tol) of every piece that ``bisect_sign`` refines in
     seeded method-a solves and method-b solves (plus chain), six levels
-    each, at g in [0.2, 3], delta in [0.1, 1.5] and orders 100 to 1200."""
+    each, at g in [0.2, 3], delta in [0.1, 1.5] and orders 100 to 1200.
+    A method-b piece is recorded with D_0, which ``poles_of_resolvent``
+    hands its refinement hook as ``f``."""
     rng = np.random.default_rng(23)
-    pieces, real = [], search.bisect_sign
+    pieces, real, refine = [], search.bisect_sign, resolvent._refine_pole
     search.bisect_sign = lambda *args, **kw: pieces.append(args) or real(*args, **kw)
+    resolvent._refine_pole = lambda chain, *args, **kw: search.bisect_sign(*args, **kw)
     try:
         for method in ("a", "b") * 4:
             params = ModelParams(1.0, rng.uniform(0.2, 3.0), rng.uniform(0.1, 1.5))
@@ -427,7 +435,7 @@ def seeded_pieces():
             else:
                 poles_of_resolvent(build_chain(params, Parity.PLUS, order), window, 6)
     finally:
-        search.bisect_sign = real
+        search.bisect_sign, resolvent._refine_pole = real, refine
     assert len(pieces) == 48
     return pieces
 

@@ -16,12 +16,11 @@ particular beyond g = w.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TooFewLevelsError
-from .model import ModelParams, Parity, range_scale
+from .model import ModelParams, Parity, range_scale, record
 from .schweber import CfStatus, CfValue, DEN_FLOOR
 from .tridiag import SpectrumApproximation
 
@@ -35,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class PringsheimCertificate:
     """Finite verification of |b_j| >= a_j/c + c over j in [start_index,
     verified_up_to].  A certificate is not a proof for all j; callers pair

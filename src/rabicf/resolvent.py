@@ -24,7 +24,8 @@ scaled by -a_{j+1}), and the negative ones number the poles at or below E
 (``pole_count``, ``recurrence.negative_pivots``).  Past the row where the
 rest of the chain is dominant and a pivot clears the next coupling, every
 later pivot is positive, so a leading minor P_{K+1} has D_0 = P_{N+1}'s
-sign up to (-1)**(N - K): each pole is refined on it (``_refine_pole``).
+sign up to (-1)**(N - K): each pole is refined on it (``_refine_pole``),
+but where g**2/omega exceeds SETTLE_REACH.
 A chain's couplings and their square roots are built once, on first use
 (``ChainCoefficients.couplings``, ``coupling_roots``).
 
@@ -38,7 +39,6 @@ power of two (``_dyadic_steps``), and each value is rounded once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from itertools import chain as chained
@@ -51,7 +51,8 @@ from .errors import (
     PoleSeparationError,
     RabiSolverError,
 )
-from .model import ChainCoefficients, ModelParams, Parity, TruncationOrder, build_chain
+from .model import (ChainCoefficients, ModelParams, Parity, TruncationOrder, build_chain, field,
+                    record)
 from .recurrence import PIVMIN, SLACK, Scaled, dominant_row, negative_pivots, scaled_pair
 from .schweber import DEN_FLOOR
 from .search import DEFAULT_GRID, DEFAULT_REFINE_TOL, bisect_sign, checked_window, counted_roots
@@ -84,13 +85,22 @@ E0_MIN_SEPARATION = 1e-6
 # moves out as the energy nears the pole.
 SETTLE_MARGIN = 32
 
+# A chain whose coupling g**2/omega exceeds this many rows has every pole
+# refined on D_0.  Near its lowest levels, E ~ -g**2/omega, the diagonal gap
+# j*omega - E meets the dominance bound 2*g*sqrt(j) tangentially at row
+# g**2/omega, and the pivots settle slowly past it: from g = 6 (omega 1) on,
+# SETTLE_MARGIN rows miss the pivot test at the first nodes of most pieces,
+# which then restart on D_0, and a margin wide enough for them (J // 2) reads
+# more rows and, at g = 20, puts a root 14 ulps from D_0's.
+SETTLE_REACH = 32
+
 
 class ResolventStatus(Enum):
     CONVERGED = "converged"
     POLE_HIT = "pole-hit"
 
 
-@dataclass(frozen=True)
+@record
 class ResolventValue:
     """Border resolvent G_0(E) together with its reciprocal D_0/D_1.
 
@@ -111,7 +121,8 @@ def char_poly(energy: float, chain: ChainCoefficients) -> tuple[float, float]:
     D_0 = det(E - H) up to that factor: its zeros over energy are the
     truncated-chain eigenvalues, and D_1/D_0 is the border resolvent G_0
     (``resolvent_cf``, each pole's residual).  A pole is refined on D_0
-    only where no leading minor settles its sign (``_refine_pole``).
+    only where no leading minor settles its sign, or g**2/omega exceeds
+    SETTLE_REACH (``_refine_pole``).
     """
     # step j takes (b_j, a_{j+1}); a_{N+1} = 0 starts from D_{N+2} = 0, and
     # zip stops before a_0
@@ -142,10 +153,12 @@ def _settled_row(chain: ChainCoefficients, lo: float, hi: float) -> int:
     """The last row K of the leading minors that a pole's piece (lo, hi) is
     refined on: SETTLE_MARGIN rows past K0, the first row at or after
     J - 1 whose forward pivots q_K0 at lo and at hi both clear
-    b_{K0+1}*(1 + SLACK), with J = ``dominant_row`` at hi; N when no row
-    before N - SETTLE_MARGIN clears.  A pivot of exactly 0 continues as
-    -PIVMIN, as in the pole count."""
-    n, b = chain.order, chain.coupling_roots
+    b_{K0+1}*(1 + SLACK), with J = ``dominant_row`` at hi; N where g**2/omega
+    exceeds SETTLE_REACH or no row before N - SETTLE_MARGIN clears.  A pivot
+    of exactly 0 continues as -PIVMIN, as in the pole count."""
+    n, b, p = chain.order, chain.coupling_roots, chain.params
+    if p.g * p.g > SETTLE_REACH * p.omega:
+        return n
     first = dominant_row(chain.diag - hi, b) - 1
     q_lo = q_hi = math.inf
     rows = chain.diag[:max(n - SETTLE_MARGIN, 0)]
@@ -297,7 +310,7 @@ class PathologicalVariant(Enum):
     DIAG_AND_OFFDIAG = "diag-offdiag"
 
 
-@dataclass(frozen=True)
+@record
 class PlantedChain(ChainCoefficients):
     """The chain of a pathological truncation: ``base`` altered in its last
     entries so the border resolvent acquires a pole at ``target_energy``,

@@ -29,7 +29,6 @@ coefficient sequences are kept as ratios K_{n+1}/K_n, which need no rescale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -41,7 +40,7 @@ from .errors import (
     PoleError,
     TooShortError,
 )
-from .model import ModelParams, TruncationOrder, checked_order, shifted_energy
+from .model import ModelParams, TruncationOrder, checked_order, record, shifted_energy
 from .recurrence import Scaled, dominant_row, negative_pivots, scaled_pair
 
 __all__ = [
@@ -81,7 +80,7 @@ class CfStatus(Enum):
     OVERFLOW = "overflow"
 
 
-@dataclass(frozen=True)
+@record
 class CfValue:
     """Value of a finite continued fraction plus its evaluation status.
 
@@ -96,7 +95,7 @@ class CfValue:
         return self.status is CfStatus.CONVERGED
 
 
-@dataclass(frozen=True)
+@record
 class SchweberCoefficient:
     """Recurrence coefficient f_n(E); ``at_pole`` marks the guard interval
     around x(E) = n*omega where the value is undefined."""
@@ -165,7 +164,7 @@ def _coeff_values(
     return _f_of_detune(detune, params)
 
 
-@dataclass(frozen=True)
+@record
 class CoefficientSequence:
     """Coefficients K_0..K_N with K_0 = 1, stored as their successive
     ratios r[n] = K_{n+1}/K_n, so that no diagnostic overflows or
@@ -296,7 +295,7 @@ def spectral_function_a(
     return CfValue(value=f0 - tail.value, status=CfStatus.CONVERGED)
 
 
-@dataclass(frozen=True)
+@record
 class ConvergentPair:
     """Numerator/denominator pair (A_n, B_n) of the n-th convergent.
 

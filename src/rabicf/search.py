@@ -23,13 +23,13 @@ only the two levels involved from warm-started brackets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .convergence import tail_depth_bound
 from .errors import DegenerateScanError, LevelSpacingError, LostBracketError, RabiSolverError
-from .model import ModelParams, Parity, TruncationOrder, build_chain, chain_diagonal, checked_tol
+from .model import (ModelParams, Parity, TruncationOrder, build_chain, chain_diagonal, checked_tol,
+                    record)
 from .schweber import pair_secular, pole_guard, secular_count, spectral_function_a
 from .tridiag import (
     DEFAULT_EIG_TOL,
@@ -88,7 +88,7 @@ ITP_KAPPA1 = 0.2
 ITP_N0 = 1
 
 
-@dataclass(frozen=True)
+@record
 class BracketScan:
     """Root brackets of a counted function, in sample order, with the
     count at both ends of each: a cell over which the count rises by k
@@ -271,7 +271,7 @@ def counted_roots(count, f, window: tuple[float, float], grid: int, levels: int 
     return found
 
 
-@dataclass
+@record(frozen=False)
 class _Narrowing:
     """A bracket of ``_narrow``: its cell (lo, hi] with the counts at both
     ends and the root number k it narrows toward; once found, its piece, the
@@ -371,7 +371,7 @@ def default_order(params: ModelParams, levels: int, window: tuple[float, float])
     return order
 
 
-@dataclass(frozen=True)
+@record
 class MethodAResult:
     spectrum: SpectrumApproximation
 
@@ -410,7 +410,7 @@ def solve_method_a(
     ))
 
 
-@dataclass(frozen=True)
+@record
 class CrossingEvent:
     """An inter-parity level crossing found during a parameter scan."""
 
@@ -423,7 +423,7 @@ class CrossingEvent:
     deviation: float
 
 
-@dataclass(frozen=True)
+@record
 class ScanResult:
     order: TruncationOrder
     values: np.ndarray
@@ -432,10 +432,17 @@ class ScanResult:
     events: tuple[CrossingEvent, ...]
 
 
+def _params_at(base: ModelParams, parameter: str, value: float) -> ModelParams:
+    """``base`` with the scanned ``parameter`` ("g" or "delta") at ``value``."""
+    if parameter == "g":
+        return ModelParams(base.omega, value, base.delta)
+    return ModelParams(base.omega, base.g, value)
+
+
 def _sweep_interval(base, parameter, vmax, order) -> tuple[float, float]:
     """Spectrum envelope over the whole sweep (widest chain wins).  A
     squared coupling a_j = j g^2 that overflows there raises RabiSolverError."""
-    p = replace(base, **{parameter: vmax})
+    p = _params_at(base, parameter, vmax)
     if not math.isfinite(p.g * p.g * order):
         raise RabiSolverError(f"scan: a squared coupling a_j overflows at "
                               f"g = {p.g!r}, order {order}")
@@ -559,7 +566,7 @@ def scan_levels(
     if steps < 10:
         raise ValueError("steps must be >= 10")
     if order is None and math.isfinite(start) and math.isfinite(stop):  # nan/inf: refused below
-        top = replace(params_base, **{parameter: max(abs(start), abs(stop))})
+        top = _params_at(params_base, parameter, max(abs(start), abs(stop)))
         try:
             window = default_window(top, levels)
         except RabiSolverError:  # a scan takes no --window

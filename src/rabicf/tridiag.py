@@ -37,13 +37,13 @@ gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import TooFewLevelsError
-from .model import ChainCoefficients, Parity, TruncationOrder, checked_tol, range_scale
+from .model import (ChainCoefficients, Parity, TruncationOrder, checked_tol, field, range_scale,
+                    record)
 
 __all__ = [
     "SpectralMethod",
@@ -75,14 +75,14 @@ class SpectralMethod(Enum):
     ORACLE = "oracle"
 
 
-@dataclass(frozen=True)
+@record
 class EnergyLevel:
     index: int
     energy: float
     residual: float
 
 
-@dataclass(frozen=True)
+@record
 class SpectrumApproximation:
     """Ordered low-lying spectrum estimate with per-level residuals.
 

@@ -379,6 +379,21 @@ def counting_minors(monkeypatch):
     return seen
 
 
+def assert_not_imported(module: str, argv: list[str]):
+    """Import rabicf.cli in a fresh interpreter, run ``argv`` through
+    ``main`` and require that ``module`` was never imported."""
+    code = ("import io, sys\n"
+            "import rabicf.cli\n"
+            f"assert rabicf.cli.main({argv!r}, out=io.StringIO()) == 0\n"
+            f"assert {module!r} not in sys.modules, '{module} was imported'\n")
+    src = str(Path(rabicf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 class TestLeadingMinorRefinement:
     """Each pole is refined on the leading minors up to a row that settles
     D_0's sign, and comes out bit for bit as ITP on D_0 gives it."""
@@ -398,14 +413,16 @@ class TestLeadingMinorRefinement:
 
     @pytest.mark.parametrize("parity", list(Parity))
     @pytest.mark.parametrize("g", [13.0, 20.0])
-    def test_large_coupling_at_the_default_order(self, g, parity):
-        # the pivot test misses at one of the first nodes of every piece
-        # there, and each piece restarts on D_0
+    def test_large_coupling_at_the_default_order(self, g, parity, monkeypatch):
+        # g**2/omega is past SETTLE_REACH rows there: every piece is refined
+        # on D_0 from the start, with no minor to restart
+        seen = counting_minors(monkeypatch)
         params = ModelParams(1.0, g, 0.4)
         window = default_window(params, 8)
         chain = build_chain(params, parity, default_order(params, 8, window))
         assert poles_of_resolvent(chain, window, 8).energies.tolist() == \
             full_row_poles(chain, window, 8)
+        assert seen == {"evaluations": 0, "restarts": 0}
 
     def test_restart_from_the_same_cell(self, monkeypatch):
         # no margin: the pivot test misses at the first node of every piece,
@@ -438,6 +455,13 @@ class TestLeadingMinorRefinement:
             assert np.sign(resolvent._leading_minor(e, chain, k)) == \
                 np.sign(char_poly(e, chain)[0]) != 0
         assert parities == {0, 1}
+
+    @pytest.mark.parametrize("g", [5.0, 5.65, 5.66, 6.0])
+    def test_reach(self, g):
+        # a chain with g**2/omega past SETTLE_REACH rows refines on D_0
+        chain = build_chain(ModelParams(1.0, g, 0.4), Parity.PLUS, 400)
+        reach = g * g > resolvent.SETTLE_REACH
+        assert (resolvent._settled_row(chain, -g * g - 0.5, -g * g) == chain.order) == reach
 
     @pytest.mark.parametrize("order", [0, 1, 20, 32, 33, 40])
     def test_last_row_is_within_the_chain(self, order):
@@ -638,15 +662,11 @@ class TestExactPlant:
 
     def test_no_mpmath_import(self):
         # the CLI and a planted chain's resolvent run on numpy and ints alone
-        code = ("import io, sys\n"
-                "import rabicf.cli\n"
-                "argv = ['pathological', '--omega', '1', '--g', '0.7', '--delta', '0.4',\n"
-                "        '--e0', '0.5', '--order', '10,160']\n"
-                "assert rabicf.cli.main(argv, out=io.StringIO()) == 0\n"
-                "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n")
-        src = str(Path(rabicf.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
+        assert_not_imported("mpmath", ["pathological", "--omega", "1", "--g", "0.7",
+                                       "--delta", "0.4", "--e0", "0.5", "--order", "10,160"])
+
+    def test_no_dataclasses_import(self):
+        # the records are built without dataclasses, which compiles their
+        # methods with exec at import
+        assert_not_imported("dataclasses", ["spectrum", "--omega", "1", "--g", "0.7",
+                                            "--delta", "0.4", "--method", "b", "--levels", "4"])

@@ -39,7 +39,12 @@ commit):
   chain steps read per sweep (a sweep that stops where the tail is
   dominant reads fewer than n + 1) and, for this checkout, whether every
   count equals the per-step rule that ``tests/test_tridiag.py`` keeps as
-  its reference.
+  its reference;
+* the scan's chain tables: the rows of each parity's diag and off2 tables
+  built for the README g scan's tracks (all of them where the tables are
+  full arrays), and the tracemalloc peak and the time (best of REPEATS) of
+  ``search._spectra_at`` on the README g scan and on a g scan of 2000
+  steps over 0.05..3 at order 2000 (8 levels).
 
 Then, in this process, the time of one pivot sweep of each of those calls,
 the parent's kernel on its own sweeps and this checkout's on its own,
@@ -113,7 +118,55 @@ def measure(src: str) -> dict:
     import rabicf
 
     return {"crossing refinement": _crossing_cost(), "root refinement": _root_cost(),
-            "pivot sweeps": _sweep_counts(rabicf, Path(src).resolve() == ROOT / "src")}
+            "pivot sweeps": _sweep_counts(rabicf, Path(src).resolve() == ROOT / "src"),
+            "scan tables": _table_cost()}
+
+
+def _table_cost() -> dict:
+    """Rows built of the README g scan's track tables, and the peak and
+    time of ``search._spectra_at`` at README size and at 2000 x 2000."""
+    import tracemalloc
+
+    import numpy as np
+    from rabicf import ModelParams, Parity, search
+
+    base, spec = ModelParams(1.0, 0.7, 0.4), README_SCAN
+    built, batch_tables = {}, search._batch_tables
+
+    def recording(base, parameter, values, sign, order):
+        built[Parity(sign).label] = tables = batch_tables(base, parameter, values, sign, order)
+        return tables
+
+    def spectra(steps, order, stop):
+        values = np.linspace(spec["from"], stop, steps)
+        interval = search._sweep_interval(base, "g", stop, order)
+        return lambda: search._spectra_at(base, "g", values, spec["levels"], order, 1e-11,
+                                          interval)
+
+    search._batch_tables = recording
+    try:
+        spectra(spec["steps"], spec["order"], spec["to"])()
+    finally:
+        search._batch_tables = batch_tables
+    # a table built a block at a time keeps its blocks; a full array is all built
+    result = {"readme g scan tracks, rows built": {
+        parity: dict(zip(("diag", "off2"), (sum(map(len, getattr(t, "_blocks", [t])))
+                                            for t in tables)))
+        for parity, tables in built.items()}}
+    for name, (steps, order, stop) in {"readme g scan": (spec["steps"], spec["order"], spec["to"]),
+                                       "g scan, 2000 steps, order 2000": (2000, 2000, 3.0)}.items():
+        call, times = spectra(steps, order, stop), []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - start)
+        tracemalloc.start()
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        result[f"{name} _spectra_at"] = {"ms": round(1e3 * min(times), 1),
+                                         "tracemalloc_peak_kib": round(peak / 1024)}
+    return result
 
 
 def _crossing_cost() -> dict:
@@ -372,7 +425,7 @@ def _sweep_counts(rabicf, reference: bool) -> dict:
         if reference:
             result[name]["counts_equal_reference"] = all(
                 np.array_equal(got, reference_pivot_counts(
-                    e, np.moveaxis(diag, 0, -1), np.moveaxis(off2, 0, -1)))
+                    e, np.moveaxis(diag[:], 0, -1), np.moveaxis(off2[:], 0, -1)))
                 for got, (e, diag, off2, *_) in zip(counts, calls))
     return result
 

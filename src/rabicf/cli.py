@@ -375,12 +375,9 @@ def cmd_scan(args, out) -> int:
     track_cols = ([args.param]
                   + [f"plus_{n}" for n in range(args.levels)]
                   + [f"minus_{n}" for n in range(args.levels)])
-    track_rows = [
-        [float(result.values[i])]
-        + [float(v) for v in result.plus_levels[i]]
-        + [float(v) for v in result.minus_levels[i]]
-        for i in range(len(result.values))
-    ]
+    track_rows = [[x, *p, *m] for x, p, m in zip(result.values.tolist(),
+                                                 result.plus_levels.tolist(),
+                                                 result.minus_levels.tolist())]
     # the file first: an unwritable path fails before anything is printed
     if args.levels_out:
         with open(args.levels_out, "w", encoding="utf-8") as fh:

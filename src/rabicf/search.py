@@ -36,6 +36,7 @@ from .tridiag import (
     EnergyLevel,
     SpectralMethod,
     SpectrumApproximation,
+    StepTable,
     eigenvalues_batch,
     eigenvalues_rows,
     gershgorin_interval,
@@ -451,15 +452,17 @@ def _sweep_interval(base, parameter, vmax, order) -> tuple[float, float]:
 
 
 def _batch_tables(base, parameter, values, sign, order):
-    """Step-major (diag, off2) tables of shape (order+1, S) / (order, S) of
-    the parity chain ``sign`` at each scanned value: :func:`build_chain`'s
-    ``chain_diagonal`` and g**2 * j, as broadcast views."""
-    j = np.arange(order + 1, dtype=float)[:, None]
+    """Step-major (diag, off2) tables, (order+1, S) and (order, S), of the
+    parity chain ``sign`` (one for all, or one a chain) at each scanned
+    value: :func:`build_chain`'s ``chain_diagonal`` and g**2 * j, as
+    :class:`StepTable`s built only as deep as the sweeps read.  Their keys
+    are sign*delta and g**2, in which fl(j*omega +- delta) and fl(j*g**2)
+    are monotone."""
+    j = np.arange(order + 1, dtype=float)
     g, delta = (values, base.delta) if parameter == "g" else (base.g, values)
-    diag = chain_diagonal(j, base.omega, sign, delta)
-    off2 = g**2 * j[1:]
-    return (np.broadcast_to(diag, (order + 1, len(values))),
-            np.broadcast_to(off2, (order, len(values))))
+    return (StepTable(lambda j, sd: chain_diagonal(j, base.omega, 1.0, sd), j, sign * delta,
+                      np.shape(values)),
+            StepTable(lambda j, g2: g2 * j, j[1:], g**2, np.shape(values)))
 
 
 def _spectra_at(base, parameter, values, levels, order, tol, interval):
@@ -500,8 +503,8 @@ def _refine_events(base, parameter, a_idx, b_idx, lo, hi, e_lo, e_hi, order, tol
         reach_hi = lip * (hi[sel] - x)[:, None]
         guess_lo = np.maximum(e_lo[sel] - reach_lo, e_hi[sel] - reach_hi) - tol
         guess_hi = np.minimum(e_lo[sel] + reach_lo, e_hi[sel] + reach_hi) + tol
-        tables = [_batch_tables(base, parameter, x, parity.sign, order) for parity in Parity]
-        diag, off2 = (np.concatenate(t, axis=1) for t in zip(*tables))
+        diag, off2 = _batch_tables(base, parameter, np.concatenate([x, x]),
+                                   np.repeat([parity.sign for parity in Parity], len(x)), order)
         energies = eigenvalues_rows(diag, off2, np.concatenate([a_idx[sel], b_idx[sel]]),
                                     cell, interval, guess_lo.T.ravel(), guess_hi.T.ravel())
         return energies.reshape(2, -1).T

@@ -15,12 +15,13 @@ multisection, as in LAPACK ``dstebz``; Demmel, *Applied Numerical Linear
 Algebra*, 5.3), the thousands of a parameter scan's tracks one, and all
 end in the cell that bisection reaches wherever the count is monotone.
 
-A pivot sweep runs over step-major tables, diag (n+1, ...) and off2
-(n, ...), a block of chain steps at a time with two in-place numpy calls a
-step.  The PIVMIN rule is checked once a block and a block is run again
-only from the first pivot within PIVMIN of zero, as in LAPACK ``dlaneg``:
-the count is the per-step rule's, bit for bit, whose monotonicity Demmel,
-Dhillon and Ren analyse (ETNA 3, 1995).
+A pivot sweep takes its step-major tables, diag (n+1, ...) and off2
+(n, ...), one slice a block of chain steps, with two in-place numpy calls a
+step; a scan's tables are built a block at a time, only as deep as its
+sweeps read (:class:`StepTable`).  The PIVMIN rule is checked once a block
+and a block is run again only from the first pivot within PIVMIN of zero,
+as in LAPACK ``dlaneg``: the count is the per-step rule's, bit for bit,
+whose monotonicity Demmel, Dhillon and Ren analyse (ETNA 3, 1995).
 
 A sweep stops at the end of a block once the rest of every chain is
 diagonally dominant above its largest energy, read from one floor a step,
@@ -146,6 +147,37 @@ def _steps(diag: np.ndarray, lanes: tuple) -> np.ndarray:
     return diag.reshape(diag.shape[:1] + (1,) * (len(lanes) + 1 - diag.ndim) + diag.shape[1:])
 
 
+class StepTable:
+    """A step-major table of chains, shape (n,) + ``chains``, whose steps
+    i..k-1 are ``fill(j[i:k, None], key)``: built when a sweep first reads
+    them, a block of _ROWS steps at a time, and kept for the sweeps after
+    it.  A slice [i:k] inside one block, as each of a sweep's is, is a view.
+
+    ``key`` is a float, or one a chain, in which ``fill`` is monotone at
+    every step; so ``ends``, the table of the chains at its least and
+    largest key, holds every step's least and largest entry, all that
+    :func:`_dominance_floor` reads.
+    """
+
+    def __init__(self, fill, j: np.ndarray, key, chains: tuple):
+        key = np.asarray(key, dtype=float)
+        self.shape, self.ndim = (len(j),) + chains, 1 + len(chains)
+        self._fill, self._j, self._key, self._blocks = fill, j[:, None], key, []
+        self.ends = fill(self._j, key[[np.argmin(key), np.argmax(key)]] if key.ndim else key)
+
+    def __getitem__(self, steps: slice) -> np.ndarray:
+        i, k, _ = steps.indices(self.shape[0])
+        while (built := len(self._blocks) * _ROWS) < k:
+            j = self._j[built:built + _ROWS]
+            self._blocks.append(np.broadcast_to(self._fill(j, self._key),
+                                                (len(j),) + self.shape[1:]))
+        b = i // _ROWS
+        if k > (b + 1) * _ROWS or b >= len(self._blocks):  # across blocks, or empty
+            return np.concatenate([np.empty((0,) + self.shape[1:]), *self._blocks[b:]])[
+                i - b * _ROWS:k - b * _ROWS]
+        return self._blocks[b][i - b * _ROWS:k - b * _ROWS]
+
+
 def _dominance_floor(diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
     """S_0 .. S_{n+1} of the step-major tables, a lower bound on the rows of
     every chain from step J on:
@@ -157,7 +189,9 @@ def _dominance_floor(diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
     root of the largest a_j = ``off2[j-1]`` (a_0 = a_{n+1} = 0).  Each float
     operation rounds monotonically, so S_J is at most every chain's own
     suffix minimum.  No energy passes the NaN or -inf of an inf or NaN entry.
+    A :class:`StepTable` gives them from its ``ends``, bit for bit.
     """
+    diag, off2 = getattr(diag, "ends", diag), getattr(off2, "ends", off2)
     n1 = diag.shape[0]
     lo = np.min(diag, axis=tuple(range(1, diag.ndim)))
     mag = np.maximum(np.max(diag, axis=tuple(range(1, diag.ndim))), -lo)
@@ -173,7 +207,7 @@ def _pivot_sweep(energies, diag, off2, floor) -> tuple[np.ndarray, int]:
     """(counts, steps read) of :func:`_negative_pivot_counts`."""
     energies = np.asarray(energies, dtype=float)
     lanes = np.broadcast_shapes(energies.shape, diag.shape[1:], off2.shape[1:])
-    n1, diag = diag.shape[0], _steps(diag, lanes)
+    n1, a = diag.shape[0], [None]
     rows = np.empty((_ROWS + 1,) + lanes)  # row 0: the last pivot of the block before
     neg = np.empty((_ROWS,) + lanes, dtype=bool)
     t = np.empty(lanes)
@@ -183,12 +217,14 @@ def _pivot_sweep(energies, diag, off2, floor) -> tuple[np.ndarray, int]:
         top = np.max(energies + _SLACK * np.abs(energies), initial=-np.inf)
         for j0 in range(0, n1, _ROWS):
             m = min(_ROWS, n1 - j0)
-            np.subtract(diag[j0:j0 + m], energies, out=rows[1:m + 1])
+            # one slice of each table a block; a[i - 1] is the a_j into row i
+            d, a = _steps(diag[j0:j0 + m], lanes), [a[-1], *off2[j0:j0 + m]]
+            np.subtract(d, energies, out=rows[1:m + 1])
             first, check = (2 if j0 == 0 else 1), 1
             while True:
                 for i in range(first, m + 1):  # row i is step j0 + i - 1
                     q = rows[i, ...]  # a view, also for scalar energies
-                    np.divide(off2[j0 + i - 2], rows[i - 1], out=t)
+                    np.divide(a[i - 1], rows[i - 1], out=t)
                     np.subtract(q, t, out=q)
                 # no pivot in [-PIVMIN, PIVMIN] when as many are <= PIVMIN as < -PIVMIN
                 np.less_equal(rows[check:m + 1], PIVMIN, out=neg[check - 1:m])
@@ -197,7 +233,7 @@ def _pivot_sweep(energies, diag, off2, floor) -> tuple[np.ndarray, int]:
                 tiny = np.abs(rows[check:m + 1]) <= PIVMIN
                 r = check + int(np.flatnonzero(tiny.reshape(len(tiny), -1).any(axis=1))[0])
                 np.copyto(rows[r, ...], -PIVMIN, where=tiny[r - check])
-                np.subtract(diag[j0 + r:j0 + m], energies, out=rows[r + 1:m + 1])
+                np.subtract(d[r:], energies, out=rows[r + 1:m + 1])
                 first = check = r + 1
             count += np.add.reduce(neg[:m].view(np.uint8), axis=0, dtype=np.uint8)
             rows[0] = rows[m]
@@ -205,7 +241,7 @@ def _pivot_sweep(energies, diag, off2, floor) -> tuple[np.ndarray, int]:
             if end < n1 and floor[end] >= top:
                 # np.count_nonzero, not np.all, which would map in one more
                 # numpy loop on the oracle's requests (about 60 KiB of RSS)
-                held = rows[0] >= np.sqrt(off2[end - 1]) * (1.0 + _SLACK)
+                held = rows[0] >= np.sqrt(a[m]) * (1.0 + _SLACK)
                 if np.count_nonzero(held) == held.size:
                     return count, end
     return count, n1
@@ -337,7 +373,7 @@ def _start_tops(diag, off2, first_k, tol, interval) -> np.ndarray:
     chains = np.broadcast_shapes(diag.shape[1:], off2.shape[1:])
     b = np.zeros((first_k + 1,) + chains)
     b[1:first_k] = np.sqrt(off2[:first_k - 1])
-    d = _steps(diag, chains)[:first_k]
+    d = _steps(diag[:first_k], chains)
 
     def ends(r):
         return d + r + 2.0**-50 * (np.abs(d) + r)
@@ -435,9 +471,9 @@ def eigenvalues_batch(
     """Low-level batched bisection over many chains at once.
 
     The tables are step-major: ``diag`` has shape (n+1, S) or (n+1,),
-    ``off2`` shape (n, S); returns an (S, first_k) array.  Used by the
-    parameter scan, where hundreds of chains differ only in their
-    off-diagonals.  The brackets are level-major, (first_k, S), so that
+    ``off2`` shape (n, S), either one a :class:`StepTable`; returns an
+    (S, first_k) array.  Used by the parameter scan, whose hundreds of
+    chains differ in their off-diagonals (g) or diagonals (delta).  The brackets are level-major, (first_k, S), so that
     each step of a pivot sweep runs over the S chains in one inner loop,
     level k of each chain from ``interval[0]`` up to its :func:`_start_tops`.
     """

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -30,7 +32,9 @@ import rabicf.resolvent as resolvent
 import rabicf.search as search
 from rabicf.recurrence import Scaled
 from rabicf.resolvent import poles_of_resolvent
+from rabicf.cli import main
 from rabicf.search import BracketScan, bisect_sign, counted_roots, default_window
+from rabicf.tridiag import _ROWS, StepTable, _dominance_floor
 
 from conftest import FIXTURE, ORACLE_UNION_24
 
@@ -769,8 +773,107 @@ class TestBatchTables:
         for row, value in enumerate(values):
             params = (ModelParams(FIXTURE.omega, value, FIXTURE.delta) if parameter == "g"
                       else ModelParams(FIXTURE.omega, FIXTURE.g, value))
-            np.testing.assert_array_equal(diag[:, row], build_chain(params, parity, order).diag)
-            np.testing.assert_array_equal(off2[:, row], params.g**2 * j)
+            np.testing.assert_array_equal(diag[:][:, row], build_chain(params, parity, order).diag)
+            np.testing.assert_array_equal(off2[:][:, row], params.g**2 * j)
+
+
+# scans whose tables built on demand are checked against full ones: the
+# README g scan, a g scan across g = 0, and the delta scans of the
+# coupling-scan workload at seeds 1, 2, 3 and 20121205 (bench/workloads.py)
+ON_DEMAND_SCANS = {
+    "readme g scan": ("0.7", "g", "0.05", "1.2", "600", "8", "300"),
+    "g scan across 0": ("0.7", "g", "-1", "1.3", "600", "8", "300"),
+    **{f"delta scan, seed {seed}": (g, "delta", lo, hi, "200", "6", "150") for seed, g, lo, hi in (
+        (1, "0.62", "0.127", "1.5892"), (2, "0.616", "0.1105", "1.5124"),
+        (3, "0.7055", "0.0754", "1.4263"), (20121205, "0.7959", "0.1106", "1.5814"))},
+}
+
+
+class TestTablesOnDemand:
+    """The scan's tables are built a block of _ROWS steps at a time, only as
+    deep as its pivot sweeps read, and give what full tables give."""
+
+    @staticmethod
+    def _scan(name, path):
+        """The scan through ``scan_levels`` and through ``cli.main`` with its
+        tracks written to ``path``: (tracks, events, exit, stdout, tracks file)."""
+        g, param, lo, hi, steps, levels, order = ON_DEMAND_SCANS[name]
+        base = ModelParams(1.0, float(g), 0.4)
+        result = scan_levels(base, param, float(lo), float(hi), int(steps), int(levels),
+                             int(order))
+        out = io.StringIO()
+        code = main(["scan", "--omega", "1", "--g", g, "--delta", "0.4", "--param", param,
+                     "--from", lo, "--to", hi, "--steps", steps, "--levels", levels,
+                     "--order", order, "--levels-out", str(path)], out=out)
+        return (result.plus_levels.tobytes() + result.minus_levels.tobytes(), result.events,
+                code, out.getvalue(), path.read_bytes())
+
+    @pytest.mark.parametrize("name", ON_DEMAND_SCANS)
+    def test_bit_identical_to_full_tables(self, name, monkeypatch, tmp_path):
+        got = self._scan(name, tmp_path / "blocks.csv")
+        # the reference: every table built whole as an ndarray, through the
+        # same eigenvalues_batch and eigenvalues_rows
+        real = search._batch_tables
+        monkeypatch.setattr(search, "_batch_tables",
+                            lambda *args: tuple(table[:] for table in real(*args)))
+        want = self._scan(name, tmp_path / "full.csv")
+        assert got == want
+        assert want[1] and want[2] == 0
+
+    @pytest.mark.parametrize("parameter, values, sign", [
+        ("g", np.linspace(0.05, 1.2, 600), 1),
+        ("g", np.linspace(-1.0, 1.3, 600), -1),
+        ("delta", np.linspace(0.127, 1.5892, 200), 1),
+        ("delta", np.linspace(0.0754, 1.4263, 200), -1),
+        # the crossing refinement's rows: both parities, values in no order
+        ("g", np.tile([0.9, -0.3, 1.1, 0.2], 2), np.repeat([1, -1], 4)),
+        ("delta", np.tile([0.9, 0.3, 1.1, 0.2], 2), np.repeat([1, -1], 4)),
+    ])
+    def test_extremes_from_two_chains(self, parameter, values, sign):
+        # fl(j*g**2) and fl(j*omega +- delta) are monotone in g**2 and
+        # sign*delta, so the chains at their least and largest hold every
+        # step's least and largest entry, and the floor is the full tables'
+        tables = search._batch_tables(FIXTURE, parameter, values, sign, 150)
+        for table in tables:
+            for extreme in (np.min, np.max):
+                assert extreme(table.ends, axis=1).tobytes() == extreme(table[:], axis=1).tobytes()
+        want = _dominance_floor(*(table[:] for table in tables))
+        assert _dominance_floor(*tables).tobytes() == want.tobytes()
+
+    def test_readme_scan_builds_one_block(self, monkeypatch):
+        # every table of the tracks and of the crossing refinement is read
+        # by sweeps that stop after the first block of 32 of its 301 steps
+        made = []
+
+        class Recorded(StepTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(search, "StepTable", Recorded)
+        scan_levels(FIXTURE, "g", 0.05, 1.2, 600, 8, 300)
+        assert len(made) > 4
+        assert {len(t._blocks) for t in made} == {1}
+        assert {t._blocks[0].shape[0] for t in made} == {_ROWS}
+
+    @staticmethod
+    def _peak(steps, order, stop):
+        """tracemalloc peak of ``search._spectra_at`` on a g scan of the fixture."""
+        values = np.linspace(0.05, stop, steps)
+        interval = search._sweep_interval(FIXTURE, "g", stop, order)
+        tracemalloc.start()
+        try:
+            search._spectra_at(FIXTURE, "g", values, 8, order, 1e-11, interval)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_follows_the_rows_read(self):
+        # the same 2000-step scan at four times the order reads the same
+        # rows; a full off2 table at order 2000 alone takes 32 MB
+        assert self._peak(2000, 2000, 3.0) <= 1.25 * self._peak(2000, 500, 3.0)
+        # the README scan: 3.3 MB with its full tables
+        assert self._peak(600, 300, 1.2) < 2.5e6
 
 
 # level pairs of the README scan's crossings in value order, as bisection

@@ -177,7 +177,7 @@ class TestEigenvaluesRows:
         cold = eigenvalues_batch(diag, off2, 6, 1e-11, interval)
         rows, index = np.divmod(np.arange(cold.size), 6)
         cell = lattice_cell(1e-11)
-        return diag[:, rows], off2[:, rows], index, interval, cold.ravel(), cell
+        return diag[:][:, rows], off2[:][:, rows], index, interval, cold.ravel(), cell
 
     @pytest.mark.parametrize("order", [300, 1200])
     @pytest.mark.parametrize("parameter", ["g", "delta"])
@@ -237,8 +237,8 @@ class TestLatticeCell:
         diag, off2 = _batch_tables(params, "g", np.array([24.0]), 1.0, order)
         cold = eigenvalues_batch(diag, off2, 3, cell, interval)[0]
         assert np.all(np.abs(cold) > 512.0)
-        got = eigenvalues_rows(np.broadcast_to(diag, (order + 1, 3)),
-                               np.broadcast_to(off2, (order, 3)), np.arange(3),
+        got = eigenvalues_rows(np.broadcast_to(diag[:], (order + 1, 3)),
+                               np.broadcast_to(off2[:], (order, 3)), np.arange(3),
                                cell, interval, cold - 1e-6, cold + 1e-6)
         np.testing.assert_array_equal(got, cold)
 
@@ -329,7 +329,8 @@ def assert_same_counts(energies, diag, off2):
     """The sweep on step-major tables, with its dominance exit, equals the
     per-step rule, bit for bit."""
     got = _negative_pivot_counts(energies, diag, off2, _dominance_floor(diag, off2))
-    want = reference_pivot_counts(energies, np.moveaxis(diag, 0, -1), np.moveaxis(off2, 0, -1))
+    want = reference_pivot_counts(energies, np.moveaxis(diag[:], 0, -1),
+                                  np.moveaxis(off2[:], 0, -1))
     assert got.shape == want.shape
     np.testing.assert_array_equal(got, want)
     return got
@@ -367,7 +368,7 @@ class TestPivotSweep:
         values = np.sort(rng.uniform(0.2, 1.5, 7))
         for parameter in ("g", "delta"):
             diag, off2 = _batch_tables(params, parameter, values, chain.parity.sign, chain.order)
-            assert 0 in diag.strides + off2.strides
+            assert 0 in diag[:1].strides + off2[:1].strides
             assert_same_counts(rng.uniform(lo, hi, (3, 4, 7)), diag, off2)
 
     @pytest.mark.parametrize("planted", [[0], [_ROWS - 1], [_ROWS], [ORDER],
@@ -649,10 +650,21 @@ class TestDominanceExit:
             j = np.arange(151.0)[:, None]
             diag = j * rng.uniform(0.2, 2.0, 3) + rng.normal(0.0, 40.0, (151, 3))
             off2 = rng.uniform(0.0, 3.0, (150, 3)) ** 2 * j[1:]
-        own = self._suffix_minima(diag, off2)
+        own = self._suffix_minima(diag[:], off2[:])
         floor = _dominance_floor(diag, off2)
         assert floor.shape == (diag.shape[0] + 1,) and floor[-1] == np.inf
         assert np.all(floor[:-1, None] <= own)
+
+    def test_exit_reads_the_next_coupling(self):
+        # after a first block of small pivots, a_32 = 1e4 into a dominant
+        # row d_32 = 210 drives q_32 negative: the exit after that block
+        # needs q_31 >= b_32 = 100, so the sweep reads on and counts it
+        diag, off2 = np.full(2 * _ROWS + 1, 2.0), np.full(2 * _ROWS, 0.01)
+        diag[_ROWS], off2[_ROWS - 1] = 210.0, 1e4
+        energies = np.array([0.0])
+        got, read = _pivot_sweep(energies, diag, off2, _dominance_floor(diag, off2))
+        assert read == 2 * _ROWS
+        assert got.tolist() == reference_pivot_counts(energies, diag, off2).tolist() == [1]
 
     @pytest.mark.parametrize("table, value", [
         ("diag", np.inf), ("diag", -np.inf), ("diag", np.nan), ("off2", np.inf), ("off2", np.nan)])

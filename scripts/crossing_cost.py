@@ -8,10 +8,10 @@ those under ``--parent-src`` (for example a ``git archive`` of the parent
 commit):
 
 * the README coupling scan and the seeded delta scan of the coupling-scan
-  workload (``bench/workloads.py``): for every scan the wall time, the
-  events, and what reached the crossing refinement: parameter steps per
-  event and pivot sweeps (calls of ``tridiag._negative_pivot_counts``) with
-  the Sturm counts they evaluated and the chain steps they read;
+  workload (``bench/workloads.py``): for every scan the events and what
+  reached the crossing refinement: parameter steps per event and pivot
+  sweeps (calls of ``tridiag._negative_pivot_counts``) with the Sturm
+  counts they evaluated and the chain steps they read;
 * the evaluations that ``search.bisect_sign`` makes of P_N
   (``schweber.pair_secular``, method a) and of D_0 (``resolvent.char_poly``,
   method b): exact counts for the README examples ``spectrum --method a
@@ -46,7 +46,9 @@ commit):
   ``search._spectra_at`` on the README g scan and on a g scan of 2000
   steps over 0.05..3 at order 2000 (8 levels).
 
-Then, in this process, the time of one pivot sweep of each of those calls,
+Then, in this process, the time of each of those scans (``scan_levels``),
+parent against change (median of REPEATS alternating rounds); the time of
+one pivot sweep of each of those calls,
 the parent's kernel on its own sweeps and this checkout's on its own,
 interleaved (median of REPEATS alternating rounds); in the same way the
 time of one grid pass (``bracket_roots`` at the default grid) of method a
@@ -199,13 +201,10 @@ def _crossing_cost() -> dict:
     for name, spec in _cases().items():
         seen.update(sweeps=0, counts=0, steps=0, itp_steps=[])
         base = ModelParams(1.0, spec["g"], spec["delta"])
-        start = time.perf_counter()
         scan = scan_levels(base, spec["param"], spec["from"], spec["to"], spec["steps"],
                            spec["levels"], spec["order"])
-        wall = time.perf_counter() - start
         events = len(scan.events)
         result[name] = {
-            "wall_s": round(wall, 3),
             "events": events,
             "parameter_steps_per_event": seen["itp_steps"],
             "pivot_sweeps": seen["sweeps"],
@@ -244,14 +243,20 @@ def _root_cost() -> dict:
 
         module.negative_pivots = counting
 
-    def counted(module, name):
+    def counted(module, name, *copies):
+        """Count ``module.name``'s calls inside a refinement, also through
+        each of ``copies`` that binds the same function (a parent's ``search``
+        imported ``pair_secular`` at load; this checkout's reads
+        ``schweber``'s binding at every ``solve_method_a`` call)."""
         real = getattr(module, name)
 
         def wrapper(*args):
             seen[name] += seen["inside"]
             return real(*args)
 
-        setattr(module, name, wrapper)
+        for holder in (module, *copies):
+            if getattr(holder, name, None) is real:
+                setattr(holder, name, wrapper)
 
     def refining(refine):
         """``refine`` (one piece's refinement) counted and timed a bracket."""
@@ -294,7 +299,7 @@ def _root_cost() -> dict:
         finally:
             seen["gridding"] = False
 
-    counted(search, "pair_secular")
+    counted(schweber, "pair_secular", search)
     counted(resolvent, "char_poly")
     pivots(schweber)
     pivots(resolvent)
@@ -461,6 +466,19 @@ def _per_call(ms: dict) -> dict:
     """``_alternating_ms`` medians as a record, with the parent/change ratio."""
     return {"ms_per_call": {side: round(t, 4) for side, t in ms.items()},
             "speedup": round(ms["parent"] / ms["change"], 2)}
+
+
+def _scan_times(sides: dict) -> dict:
+    """Milliseconds of each scan of ``_cases`` (``scan_levels``), the parent
+    package against the change's, in REPEATS alternating rounds."""
+    result = {}
+    for name, spec in _cases().items():
+        calls = {side: lambda pkg=pkg, spec=spec: pkg.scan_levels(
+            pkg.ModelParams(1.0, spec["g"], spec["delta"]), spec["param"], spec["from"],
+            spec["to"], spec["steps"], spec["levels"], spec["order"])
+            for side, pkg in sides.items()}
+        result[name] = _per_call(_alternating_ms(calls))
+    return result
 
 
 def _sweep_times(sides: dict) -> dict:
@@ -644,6 +662,7 @@ def main(argv=None) -> int:
                  "python": platform.python_version(), "numpy": numpy.__version__},
         "compare": json.loads(Path(args.compare).read_text(encoding="utf-8")),
         "refinement": sides,
+        "scan ms": _scan_times(packages),
         "pivot sweep ms": _sweep_times(packages),
         "grid pass ms": _grid_pass_times(packages),
         "scaled_pair ms": _scaled_pair_times(packages),

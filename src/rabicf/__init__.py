@@ -18,81 +18,55 @@ count that stops at the dominant tail, both in ``recurrence``, for one
 root driver in ``search``, next to the crossing detector; ``convergence``
 certifies resolvent-tail convergence and bounds the truncation depth;
 ``cli`` exposes everything as subcommands.
+
+Names are resolved on first use (PEP 562): ``import rabicf`` loads no
+submodule, and ``rabicf.eigenvalues`` or ``from rabicf import eigenvalues``
+imports ``tridiag`` (and what it imports) then, so a process compiles only
+the modules it runs.  Every submodule resolves as an attribute too.
 """
 
-from .errors import (
-    DegenerateDenominatorError,
-    DegenerateScanError,
-    DeltaZeroError,
-    DivergedTailError,
-    GZeroError,
-    LevelSpacingError,
-    LostBracketError,
-    PoleError,
-    PoleSeparationError,
-    RabiSolverError,
-    TooFewLevelsError,
-    TooShortError,
-)
-from .model import (
-    ChainCoefficients,
-    ModelParams,
-    Parity,
-    TruncationOrder,
-    build_chain,
-    shifted_energy,
-)
-from .schweber import (
-    CfStatus,
-    CfValue,
-    Classification,
-    CoefficientSequence,
-    ConvergentPair,
-    SchweberCoefficient,
-    classify_solution,
-    coeff_f,
-    convergent_pair,
-    finite_cf,
-    forward_recurrence,
-    minimal_sequence,
-    pair_secular,
-    secular_count,
-    spectral_function_a,
-)
-from .resolvent import (
-    PathologicalVariant,
-    PlantedChain,
-    ResolventStatus,
-    ResolventValue,
-    build_pathological,
-    char_poly,
-    pole_count,
-    poles_of_resolvent,
-    resolvent_cf,
-)
-from .tridiag import (
-    EnergyLevel,
-    SpectralMethod,
-    SpectrumApproximation,
-    eigenvalues,
-    sturm_count,
-    union_spectrum,
-)
-from .convergence import (
-    PringsheimCertificate,
-    best_certificate,
-    check_pringsheim,
-    compare_spectra,
-    tail_depth_bound,
-    tail_value,
-)
-from .search import (
-    CrossingEvent,
-    MethodAResult,
-    ScanResult,
-    bracket_roots,
-    scan_levels,
-    solve_method_a,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# Defining submodule -> the names the package re-exports from it.
+_EXPORTS = {
+    "errors": ("DegenerateDenominatorError", "DegenerateScanError", "DeltaZeroError",
+               "DivergedTailError", "GZeroError", "LevelSpacingError", "LostBracketError",
+               "PoleError", "PoleSeparationError", "RabiSolverError", "TooFewLevelsError",
+               "TooShortError"),
+    "model": ("ChainCoefficients", "ModelParams", "Parity", "TruncationOrder", "build_chain",
+              "shifted_energy"),
+    "schweber": ("CfStatus", "CfValue", "Classification", "CoefficientSequence",
+                 "ConvergentPair", "SchweberCoefficient", "classify_solution", "coeff_f",
+                 "convergent_pair", "finite_cf", "forward_recurrence", "minimal_sequence",
+                 "pair_secular", "secular_count", "spectral_function_a"),
+    "resolvent": ("PathologicalVariant", "PlantedChain", "ResolventStatus", "ResolventValue",
+                  "build_pathological", "char_poly", "pole_count", "poles_of_resolvent",
+                  "resolvent_cf"),
+    "tridiag": ("EnergyLevel", "SpectralMethod", "SpectrumApproximation", "eigenvalues",
+                "sturm_count", "union_spectrum"),
+    "convergence": ("PringsheimCertificate", "best_certificate", "check_pringsheim",
+                    "compare_spectra", "tail_depth_bound", "tail_value"),
+    "search": ("CrossingEvent", "MethodAResult", "ScanResult", "bracket_roots", "scan_levels",
+               "solve_method_a"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = ("cli", "recurrence", *_EXPORTS)
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME, *_SUBMODULES})

@@ -19,7 +19,6 @@ import json
 import sys
 
 from . import __version__
-from .convergence import best_certificate, tail_depth_bound
 from .errors import (
     DegenerateScanError,
     PoleSeparationError,
@@ -27,14 +26,6 @@ from .errors import (
     TooFewLevelsError,
 )
 from .model import ModelParams, Parity, build_chain, checked_tol
-from .resolvent import (
-    E0_MIN_SEPARATION,
-    PathologicalVariant,
-    build_pathological,
-    poles_of_resolvent,
-    resolvent_cf,
-)
-from .schweber import DEN_FLOOR, pole_guard
 from .search import (
     DEFAULT_GRID,
     DEFAULT_REFINE_TOL,
@@ -46,6 +37,9 @@ from .search import (
     solve_method_a,
 )
 from .tridiag import DEFAULT_EIG_TOL, EnergyLevel, eigenvalues, union_spectrum
+
+# schweber, resolvent and convergence are imported by the commands that run
+# them: a process compiles only the modules of its own route.
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -224,6 +218,8 @@ def _solve_spectrum(args, method: str, order: int | None, levels: int,
                     solver_tol: float | None = None) -> tuple[list[EnergyLevel], dict]:
     """Check one spectrum request, fill in its defaults and solve it;
     returns (levels, metadata bits), the order used among the latter."""
+    from .schweber import DEN_FLOOR, pole_guard
+
     params = ModelParams(args.omega, args.g, args.delta)
     # a given window is checked before the default order reads it
     window = checked_window(args.window) if args.window else default_window(params, levels)
@@ -254,6 +250,8 @@ def _solve_spectrum(args, method: str, order: int | None, levels: int,
         return list(result.spectrum.levels), notes
 
     notes["parity"] = args.parity.label if args.parity else "union"
+    if method == "b":
+        from .resolvent import poles_of_resolvent
     spectra = []
     for parity in [args.parity] if args.parity else list(Parity):
         chain = build_chain(params, parity, order)
@@ -306,6 +304,8 @@ def cmd_compare(args, out) -> int:
 
 
 def cmd_pathological(args, out) -> int:
+    from .resolvent import E0_MIN_SEPARATION, PathologicalVariant, build_pathological, resolvent_cf
+
     params = ModelParams(args.omega, args.g, args.delta)
     variant = PathologicalVariant(args.variant)
     limit = -params.omega / (params.g * params.g)
@@ -336,6 +336,8 @@ def cmd_pathological(args, out) -> int:
 
 
 def cmd_bound(args, out) -> int:
+    from .convergence import best_certificate, tail_depth_bound
+
     params = ModelParams(args.omega, args.g, args.delta)
     n = tail_depth_bound(args.energy, params)
     cert = best_certificate(args.energy, params, args.parity, n, 10 * n)

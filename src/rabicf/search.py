@@ -26,11 +26,9 @@ import math
 
 import numpy as np
 
-from .convergence import tail_depth_bound
 from .errors import DegenerateScanError, LevelSpacingError, LostBracketError, RabiSolverError
 from .model import (ModelParams, Parity, TruncationOrder, build_chain, chain_diagonal, checked_tol,
                     record)
-from .schweber import pair_secular, pole_guard, secular_count, spectral_function_a
 from .tridiag import (
     DEFAULT_EIG_TOL,
     EnergyLevel,
@@ -42,6 +40,9 @@ from .tridiag import (
     gershgorin_interval,
     lattice_cell,
 )
+
+# schweber and convergence are imported by the functions that run them
+# (solve_method_a, default_order): a scan at a given order loads neither.
 
 __all__ = [
     "BracketScan",
@@ -359,6 +360,8 @@ def default_order(params: ModelParams, levels: int, window: tuple[float, float])
     the scan): twice the tail-depth bound at the largest |E| of ``window``,
     which grows with g^2/w^2, with floors of 4*levels and DEFAULT_ORDER.
     ValueError above MAX_DEFAULT_ORDER, a bound that overflows included."""
+    from .convergence import tail_depth_bound
+
     emax = max(abs(window[0]), abs(window[1]))
     try:
         order = max(2 * tail_depth_bound(emax, params), 4 * levels, DEFAULT_ORDER)
@@ -396,6 +399,8 @@ def solve_method_a(
     ``levels`` roots come back when the window holds fewer.  GZeroError at
     g = 0 and DeltaZeroError at delta = 0 come from ``secular_count``.
     """
+    from .schweber import pair_secular, pole_guard, secular_count, spectral_function_a
+
     guard = pole_guard(params, eps_pole)
     roots = counted_roots(lambda e: secular_count(e, params, order),
                           lambda e: pair_secular(e, params, order), window, grid, levels,

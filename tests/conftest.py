@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import rabicf
 from rabicf import ModelParams, Parity, build_chain, eigenvalues
 
 settings.register_profile("ci", derandomize=True, max_examples=50, deadline=None)
@@ -63,3 +69,27 @@ def oracle_minus():
 @pytest.fixture(scope="session")
 def oracle_union(oracle_plus, oracle_minus):
     return np.sort(np.concatenate([oracle_plus.energies, oracle_minus.energies]))
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this rabicf; its
+    stdout.  A failure (an assert in ``code`` included) fails the test."""
+    src = str(Path(rabicf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def assert_not_imported(modules, argv: list[str] | None):
+    """Import rabicf.cli in a fresh interpreter and run ``argv`` through
+    ``main`` (with ``argv`` None, only ``import rabicf``), then require that
+    none of ``modules`` (one name or several) was ever imported."""
+    modules = (modules,) if isinstance(modules, str) else tuple(modules)
+    run = ("import rabicf\n" if argv is None else
+           f"import rabicf.cli\nassert rabicf.cli.main({argv!r}, out=io.StringIO()) == 0\n")
+    run_fresh("import io, sys\n" + run
+              + f"loaded = sorted(set({modules!r}) & set(sys.modules))\n"
+              "assert not loaded, f'imported: {loaded}'\n")

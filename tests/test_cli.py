@@ -17,6 +17,7 @@ from scipy.linalg import eigh_tridiagonal
 import rabicf
 import rabicf.cli
 import rabicf.resolvent
+import rabicf.schweber
 import rabicf.search
 import rabicf.tridiag
 from rabicf.cli import _load_config_args, main
@@ -589,8 +590,9 @@ class TestScaleCovariance:
         *(("bound", k) for k in (-500, -420, 500)),
     ])
     def test_outputs_scale_exactly(self, name, k, monkeypatch):
-        # method a refining below one ulp of its levels would never end
-        call_limit(monkeypatch, rabicf.search, "pair_secular", 5000)
+        # method a refining below one ulp of its levels would never end;
+        # solve_method_a reads schweber's binding at every call
+        call_limit(monkeypatch, rabicf.schweber, "pair_secular", 5000)
         _, meta_power, column_power = COVARIANT[name]
         s = 2.0**k
         meta1, tables1 = self._run(name, 1.0)

@@ -1,0 +1,102 @@
+"""The package loads each module when a command first needs it: every test
+runs in a fresh interpreter, where nothing of rabicf is loaded yet."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+import rabicf
+
+from conftest import assert_not_imported, run_fresh
+
+MODEL = ["--omega", "1", "--g", "0.7", "--delta", "0.4"]
+README_SCAN = ["scan", *MODEL, "--param", "g", "--from", "0.05", "--to", "1.2",
+               "--steps", "600", "--levels", "8", "--order", "300"]
+ROUTES = ("rabicf.schweber", "rabicf.recurrence", "rabicf.resolvent", "rabicf.convergence")
+SUBMODULES = sorted(p.stem for p in Path(rabicf.__file__).parent.glob("*.py")
+                    if p.stem != "__init__")
+
+# Every name the package re-exported when it imported all of its modules
+# eagerly, by defining module.
+EXPORTED = {
+    "errors": ("DegenerateDenominatorError", "DegenerateScanError", "DeltaZeroError",
+               "DivergedTailError", "GZeroError", "LevelSpacingError", "LostBracketError",
+               "PoleError", "PoleSeparationError", "RabiSolverError", "TooFewLevelsError",
+               "TooShortError"),
+    "model": ("ChainCoefficients", "ModelParams", "Parity", "TruncationOrder", "build_chain",
+              "shifted_energy"),
+    "schweber": ("CfStatus", "CfValue", "Classification", "CoefficientSequence",
+                 "ConvergentPair", "SchweberCoefficient", "classify_solution", "coeff_f",
+                 "convergent_pair", "finite_cf", "forward_recurrence", "minimal_sequence",
+                 "pair_secular", "secular_count", "spectral_function_a"),
+    "resolvent": ("PathologicalVariant", "PlantedChain", "ResolventStatus", "ResolventValue",
+                  "build_pathological", "char_poly", "pole_count", "poles_of_resolvent",
+                  "resolvent_cf"),
+    "tridiag": ("EnergyLevel", "SpectralMethod", "SpectrumApproximation", "eigenvalues",
+                "sturm_count", "union_spectrum"),
+    "convergence": ("PringsheimCertificate", "best_certificate", "check_pringsheim",
+                    "compare_spectra", "tail_depth_bound", "tail_value"),
+    "search": ("CrossingEvent", "MethodAResult", "ScanResult", "bracket_roots", "scan_levels",
+               "solve_method_a"),
+}
+
+
+class TestLazyImports:
+    def test_import_loads_no_submodule(self):
+        assert {"cli", "resolvent", "tridiag"} <= set(SUBMODULES)
+        assert_not_imported([f"rabicf.{m}" for m in SUBMODULES], None)
+
+    def test_scan_loads_no_continued_fraction(self):
+        # the README scan runs the oracle alone, at its given order
+        assert_not_imported(ROUTES, README_SCAN)
+
+    def test_method_a_loads_no_resolvent(self):
+        assert_not_imported(("rabicf.resolvent", "rabicf.convergence"),
+                            ["spectrum", *MODEL, "--method", "a", "--order", "150",
+                             "--levels", "10"])
+
+    def test_bound_loads_no_resolvent(self):
+        assert_not_imported("rabicf.resolvent", ["bound", *MODEL, "--energy", "0"])
+
+    def test_every_exported_name_resolves_to_its_definition(self):
+        # __all__, dir() and the name's object in its defining module, each
+        # module's names looked up in a fresh interpreter of its own
+        for module, names in EXPORTED.items():
+            code = ("import importlib, json, rabicf\n"
+                    f"home = importlib.import_module('rabicf.{module}')\n"
+                    f"print(json.dumps([[n in rabicf.__all__, n in dir(rabicf),\n"
+                    f"                   getattr(rabicf, n) is getattr(home, n)]\n"
+                    f"                  for n in {names!r}]))\n")
+            got = json.loads(run_fresh(code))
+            assert got == [[True, True, True]] * len(names), module
+        assert sorted(rabicf.__all__) == sorted(n for names in EXPORTED.values() for n in names)
+
+    def test_from_import_loads_the_defining_module(self):
+        run_fresh("import sys, rabicf\n"
+                  "from rabicf import eigenvalues\n"
+                  "assert 'rabicf.resolvent' not in sys.modules\n"
+                  "assert eigenvalues is sys.modules['rabicf.tridiag'].eigenvalues\n")
+
+    @pytest.mark.parametrize("name", SUBMODULES)
+    def test_submodule_resolves(self, name):
+        run_fresh("import sys, rabicf\n"
+                  f"assert {name!r} in dir(rabicf)\n"
+                  f"assert rabicf.{name} is sys.modules['rabicf.{name}']\n")
+
+    @pytest.mark.parametrize("name", ["no_such_name", "__wrapped__", "_HOME_"])
+    def test_unknown_name_raises_attribute_error(self, name):
+        run_fresh("import sys, rabicf\n"
+                  "try:\n"
+                  f"    getattr(rabicf, {name!r})\n"
+                  "except AttributeError as exc:\n"
+                  f"    assert {name!r} in str(exc), exc\n"
+                  "else:\n"
+                  "    raise AssertionError('no AttributeError')\n"
+                  "try:\n"
+                  f"    exec('from rabicf import {name}')\n"
+                  "except ImportError:\n"
+                  "    pass\n"
+                  "else:\n"
+                  "    raise AssertionError('no ImportError')\n"
+                  "assert not [m for m in sys.modules if m.startswith('rabicf.')]\n")

@@ -1,10 +1,6 @@
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +23,6 @@ from rabicf import (
     resolvent_cf,
     sturm_count,
 )
-import rabicf
 from rabicf import resolvent
 from rabicf.model import ChainCoefficients
 from rabicf.recurrence import _ROWS, PIVMIN, SLACK, negative_pivots
@@ -41,7 +36,7 @@ from rabicf.search import (
     default_window,
 )
 
-from conftest import FIXTURE, ORACLE_MINUS_12, ORACLE_PLUS_12
+from conftest import FIXTURE, ORACLE_MINUS_12, ORACLE_PLUS_12, assert_not_imported
 
 
 class TestCharPoly:
@@ -377,21 +372,6 @@ def counting_minors(monkeypatch):
 
     monkeypatch.setattr(resolvent, "_leading_minor", counted)
     return seen
-
-
-def assert_not_imported(module: str, argv: list[str]):
-    """Import rabicf.cli in a fresh interpreter, run ``argv`` through
-    ``main`` and require that ``module`` was never imported."""
-    code = ("import io, sys\n"
-            "import rabicf.cli\n"
-            f"assert rabicf.cli.main({argv!r}, out=io.StringIO()) == 0\n"
-            f"assert {module!r} not in sys.modules, '{module} was imported'\n")
-    src = str(Path(rabicf.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
 
 
 class TestLeadingMinorRefinement:

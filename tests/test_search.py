@@ -29,6 +29,7 @@ from rabicf import (
     sturm_count,
 )
 import rabicf.resolvent as resolvent
+import rabicf.schweber as schweber
 import rabicf.search as search
 from rabicf.recurrence import Scaled
 from rabicf.resolvent import poles_of_resolvent
@@ -214,7 +215,7 @@ class TestCountedRoots:
         # counts only nodes inside it
         if method == "a":  # cell 0 of 2 holds 18 roots, 12 kept
             params, order, levels, grid = ModelParams(1.0, 2.0, 0.4), 300, 12, 3
-            module, name = search, "secular_count"
+            module, name = schweber, "secular_count"  # read by solve_method_a at each call
             solve = lambda w: solve_method_a(params, order, w, levels, grid).spectrum
         else:  # cells of 1, 3, 2 and 3 poles, the cell of 2 cut to 1
             params, order, levels, grid = FIXTURE, 100, 5, 5

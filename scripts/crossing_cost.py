@@ -43,8 +43,13 @@ commit):
 * the scan's chain tables: the rows of each parity's diag and off2 tables
   built for the README g scan's tracks (all of them where the tables are
   full arrays), and the tracemalloc peak and the time (best of REPEATS) of
-  ``search._spectra_at`` on the README g scan and on a g scan of 2000
+  ``scan._spectra_at`` on the README g scan and on a g scan of 2000
   steps over 0.05..3 at order 2000 (8 levels).
+
+The scan's helpers (``_refine_events``, ``_batch_tables``,
+``_sweep_interval``, ``_spectra_at``) are taken from ``rabicf.scan``, or
+from ``rabicf.search`` in a package from before the scan had a module of
+its own (``_scan_module``), so either tree can be the parent.
 
 Then, in this process, the time of each of those scans (``scan_levels``),
 parent against change (median of REPEATS alternating rounds); the time of
@@ -114,6 +119,15 @@ def _cases() -> dict[str, dict]:
     return cases
 
 
+def _scan_module(rabicf):
+    """The module of ``rabicf`` that defines the scan's helpers: ``scan``, or
+    ``search`` in a package without a ``scan`` module."""
+    try:
+        return importlib.import_module(f"{rabicf.__name__}.scan")
+    except ModuleNotFoundError:
+        return rabicf.search
+
+
 def measure(src: str) -> dict:
     """Both refinement costs and the pivot sweeps on the rabicf under ``src``."""
     sys.path.insert(0, src)
@@ -126,14 +140,16 @@ def measure(src: str) -> dict:
 
 def _table_cost() -> dict:
     """Rows built of the README g scan's track tables, and the peak and
-    time of ``search._spectra_at`` at README size and at 2000 x 2000."""
+    time of ``scan._spectra_at`` at README size and at 2000 x 2000."""
     import tracemalloc
 
     import numpy as np
-    from rabicf import ModelParams, Parity, search
+    import rabicf
+    from rabicf import ModelParams, Parity
 
+    scan = _scan_module(rabicf)
     base, spec = ModelParams(1.0, 0.7, 0.4), README_SCAN
-    built, batch_tables = {}, search._batch_tables
+    built, batch_tables = {}, scan._batch_tables
 
     def recording(base, parameter, values, sign, order):
         built[Parity(sign).label] = tables = batch_tables(base, parameter, values, sign, order)
@@ -141,15 +157,15 @@ def _table_cost() -> dict:
 
     def spectra(steps, order, stop):
         values = np.linspace(spec["from"], stop, steps)
-        interval = search._sweep_interval(base, "g", stop, order)
-        return lambda: search._spectra_at(base, "g", values, spec["levels"], order, 1e-11,
-                                          interval)
+        interval = scan._sweep_interval(base, "g", stop, order)
+        return lambda: scan._spectra_at(base, "g", values, spec["levels"], order, 1e-11,
+                                        interval)
 
-    search._batch_tables = recording
+    scan._batch_tables = recording
     try:
         spectra(spec["steps"], spec["order"], spec["to"])()
     finally:
-        search._batch_tables = batch_tables
+        scan._batch_tables = batch_tables
     # a table built a block at a time keeps its blocks; a full array is all built
     result = {"readme g scan tracks, rows built": {
         parity: dict(zip(("diag", "off2"), (sum(map(len, getattr(t, "_blocks", [t])))
@@ -172,11 +188,12 @@ def _table_cost() -> dict:
 
 
 def _crossing_cost() -> dict:
-    from rabicf import ModelParams, scan_levels
-    from rabicf import search, tridiag
+    import rabicf
+    from rabicf import ModelParams, scan_levels, tridiag
 
+    scan = _scan_module(rabicf)
     seen = {}
-    sweep, refine_events = tridiag._pivot_sweep, search._refine_events
+    sweep, refine_events = tridiag._pivot_sweep, scan._refine_events
 
     def counted_sweep(*args):
         counts, steps = sweep(*args)
@@ -196,7 +213,7 @@ def _crossing_cost() -> dict:
         return out
 
     tridiag._negative_pivot_counts = counted_sweep
-    search._refine_events = refining
+    scan._refine_events = refining
     result = {}
     for name, spec in _cases().items():
         seen.update(sweeps=0, counts=0, steps=0, itp_steps=[])
@@ -362,8 +379,8 @@ def _sweep_args(rabicf) -> dict[str, list[tuple]]:
     in ``rabicf``, in that package's own table layout."""
     import numpy as np
 
-    tridiag, search = rabicf.tridiag, rabicf.search
-    kernel, refine_events = tridiag._negative_pivot_counts, search._refine_events
+    tridiag, scan = rabicf.tridiag, _scan_module(rabicf)
+    kernel, refine_events = tridiag._negative_pivot_counts, scan._refine_events
     calls, on = [], [True]
 
     def recording(*args):
@@ -391,22 +408,22 @@ def _sweep_args(rabicf) -> dict[str, list[tuple]]:
                             ("delta scan, seed 1", _cases()["delta scan, seed 1"])):
             p = rabicf.ModelParams(1.0, spec["g"], spec["delta"])
             values = np.linspace(spec["from"], spec["to"], spec["steps"])
-            tables = search._batch_tables(p, spec["param"], values, 1.0, spec["order"])
-            interval = search._sweep_interval(p, spec["param"], spec["to"], spec["order"])
+            tables = scan._batch_tables(p, spec["param"], values, 1.0, spec["order"])
+            interval = scan._sweep_interval(p, spec["param"], spec["to"], spec["order"])
             name = f"{label} tracks, {spec['steps']} x {spec['levels']}, order {spec['order']}"
             shapes[name] = captured(lambda: tridiag.eigenvalues_batch(
                 *tables, spec["levels"], 1e-11, interval))
-        search._refine_events, on[0] = refining, False
+        scan._refine_events, on[0] = refining, False
         spec = README_SCAN
         shapes["readme g scan refinement rows"] = captured(lambda: rabicf.scan_levels(
             base, "g", spec["from"], spec["to"], spec["steps"], spec["levels"], spec["order"]))
-        search._refine_events, on[0] = refine_events, True
+        scan._refine_events, on[0] = refine_events, True
         for order in CHAIN_ORDERS:
             chain = rabicf.build_chain(base, rabicf.Parity.PLUS, order)
             shapes[f"one chain, 8 levels, order {order}"] = captured(
                 lambda: tridiag.eigenvalues(chain, 8))
     finally:
-        tridiag._negative_pivot_counts, search._refine_events = kernel, refine_events
+        tridiag._negative_pivot_counts, scan._refine_events = kernel, refine_events
     return shapes
 
 
@@ -612,12 +629,12 @@ def _crossover(rabicf) -> dict:
     in ``rabicf``."""
     import numpy as np
 
-    search, tridiag = rabicf.search, rabicf.tridiag
+    scan, tridiag = _scan_module(rabicf), rabicf.tridiag
     p, probes, result = rabicf.ModelParams(1.0, 0.7, 0.4), tridiag._MULTISECTION_PROBES, {}
     try:
         for order, lanes in CROSSOVER:
-            tables = search._batch_tables(p, "g", np.linspace(0.05, 1.2, lanes), 1.0, order)
-            interval = search._sweep_interval(p, "g", 1.2, order)
+            tables = scan._batch_tables(p, "g", np.linspace(0.05, 1.2, lanes), 1.0, order)
+            interval = scan._sweep_interval(p, "g", 1.2, order)
             wanted = np.arange(lanes) % 8 + 1
             tops = tridiag._start_tops(*tables, 8, 1e-11, interval)[wanted - 1, np.arange(lanes)]
             ms = {1: [], 2: [], 3: []}

@@ -15,14 +15,18 @@ independent Sturm-bisection eigensolver on the truncated parity chains:
 Both continued fractions run one scaled two-term recurrence and count
 their roots (``secular_count``, ``pole_count``) with one forward pivot
 count that stops at the dominant tail, both in ``recurrence``, for one
-root driver in ``search``, next to the crossing detector; ``convergence``
-certifies resolvent-tail convergence and bounds the truncation depth;
-``cli`` exposes everything as subcommands.
+root driver in ``search``; ``scan`` tracks the oracle's levels over a
+parameter sweep and detects their crossings; ``convergence`` certifies
+resolvent-tail convergence and bounds the truncation depth; ``cli``
+exposes everything as subcommands.  ``model`` holds what every route
+shares: the parameters, the chains and the spectrum records
+(``EnergyLevel``, ``SpectrumApproximation``).
 
 Names are resolved on first use (PEP 562): ``import rabicf`` loads no
 submodule, and ``rabicf.eigenvalues`` or ``from rabicf import eigenvalues``
 imports ``tridiag`` (and what it imports) then, so a process compiles only
-the modules it runs.  Every submodule resolves as an attribute too.
+the modules it runs: method a loads neither the oracle nor the scan.
+Every submodule resolves as an attribute too.
 """
 
 from importlib import import_module
@@ -35,8 +39,8 @@ _EXPORTS = {
                "DivergedTailError", "GZeroError", "LevelSpacingError", "LostBracketError",
                "PoleError", "PoleSeparationError", "RabiSolverError", "TooFewLevelsError",
                "TooShortError"),
-    "model": ("ChainCoefficients", "ModelParams", "Parity", "TruncationOrder", "build_chain",
-              "shifted_energy"),
+    "model": ("ChainCoefficients", "EnergyLevel", "ModelParams", "Parity", "SpectralMethod",
+              "SpectrumApproximation", "TruncationOrder", "build_chain", "shifted_energy"),
     "schweber": ("CfStatus", "CfValue", "Classification", "CoefficientSequence",
                  "ConvergentPair", "SchweberCoefficient", "classify_solution", "coeff_f",
                  "convergent_pair", "finite_cf", "forward_recurrence", "minimal_sequence",
@@ -44,12 +48,11 @@ _EXPORTS = {
     "resolvent": ("PathologicalVariant", "PlantedChain", "ResolventStatus", "ResolventValue",
                   "build_pathological", "char_poly", "pole_count", "poles_of_resolvent",
                   "resolvent_cf"),
-    "tridiag": ("EnergyLevel", "SpectralMethod", "SpectrumApproximation", "eigenvalues",
-                "sturm_count", "union_spectrum"),
+    "tridiag": ("eigenvalues", "sturm_count", "union_spectrum"),
     "convergence": ("PringsheimCertificate", "best_certificate", "check_pringsheim",
                     "compare_spectra", "tail_depth_bound", "tail_value"),
-    "search": ("CrossingEvent", "MethodAResult", "ScanResult", "bracket_roots", "scan_levels",
-               "solve_method_a"),
+    "search": ("MethodAResult", "bracket_roots", "solve_method_a"),
+    "scan": ("CrossingEvent", "ScanResult", "scan_levels"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = ("cli", "recurrence", *_EXPORTS)

@@ -25,7 +25,7 @@ from .errors import (
     RabiSolverError,
     TooFewLevelsError,
 )
-from .model import ModelParams, Parity, build_chain, checked_tol
+from .model import DEFAULT_EIG_TOL, EnergyLevel, ModelParams, Parity, build_chain, checked_tol
 from .search import (
     DEFAULT_GRID,
     DEFAULT_REFINE_TOL,
@@ -33,13 +33,12 @@ from .search import (
     checked_window,
     default_order,
     default_window,
-    scan_levels,
     solve_method_a,
 )
-from .tridiag import DEFAULT_EIG_TOL, EnergyLevel, eigenvalues, union_spectrum
 
-# schweber, resolvent and convergence are imported by the commands that run
-# them: a process compiles only the modules of its own route.
+# schweber, resolvent, convergence, the oracle (tridiag) and the scan are
+# imported by the commands that run them: a process compiles only the
+# modules of its own route.
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -250,6 +249,8 @@ def _solve_spectrum(args, method: str, order: int | None, levels: int,
         return list(result.spectrum.levels), notes
 
     notes["parity"] = args.parity.label if args.parity else "union"
+    from .tridiag import eigenvalues, union_spectrum
+
     if method == "b":
         from .resolvent import poles_of_resolvent
     spectra = []
@@ -356,6 +357,8 @@ def cmd_bound(args, out) -> int:
 
 
 def cmd_scan(args, out) -> int:
+    from .search import scan_levels
+
     params = ModelParams(args.omega, args.g, args.delta)
     result = scan_levels(
         params, args.param, args.start, args.stop, args.steps,

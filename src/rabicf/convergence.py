@@ -20,9 +20,8 @@ import math
 import numpy as np
 
 from .errors import TooFewLevelsError
-from .model import ModelParams, Parity, range_scale, record
+from .model import ModelParams, Parity, SpectrumApproximation, range_scale, record
 from .schweber import CfStatus, CfValue, DEN_FLOOR
-from .tridiag import SpectrumApproximation
 
 __all__ = [
     "PringsheimCertificate",

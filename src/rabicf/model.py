@@ -1,9 +1,11 @@
-"""Physical parameters and truncated parity-chain matrices.
+"""Physical parameters, truncated parity-chain matrices and spectra.
 
 The Rabi Hamiltonian restricted to one of its two parity-invariant
 subspaces is a real symmetric tridiagonal (Jacobi) matrix in the Fock
 basis.  Everything downstream (both continued-fraction methods and the
-eigensolver oracle) consumes the chain coefficients built here.
+eigensolver oracle) consumes the chain coefficients built here, and
+reports its levels in the spectrum records defined here too, so that no
+route has to load another route's module for them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ __all__ = [
     "ChainCoefficients",
     "build_chain",
     "shifted_energy",
+    "SpectralMethod",
+    "EnergyLevel",
+    "SpectrumApproximation",
 ]
 
 # Index of the last retained Fock state; chain dimension is order + 1.
@@ -280,3 +285,69 @@ def shifted_energy(params: ModelParams, energy: float) -> float:
     """Coupling-shifted energy x = E + g**2/omega used by the recurrence
     coefficients; its pole lattice sits at integer multiples of omega."""
     return energy + params.g * params.g / params.omega
+
+
+# Default bisection width of the oracle, relative to omega.
+DEFAULT_EIG_TOL = 1e-11
+
+# Gap below which two levels are flagged as a near-degenerate pair,
+# relative to omega.
+NEAR_DEGENERATE_GAP = 1e-10
+
+
+class SpectralMethod(Enum):
+    METHOD_A = "a"
+    METHOD_B = "b"
+    ORACLE = "oracle"
+
+
+@record
+class EnergyLevel:
+    index: int
+    energy: float
+    residual: float
+
+
+@record
+class SpectrumApproximation:
+    """Ordered low-lying spectrum estimate with per-level residuals.
+
+    ``residual`` is each method's own convergence witness: the spectral
+    function magnitude for the coefficient method, the resolvent reciprocal
+    for the resolvent method, and the final bracket width for the oracle.
+    Energies are strictly increasing except across flagged near-degenerate
+    pairs, which are kept separate rather than merged.
+    """
+
+    method: SpectralMethod
+    parity: Parity | None
+    order: TruncationOrder
+    levels: tuple[EnergyLevel, ...]
+    flagged_pairs: tuple[tuple[int, int], ...] = field(default=())
+
+    def __post_init__(self):
+        flagged = {frozenset(p) for p in self.flagged_pairs}
+        for a, b in zip(self.levels, self.levels[1:]):
+            if a.energy >= b.energy and frozenset((a.index, b.index)) not in flagged:
+                raise ValueError(
+                    f"levels not strictly increasing at indices {a.index},{b.index}"
+                )
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+    @property
+    def energies(self) -> np.ndarray:
+        return np.array([lev.energy for lev in self.levels])
+
+    @classmethod
+    def from_levels(cls, method, parity, order, levels, omega) -> "SpectrumApproximation":
+        """Assemble, flagging near-degenerate neighbours (gap < 1e-10*omega)."""
+        levels = tuple(levels)
+        flagged = tuple(
+            (a.index, b.index)
+            for a, b in zip(levels, levels[1:])
+            if abs(b.energy - a.energy) < NEAR_DEGENERATE_GAP * omega
+        )
+        return cls(method=method, parity=parity, order=order, levels=levels,
+                   flagged_pairs=flagged)

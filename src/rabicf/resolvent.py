@@ -51,17 +51,12 @@ from .errors import (
     PoleSeparationError,
     RabiSolverError,
 )
-from .model import (ChainCoefficients, ModelParams, Parity, TruncationOrder, build_chain, field,
-                    record)
+from .model import (ChainCoefficients, EnergyLevel, ModelParams, Parity, SpectralMethod,
+                    SpectrumApproximation, TruncationOrder, build_chain, field, record)
 from .recurrence import PIVMIN, SLACK, Scaled, dominant_row, negative_pivots, scaled_pair
 from .schweber import DEN_FLOOR
 from .search import DEFAULT_GRID, DEFAULT_REFINE_TOL, bisect_sign, checked_window, counted_roots
-from .tridiag import (
-    EnergyLevel,
-    SpectralMethod,
-    SpectrumApproximation,
-    sturm_count,
-)
+from .tridiag import sturm_count
 
 __all__ = [
     "ResolventStatus",

@@ -38,13 +38,15 @@ gives.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
 from .errors import TooFewLevelsError
-from .model import (ChainCoefficients, Parity, TruncationOrder, checked_tol, field, range_scale,
-                    record)
+# the spectrum records and their constants live in model, which every route
+# loads; they are bound here too, as the same objects
+from .model import (DEFAULT_EIG_TOL, NEAR_DEGENERATE_GAP, ChainCoefficients,  # noqa: F401
+                    EnergyLevel, SpectralMethod, SpectrumApproximation, checked_tol,
+                    range_scale)
 
 __all__ = [
     "SpectralMethod",
@@ -55,78 +57,12 @@ __all__ = [
     "DEFAULT_EIG_TOL",
 ]
 
-# Default bisection width, relative to omega.
-DEFAULT_EIG_TOL = 1e-11
-
-# Gap below which two levels are flagged as a near-degenerate pair,
-# relative to omega.
-NEAR_DEGENERATE_GAP = 1e-10
-
 # Pivots at or below PIVMIN count as negative, and those in (-PIVMIN,
 # PIVMIN] continue as -PIVMIN, the usual bisection convention: an exactly
 # singular leading submatrix counts as an eigenvalue below E.  Small
 # enough never to matter at physical scales, large enough that
 # a_j / PIVMIN cannot overflow for any representable chain.
 PIVMIN = 1e-290
-
-
-class SpectralMethod(Enum):
-    METHOD_A = "a"
-    METHOD_B = "b"
-    ORACLE = "oracle"
-
-
-@record
-class EnergyLevel:
-    index: int
-    energy: float
-    residual: float
-
-
-@record
-class SpectrumApproximation:
-    """Ordered low-lying spectrum estimate with per-level residuals.
-
-    ``residual`` is each method's own convergence witness: the spectral
-    function magnitude for the coefficient method, the resolvent reciprocal
-    for the resolvent method, and the final bracket width for the oracle.
-    Energies are strictly increasing except across flagged near-degenerate
-    pairs, which are kept separate rather than merged.
-    """
-
-    method: SpectralMethod
-    parity: Parity | None
-    order: TruncationOrder
-    levels: tuple[EnergyLevel, ...]
-    flagged_pairs: tuple[tuple[int, int], ...] = field(default=())
-
-    def __post_init__(self):
-        flagged = {frozenset(p) for p in self.flagged_pairs}
-        for a, b in zip(self.levels, self.levels[1:]):
-            if a.energy >= b.energy and frozenset((a.index, b.index)) not in flagged:
-                raise ValueError(
-                    f"levels not strictly increasing at indices {a.index},{b.index}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([lev.energy for lev in self.levels])
-
-    @classmethod
-    def from_levels(cls, method, parity, order, levels, omega) -> "SpectrumApproximation":
-        """Assemble, flagging near-degenerate neighbours (gap < 1e-10*omega)."""
-        levels = tuple(levels)
-        flagged = tuple(
-            (a.index, b.index)
-            for a, b in zip(levels, levels[1:])
-            if abs(b.energy - a.energy) < NEAR_DEGENERATE_GAP * omega
-        )
-        return cls(method=method, parity=parity, order=order, levels=levels,
-                   flagged_pairs=flagged)
-
 
 # Chain steps per block of the pivot sweep.  Measured on a 2-vCPU x86-64
 # VM: 16 is 5-10% faster than 32 on the scan's 600 x 8 lanes at order 300,

@@ -18,10 +18,12 @@ import rabicf
 import rabicf.cli
 import rabicf.resolvent
 import rabicf.schweber
+import rabicf.scan
 import rabicf.search
 import rabicf.tridiag
 from rabicf.cli import _load_config_args, main
 from rabicf.convergence import check_pringsheim
+from rabicf.errors import LostBracketError
 from rabicf.model import ModelParams, Parity
 from rabicf.search import default_order, default_window
 
@@ -184,7 +186,7 @@ class TestSpectrum:
         def no_chain(*args):
             raise AssertionError("build_chain called")
 
-        for module in (rabicf.cli, rabicf.resolvent, rabicf.search):
+        for module in (rabicf.cli, rabicf.resolvent, rabicf.scan):
             monkeypatch.setattr(module, "build_chain", no_chain)
         code, text = run_cli([argv[0], "--omega", "1", "--delta", "0.4", *argv[1:]])
         assert (code, text) == (2, "")
@@ -491,6 +493,38 @@ class TestLevelSpacing:
         assert run_cli(argv) == (3, "")
         assert capsys.readouterr().err == (f"rabicf: method b: a squared coupling a_j "
                                            f"overflows at g = {float(g)!r}, order 300\n")
+
+    def test_parity_doublet_closer_than_the_refine_tol(self, monkeypatch):
+        # the doublet at E = -37.9830391055111 is one float apart in diag: P_N
+        # is positive on two floats only, next to where the root count steps,
+        # and the one-root piece that the count narrows to, 7.6e-13 wide and
+        # so below the 1e-12 refine tol, shows no sign change of P_N.  Such a
+        # piece is a root at its midpoint, with its width.  The other three
+        # doublets are pieces that hold both roots at tol, never refined;
+        # each of this doublet's two one-root pieces is refined once
+        model = ["--omega", "1", "--g", "6.322116523042089", "--delta", "1.4658731281973478",
+                 "--levels", "8"]
+        refined, refine = [], rabicf.search.bisect_sign
+
+        def refining(*args, **kwargs):
+            try:
+                root = refine(*args, **kwargs)
+            except LostBracketError:
+                refined.append("lost")
+                raise
+            refined.append("found")
+            return root
+
+        monkeypatch.setattr(rabicf.search, "bisect_sign", refining)
+        code_a, text_a = run_cli(["spectrum", *model, "--method", "a"])
+        assert code_a == 0
+        assert refined == ["lost", "lost"]
+        code_diag, text_diag = run_cli(["spectrum", *model, "--method", "diag"])
+        assert code_diag == 0
+        a, diag = ([float(row[1]) for row in parse_csv(text)[2]] for text in (text_a, text_diag))
+        assert len(a) == len(diag) == 8 and diag[4] == diag[5]
+        assert abs(a[4] - diag[4]) <= 5e-13 and abs(a[5] - diag[5]) <= 5e-13
+        np.testing.assert_allclose(a, diag, rtol=0, atol=1e-10)
 
 
 class TestHugeCoupling:

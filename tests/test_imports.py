@@ -11,6 +11,7 @@ import rabicf
 from conftest import assert_not_imported, run_fresh
 
 MODEL = ["--omega", "1", "--g", "0.7", "--delta", "0.4"]
+README_METHOD_A = ["spectrum", *MODEL, "--method", "a", "--order", "150", "--levels", "10"]
 README_SCAN = ["scan", *MODEL, "--param", "g", "--from", "0.05", "--to", "1.2",
                "--steps", "600", "--levels", "8", "--order", "300"]
 ROUTES = ("rabicf.schweber", "rabicf.recurrence", "rabicf.resolvent", "rabicf.convergence")
@@ -18,14 +19,14 @@ SUBMODULES = sorted(p.stem for p in Path(rabicf.__file__).parent.glob("*.py")
                     if p.stem != "__init__")
 
 # Every name the package re-exported when it imported all of its modules
-# eagerly, by defining module.
+# eagerly, by the module that defines it now.
 EXPORTED = {
     "errors": ("DegenerateDenominatorError", "DegenerateScanError", "DeltaZeroError",
                "DivergedTailError", "GZeroError", "LevelSpacingError", "LostBracketError",
                "PoleError", "PoleSeparationError", "RabiSolverError", "TooFewLevelsError",
                "TooShortError"),
-    "model": ("ChainCoefficients", "ModelParams", "Parity", "TruncationOrder", "build_chain",
-              "shifted_energy"),
+    "model": ("ChainCoefficients", "EnergyLevel", "ModelParams", "Parity", "SpectralMethod",
+              "SpectrumApproximation", "TruncationOrder", "build_chain", "shifted_energy"),
     "schweber": ("CfStatus", "CfValue", "Classification", "CoefficientSequence",
                  "ConvergentPair", "SchweberCoefficient", "classify_solution", "coeff_f",
                  "convergent_pair", "finite_cf", "forward_recurrence", "minimal_sequence",
@@ -33,18 +34,17 @@ EXPORTED = {
     "resolvent": ("PathologicalVariant", "PlantedChain", "ResolventStatus", "ResolventValue",
                   "build_pathological", "char_poly", "pole_count", "poles_of_resolvent",
                   "resolvent_cf"),
-    "tridiag": ("EnergyLevel", "SpectralMethod", "SpectrumApproximation", "eigenvalues",
-                "sturm_count", "union_spectrum"),
+    "tridiag": ("eigenvalues", "sturm_count", "union_spectrum"),
     "convergence": ("PringsheimCertificate", "best_certificate", "check_pringsheim",
                     "compare_spectra", "tail_depth_bound", "tail_value"),
-    "search": ("CrossingEvent", "MethodAResult", "ScanResult", "bracket_roots", "scan_levels",
-               "solve_method_a"),
+    "search": ("MethodAResult", "bracket_roots", "solve_method_a"),
+    "scan": ("CrossingEvent", "ScanResult", "scan_levels"),
 }
 
 
 class TestLazyImports:
     def test_import_loads_no_submodule(self):
-        assert {"cli", "resolvent", "tridiag"} <= set(SUBMODULES)
+        assert {"cli", "resolvent", "scan", "tridiag"} <= set(SUBMODULES)
         assert_not_imported([f"rabicf.{m}" for m in SUBMODULES], None)
 
     def test_scan_loads_no_continued_fraction(self):
@@ -52,12 +52,44 @@ class TestLazyImports:
         assert_not_imported(ROUTES, README_SCAN)
 
     def test_method_a_loads_no_resolvent(self):
-        assert_not_imported(("rabicf.resolvent", "rabicf.convergence"),
-                            ["spectrum", *MODEL, "--method", "a", "--order", "150",
-                             "--levels", "10"])
+        assert_not_imported(("rabicf.resolvent", "rabicf.convergence"), README_METHOD_A)
+
+    def test_method_a_loads_its_own_route_alone(self):
+        # no oracle and no scan: the spectrum records live in model
+        loaded = json.loads(run_fresh(
+            "import io, json, sys\n"
+            "import rabicf.cli\n"
+            f"assert rabicf.cli.main({README_METHOD_A!r}, out=io.StringIO()) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('rabicf.'))))\n"))
+        assert loaded == [f"rabicf.{m}" for m in ("cli", "errors", "model", "recurrence",
+                                                  "schweber", "search")]
 
     def test_bound_loads_no_resolvent(self):
         assert_not_imported("rabicf.resolvent", ["bound", *MODEL, "--energy", "0"])
+
+    def test_bound_loads_no_oracle(self):
+        assert_not_imported(("rabicf.tridiag", "rabicf.scan"), ["bound", *MODEL, "--energy", "0"])
+
+    def test_scan_names_of_search_are_the_scan_module_names(self):
+        # bound in search on first read, which loads the scan and the oracle;
+        # listed in search's __all__ and dir() before that
+        run_fresh("import sys\n"
+                  "import rabicf.search as search\n"
+                  "names = ('CrossingEvent', 'ScanResult', 'scan_levels')\n"
+                  "assert 'rabicf.scan' not in sys.modules and 'rabicf.tridiag' not in sys.modules\n"
+                  "assert set(names) <= set(search.__all__) and set(names) <= set(dir(search))\n"
+                  "from rabicf.search import scan_levels\n"
+                  "import rabicf.scan\n"
+                  "assert scan_levels is rabicf.scan.scan_levels\n"
+                  "assert rabicf.search.scan_levels is rabicf.scan.scan_levels\n"
+                  "assert all(getattr(search, n) is getattr(rabicf.scan, n) for n in names)\n"
+                  "assert 'scan_levels' in vars(search)\n"
+                  "try:\n"
+                  "    search.no_such_name\n"
+                  "except AttributeError as exc:\n"
+                  "    assert 'no_such_name' in str(exc), exc\n"
+                  "else:\n"
+                  "    raise AssertionError('no AttributeError')\n")
 
     def test_every_exported_name_resolves_to_its_definition(self):
         # __all__, dir() and the name's object in its defining module, each

@@ -29,6 +29,7 @@ from rabicf import (
     sturm_count,
 )
 import rabicf.resolvent as resolvent
+import rabicf.scan as scan
 import rabicf.schweber as schweber
 import rabicf.search as search
 from rabicf.recurrence import Scaled
@@ -507,10 +508,12 @@ class TestItpRefinement:
 
     def test_one_rule_for_both_refinements(self, monkeypatch):
         # method a's brackets (scalars) and the crossing refinement (arrays)
-        # both step by search._itp_point
+        # both step by search._itp_point, which the scan binds as its own
         shapes, real = [], search._itp_point
-        monkeypatch.setattr(search, "_itp_point",
-                            lambda *args: shapes.append(np.ndim(args[0])) or real(*args))
+        assert scan._itp_point is real
+        for module in (search, scan):
+            monkeypatch.setattr(module, "_itp_point",
+                                lambda *args: shapes.append(np.ndim(args[0])) or real(*args))
         solve_method_a(FIXTURE, 150, (-1.2, 0.0), levels=2)
         scan_levels(FIXTURE, "g", 0.05, 1.2, 60, 4, order=60)
         assert set(shapes) == {0, 1}
@@ -746,7 +749,7 @@ class TestScan:
         # synthetic one-level tracks whose gap is zero on an end point
         steps = 10
         ep = np.interp(np.arange(steps), [0, steps // 2, steps - 1], gap)[:, None]
-        monkeypatch.setattr(search, "_spectra_at", lambda *args: (ep, np.zeros_like(ep)))
+        monkeypatch.setattr(scan, "_spectra_at", lambda *args: (ep, np.zeros_like(ep)))
         result = scan_levels(FIXTURE, "g", 0.1, 0.2, steps, 1, 20)
         assert [ev.value for ev in result.events] == [result.values[i] for i in found]
 
@@ -768,7 +771,7 @@ class TestBatchTables:
         # the scan's own copy of the chain formula, row by row
         values = np.linspace(0.05, 3.0, 13)
         order = 60
-        diag, off2 = search._batch_tables(FIXTURE, parameter, values, parity.sign, order)
+        diag, off2 = scan._batch_tables(FIXTURE, parameter, values, parity.sign, order)
         assert diag.shape == (order + 1, len(values)) and off2.shape == (order, len(values))
         j = np.arange(1, order + 1, dtype=float)
         for row, value in enumerate(values):
@@ -814,8 +817,8 @@ class TestTablesOnDemand:
         got = self._scan(name, tmp_path / "blocks.csv")
         # the reference: every table built whole as an ndarray, through the
         # same eigenvalues_batch and eigenvalues_rows
-        real = search._batch_tables
-        monkeypatch.setattr(search, "_batch_tables",
+        real = scan._batch_tables
+        monkeypatch.setattr(scan, "_batch_tables",
                             lambda *args: tuple(table[:] for table in real(*args)))
         want = self._scan(name, tmp_path / "full.csv")
         assert got == want
@@ -834,7 +837,7 @@ class TestTablesOnDemand:
         # fl(j*g**2) and fl(j*omega +- delta) are monotone in g**2 and
         # sign*delta, so the chains at their least and largest hold every
         # step's least and largest entry, and the floor is the full tables'
-        tables = search._batch_tables(FIXTURE, parameter, values, sign, 150)
+        tables = scan._batch_tables(FIXTURE, parameter, values, sign, 150)
         for table in tables:
             for extreme in (np.min, np.max):
                 assert extreme(table.ends, axis=1).tobytes() == extreme(table[:], axis=1).tobytes()
@@ -851,7 +854,7 @@ class TestTablesOnDemand:
                 super().__init__(*args)
                 made.append(self)
 
-        monkeypatch.setattr(search, "StepTable", Recorded)
+        monkeypatch.setattr(scan, "StepTable", Recorded)
         scan_levels(FIXTURE, "g", 0.05, 1.2, 600, 8, 300)
         assert len(made) > 4
         assert {len(t._blocks) for t in made} == {1}
@@ -859,12 +862,12 @@ class TestTablesOnDemand:
 
     @staticmethod
     def _peak(steps, order, stop):
-        """tracemalloc peak of ``search._spectra_at`` on a g scan of the fixture."""
+        """tracemalloc peak of ``scan._spectra_at`` on a g scan of the fixture."""
         values = np.linspace(0.05, stop, steps)
-        interval = search._sweep_interval(FIXTURE, "g", stop, order)
+        interval = scan._sweep_interval(FIXTURE, "g", stop, order)
         tracemalloc.start()
         try:
-            search._spectra_at(FIXTURE, "g", values, 8, order, 1e-11, interval)
+            scan._spectra_at(FIXTURE, "g", values, 8, order, 1e-11, interval)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -890,7 +893,7 @@ def readme_scan():
     """The README coupling scan, with the rows and ITP step counts that
     reached the crossing refinement."""
     refined = {}
-    original = search._refine_events
+    original = scan._refine_events
 
     def recording(base, parameter, a, b, lo, hi, e_lo, e_hi, order, tol, value_tol, interval):
         # the bracket arrays narrow in place: keep the rows as they came in
@@ -899,11 +902,11 @@ def readme_scan():
         refined.update(rows=rows, value_tol=value_tol, steps=out[2])
         return out
 
-    search._refine_events = recording
+    scan._refine_events = recording
     try:
         result = scan_levels(FIXTURE, "g", 0.05, 1.2, 600, 8, 300)
     finally:
-        search._refine_events = original
+        scan._refine_events = original
     return result, refined
 
 
@@ -966,9 +969,9 @@ class TestCrossingRefinement:
     def test_energy_matches_tracks_solver(self, readme_scan):
         # the reported energy is what the track solver gives at the crossing
         result, _ = readme_scan
-        interval = search._sweep_interval(FIXTURE, "g", 1.2, 300)
+        interval = scan._sweep_interval(FIXTURE, "g", 1.2, 300)
         values = np.array([ev.value for ev in result.events])
-        ep, em = search._spectra_at(FIXTURE, "g", values, 8, 300, 1e-11, interval)
+        ep, em = scan._spectra_at(FIXTURE, "g", values, 8, 300, 1e-11, interval)
         for i, ev in enumerate(result.events):
             assert ev.energy == 0.5 * (ep[i, ev.plus_level] + em[i, ev.minus_level])
 

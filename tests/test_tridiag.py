@@ -16,7 +16,7 @@ from rabicf import (
     eigenvalues,
     sturm_count,
 )
-from rabicf.search import _batch_tables, _sweep_interval
+from rabicf.scan import _batch_tables, _sweep_interval
 import rabicf.tridiag
 from rabicf.tridiag import (
     PIVMIN,

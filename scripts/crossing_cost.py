@@ -46,11 +46,6 @@ commit):
   ``scan._spectra_at`` on the README g scan and on a g scan of 2000
   steps over 0.05..3 at order 2000 (8 levels).
 
-The scan's helpers (``_refine_events``, ``_batch_tables``,
-``_sweep_interval``, ``_spectra_at``) are taken from ``rabicf.scan``, or
-from ``rabicf.search`` in a package from before the scan had a module of
-its own (``_scan_module``), so either tree can be the parent.
-
 Then, in this process, the time of each of those scans (``scan_levels``),
 parent against change (median of REPEATS alternating rounds); the time of
 one pivot sweep of each of those calls,
@@ -119,15 +114,6 @@ def _cases() -> dict[str, dict]:
     return cases
 
 
-def _scan_module(rabicf):
-    """The module of ``rabicf`` that defines the scan's helpers: ``scan``, or
-    ``search`` in a package without a ``scan`` module."""
-    try:
-        return importlib.import_module(f"{rabicf.__name__}.scan")
-    except ModuleNotFoundError:
-        return rabicf.search
-
-
 def measure(src: str) -> dict:
     """Both refinement costs and the pivot sweeps on the rabicf under ``src``."""
     sys.path.insert(0, src)
@@ -144,10 +130,8 @@ def _table_cost() -> dict:
     import tracemalloc
 
     import numpy as np
-    import rabicf
-    from rabicf import ModelParams, Parity
+    from rabicf import ModelParams, Parity, scan
 
-    scan = _scan_module(rabicf)
     base, spec = ModelParams(1.0, 0.7, 0.4), README_SCAN
     built, batch_tables = {}, scan._batch_tables
 
@@ -166,10 +150,9 @@ def _table_cost() -> dict:
         spectra(spec["steps"], spec["order"], spec["to"])()
     finally:
         scan._batch_tables = batch_tables
-    # a table built a block at a time keeps its blocks; a full array is all built
+    # a table built a block at a time keeps its blocks
     result = {"readme g scan tracks, rows built": {
-        parity: dict(zip(("diag", "off2"), (sum(map(len, getattr(t, "_blocks", [t])))
-                                            for t in tables)))
+        parity: dict(zip(("diag", "off2"), (sum(map(len, t._blocks)) for t in tables)))
         for parity, tables in built.items()}}
     for name, (steps, order, stop) in {"readme g scan": (spec["steps"], spec["order"], spec["to"]),
                                        "g scan, 2000 steps, order 2000": (2000, 2000, 3.0)}.items():
@@ -188,10 +171,8 @@ def _table_cost() -> dict:
 
 
 def _crossing_cost() -> dict:
-    import rabicf
-    from rabicf import ModelParams, scan_levels, tridiag
+    from rabicf import ModelParams, scan, scan_levels, tridiag
 
-    scan = _scan_module(rabicf)
     seen = {}
     sweep, refine_events = tridiag._pivot_sweep, scan._refine_events
 
@@ -218,9 +199,8 @@ def _crossing_cost() -> dict:
     for name, spec in _cases().items():
         seen.update(sweeps=0, counts=0, steps=0, itp_steps=[])
         base = ModelParams(1.0, spec["g"], spec["delta"])
-        scan = scan_levels(base, spec["param"], spec["from"], spec["to"], spec["steps"],
-                           spec["levels"], spec["order"])
-        events = len(scan.events)
+        events = len(scan_levels(base, spec["param"], spec["from"], spec["to"], spec["steps"],
+                                 spec["levels"], spec["order"]).events)
         result[name] = {
             "events": events,
             "parameter_steps_per_event": seen["itp_steps"],
@@ -260,20 +240,16 @@ def _root_cost() -> dict:
 
         module.negative_pivots = counting
 
-    def counted(module, name, *copies):
-        """Count ``module.name``'s calls inside a refinement, also through
-        each of ``copies`` that binds the same function (a parent's ``search``
-        imported ``pair_secular`` at load; this checkout's reads
-        ``schweber``'s binding at every ``solve_method_a`` call)."""
+    def counted(module, name):
+        """Count ``module.name``'s calls inside a refinement (``solve_method_a``
+        reads ``schweber``'s binding of ``pair_secular`` at every call)."""
         real = getattr(module, name)
 
         def wrapper(*args):
             seen[name] += seen["inside"]
             return real(*args)
 
-        for holder in (module, *copies):
-            if getattr(holder, name, None) is real:
-                setattr(holder, name, wrapper)
+        setattr(module, name, wrapper)
 
     def refining(refine):
         """``refine`` (one piece's refinement) counted and timed a bracket."""
@@ -288,8 +264,7 @@ def _root_cost() -> dict:
 
         return wrapper
 
-    # a parent without the leading-minor refinement has none of these
-    minor = getattr(resolvent, "_leading_minor", None)
+    minor = resolvent._leading_minor
 
     def minoring(*args, **kwargs):
         seen["minor_rows"].append(kwargs["k"] + 1)
@@ -299,9 +274,8 @@ def _root_cost() -> dict:
             seen["restarts"] += 1
             raise
 
-    if minor is not None:
-        resolvent._leading_minor = minoring
-        resolvent._refine_pole = refining(resolvent._refine_pole)
+    resolvent._leading_minor = minoring
+    resolvent._refine_pole = refining(resolvent._refine_pole)
 
     bracket_roots = search.bracket_roots
 
@@ -316,7 +290,7 @@ def _root_cost() -> dict:
         finally:
             seen["gridding"] = False
 
-    counted(schweber, "pair_secular", search)
+    counted(schweber, "pair_secular")
     counted(resolvent, "char_poly")
     pivots(schweber)
     pivots(resolvent)
@@ -379,7 +353,7 @@ def _sweep_args(rabicf) -> dict[str, list[tuple]]:
     in ``rabicf``, in that package's own table layout."""
     import numpy as np
 
-    tridiag, scan = rabicf.tridiag, _scan_module(rabicf)
+    tridiag, scan = rabicf.tridiag, rabicf.scan
     kernel, refine_events = tridiag._negative_pivot_counts, scan._refine_events
     calls, on = [], [True]
 
@@ -605,8 +579,7 @@ def _method_b_times(sides: dict) -> dict:
                 lambda e, pkg=pkg, chain=chain: pkg.resolvent.pole_count(e, chain), f, window,
                 change.search.DEFAULT_GRID, 8, change.search.DEFAULT_REFINE_TOL,
                 refine=lambda f, *args, **kwargs: pieces.append((args, kwargs)) or 0.0)
-            refine = (partial(pkg.resolvent._refine_pole, chain)
-                      if hasattr(pkg.resolvent, "_refine_pole") else pkg.search.bisect_sign)
+            refine = partial(pkg.resolvent._refine_pole, chain)
             calls[side]["refinement, one piece"] = lambda refine=refine, f=f, pieces=pieces: [
                 refine(f, *args, **kwargs) for args, kwargs in pieces]
             count[side] = len(pieces)
@@ -629,7 +602,7 @@ def _crossover(rabicf) -> dict:
     in ``rabicf``."""
     import numpy as np
 
-    scan, tridiag = _scan_module(rabicf), rabicf.tridiag
+    scan, tridiag = rabicf.scan, rabicf.tridiag
     p, probes, result = rabicf.ModelParams(1.0, 0.7, 0.4), tridiag._MULTISECTION_PROBES, {}
     try:
         for order, lanes in CROSSOVER:

@@ -130,20 +130,19 @@ def best_certificate(
     points.  At g = 0 the inequality degenerates to |b_j| >= c; the
     largest admissible c is min |b_j| and is used directly.
     """
-    w, g = params.omega, params.g
-    if g == 0.0:
-        j = _candidate_levels(energy, params, n, up_to)
-        c = float(np.min(np.abs(_tail_b(energy, params, parity, j))))
-        c = max(c, DEN_FLOOR)
-        return check_pringsheim(energy, params, parity, n, c, up_to)
+    g = params.g
     j = _candidate_levels(energy, params, n, up_to)
     b = np.abs(_tail_b(energy, params, parity, j))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        meet = (j[:, None] - j) / (b[:, None] - b) * g * g
-    cs = np.concatenate([g * np.sqrt(np.maximum(j, 1.0)), meet.ravel()])
-    cs = cs[np.isfinite(cs) & (cs > 0.0)]
-    # argmax keeps the first of equal margins
-    c = float(cs[np.argmax(_margins(energy, params, parity, n, up_to, cs))])
+    if g == 0.0:
+        c = float(np.min(b))
+        c = max(c, DEN_FLOOR)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            meet = (j[:, None] - j) / (b[:, None] - b) * g * g
+        cs = np.concatenate([g * np.sqrt(np.maximum(j, 1.0)), meet.ravel()])
+        cs = cs[np.isfinite(cs) & (cs > 0.0)]
+        # argmax keeps the first of equal margins
+        c = float(cs[np.argmax(_margins(energy, params, parity, n, up_to, cs))])
     return check_pringsheim(energy, params, parity, n, c, up_to)
 
 

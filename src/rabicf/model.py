@@ -34,23 +34,21 @@ __all__ = [
 # Index of the last retained Fock state; chain dimension is order + 1.
 TruncationOrder = int
 
-_MISSING = object()
-
 
 class FrozenInstanceError(AttributeError):
     """Assignment to or deletion of an attribute of a frozen record."""
 
 
 class _Field:
-    __slots__ = ("default", "repr")
+    __slots__ = ("repr",)
 
-    def __init__(self, default, repr):
-        self.default, self.repr = default, repr
+    def __init__(self, repr):
+        self.repr = repr
 
 
-def field(*, default=_MISSING, repr: bool = True):
-    """A record field with a ``default``, or left out of the repr."""
-    return _Field(default, repr)
+def field(*, repr: bool = True):
+    """A record field without a default, left out of the repr at ``repr=False``."""
+    return _Field(repr)
 
 
 def _bound(cls, names, defaults, args, kwargs) -> dict:
@@ -81,41 +79,36 @@ def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def record(cls=None, /, *, frozen: bool = True):
-    """Make ``cls`` a record of the fields its annotations name, after those
-    of a record base class: ``__init__`` by position or keyword (with the
-    class attribute or ``field(default=...)`` as a default) and then
-    ``__post_init__`` where the class has one; ``__repr__`` of the fields
-    not marked ``field(repr=False)``, as ``Name(field=value, ...)``; and
-    ``__eq__`` over the field tuple, for records of the same class only.
-    A frozen record (the default) refuses assignment and deletion with
-    FrozenInstanceError, an AttributeError, and hashes its field tuple; a
-    mutable one is unhashable.  Values live in the instance ``__dict__``,
-    where ``cached_property`` also keeps its values.
+def record(cls):
+    """Make ``cls`` a frozen record of the fields its annotations name, after
+    those of a record base class: ``__init__`` by position or keyword (with
+    the class attribute as a default) and then ``__post_init__`` where the
+    class has one; ``__repr__`` of the fields not marked
+    ``field(repr=False)``, as ``Name(field=value, ...)``; and ``__eq__`` over
+    the field tuple, for records of the same class only.  Assignment and
+    deletion raise FrozenInstanceError, an AttributeError, and the hash is
+    that of the field tuple (a TypeError where a field holds an array).
+    Values live in the instance ``__dict__``, where ``cached_property`` also
+    keeps its values.
 
     These are the methods ``dataclasses.dataclass(frozen=True)`` writes,
     built here from closures in about 6 us a class.  The package does not
     use ``dataclasses``: that decorator generates the source of five or six
     methods per class and compiles it with ``exec``, 0.4-0.9 ms a class and
-    9-14 ms for the package's 16 records (2-vCPU x86-64 VM, Python 3.11),
-    which every process paid at import, while a CLI request takes 3-17 ms.
+    9-14 ms for the 16 records the package then had (2-vCPU x86-64 VM,
+    Python 3.11), which every process paid at import, while a CLI request
+    takes 3-17 ms.
     """
-    if cls is None:
-        return lambda cls: record(cls, frozen=frozen)
+    # field name -> shown in the repr
     fields = dict(getattr(cls, "_record_fields", {}))
     for name in cls.__dict__.get("__annotations__", {}):
-        spec = getattr(cls, name, _MISSING)
+        spec = getattr(cls, name, None)
         if isinstance(spec, _Field):
-            if spec.default is _MISSING:
-                delattr(cls, name)
-            else:
-                setattr(cls, name, spec.default)
-        else:
-            spec = _Field(spec, True)
-        fields[name] = spec
+            delattr(cls, name)
+        fields[name] = spec.repr if isinstance(spec, _Field) else True
     names, keys = tuple(fields), fields.keys()
-    defaults = {n: f.default for n, f in fields.items() if f.default is not _MISSING}
-    shown_names = [n for n, f in fields.items() if f.repr]
+    defaults = {n: getattr(cls, n) for n in names if hasattr(cls, n)}
+    shown_names = [n for n, shown in fields.items() if shown]
     # attrgetter of one name returns the value itself, not a 1-tuple
     astuple = (attrgetter(*names) if len(names) > 1
                else lambda self: (getattr(self, names[0]),))
@@ -143,11 +136,8 @@ def record(cls=None, /, *, frozen: bool = True):
 
     cls._record_fields = fields
     cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
-    if frozen:
-        cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
-        cls.__hash__ = lambda self: hash(astuple(self))
-    else:
-        cls.__hash__ = None
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    cls.__hash__ = lambda self: hash(astuple(self))
     return cls
 
 
@@ -323,7 +313,7 @@ class SpectrumApproximation:
     parity: Parity | None
     order: TruncationOrder
     levels: tuple[EnergyLevel, ...]
-    flagged_pairs: tuple[tuple[int, int], ...] = field(default=())
+    flagged_pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         flagged = {frozenset(p) for p in self.flagged_pairs}

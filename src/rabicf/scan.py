@@ -199,6 +199,8 @@ def scan_levels(
             raise RabiSolverError(f"scan: the default window overflows at {parameter} = "
                                   f"{getattr(top, parameter)!r}; pass --order") from None
         order = default_order(top, levels, window)
+    if order is not None and order < 0:
+        raise ValueError("order must be >= 0")
     if order is not None and not 1 <= levels <= order + 1:
         raise ValueError(f"levels must be in 1..{order + 1} at order {order}, got {levels}")
     if not (math.isfinite(start) and math.isfinite(stop) and start < stop):

@@ -22,6 +22,7 @@ nor the oracle.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -265,24 +266,6 @@ def counted_roots(count, f, window: tuple[float, float], grid: int, levels: int 
     return found
 
 
-@record(frozen=False)
-class _Narrowing:
-    """A bracket of ``_narrow``: its cell (lo, hi] with the counts at both
-    ends and the root number k it narrows toward; once found, its piece, the
-    levels below it to narrow to, and the cell reached as (level, index) of
-    the piece's tree."""
-
-    lo: float
-    hi: float
-    c_lo: int
-    c_hi: int
-    k: int
-    piece: tuple[float, float] | None = None
-    target: int = 0
-    level: int = 0
-    index: int = 0
-
-
 def _narrow(count, scan: BracketScan, tol: float) -> list:
     """For each bracket of ``scan``, its piece (a, b) and the (level, index) of
     the cell of the piece's tree NARROW_DEPTH levels down (fewer in a
@@ -295,9 +278,15 @@ def _narrow(count, scan: BracketScan, tol: float) -> list:
     would: toward root number k, into the half whose upper end counts k or
     more; the piece is the first cell whose ends' counts differ by one.  A
     bracket stops short of its piece at ``tol`` wide or where its midpoint
-    is one of its ends."""
+    is one of its ends.
+
+    A bracket's state is a namespace: its cell (lo, hi] with the counts
+    c_lo and c_hi at both ends and the root number k it narrows toward;
+    once found, its piece, the levels below it to narrow to (target), and
+    the cell reached as (level, index) of the piece's tree."""
     first = scan.counts[0][0] if scan.counts else 0
-    state = [_Narrowing(a, b, c_lo, c_hi, first + 1 + i)
+    state = [SimpleNamespace(lo=a, hi=b, c_lo=c_lo, c_hi=c_hi, k=first + 1 + i, piece=None,
+                             target=0, level=0, index=0)
              for i, ((a, b), (c_lo, c_hi)) in enumerate(zip(scan.brackets, scan.counts))]
     result: list = [None] * len(state)
     leaves = 2**NARROW_LEVELS

@@ -42,19 +42,12 @@ import math
 import numpy as np
 
 from .errors import TooFewLevelsError
-# the spectrum records and their constants live in model, which every route
-# loads; they are bound here too, as the same objects
-from .model import (DEFAULT_EIG_TOL, NEAR_DEGENERATE_GAP, ChainCoefficients,  # noqa: F401
-                    EnergyLevel, SpectralMethod, SpectrumApproximation, checked_tol,
-                    range_scale)
+from .model import (DEFAULT_EIG_TOL, ChainCoefficients, EnergyLevel, SpectralMethod,
+                    SpectrumApproximation, checked_tol, range_scale)
 
 __all__ = [
-    "SpectralMethod",
-    "EnergyLevel",
-    "SpectrumApproximation",
     "sturm_count",
     "eigenvalues",
-    "DEFAULT_EIG_TOL",
 ]
 
 # Pivots at or below PIVMIN count as negative, and those in (-PIVMIN,

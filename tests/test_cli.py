@@ -890,6 +890,17 @@ class TestScan:
             )
             assert (code, text) == (2, "")
 
+    def test_negative_order_refused_as_spectrum_refuses_it(self, capsys):
+        # the order is checked before the levels it bounds
+        code, text = run_cli(
+            ["scan", *FIXTURE_ARGS, "--param", "g", "--from", "0.1", "--to", "0.2",
+             "--steps", "10", "--order", "-3", "--levels", "1"]
+        )
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "rabicf: order must be >= 0\n"
+        run_cli(["spectrum", *FIXTURE_ARGS, "--method", "diag", "--order", "-3", "--levels", "1"])
+        assert capsys.readouterr().err == "rabicf: order must be >= 0\n"
+
     def test_json_levels_out(self, tmp_path):
         argv = ["scan", *FIXTURE_ARGS, "--param", "g", "--from", "0.4", "--to", "0.52",
                 "--steps", "20", "--levels", "3", "--order", "60", "--format", "json"]

@@ -1,17 +1,28 @@
-"""The contract of rabicf's 16 record classes: construction, frozen fields,
+"""The contract of rabicf's 15 record classes: construction, frozen fields,
 equality, hashing, repr and the checks of their ``__post_init__``.
 
 Every expected repr is the string the package printed when the classes were
 ``dataclasses.dataclass`` records, byte for byte."""
 
+import importlib
 import math
+import pkgutil
 from functools import cached_property
 
 import numpy as np
 import pytest
 
+import rabicf
 from rabicf.convergence import PringsheimCertificate
-from rabicf.model import ChainCoefficients, ModelParams, Parity, build_chain
+from rabicf.model import (
+    ChainCoefficients,
+    EnergyLevel,
+    ModelParams,
+    Parity,
+    SpectralMethod,
+    SpectrumApproximation,
+    build_chain,
+)
 from rabicf.resolvent import (
     PlantedChain,
     ResolventStatus,
@@ -25,8 +36,7 @@ from rabicf.schweber import (
     ConvergentPair,
     SchweberCoefficient,
 )
-from rabicf.search import BracketScan, CrossingEvent, MethodAResult, ScanResult, _Narrowing
-from rabicf.tridiag import EnergyLevel, SpectralMethod, SpectrumApproximation
+from rabicf.search import BracketScan, CrossingEvent, MethodAResult, ScanResult
 
 PARAMS = ModelParams(1.0, 0.7, 0.4)
 CHAIN = build_chain(PARAMS, Parity.PLUS, 3)
@@ -38,7 +48,7 @@ EVENT = CrossingEvent(0.5, 0.25, 0, 1, 0.5, 1, -0.5)
 
 # class, field names in order, one value per field, the dataclass repr, and
 # whether the record hashes: False for an array field (hash raises
-# TypeError), None for the one mutable record
+# TypeError)
 RECORDS = [
     (ModelParams, ("omega", "g", "delta"), (1.0, 0.7, 0.4),
      'ModelParams(omega=1.0, g=0.7, delta=0.4)',
@@ -77,11 +87,6 @@ RECORDS = [
      'BracketScan(brackets=((0.0, 0.5), (0.5, 1.0)), counts=((0, 1), (1, '
      '2)))',
      True),
-    (_Narrowing, ("lo", "hi", "c_lo", "c_hi", "k", "piece", "target", "level", "index"),
-     (0.0, 0.5, 0, 1, 1, (0.0, 1.0), 4, 2, 3),
-     '_Narrowing(lo=0.0, hi=0.5, c_lo=0, c_hi=1, k=1, piece=(0.0, 1.0), '
-     'target=4, level=2, index=3)',
-     None),
     (MethodAResult, ("spectrum",), (SPECTRUM,),
      "MethodAResult(spectrum=SpectrumApproximation(method=<SpectralMethod.ORACLE: 'oracle'>, "
      'parity=<Parity.MINUS: -1>, order=3, levels=(EnergyLevel(index=0, '
@@ -133,7 +138,13 @@ def record(request):
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == len(set(IDS)) == 16
+    # every class that model.record decorated, in every module of the package
+    modules = [importlib.import_module(f"rabicf.{m.name}")
+               for m in pkgutil.iter_modules(rabicf.__path__)]
+    decorated = {value for module in modules for value in vars(module).values()
+                 if isinstance(value, type) and "_record_fields" in value.__dict__}
+    assert decorated == {case[0] for case in RECORDS}
+    assert len(RECORDS) == len(set(IDS))
 
 
 def test_construction_by_position_and_keyword(record):
@@ -162,12 +173,8 @@ def test_repr_matches_the_dataclass_repr(record):
 
 
 def test_frozen(record):
-    cls, names, values, _, hashable = record
+    cls, names, values, _, _ = record
     made = cls(*values)
-    if hashable is None:  # _Narrowing is the one mutable record
-        made.target = 7
-        assert made.target == 7
-        return
     for name in (names[0], "not_a_field"):
         with pytest.raises(AttributeError):
             setattr(made, name, values[0])
@@ -183,7 +190,7 @@ def test_eq_and_hash(record):
     assert a.__eq__(values) is NotImplemented and a != values
     if hashable:
         assert hash(a) == hash(b) == hash(tuple(getattr(a, n) for n in names))
-    else:  # an array field, or the mutable _Narrowing
+    else:  # an array field
         with pytest.raises(TypeError):
             hash(a)
 
@@ -192,7 +199,6 @@ def test_eq_compares_every_field_and_the_class():
     assert ModelParams(1, 0.7, 0.4) == ModelParams(1.0, -0.7, -0.4)
     assert ModelParams(1.0, 0.7, 0.4) != ModelParams(1.0, 0.7, 0.5)
     assert EnergyLevel(0, 1.0, 0.0) != EnergyLevel(0, 1.0, 1e-300)
-    assert _Narrowing(0.0, 1.0, 0, 1, 1) != _Narrowing(0.0, 1.0, 0, 1, 1, target=1)
     # a planted chain never equals a plain chain with the same entries
     plain = ChainCoefficients(*(getattr(PLANTED, n) for n in CHAIN_FIELDS))
     assert plain != PLANTED and PLANTED != plain
@@ -204,11 +210,6 @@ def test_defaults():
     assert spectrum.flagged_pairs == ()
     assert spectrum == SpectrumApproximation(method=SpectralMethod.ORACLE, parity=None,
                                              order=3, levels=LEVELS, flagged_pairs=())
-    narrowing = _Narrowing(0.0, 1.0, 0, 2, k=1)
-    assert (narrowing.piece, narrowing.target, narrowing.level, narrowing.index) == \
-        (None, 0, 0, 0)
-    assert repr(narrowing) == ("_Narrowing(lo=0.0, hi=1.0, c_lo=0, c_hi=2, k=1, "
-                               "piece=None, target=0, level=0, index=0)")
 
 
 def test_model_params_checks():

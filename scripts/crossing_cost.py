@@ -18,7 +18,8 @@ commit):
   --order 150 --levels 10`` and ``--method b --parity plus --levels 8`` at
   (omega, g, delta) = (1, 0.7, 0.4), and at orders 150, 300 and 600 on the
   default window evaluations per bracket and the time of one piece's
-  refinement (mean over the brackets, best of 5 solves);
+  refinement (mean over the brackets, best of 5 solves); each side takes
+  its default windows from this checkout's ``rabicf.model``;
 * for method b, where ``resolvent._refine_pole`` refines each pole on a
   leading minor of D_0 (``resolvent._leading_minor``): its evaluations, the
   rows each reads and the restarts on D_0 where its pivot test misses, for
@@ -322,12 +323,12 @@ def _root_cost() -> dict:
         result[name] = {"char_poly_calls": seen["char_poly"], "brackets": seen["brackets"],
                         **minors()}
 
-    params = ModelParams(1.0, 0.7, 0.4)
+    params, default_window = ModelParams(1.0, 0.7, 0.4), _change_model().default_window
     solves = {
-        "method a": (lambda n: solve_method_a(params, n, search.default_window(params, 10),
+        "method a": (lambda n: solve_method_a(params, n, default_window(params, 10),
                                               levels=10), "pair_secular"),
         "method b": (lambda n: poles_of_resolvent(build_chain(params, Parity.PLUS, n),
-                                                  search.default_window(params, 8), 8),
+                                                  default_window(params, 8), 8),
                      "char_poly"),
     }
     for name, (solve, kernel) in solves.items():
@@ -426,6 +427,12 @@ def _sweep_counts(rabicf, reference: bool) -> dict:
     return result
 
 
+def _change_model():
+    """``rabicf.model`` of this checkout, where both sides take their default
+    windows: a parent's ``search.default_window`` gives the same floats."""
+    return _load(str(ROOT / "src"), "rabicf_change").model
+
+
 def _load(src: str, name: str):
     """The rabicf package under ``src``, imported as ``name``."""
     init = Path(src) / "rabicf" / "__init__.py"
@@ -496,18 +503,20 @@ def _grid_pass_times(sides: dict) -> dict:
     """Milliseconds of one grid pass (``bracket_roots`` at the default grid
     and window), parent against change, of method a at 10 levels and of
     method b on the plus chain at 8 levels, g = 0.7, delta = 0.4."""
+    default_window = sides["change"].model.default_window
+
     def passes(pkg):
         search, params = pkg.search, pkg.ModelParams(1.0, 0.7, 0.4)
         out = {}
         for order in GRID_ORDERS["method a"]:
             out[f"method a, order {order}"] = lambda order=order: search.bracket_roots(
                 lambda e: pkg.secular_count(e, params, order),
-                search.default_window(params, 10), search.DEFAULT_GRID, 10)
+                default_window(params, 10), search.DEFAULT_GRID, 10)
         for order in GRID_ORDERS["method b"]:
             chain = pkg.build_chain(params, pkg.Parity.PLUS, order)
             out[f"method b, order {order}"] = lambda chain=chain: search.bracket_roots(
                 lambda e: pkg.resolvent.pole_count(e, chain),
-                search.default_window(params, 8), search.DEFAULT_GRID, 8)
+                default_window(params, 8), search.DEFAULT_GRID, 8)
         return out
 
     calls = {side: passes(pkg) for side, pkg in sides.items()}
@@ -564,7 +573,7 @@ def _method_b_times(sides: dict) -> dict:
         for side, pkg in sides.items():
             params = pkg.ModelParams(1.0, 0.7, 0.4)
             chain = pkg.build_chain(params, pkg.Parity.PLUS, order)
-            window = pkg.search.default_window(params, 8)
+            window = change.model.default_window(params, 8)
             grid = np.linspace(*window, pkg.search.DEFAULT_GRID)
             calls[side] = {
                 "pole_count, one energy": lambda pkg=pkg, chain=chain:

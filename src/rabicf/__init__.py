@@ -19,14 +19,16 @@ root driver in ``search``; ``scan`` tracks the oracle's levels over a
 parameter sweep and detects their crossings; ``convergence`` certifies
 resolvent-tail convergence and bounds the truncation depth; ``cli``
 exposes everything as subcommands.  ``model`` holds what every route
-shares: the parameters, the chains and the spectrum records
-(``EnergyLevel``, ``SpectrumApproximation``).
+shares: the parameters, the chains, the spectrum records (``EnergyLevel``,
+``SpectrumApproximation``), the request defaults and checks, and the
+continued fractions' pole guard, DEN_FLOOR and ``CfValue``.
 
 Names are resolved on first use (PEP 562): ``import rabicf`` loads no
 submodule, and ``rabicf.eigenvalues`` or ``from rabicf import eigenvalues``
 imports ``tridiag`` (and what it imports) then, so a process compiles only
-the modules it runs: method a loads neither the oracle nor the scan.
-Every submodule resolves as an attribute too.
+the modules it runs: method a loads neither the oracle nor the scan, and
+the oracle and ``bound`` load no continued fraction.  Every submodule
+resolves as an attribute too.
 """
 
 from importlib import import_module
@@ -39,12 +41,13 @@ _EXPORTS = {
                "DivergedTailError", "GZeroError", "LevelSpacingError", "LostBracketError",
                "PoleError", "PoleSeparationError", "RabiSolverError", "TooFewLevelsError",
                "TooShortError"),
-    "model": ("ChainCoefficients", "EnergyLevel", "ModelParams", "Parity", "SpectralMethod",
-              "SpectrumApproximation", "TruncationOrder", "build_chain", "shifted_energy"),
-    "schweber": ("CfStatus", "CfValue", "Classification", "CoefficientSequence",
-                 "ConvergentPair", "SchweberCoefficient", "classify_solution", "coeff_f",
-                 "convergent_pair", "finite_cf", "forward_recurrence", "minimal_sequence",
-                 "pair_secular", "secular_count", "spectral_function_a"),
+    "model": ("CfStatus", "CfValue", "ChainCoefficients", "EnergyLevel", "ModelParams", "Parity",
+              "SpectralMethod", "SpectrumApproximation", "TruncationOrder", "build_chain",
+              "shifted_energy"),
+    "schweber": ("Classification", "CoefficientSequence", "ConvergentPair",
+                 "SchweberCoefficient", "classify_solution", "coeff_f", "convergent_pair",
+                 "finite_cf", "forward_recurrence", "minimal_sequence", "pair_secular",
+                 "secular_count", "spectral_function_a"),
     "resolvent": ("PathologicalVariant", "PlantedChain", "ResolventStatus", "ResolventValue",
                   "build_pathological", "char_poly", "pole_count", "poles_of_resolvent",
                   "resolvent_cf"),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 
 from . import __version__
@@ -25,20 +26,13 @@ from .errors import (
     RabiSolverError,
     TooFewLevelsError,
 )
-from .model import DEFAULT_EIG_TOL, EnergyLevel, ModelParams, Parity, build_chain, checked_tol
-from .search import (
-    DEFAULT_GRID,
-    DEFAULT_REFINE_TOL,
-    checked_grid,
-    checked_window,
-    default_order,
-    default_window,
-    solve_method_a,
-)
+from .model import (DEFAULT_EIG_TOL, DEFAULT_GRID, DEFAULT_REFINE_TOL, DEN_FLOOR, EnergyLevel,
+                    ModelParams, Parity, build_chain, checked_grid, checked_tol, checked_window,
+                    default_order, default_window, pole_guard)
 
-# schweber, resolvent, convergence, the oracle (tridiag) and the scan are
-# imported by the commands that run them: a process compiles only the
-# modules of its own route.
+# search, schweber, resolvent, convergence, the oracle (tridiag) and the
+# scan are imported by the commands that run them: a process compiles only
+# the modules of its own route.
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -47,6 +41,9 @@ EXIT_NUMERICAL = 3
 
 # The --parity choices of every subcommand that takes one.
 PARITIES = {"plus": Parity.PLUS, "minus": Parity.MINUS}
+
+# A number in decimal or exponent form, such as -0.001 or -1e-3.
+_NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
 def _emit(metadata: dict, columns: list[str], rows: list[list], fmt: str, out) -> None:
@@ -82,6 +79,29 @@ def _parse_orders(text: str) -> list[int]:
     return orders
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes a number after an option with a value as
+    that value: argparse reads ``--energy -1e-3`` as two options, since its
+    negative numbers (``-0.001``) have no exponent."""
+
+    value_options: frozenset[str] = frozenset()
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs != 0:  # not a flag
+            self.value_options |= set(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined: list[str] = []
+        for arg in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] in self.value_options and _NUMBER.fullmatch(arg):
+                joined[-1] += f"={arg}"  # the --option=value form
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+
 def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--omega", type=float, required=True, help="oscillator frequency (> 0)")
     p.add_argument("--g", type=float, required=True, help="coupling (sign ignored)")
@@ -93,7 +113,7 @@ def _add_model_args(p: argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rabicf",
         description="Continued-fraction and Sturm-bisection spectra of the quantum Rabi model",
     )
@@ -190,7 +210,6 @@ def _load_config_args(argv: list[str]) -> list[str]:
                 raise ValueError(f"config line without '=': {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("_", "-")
-            value = value.strip()
             if value.lower() in ("true", "yes", "on"):
                 extra.append(f"--{key}")
             elif value.lower() in ("false", "no", "off"):
@@ -217,8 +236,6 @@ def _solve_spectrum(args, method: str, order: int | None, levels: int,
                     solver_tol: float | None = None) -> tuple[list[EnergyLevel], dict]:
     """Check one spectrum request, fill in its defaults and solve it;
     returns (levels, metadata bits), the order used among the latter."""
-    from .schweber import DEN_FLOOR, pole_guard
-
     params = ModelParams(args.omega, args.g, args.delta)
     # a given window is checked before the default order reads it
     window = checked_window(args.window) if args.window else default_window(params, levels)
@@ -232,7 +249,6 @@ def _solve_spectrum(args, method: str, order: int | None, levels: int,
         raise ValueError("levels must be >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
-    checked_window(window)
     checked_grid(args.grid)
     notes: dict = {
         "method": method, "order": order, "levels_requested": levels,
@@ -244,6 +260,8 @@ def _solve_spectrum(args, method: str, order: int | None, levels: int,
         notes["parity"] = "n/a"
         notes["parity_note"] = ("method a depends only on delta**2 "
                                 "and does not discern the parity chains")
+        from .search import solve_method_a
+
         result = solve_method_a(params, order, window, levels=levels,
                                 grid=args.grid, eps_pole=eps_pole)
         return list(result.spectrum.levels), notes
@@ -309,10 +327,10 @@ def cmd_pathological(args, out) -> int:
 
     params = ModelParams(args.omega, args.g, args.delta)
     variant = PathologicalVariant(args.variant)
-    limit = -params.omega / (params.g * params.g)
     rows = []
     for order in args.order:
         chain = build_pathological(args.e0, params, args.parity, order, variant)
+        limit = -params.omega / (params.g * params.g)  # after the GZeroError at g = 0
         planted = resolvent_cf(args.e0, chain)
         rows.append([
             order,

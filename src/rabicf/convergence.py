@@ -19,9 +19,9 @@ import math
 
 import numpy as np
 
-from .errors import TooFewLevelsError
-from .model import ModelParams, Parity, SpectrumApproximation, range_scale, record
-from .schweber import CfStatus, CfValue, DEN_FLOOR
+from .errors import RabiSolverError, TooFewLevelsError
+from .model import (DEN_FLOOR, CfStatus, CfValue, ModelParams, Parity, SpectrumApproximation,
+                    range_scale, record)
 
 __all__ = [
     "PringsheimCertificate",
@@ -50,7 +50,8 @@ class PringsheimCertificate:
 def tail_depth_bound(energy: float, params: ModelParams) -> int:
     """Smallest certified tail start: the dimensionful convergence bound,
     rounded up.  Returns 1 at g = 0, where every tail numerator vanishes
-    and the tail is trivially convergent."""
+    and the tail is trivially convergent; RabiSolverError where the bound
+    overflows."""
     if not math.isfinite(energy):
         raise ValueError(f"energy must be finite, got {energy!r}")
     w, g, d = params.omega, params.g, params.delta
@@ -58,6 +59,9 @@ def tail_depth_bound(energy: float, params: ModelParams) -> int:
         return 1
     s = abs(energy) + d
     n = s / w + (2.0 * g * g / (w * w)) * (1.0 + math.sqrt(1.0 + s * w / (g * g)))
+    if n == math.inf:
+        raise RabiSolverError(f"the tail-depth bound overflows at energy {energy!r}, "
+                              f"omega = {w!r}, g = {g!r}, delta = {d!r}")
     return max(1, math.ceil(n))
 
 

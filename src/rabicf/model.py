@@ -2,10 +2,11 @@
 
 The Rabi Hamiltonian restricted to one of its two parity-invariant
 subspaces is a real symmetric tridiagonal (Jacobi) matrix in the Fock
-basis.  Everything downstream (both continued-fraction methods and the
-eigensolver oracle) consumes the chain coefficients built here, and
-reports its levels in the spectrum records defined here too, so that no
-route has to load another route's module for them.
+basis.  Every route (both continued-fraction methods and the oracle)
+consumes the chain coefficients built here and reports its levels in the
+spectrum records here; the request defaults and checks (window, grid,
+order) and the continued fractions' pole guard, DEN_FLOOR and ``CfValue``
+live here too, so that no route loads another route's module for them.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ __all__ = [
     "SpectralMethod",
     "EnergyLevel",
     "SpectrumApproximation",
+    "CfStatus",
+    "CfValue",
 ]
 
 # Index of the last retained Fock state; chain dimension is order + 1.
@@ -341,3 +344,107 @@ class SpectrumApproximation:
         )
         return cls(method=method, parity=parity, order=order, levels=levels,
                    flagged_pairs=flagged)
+
+
+DEFAULT_GRID = 2000
+
+# Floor of every default truncation order (``default_order``).
+DEFAULT_ORDER = 300
+
+# Largest default truncation order: above it every route would allocate
+# chains of millions of sites, so an explicit order is required.
+MAX_DEFAULT_ORDER = 10**6
+
+# Root refinement width, relative to omega.
+DEFAULT_REFINE_TOL = 1e-12
+
+
+def checked_window(window) -> tuple[float, float]:
+    """``window`` as two floats, lo < hi, both finite; ValueError otherwise."""
+    lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"invalid window {window!r}")
+    return lo, hi
+
+
+def checked_grid(grid: int) -> int:
+    """``grid`` when it holds at least 2 samples; ValueError otherwise."""
+    if grid < 2:
+        raise ValueError(f"--grid {grid} is too small: at least 2 samples are needed")
+    return grid
+
+
+def default_window(params: ModelParams, levels: int) -> tuple[float, float]:
+    """Envelope window holding at least ``levels`` low-lying states: the
+    g = 0 and delta = 0 exact spectra bound the sweep.  RabiSolverError
+    where an end overflows."""
+    try:
+        lo = -params.g**2 / params.omega - params.delta - params.omega
+        hi = (levels + 2) * params.omega
+    except OverflowError:
+        lo = hi = math.inf
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise RabiSolverError(f"the default window overflows at omega = {params.omega!r}, "
+                              f"g = {params.g!r}, delta = {params.delta!r}; pass --window")
+    return lo, hi
+
+
+def default_order(params: ModelParams, levels: int, window: tuple[float, float]) -> int:
+    """Default truncation order of every route (methods a and b, the oracle,
+    the scan): twice the tail-depth bound at the largest |E| of ``window``,
+    which grows with g^2/w^2, with floors of 4*levels and DEFAULT_ORDER.
+    ValueError above MAX_DEFAULT_ORDER, a bound that overflows included."""
+    from .convergence import tail_depth_bound
+
+    emax = max(abs(window[0]), abs(window[1]))
+    try:
+        order = max(2 * tail_depth_bound(emax, params), 4 * levels, DEFAULT_ORDER)
+    except (RabiSolverError, ValueError):  # an inf bound, or an energy not finite
+        if not math.isfinite(emax):
+            raise
+        order = math.inf
+    if order > MAX_DEFAULT_ORDER:
+        raise ValueError(f"the default truncation order {order} exceeds {MAX_DEFAULT_ORDER}; "
+                         "pass --order")
+    return order
+
+
+# Pole guard half-width around x = n*omega, relative to omega.  Inside it
+# f_n is reported at_pole instead of evaluated, and the method-a residual
+# reads infinite; the root count needs no guard.
+EPS_POLE_REL = 1e-9
+
+# An intermediate continued-fraction denominator below this magnitude is a
+# pole of a partial fraction; the evaluation reports Overflow status.
+DEN_FLOOR = 1e-300
+
+
+class CfStatus(Enum):
+    CONVERGED = "converged"
+    HIT_POLE = "hit-pole"
+    OVERFLOW = "overflow"
+
+
+@record
+class CfValue:
+    """Value of a finite continued fraction plus its evaluation status.
+
+    ``value`` is finite exactly when ``status`` is CONVERGED.
+    """
+
+    value: float
+    status: CfStatus
+
+    @property
+    def converged(self) -> bool:
+        return self.status is CfStatus.CONVERGED
+
+
+def pole_guard(params: ModelParams, eps_pole: float | None = None) -> float:
+    """Pole guard half-width in energy units: ``eps_pole``, finite and >= 0,
+    or by default EPS_POLE_REL * omega."""
+    if eps_pole is None:
+        return EPS_POLE_REL * params.omega
+    if not (math.isfinite(eps_pole) and eps_pole >= 0.0):
+        raise ValueError(f"eps_pole must be finite and >= 0, got {eps_pole!r}")
+    return eps_pole

@@ -51,11 +51,11 @@ from .errors import (
     PoleSeparationError,
     RabiSolverError,
 )
-from .model import (ChainCoefficients, EnergyLevel, ModelParams, Parity, SpectralMethod,
-                    SpectrumApproximation, TruncationOrder, build_chain, field, record)
+from .model import (DEFAULT_GRID, DEFAULT_REFINE_TOL, DEN_FLOOR, ChainCoefficients, EnergyLevel,
+                    ModelParams, Parity, SpectralMethod, SpectrumApproximation, TruncationOrder,
+                    build_chain, checked_window, field, record)
 from .recurrence import PIVMIN, SLACK, Scaled, dominant_row, negative_pivots, scaled_pair
-from .schweber import DEN_FLOOR
-from .search import DEFAULT_GRID, DEFAULT_REFINE_TOL, bisect_sign, checked_window, counted_roots
+from .search import bisect_sign, counted_roots
 from .tridiag import sturm_count
 
 __all__ = [

@@ -19,9 +19,10 @@ import math
 import numpy as np
 
 from .errors import DegenerateScanError, RabiSolverError
-from .model import (DEFAULT_EIG_TOL, ModelParams, Parity, TruncationOrder, build_chain,
-                    chain_diagonal, checked_tol, record)
-from .search import DEFAULT_REFINE_TOL, _itp_point, default_order, default_window
+from .model import (DEFAULT_EIG_TOL, DEFAULT_REFINE_TOL, ModelParams, Parity, TruncationOrder,
+                    build_chain, chain_diagonal, checked_tol, default_order, default_window,
+                    record)
+from .search import _itp_point
 from .tridiag import (StepTable, eigenvalues_batch, eigenvalues_rows, gershgorin_interval,
                       lattice_cell)
 

@@ -24,6 +24,7 @@ evaluations of f_n itself keep a guard interval around each pole.
 The convergents and the secular polynomial run the scaled two-term
 recurrence of ``rabicf.recurrence``, and the root count its pivot count;
 coefficient sequences are kept as ratios K_{n+1}/K_n, which need no rescale.
+Its pole guard, DEN_FLOOR and ``CfValue`` live in ``rabicf.model``.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ from .errors import (
     PoleError,
     TooShortError,
 )
-from .model import ModelParams, TruncationOrder, checked_order, record, shifted_energy
+from .model import (DEN_FLOOR, CfStatus, CfValue, ModelParams, TruncationOrder, checked_order,
+                    pole_guard, record, shifted_energy)
 from .recurrence import Scaled, dominant_row, negative_pivots, scaled_pair
 
 __all__ = [
-    "CfStatus",
-    "CfValue",
     "SchweberCoefficient",
     "CoefficientSequence",
     "ConvergentPair",
@@ -59,40 +59,7 @@ __all__ = [
     "pair_secular",
     "secular_count",
     "classify_solution",
-    "pole_guard",
-    "EPS_POLE_REL",
-    "DEN_FLOOR",
 ]
-
-# Pole guard half-width around x = n*omega, relative to omega.  Inside it
-# f_n is reported at_pole instead of evaluated, and the method-a residual
-# reads infinite; the root count needs no guard.
-EPS_POLE_REL = 1e-9
-
-# An intermediate continued-fraction denominator below this magnitude is a
-# pole of a partial fraction; the evaluation reports Overflow status.
-DEN_FLOOR = 1e-300
-
-
-class CfStatus(Enum):
-    CONVERGED = "converged"
-    HIT_POLE = "hit-pole"
-    OVERFLOW = "overflow"
-
-
-@record
-class CfValue:
-    """Value of a finite continued fraction plus its evaluation status.
-
-    ``value`` is finite exactly when ``status`` is CONVERGED.
-    """
-
-    value: float
-    status: CfStatus
-
-    @property
-    def converged(self) -> bool:
-        return self.status is CfStatus.CONVERGED
 
 
 @record
@@ -117,16 +84,6 @@ def _require_coupling(params: ModelParams):
             "coefficient method undefined at g=0; use the resolvent method "
             "or the tridiagonal eigensolver"
         )
-
-
-def pole_guard(params: ModelParams, eps_pole: float | None = None) -> float:
-    """Pole guard half-width in energy units: ``eps_pole``, finite and >= 0,
-    or by default EPS_POLE_REL * omega."""
-    if eps_pole is None:
-        return EPS_POLE_REL * params.omega
-    if not (math.isfinite(eps_pole) and eps_pole >= 0.0):
-        raise ValueError(f"eps_pole must be finite and >= 0, got {eps_pole!r}")
-    return eps_pole
 
 
 def coeff_f(

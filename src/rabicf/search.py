@@ -26,12 +26,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import LevelSpacingError, LostBracketError, RabiSolverError
-from .model import (EnergyLevel, ModelParams, SpectralMethod, SpectrumApproximation,
-                    TruncationOrder, record)
+from .errors import LevelSpacingError, LostBracketError
+from .model import (DEFAULT_GRID, DEFAULT_REFINE_TOL, EnergyLevel, ModelParams, SpectralMethod,
+                    SpectrumApproximation, TruncationOrder, checked_grid, checked_window,
+                    pole_guard, record)
 
-# schweber and convergence are imported by the functions that run them
-# (solve_method_a, default_order): a scan at a given order loads neither.
+# solve_method_a imports schweber when it runs: method b and a scan never load it.
 
 __all__ = [
     "BracketScan",
@@ -40,8 +40,6 @@ __all__ = [
     "counted_roots",
     "MethodAResult",
     "solve_method_a",
-    "default_window",
-    "default_order",
     "CrossingEvent",
     "ScanResult",
     "scan_levels",
@@ -49,18 +47,6 @@ __all__ = [
 
 # Names defined in rabicf.scan, bound here when first read.
 _SCAN_NAMES = ("CrossingEvent", "ScanResult", "scan_levels")
-
-DEFAULT_GRID = 2000
-
-# Floor of every default truncation order (``default_order``).
-DEFAULT_ORDER = 300
-
-# Largest default truncation order: above it every route would allocate
-# chains of millions of sites, so an explicit order is required.
-MAX_DEFAULT_ORDER = 10**6
-
-# Root refinement width, relative to omega.
-DEFAULT_REFINE_TOL = 1e-12
 
 # Levels of every bracket's bisection tree that one count of the lockstep
 # narrowing reads: 2**NARROW_LEVELS - 1 nodes a bracket a sweep.
@@ -84,21 +70,6 @@ class BracketScan:
 
     brackets: tuple[tuple[float, float], ...]
     counts: tuple[tuple[int, int], ...]
-
-
-def checked_window(window) -> tuple[float, float]:
-    """``window`` as two floats, lo < hi, both finite; ValueError otherwise."""
-    lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"invalid window {window!r}")
-    return lo, hi
-
-
-def checked_grid(grid: int) -> int:
-    """``grid`` when it holds at least 2 samples; ValueError otherwise."""
-    if grid < 2:
-        raise ValueError(f"--grid {grid} is too small: at least 2 samples are needed")
-    return grid
 
 
 def bracket_roots(count, window: tuple[float, float], grid: int,
@@ -321,41 +292,6 @@ def _narrow(count, scan: BracketScan, tol: float) -> list:
     return result
 
 
-def default_window(params: ModelParams, levels: int) -> tuple[float, float]:
-    """Envelope window holding at least ``levels`` low-lying states: the
-    g = 0 and delta = 0 exact spectra bound the sweep.  RabiSolverError
-    where an end overflows."""
-    try:
-        lo = -params.g**2 / params.omega - params.delta - params.omega
-        hi = (levels + 2) * params.omega
-    except OverflowError:
-        lo = hi = math.inf
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise RabiSolverError(f"the default window overflows at omega = {params.omega!r}, "
-                              f"g = {params.g!r}, delta = {params.delta!r}; pass --window")
-    return lo, hi
-
-
-def default_order(params: ModelParams, levels: int, window: tuple[float, float]) -> int:
-    """Default truncation order of every route (methods a and b, the oracle,
-    the scan): twice the tail-depth bound at the largest |E| of ``window``,
-    which grows with g^2/w^2, with floors of 4*levels and DEFAULT_ORDER.
-    ValueError above MAX_DEFAULT_ORDER, a bound that overflows included."""
-    from .convergence import tail_depth_bound
-
-    emax = max(abs(window[0]), abs(window[1]))
-    try:
-        order = max(2 * tail_depth_bound(emax, params), 4 * levels, DEFAULT_ORDER)
-    except (OverflowError, ValueError):  # ceil of an inf or NaN bound
-        if not math.isfinite(emax):
-            raise
-        order = math.inf
-    if order > MAX_DEFAULT_ORDER:
-        raise ValueError(f"the default truncation order {order} exceeds {MAX_DEFAULT_ORDER}; "
-                         "pass --order")
-    return order
-
-
 @record
 class MethodAResult:
     spectrum: SpectrumApproximation
@@ -380,7 +316,7 @@ def solve_method_a(
     ``levels`` roots come back when the window holds fewer.  GZeroError at
     g = 0 and DeltaZeroError at delta = 0 come from ``secular_count``.
     """
-    from .schweber import pair_secular, pole_guard, secular_count, spectral_function_a
+    from .schweber import pair_secular, secular_count, spectral_function_a
 
     guard = pole_guard(params, eps_pole)
     roots = counted_roots(lambda e: secular_count(e, params, order),

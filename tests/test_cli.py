@@ -24,8 +24,7 @@ import rabicf.tridiag
 from rabicf.cli import _load_config_args, main
 from rabicf.convergence import check_pringsheim
 from rabicf.errors import LostBracketError
-from rabicf.model import ModelParams, Parity
-from rabicf.search import default_order, default_window
+from rabicf.model import ModelParams, Parity, default_order, default_window
 
 from conftest import ORACLE_UNION_24
 
@@ -444,12 +443,10 @@ MALFORMED_SAMPLING = {
 ARITHMETIC_FAILURES = {
     "bound-omega-underflow": ["bound", "--omega", "1e-300", "--g", "0.7", "--delta", "0.4",
                               "--energy", "1e10"],
-    "bound-energy-overflow": ["bound", *FIXTURE_ARGS, "--energy", "1e308"],
 }
 # The exception each of them raises, named on the error line with the subcommand.
 ARITHMETIC_KINDS = {
     "bound-omega-underflow": "ZeroDivisionError",
-    "bound-energy-overflow": "OverflowError",
 }
 
 
@@ -780,6 +777,13 @@ class TestPathological:
         _, header, rows = parse_csv(text)
         assert rows[0][header.index("planted_reciprocal")] == "0.0"
 
+    def test_g_zero_refused_by_name(self, capsys):
+        # the tail limit -omega/g^2 is formed only after the plant refuses g = 0
+        code, text = run_cli(["pathological", "--omega", "1", "--g", "0", "--delta", "0.4",
+                              "--e0", "0.5"])
+        assert (code, text) == (3, "")
+        assert capsys.readouterr().err == "rabicf: pathological construction needs nonzero coupling\n"
+
 
 class TestBound:
     def test_fixture(self):
@@ -805,6 +809,35 @@ class TestBound:
         assert code == 0
         _, header, rows = parse_csv(text)
         assert rows[0][header.index("holds")] == "True"
+
+    @pytest.mark.parametrize("model", [
+        ["--g", "0.7", "--delta", "0.4", "--energy", "1e308"],
+        ["--g", "1e200", "--delta", "0.4", "--energy", "0"],
+        ["--g", "0.7", "--delta", "1e308", "--energy", "0"],
+    ], ids=["energy", "g", "delta"])
+    def test_overflowing_bound_refused(self, model, capsys):
+        # the tail-depth bound is inf at each: a named refusal, not an
+        # OverflowError from rounding it up
+        assert run_cli(["bound", "--omega", "1", *model]) == (3, "")
+        err = capsys.readouterr().err
+        assert err.startswith("rabicf: the tail-depth bound overflows at energy "
+                              f"{float(model[-1])!r}, omega = 1.0, ")
+        assert "Error" not in err
+
+
+class TestNegativeExponentValues:
+    # argparse reads -1e-3 as an option, as it does not -0.001: after an
+    # option with a value it is that value, as in the --option=value form
+    @pytest.mark.parametrize("argv, option, value", [
+        (["bound", *FIXTURE_ARGS], "--energy", "-1e-3"),
+        (["pathological", *FIXTURE_ARGS, "--order", "10,20"], "--e0", "-5e-1"),
+        (["scan", *FIXTURE_ARGS, "--to", "0.2", "--steps", "10", "--levels", "2",
+          "--order", "20"], "--from", "-1e-1"),
+    ], ids=["energy", "e0", "from"])
+    def test_same_as_the_equals_form(self, argv, option, value, capsys):
+        spaced = run_cli([*argv, option, value]), capsys.readouterr().err
+        assert spaced == (run_cli([*argv, f"{option}={value}"]), capsys.readouterr().err)
+        assert spaced[0][0] == 0 and f"{float(value)!r}" in spaced[0][1]
 
 
 class TestScan:

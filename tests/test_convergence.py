@@ -28,7 +28,7 @@ from rabicf import (
 
 from rabicf.cli import main
 from rabicf.convergence import _tail_b
-from rabicf.schweber import DEN_FLOOR
+from rabicf.model import DEN_FLOOR
 
 from conftest import FIXTURE
 

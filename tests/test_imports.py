@@ -12,6 +12,12 @@ from conftest import assert_not_imported, run_fresh
 
 MODEL = ["--omega", "1", "--g", "0.7", "--delta", "0.4"]
 README_METHOD_A = ["spectrum", *MODEL, "--method", "a", "--order", "150", "--levels", "10"]
+README_METHOD_B = ["spectrum", *MODEL, "--method", "b", "--parity", "plus", "--levels", "8"]
+README_DIAG = ["spectrum", "--omega", "1", "--g", "0", "--delta", "0.4", "--parity", "plus",
+               "--method", "diag", "--levels", "3"]
+README_PATHOLOGICAL = ["pathological", *MODEL, "--e0", "0.5", "--parity", "plus",
+                       "--order", "10,20,40,80,160", "--variant", "diag"]
+README_BOUND = ["bound", *MODEL, "--energy", "0"]
 README_SCAN = ["scan", *MODEL, "--param", "g", "--from", "0.05", "--to", "1.2",
                "--steps", "600", "--levels", "8", "--order", "300"]
 ROUTES = ("rabicf.schweber", "rabicf.recurrence", "rabicf.resolvent", "rabicf.convergence")
@@ -25,12 +31,13 @@ EXPORTED = {
                "DivergedTailError", "GZeroError", "LevelSpacingError", "LostBracketError",
                "PoleError", "PoleSeparationError", "RabiSolverError", "TooFewLevelsError",
                "TooShortError"),
-    "model": ("ChainCoefficients", "EnergyLevel", "ModelParams", "Parity", "SpectralMethod",
-              "SpectrumApproximation", "TruncationOrder", "build_chain", "shifted_energy"),
-    "schweber": ("CfStatus", "CfValue", "Classification", "CoefficientSequence",
-                 "ConvergentPair", "SchweberCoefficient", "classify_solution", "coeff_f",
-                 "convergent_pair", "finite_cf", "forward_recurrence", "minimal_sequence",
-                 "pair_secular", "secular_count", "spectral_function_a"),
+    "model": ("CfStatus", "CfValue", "ChainCoefficients", "EnergyLevel", "ModelParams", "Parity",
+              "SpectralMethod", "SpectrumApproximation", "TruncationOrder", "build_chain",
+              "shifted_energy"),
+    "schweber": ("Classification", "CoefficientSequence", "ConvergentPair",
+                 "SchweberCoefficient", "classify_solution", "coeff_f", "convergent_pair",
+                 "finite_cf", "forward_recurrence", "minimal_sequence", "pair_secular",
+                 "secular_count", "spectral_function_a"),
     "resolvent": ("PathologicalVariant", "PlantedChain", "ResolventStatus", "ResolventValue",
                   "build_pathological", "char_poly", "pole_count", "poles_of_resolvent",
                   "resolvent_cf"),
@@ -40,6 +47,40 @@ EXPORTED = {
     "search": ("MethodAResult", "bracket_roots", "solve_method_a"),
     "scan": ("CrossingEvent", "ScanResult", "scan_levels"),
 }
+
+
+def loaded_by(argv: list[str] | None) -> list[str]:
+    """The rabicf modules, without the package prefix, that a fresh
+    interpreter has loaded after ``import rabicf.cli`` and, unless ``argv``
+    is None, ``argv`` through ``main``."""
+    run = "" if argv is None else f"assert rabicf.cli.main({argv!r}, out=io.StringIO()) == 0\n"
+    return json.loads(run_fresh(
+        "import io, json, sys\nimport rabicf.cli\n" + run
+        + "print(json.dumps(sorted(m[len('rabicf.'):] for m in sys.modules\n"
+          "                        if m.startswith('rabicf.'))))\n"))
+
+
+class TestRouteModules:
+    # each route loads model, errors and the modules it computes with, and
+    # no other route's module for a default, a check or a shared constant
+    def test_cli_loads_errors_and_model_alone(self):
+        assert loaded_by(None) == ["cli", "errors", "model"]
+
+    def test_diag_loads_the_oracle_alone(self):
+        argv = ["spectrum", *MODEL, "--method", "diag", "--order", "300", "--levels", "8"]
+        assert loaded_by(argv) == ["cli", "errors", "model", "tridiag"]
+
+    def test_diag_at_its_default_order_adds_convergence(self):
+        # the tail-depth bound sets the default order
+        assert loaded_by(README_DIAG) == ["cli", "convergence", "errors", "model", "tridiag"]
+
+    def test_bound_loads_convergence_alone(self):
+        assert loaded_by(README_BOUND) == ["cli", "convergence", "errors", "model"]
+
+    @pytest.mark.parametrize("argv", [README_METHOD_B, README_PATHOLOGICAL],
+                             ids=["method-b", "pathological"])
+    def test_resolvent_loads_no_coefficient_method(self, argv):
+        assert_not_imported("rabicf.schweber", argv)
 
 
 class TestLazyImports:

@@ -24,17 +24,16 @@ from rabicf import (
     sturm_count,
 )
 from rabicf import resolvent
-from rabicf.model import ChainCoefficients
-from rabicf.recurrence import _ROWS, PIVMIN, SLACK, negative_pivots
-from rabicf.resolvent import PathologicalVariant
-from rabicf.search import (
+from rabicf.model import (
     DEFAULT_GRID,
     DEFAULT_REFINE_TOL,
-    bisect_sign,
-    counted_roots,
+    ChainCoefficients,
     default_order,
     default_window,
 )
+from rabicf.recurrence import _ROWS, PIVMIN, SLACK, negative_pivots
+from rabicf.resolvent import PathologicalVariant
+from rabicf.search import bisect_sign, counted_roots
 
 from conftest import FIXTURE, ORACLE_MINUS_12, ORACLE_PLUS_12, assert_not_imported
 

@@ -33,8 +33,8 @@ from rabicf import (
 )
 
 from rabicf.recurrence import _ROWS, negative_pivots
-from rabicf.schweber import EPS_POLE_REL, _f_of_detune, pole_guard
-from rabicf.search import default_window
+from rabicf.model import EPS_POLE_REL, default_window, pole_guard
+from rabicf.schweber import _f_of_detune
 
 from conftest import FIXTURE, ORACLE_UNION_24
 

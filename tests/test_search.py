@@ -35,7 +35,8 @@ import rabicf.search as search
 from rabicf.recurrence import Scaled
 from rabicf.resolvent import poles_of_resolvent
 from rabicf.cli import main
-from rabicf.search import BracketScan, bisect_sign, counted_roots, default_window
+from rabicf.model import default_order, default_window
+from rabicf.search import BracketScan, bisect_sign, counted_roots
 from rabicf.tridiag import _ROWS, StepTable, _dominance_floor
 
 from conftest import FIXTURE, ORACLE_UNION_24
@@ -593,7 +594,7 @@ class TestSolveMethodA:
         # 1e-8 w
         params, k = ModelParams(1.0, g, delta), 8
         window = default_window(params, k)
-        order = search.default_order(params, k, window)
+        order = default_order(params, k, window)
         got = solve_method_a(params, order, window, levels=k).spectrum.energies
         j = np.arange(2 * order + 1, dtype=float)
         off = g * np.sqrt(j[1:])
@@ -611,7 +612,7 @@ class TestSolveMethodA:
         params = ModelParams(1.0, g, 0.4)
         k = 6
         window = default_window(params, k)
-        order = search.default_order(params, k, window)
+        order = default_order(params, k, window)
         calls = []
         real = search.bisect_sign
         monkeypatch.setattr(search, "bisect_sign",
@@ -629,9 +630,9 @@ class TestSolveMethodA:
         # window is still named as such
         params = ModelParams(2.0**520, 2.0**520, 1.0)
         with pytest.raises(ValueError, match="order inf exceeds 1000000; pass --order"):
-            search.default_order(params, 8, (-1.0, 1.0))
+            default_order(params, 8, (-1.0, 1.0))
         with pytest.raises(ValueError, match="energy must be finite"):
-            search.default_order(FIXTURE, 8, (-math.inf, 1.0))
+            default_order(FIXTURE, 8, (-math.inf, 1.0))
 
     @staticmethod
     def _juddian_pair(g, n):

@@ -10,7 +10,8 @@ commit):
 * the README coupling scan and the seeded delta scan of the coupling-scan
   workload (``bench/workloads.py``): for every scan the events and what
   reached the crossing refinement: parameter steps per event and pivot
-  sweeps (calls of ``tridiag._negative_pivot_counts``) with the Sturm
+  sweeps (calls of ``tridiag._negative_pivot_counts``, the oracle's entry
+  to the pivot sweep ``model.pivot_sweep`` of all three routes) with the Sturm
   counts they evaluated and the chain steps they read;
 * the evaluations that ``search.bisect_sign`` makes of P_N
   (``schweber.pair_secular``, method a) and of D_0 (``resolvent.char_poly``,
@@ -223,9 +224,11 @@ def _root_cost() -> dict:
             "minor_rows": [], "restarts": 0}
 
     def pivots(module):
-        """Wrap the pivot count that ``module``'s root count runs on, to
-        record the rows each sweep reads (the last row it fills), in the
-        grid pass and outside it (the narrowing)."""
+        """Wrap ``module``'s binding of ``negative_pivots``, the pivot sweep
+        its root count runs on (``model``'s; ``recurrence``'s in a parent
+        from before the sweeps were merged), to record the rows each sweep
+        reads (the last row it fills), in the grid pass and outside it (the
+        narrowing)."""
         real = module.negative_pivots
 
         def counting(couplings, rows, dominant):
@@ -404,7 +407,9 @@ def _sweep_args(rabicf) -> dict[str, list[tuple]]:
 
 def _sweep_counts(rabicf, reference: bool) -> dict:
     """Sweeps per call, Sturm counts and chain steps read per sweep of each
-    shape, and the chain's n + 1 steps; with ``reference``, whether every
+    shape, read through ``tridiag._pivot_sweep`` (the oracle's binding of
+    ``model.pivot_sweep``, or its own sweep in a parent from before the
+    merge), and the chain's n + 1 steps; with ``reference``, whether every
     count equals the per-step rule of this checkout's tests (its tables
     have the chain steps on the last axis)."""
     import numpy as np
@@ -480,9 +485,9 @@ def _scan_times(sides: dict) -> dict:
 
 
 def _sweep_times(sides: dict) -> dict:
-    """Milliseconds per pivot sweep of each shape, the kernel of the parent
-    package on its own sweeps against the change's, in REPEATS alternating
-    rounds."""
+    """Milliseconds per pivot sweep of each shape, the oracle's sweep
+    (``tridiag._negative_pivot_counts``) of the parent package on its own
+    sweeps against the change's, in REPEATS alternating rounds."""
     args = {side: _sweep_args(pkg) for side, pkg in sides.items()}
     result = {}
     for name in args["change"]:

@@ -1,7 +1,7 @@
 """Spectral solvers for the quantum Rabi model.
 
-Two finite continued-fraction routes to the spectrum, cross-validated by an
-independent Sturm-bisection eigensolver on the truncated parity chains:
+Two finite continued-fraction routes to the spectrum, cross-validated by a
+Sturm-bisection eigensolver on the truncated parity chains:
 
 * coefficient method (``schweber``): zeros of f_0(E) - F_N(E) built from
   the three-term recurrence of the eigenfunction expansion coefficients;
@@ -9,19 +9,20 @@ independent Sturm-bisection eigensolver on the truncated parity chains:
 * resolvent method (``resolvent``): poles of the border resolvent of the
   truncated parity chain, via the characteristic-minor recurrence; includes
   the pathological truncation that plants a fictitious eigenvalue.
-* oracle (``tridiag``): Sturm-count bisection, sharing no code with either
-  continued-fraction route.
+* oracle (``tridiag``): Sturm-count bisection on the pivot sweep that both
+  continued fractions count with; exact integer counts in the tests check it.
 
-Both continued fractions run one scaled two-term recurrence and count
-their roots (``secular_count``, ``pole_count``) with one forward pivot
-count that stops at the dominant tail, both in ``recurrence``, for one
+Both continued fractions run one scaled two-term recurrence (``recurrence``)
+and count their roots (``secular_count``, ``pole_count``) with the oracle's
+pivot sweep, which stops at the dominant tail, for one
 root driver in ``search``; ``scan`` tracks the oracle's levels over a
 parameter sweep and detects their crossings; ``convergence`` certifies
 resolvent-tail convergence and bounds the truncation depth; ``cli``
 exposes everything as subcommands.  ``model`` holds what every route
 shares: the parameters, the chains, the spectrum records (``EnergyLevel``,
-``SpectrumApproximation``), the request defaults and checks, and the
-continued fractions' pole guard, DEN_FLOOR and ``CfValue``.
+``SpectrumApproximation``), the request defaults and checks, the
+continued fractions' pole guard, DEN_FLOOR and ``CfValue``, and the
+negative-pivot sweep of all three routes.
 
 Names are resolved on first use (PEP 562): ``import rabicf`` loads no
 submodule, and ``rabicf.eigenvalues`` or ``from rabicf import eigenvalues``

@@ -51,15 +51,15 @@ def tail_depth_bound(energy: float, params: ModelParams) -> int:
     """Smallest certified tail start: the dimensionful convergence bound,
     rounded up.  Returns 1 at g = 0, where every tail numerator vanishes
     and the tail is trivially convergent; RabiSolverError where the bound
-    overflows."""
+    overflows, or ten times it, the levels that ``bound`` verifies."""
     if not math.isfinite(energy):
         raise ValueError(f"energy must be finite, got {energy!r}")
     w, g, d = params.omega, params.g, params.delta
     if g == 0.0:
         return 1
     s = abs(energy) + d
-    n = s / w + (2.0 * g * g / (w * w)) * (1.0 + math.sqrt(1.0 + s * w / (g * g)))
-    if n == math.inf:
+    n = s / w + (2.0 * g / (w * w)) * (g + math.sqrt(g * g + s * w))  # no 1/g**2 to overflow
+    if 10.0 * n == math.inf:
         raise RabiSolverError(f"the tail-depth bound overflows at energy {energy!r}, "
                               f"omega = {w!r}, g = {g!r}, delta = {d!r}")
     return max(1, math.ceil(n))

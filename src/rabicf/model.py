@@ -244,7 +244,7 @@ class ChainCoefficients:
     @cached_property
     def coupling_roots(self) -> np.ndarray:
         """b_0 .. b_{N+1} = sqrt(a_j), with b_{N+1} = 0: the dominance test's
-        off-diagonal magnitudes (``recurrence.dominant_row``), read-only."""
+        off-diagonal magnitudes (``dominant_row``), read-only."""
         roots = np.sqrt(self.couplings + (0.0,))
         roots.setflags(write=False)
         return roots
@@ -448,3 +448,118 @@ def pole_guard(params: ModelParams, eps_pole: float | None = None) -> float:
     if not (math.isfinite(eps_pole) and eps_pole >= 0.0):
         raise ValueError(f"eps_pole must be finite and >= 0, got {eps_pole!r}")
     return eps_pole
+
+
+# Pivots at or below PIVMIN count as negative, and those in (-PIVMIN,
+# PIVMIN] continue as -PIVMIN, the usual bisection convention: an exactly
+# singular leading submatrix counts as an eigenvalue below E.  Small
+# enough never to matter at physical scales, large enough that
+# a_j / PIVMIN cannot overflow for any representable chain.
+PIVMIN = 1e-290
+
+# Steps per block of the pivot sweep.  Measured on a 2-vCPU x86-64 VM: 16
+# is 5-10% faster than 32 on the scan's 600 x 8 lanes at order 300, 32
+# about 10% faster on one chain's 8 x 15 lanes and on the crossing
+# refinement's rows, 64 no faster; each sweep takes about 40% of the time
+# of the per-step PIVMIN rule (scripts/crossing_cost.py, BENCH_24.json).
+_ROWS = 32
+
+# Relative slack of the dominance exit: of the energy, of each row and of
+# the pivot's bound.  About 1e7 units of roundoff, far above the rounding
+# of one step, far below any gap that decides where a sweep stops.
+SLACK = 1e-9
+
+
+def dominance_margins(p, b, mag) -> np.ndarray:
+    """p_j - r_j - (SLACK*(mag_j + r_j) + 4*PIVMIN) of the rows p_0 .. p_K,
+    with r_j = b_j + b_{j+1}, off-diagonal magnitudes ``b`` = b_0 .. b_{K+1}
+    and row magnitudes ``mag`` >= |p_j|: row j is dominant above E, as
+    :func:`pivot_sweep` takes it, where its margin is >= E + SLACK*|E|."""
+    r = b[:-1] + b[1:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        return p - r - (SLACK * (mag + r) + 4.0 * PIVMIN)
+
+
+def dominant_row(p, b) -> int:
+    """The first row J from which every row of ``p``, the rows p_0 .. p_K
+    at or below those of every lane, is dominant above E = 0; K + 1 when
+    the last row is not.  A NaN row is not."""
+    below = np.flatnonzero(~(dominance_margins(p, b, np.abs(p)) >= 0.0))
+    return int(below[-1]) + 1 if below.size else 0
+
+
+def pivot_sweep(couplings, rows, dominant: int, energies=0.0) -> tuple[np.ndarray, int]:
+    """(counts, steps read): the pivots q_0 = p_0 - E, q_k = (p_k - E) -
+    a_k/q_{k-1} of an LDL^T at or below PIVMIN (each then continues as
+    -PIVMIN or below), as many as its eigenvalues below E (Sylvester), in
+    every lane, an int array.  ``rows(i, j)`` gives the (j - i, ...) array
+    p_i .. p_{j-1}, a row of which broadcasts against ``energies`` to the
+    lanes' shape, and ``couplings[i:j]`` a_{i+1} .. a_j, of len(couplings)
+    + 1 steps, which broadcast into it: per-lane tables count in one sweep.
+
+    The sweep is blocked, with the PIVMIN check deferred (LAPACK
+    ``dlaneg``; Marques, Riedy and Voemel, SIAM J. Sci. Comput. 28(5),
+    2006): _ROWS steps are filled with p_j - E in one call, then each step
+    is two in-place calls.  After the block, the first row with a pivot in
+    [-PIVMIN, PIVMIN] has those lanes set to -PIVMIN and the rows after it
+    run again, so every count is the per-step rule's, bit for bit.  Block
+    row i is step j0 + i - 1, row 0 the last pivot of the block before,
+    whose coupling is carried over, so that a table slice stays inside one
+    block.  The errstate covers inf rows and a zero pivot's division.
+
+    ``dominant`` = J promises that every row from J on is dominant in every
+    lane, p_j - E >= r_j + SLACK*(|p_j - E| + r_j) + 4*PIVMIN with r_j =
+    b_j + b_{j+1} and b_j = sqrt(a_j) (:func:`dominance_margins`); J >
+    len(couplings) promises nothing.  The sweep stops after the first block
+    whose last step K has K + 1 >= J and q_K >= b_{K+1}*(1 + SLACK) in every
+    lane: by induction q_j > p_j - E - b_j >= b_{j+1}*(1 + SLACK) for every
+    j > K, the slack covering each step's rounding, so no later pivot
+    reaches PIVMIN and the count is the full sweep's, bit for bit (the
+    paper's Pringsheim criterion, site by site).  NaN lanes never pass.
+    """
+    steps, a = len(couplings) + 1, [None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = rows(0, min(_ROWS, steps))
+        lanes = np.broadcast(d[0], energies).shape
+        block = np.empty((_ROWS + 1,) + lanes)
+        row = [block[i, ...] for i in range(_ROWS + 1)]  # views, also for 0-d lanes
+        neg = np.empty(block.shape, dtype=bool)
+        t = np.empty(lanes)
+        count = np.zeros(lanes, dtype=np.int64)
+        for j0 in range(0, steps, _ROWS):
+            m = min(_ROWS, steps - j0)
+            if j0:
+                d = rows(j0, j0 + m)
+            a = [a[-1], *couplings[j0:j0 + m]]  # a[i - 1] is the a_k into row i
+            np.subtract(d, energies, out=block[1:m + 1])
+            first, check = (2 if j0 == 0 else 1), 1
+            while True:
+                for a_k, before, q in zip(a[first - 1:m], row[first - 1:m], row[first:m + 1]):
+                    np.divide(a_k, before, out=t)
+                    np.subtract(q, t, out=q)
+                # no pivot in [-PIVMIN, PIVMIN] when as many are <= PIVMIN as < -PIVMIN
+                np.less_equal(block[check:m + 1], PIVMIN, out=neg[check:m + 1])
+                if np.count_nonzero(neg[check:m + 1]) == np.count_nonzero(
+                        block[check:m + 1] < -PIVMIN):
+                    break
+                tiny = np.abs(block[check:m + 1]) <= PIVMIN
+                r = check + int(np.flatnonzero(tiny.reshape(len(tiny), -1).any(axis=1))[0])
+                np.copyto(row[r], -PIVMIN, where=tiny[r - check])
+                np.subtract(d[r:], energies, out=block[r + 1:m + 1])
+                first = check = r + 1
+            count += np.add.reduce(neg[1:m + 1].view(np.uint8), axis=0, dtype=np.uint8)
+            block[0] = block[m]
+            if dominant <= j0 + m < steps:
+                # np.count_nonzero, not np.all, which would map in one more
+                # numpy loop on the oracle's requests (about 60 KiB of RSS)
+                held = block[0] >= np.sqrt(a[m]) * (1.0 + SLACK)
+                if np.count_nonzero(held) == held.size:
+                    return count, j0 + m
+    return count, steps
+
+
+def negative_pivots(couplings, rows, dominant: int) -> np.ndarray:
+    """The counts of :func:`pivot_sweep` at E = 0 with ``couplings`` = a_0
+    .. a_K, as the continued fractions' forward pivots index them (a_0 = 0,
+    the unread coupling into the first row)."""
+    return pivot_sweep(couplings[1:], rows, dominant)[0]

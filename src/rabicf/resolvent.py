@@ -21,7 +21,7 @@ The same fraction counts its poles: the forward pivots q_j = (d_j - E) -
 a_j/q_{j-1} of H - E are -P_{j+1}/P_j for the leading minors P_j =
 det(E - H)_{0..j-1} (the ratios G_{j+1}(E) of ``build_pathological``
 scaled by -a_{j+1}), and the negative ones number the poles at or below E
-(``pole_count``, ``recurrence.negative_pivots``).  Past the row where the
+(``pole_count``, ``model.negative_pivots``).  Past the row where the
 rest of the chain is dominant and a pivot clears the next coupling, every
 later pivot is positive, so a leading minor P_{K+1} has D_0 = P_{N+1}'s
 sign up to (-1)**(N - K): each pole is refined on it (``_refine_pole``),
@@ -51,10 +51,11 @@ from .errors import (
     PoleSeparationError,
     RabiSolverError,
 )
-from .model import (DEFAULT_GRID, DEFAULT_REFINE_TOL, DEN_FLOOR, ChainCoefficients, EnergyLevel,
-                    ModelParams, Parity, SpectralMethod, SpectrumApproximation, TruncationOrder,
-                    build_chain, checked_window, field, record)
-from .recurrence import PIVMIN, SLACK, Scaled, dominant_row, negative_pivots, scaled_pair
+from .model import (DEFAULT_GRID, DEFAULT_REFINE_TOL, DEN_FLOOR, PIVMIN, SLACK, ChainCoefficients,
+                    EnergyLevel, ModelParams, Parity, SpectralMethod, SpectrumApproximation,
+                    TruncationOrder, build_chain, checked_window, dominant_row, field,
+                    negative_pivots, record)
+from .recurrence import Scaled, scaled_pair
 from .search import bisect_sign, counted_roots
 from .tridiag import sturm_count
 
@@ -131,7 +132,7 @@ def pole_count(energy, chain: ChainCoefficients):
     """Poles of G_0 at or below ``energy`` (an int for a float, a 0-d lane,
     an int array for an array): the negative forward pivots q_0 .. q_N of
     H - E, the ratios -P_{j+1}/P_j of its leading minors, an exactly
-    singular one included (``recurrence.negative_pivots``).  The sweep stops
+    singular one included (``model.negative_pivots``).  The sweep stops
     where the rest of the chain is dominant above every lane (``dominant_row``)."""
     diag = chain.diag
     lanes, top = (-1,) + (1,) * np.ndim(energy), np.max(energy, initial=-np.inf)
@@ -365,8 +366,9 @@ def build_pathological(
     G_N = P_N/(a_N P_{N-1}) for the polynomials P_{j+1} = b_j P_j - a_j
     P_{j-1} from (0, 1), exactly: on entries scaled by 2**s (``_dyadic_steps``)
     Q_j = 2**(sj) P_j are ints, G_N = Q_N 2**s/(A_N Q_{N-1}) and H[N,N] =
-    (E_0 2**s Q_N - A'_N Q_{N-1})/(Q_N 2**s), each rounded once (OverflowError
-    out of range).  A zero Q_{N-1} or Q_N raises DivergedTailError(its index).
+    (E_0 2**s Q_N - A'_N Q_{N-1})/(Q_N 2**s), each rounded once; RabiSolverError
+    where one of them, or the tail limit -omega/g**2, leaves the float range.
+    A zero Q_{N-1} or Q_N raises DivergedTailError(its index).
     """
     if params.g == 0.0:
         raise GZeroError("pathological construction needs nonzero coupling")
@@ -394,8 +396,14 @@ def build_pathological(
             raise DivergedTailError(j)
     hnn = (e * q_n - a[-1] * q_before, q_n << s)
     diag, offdiag = base.diag.copy(), base.offdiag.copy()
-    diag[n] = hnn[0] / hnn[1]
+    try:
+        diag[n], tail = hnn[0] / hnn[1], (q_n << s) / (a[-2] * q_before)
+        if math.isinf(params.omega / (params.g * params.g)):  # the tail's limit
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError):
+        raise RabiSolverError(f"pathological: H[N,N] or the tail limit -omega/g**2 leaves "
+                              f"the float range at g = {params.g!r}") from None
     offdiag[n - 1] = last_offdiag
     return PlantedChain(params=params, parity=parity, order=n, diag=diag, offdiag=offdiag,
                         base=base, target_energy=energy0, variant=variant,
-                        tail=(q_n << s) / (a[-2] * q_before), planted_diag_nn=hnn)
+                        tail=tail, planted_diag_nn=hnn)

@@ -42,8 +42,8 @@ from .errors import (
     TooShortError,
 )
 from .model import (DEN_FLOOR, CfStatus, CfValue, ModelParams, TruncationOrder, checked_order,
-                    pole_guard, record, shifted_energy)
-from .recurrence import Scaled, dominant_row, negative_pivots, scaled_pair
+                    dominant_row, negative_pivots, pole_guard, record, shifted_energy)
+from .recurrence import Scaled, scaled_pair
 
 __all__ = [
     "SchweberCoefficient",
@@ -327,7 +327,7 @@ def secular_count(energy, params: ModelParams, order: TruncationOrder):
     f_m jumps from -inf to +inf (it is +inf on the cut) and the pivot count
     drops by one, which the cut term restores: c'(b) - c'(a) roots lie in
     (a, b], cuts included.  A float gives an int (one 0-d lane), an array
-    an int array (``recurrence.negative_pivots``).  At delta = 0 f_m has no
+    an int array (``model.negative_pivots``).  At delta = 0 f_m has no
     pole for the cut term to count (it reads 0/0 on a cut): DeltaZeroError.
 
     The sweep stops where the rest of T(x) is diagonally dominant
@@ -349,7 +349,7 @@ def secular_count(energy, params: ModelParams, order: TruncationOrder):
 
 
 def _dominant_row(x, m_w, params: ModelParams) -> int:
-    """``recurrence.dominant_row`` of ``secular_count``'s sweep over the
+    """``model.dominant_row`` of ``secular_count``'s sweep over the
     lanes ``x`` (its couplings are a_m = m): rows at max x, those at or
     below a cut (m w <= max x) failing.  Above its cut f_m falls as x
     rises, in floats too (each operation rounds monotonically), so the row

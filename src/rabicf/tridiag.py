@@ -1,9 +1,12 @@
 """Sturm-sequence bisection eigensolver for the truncated parity chains.
 
 This is the oracle against which both continued-fraction methods are
-cross-validated.  It deliberately shares no code path with them: counting
-negative pivots of the LDL^T factorization of ``T - E`` gives the number of
-eigenvalues below E, and bisection on that count brackets each eigenvalue.
+cross-validated: counting negative pivots of the LDL^T factorization of
+``T - E`` gives the number of eigenvalues below E, and bisection on that
+count brackets each eigenvalue.  It counts with the sweep that both
+continued fractions count with (``model.pivot_sweep``); the tests check
+that sweep against exact integer Sturm counts, which share no arithmetic
+with any route.
 
 Bisection brackets are snapped outward to a power-of-two lattice, so every
 endpoint is an exact dyadic number.  Results are then bit-reproducible at a
@@ -18,21 +21,15 @@ end in the cell that bisection reaches wherever the count is monotone.
 A pivot sweep takes its step-major tables, diag (n+1, ...) and off2
 (n, ...), one slice a block of chain steps, with two in-place numpy calls a
 step; a scan's tables are built a block at a time, only as deep as its
-sweeps read (:class:`StepTable`).  The PIVMIN rule is checked once a block
-and a block is run again only from the first pivot within PIVMIN of zero,
-as in LAPACK ``dlaneg``: the count is the per-step rule's, bit for bit,
-whose monotonicity Demmel, Dhillon and Ren analyse (ETNA 3, 1995).
-
-A sweep stops at the end of a block once the rest of every chain is
-diagonally dominant above its largest energy, read from one floor a step,
-and every lane's last pivot can start an induction: the paper's Pringsheim
-criterion, site by site, tested as in both continued-fraction counts.
-Beyond that block no pivot can reach PIVMIN, so the count is the full
-sweep's, bit for bit; low levels of long chains are settled within the
-first block.  Bisection starts each level k at the Gershgorin upper end
-of the leading k x k block, an upper bound by Cauchy interlacing that needs
-no count, and ends in the lattice cell that the whole spectrum interval
-gives.
+sweeps read (:class:`StepTable`).  The count is the per-step PIVMIN rule's,
+bit for bit, whose monotonicity Demmel, Dhillon and Ren analyse (ETNA 3,
+1995).  A sweep stops at the end of a block once the rest of every chain
+is diagonally dominant above its largest energy, read from one floor a
+step, and every lane's last pivot can start an induction, so low levels of
+long chains are settled within the first block.  Bisection starts each
+level k at the Gershgorin upper end of the leading k x k block, an upper
+bound by Cauchy interlacing that needs no count, and ends in the lattice
+cell that the whole spectrum interval gives.
 """
 
 from __future__ import annotations
@@ -42,38 +39,20 @@ import math
 import numpy as np
 
 from .errors import TooFewLevelsError
-from .model import (DEFAULT_EIG_TOL, ChainCoefficients, EnergyLevel, SpectralMethod,
-                    SpectrumApproximation, checked_tol, range_scale)
+from .model import (_ROWS, DEFAULT_EIG_TOL, SLACK, ChainCoefficients, EnergyLevel,
+                    SpectralMethod, SpectrumApproximation, checked_tol,
+                    dominance_margins, pivot_sweep, range_scale)
 
 __all__ = [
     "sturm_count",
     "eigenvalues",
 ]
 
-# Pivots at or below PIVMIN count as negative, and those in (-PIVMIN,
-# PIVMIN] continue as -PIVMIN, the usual bisection convention: an exactly
-# singular leading submatrix counts as an eigenvalue below E.  Small
-# enough never to matter at physical scales, large enough that
-# a_j / PIVMIN cannot overflow for any representable chain.
-PIVMIN = 1e-290
 
-# Chain steps per block of the pivot sweep.  Measured on a 2-vCPU x86-64
-# VM: 16 is 5-10% faster than 32 on the scan's 600 x 8 lanes at order 300,
-# 32 about 10% faster on one chain's 8 x 15 lanes and on the crossing
-# refinement's rows, 64 no faster; each sweep takes about 40% of the time
-# of the per-step PIVMIN rule (scripts/crossing_cost.py, BENCH_24.json).
-_ROWS = 32
-
-# Relative slack of the dominance exit: of the energy, of each diagonal row
-# and of the pivot's bound.  About 1e7 units of roundoff, far above the
-# rounding of one step, far below any gap that decides where a sweep stops.
-_SLACK = 1e-9
-
-
-def _steps(diag: np.ndarray, lanes: tuple) -> np.ndarray:
-    """``diag`` (n+1, ...) with its trailing axes right-aligned to ``lanes``,
-    so that a block diag[i:j] broadcasts against (lanes) arrays."""
-    return diag.reshape(diag.shape[:1] + (1,) * (len(lanes) + 1 - diag.ndim) + diag.shape[1:])
+def _steps(diag: np.ndarray, ndim: int) -> np.ndarray:
+    """``diag`` (n+1, ...) with its trailing axes right-aligned to ``ndim``
+    lane axes, so that a block diag[i:j] broadcasts against lane arrays."""
+    return diag.reshape(diag.shape[:1] + (1,) * (ndim + 1 - diag.ndim) + diag.shape[1:])
 
 
 class StepTable:
@@ -94,6 +73,9 @@ class StepTable:
         self._fill, self._j, self._key, self._blocks = fill, j[:, None], key, []
         self.ends = fill(self._j, key[[np.argmin(key), np.argmax(key)]] if key.ndim else key)
 
+    def __len__(self) -> int:
+        return self.shape[0]
+
     def __getitem__(self, steps: slice) -> np.ndarray:
         i, k, _ = steps.indices(self.shape[0])
         while (built := len(self._blocks) * _ROWS) < k:
@@ -109,101 +91,41 @@ class StepTable:
 
 def _dominance_floor(diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
     """S_0 .. S_{n+1} of the step-major tables, a lower bound on the rows of
-    every chain from step J on:
-
-        S_J = min_{j >= J} (dlo_j - r_j - _SLACK*(|d|_j + r_j) - 4*PIVMIN),
-
-    the suffix minimum, S_{n+1} = +inf, with dlo_j the least d_j of the
-    chains, |d|_j the largest |d_j|, r_j = b_j + b_{j+1} and b_j the square
+    every chain from step J on: the suffix minimum S_J of the
+    :func:`~rabicf.model.dominance_margins` from step J on, S_{n+1} = +inf,
+    of the least d_j of the chains, with the largest |d_j| and b_j the square
     root of the largest a_j = ``off2[j-1]`` (a_0 = a_{n+1} = 0).  Each float
-    operation rounds monotonically, so S_J is at most every chain's own
-    suffix minimum.  No energy passes the NaN or -inf of an inf or NaN entry.
-    A :class:`StepTable` gives them from its ``ends``, bit for bit.
-    """
+    operation rounds monotonically, so S_J is at most every chain's own, and
+    S_J never decreases: a NaN margin reads -inf, which no energy passes.  A
+    :class:`StepTable` gives them from its ``ends``, bit for bit."""
     diag, off2 = getattr(diag, "ends", diag), getattr(off2, "ends", off2)
     n1 = diag.shape[0]
     lo = np.min(diag, axis=tuple(range(1, diag.ndim)))
-    mag = np.maximum(np.max(diag, axis=tuple(range(1, diag.ndim))), -lo)
     b = np.zeros(n1 + 1)
     b[1:n1] = np.sqrt(np.max(off2, axis=tuple(range(1, off2.ndim))))
-    r = b[:-1] + b[1:]
-    with np.errstate(invalid="ignore", over="ignore"):
-        row = lo - r - (_SLACK * (mag + r) + 4.0 * PIVMIN)
+    row = dominance_margins(lo, b, np.maximum(np.max(diag, axis=tuple(range(1, diag.ndim))), -lo))
+    row[np.isnan(row)] = -np.inf
     return np.append(np.minimum.accumulate(row[::-1])[::-1], np.inf)
 
 
 def _pivot_sweep(energies, diag, off2, floor) -> tuple[np.ndarray, int]:
     """(counts, steps read) of :func:`_negative_pivot_counts`."""
     energies = np.asarray(energies, dtype=float)
-    lanes = np.broadcast_shapes(energies.shape, diag.shape[1:], off2.shape[1:])
-    n1, a = diag.shape[0], [None]
-    rows = np.empty((_ROWS + 1,) + lanes)  # row 0: the last pivot of the block before
-    neg = np.empty((_ROWS,) + lanes, dtype=bool)
-    t = np.empty(lanes)
-    count = np.zeros(lanes, dtype=np.int64)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # NaN when a lane is NaN or -inf, which never passes
-        top = np.max(energies + _SLACK * np.abs(energies), initial=-np.inf)
-        for j0 in range(0, n1, _ROWS):
-            m = min(_ROWS, n1 - j0)
-            # one slice of each table a block; a[i - 1] is the a_j into row i
-            d, a = _steps(diag[j0:j0 + m], lanes), [a[-1], *off2[j0:j0 + m]]
-            np.subtract(d, energies, out=rows[1:m + 1])
-            first, check = (2 if j0 == 0 else 1), 1
-            while True:
-                for i in range(first, m + 1):  # row i is step j0 + i - 1
-                    q = rows[i, ...]  # a view, also for scalar energies
-                    np.divide(a[i - 1], rows[i - 1], out=t)
-                    np.subtract(q, t, out=q)
-                # no pivot in [-PIVMIN, PIVMIN] when as many are <= PIVMIN as < -PIVMIN
-                np.less_equal(rows[check:m + 1], PIVMIN, out=neg[check - 1:m])
-                if np.count_nonzero(neg[check - 1:m]) == np.count_nonzero(rows[check:m + 1] < -PIVMIN):
-                    break
-                tiny = np.abs(rows[check:m + 1]) <= PIVMIN
-                r = check + int(np.flatnonzero(tiny.reshape(len(tiny), -1).any(axis=1))[0])
-                np.copyto(rows[r, ...], -PIVMIN, where=tiny[r - check])
-                np.subtract(d[r:], energies, out=rows[r + 1:m + 1])
-                first = check = r + 1
-            count += np.add.reduce(neg[:m].view(np.uint8), axis=0, dtype=np.uint8)
-            rows[0] = rows[m]
-            end = j0 + m
-            if end < n1 and floor[end] >= top:
-                # np.count_nonzero, not np.all, which would map in one more
-                # numpy loop on the oracle's requests (about 60 KiB of RSS)
-                held = rows[0] >= np.sqrt(a[m]) * (1.0 + _SLACK)
-                if np.count_nonzero(held) == held.size:
-                    return count, end
-    return count, n1
+    top = float(energies.max(initial=-np.inf))  # NaN where a lane is NaN
+    ndim = max(energies.ndim, diag.ndim - 1, off2.ndim - 1)
+    return pivot_sweep(off2, lambda i, j: _steps(diag[i:j], ndim),
+                       int(np.searchsorted(floor, top + SLACK * abs(top))), energies)
 
 
 def _negative_pivot_counts(energies: np.ndarray, diag: np.ndarray, off2: np.ndarray,
                            floor: np.ndarray) -> np.ndarray:
-    """Count eigenvalues at or below each energy, vectorized: the pivots at
-    or below PIVMIN.  ``energies`` has any shape; the step-major tables
-    ``diag`` (n+1, ...) and ``off2`` (n, ...) broadcast against it on their
-    trailing axes.
-
-    The sweep is step-major and blocked, with the PIVMIN check deferred
-    (LAPACK ``dlaneg``; Marques, Riedy and Voemel, SIAM J. Sci. Comput.
-    28(5), 2006): a block of _ROWS steps is filled with d_j - E in one call,
-    then each step is two in-place calls, with no per-step clamp.  After
-    the block, the first row with a pivot in [-PIVMIN, PIVMIN] has those
-    lanes set to -PIVMIN (a no-op at -PIVMIN itself) and the rows after it
-    are filled and run again.  Up to that row every pivot is the one the
-    per-step rule makes, so the counts are equal bit for bit.  A zero pivot
-    divides by zero before its repair, hence the errstate.
-
-    The sweep stops after the block ending at step J once max E + _SLACK*|E|
-    over the lanes is at most S_{J+1} of ``floor`` (:func:`_dominance_floor`)
-    and every lane has q_J >= b_{J+1}*(1 + _SLACK), b_{J+1} its chain's own:
-    every tail is then diagonally dominant above every E, and by induction
-    q_j = d_j - E - a_j/q_{j-1} > d_j - E - b_j >= b_{j+1}*(1 + _SLACK) for
-    every j > J, the slack covering the rounding of each step; so no later
-    pivot reaches PIVMIN, and the count is the full sweep's, bit for bit.
-    This is the Pringsheim criterion of :mod:`rabicf.convergence` with c_j =
-    b_{j+1}, as ``recurrence.negative_pivots`` tests it; NaN and -inf lanes
-    never pass.
-    """
+    """Count eigenvalues at or below each energy of any shape, vectorized:
+    the :func:`~rabicf.model.pivot_sweep` of the step-major tables ``diag``
+    (n+1, ...) and ``off2`` (n, ...), which broadcast against ``energies`` on
+    their trailing axes (``off2`` into the shape of the other two), promised
+    dominant from the first step whose
+    ``floor`` (:func:`_dominance_floor`) is max E + SLACK*|E| or above
+    (E + SLACK*|E| never falls as E rises, in floats too); NaN lanes never pass."""
     return _pivot_sweep(energies, diag, off2, floor)[0]
 
 
@@ -302,7 +224,7 @@ def _start_tops(diag, off2, first_k, tol, interval) -> np.ndarray:
     chains = np.broadcast_shapes(diag.shape[1:], off2.shape[1:])
     b = np.zeros((first_k + 1,) + chains)
     b[1:first_k] = np.sqrt(off2[:first_k - 1])
-    d = _steps(diag[:first_k], chains)
+    d = _steps(diag[:first_k], len(chains))
 
     def ends(r):
         return d + r + 2.0**-50 * (np.abs(d) + r)

@@ -784,6 +784,16 @@ class TestPathological:
         assert (code, text) == (3, "")
         assert capsys.readouterr().err == "rabicf: pathological construction needs nonzero coupling\n"
 
+    def test_tiny_coupling_refused_by_name(self, capsys):
+        # at g = 1e-200 the exact tail G_N leaves the float range and g**2
+        # underflows to 0: a named refusal, not a bare OverflowError
+        code, text = run_cli(["pathological", "--omega", "1", "--g", "1e-200", "--delta", "0.4",
+                              "--e0", "0.5", "--order", "10", "--parity", "plus"])
+        assert (code, text) == (3, "")
+        assert capsys.readouterr().err == (
+            "rabicf: pathological: H[N,N] or the tail limit -omega/g**2 leaves the float "
+            "range at g = 1e-200\n")
+
 
 class TestBound:
     def test_fixture(self):
@@ -823,6 +833,21 @@ class TestBound:
         assert err.startswith("rabicf: the tail-depth bound overflows at energy "
                               f"{float(model[-1])!r}, omega = 1.0, ")
         assert "Error" not in err
+
+
+    def test_coupling_whose_square_underflows(self):
+        # at g = 1e-200, g**2 is 0: the bound divides by no g**2, for bound
+        # and for the diag default order that it sets
+        code, text = run_cli(["bound", "--omega", "1", "--g", "1e-200", "--delta", "0.4",
+                              "--energy", "0", "--parity", "plus"])
+        assert code == 0
+        _, header, rows = parse_csv(text)
+        assert rows[0][header.index("bound")] == "1"
+        code, text = run_cli(["spectrum", "--omega", "1", "--g", "1e-200", "--delta", "0.4",
+                              "--method", "diag", "--levels", "3"])
+        assert code == 0
+        np.testing.assert_allclose([float(r[1]) for r in parse_csv(text)[2]],
+                                   [-0.4, 0.4, 0.6], atol=1e-11)
 
 
 class TestNegativeExponentValues:

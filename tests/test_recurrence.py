@@ -7,16 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabicf.recurrence import (
-    _ROWS,
-    PIVMIN,
-    RESCALE,
-    RESCALE_LIMIT,
-    SLACK,
-    dominant_row,
-    negative_pivots,
-    scaled_pair,
-)
+from rabicf.model import _ROWS, PIVMIN, SLACK, dominant_row, negative_pivots
+from rabicf.recurrence import RESCALE, RESCALE_LIMIT, scaled_pair
 
 
 def dyadic_steps(sign):

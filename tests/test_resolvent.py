@@ -25,13 +25,16 @@ from rabicf import (
 )
 from rabicf import resolvent
 from rabicf.model import (
+    _ROWS,
     DEFAULT_GRID,
     DEFAULT_REFINE_TOL,
+    PIVMIN,
+    SLACK,
     ChainCoefficients,
     default_order,
     default_window,
+    negative_pivots,
 )
-from rabicf.recurrence import _ROWS, PIVMIN, SLACK, negative_pivots
 from rabicf.resolvent import PathologicalVariant
 from rabicf.search import bisect_sign, counted_roots
 

@@ -32,8 +32,7 @@ from rabicf import (
     sturm_count,
 )
 
-from rabicf.recurrence import _ROWS, negative_pivots
-from rabicf.model import EPS_POLE_REL, default_window, pole_guard
+from rabicf.model import _ROWS, EPS_POLE_REL, default_window, negative_pivots, pole_guard
 from rabicf.schweber import _f_of_detune
 
 from conftest import FIXTURE, ORACLE_UNION_24

@@ -35,9 +35,9 @@ import rabicf.search as search
 from rabicf.recurrence import Scaled
 from rabicf.resolvent import poles_of_resolvent
 from rabicf.cli import main
-from rabicf.model import default_order, default_window
+from rabicf.model import _ROWS, default_order, default_window
 from rabicf.search import BracketScan, bisect_sign, counted_roots
-from rabicf.tridiag import _ROWS, StepTable, _dominance_floor
+from rabicf.tridiag import StepTable, _dominance_floor
 
 from conftest import FIXTURE, ORACLE_UNION_24
 

@@ -18,10 +18,8 @@ from rabicf import (
 )
 from rabicf.scan import _batch_tables, _sweep_interval
 import rabicf.tridiag
+from rabicf.model import _ROWS, PIVMIN, SLACK
 from rabicf.tridiag import (
-    PIVMIN,
-    _ROWS,
-    _SLACK,
     _bisect,
     _negative_pivot_counts,
     _pivot_sweep,
@@ -626,7 +624,7 @@ class TestDominanceExit:
         b = np.sqrt(np.concatenate([np.zeros((1,) + off2.shape[1:]), off2,
                                     np.zeros((1,) + off2.shape[1:])]))
         r = b[:-1] + b[1:]
-        rows = diag - r - (_SLACK * (np.abs(diag) + r) + 4.0 * PIVMIN)
+        rows = diag - r - (SLACK * (np.abs(diag) + r) + 4.0 * PIVMIN)
         return np.minimum.accumulate(rows[::-1], axis=0)[::-1]
 
     def test_dominance_floor_is_the_suffix_minimum(self):

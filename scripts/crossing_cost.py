@@ -18,9 +18,8 @@ commit):
   method b): exact counts for the README examples ``spectrum --method a
   --order 150 --levels 10`` and ``--method b --parity plus --levels 8`` at
   (omega, g, delta) = (1, 0.7, 0.4), and at orders 150, 300 and 600 on the
-  default window evaluations per bracket and the time of one piece's
-  refinement (mean over the brackets, best of 5 solves); each side takes
-  its default windows from this checkout's ``rabicf.model``;
+  default window evaluations per bracket; each side takes its default
+  windows from this checkout's ``rabicf.model``;
 * for method b, where ``resolvent._refine_pole`` refines each pole on a
   leading minor of D_0 (``resolvent._leading_minor``): its evaluations, the
   rows each reads and the restarts on D_0 where its pivot test misses, for
@@ -29,10 +28,10 @@ commit):
   inside the refinement counted as above;
 * for those two README examples, the samples that ``search.bracket_roots``
   counts (the lengths of the arrays it hands its count) and the rows that
-  each of its pivot sweeps reads (``schweber.secular_count``'s and
-  ``resolvent.pole_count``'s forward sweeps stop where the rest of the rows
-  is dominant; a parent's backward ``pole_count`` reads all n + 1), and
-  outside it the lockstep narrowing's sweeps and the rows each reads;
+  each of its pivot sweeps reads (``schweber.secular_count``'s sweeps and
+  method b's, ``tridiag.sturm_count``'s, which ``resolvent.pole_count``
+  names, stop where the rest of the rows is dominant), and outside it the
+  lockstep narrowing's sweeps and the rows each reads;
 * the pivot sweeps that one call of each of these makes: the tracks of the
   README g scan (600 chains x 8 levels, order 300) and of the seed-1 delta
   scan (200 x 6, order 150) by ``tridiag.eigenvalues_batch``, the README
@@ -48,24 +47,27 @@ commit):
   ``scan._spectra_at`` on the README g scan and on a g scan of 2000
   steps over 0.05..3 at order 2000 (8 levels).
 
-Then, in this process, the time of each of those scans (``scan_levels``),
-parent against change (median of REPEATS alternating rounds); the time of
-one pivot sweep of each of those calls,
-the parent's kernel on its own sweeps and this checkout's on its own,
-interleaved (median of REPEATS alternating rounds); in the same way the
-time of one grid pass (``bracket_roots`` at the default grid) of method a
-at 10 levels, orders 100-600, and of method b on the plus chain at 8
-levels, orders 300-1200, and of one ``recurrence.scaled_pair`` call on the
-steps of ``resolvent.char_poly`` at order 1200 and of
-``schweber.pair_secular`` at order 300; of method b on the plus chain at
-orders 300, 600 and 1200, one piece's refinement (each piece of an 8-level
-solve), one ``pole_count`` of one energy and of the 2000 grid samples, and
-one ``char_poly``; and of the whole g = 13 and 20 method-b requests
-(``cli.main``); and the multisection
-crossover on this checkout: ``tridiag._bisect`` on 720, 1440 and 4800
-per-row chains of the README g scan at orders 300 and 1200, each level
-from its interlacing start as ``eigenvalues_batch`` brackets it, with
-m = 1, 2 and 3 halvings a sweep, forced through ``_MULTISECTION_PROBES``.
+Then, in this process, each parent against change in REPEATS alternating
+rounds (the median): the time of each of those scans (``scan_levels``);
+of one pivot sweep of each of those calls, the parent's kernel on its own
+sweeps and this checkout's on its own; of one piece's refinement of the
+method-a and method-b solves above at orders 150, 300 and 600 (each piece
+from the cell the narrowing reaches, per piece); of one count of a chain's
+eigenvalues below 2 and below 2000 energies at orders 10-1200 (the
+parent's ``resolvent.pole_count`` and ``tridiag.sturm_count`` each against
+this checkout's one count); of one grid pass (``bracket_roots`` at the
+default grid) of method a at 10 levels, orders 100-600, and of method b on
+the plus chain at 8 levels, orders 300-1200; of one
+``recurrence.scaled_pair`` call on the steps of ``resolvent.char_poly`` at
+order 1200 and of ``schweber.pair_secular`` at order 300; of method b on
+the plus chain at orders 300, 600 and 1200, one piece's refinement, one
+``pole_count`` of one energy and of the 2000 grid samples, and one
+``char_poly``; and of the whole g = 13 and 20 method-b requests
+(``cli.main``).  Then the multisection crossover on this checkout:
+``tridiag._bisect`` on 720, 1440 and 4800 per-row chains of the README g
+scan at orders 300 and 1200, each level from its interlacing start as
+``eigenvalues_batch`` brackets it, with m = 1, 2 and 3 halvings a sweep,
+forced through ``_MULTISECTION_PROBES``.
 
 ``--compare`` is the file ``bench/compare.py --json`` wrote for the same
 parent/change pair; it is copied in unchanged.
@@ -100,6 +102,7 @@ ORDERS = (150, 300, 600)
 REPEATS = 5
 NUMBER = 5
 CHAIN_ORDERS = (300, 600, 1200)
+COUNT_ORDERS = (10, 160, 300, 1200)
 CROSSOVER = tuple((order, lanes) for order in (300, 1200) for lanes in (720, 1440, 4800))
 GRID_ORDERS = {"method a": (100, 150, 300, 600), "method b": (300, 600, 1200)}
 
@@ -216,29 +219,28 @@ def _crossing_cost() -> dict:
 
 def _root_cost() -> dict:
     from rabicf import ModelParams, Parity, build_chain, poles_of_resolvent, solve_method_a
-    from rabicf import resolvent, schweber, search
+    from rabicf import resolvent, schweber, search, tridiag
     from rabicf.cli import main
 
-    seen = {"inside": False, "pair_secular": 0, "char_poly": 0, "brackets": 0, "s": 0.0,
+    seen = {"inside": False, "pair_secular": 0, "char_poly": 0, "brackets": 0,
             "samples": 0, "gridding": False, "grid_rows": [], "narrowing_rows": [],
             "minor_rows": [], "restarts": 0}
 
     def pivots(module):
-        """Wrap ``module``'s binding of ``negative_pivots``, the pivot sweep
-        its root count runs on (``model``'s; ``recurrence``'s in a parent
-        from before the sweeps were merged), to record the rows each sweep
-        reads (the last row it fills), in the grid pass and outside it (the
+        """Wrap ``module``'s binding of ``model.negative_pivots``, the pivot
+        sweep its root count runs on, to record the rows each sweep reads
+        (the last row it fills), in the grid pass and outside it (the
         narrowing)."""
         real = module.negative_pivots
 
-        def counting(couplings, rows, dominant):
+        def counting(couplings, rows, dominant, *energies):
             last = [0]
 
             def reading(i, j):
                 last[0] = max(last[0], j)
                 return rows(i, j)
 
-            out = real(couplings, reading, dominant)
+            out = real(couplings, reading, dominant, *energies)
             seen["grid_rows" if seen["gridding"] else "narrowing_rows"].append(last[0])
             return out
 
@@ -256,14 +258,12 @@ def _root_cost() -> dict:
         setattr(module, name, wrapper)
 
     def refining(refine):
-        """``refine`` (one piece's refinement) counted and timed a bracket."""
+        """``refine`` (one piece's refinement) counted a bracket."""
         def wrapper(*args, **kwargs):
             seen["inside"], seen["brackets"] = True, seen["brackets"] + 1
-            start = time.perf_counter()
             try:
                 return refine(*args, **kwargs)
             finally:
-                seen["s"] += time.perf_counter() - start
                 seen["inside"] = False
 
         return wrapper
@@ -297,11 +297,13 @@ def _root_cost() -> dict:
     counted(schweber, "pair_secular")
     counted(resolvent, "char_poly")
     pivots(schweber)
-    pivots(resolvent)
+    # method b counts with tridiag.sturm_count (with its own count in
+    # resolvent in a parent from before the two counts were merged)
+    pivots(tridiag if hasattr(tridiag, "negative_pivots") else resolvent)
     search.bisect_sign, search.bracket_roots = refining(search.bisect_sign), scanning
 
     def reset():
-        seen.update(pair_secular=0, char_poly=0, brackets=0, s=0.0, samples=0, grid_rows=[],
+        seen.update(pair_secular=0, char_poly=0, brackets=0, samples=0, grid_rows=[],
                     narrowing_rows=[], minor_rows=[], restarts=0)
 
     def minors():
@@ -336,16 +338,12 @@ def _root_cost() -> dict:
     }
     for name, (solve, kernel) in solves.items():
         for order in ORDERS:
-            best = None
-            for _ in range(REPEATS):
-                reset()
-                solve(order)
-                best = seen["s"] if best is None else min(best, seen["s"])
+            reset()
+            solve(order)
             result[f"{name}, order {order}"] = {
                 "brackets": seen["brackets"],
                 f"{kernel}_calls": seen[kernel],
                 "calls_per_bracket": round(seen[kernel] / seen["brackets"], 2),
-                "ms_per_bracket": round(1e3 * best / seen["brackets"], 3),
             }
             if kernel == "char_poly":
                 result[f"{name}, order {order}"] |= minors()
@@ -562,6 +560,72 @@ def _scaled_pair_times(sides: dict) -> dict:
             for name, rows in steps.items()}
 
 
+def _pieces(search, parts, window, levels: int):
+    """(a function refining every piece of one solve, the number of pieces):
+    the pieces that ``search.counted_roots`` hands its refinement, each from
+    the cell the narrowing reaches, on the (count, f, refine) ``parts``."""
+    (count, f, refine), pieces = parts, []
+    search.counted_roots(count, f, window, search.DEFAULT_GRID, levels,
+                         search.DEFAULT_REFINE_TOL,
+                         refine=lambda f, *args, **kwargs: pieces.append((args, kwargs)) or 0.0)
+    return lambda: [refine(f, *args, **kwargs) for args, kwargs in pieces], len(pieces)
+
+
+def _solve_parts(pkg, method: str, order: int):
+    """(count, f, refine) of a method-a solve or of a method-b solve on the
+    plus chain of ``pkg`` at (omega, g, delta) = (1, 0.7, 0.4), as
+    ``solve_method_a`` and ``poles_of_resolvent`` form them."""
+    params = pkg.ModelParams(1.0, 0.7, 0.4)
+    if method == "method a":
+        return (lambda e: pkg.secular_count(e, params, order),
+                lambda e: pkg.pair_secular(e, params, order), pkg.search.bisect_sign)
+    chain = pkg.build_chain(params, pkg.Parity.PLUS, order)
+    return (lambda e: pkg.resolvent.pole_count(e, chain),
+            lambda e: pkg.resolvent.char_poly(e, chain)[0],
+            partial(pkg.resolvent._refine_pole, chain))
+
+
+def _refinement_times(sides: dict) -> dict:
+    """Milliseconds of one piece's refinement, parent against change, of the
+    method-a solve at 10 levels and of the method-b solve at 8 on the
+    default window, at orders ORDERS (all pieces of a solve, per piece)."""
+    params, change, result = sides["change"].ModelParams(1.0, 0.7, 0.4), sides["change"], {}
+    for method, levels in (("method a", 10), ("method b", 8)):
+        window = change.model.default_window(params, levels)
+        for order in ORDERS:
+            pieces = {side: _pieces(change.search, _solve_parts(pkg, method, order), window,
+                                    levels) for side, pkg in sides.items()}
+            ms = _alternating_ms({side: call for side, (call, _) in pieces.items()})
+            result[f"{method}, order {order}"] = _per_call(
+                {side: t / pieces[side][1] for side, t in ms.items()})
+    return result
+
+
+def _count_times(sides: dict) -> dict:
+    """Milliseconds of one count of the plus chain's eigenvalues at (omega,
+    g, delta) = (1, 0.7, 0.4) below 2 energies (two grid samples inside the
+    window) and below the 2000 grid samples of method b's default window, at
+    orders COUNT_ORDERS: the parent's ``resolvent.pole_count`` and
+    ``tridiag.sturm_count`` each against this checkout's (one count under
+    both names), in REPEATS alternating rounds of 100 calls."""
+    import numpy as np
+
+    change, result = sides["change"], {}
+    params = change.ModelParams(1.0, 0.7, 0.4)
+    grid = np.linspace(*change.model.default_window(params, 8), change.search.DEFAULT_GRID)
+    for order in COUNT_ORDERS:
+        chains = {side: pkg.build_chain(pkg.ModelParams(1.0, 0.7, 0.4), pkg.Parity.PLUS, order)
+                  for side, pkg in sides.items()}
+        for lanes, energies in (("2 energies", grid[[666, 1333]]), ("2000 energies", grid)):
+            for name in ("resolvent.pole_count", "tridiag.sturm_count"):
+                module, attr = name.split(".")
+                calls = {side: partial(getattr(getattr(pkg, module), attr), energies,
+                                       chains[side]) for side, pkg in sides.items()}
+                result[f"{name}, {lanes}, order {order}"] = _per_call(
+                    _alternating_ms(calls, 100))
+    return result
+
+
 def _method_b_times(sides: dict) -> dict:
     """Milliseconds, parent against change, of method b's kernels on the plus
     chain at (omega, g, delta) = (1, 0.7, 0.4) and orders 300, 600 and
@@ -587,16 +651,8 @@ def _method_b_times(sides: dict) -> dict:
                     pkg.resolvent.pole_count(grid, chain),
                 "char_poly": lambda pkg=pkg, chain=chain: pkg.resolvent.char_poly(0.5, chain),
             }
-            f = lambda e, pkg=pkg, chain=chain: pkg.resolvent.char_poly(e, chain)[0]
-            pieces = []
-            change.search.counted_roots(
-                lambda e, pkg=pkg, chain=chain: pkg.resolvent.pole_count(e, chain), f, window,
-                change.search.DEFAULT_GRID, 8, change.search.DEFAULT_REFINE_TOL,
-                refine=lambda f, *args, **kwargs: pieces.append((args, kwargs)) or 0.0)
-            refine = partial(pkg.resolvent._refine_pole, chain)
-            calls[side]["refinement, one piece"] = lambda refine=refine, f=f, pieces=pieces: [
-                refine(f, *args, **kwargs) for args, kwargs in pieces]
-            count[side] = len(pieces)
+            calls[side]["refinement, one piece"], count[side] = _pieces(
+                change.search, _solve_parts(pkg, "method b", order), window, 8)
         for name in calls["change"]:
             ms = _alternating_ms({side: calls[side][name] for side in sides}, NUMBER)
             if name.startswith("refinement"):
@@ -668,6 +724,8 @@ def main(argv=None) -> int:
         "refinement": sides,
         "scan ms": _scan_times(packages),
         "pivot sweep ms": _sweep_times(packages),
+        "refinement ms per bracket": _refinement_times(packages),
+        "count ms": _count_times(packages),
         "grid pass ms": _grid_pass_times(packages),
         "scaled_pair ms": _scaled_pair_times(packages),
         "method b ms": _method_b_times(packages),

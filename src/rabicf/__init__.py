@@ -13,12 +13,12 @@ Sturm-bisection eigensolver on the truncated parity chains:
   continued fractions count with; exact integer counts in the tests check it.
 
 Both continued fractions run one scaled two-term recurrence (``recurrence``)
-and count their roots (``secular_count``, ``pole_count``) with the oracle's
-pivot sweep, which stops at the dominant tail, for one
-root driver in ``search``; ``scan`` tracks the oracle's levels over a
-parameter sweep and detects their crossings; ``convergence`` certifies
-resolvent-tail convergence and bounds the truncation depth; ``cli``
-exposes everything as subcommands.  ``model`` holds what every route
+and count their roots with the oracle's pivot sweep, which stops at the
+dominant tail (``pole_count`` is the oracle's ``sturm_count``, the one count
+of a chain's eigenvalues), for one root driver in ``search``; ``scan``
+tracks the oracle's levels over a parameter sweep and detects their
+crossings; ``convergence`` certifies resolvent-tail convergence and bounds
+the truncation depth; ``cli`` exposes everything as subcommands.  ``model`` holds what every route
 shares: the parameters, the chains, the spectrum records (``EnergyLevel``,
 ``SpectrumApproximation``), the request defaults and checks, the
 continued fractions' pole guard, DEN_FLOOR and ``CfValue``, and the

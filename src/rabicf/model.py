@@ -249,6 +249,14 @@ class ChainCoefficients:
         roots.setflags(write=False)
         return roots
 
+    @cached_property
+    def gershgorin(self) -> tuple[float, float]:
+        """The Gershgorin interval, which holds the whole spectrum; built once."""
+        radius = np.zeros(self.dim)
+        radius[:-1] += np.abs(self.offdiag)
+        radius[1:] += np.abs(self.offdiag)
+        return float(np.min(self.diag - radius)), float(np.max(self.diag + radius))
+
 
 def range_scale(top):
     """The power of two, at most 1, that brings the magnitude ``top`` (a float
@@ -558,8 +566,8 @@ def pivot_sweep(couplings, rows, dominant: int, energies=0.0) -> tuple[np.ndarra
     return count, steps
 
 
-def negative_pivots(couplings, rows, dominant: int) -> np.ndarray:
-    """The counts of :func:`pivot_sweep` at E = 0 with ``couplings`` = a_0
-    .. a_K, as the continued fractions' forward pivots index them (a_0 = 0,
-    the unread coupling into the first row)."""
-    return pivot_sweep(couplings[1:], rows, dominant)[0]
+def negative_pivots(couplings, rows, dominant: int, energies=0.0) -> np.ndarray:
+    """The counts of :func:`pivot_sweep` with ``couplings`` = a_0 .. a_K, as
+    the continued fractions' forward pivots index them (a_0 = 0, the unread
+    coupling into the first row)."""
+    return pivot_sweep(couplings[1:], rows, dominant, energies)[0]

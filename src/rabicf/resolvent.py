@@ -21,11 +21,11 @@ The same fraction counts its poles: the forward pivots q_j = (d_j - E) -
 a_j/q_{j-1} of H - E are -P_{j+1}/P_j for the leading minors P_j =
 det(E - H)_{0..j-1} (the ratios G_{j+1}(E) of ``build_pathological``
 scaled by -a_{j+1}), and the negative ones number the poles at or below E
-(``pole_count``, ``model.negative_pivots``).  Past the row where the
-rest of the chain is dominant and a pivot clears the next coupling, every
-later pivot is positive, so a leading minor P_{K+1} has D_0 = P_{N+1}'s
-sign up to (-1)**(N - K): each pole is refined on it (``_refine_pole``),
-but where g**2/omega exceeds SETTLE_REACH.
+(``pole_count``, a second name of the oracle's ``tridiag.sturm_count``).
+Past the row where the rest of the chain is dominant and a pivot clears
+the next coupling, every later pivot is positive, so a leading minor
+P_{K+1} has D_0 = P_{N+1}'s sign up to (-1)**(N - K): each pole is
+refined on it (``_refine_pole``), but where g**2/omega exceeds SETTLE_REACH.
 A chain's couplings and their square roots are built once, on first use
 (``ChainCoefficients.couplings``, ``coupling_roots``).
 
@@ -53,8 +53,7 @@ from .errors import (
 )
 from .model import (DEFAULT_GRID, DEFAULT_REFINE_TOL, DEN_FLOOR, PIVMIN, SLACK, ChainCoefficients,
                     EnergyLevel, ModelParams, Parity, SpectralMethod, SpectrumApproximation,
-                    TruncationOrder, build_chain, checked_window, dominant_row, field,
-                    negative_pivots, record)
+                    TruncationOrder, build_chain, checked_window, dominant_row, field, record)
 from .recurrence import Scaled, scaled_pair
 from .search import bisect_sign, counted_roots
 from .tridiag import sturm_count
@@ -71,6 +70,8 @@ __all__ = [
     "build_pathological",
     "E0_MIN_SEPARATION",
 ]
+
+pole_count = sturm_count  # the poles of G_0 are the chain's eigenvalues
 
 # Plant energies within this many omega of a genuine pole are rejected: the
 # demonstration needs the planted pole to be separable from the real ones.
@@ -126,19 +127,6 @@ def char_poly(energy: float, chain: ChainCoefficients) -> tuple[float, float]:
     steps = zip(reversed((energy - chain.diag).tolist()), couplings)
     d1, d0, _ = scaled_pair(steps)
     return d0, d1
-
-
-def pole_count(energy, chain: ChainCoefficients):
-    """Poles of G_0 at or below ``energy`` (an int for a float, a 0-d lane,
-    an int array for an array): the negative forward pivots q_0 .. q_N of
-    H - E, the ratios -P_{j+1}/P_j of its leading minors, an exactly
-    singular one included (``model.negative_pivots``).  The sweep stops
-    where the rest of the chain is dominant above every lane (``dominant_row``)."""
-    diag = chain.diag
-    lanes, top = (-1,) + (1,) * np.ndim(energy), np.max(energy, initial=-np.inf)
-    count = negative_pivots(chain.couplings, lambda i, j: diag[i:j].reshape(lanes) - energy,
-                            dominant_row(diag - top, chain.coupling_roots))
-    return int(count) if np.ndim(energy) == 0 else count
 
 
 class _Unsettled(Exception):

@@ -23,8 +23,7 @@ from .model import (DEFAULT_EIG_TOL, DEFAULT_REFINE_TOL, ModelParams, Parity, Tr
                     build_chain, chain_diagonal, checked_tol, default_order, default_window,
                     record)
 from .search import _itp_point
-from .tridiag import (StepTable, eigenvalues_batch, eigenvalues_rows, gershgorin_interval,
-                      lattice_cell)
+from .tridiag import StepTable, eigenvalues_batch, eigenvalues_rows, lattice_cell
 
 __all__ = ["CrossingEvent", "ScanResult", "scan_levels"]
 
@@ -71,7 +70,7 @@ def _sweep_interval(base, parameter, vmax, order) -> tuple[float, float]:
     if not math.isfinite(p.g * p.g * order):
         raise RabiSolverError(f"scan: a squared coupling a_j overflows at "
                               f"g = {p.g!r}, order {order}")
-    ends = [gershgorin_interval(build_chain(p, parity, order)) for parity in Parity]
+    ends = [build_chain(p, parity, order).gershgorin for parity in Parity]
     return min(lo for lo, _ in ends), max(hi for _, hi in ends)
 
 

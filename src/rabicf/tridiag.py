@@ -4,9 +4,10 @@ This is the oracle against which both continued-fraction methods are
 cross-validated: counting negative pivots of the LDL^T factorization of
 ``T - E`` gives the number of eigenvalues below E, and bisection on that
 count brackets each eigenvalue.  It counts with the sweep that both
-continued fractions count with (``model.pivot_sweep``); the tests check
-that sweep against exact integer Sturm counts, which share no arithmetic
-with any route.
+continued fractions count with (``model.pivot_sweep``), and ``sturm_count``
+is the one count of a chain's eigenvalues, which method b counts its poles
+with (``resolvent.pole_count``); the tests check these counts against exact
+integer Sturm counts, which share no arithmetic with any route.
 
 Bisection brackets are snapped outward to a power-of-two lattice, so every
 endpoint is an exact dyadic number.  Results are then bit-reproducible at a
@@ -40,8 +41,8 @@ import numpy as np
 
 from .errors import TooFewLevelsError
 from .model import (_ROWS, DEFAULT_EIG_TOL, SLACK, ChainCoefficients, EnergyLevel,
-                    SpectralMethod, SpectrumApproximation, checked_tol,
-                    dominance_margins, pivot_sweep, range_scale)
+                    SpectralMethod, SpectrumApproximation, checked_tol, dominance_margins,
+                    dominant_row, negative_pivots, pivot_sweep, range_scale)
 
 __all__ = [
     "sturm_count",
@@ -130,39 +131,34 @@ def _negative_pivot_counts(energies: np.ndarray, diag: np.ndarray, off2: np.ndar
 
 
 def sturm_count(energy, chain: ChainCoefficients):
-    """Number of chain eigenvalues at or below ``energy``, an exactly
-    singular pivot counting as negative: an int for a float, an int array
-    for an array, counted in one sweep that stops at the dominant tail.
-
-    Monotone non-decreasing in the energy; ranges 0..order+1.  Exactly
-    singular pivots are perturbed to -PIVMIN, which keeps the count
-    deterministic.
+    """Number of chain eigenvalues at or below ``energy`` (an int for a
+    float, an int array for an array): the negative forward pivots of H - E,
+    an exactly singular one included (``model.negative_pivots``), in one
+    sweep that stops where the rest of the chain is dominant above every
+    lane (``model.dominant_row``).  They are also the poles of G_0, so this
+    is method b's ``resolvent.pole_count``.  A chain reaching beyond 2**256
+    is counted in its :func:`_scaled` copy, as the oracle bisects it.
     """
-    scale, diag, off2, _ = _squared(chain)
-    count = _negative_pivot_counts(scale * np.asarray(energy, dtype=float), diag, off2,
-                                   _dominance_floor(diag, off2))
+    scale, chain, _ = _scaled(chain)
+    if scale != 1.0:
+        energy = scale * np.asarray(energy, dtype=float)
+    diag, lanes, top = chain.diag, (-1,) + (1,) * np.ndim(energy), np.max(energy, initial=-np.inf)
+    count = negative_pivots(chain.couplings, lambda i, j: diag[i:j].reshape(lanes),
+                            dominant_row(diag - top, chain.coupling_roots), energy)
     return int(count) if np.ndim(energy) == 0 else count
 
 
-def gershgorin_interval(chain: ChainCoefficients) -> tuple[float, float]:
-    """Enclosing interval for the whole spectrum from Gershgorin discs."""
-    radius = np.zeros(chain.dim)
-    radius[:-1] += np.abs(chain.offdiag)
-    radius[1:] += np.abs(chain.offdiag)
-    return float(np.min(chain.diag - radius)), float(np.max(chain.diag + radius))
-
-
-def _squared(chain: ChainCoefficients) -> tuple[float, np.ndarray, np.ndarray, tuple]:
-    """(scale, diag, off2, interval): the chain, its squared off-diagonals
-    and its Gershgorin interval, times ``scale``, the ``range_scale`` of the
-    interval's larger end: 1 unless it reaches beyond 2**256, and no square
-    can overflow.  Counts and bisection in the scaled chain are exact up to
-    that factor."""
-    lo, hi = gershgorin_interval(chain)
-    # range_scale is 1 below 2**256: ordinary chains skip its numpy calls
-    scale = 1.0 if max(-lo, hi) < 2.0**256 else float(range_scale(max(-lo, hi)))
-    off = scale * chain.offdiag
-    return scale, scale * chain.diag, off * off, (scale * lo, scale * hi)
+def _scaled(chain: ChainCoefficients) -> tuple[float, ChainCoefficients, tuple[float, float]]:
+    """(scale, chain, interval): the chain and its Gershgorin interval times
+    ``scale``, the ``range_scale`` of the interval's larger end: 1 (the chain
+    itself) unless it reaches beyond 2**256, and no square can overflow.
+    Counts and bisection in the scaled chain are exact up to that factor."""
+    lo, hi = chain.gershgorin
+    if max(-lo, hi) < 2.0**256:  # ordinary chains skip range_scale's numpy calls
+        return 1.0, chain, (lo, hi)
+    scale = float(range_scale(max(-lo, hi)))
+    return scale, ChainCoefficients(chain.params, chain.parity, chain.order, scale * chain.diag,
+                                    scale * chain.offdiag), (scale * lo, scale * hi)
 
 
 def lattice_cell(tol: float, halvings: int = 0, magnitude: float = 0.0) -> float:
@@ -298,7 +294,8 @@ def eigenvalues(chain: ChainCoefficients, first_k: int, tol: float | None = None
     if not 1 <= first_k <= chain.dim:
         raise ValueError(f"first_k must be in 1..{chain.dim}, got {first_k}")
 
-    scale, diag, off2, interval = _squared(chain)
+    scale, scaled, interval = _scaled(chain)
+    diag, off2 = scaled.diag, scaled.a_values()
     hi = _start_tops(diag, off2, first_k, scale * tol, interval)
     lo, hi = _bisect(diag, off2, np.arange(1, first_k + 1), np.full(first_k, interval[0]),
                      hi, scale * tol, _dominance_floor(diag, off2))

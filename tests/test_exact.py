@@ -1,16 +1,27 @@
 """The float root counts against exact-integer Sturm counts (``exact.py``)
-at every oracle and method-b level of seeded chains."""
+at every oracle and method-b level of seeded chains, and at every bracket
+end that the oracle's bisection and method b's narrowing reach."""
+
+import io
 
 import numpy as np
 import pytest
 
-from rabicf import ModelParams, Parity, build_chain, eigenvalues, sturm_count
+from rabicf import ModelParams, Parity, build_chain, eigenvalues, resolvent, sturm_count, tridiag
+from rabicf.cli import main
 from rabicf.model import default_window
 from rabicf.resolvent import pole_count, poles_of_resolvent
 
 from exact import exact_count
 
 LEVELS = 8
+# Overall scales 2**k of the seeded chains: 2**-400 keeps every chain far
+# below the oracle's range rule, 2**300 and 2**450 put it beyond 2**256.
+SCALES = (-400, 300, 450)
+MODEL = ["--omega", "1", "--g", "0.7", "--delta", "0.4"]
+README_DIAG = ["spectrum", "--omega", "1", "--g", "0", "--delta", "0.4", "--parity", "plus",
+               "--method", "diag", "--levels", "3"]
+README_METHOD_B = ["spectrum", *MODEL, "--method", "b", "--parity", "plus", "--levels", "8"]
 
 
 def _cases(seed=20121205, count=8):
@@ -24,24 +35,114 @@ def _cases(seed=20121205, count=8):
             for i, (g, d, n) in enumerate(zip(gs, deltas, orders))]
 
 
-@pytest.mark.parametrize("g, delta, parity, order", _cases())
-def test_float_counts_equal_the_exact_count(g, delta, parity, order):
-    # E -+ 1e-9*max(1, |E|) at each level that the oracle and method b give:
-    # sturm_count and pole_count both equal the exact count, which rises by
-    # one across the level
-    params = ModelParams(1.0, g, delta)
-    chain = build_chain(params, parity, order)
+def _chain(g, delta, parity, order, k=0):
+    """(params, chain) of a case with every parameter times 2**k, so every
+    entry of the chain is the k = 0 one times 2**k, exactly."""
+    params = ModelParams(2.0**k, g * 2.0**k, delta * 2.0**k)
+    return params, build_chain(params, parity, order)
+
+
+def _levels_counted(params, chain):
+    # E -+ 1e-9*max(omega, |E|) at each level that the oracle and method b
+    # give: sturm_count and pole_count both equal the exact count, which
+    # rises by one across the level
     k = min(LEVELS, chain.dim)
     levels = [lev.energy for lev in eigenvalues(chain, k).levels]
     levels += [lev.energy for lev in poles_of_resolvent(chain, default_window(params, k), k).levels]
     assert levels
     for level in levels:
         counts = []
-        for energy in (level - 1e-9 * max(1.0, abs(level)), level + 1e-9 * max(1.0, abs(level))):
+        margin = 1e-9 * max(params.omega, abs(level))
+        for energy in (level - margin, level + margin):
             counts.append(exact_count(energy, chain))
             assert (sturm_count(energy, chain), pole_count(energy, chain)) == (counts[-1],) * 2, \
                 energy
         assert counts[1] == counts[0] + 1
+
+
+def _ends_counted(chain, lo, hi) -> tuple[int, int]:
+    """The exact counts at ``lo`` and ``hi``, once sturm_count gives them
+    too and the bracket holds a level."""
+    below, above = exact_count(lo, chain), exact_count(hi, chain)
+    assert (sturm_count(lo, chain), sturm_count(hi, chain)) == (below, above), (lo, hi)
+    assert below < above, (lo, hi)
+    return below, above
+
+
+def _oracle_brackets(monkeypatch) -> tuple[list, list]:
+    """(brackets, chains): record each chain that ``tridiag.eigenvalues``
+    bisects and the final (lo, hi) of each of its levels, in the units of
+    the chain it bisects (``tridiag._scaled``), with the oracle's own count
+    at both ends and the level number (1-based)."""
+    brackets, chains, bisect, scaled = [], [], tridiag._bisect, tridiag._scaled
+
+    def bisecting(diag, off2, wanted, lo, hi, tol, floor):
+        lo, hi = bisect(diag, off2, wanted, lo, hi, tol, floor)
+        counts = tridiag._negative_pivot_counts(np.stack([lo, hi]), diag, off2, floor)
+        brackets.extend(zip(lo.tolist(), hi.tolist(), counts.T.tolist(), wanted.tolist()))
+        return lo, hi
+
+    monkeypatch.setattr(tridiag, "_bisect", bisecting)
+    monkeypatch.setattr(tridiag, "_scaled", lambda chain: chains.append(chain) or scaled(chain))
+    return brackets, chains
+
+
+def _oracle_ends_counted(brackets, chain):
+    """Each bracket holds its level, and the exact count at each end equals
+    the oracle's sweep and sturm_count, in the bisected chain's units and in
+    the chain's own (the range rule's scale undone)."""
+    scale, scaled, _ = tridiag._scaled(chain)
+    assert brackets
+    for lo, hi, count, wanted in brackets:
+        below, above = _ends_counted(scaled, lo, hi)
+        assert [below, above] == count and below < wanted <= above
+        assert (sturm_count(lo / scale, chain), sturm_count(hi / scale, chain)) == (below, above)
+
+
+@pytest.mark.parametrize("g, delta, parity, order", _cases())
+def test_float_counts_equal_the_exact_count(g, delta, parity, order):
+    _levels_counted(*_chain(g, delta, parity, order))
+
+
+@pytest.mark.parametrize("k", SCALES)
+@pytest.mark.parametrize("g, delta, parity, order", _cases())
+def test_scaled_chain_counts_equal_the_exact_count(g, delta, parity, order, k):
+    # the same chains times 2**k: beyond 2**256 counted on the copy that the
+    # oracle's range rule scales, below it as they are
+    _levels_counted(*_chain(g, delta, parity, order, k))
+
+
+@pytest.mark.parametrize("k", (0, *SCALES))
+@pytest.mark.parametrize("g, delta, parity, order", _cases())
+def test_oracle_bracket_ends_are_counted_exactly(g, delta, parity, order, k, monkeypatch):
+    chain = _chain(g, delta, parity, order, k)[1]
+    brackets, _ = _oracle_brackets(monkeypatch)
+    eigenvalues(chain, min(LEVELS, chain.dim))
+    _oracle_ends_counted(brackets, chain)
+
+
+def test_readme_diag_bracket_ends_are_counted_exactly(monkeypatch):
+    brackets, chains = _oracle_brackets(monkeypatch)
+    assert main(README_DIAG, out=io.StringIO()) == 0
+    assert len(chains) == 1 and len(brackets) == 3
+    _oracle_ends_counted(brackets, chains[0])
+
+
+def test_readme_method_b_piece_ends_are_counted_exactly(monkeypatch):
+    # the piece that method b's narrowing hands the refinement of each pole
+    # holds that pole alone, counted exactly at both ends
+    pieces, refine = [], resolvent._refine_pole
+
+    def refining(chain, f, lo, hi, tol, *, start):
+        pieces.append((chain, lo, hi))
+        return refine(chain, f, lo, hi, tol, start=start)
+
+    monkeypatch.setattr(resolvent, "_refine_pole", refining)
+    assert main(README_METHOD_B, out=io.StringIO()) == 0
+    assert len(pieces) == 8
+    for chain, lo, hi in pieces:
+        below, above = _ends_counted(chain, lo, hi)
+        assert above == below + 1
 
 
 def test_exact_count_is_the_eigenvalue_count():

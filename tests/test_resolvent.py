@@ -23,7 +23,7 @@ from rabicf import (
     resolvent_cf,
     sturm_count,
 )
-from rabicf import resolvent
+from rabicf import resolvent, tridiag
 from rabicf.model import (
     _ROWS,
     DEFAULT_GRID,
@@ -172,11 +172,11 @@ class TestPoleCountExit:
         energies = np.linspace(-1.0, 7.3, 50)
         seen = []
 
-        def spy(couplings, rows, dominant):
+        def spy(couplings, rows, dominant, energies):
             seen.append(dominant)
-            return negative_pivots(couplings, rows, dominant)
+            return negative_pivots(couplings, rows, dominant, energies)
 
-        monkeypatch.setattr(resolvent, "negative_pivots", spy)
+        monkeypatch.setattr(tridiag, "negative_pivots", spy)  # the count's sweep
         pole_count(energies, chain)
         b = np.sqrt(np.append(np.append(0.0, chain.a_values()), 0.0))
         p, r = chain.diag - energies.max(), b[:-1] + b[1:]

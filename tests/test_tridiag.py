@@ -28,7 +28,6 @@ from rabicf.tridiag import (
     _dominance_floor,
     eigenvalues_batch,
     eigenvalues_rows,
-    gershgorin_interval,
     lattice_cell,
 )
 
@@ -38,7 +37,7 @@ from conftest import FIXTURE, ORACLE_MINUS_12, ORACLE_PLUS_12
 class TestSturmCount:
     def test_gershgorin_edges(self):
         chain = build_chain(FIXTURE, Parity.PLUS, 40)
-        lo, hi = gershgorin_interval(chain)
+        lo, hi = chain.gershgorin
         assert sturm_count(lo - 1.0, chain) == 0
         assert sturm_count(hi + 1.0, chain) == 41
 
@@ -97,7 +96,7 @@ class TestEigenvalues:
     def test_batch_of_one_matches_fixture(self, parity, reference):
         chain = build_chain(FIXTURE, parity, 400)
         got = eigenvalues_batch(
-            chain.diag, (chain.offdiag * chain.offdiag)[:, None], 12, 1e-11, gershgorin_interval(chain)
+            chain.diag, (chain.offdiag * chain.offdiag)[:, None], 12, 1e-11, chain.gershgorin
         )
         assert got.shape == (1, 12)
         np.testing.assert_array_equal(got[0], reference)
@@ -356,7 +355,7 @@ class TestPivotSweep:
     def test_seeded_chains(self, seed):
         # one block or several, the last one full or holding a single row
         rng, params, chain = self._chain(seed, [1, _ROWS - 1, _ROWS, 2 * _ROWS, 150, 300][seed])
-        lo, hi = gershgorin_interval(chain)
+        lo, hi = chain.gershgorin
         off2 = chain.offdiag * chain.offdiag
         for shape in [(), (8,), (5, 8)]:
             assert_same_counts(rng.uniform(lo, hi, shape), chain.diag, off2)
@@ -419,16 +418,18 @@ class TestPivotSweep:
         assert_same_counts(np.array([0.0, -0.0, 1.0, 1e-300]), diag, off2)
 
 
-def counted_sweeps(monkeypatch):
-    """Count the calls of _negative_pivot_counts, one per pivot sweep."""
+def counted_sweeps(monkeypatch, name="_negative_pivot_counts"):
+    """Count the calls of the oracle's ``name`` in tridiag, one per pivot
+    sweep: _negative_pivot_counts in bisection, negative_pivots in
+    sturm_count."""
     calls = []
-    real = rabicf.tridiag._negative_pivot_counts
+    real = getattr(rabicf.tridiag, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(rabicf.tridiag, "_negative_pivot_counts", counted)
+    monkeypatch.setattr(rabicf.tridiag, name, counted)
     return calls
 
 
@@ -448,7 +449,7 @@ class TestMultisection:
         chain = build_chain(params, parity, int(rng.integers(8, 401)))
         off2 = chain.offdiag * chain.offdiag
         wanted = np.tile(np.arange(1, 9), copies)
-        lo, hi = gershgorin_interval(chain)
+        lo, hi = chain.gershgorin
         brackets = np.full(wanted.size, lo), np.full(wanted.size, hi)
         got = _bisect(chain.diag, off2, wanted, *brackets, tol, _dominance_floor(chain.diag, off2))
         want = reference_bisect(chain.diag, off2, wanted, *brackets, tol)
@@ -505,7 +506,7 @@ class TestMultisection:
         # brackets (46 from the Gershgorin interval), 4 per sweep
         chain = build_chain(FIXTURE, Parity.PLUS, 300)
         off2 = chain.offdiag * chain.offdiag
-        halvings = self._halvings(chain.diag, off2, 8, gershgorin_interval(chain))
+        halvings = self._halvings(chain.diag, off2, 8, chain.gershgorin)
         assert halvings == 41
         calls = counted_sweeps(monkeypatch)
         eigenvalues(chain, 8)
@@ -605,15 +606,15 @@ class TestDominanceExit:
         # order 160: one block of 32 steps below the spectrum, where the tail
         # is dominant; a NaN energy never passes and reads all 161
         chain = build_chain(FIXTURE, Parity.PLUS, 160)
-        real, read = rabicf.tridiag._pivot_sweep, []
+        real, read = rabicf.model.pivot_sweep, []
 
         def spy(*args):
             counts, steps = real(*args)
             read.append(steps)
             return counts, steps
 
-        monkeypatch.setattr(rabicf.tridiag, "_pivot_sweep", spy)
-        assert [sturm_count(e, chain) for e in (-1.0, gershgorin_interval(chain)[0], math.nan)] \
+        monkeypatch.setattr(rabicf.model, "pivot_sweep", spy)  # under negative_pivots
+        assert [sturm_count(e, chain) for e in (-1.0, chain.gershgorin[0], math.nan)] \
             == [0, 0, 0]
         assert read == [_ROWS, _ROWS, 161]
 
@@ -686,7 +687,7 @@ class TestDominanceExit:
         # input, else an int64 array of its shape, equal to the per-float
         # calls and to the per-step rule
         chain = build_chain(FIXTURE, Parity.MINUS, 120)
-        calls = counted_sweeps(monkeypatch)
+        calls = counted_sweeps(monkeypatch, "negative_pivots")
         got = sturm_count(energies, chain)
         assert len(calls) == 1
         per_float = [sturm_count(float(e), chain) for e in energies.flat]

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Three-way cross-check of the spectral routes over seeded requests.
 
-    python3 scripts/cross_check.py --seed S --requests N --src DIR
+    python3 scripts/cross_check.py --seed S --requests N --src DIR [--g-range LO HI]
 
 Draws N requests (g, delta) from ``random.Random(S)``, g uniform in
-[0.02, 12] and delta in [0.01, 8] (omega 1), and runs two arms on the
-rabicf sources under DIR (for example ``src`` or a ``git archive`` of
-another commit):
+[LO, HI] (default [0.02, 12]; ``--g-range 6 14`` is the strong-coupling
+arm, where method a meets close parity doublets) and delta in [0.01, 8]
+(omega 1), and runs two arms on the rabicf sources under DIR (for example
+``src`` or a ``git archive`` of another commit):
 
 * default order: each request at 8 levels, its ``model.default_window`` and
   ``model.default_order`` N, as ``rabicf spectrum`` runs it.  The reference
@@ -61,14 +62,14 @@ def _relative(levels) -> list[float]:
     return [REL_TOL * max(1.0, abs(e)) for e in levels]
 
 
-def run(seed: int, requests: int) -> dict:
+def run(seed: int, requests: int, g_range: tuple[float, float] = (0.02, 12.0)) -> dict:
     from rabicf import (ModelParams, Parity, build_chain, eigenvalues, poles_of_resolvent,
                         solve_method_a)
     from rabicf.model import DEFAULT_REFINE_TOL, default_order, default_window
     from rabicf.tridiag import union_spectrum
 
     rng = random.Random(seed)
-    draws = [(rng.uniform(0.02, 12.0), rng.uniform(0.01, 8.0)) for _ in range(requests)]
+    draws = [(rng.uniform(*g_range), rng.uniform(0.01, 8.0)) for _ in range(requests)]
     tally = {arm: {method: {"matched": 0, "disagreed": 0, "raised": 0} for method in methods}
              for arm, methods in (("default order", ("a", "b")), ("fixed order", ("b",)))}
     found = []
@@ -115,7 +116,7 @@ def run(seed: int, requests: int) -> dict:
 
                 check("fixed order", "b", " and ".join(
                     _cli(g, delta, m, parity, n) for m in ("b", "diag")), fixed)
-    return {"seed": seed, "requests": requests, "g": [0.02, 12.0], "delta": [0.01, 8.0],
+    return {"seed": seed, "requests": requests, "g": list(g_range), "delta": [0.01, 8.0],
             "levels": LEVELS, "fixed_orders": list(FIXED_ORDERS), "outcomes": tally,
             "findings": found}
 
@@ -125,10 +126,12 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--requests", type=int, required=True)
     p.add_argument("--src", required=True, help="directory holding the rabicf package")
+    p.add_argument("--g-range", type=float, nargs=2, default=(0.02, 12.0), metavar=("LO", "HI"),
+                   help="interval of the uniform g draws (default 0.02 12)")
     args = p.parse_args(argv)
     sys.path.insert(0, args.src)
     start = time.perf_counter()
-    record = run(args.seed, args.requests)
+    record = run(args.seed, args.requests, tuple(args.g_range))
     print(json.dumps(record, indent=1))
     print(f"cross-check: {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0

@@ -8,7 +8,8 @@ failure (compare), 2 usage or invalid configuration, 3 numerical failure.
 
 All computation is deterministic; there is no randomness anywhere.  A
 plain ``key = value`` config file can seed any long option, with explicit
-flags taking precedence.
+flags taking precedence.  A negative value after an option is that value,
+in exponent form and as a window ``lo:hi`` too (``--window -3:5``).
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ EXIT_NUMERICAL = 3
 # The --parity choices of every subcommand that takes one.
 PARITIES = {"plus": Parity.PLUS, "minus": Parity.MINUS}
 
-# A number in decimal or exponent form, such as -0.001 or -1e-3.
-_NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+# A negative value: a number in decimal or exponent form, such as -0.001 or
+# -1e-3, or a window lo:hi with a negative lo, such as -3:5.
+_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+                       r"(:[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)?")
 
 
 def _emit(metadata: dict, columns: list[str], rows: list[list], fmt: str, out) -> None:
@@ -79,29 +82,6 @@ def _parse_orders(text: str) -> list[int]:
     return orders
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that takes a number after an option with a value as
-    that value: argparse reads ``--energy -1e-3`` as two options, since its
-    negative numbers (``-0.001``) have no exponent."""
-
-    value_options: frozenset[str] = frozenset()
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.nargs != 0:  # not a flag
-            self.value_options |= set(action.option_strings)
-        return action
-
-    def parse_known_args(self, args=None, namespace=None):
-        joined: list[str] = []
-        for arg in sys.argv[1:] if args is None else args:
-            if joined and joined[-1] in self.value_options and _NUMBER.fullmatch(arg):
-                joined[-1] += f"={arg}"  # the --option=value form
-            else:
-                joined.append(arg)
-        return super().parse_known_args(joined, namespace)
-
-
 def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--omega", type=float, required=True, help="oscillator frequency (> 0)")
     p.add_argument("--g", type=float, required=True, help="coupling (sign ignored)")
@@ -113,7 +93,7 @@ def _add_model_args(p: argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="rabicf",
         description="Continued-fraction and Sturm-bisection spectra of the quantum Rabi model",
     )
@@ -132,9 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    "max(2*tail-depth bound at the window's largest |E|, 4*levels, 300))")
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--window", type=_parse_window,
-                   help="search window lo:hi of methods a and b, checked for diag too; "
-                        "use --window=lo:hi for a negative lo (default derived from "
-                        "the exact limits)")
+                   help="search window lo:hi of methods a and b, checked for diag too "
+                        "(default derived from the exact limits)")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID,
                    help="samples across the window for methods a and b, at least 2 "
                         "(checked for diag too)")
@@ -190,35 +169,43 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_args(argv: list[str]) -> list[str]:
-    """Insert options from a ``--config`` file right after the subcommand,
-    so explicit flags (parsed later) win."""
+    """The one pre-pass of a request's argv.  Options from a ``--config``
+    file go right after the subcommand, so explicit flags (parsed later)
+    win.  A negative value after an option joins it in the ``--option=value``
+    form: argparse reads ``-1e-3`` and ``-3:5`` as options, though it takes
+    ``-0.001`` as a value."""
     path = None
     for i, arg in enumerate(argv):
         if arg == "--config" and i + 1 < len(argv):
             path = argv[i + 1]
         elif arg.startswith("--config="):
             path = arg.split("=", 1)[1]
-    if path is None:
-        return argv
     extra: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line without '=': {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("_", "-")
-            if value.lower() in ("true", "yes", "on"):
-                extra.append(f"--{key}")
-            elif value.lower() in ("false", "no", "off"):
-                continue
-            else:
-                extra.extend([f"--{key}", value])
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"config line without '=': {line!r}")
+                key, value = (part.strip() for part in line.split("=", 1))
+                key = key.replace("_", "-")
+                if value.lower() in ("true", "yes", "on"):
+                    extra.append(f"--{key}")
+                elif value.lower() in ("false", "no", "off"):
+                    continue
+                else:
+                    extra.extend([f"--{key}", value])
+    joined: list[str] = []
     # config args go right after the subcommand: argparse lets later
     # (explicit) occurrences win
-    return argv[:1] + extra + argv[1:]
+    for arg in argv[:1] + extra + argv[1:]:
+        if joined and joined[-1][:1] == "-" and "=" not in joined[-1] and _NEGATIVE.fullmatch(arg):
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
+    return joined
 
 
 def _metadata_base(args, params: ModelParams) -> dict:

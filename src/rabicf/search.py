@@ -214,8 +214,9 @@ def counted_roots(count, f, window: tuple[float, float], grid: int, levels: int 
     given, stands in for ``bisect_sign`` there, called as it is, so that a
     caller can refine each piece on a cheaper function of f's sign.  A piece still
     holding other roots at ``tol`` is a root at its midpoint, with its
-    width; so is a piece no wider than ``tol`` on which the refinement finds
-    no sign change (LostBracketError): at a root pair closer than a few ulps,
+    width; so is a piece on which the refinement finds no sign change
+    (LostBracketError), once halved by count down to ``tol`` (or to adjacent
+    floats) toward the count's step: at a root pair closer than a few ulps,
     such as an exponentially close parity doublet, the count and the sign of
     f may part by rounding.  One that holds several roots and cannot be
     halved although wider than ``tol`` (its midpoint is an end, or
@@ -227,9 +228,10 @@ def counted_roots(count, f, window: tuple[float, float], grid: int, levels: int 
             try:
                 found.append(((refine or bisect_sign)(f, a, b, tol, start=start), None))
                 continue
-            except LostBracketError:  # no sign change of f over the piece
-                if b - a > tol:
-                    raise
+            except LostBracketError:  # no sign change of f over the piece: narrow by count
+                c_a = int(count(np.array([a]))[0])
+                while b - a > tol and a < (m := 0.5 * (a + b)) < b:
+                    a, b = (a, m) if count(np.array([m]))[0] > c_a else (m, b)
         elif b - a > tol:
             raise LevelSpacingError(f"levels in ({a!r}, {b!r}] lie closer together than "
                                     "halving can separate: below the float spacing there")

@@ -1,5 +1,6 @@
-"""Exact-integer Sturm counts of a parity chain: a reference that shares no
-arithmetic with any route.
+"""Exact-integer Sturm counts of a parity chain, and the exact sign of
+Judd's constraint polynomial: references that share no arithmetic with any
+route.
 
 The leading minors P_j = det(E - H)_{0..j-1} of a chain obey
 
@@ -47,3 +48,30 @@ def exact_count(energy: float, chain) -> int:
         if dominant[j + 1] and (-cur if prev > 0 else cur) >= c[j + 1] * abs(prev):
             break
     return count
+
+
+def judd_sign(n: int, omega: float, g: float, delta: float) -> int:
+    """The sign (-1, 0 or 1) of W_{n-1} at x = n*omega, exactly: Judd's
+    constraint polynomial in g**2 and delta**2, which vanishes where a level
+    of each parity sits at x = n*omega (Judd, J. Phys. C 12, 1685 (1979)).
+
+    W_m is the continuant of method a's f_0..f_m (``rabicf.schweber``).
+    With d_k = x - k*omega and F_k = 4 g**2 d_k + omega (delta**2 - d_k**2),
+    R_m = W_m * prod_{k <= m} (2 g omega d_k) obeys
+
+        R_m = F_m R_{m-1} - (2 g omega)**2 m d_m d_{m-1} R_{m-2},
+        (R_{-2}, R_{-1}) = (0, 1),
+
+    each term homogeneous of degree 3(m + 1) in omega, g and delta, which
+    run here as the floats times one power of two, in ints.  At x = n*omega
+    every d_k, k < n, is positive, so W_{n-1} and R_{n-1} share their sign."""
+    ratios = [float(v).as_integer_ratio() for v in (omega, g, delta)]
+    scale = max(den for _, den in ratios)
+    w, g, delta = (num * (scale // den) for num, den in ratios)
+    c = (2 * g * w) ** 2
+    prev, cur = 0, 1
+    for m in range(n):
+        d, d_prev = (n - m) * w, (n - m + 1) * w  # d_m and d_{m-1}
+        f = 4 * g * g * d + w * (delta * delta - d * d)
+        prev, cur = cur, f * cur - c * m * d * d_prev * prev
+    return (cur > 0) - (cur < 0)

@@ -851,18 +851,21 @@ class TestBound:
 
 
 class TestNegativeExponentValues:
-    # argparse reads -1e-3 as an option, as it does not -0.001: after an
-    # option with a value it is that value, as in the --option=value form
+    # argparse reads -1e-3 and -3:5 as options, as it does not -0.001: after
+    # an option they are its value, as in the --option=value form
     @pytest.mark.parametrize("argv, option, value", [
         (["bound", *FIXTURE_ARGS], "--energy", "-1e-3"),
         (["pathological", *FIXTURE_ARGS, "--order", "10,20"], "--e0", "-5e-1"),
         (["scan", *FIXTURE_ARGS, "--to", "0.2", "--steps", "10", "--levels", "2",
           "--order", "20"], "--from", "-1e-1"),
-    ], ids=["energy", "e0", "from"])
+        (["spectrum", *FIXTURE_ARGS, "--method", "b", "--parity", "plus", "--levels", "2",
+          "--order", "10"], "--window", "-3:5"),
+    ], ids=["energy", "e0", "from", "window"])
     def test_same_as_the_equals_form(self, argv, option, value, capsys):
         spaced = run_cli([*argv, option, value]), capsys.readouterr().err
         assert spaced == (run_cli([*argv, f"{option}={value}"]), capsys.readouterr().err)
-        assert spaced[0][0] == 0 and f"{float(value)!r}" in spaced[0][1]
+        printed = ":".join(f"{float(part)!r}" for part in value.split(":"))
+        assert spaced[0][0] == 0 and printed in spaced[0][1]
 
 
 class TestScan:

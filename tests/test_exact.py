@@ -1,18 +1,20 @@
 """The float root counts against exact-integer Sturm counts (``exact.py``)
 at every oracle and method-b level of seeded chains, and at every bracket
-end that the oracle's bisection and method b's narrowing reach."""
+end that the oracle's bisection and method b's narrowing reach; and every
+crossing of seeded scans against the exact sign of Judd's constraint."""
 
 import io
 
 import numpy as np
 import pytest
 
-from rabicf import ModelParams, Parity, build_chain, eigenvalues, resolvent, sturm_count, tridiag
+from rabicf import (ModelParams, Parity, build_chain, eigenvalues, resolvent, scan_levels,
+                    sturm_count, tridiag)
 from rabicf.cli import main
 from rabicf.model import default_window
 from rabicf.resolvent import pole_count, poles_of_resolvent
 
-from exact import exact_count
+from exact import exact_count, judd_sign
 
 LEVELS = 8
 # Overall scales 2**k of the seeded chains: 2**-400 keeps every chain far
@@ -22,6 +24,8 @@ MODEL = ["--omega", "1", "--g", "0.7", "--delta", "0.4"]
 README_DIAG = ["spectrum", "--omega", "1", "--g", "0", "--delta", "0.4", "--parity", "plus",
                "--method", "diag", "--levels", "3"]
 README_METHOD_B = ["spectrum", *MODEL, "--method", "b", "--parity", "plus", "--levels", "8"]
+# A crossing at v brackets a root of Judd's constraint in v*(1 -+ JUDD_EPS).
+JUDD_EPS = 1e-10
 
 
 def _cases(seed=20121205, count=8):
@@ -153,3 +157,47 @@ def test_exact_count_is_the_eigenvalue_count():
     for energy in np.random.default_rng(3).uniform(levels[0] - 5.0, levels[-1] + 5.0, 50):
         if np.abs(levels - energy).min() > 1e-8:
             assert exact_count(energy, chain) == np.count_nonzero(levels < energy)
+
+
+def _judd_scans(seed=20121205, count=2):
+    """(param, g, delta, stop, steps, levels, order) of scans from 0.05:
+    the README g scan, then ``count`` g scans to U(1.5, 3) at delta U(0.1, 3)
+    and ``count`` delta scans to U(2, 6) at g U(0.3, 2)."""
+    rng = np.random.default_rng(seed)
+    scans = [("g", 0.7, 0.4, 1.2, 600, 8, 300)]
+    for _ in range(count):
+        scans.append(("g", 0.7, float(rng.uniform(0.1, 3.0)), float(rng.uniform(1.5, 3.0)),
+                      400, 10, 400))
+    for _ in range(count):
+        scans.append(("delta", float(rng.uniform(0.3, 2.0)), 0.4, float(rng.uniform(2.0, 6.0)),
+                      400, 10, 400))
+    return scans
+
+
+def _judd_changes(events, param, g, delta, lo, hi) -> list[bool]:
+    """For each event at value v, whether Judd's constraint at its
+    nearest_multiple changes sign between the parameter values lo(v) and
+    hi(v)."""
+    def sign(n, v):
+        return judd_sign(n, 1.0, v, delta) if param == "g" else judd_sign(n, 1.0, g, v)
+    return [sign(ev.nearest_multiple, lo(ev.value)) != sign(ev.nearest_multiple, hi(ev.value))
+            for ev in events]
+
+
+@pytest.mark.parametrize("param, g, delta, stop, steps, levels, order", _judd_scans())
+def test_every_crossing_brackets_a_juddian_root(param, g, delta, stop, steps, levels, order):
+    # two levels of opposite parity cross only where x = n omega is a root
+    # of W_{n-1}: Judd's constraint changes sign within JUDD_EPS of each event
+    events = scan_levels(ModelParams(1.0, g, delta), param, 0.05, stop, steps, levels,
+                         order).events
+    changes = _judd_changes(events, param, g, delta,
+                            lambda v: v * (1 - JUDD_EPS), lambda v: v * (1 + JUDD_EPS))
+    assert changes and all(changes)
+
+
+def test_judd_sign_constant_away_from_the_crossings():
+    # the check is not vacuous: the 19 README events moved up by 1e-4 to
+    # 2e-4 bracket no root
+    events = scan_levels(ModelParams(1.0, 0.7, 0.4), "g", 0.05, 1.2, 600, 8, 300).events
+    assert len(events) == 19 and not any(_judd_changes(events, "g", 0.7, 0.4,
+                                 lambda v: v + 1e-4, lambda v: v + 2e-4))

@@ -606,6 +606,22 @@ class TestSolveMethodA:
         assert len(got) == k
         assert float(np.max(np.abs(got - union))) < 1e-8 * params.omega
 
+    @pytest.mark.parametrize("g, delta", [
+        (8.328725746944016, 2.435531129483232), (11.400913397054943, 0.3061288586038702),
+        (9.46255019321232, 6.422406580445575), (11.347130464810721, 3.375027029682397),
+    ])
+    def test_close_doublets_printed_twice(self, g, delta):
+        # at these parity doublets the float count steps inside a piece wider
+        # than tol on which P_N keeps its sign: the piece narrows by count,
+        # and both levels of each doublet come out within 1e-10 of the union
+        # oracle (each request once exited 3 with LostBracketError)
+        model = ["--omega", "1", "--g", repr(g), "--delta", repr(delta)]
+        out = io.StringIO()
+        assert main(["spectrum", *model, "--method", "a", "--levels", "8"], out=out) == 0
+        assert len([line for line in out.getvalue().splitlines() if line[:1].isdigit()]) == 8
+        assert main(["compare", *model, "--method-1", "a", "--method-2", "diag", "-m", "8",
+                     "--tol", "1e-10"], out=io.StringIO()) == 0
+
     @pytest.mark.parametrize("g", [0.7, 1.0, 2.0])
     def test_refines_only_the_levels_returned(self, monkeypatch, g):
         # the lowest k brackets are refined, not every bracket in the window

@@ -31,7 +31,7 @@ commit):
   each of its pivot sweeps reads (``schweber.secular_count``'s sweeps and
   method b's, ``tridiag.sturm_count``'s, which ``resolvent.pole_count``
   names, stop where the rest of the rows is dominant), and outside it the
-  lockstep narrowing's sweeps and the rows each reads;
+  narrowing's sweeps (``model.multisect``) and the rows each reads;
 * the pivot sweeps that one call of each of these makes: the tracks of the
   README g scan (600 chains x 8 levels, order 300) and of the seed-1 delta
   scan (200 x 6, order 150) by ``tridiag.eigenvalues_batch``, the README
@@ -67,7 +67,7 @@ the plus chain at orders 300, 600 and 1200, one piece's refinement, one
 ``tridiag._bisect`` on 720, 1440 and 4800 per-row chains of the README g
 scan at orders 300 and 1200, each level from its interlacing start as
 ``eigenvalues_batch`` brackets it, with m = 1, 2 and 3 halvings a sweep,
-forced through ``_MULTISECTION_PROBES``.
+forced through ``model._MULTISECTION_PROBES``.
 
 ``--compare`` is the file ``bench/compare.py --json`` wrote for the same
 parent/change pair; it is copied in unchanged.
@@ -672,8 +672,8 @@ def _crossover(rabicf) -> dict:
     in ``rabicf``."""
     import numpy as np
 
-    scan, tridiag = rabicf.scan, rabicf.tridiag
-    p, probes, result = rabicf.ModelParams(1.0, 0.7, 0.4), tridiag._MULTISECTION_PROBES, {}
+    scan, tridiag, model = rabicf.scan, rabicf.tridiag, rabicf.model
+    p, probes, result = rabicf.ModelParams(1.0, 0.7, 0.4), model._MULTISECTION_PROBES, {}
     try:
         for order, lanes in CROSSOVER:
             tables = scan._batch_tables(p, "g", np.linspace(0.05, 1.2, lanes), 1.0, order)
@@ -683,7 +683,7 @@ def _crossover(rabicf) -> dict:
             ms = {1: [], 2: [], 3: []}
             for round_ in range(REPEATS):
                 for m in ((1, 2, 3) if round_ % 2 == 0 else (3, 2, 1)):
-                    tridiag._MULTISECTION_PROBES = lanes * (2**m - 1) if m > 1 else 0
+                    model._MULTISECTION_PROBES = lanes * (2**m - 1) if m > 1 else 0
                     start = time.perf_counter()
                     tridiag._bisect(*tables, wanted, np.full(lanes, interval[0]), tops, 1e-11,
                                     tridiag._dominance_floor(*tables))
@@ -691,7 +691,7 @@ def _crossover(rabicf) -> dict:
             result[f"order {order}, {lanes} brackets"] = {
                 f"m={m}": round(float(np.median(t)), 1) for m, t in ms.items()}
     finally:
-        tridiag._MULTISECTION_PROBES = probes
+        model._MULTISECTION_PROBES = probes
     return result
 
 

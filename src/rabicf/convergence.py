@@ -49,14 +49,16 @@ class PringsheimCertificate:
 
 def tail_depth_bound(energy: float, params: ModelParams) -> int:
     """Smallest certified tail start: the dimensionful convergence bound,
-    rounded up.  Returns 1 at g = 0, where every tail numerator vanishes
-    and the tail is trivially convergent; RabiSolverError where the bound
-    overflows, or ten times it, the levels that ``bound`` verifies."""
+    rounded up.  Returns 1 at g = 0, where every tail numerator vanishes and
+    the tail is trivially convergent; RabiSolverError where omega**2 is 0 or
+    the bound overflows, or ten times it, the levels that ``bound`` verifies."""
     if not math.isfinite(energy):
         raise ValueError(f"energy must be finite, got {energy!r}")
     w, g, d = params.omega, params.g, params.delta
     if g == 0.0:
         return 1
+    if w * w == 0.0:  # the bound below divides by it
+        raise RabiSolverError(f"the tail-depth bound: omega**2 underflows to 0 at omega = {w!r}")
     s = abs(energy) + d
     n = s / w + (2.0 * g / (w * w)) * (g + math.sqrt(g * g + s * w))  # no 1/g**2 to overflow
     if 10.0 * n == math.inf:

@@ -6,7 +6,8 @@ basis.  Every route (both continued-fraction methods and the oracle)
 consumes the chain coefficients built here and reports its levels in the
 spectrum records here; the request defaults and checks (window, grid,
 order) and the continued fractions' pole guard, DEN_FLOOR and ``CfValue``
-live here too, so that no route loads another route's module for them.
+live here too, with the one pivot sweep and count multisection of all three
+routes, so that no route loads another route's module for them.
 """
 
 from __future__ import annotations
@@ -571,3 +572,91 @@ def negative_pivots(couplings, rows, dominant: int, energies=0.0) -> np.ndarray:
     the continued fractions' forward pivots index them (a_0 = 0, the unread
     coupling into the first row)."""
     return pivot_sweep(couplings[1:], rows, dominant, energies)[0]
+
+
+# Most counts, lanes times (2**s - 1) nodes, of a :func:`multisect` sweep of
+# s > 1 halvings.  On the oracle's chains (orders 300 and 1200, 2-vCPU x86-64
+# VM) the fastest s counts 1000-2500 nodes a sweep, and s = 1 is fastest from
+# about 1500 lanes; s = 2 beat s = 1 by 1-18% at 720 and 1440 (BENCH_24.json).
+_MULTISECTION_PROBES = 2048
+
+
+def multisect(count, wanted, lo, hi, tol, stop=None):
+    """Count multisection of the brackets (lo, hi] of root number ``wanted``
+    (1-based) in lockstep, the oracle's (``tridiag._bisect``) and both
+    continued fractions' (``search.counted_roots``); ``count`` maps an array
+    of energies to the number of roots at or below each.  Returns (lo, hi).
+
+    A bracket is live while wider than ``tol`` with its midpoint strictly
+    inside.  A sweep halves every live bracket s times by 0.5*(lo + hi),
+    counts the 2**s - 1 nodes in one call and takes the cell above the nodes
+    that count below ``wanted``: the cell of s bisection steps where the
+    count is monotone (as LAPACK ``dstebz``).  s is the largest up to 4 with
+    lanes * (2**s - 1) <= _MULTISECTION_PROBES that the widest live bracket W
+    takes: W/2**(s-1) above ``tol``, W/2**s at least an ulp of every live end.
+    On the oracle's lattice of one power-of-two width (``tridiag._snap``)
+    the nodes are lo + i*W/2**s exactly, and no bracket stops mid-sweep.
+
+    With ``stop`` = (c_lo, c_hi, depth), the brackets' end counts, only live
+    brackets are counted, and each stops at any level ``depth(a, b)`` below
+    its piece (a, b), the first cell whose ends' counts differ by one, or at
+    the stop rule first.  Returns (lo, hi, a, b), a and b NaN where no piece is.
+    """
+    lo, hi, wanted = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), np.asarray(wanted)
+    if stop is not None:  # the pieces, and the levels left below each (-1: not found)
+        lo, hi, (c_lo, c_hi), depth = lo.copy(), hi.copy(), map(np.array, stop[:2]), stop[2]
+        piece = np.where(c_hi - c_lo == 1, [lo, hi], np.nan)
+        left = np.array([depth(a, b) if a == a else -1 for a, b in piece.T.tolist()], dtype=int)
+    with np.errstate(over="ignore"):  # ends beyond 2**1023 halve to inf, as floats do
+        while True:
+            mid, width = 0.5 * (lo + hi), hi - lo
+            live = (width > tol) & (lo < mid) & (mid < hi)
+            if stop is not None:
+                live = np.where(left < 0, live, left > 0)
+            if not live.any():
+                return (lo, hi) if stop is None else (lo, hi, *piece)
+            width, ulp = (float(width[live].max()),  # the largest |end|: max(hi) or -min(lo)
+                          math.ulp(max(float(hi[live].max()), -float(lo[live].min()))))
+            s = 1
+            while (s < 4 and lo.size * (2 ** (s + 1) - 1) <= _MULTISECTION_PROBES
+                   and width * 2.0**-(s + 1) >= ulp and width * 2.0**-s > tol):
+                s += 1
+            if stop is None and s == 1:
+                below = live & (count(mid) < wanted)
+                lo, hi = np.where(below, mid, lo), np.where(live & ~below, mid, hi)
+                continue
+            # the oracle's lanes broadcast against its chains: all are counted
+            sel = ... if (every := live.all()) or stop is None else live
+            nodes = np.empty((2**s + 1,) + lo[sel].shape)
+            nodes[0], nodes[2 ** (s - 1)], nodes[-1] = lo[sel], mid[sel], hi[sel]
+            for k in (8, 4, 2)[4 - s:]:  # node strides of the levels below the first
+                nodes[k // 2::k] = 0.5 * (nodes[:-(k // 2):k] + nodes[k::k])
+            counts = count(nodes[1:-1])
+            j = (counts < wanted[sel]).sum(0).reshape(-1)
+            nodes, lane = nodes.reshape(len(nodes), -1), np.arange(j.size)
+            if stop is None:
+                a, b = nodes[j, lane].reshape(lo.shape), nodes[j + 1, lane].reshape(lo.shape)
+                lo, hi = (a, b) if every else (np.where(live, a, lo), np.where(live, b, hi))
+                continue
+            lf = left[sel]
+            found, down = lf >= 0, np.where(lf < 0, s, lf)  # levels down this sweep
+            if seeking := not found.all():  # j's cells (a, b] and counts at levels 0..s
+                up = s - np.arange(s + 1)[:, None]
+                ia = j >> up << up
+                counts = np.concatenate([c_lo[sel][None], counts, c_hi[sel][None]])
+                a, b, m = (nodes[i, lane] for i in (ia, ia + (1 << up), ia + (1 << up >> 1)))
+                stuck = ~((b - a > tol) & (a < m) & (m < b))
+                stuck[s] = False  # the next sweep tests the last cell
+                p, q = (np.where(x.any(0), x.argmax(0), s + 1) for x in
+                        (counts[ia + (1 << up), lane] - counts[ia, lane] == 1, stuck))
+                new, at = ~found & (p <= np.minimum(q, s)), np.minimum(p, s)
+                piece[:, np.flatnonzero(live)[new]] = pa, pb = a[at, lane][new], b[at, lane][new]
+                down = np.where(~found & (q < p), q, down)
+                down[new] = p[new] + [depth(*ab) for ab in zip(pa.tolist(), pb.tolist())]
+                found |= new
+            up = s - np.minimum(down, s)  # j's cell that many levels up
+            ia = j >> up << up
+            lo[sel], hi[sel] = nodes[ia, lane], nodes[ia + (1 << up), lane]
+            if seeking:
+                c_lo[sel], c_hi[sel] = counts[ia, lane], counts[ia + (1 << up), lane]
+            left[sel] = np.where(found, down - s + up, -1)

@@ -7,11 +7,11 @@ E = k w - g^2/w included; ``pole_count`` for method b) are brackets, one
 per root.  The count is monotone, so ``bracket_roots`` counts a coarse
 grid first and every sample only inside the coarse cells whose count
 rises and that can hold a wanted root.  All brackets of a request then
-narrow together by count down their bisection trees, 15 nodes a bracket in
-one count call a sweep: first to the piece that holds the bracket's own
-root alone, then 16 levels below it.  ITP (``bisect_sign``) refines each
-piece from the cell reached, on a function with no pole in it: P_N for
-method a, D_0 or a leading minor with its sign for method b (``refine``).
+narrow together by count with the oracle's multisection (``model.multisect``):
+to the piece that holds the bracket's own root alone, then 16 levels below
+it.  ITP (``bisect_sign``) refines each piece from the cell reached, on a
+function with no pole in it: P_N for method a, D_0 or a leading minor with
+its sign for method b (``refine``).
 
 The parameter scan and its crossing detector are in ``rabicf.scan``, which
 runs the oracle; ``CrossingEvent``, ``ScanResult`` and ``scan_levels`` are
@@ -22,14 +22,13 @@ nor the oracle.
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import LevelSpacingError, LostBracketError
+from .errors import LevelSpacingError, LostBracketError, RabiSolverError
 from .model import (DEFAULT_GRID, DEFAULT_REFINE_TOL, EnergyLevel, ModelParams, SpectralMethod,
                     SpectrumApproximation, TruncationOrder, checked_grid, checked_window,
-                    pole_guard, record)
+                    multisect, pole_guard, record)
 
 # solve_method_a imports schweber when it runs: method b and a scan never load it.
 
@@ -47,10 +46,6 @@ __all__ = [
 
 # Names defined in rabicf.scan, bound here when first read.
 _SCAN_NAMES = ("CrossingEvent", "ScanResult", "scan_levels")
-
-# Levels of every bracket's bisection tree that one count of the lockstep
-# narrowing reads: 2**NARROW_LEVELS - 1 nodes a bracket a sweep.
-NARROW_LEVELS = 4
 
 # The narrowing by count stops this many levels below each bracket's piece
 # (cells 2**-16 of it), well short of the root, where the count's parity
@@ -82,7 +77,7 @@ def bracket_roots(count, window: tuple[float, float], grid: int,
     count rises by k is its bracket k times, each with the counts at its
     two samples.  Brackets come in sample order, so the first k hold the
     k lowest roots: a caller refines every bracket returned.  A negative
-    ``levels`` is a ValueError.
+    ``levels`` is a ValueError, a count falling between samples a RabiSolverError.
 
     The count is monotone, so only samples that can move a bracket are
     counted: every isqrt(grid)-th sample and the last, then every sample
@@ -96,7 +91,7 @@ def bracket_roots(count, window: tuple[float, float], grid: int,
     xs = np.linspace(lo, hi, checked_grid(grid))
     coarse = np.append(np.arange(0, grid - 1, math.isqrt(grid)), grid - 1)
     ends = count(xs[coarse])
-    fine = ends[1:] != ends[:-1]  # a falling cell too, which np.repeat refuses below
+    fine = ends[1:] != ends[:-1]  # a falling cell too, refused below
     if levels is not None:
         fine &= ends[:-1] < ends[0] + levels
     counts = np.repeat(ends, np.diff(coarse, append=grid))
@@ -104,7 +99,9 @@ def bracket_roots(count, window: tuple[float, float], grid: int,
     inside[coarse[:-1]] = False
     if (inside := np.flatnonzero(inside)).size:
         counts[inside] = count(xs[inside])
-    cells = np.repeat(np.arange(grid - 1), np.diff(counts))[:levels]
+    if (steps := np.diff(counts)).min() < 0:
+        raise RabiSolverError(f"the root count falls between samples in {window!r}")
+    cells = np.repeat(np.arange(grid - 1), steps)[:levels]
     return BracketScan(brackets=tuple(zip(xs[cells].tolist(), xs[cells + 1].tolist())),
                        counts=tuple(zip(counts[cells].tolist(), counts[cells + 1].tolist())))
 
@@ -143,7 +140,7 @@ def _tree_depth(lo: float, hi: float, tol: float) -> int:
 
 
 def bisect_sign(f, lo: float, hi: float, tol: float, *,
-                start: tuple[int, int] | None = None) -> float:
+                start: tuple[float, float] | None = None) -> float:
     """The root of ``f`` in (lo, hi] that sign bisection finds (a zero at
     ``hi``, not at ``lo``; one met on the way; else the midpoint of the cell
     holding the sign change once ``tol`` wide or adjacent floats), in fewer
@@ -151,17 +148,17 @@ def bisect_sign(f, lo: float, hi: float, tol: float, *,
     128 ulps) wide, reading a ``recurrence.Scaled`` as float * 2**exponent.
     NaN raises LostBracketError.  ``bench/`` traces one call a bracket by this name.
 
-    ``start`` = (level, index) is a cell of that tree (``_tree_cell``), such
-    as the one ``counted_roots`` narrows to by count.  ITP then starts from
-    its ends and descends to each node from it, on the depth of the tree of
-    (lo, hi); where ``f`` shows no sign change over it (opposite signs, or a
-    zero at its upper end alone), the whole of (lo, hi) is refined."""
+    ``start`` = (a, b) is a cell of that tree, as ``counted_roots`` narrows to
+    by count.  ITP then starts from its ends, on the depth of the tree of (lo,
+    hi); where ``f`` shows no sign change over it (opposite signs, or a zero
+    at its upper end alone), the whole of (lo, hi) is refined."""
     depth = _tree_depth(lo, hi, tol)
     if start is not None:
-        a, b = _tree_cell(lo, hi, *start)
+        a, b = start
         fa, fb = f(a), f(b)
         if fa == fa and fb == fb and fa != 0.0 and (fb == 0.0 or (fa > 0.0) != (fb > 0.0)):
-            return _itp_nodes(f, a, b, fa, fb, max(0, depth - start[0]), 2.0**depth, tol)
+            below = depth - round(math.log2((hi - lo) / (b - a)))  # levels below (a, b)
+            return _itp_nodes(f, a, b, fa, fb, max(0, below), 2.0**depth, tol)
     flo, fhi = f(lo), f(hi)
     if fhi != 0.0 and (np.sign(flo) == np.sign(fhi) or flo != flo or fhi != fhi):
         raise LostBracketError(f"no sign change over ({lo!r}, {hi!r}): f = {flo!r}, {fhi!r}")
@@ -206,92 +203,35 @@ def counted_roots(count, f, window: tuple[float, float], grid: int, levels: int 
     each energy of an array; ``f`` changes sign at each root and nowhere else.
 
     Bracket i of ``bracket_roots`` holds root number count(window[0]) + 1 + i.
-    Every bracket then narrows by count toward its root, down its bisection
-    tree, all in lockstep (``_narrow``).  The first cell whose ends' counts
-    differ by one is its piece, which holds that root alone.  The piece
-    narrows NARROW_DEPTH levels further, and ``bisect_sign`` refines it on
-    ``f`` down to ``tol`` from the cell reached (width None); ``refine``, when
-    given, stands in for ``bisect_sign`` there, called as it is, so that a
-    caller can refine each piece on a cheaper function of f's sign.  A piece still
-    holding other roots at ``tol`` is a root at its midpoint, with its
-    width; so is a piece on which the refinement finds no sign change
-    (LostBracketError), once halved by count down to ``tol`` (or to adjacent
-    floats) toward the count's step: at a root pair closer than a few ulps,
-    such as an exponentially close parity doublet, the count and the sign of
-    f may part by rounding.  One that holds several roots and cannot be
-    halved although wider than ``tol`` (its midpoint is an end, or
-    overflows) raises LevelSpacingError: those roots lie closer than the
-    float spacing there, and would not come out strictly increasing."""
+    ``model.multisect`` narrows each by count to its piece, which holds that
+    root alone, and NARROW_DEPTH levels below it; ``bisect_sign`` (or
+    ``refine``, called as it is, on a cheaper function of f's sign) refines
+    the piece on ``f`` down to ``tol`` from the cell reached (width None).  A
+    bracket still holding other roots at ``tol`` is a root at its midpoint,
+    with its width; so is a piece on which the refinement finds no sign
+    change (LostBracketError), once multisected by count: at a root pair
+    closer than a few ulps, such as a close parity doublet, the count and
+    the sign of f may part by rounding.  Several roots in a bracket that
+    cannot be halved although wider than ``tol`` (its midpoint is an end, or
+    overflows) raise LevelSpacingError: they lie closer than the float spacing."""
+    scan = bracket_roots(count, window, grid, levels)
+    ends = np.reshape(scan.counts, (-1, 2)).T
+    wanted = ends[0][:1] + np.arange(1, len(scan.brackets) + 1)
     found: list[tuple[float, float | None]] = []
-    for (a, b), start in _narrow(count, bracket_roots(count, window, grid, levels), tol):
-        if start is not None:
+    for k, lo, hi, a, b in zip(wanted, *(x.tolist() for x in multisect(
+            count, wanted, *np.reshape(scan.brackets, (-1, 2)).T, tol,
+            (*ends, lambda a, b: min(NARROW_DEPTH, _tree_depth(a, b, tol)))))):
+        if a == a:  # the piece (a, b] holds root k alone
             try:
-                found.append(((refine or bisect_sign)(f, a, b, tol, start=start), None))
+                found.append(((refine or bisect_sign)(f, a, b, tol, start=(lo, hi)), None))
                 continue
             except LostBracketError:  # no sign change of f over the piece: narrow by count
-                c_a = int(count(np.array([a]))[0])
-                while b - a > tol and a < (m := 0.5 * (a + b)) < b:
-                    a, b = (a, m) if count(np.array([m]))[0] > c_a else (m, b)
-        elif b - a > tol:
-            raise LevelSpacingError(f"levels in ({a!r}, {b!r}] lie closer together than "
+                lo, hi = (x.item() for x in multisect(count, k, np.array([a]), np.array([b]), tol))
+        elif hi - lo > tol:
+            raise LevelSpacingError(f"levels in ({lo!r}, {hi!r}] lie closer together than "
                                     "halving can separate: below the float spacing there")
-        found.append((0.5 * (a + b), b - a))
+        found.append((0.5 * (lo + hi), hi - lo))
     return found
-
-
-def _narrow(count, scan: BracketScan, tol: float) -> list:
-    """For each bracket of ``scan``, its piece (a, b) and the (level, index) of
-    the cell of the piece's tree NARROW_DEPTH levels down (fewer in a
-    shallower tree) that holds the root; or the cell, still holding other
-    roots, where halving stopped, and None.
-
-    Each sweep forms the 2**NARROW_LEVELS - 1 nodes below every unfinished
-    bracket's cell by halving, counts them all in one call, and descends
-    each bracket by the counts as halving by count one node at a time
-    would: toward root number k, into the half whose upper end counts k or
-    more; the piece is the first cell whose ends' counts differ by one.  A
-    bracket stops short of its piece at ``tol`` wide or where its midpoint
-    is one of its ends.
-
-    A bracket's state is a namespace: its cell (lo, hi] with the counts
-    c_lo and c_hi at both ends and the root number k it narrows toward;
-    once found, its piece, the levels below it to narrow to (target), and
-    the cell reached as (level, index) of the piece's tree."""
-    first = scan.counts[0][0] if scan.counts else 0
-    state = [SimpleNamespace(lo=a, hi=b, c_lo=c_lo, c_hi=c_hi, k=first + 1 + i, piece=None,
-                             target=0, level=0, index=0)
-             for i, ((a, b), (c_lo, c_hi)) in enumerate(zip(scan.brackets, scan.counts))]
-    result: list = [None] * len(state)
-    leaves = 2**NARROW_LEVELS
-    while todo := [i for i, out in enumerate(result) if out is None]:
-        ends = np.empty((len(todo), leaves + 1))
-        ends[:, 0], ends[:, leaves] = [state[i].lo for i in todo], [state[i].hi for i in todo]
-        with np.errstate(over="ignore"):  # ends beyond 2**1023 halve to inf, as floats do
-            for step in (leaves >> j for j in range(NARROW_LEVELS)):
-                ends[:, step // 2::step] = 0.5 * (ends[:, :-(step // 2):step] + ends[:, step::step])
-        for i, e, c in zip(todo, ends.tolist(), count(ends[:, 1:-1]).tolist()):
-            s = state[i]
-            c = [s.c_lo, *c, s.c_hi]
-            at, span = 0, leaves
-            while True:
-                a, b = e[at], e[at + span]
-                if s.piece is None and c[at + span] - c[at] == 1:  # alone: the piece
-                    s.piece, s.target = (a, b), min(NARROW_DEPTH, _tree_depth(a, b, tol))
-                if s.piece is not None and s.level == s.target:
-                    result[i] = s.piece, (s.level, s.index)
-                    break
-                if span == 1:  # the next sweep goes on from this cell
-                    s.lo, s.hi, s.c_lo, s.c_hi = a, b, c[at], c[at + 1]
-                    break
-                mid = at + span // 2
-                if s.piece is None and not (b - a > tol and a < e[mid] < b):
-                    result[i] = (a, b), None
-                    break
-                right = c[mid] < s.k
-                if s.piece is not None:
-                    s.level, s.index = s.level + 1, 2 * s.index + right
-                at, span = (mid if right else at), span // 2
-    return result
 
 
 @record

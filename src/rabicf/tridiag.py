@@ -14,9 +14,9 @@ endpoint is an exact dyadic number.  Results are then bit-reproducible at a
 fixed tolerance, independent of truncation order: any two chains that agree
 on an eigenvalue far below the tolerance return the identical float.
 
-A few brackets take up to four halvings per pivot sweep (dyadic
-multisection, as in LAPACK ``dstebz``; Demmel, *Applied Numerical Linear
-Algebra*, 5.3), the thousands of a parameter scan's tracks one, and all
+Bisection is the count multisection of all three routes (``model.multisect``;
+Demmel, *Applied Numerical Linear Algebra*, 5.3): a few brackets take up to
+four halvings per pivot sweep, the thousands of a scan's tracks one, and all
 end in the cell that bisection reaches wherever the count is monotone.
 
 A pivot sweep takes its step-major tables, diag (n+1, ...) and off2
@@ -42,7 +42,7 @@ import numpy as np
 from .errors import TooFewLevelsError
 from .model import (_ROWS, DEFAULT_EIG_TOL, SLACK, ChainCoefficients, EnergyLevel,
                     SpectralMethod, SpectrumApproximation, checked_tol, dominance_margins,
-                    dominant_row, negative_pivots, pivot_sweep, range_scale)
+                    dominant_row, multisect, negative_pivots, pivot_sweep, range_scale)
 
 __all__ = [
     "sturm_count",
@@ -230,54 +230,11 @@ def _start_tops(diag, off2, first_k, tol, interval) -> np.ndarray:
     return np.minimum(interval[1], np.maximum(top, interval[0] + lattice_cell(tol)))
 
 
-# Most Sturm counts, lanes times (2**m - 1) probes, that one sweep of m > 1
-# halvings may take.  Measured on a 2-vCPU x86-64 VM at orders 300 and
-# 1200: up to a few hundred lanes the fastest m takes about 1000-2500
-# counts a sweep, and from about 1500 lanes, where a sweep is bound by
-# memory traffic, plain bisection (m = 1) is fastest.  Between, the rule
-# keeps m = 1 at 720 and 1440 lanes, where m = 2 measured 1-18% faster on
-# the blocked sweep at orders 300 and 1200 (BENCH_24.json); no workload
-# has that shape.
-_MULTISECTION_PROBES = 2048
-
-
 def _bisect(diag, off2, wanted, lo, hi, tol, floor) -> tuple[np.ndarray, np.ndarray]:
-    """Count multisection of the brackets (lo, hi) of eigenvalue number
-    ``wanted`` (1-based), all in lockstep from their :func:`_snap`.  Each
-    bracket is halved until it is <= ``tol`` wide or its midpoint no longer
-    lies strictly inside it (lo and hi are adjacent floats), whichever
-    comes first.  The step-major ``diag`` and ``off2`` broadcast against
-    the brackets on their trailing axes.  Returns the final (lo, hi).
-
-    Every live bracket has the same power-of-two width W, so one pivot
-    sweep takes s halvings at once: it counts at the 2**s - 1 dyadic
-    points lo + i*W/2**s, and the new lo is lo + j*W/2**s with j the number
-    of them whose count is below ``wanted``, the cell that s bisection
-    steps reach wherever the count is monotone.  s is the largest value
-    up to 4 with lanes * (2**s - 1) <= _MULTISECTION_PROBES that every
-    live bracket can still take: W/2**(s-1) above ``tol``, and W/2**s no
-    finer than one ulp of the largest live end, so every probe is exact.
-    It is at least 1, the midpoint, which the stop rule checks.
-
-    Every sweep stops where the chains' tails are dominant above its
-    energies, on one :func:`_dominance_floor` of the chains, ``floor``.
-    """
-    lo, hi = _snap(lo, hi, tol)
-    while True:
-        mid = 0.5 * (lo + hi)
-        live = (hi - lo > tol) & (lo < mid) & (mid < hi)
-        if not live.any():
-            return lo, hi
-        width = float(np.max((hi - lo)[live]))
-        ulp = math.ulp(float(np.max(np.maximum(np.abs(lo), np.abs(hi))[live])))
-        s = 1
-        while (s < 4 and lo.size * (2 ** (s + 1) - 1) <= _MULTISECTION_PROBES
-               and width * 2.0**-(s + 1) >= ulp and width * 2.0**-s > tol):
-            s += 1
-        step = width * 2.0**-s
-        probes = lo + step * np.arange(1, 2**s).reshape((-1,) + (1,) * lo.ndim)
-        below = np.sum(_negative_pivot_counts(probes, diag, off2, floor) < wanted, axis=0)
-        lo, hi = np.where(live, lo + below * step, lo), np.where(live, lo + (below + 1) * step, hi)
+    """:func:`~rabicf.model.multisect` of the :func:`_snap` of (lo, hi), counted
+    by the pivot sweep of the step-major ``diag`` and ``off2`` on ``floor``."""
+    return multisect(lambda e: _negative_pivot_counts(e, diag, off2, floor), wanted,
+                     *_snap(lo, hi, tol), tol)
 
 
 def eigenvalues(chain: ChainCoefficients, first_k: int, tol: float | None = None) -> SpectrumApproximation:

@@ -28,6 +28,7 @@ from rabicf import (
 
 from rabicf.cli import main
 from rabicf.convergence import _tail_b
+from rabicf.errors import RabiSolverError
 from rabicf.model import DEN_FLOOR
 
 from conftest import FIXTURE
@@ -268,3 +269,28 @@ class TestTailValue:
             tail_value(0.0, FIXTURE, Parity.PLUS, 0, 10)
         with pytest.raises(ValueError):
             tail_value(0.0, FIXTURE, Parity.PLUS, 2, -1)
+
+
+# (omega, g, delta) = 2**-560 * (1, 0.7, 0.4): omega**2 underflows to 0
+TINY = ("2.6497349136889905e-169", "1.8548144395822932e-169", "1.0598939654755962e-169")
+
+
+class TestTailDepthBoundUnderflow:
+    def test_refused_by_name(self):
+        with pytest.raises(RabiSolverError, match=r"omega\*\*2 underflows to 0"):
+            tail_depth_bound(0.0, ModelParams(*map(float, TINY)))
+
+    def test_cli(self, capsys):
+        # bound refuses with exit 3, and the default order with exit 2 and
+        # the advice to pass --order, which then runs
+        model = ["--omega", TINY[0], "--g", TINY[1], "--delta", TINY[2]]
+        assert main(["bound", *model, "--energy", "0"], out=io.StringIO()) == 3
+        assert "omega**2 underflows to 0" in capsys.readouterr().err
+        bound = ["bound", "--omega", "1e-300", "--g", "0.7", "--delta", "0.4", "--energy", "1e10"]
+        assert main(bound, out=io.StringIO()) == 3
+        assert capsys.readouterr().err == \
+            "rabicf: the tail-depth bound: omega**2 underflows to 0 at omega = 1e-300\n"
+        spectrum = ["spectrum", *model, "--method", "diag", "--levels", "4"]
+        assert main(spectrum, out=io.StringIO()) == 2
+        assert "pass --order" in capsys.readouterr().err
+        assert main([*spectrum, "--order", "300"], out=io.StringIO()) == 0

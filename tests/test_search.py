@@ -35,6 +35,7 @@ import rabicf.search as search
 from rabicf.recurrence import Scaled
 from rabicf.resolvent import poles_of_resolvent
 from rabicf.cli import main
+from rabicf.errors import RabiSolverError
 from rabicf.model import _ROWS, default_order, default_window
 from rabicf.search import BracketScan, bisect_sign, counted_roots
 from rabicf.tridiag import StepTable, _dominance_floor
@@ -1021,3 +1022,20 @@ class TestCrossingRefinement:
             p = ModelParams(base.omega, big.value, base.delta)
             gap = _lapack_level(p, 1, 300, big.plus_level) - _lapack_level(p, -1, 300, big.minus_level)
             assert abs(gap) <= 1e-12 * base.omega
+
+
+class TestFallingCount:
+    """A root count that falls between two grid samples brackets nothing:
+    ``bracket_roots`` refuses it by name."""
+
+    def test_refused_by_name(self):
+        with pytest.raises(RabiSolverError, match="falls between samples"):
+            bracket_roots(lambda e: np.where(e < 0.5, 1, 0), (0.0, 1.0), 10)
+
+    def test_method_a_where_omega_squared_underflows(self, capsys):
+        # 2**-560 * (1, 0.7, 0.4): secular_count falls across the window
+        argv = ["spectrum", "--omega", "2.6497349136889905e-169", "--g", "1.8548144395822932e-169",
+                "--delta", "1.0598939654755962e-169", "--method", "a", "--levels", "4",
+                "--order", "150"]
+        assert main(argv, out=io.StringIO()) == 3
+        assert "the root count falls between samples" in capsys.readouterr().err
